@@ -85,6 +85,7 @@ from .tracts import (
     TractConfig,
     contraction_ratio,
     inverse_branch,
+    inverse_branches,
     make_tract_config,
     tract_index,
 )

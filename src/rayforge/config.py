@@ -29,7 +29,6 @@ ROOT_MAX_ITER = 200
 INVERSE_RESIDUAL_RTOL = 1e-10
 TRACER_TOL = 1e-10
 TRACER_MAX_DEPTH = 128
-FUNC_EQ_RTOL = 1e-8
 
 # Tract certification.
 STRIP_EDGE_SAMPLES = 720

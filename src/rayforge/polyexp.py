@@ -147,9 +147,12 @@ def poly_roots_batch(
     """Solve p(z) = w simultaneously for a batch of right-hand sides.
 
     Ehrlich-Aberth iteration started on the d-th-root fan of each w (a fixed
-    0.7-radian twist breaks the real-axis symmetry trap).  Returns an array
-    of shape (len(ws), d); raises RootSolveError when some residual stays
-    above the post tolerance after max_iter sweeps.
+    0.7-radian twist breaks the real-axis symmetry trap).  Each row leaves
+    the sweep as soon as its own residual or its own correction passes, so
+    every row is bitwise equal to its one-row solve and the output never
+    depends on what else is in the batch.  Returns an array of shape
+    (len(ws), d); raises RootSolveError when some residual stays above the
+    post tolerance after max_iter sweeps.
     """
     cs = tuple(complex(c) for c in coeffs)
     d = len(cs)
@@ -167,25 +170,47 @@ def poly_roots_batch(
     angles = (np.angle(ws)[:, None] + 2 * np.pi * np.arange(d)[None, :] + 0.7) / d
     x = radius[:, None] * np.exp(1j * angles)
 
-    wcol = ws[:, None]
+    # The sweep runs on the live rows only: (row index, roots, w, tolerance).
+    live = np.arange(len(ws))
+    xl, wl, tl = x, ws[:, None], (rtol * scale)[:, None]
+
+    def retire(passed) -> np.ndarray | None:
+        """Write back and drop the rows whose every entry passed; returns
+        the mask of the rows kept when some row left."""
+        nonlocal live, xl, wl, tl
+        if not np.count_nonzero(passed):  # the common case, and cheap
+            return None
+        done = passed.all(axis=1)
+        if not done.any():
+            return None
+        keep = ~done
+        x[live[done]] = xl[done]
+        live, xl, wl, tl = live[keep], xl[keep], wl[keep], tl[keep]
+        return keep
+
     for _ in range(max_iter):
-        pv = _horner_batch(p_high_to_low, x) - wcol
-        if np.all(np.abs(pv) <= rtol * scale[:, None]):
+        pv = _horner_batch(p_high_to_low, xl) - wl
+        keep = retire(np.abs(pv) <= tl)
+        if not live.size:
             break
-        dpv = _horner_batch(dp_high_to_low, x)
+        if keep is not None:
+            pv = pv[keep]
+        dpv = _horner_batch(dp_high_to_low, xl)
         dpv = np.where(dpv == 0, 1e-30, dpv)
         newton = pv / dpv
-        diff = x[:, :, None] - x[:, None, :]
+        diff = xl[:, :, None] - xl[:, None, :]
         np.einsum("bii->bi", diff)[...] = 1.0
         repulsion = (1.0 / diff).sum(axis=2) - 1.0
         denom = 1.0 - newton * repulsion
         denom = np.where(denom == 0, 1e-30, denom)
         corr = newton / denom
-        x = x - corr
-        if np.all(np.abs(corr) <= 4e-16 * (1.0 + np.abs(x))):
-            pv = _horner_batch(p_high_to_low, x) - wcol
+        xl = xl - corr
+        retire(np.abs(corr) <= 4e-16 * (1.0 + np.abs(xl)))
+        if not live.size:
             break
+    x[live] = xl
 
+    wcol = ws[:, None]
     residual = np.abs(_horner_batch(p_high_to_low, x) - wcol)
     worst = float((residual / scale[:, None]).max())
     if worst > config.ROOT_POST_RTOL:

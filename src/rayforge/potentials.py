@@ -27,6 +27,17 @@ class OverflowAt:
     index: int
 
 
+def _integers(entries: Sequence[int]) -> tuple[int, ...]:
+    """Address entries as ints; a non-integral entry is rejected, never truncated."""
+    entries = tuple(entries)
+    try:
+        if all(int(x) == x for x in entries):
+            return tuple(int(x) for x in entries)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"address entries must be integers, got {list(entries)!r}")
+
+
 @dataclass(frozen=True)
 class ExternalAddress:
     """Integer sequence with an eventually periodic representation.
@@ -42,8 +53,8 @@ class ExternalAddress:
     period: tuple[int, ...]
 
     def __init__(self, preperiod: Sequence[int] = (), period: Sequence[int] = (0,)):
-        object.__setattr__(self, "preperiod", tuple(int(x) for x in preperiod))
-        object.__setattr__(self, "period", tuple(int(x) for x in period))
+        object.__setattr__(self, "preperiod", _integers(preperiod))
+        object.__setattr__(self, "period", _integers(period))
         if not self.period:
             raise DomainError("address period must be nonempty")
 

@@ -51,19 +51,36 @@ class RaySegment:
         return tuple(p.z for p in self.samples)
 
 
-def _pull_chain(
+def _pull_chains(
     map_: PolyExpMap,
     cfg: tracts.TractConfig,
     address: ExternalAddress,
-    values: list[float],
-    depth: int,
-) -> complex:
-    """Apply the inverse branches s_{depth-1}, ..., s_0 to the straight seed."""
+    chains: list[tuple[list[float], int]],
+) -> list:
+    """Apply the inverse branches s_{depth-1}, ..., s_0 to the straight seed
+    of every (speed chain, depth) pair.
+
+    All chains pull through the same level in one batched call, the deepest
+    level first; a chain joins at its own depth and leaves at its first
+    failure.  Entry c of the result is chain c's point, or the error that
+    stopped it.
+    """
     d = map_.d
-    w = complex(values[depth], 2 * math.pi * address.entry(depth) / d)
-    for k in range(depth - 1, -1, -1):
-        w = tracts.inverse_branch(map_, cfg, address.entry(k), w)
-    return w
+    zs: list = [
+        complex(values[depth], 2 * math.pi * address.entry(depth) / d)
+        for values, depth in chains
+    ]
+    for level in range(max((depth for _, depth in chains), default=0) - 1, -1, -1):
+        rows = [
+            c for c, (_, depth) in enumerate(chains)
+            if depth > level and not isinstance(zs[c], Exception)
+        ]
+        pulled = tracts.inverse_branches(
+            map_, cfg, [address.entry(level)] * len(rows), [zs[c] for c in rows]
+        )
+        for c, z in zip(rows, pulled):
+            zs[c] = z
+    return zs
 
 
 def trace_ray(
@@ -75,39 +92,13 @@ def trace_ray(
     tol: float = config.TRACER_TOL,
     max_depth: int = config.TRACER_MAX_DEPTH,
 ) -> RayPoint:
-    """Locate the ray point with the given address and potential t > 0.
-
-    Depth is the largest n with step^n(t) <= cap (bounded by max_depth).
-    The consecutive-depth increment measures the shallower depth's error;
-    scaled by the tail-decay ratio it bounds the returned point's error,
-    which must come in under tol.
-    """
+    """Locate the ray point with the given address and potential t > 0:
+    the one-sample segment at t."""
     if not t > 0:
         raise DomainError(f"potential must be > 0, got {t}")
-    values = potentials.chain(map_.d, t, cap=cap, max_len=max_depth + 1)
-    depth = len(values) - 1
-    z = _pull_chain(map_, cfg, address, values, depth)
-    if depth == 0:
-        # Potential so large the straight point is the answer to full precision.
-        return RayPoint(z, t, address, 0, abs(z) * 1e-16)
-    z_prev = _pull_chain(map_, cfg, address, values, depth - 1)
-    increment = abs(z - z_prev)
-    # The increment measures the depth-(n-1) error; the depth-n error is the
-    # increment shrunk by the seed-tail ratio exp(-(step^n - step^(n-1))/2),
-    # evaluated in log space because the deepest seed dwarfs the float range.
-    floor = abs(z) * 1e-16
-    if increment <= floor:
-        err = floor
-    else:
-        log_err = math.log(increment) + (values[depth - 1] - values[depth]) / 2
-        err = math.exp(log_err) if log_err > -700 else 0.0
-    if err > tol * max(1.0, abs(z)):
-        raise NotConvergedError(
-            f"depth budget exhausted at n={depth} "
-            f"(increment {increment:.3e}, error estimate {err:.3e})",
-            details=(z_prev, z),
-        )
-    return RayPoint(z, t, address, depth, max(err, floor))
+    return trace_segment(
+        map_, cfg, address, t, t, 1, cap=cap, tol=tol, max_depth=max_depth
+    ).samples[0]
 
 
 def trace_segment(
@@ -117,9 +108,19 @@ def trace_segment(
     t_lo: float,
     t_hi: float,
     n_samples: int,
-    **opts,
+    cap: float = config.CAP,
+    tol: float = config.TRACER_TOL,
+    max_depth: int = config.TRACER_MAX_DEPTH,
 ) -> RaySegment:
-    """Trace the ray at geometrically spaced potentials in [t_lo, t_hi]."""
+    """Trace the ray at geometrically spaced potentials in [t_lo, t_hi].
+
+    A sample at potential t uses depth n, the largest with step^n(t) <= cap
+    (bounded by max_depth).  The consecutive-depth increment measures the
+    depth-(n-1) error; scaled by the tail-decay ratio it bounds the returned
+    point's error, which must come in under tol.  The depth-n and
+    depth-(n-1) chains of all samples are pulled together; the first
+    failing sample, depth n before depth n-1, raises its error.
+    """
     if not 0 < t_lo <= t_hi:
         raise DomainError("need 0 < t_lo <= t_hi")
     if n_samples < 1:
@@ -130,7 +131,41 @@ def trace_segment(
         ratio = (t_hi / t_lo) ** (1.0 / (n_samples - 1))
         ts = [t_lo * ratio**k for k in range(n_samples)]
         ts[-1] = t_hi
-    return RaySegment(tuple(trace_ray(map_, cfg, address, t, **opts) for t in ts))
+    speeds, chains = [], []
+    for t in ts:
+        values = potentials.chain(map_.d, t, cap=cap, max_len=max_depth + 1)
+        depth = len(values) - 1
+        speeds.append(values)
+        chains += [(values, depth), (values, depth - 1)] if depth else [(values, 0)]
+    pulled = iter(_pull_chains(map_, cfg, address, chains))
+    samples = []
+    for t, values in zip(ts, speeds):
+        depth = len(values) - 1
+        z = tracts.unwrap(next(pulled))
+        if depth == 0:
+            # Potential so large the straight point is the answer to full precision.
+            samples.append(RayPoint(z, t, address, 0, abs(z) * 1e-16))
+            continue
+        z_prev = tracts.unwrap(next(pulled))
+        increment = abs(z - z_prev)
+        # The increment measures the depth-(n-1) error; the depth-n error is
+        # the increment shrunk by the seed-tail ratio
+        # exp(-(step^n - step^(n-1))/2), evaluated in log space because the
+        # deepest seed dwarfs the float range.
+        floor = abs(z) * 1e-16
+        if increment <= floor:
+            err = floor
+        else:
+            log_err = math.log(increment) + (values[depth - 1] - values[depth]) / 2
+            err = math.exp(log_err) if log_err > -700 else 0.0
+        if err > tol * max(1.0, abs(z)):
+            raise NotConvergedError(
+                f"depth budget exhausted at n={depth} "
+                f"(increment {increment:.3e}, error estimate {err:.3e})",
+                details=(z_prev, z),
+            )
+        samples.append(RayPoint(z, t, address, depth, max(err, floor)))
+    return RaySegment(tuple(samples))
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,6 @@ class ThurstonState:
     grid: MarkedGrid
     iteration: int
     deltas: list[float] = field(default_factory=list)
-    tract_cfg: tracts.TractConfig | None = None
     soft_flags: list[str] = field(default_factory=list)
 
 
@@ -278,53 +277,59 @@ def pullback_step(
     state: ThurstonState, cap: float = config.CAP
 ) -> ThurstonState:
     """One pullback: lift every grid point one level back through the branch
-    its address dictates, then refit the map to the new first column."""
+    its address dictates, then refit the map to the new first column.
+
+    All grid points are pulled in one batched call.  Failures are reported
+    in grid order (orbit by orbit, level by level): the first point whose
+    seed fell left of the singular values, or whose branch failed.
+    """
     spec = state.grid.spec
-    d = spec.d
     map_ = state.map
-    cfg = state.tract_cfg
-    if cfg is None:
-        cfg = tracts.make_tract_config(map_)
+    cfg = tracts.make_tract_config(map_)
     old = state.grid.z
+    points = [(i, j) for i in range(spec.m) for j in range(spec.depth + 1)]
+    seeds = [
+        state.grid.tail_seed(i, cap=cap) if j == spec.depth else complex(old[i, j + 1])
+        for i, j in points
+    ]
+    complex_seeds = [(k, s) for k, s in enumerate(seeds) if isinstance(s, complex)]
+    # Points after the first seed left of the singular values are never
+    # reached; the points before it are, so their failures come first.
+    stop = next((k for k, s in complex_seeds if s.real <= cfg.r_min), len(points))
+    pulled = tracts.inverse_branches(
+        map_, cfg, [spec.address(i).entry(j) for i, j in points[:stop]], seeds[:stop]
+    )
     new = np.zeros_like(old)
-    soft: list[str] = []
-    for i in range(spec.m):
-        addr = spec.address(i)
-        for j in range(spec.depth + 1):
-            seed = state.grid.tail_seed(i, cap=cap) if j == spec.depth else old[i, j + 1]
-            if isinstance(seed, complex) or isinstance(seed, np.complexfloating):
-                seed_c = complex(seed)
-                if seed_c.real <= cfg.r_min:
-                    raise InvariantViolationError(
-                        f"grid point ({i},{j + 1}) fell left of the singular "
-                        f"values (Re {seed_c.real:.3g} <= {cfg.r_min:.3g}); "
-                        "marked points escaped the admissible region"
-                    )
-                if seed_c.real <= cfg.r:
-                    soft.append(
-                        f"({i},{j + 1}) in best-effort zone "
-                        f"(Re {seed_c.real:.3g} <= r {cfg.r:.3g})"
-                    )
-                seed = seed_c
-            try:
-                new[i, j] = tracts.inverse_branch(map_, cfg, addr.entry(j), seed)
-            except BranchSelectionError as exc:
-                raise UnsupportedHomotopyError(
-                    f"pullback of grid point ({i},{j}) found no branch in its "
-                    "strip; the configuration would need nontrivial leg words, "
-                    "which the strip-indexed shadow does not support"
-                ) from exc
+    for (i, j), z in zip(points, pulled):
+        if isinstance(z, BranchSelectionError):
+            raise UnsupportedHomotopyError(
+                f"pullback of grid point ({i},{j}) found no branch in its "
+                "strip; the configuration would need nontrivial leg words, "
+                "which the strip-indexed shadow does not support"
+            ) from z
+        new[i, j] = tracts.unwrap(z)
+    if stop < len(points):
+        i, j = points[stop]
+        raise InvariantViolationError(
+            f"grid point ({i},{j + 1}) fell left of the singular "
+            f"values (Re {seeds[stop].real:.3g} <= {cfg.r_min:.3g}); "
+            "marked points escaped the admissible region"
+        )
+    soft = [
+        f"({points[k][0]},{points[k][1] + 1}) in best-effort zone "
+        f"(Re {s.real:.3g} <= r {cfg.r:.3g})"
+        for k, s in complex_seeds
+        if s.real <= cfg.r
+    ]
     delta = float(np.abs(new - old).max())
-    new_map = fit_map(d, [complex(v) for v in new[:, 0]], warm=map_)
-    next_state = ThurstonState(
+    new_map = fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_)
+    return ThurstonState(
         new_map,
         MarkedGrid(new, spec),
         state.iteration + 1,
         state.deltas + [delta],
-        None,  # map changed; config is rebuilt lazily next step
         state.soft_flags + soft,
     )
-    return next_state
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,22 @@ retries with a larger r on failure.  The certified guarantees hold on
 H_r; between the singular-value floor ``r_min`` and ``r`` the inverse
 branches are still well-defined single-valued continuations and are served
 best-effort, which is what ray tracing at small potentials needs.
+
+``inverse_branches`` serves a whole batch of (strip, seed) rows with one
+root solve.  Batched solves and branches are row-independent: every row is
+bitwise equal to its one-row call, so batch size never changes output
+bytes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from . import config, polyexp
 from .errors import (
@@ -27,8 +36,13 @@ from .errors import (
     BranchSelectionError,
     DomainError,
     OverflowSignal,
+    RayforgeError,
+    RootSolveError,
     TractConfigError,
 )
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -68,11 +82,6 @@ class TractConfig:
         return math.pi / (2 * self.d)
 
 
-def _edge_xs(t_from: float, t_to: float, samples: int) -> list[float]:
-    span = t_to - t_from
-    return [t_from + span * k / (samples - 1) for k in range(samples)]
-
-
 def make_tract_config(
     map_: polyexp.PolyExpMap,
     eps: float | None = None,
@@ -100,6 +109,35 @@ def make_tract_config(
     # free of branch points, so inverse branches are single-valued there.
     r_min = sv.max_real() + 1e-6
     sin_eps = math.sin(d * eps)
+    half = math.pi / (2 * d)
+
+    def edge(t_from: float, t_to: float, samples: int = edge_samples) -> np.ndarray:
+        return t_from + (t_to - t_from) * np.arange(samples) / (samples - 1)
+
+    def re_bound(x, rel_y, sign: int) -> np.ndarray:
+        """Re f at height rel_y off a strip center, worst case over strip
+        indices: the leading term plus (sign=1) or minus (sign=-1) the
+        coefficient-moduli slack."""
+        lead = np.exp(d * x) * np.cos(d * rel_y)
+        return lead + sign * sum(b * np.exp(k * x) for k, b in enumerate(abs_coeffs))
+
+    def expanding(r: float, t_up: float, x_tail: float) -> bool:
+        """|f'| >= 2 sampled where the preimage of H_r lives: inner-strip
+        edges and a fringe of outer-strip points with Re f > r, on strips
+        -2..2 by 64 abscissae by five heights.  Where f overflows, or f'
+        does with Re f > r, the remaining heights at that abscissa are
+        skipped, as the point-by-point scan stopped there."""
+        heights = (-half - eps, -half + eps, 0.0, half - eps, half + eps)
+        ys = 2 * math.pi * np.arange(-2, 3)[:, None] / d + np.array(heights)
+        z = edge(t_up, x_tail, 64)[None, :, None] + 1j * ys[:, None, :]
+        w = np.exp(z)
+        value = map_.poly(w)
+        slope = map_.poly_derivative(w) * w
+        big = d * z.real > config.EXP_ARG_LIMIT
+        hot = ~big & np.isfinite(value) & (value.real > r)
+        broken = big | ~np.isfinite(value) | (hot & ~np.isfinite(slope))
+        skipped = np.logical_or.accumulate(broken, axis=2)
+        return not np.any(hot & ~skipped & (np.abs(slope) < 2))
 
     for _ in range(budget):
         t_up = math.log(r + 1) / d - 1
@@ -113,62 +151,23 @@ def make_tract_config(
             if lead > 2 * (low + r + 1):
                 break
             x_tail += 1.0
+        if d * x_tail > _LOG_FLOAT_MAX:
+            raise OverflowSignal(
+                f"strip samples up to Re z = {x_tail:.6g} leave the float range"
+            )
 
-        ok = True
-        half = math.pi / (2 * d)
-
-        # Outer-strip boundary: Re f <= r must hold there (worst case over
-        # all strip indices via coefficient moduli).
-        def upper_re(x: float, rel_y: float) -> float:
-            lead = math.exp(d * x) * math.cos(d * rel_y)
-            slack = sum(b * math.exp(k * x) for k, b in enumerate(abs_coeffs))
-            return lead + slack
-
-        for x in _edge_xs(t_up, x_tail, edge_samples):
-            if upper_re(x, half + eps) > r:  # horizontal edges, cos < 0 there
-                ok = False
-                break
-        if ok:
-            ys = _edge_xs(-(half + eps), half + eps, edge_samples)
-            if any(upper_re(t_up, y) > r for y in ys):
-                ok = False
-
-        # Inner strip: Re f > r on its boundary (hence inside, harmonicity),
-        # worst case over strip indices.
-        def lower_re(x: float, rel_y: float) -> float:
-            lead = math.exp(d * x) * math.cos(d * rel_y)
-            slack = sum(b * math.exp(k * x) for k, b in enumerate(abs_coeffs))
-            return lead - slack
-
-        if ok:
-            for x in _edge_xs(t_lo, x_tail, edge_samples):
-                if lower_re(x, half - eps) <= r:
-                    ok = False
-                    break
-        if ok:
-            ys = _edge_xs(-(half - eps), half - eps, edge_samples)
-            if any(lower_re(t_lo, y) <= r for y in ys):
-                ok = False
-
-        # |f'| >= 2 sampled where the preimage of H_r lives: inner-strip
-        # edges and a fringe of outer-strip points with Re f > r.
-        if ok:
-            for n in range(-2, 3):
-                c = 2 * math.pi * n / d
-                for x in _edge_xs(t_up, x_tail, 64):
-                    for rel in (-half - eps, -half + eps, 0.0, half - eps, half + eps):
-                        z = complex(x, c + rel)
-                        try:
-                            if map_(z).real > r and abs(map_.derivative(z)) < 2:
-                                ok = False
-                                break
-                        except OverflowSignal:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-
+        with np.errstate(all="ignore"):
+            ok = (
+                # Outer-strip boundary: Re f <= r there (the horizontal
+                # edges have cos < 0).
+                not np.any(re_bound(edge(t_up, x_tail), half + eps, 1) > r)
+                and not np.any(re_bound(t_up, edge(-(half + eps), half + eps), 1) > r)
+                # Inner strip: Re f > r on its boundary, hence inside
+                # (harmonicity).
+                and not np.any(re_bound(edge(t_lo, x_tail), half - eps, -1) <= r)
+                and not np.any(re_bound(t_lo, edge(-(half - eps), half - eps), -1) <= r)
+                and expanding(r, t_up, x_tail)
+            )
         if ok:
             return TractConfig(d=d, r=r, r_min=r_min, t_up=t_up, t_lo=t_lo, eps=eps)
         r = 2 * r + 1
@@ -210,35 +209,78 @@ def tract_index(z: complex, d: int, cfg: TractConfig) -> int:
     raise DomainError(f"point {z} lies between strips (offset {dist:.3g})")
 
 
-def inverse_branch(
+def inverse_branches(
+    map_: polyexp.PolyExpMap,
+    cfg: TractConfig,
+    ns: Sequence[int],
+    ws: Sequence[complex | LogPolar],
+) -> list:
+    """The preimages of ws[k] under f lying in strips ns[k], from one root
+    solve for all rows.
+
+    Row k of the result is the preimage, or the error that the one-row call
+    ``inverse_branch(map_, cfg, ns[k], ws[k])`` raises (DomainError,
+    RootSolveError, BranchSelectionError), returned rather than raised so
+    that callers report the first failure in their own order.  Rows are
+    solved independently, so no row's value or error depends on the batch.
+    """
+    out: list = []
+    solve: list[int] = []  # rows that need a root solve, with their seeds
+    seeds: list[complex] = []
+    for n, w in zip(ns, ws):
+        if isinstance(w, LogPolar):
+            if w.log_abs > math.log(config.CAP):
+                out.append(_asymptotic_branch(map_, n, w))
+                continue
+            w = w.to_complex()
+        w = complex(w)
+        if w.real <= cfg.r_min:
+            out.append(DomainError(
+                f"seed {w} is not right of the singular values (Re <= {cfg.r_min:.3g})"
+            ))
+            continue
+        solve.append(len(out))
+        seeds.append(w)
+        out.append(None)
+    if not solve:
+        return out
+    for k, w, roots in zip(solve, seeds, _solve_rows(map_.coeffs, seeds)):
+        if isinstance(roots, RootSolveError):
+            out[k] = roots
+            continue
+        try:
+            out[k] = _select_branch(map_, cfg, ns[k], w, roots)
+        except RayforgeError as exc:
+            out[k] = exc
+    return out
+
+
+def _solve_rows(coeffs, ws: list[complex]) -> list:
+    """Roots of p = w per row, or the RootSolveError of that row's solve."""
+    try:
+        return list(polyexp.poly_roots_batch(coeffs, np.array(ws, dtype=complex)))
+    except RootSolveError as exc:
+        if len(ws) == 1:
+            return [exc]
+        # Rows are solved independently: one-row solves pin the failure on
+        # the rows that stalled, with the message each one raises alone.
+        return [row for w in ws for row in _solve_rows(coeffs, [w])]
+
+
+def _select_branch(
     map_: polyexp.PolyExpMap,
     cfg: TractConfig,
     n: int,
-    w: complex | LogPolar,
-    residual_rtol: float = config.INVERSE_RESIDUAL_RTOL,
+    w: complex,
+    roots: np.ndarray,
 ) -> complex:
-    """The preimage of w under f lying in strip n.
-
-    Solves p(zeta) = w, then lifts log(zeta) by the unique multiple of
-    2*pi*i that lands in strip n.  For seeds given in LogPolar form beyond
-    the float range the root is expanded to first order in the coefficients
-    (the corrections underflow exactly when they should).
-    """
-    if isinstance(w, LogPolar):
-        if w.log_abs > math.log(config.CAP):
-            return _asymptotic_branch(map_, n, w)
-        w = w.to_complex()
-    w = complex(w)
-    if w.real <= cfg.r_min:
-        raise DomainError(
-            f"seed {w} is not right of the singular values (Re <= {cfg.r_min:.3g})"
-        )
+    """Lift log(zeta) of the root closest to strip n by the multiple of
+    2*pi*i that lands there, and check the residual of f at the result."""
     d = map_.d
     center = 2 * math.pi * n / d
-    roots = polyexp.poly_roots(map_.coeffs, w)
     best = None
     candidates = []
-    for zeta in roots:
+    for zeta in sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)):
         if zeta == 0:
             continue
         base = cmath.log(zeta)
@@ -254,11 +296,35 @@ def inverse_branch(
         )
     z = best[1]
     fz = map_(z)
-    if abs(fz - w) > residual_rtol * max(1.0, abs(w)):
+    if abs(fz - w) > config.INVERSE_RESIDUAL_RTOL * max(1.0, abs(w)):
         raise BranchSelectionError(
             f"branch residual {abs(fz - w):.3e} too large for w={w}", candidates
         )
     return z
+
+
+def inverse_branch(
+    map_: polyexp.PolyExpMap,
+    cfg: TractConfig,
+    n: int,
+    w: complex | LogPolar,
+) -> complex:
+    """The preimage of w under f lying in strip n.
+
+    Solves p(zeta) = w, then lifts log(zeta) by the unique multiple of
+    2*pi*i that lands in strip n.  For seeds given in LogPolar form beyond
+    the float range the root is expanded to first order in the coefficients
+    (the corrections underflow exactly when they should).
+    """
+    (z,) = inverse_branches(map_, cfg, (n,), (w,))
+    return unwrap(z)
+
+
+def unwrap(row):
+    """A row of ``inverse_branches``: its preimage, or its error raised."""
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 def _asymptotic_branch(

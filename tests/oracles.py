@@ -13,7 +13,18 @@ import math
 
 import numpy as np
 
+from rayforge import config, tracts
+from rayforge.errors import (
+    BranchSelectionError,
+    DomainError,
+    InvariantViolationError,
+    OverflowSignal,
+    TractConfigError,
+    UnsupportedHomotopyError,
+)
 from rayforge.homotopy import MarkedSet, PolylineCurve
+from rayforge.polyexp import PolyExpMap
+from rayforge.tracts import TractConfig
 
 
 class OracleDegenerate(Exception):
@@ -126,3 +137,151 @@ def random_word_fixture(rng: np.random.Generator, max_points: int = 6,
                 x += 2e-3
         verts.append(complex(x, y))
     return marked, base_idx, PolylineCurve(verts)
+
+
+# Reference strip certificate: the scalar sampling loops that the numpy
+# ``tracts.make_tract_config`` replaced, kept to check that it returns the
+# same TractConfig (or raises the same TractConfigError) on every map.
+
+
+def _edge_xs(t_from: float, t_to: float, samples: int) -> list[float]:
+    span = t_to - t_from
+    return [t_from + span * k / (samples - 1) for k in range(samples)]
+
+
+def scalar_make_tract_config(
+    map_: PolyExpMap,
+    eps: float | None = None,
+    r_floor: float = config.R_FLOOR,
+    edge_samples: int = config.STRIP_EDGE_SAMPLES,
+    budget: int = config.TRACT_RETRY_BUDGET,
+) -> TractConfig:
+    """Choose and certify (r, t_up, t_lo) for the strip inclusions.
+
+    r starts at max(r_floor, 2*max|SV| + 2).  The strip checks use the
+    coefficient moduli, so one pass certifies every strip index at once;
+    |f'| >= 2 is additionally sampled on the inner strips.  On a sampled
+    violation the half-plane is pushed right and everything is retried,
+    up to the budget.
+    """
+    d = map_.d
+    if eps is None:
+        eps = config.strip_epsilon(d)
+    if not 0 < eps < math.pi / (2 * d):
+        raise DomainError(f"eps must lie in (0, pi/2d), got {eps}")
+    sv = map_.singular_data()
+    abs_coeffs = [abs(c) for c in map_.coeffs]
+    r = max(r_floor, 2 * sv.max_modulus() + 2)
+    # Hard domain floor: the half-plane right of every singular value is
+    # free of branch points, so inverse branches are single-valued there.
+    r_min = sv.max_real() + 1e-6
+    sin_eps = math.sin(d * eps)
+
+    for _ in range(budget):
+        t_up = math.log(r + 1) / d - 1
+        t_lo = math.log((r + 1) / sin_eps) / d + 1
+
+        # Beyond x_tail the leading term dominates every coefficient sum.
+        x_tail = max(t_lo, t_up) + 1
+        while x_tail * d < config.EXP_ARG_LIMIT:
+            lead = math.exp(d * x_tail) * sin_eps
+            low = sum(b * math.exp(k * x_tail) for k, b in enumerate(abs_coeffs))
+            if lead > 2 * (low + r + 1):
+                break
+            x_tail += 1.0
+
+        ok = True
+        half = math.pi / (2 * d)
+
+        # Outer-strip boundary: Re f <= r must hold there (worst case over
+        # all strip indices via coefficient moduli).
+        def upper_re(x: float, rel_y: float) -> float:
+            lead = math.exp(d * x) * math.cos(d * rel_y)
+            slack = sum(b * math.exp(k * x) for k, b in enumerate(abs_coeffs))
+            return lead + slack
+
+        for x in _edge_xs(t_up, x_tail, edge_samples):
+            if upper_re(x, half + eps) > r:  # horizontal edges, cos < 0 there
+                ok = False
+                break
+        if ok:
+            ys = _edge_xs(-(half + eps), half + eps, edge_samples)
+            if any(upper_re(t_up, y) > r for y in ys):
+                ok = False
+
+        # Inner strip: Re f > r on its boundary (hence inside, harmonicity),
+        # worst case over strip indices.
+        def lower_re(x: float, rel_y: float) -> float:
+            lead = math.exp(d * x) * math.cos(d * rel_y)
+            slack = sum(b * math.exp(k * x) for k, b in enumerate(abs_coeffs))
+            return lead - slack
+
+        if ok:
+            for x in _edge_xs(t_lo, x_tail, edge_samples):
+                if lower_re(x, half - eps) <= r:
+                    ok = False
+                    break
+        if ok:
+            ys = _edge_xs(-(half - eps), half - eps, edge_samples)
+            if any(lower_re(t_lo, y) <= r for y in ys):
+                ok = False
+
+        # |f'| >= 2 sampled where the preimage of H_r lives: inner-strip
+        # edges and a fringe of outer-strip points with Re f > r.
+        if ok:
+            for n in range(-2, 3):
+                c = 2 * math.pi * n / d
+                for x in _edge_xs(t_up, x_tail, 64):
+                    for rel in (-half - eps, -half + eps, 0.0, half - eps, half + eps):
+                        z = complex(x, c + rel)
+                        try:
+                            if map_(z).real > r and abs(map_.derivative(z)) < 2:
+                                ok = False
+                                break
+                        except OverflowSignal:
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+
+        if ok:
+            return TractConfig(d=d, r=r, r_min=r_min, t_up=t_up, t_lo=t_lo, eps=eps)
+        r = 2 * r + 1
+
+    raise TractConfigError(
+        f"could not certify strip bounds within budget (last r={r})"
+    )
+
+
+def scalar_pullback_grid(state, cap: float = config.CAP) -> np.ndarray:
+    """Reference pullback: the point-by-point loop that the batched
+    ``thurston.pullback_step`` replaced, returning the pulled grid (no
+    refit) or raising the first failure in grid order."""
+    spec = state.grid.spec
+    map_ = state.map
+    cfg = tracts.make_tract_config(map_)
+    old = state.grid.z
+    new = np.zeros_like(old)
+    for i in range(spec.m):
+        addr = spec.address(i)
+        for j in range(spec.depth + 1):
+            seed = state.grid.tail_seed(i, cap=cap) if j == spec.depth else old[i, j + 1]
+            if isinstance(seed, complex) or isinstance(seed, np.complexfloating):
+                seed_c = complex(seed)
+                if seed_c.real <= cfg.r_min:
+                    raise InvariantViolationError(
+                        f"grid point ({i},{j + 1}) fell left of the singular "
+                        f"values (Re {seed_c.real:.3g} <= {cfg.r_min:.3g}); "
+                        "marked points escaped the admissible region"
+                    )
+                seed = seed_c
+            try:
+                new[i, j] = tracts.inverse_branch(map_, cfg, addr.entry(j), seed)
+            except BranchSelectionError as exc:
+                raise UnsupportedHomotopyError(
+                    f"pullback of grid point ({i},{j}) found no branch in its "
+                    "strip; the configuration would need nontrivial leg words, "
+                    "which the strip-indexed shadow does not support"
+                ) from exc
+    return new

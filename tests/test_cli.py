@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rayforge import cli, presets, serialize
+from rayforge.polyexp import PolyExpMap
 
 
 @pytest.fixture
@@ -90,6 +91,22 @@ class TestRayTrace:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
 
+    @pytest.mark.parametrize("entries", [[1.5], [0, "1"], [float("nan")]])
+    def test_non_integral_address_entry_exit_2(self, workdir, tmp_path, capsys, entries):
+        # an entry of 1.5 used to be traced as strip 1 with exit 0
+        addr = tmp_path / "frac.json"
+        addr.write_text(json.dumps({"period": entries}))
+        code = run(
+            [
+                "ray", "trace", "--map", workdir["map"], "--address", str(addr),
+                "--t-lo", "1", "--t-hi", "5", "--samples", "4",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "address entries must be integers" in captured.err
+
 
 class TestClassify:
     def test_shipped_spec_passes(self, workdir, capsys):
@@ -153,6 +170,16 @@ class TestHomotopyAndTracts:
         payload = json.loads(capsys.readouterr().out)
         assert payload["r"] == 2.0
         assert len(payload["strips"]) == 7
+
+    def test_tracts_inspect_overflowing_map_exit_3(self, workdir, tmp_path, capsys):
+        # its critical value overflows; the strip bounds used to come out
+        # inf and crash the JSON writer
+        path = tmp_path / "big.json"
+        path.write_text(serialize.dumps(serialize.map_to_json(PolyExpMap(2, [0, 1e200]))))
+        code = run(["tracts", "inspect", "--map", str(path)])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["kind"] == "OverflowSignal"
 
 
 class TestThreads:

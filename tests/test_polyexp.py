@@ -142,14 +142,19 @@ class TestPolyRoots:
         assert all(abs(r) < 1e-5 for r in roots)
 
     def test_batch_matches_scalar(self):
-        coeffs = [0.2 + 0.1j, -0.4]
-        ws = np.array([3.0, 5.0 + 2j, 100.0])
-        batch = pe.poly_roots_batch(coeffs, ws)
-        for k, w in enumerate(ws):
-            single = pe.poly_roots(coeffs, complex(w))
-            got = sorted(batch[k], key=lambda c: (c.real, c.imag))
-            for a, b in zip(single, got):
-                assert abs(a - b) < 1e-9
+        # Each row leaves the sweep where its one-row solve would stop, so
+        # batch rows are bitwise equal to one-row solves.
+        rng = np.random.default_rng(41)
+        for d in (2, 3):
+            for n_rows in (1, 2, 17, 200, *rng.integers(1, 201, 4)):
+                coeffs = list(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                ws = 10 ** rng.uniform(-1, 6, n_rows) * np.exp(
+                    1j * rng.uniform(-np.pi, np.pi, n_rows)
+                )
+                batch = pe.poly_roots_batch(coeffs, ws)
+                for k in range(n_rows):
+                    single = pe.poly_roots_batch(coeffs, ws[k : k + 1])[0]
+                    assert np.array_equal(batch[k].view(np.int64), single.view(np.int64))
 
 
 class TestCriticalPointBound:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rayforge import potentials as pot
@@ -90,6 +91,14 @@ class TestIterate:
 
 
 class TestExternalAddress:
+    def test_non_integral_entries_rejected(self):
+        for bad in ((1.5,), (0, 2.0000001), (float("inf"),), ("1",)):
+            with pytest.raises(DomainError, match="integers"):
+                ExternalAddress((), bad)
+            with pytest.raises(DomainError, match="integers"):
+                ExternalAddress(bad, (0,))
+        assert ExternalAddress((3.0,), (np.int64(-2),)) == ExternalAddress((3,), (-2,))
+
     def test_entry_walks_preperiod_then_period(self):
         a = ExternalAddress((7, -3), (2,))
         assert [a.entry(n) for n in range(5)] == [7, -3, 2, 2, 2]

@@ -5,7 +5,7 @@ import pytest
 
 from rayforge import potentials as pot
 from rayforge import rays, tracts
-from rayforge.errors import DomainError, NotEscapingError
+from rayforge.errors import DomainError, NotEscapingError, RayforgeError
 from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
 
@@ -35,8 +35,10 @@ class TestTraceRay:
         assert abs(pt.z.imag) < 1e-12
         # consecutive depths agree to the shallower depth's tail scale
         values = pot.chain(1, 3.0)
-        deep = rays._pull_chain(EXP, cfg_exp, ZERO, values, len(values) - 1)
-        shallower = rays._pull_chain(EXP, cfg_exp, ZERO, values, len(values) - 2)
+        n = len(values) - 1
+        deep, shallower = rays._pull_chains(
+            EXP, cfg_exp, ZERO, [(values, n), (values, n - 1)]
+        )
         assert abs(deep - shallower) < 10 * math.exp(-values[-2] / 2)
         assert pt.error_estimate < 1e-10
 
@@ -59,8 +61,7 @@ class TestTraceRay:
     def test_depth_stability(self, cfg_exp):
         values = pot.chain(1, 2.0)
         n = len(values) - 1
-        deep = rays._pull_chain(EXP, cfg_exp, ZERO, values, n)
-        prev = rays._pull_chain(EXP, cfg_exp, ZERO, values, n - 1)
+        deep, prev = rays._pull_chains(EXP, cfg_exp, ZERO, [(values, n), (values, n - 1)])
         assert abs(deep - prev) < 1e-10
 
     def test_error_estimate_reported(self, cfg_exp):
@@ -113,6 +114,61 @@ class TestTraceSegment:
         b = rays.trace_ray(EXP, cfg_exp, ZERO, 1.0)
         with pytest.raises(DomainError):
             rays.RaySegment((a, b))
+
+
+def _bits(z: complex) -> tuple[int, int]:
+    return tuple(np.array([z.real, z.imag]).view(np.int64))
+
+
+def _sample_ts(t_lo, t_hi, n):
+    """The potentials trace_segment samples (geometric, last one pinned)."""
+    if n == 1:
+        return [t_lo]
+    ratio = (t_hi / t_lo) ** (1.0 / (n - 1))
+    return [t_lo * ratio**k for k in range(n - 1)] + [t_hi]
+
+
+class TestSegmentMatchesSamples:
+    """The batched segment against one trace_ray call per sample."""
+
+    CASES = [
+        # (map, address, t_lo, t_hi, samples, trace options)
+        (EXP, ZERO, 0.3, 6.0, 24, {}),
+        (D2, ExternalAddress((), (1, -1)), 0.5, 4.0, 17, {}),
+        (PolyExpMap(3, [2.0, -1 + 1j, 0.5]), ExternalAddress((3,), (2,)), 0.9, 4.0, 9, {}),
+        # sample 0 fails: its chains fall left of the singular values
+        (PolyExpMap(2, [8 + 3j, -13 + 9j]), ONE, 0.2, 4.0, 12, {}),
+        (EXP, ExternalAddress((), (0, -1)), 0.2, 4.0, 12, {"max_depth": 2}),
+        # samples 0-2 pass, sample 3 runs out of depth under the small cap
+        (EXP, ONE, 0.2, 4.0, 12, {"cap": 1e3}),
+        (PolyExpMap(3, [2.0, -1 + 1j, 0.5]), ONE, 0.2, 4.0, 12, {"cap": 1e3}),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_bitwise_samples_and_first_failure(self, case):
+        map_, addr, t_lo, t_hi, n, opts = self.CASES[case]
+        cfg = tracts.make_tract_config(map_)
+        expected = []
+        for t in _sample_ts(t_lo, t_hi, n):
+            try:
+                expected.append(rays.trace_ray(map_, cfg, addr, t, **opts))
+            except RayforgeError as exc:
+                expected.append(exc)
+                break
+        if case == 5:
+            # the failure comes after passing samples, not at sample 0
+            assert len(expected) == 4 and isinstance(expected[-1], Exception)
+        if isinstance(expected[-1], Exception):
+            with pytest.raises(type(expected[-1])) as err:
+                rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n, **opts)
+            assert str(err.value) == str(expected[-1])
+            return
+        seg = rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n, **opts)
+        assert len(seg.samples) == len(expected)
+        for got, want in zip(seg.samples, expected):
+            assert got.t == want.t and got.depth_used == want.depth_used
+            assert _bits(got.z) == _bits(want.z)
+            assert _bits(got.error_estimate) == _bits(want.error_estimate)
 
 
 class TestExtraction:

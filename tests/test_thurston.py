@@ -8,12 +8,17 @@ from rayforge import presets, rays, thurston, tracts
 from rayforge.errors import (
     DomainError,
     FitError,
+    InvariantViolationError,
     NotConvergedError,
+    RayforgeError,
     SpecRejectionError,
+    UnsupportedHomotopyError,
 )
 from rayforge.polyexp import PolyExpMap, singular_values
 from rayforge.potentials import ExternalAddress
 from rayforge.thurston import TargetSpec
+
+from oracles import scalar_pullback_grid
 
 ZERO = presets.ZERO
 ONE = presets.ONE
@@ -153,6 +158,53 @@ class TestPullback:
             lhs = res.map(complex(z[0, j]))
             rhs = complex(z[0, j + 1])
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
+
+
+class TestBatchedPullback:
+    """pullback_step pulls all grid points in one call; it must match the
+    point-by-point loop bit for bit, and raise that loop's first error."""
+
+    # Strip-odd branches of this map miss their strip for the seed 16+20i
+    # although it lies right of the singular values (r_min = 8).
+    MAP = PolyExpMap(2, [8 + 3j, -13 + 9j])
+    MISS = 16 + 20j
+    LEFT = 5 + 0j
+
+    def _state(self, row0):
+        spec = TargetSpec(2, ((1.0, ONE), (1.2, ZERO)), 2)
+        z = thurston.straight_grid(spec)
+        z[0, 1:] = row0
+        return thurston.ThurstonState(self.MAP, thurston.MarkedGrid(z, spec), 0)
+
+    def _assert_same_error(self, state, kind, point):
+        with pytest.raises(kind) as want:
+            scalar_pullback_grid(state)
+        with pytest.raises(kind) as got:
+            thurston.pullback_step(state)
+        assert str(got.value) == str(want.value)
+        assert point in str(got.value)
+
+    def test_branch_failure_before_left_seed(self):
+        # (0,0) misses its strip, (0,1) has a seed left of the singular values
+        state = self._state([self.MISS, self.LEFT])
+        self._assert_same_error(state, UnsupportedHomotopyError, "(0,0)")
+
+    def test_left_seed_before_branch_failure(self):
+        # (0,0) has a seed left of the singular values, (0,1) misses its strip
+        state = self._state([self.LEFT, self.MISS])
+        self._assert_same_error(state, InvariantViolationError, "(0,1)")
+
+    def test_two_branch_failures_report_the_first(self):
+        state = self._state([self.MISS, self.MISS * 1.5])
+        self._assert_same_error(state, UnsupportedHomotopyError, "(0,0)")
+
+    @pytest.mark.parametrize("spec", [presets.SPEC_D1, presets.SPEC_D2])
+    def test_grid_bitwise_equal_to_loop(self, spec):
+        state = thurston.init_state(spec)
+        for _ in range(3):
+            want = scalar_pullback_grid(state)
+            state = thurston.pullback_step(state)
+            assert np.array_equal(state.grid.z.view(np.int64), want.view(np.int64))
 
 
 class TestClassify:

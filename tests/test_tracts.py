@@ -6,8 +6,15 @@ import pytest
 
 from rayforge import polyexp as pe
 from rayforge import tracts
-from rayforge.errors import AmbiguousTractError, DomainError
+from rayforge.errors import (
+    AmbiguousTractError,
+    DomainError,
+    OverflowSignal,
+    TractConfigError,
+)
 from rayforge.polyexp import PolyExpMap
+
+from oracles import scalar_make_tract_config
 
 EXP = PolyExpMap(1, [0.0])
 D2 = PolyExpMap(2, [0.0, 0.0])
@@ -72,6 +79,57 @@ class TestConfig:
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
             tracts.make_tract_config(EXP, eps=2.0)
+
+    @pytest.mark.parametrize(
+        "map_",
+        [
+            # certifying this map would sample exp(d x) past the float maximum
+            PolyExpMap(1, [1e307]),
+            # its critical value overflows, so r and every strip bound are inf
+            PolyExpMap(2, [0, 1e200]),
+        ],
+    )
+    def test_strips_beyond_float_range_signal_overflow(self, map_):
+        with pytest.raises(OverflowSignal):
+            tracts.make_tract_config(map_)
+
+
+def _config_or_error(build, map_, **kwargs):
+    try:
+        return build(map_, **kwargs)
+    except TractConfigError as exc:
+        return ("TractConfigError", str(exc))
+
+
+class TestConfigMatchesScalarReference:
+    def test_equal_config_or_error_on_seeded_maps(self):
+        # d = 1..3 with coefficient moduli 0.01..100, every fourth map of
+        # the form (w - a)^d + c, whose coefficients dwarf its singular
+        # values (the only maps found that fail the vertical outer edge);
+        # the default eps and the custom ones `tracts inspect --epsilon`
+        # passes; full and one-try budgets (the latter exhaust on some).
+        rng = np.random.default_rng(53)
+        errors = 0
+        for k in range(520):
+            d = 1 + k % 3
+            if k % 4 == 3:
+                a = 10 ** rng.uniform(-1, 1.3) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+                coeffs = np.polynomial.polynomial.polypow([-a, 1], d)[:d]
+                coeffs[0] += 10 ** rng.uniform(-2, 1) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+            else:
+                moduli = 10 ** rng.uniform(-2, 2, d)
+                coeffs = moduli * np.exp(1j * rng.uniform(0, 2 * math.pi, d))
+            map_ = PolyExpMap(d, coeffs)
+            kwargs = {}
+            if k % 2:
+                kwargs["eps"] = float(rng.uniform(0.01, 0.98)) * math.pi / (2 * d)
+            if k % 5 == 0:
+                kwargs["budget"] = 1
+            want = _config_or_error(scalar_make_tract_config, map_, **kwargs)
+            got = _config_or_error(tracts.make_tract_config, map_, **kwargs)
+            assert got == want
+            errors += isinstance(want, tuple)
+        assert errors > 0
 
 
 class TestTractIndex:
