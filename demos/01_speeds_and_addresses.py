@@ -30,8 +30,7 @@ print("\n=== addresses ===")
 addr = ExternalAddress((7, -3), (2,))
 print(f"address {addr}: entries", [addr.entry(n) for n in range(6)])
 print(f"shifted once: {addr.shift()}")
-print(f"bounded by {addr.bound()}; admissible for every speed t > 0 "
-      f"(infimum = {pot.minimum_potential(addr)})")
+print(f"bounded by {addr.bound()}; admissible for every speed t > 0")
 
 print("\n=== potential ladder ===")
 orbits = [

@@ -55,7 +55,6 @@ from .potentials import (
     inverse_step,
     iterate,
     log_step,
-    minimum_potential,
     step,
 )
 from .rays import (

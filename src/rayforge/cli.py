@@ -6,7 +6,8 @@ Subcommands: ``ray trace``, ``classify``, ``diag appendix-a``,
 Exit codes: 0 success, 2 usage or bad input, 3 numeric non-convergence,
 4 target rejection.  Outputs are JSON (or CSV where noted), embed the
 schema string and the resolved run configuration, and are byte-identical
-for identical arguments and seed.  RAYFORGE_THREADS overrides --threads.
+for identical arguments and seed.  Each error class in ``errors`` carries
+its own exit code.
 """
 
 from __future__ import annotations
@@ -15,50 +16,17 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import config, polyexp, rays, serialize, thurston, tracts
-from .errors import (
-    AmbiguousTractError,
-    BranchSelectionError,
-    DegenerateCurveError,
-    DomainError,
-    FitError,
-    InvariantViolationError,
-    NotConvergedError,
-    NotEscapingError,
-    OverflowSignal,
-    RayforgeError,
-    RootSolveError,
-    SpecRejectionError,
-    TractConfigError,
-    UnsupportedHomotopyError,
-)
+from .errors import DomainError, RayforgeError
 from .homotopy import word_of_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-EXIT_REJECTED = 4
-
-_NUMERIC_ERRORS = (
-    NotConvergedError,
-    RootSolveError,
-    FitError,
-    NotEscapingError,
-    OverflowSignal,
-    TractConfigError,
-    BranchSelectionError,
-    AmbiguousTractError,
-)
-_REJECTION_ERRORS = (
-    SpecRejectionError,
-    UnsupportedHomotopyError,
-    InvariantViolationError,
-)
 
 
 def _read_json(path: str):
@@ -77,18 +45,9 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _threads(args) -> int:
-    env = os.environ.get("RAYFORGE_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, getattr(args, "threads", 1))
-
-
 def _run_config(args, **extra) -> dict:
     cfg = {
         "command": args.command_path,
-        "seed": getattr(args, "seed", None),
-        "threads": _threads(args),
         "cap": getattr(args, "cap", config.CAP),
         "tol": getattr(args, "tol", None),
     }
@@ -193,20 +152,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_diag_appendix(args) -> int:
-    report = polyexp.appendix_report(
-        args.d,
-        args.rho,
-        samples=args.samples,
-        seed=args.seed,
-        threads=_threads(args),
-    )
+    report = polyexp.appendix_report(args.d, args.rho, samples=args.samples, seed=args.seed)
     payload = {
         "schema": serialize.SCHEMA,
-        "config": _run_config(args, d=args.d, rho=args.rho, samples=args.samples),
+        "config": _run_config(
+            args, d=args.d, rho=args.rho, samples=args.samples, seed=args.seed
+        ),
         "max_critical_point_ratio": report.max_critical_point_ratio,
         "max_coefficient_ratio": report.max_coefficient_ratio,
         "containment_maps": report.containment_maps,
         "containment_failures": report.containment_failures,
+        "containment_inconclusive": report.containment_inconclusive,
         "worst_case": report.worst_case,
     }
     _emit(serialize.dumps(payload), args.output)
@@ -310,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--tol", type=float, default=config.TRACER_TOL)
     trace.add_argument("--max-depth", dest="max_depth", type=int,
                        default=config.TRACER_MAX_DEPTH)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--threads", type=int, default=1)
     trace.set_defaults(handler=_cmd_ray_trace, command_path="ray trace")
 
     classify = sub.add_parser("classify", help="solve for a map with the target escape data")
@@ -322,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=config.CLASSIFY_MAX_ITER)
     classify.add_argument("--tol", type=float, default=config.CLASSIFY_TOL)
     classify.add_argument("--cap", type=float, default=config.CAP)
-    classify.add_argument("--seed", type=int, default=0)
-    classify.add_argument("--threads", type=int, default=1)
     classify.set_defaults(handler=_cmd_classify, command_path="classify")
 
     diag = sub.add_parser("diag", help="diagnostic reports")
@@ -333,15 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     app.add_argument("--rho", type=float, required=True)
     app.add_argument("--samples", type=int, default=1000)
     app.add_argument("--seed", type=int, default=0)
-    app.add_argument("--threads", type=int, default=1)
     app.add_argument("--output", default=None)
     app.set_defaults(handler=_cmd_diag_appendix, command_path="diag appendix-a")
 
     inv = diag_sub.add_parser("invariant-set", help="invariant-region conditions per iteration")
     inv.add_argument("--run", required=True, help="classify result JSON")
     inv.add_argument("--output", default=None)
-    inv.add_argument("--seed", type=int, default=0)
-    inv.add_argument("--threads", type=int, default=1)
     inv.set_defaults(handler=_cmd_diag_invariant, command_path="diag invariant-set")
 
     hom = sub.add_parser("homotopy", help="curve words relative marked points")
@@ -350,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     word.add_argument("--marked", required=True, help="marked points JSON file")
     word.add_argument("--curve", required=True, help="curve JSON file")
     word.add_argument("--output", default=None)
-    word.add_argument("--seed", type=int, default=0)
-    word.add_argument("--threads", type=int, default=1)
     word.set_defaults(handler=_cmd_homotopy_word, command_path="homotopy word")
 
     tr = sub.add_parser("tracts", help="strip geometry")
@@ -361,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("--epsilon", type=float, default=None)
     inspect.add_argument("--strips", type=int, default=3)
     inspect.add_argument("--output", default=None)
-    inspect.add_argument("--seed", type=int, default=0)
-    inspect.add_argument("--threads", type=int, default=1)
     inspect.set_defaults(handler=_cmd_tracts_inspect, command_path="tracts inspect")
 
     return parser
@@ -376,17 +321,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except _REJECTION_ERRORS as exc:
-        diag = {"schema": serialize.SCHEMA, "error": {"kind": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(serialize.dumps(diag))
-        return EXIT_REJECTED
-    except _NUMERIC_ERRORS as exc:
-        diag = {"schema": serialize.SCHEMA, "error": {"kind": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(serialize.dumps(diag))
-        return EXIT_NUMERIC
-    except (DomainError, DegenerateCurveError, RayforgeError) as exc:
-        sys.stderr.write(f"rayforge: {exc}\n")
-        return EXIT_USAGE
+    except RayforgeError as exc:
+        # Usage errors go to stderr; numeric failures and rejections are
+        # diagnostic JSON on stdout.
+        if exc.exit_code == EXIT_USAGE:
+            sys.stderr.write(f"rayforge: {exc}\n")
+        else:
+            error = {"kind": type(exc).__name__, "message": str(exc)}
+            sys.stdout.write(serialize.dumps({"schema": serialize.SCHEMA, "error": error}))
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Package-wide numeric defaults.
 
-Double precision is the working arithmetic everywhere; the constants below
-are the knobs the operations expose.  The empirical constants (M, L, K, A)
-are calibration defaults for the diagnostic checkers, not proven values.
+Double precision is the working arithmetic everywhere.  Most constants
+below are read directly by the operation that uses them; the rest are the
+defaults of the few options a caller can set: ``cap``, ``tol``,
+``max_iter``, ``max_depth``, the strip fuzz ``eps`` and the tract retry
+``budget``.  The empirical constants (M, L, K, A) are calibration
+defaults for the diagnostic checkers, not proven values.
 """
 
 import math
@@ -50,12 +53,6 @@ VERIFY_POTENTIAL_RTOL = 1e-6
 # Sampling depth added on top of the grid depth when probing ladder
 # separation conditions.
 LADDER_EXTRA_DEPTH = 2
-
-
-def default_depth(d: int) -> int:
-    """Default orbit-grid depth per degree; valid only while the iterated
-    escape speeds stay under CAP for the potentials in play."""
-    return {1: 6, 2: 4}.get(d, 3)
 
 
 def strip_epsilon(d: int) -> float:

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the CLI exit code it maps to: 2 for usage or bad input
+(the base), 3 for numeric non-convergence, 4 for target rejection.
+"""
 
 
 class RayforgeError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class OverflowSignal(RayforgeError, ArithmeticError):
@@ -10,6 +16,8 @@ class OverflowSignal(RayforgeError, ArithmeticError):
 
     Raised instead of silently producing inf/nan.
     """
+
+    exit_code = 3
 
 
 class DomainError(RayforgeError, ValueError):
@@ -19,6 +27,8 @@ class DomainError(RayforgeError, ValueError):
 class RootSolveError(RayforgeError):
     """Simultaneous root iteration did not reach the residual tolerance."""
 
+    exit_code = 3
+
     def __init__(self, message, worst_residual=None):
         super().__init__(message)
         self.worst_residual = worst_residual
@@ -27,9 +37,13 @@ class RootSolveError(RayforgeError):
 class TractConfigError(RayforgeError):
     """Strip bounds could not be certified within the sampling budget."""
 
+    exit_code = 3
+
 
 class AmbiguousTractError(RayforgeError):
     """A point sits in the fuzz zone between two strip estimates."""
+
+    exit_code = 3
 
     def __init__(self, z, candidates):
         super().__init__(f"tract index of {z} is ambiguous between {candidates}")
@@ -39,6 +53,8 @@ class AmbiguousTractError(RayforgeError):
 
 class BranchSelectionError(RayforgeError):
     """No inverse-branch candidate landed in the requested strip."""
+
+    exit_code = 3
 
     def __init__(self, message, candidates=()):
         super().__init__(message)
@@ -51,6 +67,8 @@ class NotConvergedError(RayforgeError):
     ``details`` carries the last iterates or the delta history for diagnosis.
     """
 
+    exit_code = 3
+
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = details
@@ -58,6 +76,8 @@ class NotConvergedError(RayforgeError):
 
 class NotEscapingError(RayforgeError):
     """A forward orbit failed to enter and stay in the right half-plane."""
+
+    exit_code = 3
 
     def __init__(self, message, orbit=()):
         super().__init__(message)
@@ -67,9 +87,13 @@ class NotEscapingError(RayforgeError):
 class SpecRejectionError(RayforgeError):
     """A target configuration violates a structural precondition."""
 
+    exit_code = 4
+
 
 class FitError(RayforgeError):
     """Coefficient fitting did not converge to the target singular values."""
+
+    exit_code = 3
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -79,9 +103,13 @@ class FitError(RayforgeError):
 class InvariantViolationError(RayforgeError):
     """A pullback left the region where the iteration is valid."""
 
+    exit_code = 4
+
 
 class UnsupportedHomotopyError(RayforgeError):
     """The configuration would need nontrivial leg words to pull back."""
+
+    exit_code = 4
 
 
 class DegenerateCurveError(RayforgeError):

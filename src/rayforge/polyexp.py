@@ -138,12 +138,7 @@ def _horner_batch(coeffs_high_to_low: np.ndarray, x: np.ndarray) -> np.ndarray:
     return value
 
 
-def poly_roots_batch(
-    coeffs: Sequence[complex],
-    ws: np.ndarray,
-    max_iter: int = config.ROOT_MAX_ITER,
-    rtol: float = config.ROOT_ITER_RTOL,
-) -> np.ndarray:
+def poly_roots_batch(coeffs: Sequence[complex], ws: np.ndarray) -> np.ndarray:
     """Solve p(z) = w simultaneously for a batch of right-hand sides.
 
     Ehrlich-Aberth iteration started on the d-th-root fan of each w (a fixed
@@ -152,7 +147,7 @@ def poly_roots_batch(
     every row is bitwise equal to its one-row solve and the output never
     depends on what else is in the batch.  Returns an array of shape
     (len(ws), d); raises RootSolveError when some residual stays above the
-    post tolerance after max_iter sweeps.
+    post tolerance after ROOT_MAX_ITER sweeps.
     """
     cs = tuple(complex(c) for c in coeffs)
     d = len(cs)
@@ -172,7 +167,7 @@ def poly_roots_batch(
 
     # The sweep runs on the live rows only: (row index, roots, w, tolerance).
     live = np.arange(len(ws))
-    xl, wl, tl = x, ws[:, None], (rtol * scale)[:, None]
+    xl, wl, tl = x, ws[:, None], (config.ROOT_ITER_RTOL * scale)[:, None]
 
     def retire(passed) -> np.ndarray | None:
         """Write back and drop the rows whose every entry passed; returns
@@ -188,7 +183,7 @@ def poly_roots_batch(
         live, xl, wl, tl = live[keep], xl[keep], wl[keep], tl[keep]
         return keep
 
-    for _ in range(max_iter):
+    for _ in range(config.ROOT_MAX_ITER):
         pv = _horner_batch(p_high_to_low, xl) - wl
         keep = retire(np.abs(pv) <= tl)
         if not live.size:
@@ -280,15 +275,15 @@ def translate_argument(map_: PolyExpMap, shift: complex) -> PolyExpMap:
     return PolyExpMap(d, low_to_high[:d])
 
 
-def check_coefficient_bound(
-    map_: PolyExpMap, rho: float, constant: float = config.COEFFICIENT_L
-) -> BoundReport:
-    """Per-coefficient ratios |b_k| / rho^((d-k)/d) against the constant."""
+def check_coefficient_bound(map_: PolyExpMap, rho: float) -> BoundReport:
+    """Per-coefficient ratios |b_k| / rho^((d-k)/d) against COEFFICIENT_L."""
     d = map_.d
     ratios = tuple(
         abs(map_.coeffs[k]) / rho ** ((d - k) / d) for k in range(d)
     )
-    return BoundReport(all(r <= constant for r in ratios), max(ratios), ratios)
+    return BoundReport(
+        all(r <= config.COEFFICIENT_L for r in ratios), max(ratios), ratios
+    )
 
 
 @dataclass(frozen=True)
@@ -300,16 +295,16 @@ class ContainmentReport:
     samples: int
 
 
-def check_disk_containment(
-    map_: PolyExpMap, rho: float, r: float, samples: int = 360
-) -> ContainmentReport:
+def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> ContainmentReport:
     """Sampled containment of polynomial preimages of disks.
 
-    Part 1: roots of p(z) = w stay inside |z| < r for w on the circle
-    |w| = r (meaningful for r >= rho).  Part 2: |p(z)| < rho^(2d+1) on
-    |z| = rho^2, so the rho^2-disk maps into the rho^(2d+1)-disk.  The
-    checker reports; it never asserts its preconditions.
+    Part 1: roots of p(z) = w stay inside |z| < r for w on 360 points of
+    the circle |w| = r (meaningful for r >= rho).  Part 2: |p(z)| <
+    rho^(2d+1) on |z| = rho^2, so the rho^2-disk maps into the
+    rho^(2d+1)-disk.  The checker reports; it never asserts its preconditions.  A failed root
+    solve makes the report inconclusive rather than failed.
     """
+    samples = 360
     angles = 2 * np.pi * np.arange(samples) / samples
     circle = np.exp(1j * angles)
     try:
@@ -344,12 +339,10 @@ def sup_derivative_bound(
     t: float,
     rho: float,
     seed: int = 0,
-    map_samples: int = 32,
-    z_samples: int = 256,
-    constant: float = config.DERIVATIVE_K,
 ) -> DerivativeSupReport:
-    """Sample sup |f'(z)| over maps with singular values in the rho-disk and
-    Re z < (d+1)t, in log scale, against log K + d^3 t.
+    """Sample sup |f'(z)| over 32 maps with singular values in the rho-disk
+    and 256 points with Re z < (d+1)t each, in log scale, against
+    log K + d^3 t with K = DERIVATIVE_K.
 
     The formula bound is meaningful for d >= 2; for d = 1 the sampled
     supremum itself (which scales like exp(2t)) is still reported but the
@@ -358,20 +351,18 @@ def sup_derivative_bound(
     rng = np.random.default_rng(seed)
     x_line = (d + 1) * t
     log_emp = -math.inf
-    for _ in range(map_samples):
+    for _ in range(32):
         map_ = sample_map_with_singular_values_in(d, rho, rng)
         # Maximum principle: the sup over the half-plane sits on the
-        # boundary line; sample it plus a few interior points.
-        ys = rng.uniform(-math.pi, math.pi, z_samples)
-        xs = np.concatenate(
-            [np.full(z_samples // 2, x_line), rng.uniform(0, x_line, z_samples - z_samples // 2)]
-        )
+        # boundary line; sample it plus as many interior points.
+        ys = rng.uniform(-math.pi, math.pi, 256)
+        xs = np.concatenate([np.full(128, x_line), rng.uniform(0, x_line, 128)])
         for x, y in zip(xs, ys):
             log_emp = max(log_emp, map_.log_abs_derivative(complex(x, y)))
     if d >= 2:
-        log_formula = math.log(constant) + d**3 * t
+        log_formula = math.log(config.DERIVATIVE_K) + d**3 * t
     else:
-        log_formula = math.log(constant) + 2 * t
+        log_formula = math.log(config.DERIVATIVE_K) + 2 * t
     return DerivativeSupReport(log_formula, log_emp, log_emp <= log_formula, d, t)
 
 
@@ -387,6 +378,7 @@ class AppendixReport:
     max_coefficient_ratio: float
     containment_maps: int
     containment_failures: int
+    containment_inconclusive: int
     worst_case: dict
 
 
@@ -396,45 +388,31 @@ def appendix_report(
     samples: int = 1000,
     seed: int = 0,
     containment_maps: int | None = None,
-    containment_samples: int = 360,
-    threads: int = 1,
 ) -> AppendixReport:
     """Sampled bounds: critical points of normalized polynomials with
     critical values in the rho-disk, coefficient ratios of maps with
     singular values in the rho-disk, and preimage containment for r = rho.
 
-    Per-sample RNG streams are seeded by (seed, index), so results are
-    byte-identical for a fixed seed regardless of sharding.
+    Sample ``idx`` draws from its own RNG stream, seeded by (seed, idx), so
+    each sample's values depend only on the seed and its index.  A
+    containment check whose root solve failed counts as inconclusive, never
+    as a failure.
     """
     if containment_maps is None:
         containment_maps = min(samples, 200)
 
-    def one_sample(idx: int):
+    ratios, coeffs, contains = [], [], []
+    for idx in range(samples):
         rng = np.random.default_rng((seed, idx))
         poly = sample_poly_with_critical_values_in(d, rho, rng)
-        ratio = check_critical_point_bound(poly, rho, constant=math.inf).ratio
+        ratios.append(check_critical_point_bound(poly, rho, constant=math.inf).ratio)
         map_ = sample_map_with_singular_values_in(d, rho, rng)
-        coeff = check_coefficient_bound(map_, rho).ratio
-        contain = None
+        coeffs.append(check_coefficient_bound(map_, rho).ratio)
         if idx < containment_maps:
-            contain = check_disk_containment(
-                map_, rho, rho, samples=containment_samples
-            )
-        return ratio, coeff, contain
+            contains.append(check_disk_containment(map_, rho, rho))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_sample, range(samples)))
-    else:
-        results = [one_sample(i) for i in range(samples)]
-
-    ratios = [r for r, _, _ in results]
-    coeffs = [c for _, c, _ in results]
-    failures = sum(
-        1 for _, _, rep in results if rep is not None and not rep.part1
-    )
+    inconclusive = sum(1 for rep in contains if rep.inconclusive)
+    failures = sum(1 for rep in contains if not rep.inconclusive and not rep.part1)
     worst_idx = int(np.argmax(ratios))
     return AppendixReport(
         d=d,
@@ -445,6 +423,7 @@ def appendix_report(
         max_coefficient_ratio=float(max(coeffs)),
         containment_maps=containment_maps,
         containment_failures=failures,
+        containment_inconclusive=inconclusive,
         worst_case={"sample_index": worst_idx, "ratio": float(ratios[worst_idx])},
     )
 

@@ -184,16 +184,6 @@ def chain(d: int, t: float, cap: float = config.CAP, max_len: int = 512) -> list
     return values
 
 
-def minimum_potential(address: ExternalAddress, d: int = 1) -> float:
-    """Infimum of admissible potentials for a bounded address.
-
-    For every bounded sequence, s_n / step^n(t) -> 0 for all t > 0, so the
-    infimum is 0.
-    """
-    address.bound()  # validates the representation
-    return 0.0
-
-
 @dataclass(frozen=True)
 class PotentialLadder:
     """Sorted potentials of a marked-orbit family plus half-way midpoints.
@@ -213,6 +203,12 @@ class PotentialLadder:
         return tuple(r for r in self.midpoints if r > self.t_prime)
 
 
+def straight_point(d: int, t: float, s: int) -> complex:
+    """The asymptotic position t + 2*pi*i*s/d of an orbit point with speed t
+    in strip s."""
+    return complex(t, 2 * math.pi * s / d)
+
+
 def _straight_points(orbits, d: int, depth: int, cap: float):
     """Asymptotic marked points (potential, |position|, tract index) per orbit
     entry, to the requested depth, truncating at the overflow cap."""
@@ -221,7 +217,9 @@ def _straight_points(orbits, d: int, depth: int, cap: float):
         values = chain(d, t0, cap=cap, max_len=depth + 1)
         for j, tj in enumerate(values):
             s = addr.entry(j)
-            pos = math.hypot(tj, 2 * math.pi * s / d)
+            # math.hypot, not abs(): the two can differ in the last bit.
+            p = straight_point(d, tj, s)
+            pos = math.hypot(p.real, p.imag)
             pts.append((tj, pos, s, i, j))
     return pts
 
@@ -231,13 +229,12 @@ def build_ladder(
     d: int,
     depth: int,
     cap: float = config.CAP,
-    sampling_extra: int = config.LADDER_EXTRA_DEPTH,
 ) -> PotentialLadder:
     """Merge the iterated potentials of all orbits into a sorted ladder.
 
     Duplicates collapse at relative tolerance POTENTIAL_EQ_RTOL.  The
     threshold t_prime is the smallest rung (or 0) above which, on data
-    sampled ``sampling_extra`` levels deeper than the ladder itself,
+    sampled LADDER_EXTRA_DEPTH levels deeper than the ladder itself,
     consecutive gaps exceed 2, moduli of marked points gain more than 2 per
     rung, and every midpoint separates the positions below it from the
     positions above it by at least 1.
@@ -264,7 +261,7 @@ def build_ladder(
     )
 
     # Sampled separation conditions, probed a couple of levels deeper.
-    sample_pts = _straight_points(orbits, d, depth + sampling_extra, cap)
+    sample_pts = _straight_points(orbits, d, depth + config.LADDER_EXTRA_DEPTH, cap)
 
     def distinct(a: float, b: float) -> bool:
         return b - a > rtol * max(1.0, abs(a), abs(b))

@@ -67,7 +67,7 @@ def _pull_chains(
     """
     d = map_.d
     zs: list = [
-        complex(values[depth], 2 * math.pi * address.entry(depth) / d)
+        potentials.straight_point(d, values[depth], address.entry(depth))
         for values, depth in chains
     ]
     for level in range(max((depth for _, depth in chains), default=0) - 1, -1, -1):
@@ -182,21 +182,20 @@ def extract_potential_address(
     map_: PolyExpMap,
     cfg: tracts.TractConfig,
     z: complex,
-    n_steps: int = 64,
 ) -> Extraction:
     """Recover (potential, address prefix) from a point's forward orbit.
 
-    The orbit is iterated forward until the next evaluation would overflow
-    (which certifies right escape); the potential is pulled back from the
-    deepest iterate, whose *real* part stays well-conditioned.  Strip
-    indices, by contrast, are only readable while the accumulated angle
-    error (amplified by |f'| per step) stays small, so the prefix stops at
-    that precision horizon.  An orbit that stays bounded or leaves the
+    The orbit is iterated forward, at most 64 steps, until the next
+    evaluation would overflow (which certifies right escape); the potential
+    is pulled back from the deepest iterate, whose *real* part stays
+    well-conditioned.  Strip indices, by contrast, are only readable while
+    the accumulated angle error (amplified by |f'| per step) stays small,
+    so the prefix stops at that precision horizon.  An orbit that stays bounded or leaves the
     strips raises NotEscapingError with the orbit attached.
     """
     orbit = [complex(z)]
     overflowed = False
-    for _ in range(n_steps):
+    for _ in range(64):
         try:
             orbit.append(map_(orbit[-1]))
         except OverflowSignal:
@@ -204,7 +203,7 @@ def extract_potential_address(
             break
     if not overflowed:
         raise NotEscapingError(
-            f"orbit did not certify escape within {n_steps} steps", orbit
+            "orbit did not certify escape within 64 steps", orbit
         )
     angle_budget = math.log(math.pi / (4 * map_.d))
     log_err = math.log(max(abs(orbit[0]), 1.0) * 1e-16)
@@ -236,7 +235,7 @@ def extract_potential_address(
         u = potentials.inverse_step(map_.d, u)
     k = start + len(prefix) - 1
     level = potentials.iterate(map_.d, u, k)
-    straight = complex(level, 2 * math.pi * prefix[-1] / map_.d)
+    straight = potentials.straight_point(map_.d, level, prefix[-1])
     residual = abs(orbit[k] - straight)
     return Extraction(u, tuple(prefix), residual, deepest, start)
 

@@ -155,7 +155,7 @@ def straight_grid(spec: TargetSpec, cap: float = config.CAP) -> np.ndarray:
                 f"depth {spec.depth} too deep for orbit {i}; speeds overflow"
             )
         for j, tj in enumerate(values):
-            z[i, j] = complex(tj, 2 * math.pi * addr.entry(j) / spec.d)
+            z[i, j] = potentials.straight_point(spec.d, tj, addr.entry(j))
     return z
 
 
@@ -180,10 +180,7 @@ def init_state(
 
 
 def fit_map(
-    d: int,
-    targets: Sequence[complex],
-    warm: PolyExpMap | None = None,
-    rtol: float = 1e-10,
+    d: int, targets: Sequence[complex], warm: PolyExpMap | None = None
 ) -> PolyExpMap:
     """Map whose singular values match the targets, order-matched.
 
@@ -219,7 +216,7 @@ def fit_map(
         raise FitError(f"degree-{d} fitting needs a warm start")
     if m != d:
         raise FitError(f"degree-{d} fitting supports exactly d targets, got {m}")
-    return _fit_newton(d, targets, warm, rtol)
+    return _fit_newton(d, targets, warm)
 
 
 def _singular_vector(map_: PolyExpMap, reference: Sequence[complex]) -> np.ndarray:
@@ -235,9 +232,10 @@ def _singular_vector(map_: PolyExpMap, reference: Sequence[complex]) -> np.ndarr
     return np.array(out, dtype=complex)
 
 
-def _fit_newton(
-    d: int, targets: Sequence[complex], warm: PolyExpMap, rtol: float
-) -> PolyExpMap:
+def _fit_newton(d: int, targets: Sequence[complex], warm: PolyExpMap) -> PolyExpMap:
+    """Damped Newton on the coefficients until every singular value sits
+    within 1e-10 (relative to the largest target) of its target."""
+    rtol = 1e-10
     target_vec = np.array(targets, dtype=complex)
     scale = max(1.0, float(np.abs(target_vec).max()))
     x = np.array(warm.coeffs, dtype=complex)
@@ -353,17 +351,13 @@ class Certificate:
     notes: tuple[str, ...] = ()
 
 
-def verify(
-    map_: PolyExpMap,
-    spec: TargetSpec,
-    potential_rtol: float = config.VERIFY_POTENTIAL_RTOL,
-) -> Certificate:
+def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
     """Iterate each singular value forward and compare the extracted
     (potential, address prefix) against the target.  Independent of the
     pullback route: only forward evaluation and strip reads are used."""
     cfg = tracts.make_tract_config(map_)
     sv = _singular_vector(
-        map_, [complex(t, 2 * math.pi * a.entry(0) / spec.d) for t, a in spec.orbits]
+        map_, [potentials.straight_point(spec.d, t, a.entry(0)) for t, a in spec.orbits]
     )
     checks = []
     notes = []
@@ -388,7 +382,7 @@ def verify(
             else:
                 break
         ok = (
-            perr < potential_rtol * max(1.0, target_t)
+            perr < config.VERIFY_POTENTIAL_RTOL * max(1.0, target_t)
             and match == len(ext.prefix)
         )
         passed = passed and ok
@@ -479,23 +473,21 @@ class InvariantReport:
 def invariant_set_diagnostics(
     grid_z: np.ndarray,
     spec: TargetSpec,
-    ladder: potentials.PotentialLadder | None = None,
     rho: float | None = None,
-    constant_k: float = config.DERIVATIVE_K,
 ) -> InvariantReport:
     """Check the marked-grid shadow of the invariant-region conditions.
 
     (1) the first N_i+1 points of each orbit stay in the rho-disk; (2) the
     rest sit within 1/j of their straight asymptotic positions; (3) points
     inside the disk stay pairwise separated by pi/(2d*M^n) with M the
-    log-scale derivative bound K*exp(d^3*t_n); (4) the homotopy budget is
-    trivially respected (the shadow forbids nontrivial words).  Also checks
+    log-scale derivative bound K*exp(d^3*t_n), K = DERIVATIVE_K; (4) the
+    homotopy budget is trivially respected (the shadow forbids nontrivial
+    words).  Also checks
     that pullbacks of inside points keep Re < rho/2 and that points mapping
     into the marked disk keep Re < (d+1)*t_n.  Report only, never raises.
     """
     d = spec.d
-    if ladder is None:
-        ladder = potentials.build_ladder(spec.orbits, d, spec.depth)
+    ladder = potentials.build_ladder(spec.orbits, d, spec.depth)
     if rho is None:
         above = ladder.midpoints_above_threshold()
         if not above:
@@ -522,7 +514,7 @@ def invariant_set_diagnostics(
         for j in range(n_inside[i] + 1, levels)
     )
     # Separation in log scale: M^n with M = K e^{d^3 t_n} overflows floats.
-    log_m_rho = math.log(constant_k) + d**3 * t_n
+    log_m_rho = math.log(config.DERIVATIVE_K) + d**3 * t_n
     cond_sep = True
     inside_pts = [
         (i, j) for i in range(m) for j in range(n_inside[i] + 1)

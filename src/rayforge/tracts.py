@@ -85,13 +85,11 @@ class TractConfig:
 def make_tract_config(
     map_: polyexp.PolyExpMap,
     eps: float | None = None,
-    r_floor: float = config.R_FLOOR,
-    edge_samples: int = config.STRIP_EDGE_SAMPLES,
     budget: int = config.TRACT_RETRY_BUDGET,
 ) -> TractConfig:
     """Choose and certify (r, t_up, t_lo) for the strip inclusions.
 
-    r starts at max(r_floor, 2*max|SV| + 2).  The strip checks use the
+    r starts at max(R_FLOOR, 2*max|SV| + 2).  The strip checks use the
     coefficient moduli, so one pass certifies every strip index at once;
     |f'| >= 2 is additionally sampled on the inner strips.  On a sampled
     violation the half-plane is pushed right and everything is retried,
@@ -104,14 +102,16 @@ def make_tract_config(
         raise DomainError(f"eps must lie in (0, pi/2d), got {eps}")
     sv = map_.singular_data()
     abs_coeffs = [abs(c) for c in map_.coeffs]
-    r = max(r_floor, 2 * sv.max_modulus() + 2)
+    r = max(config.R_FLOOR, 2 * sv.max_modulus() + 2)
     # Hard domain floor: the half-plane right of every singular value is
     # free of branch points, so inverse branches are single-valued there.
     r_min = sv.max_real() + 1e-6
     sin_eps = math.sin(d * eps)
     half = math.pi / (2 * d)
 
-    def edge(t_from: float, t_to: float, samples: int = edge_samples) -> np.ndarray:
+    def edge(
+        t_from: float, t_to: float, samples: int = config.STRIP_EDGE_SAMPLES
+    ) -> np.ndarray:
         return t_from + (t_to - t_from) * np.arange(samples) / (samples - 1)
 
     def re_bound(x, rel_y, sign: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rayforge import cli, presets, serialize
+from rayforge import cli, errors, presets, serialize, tracts
 from rayforge.polyexp import PolyExpMap
 
 
@@ -182,28 +182,94 @@ class TestHomotopyAndTracts:
         assert payload["error"]["kind"] == "OverflowSignal"
 
 
-class TestThreads:
-    def test_env_var_overrides_flag(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("RAYFORGE_THREADS", "3")
-        code = run(
-            ["diag", "appendix-a", "--d", "2", "--rho", "50",
-             "--samples", "12", "--seed", "1", "--threads", "1"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["config"]["threads"] == 3
+# Exit code of each error class raised out of a subcommand handler.
+EXIT_CODES = {
+    "RayforgeError": 2,
+    "DomainError": 2,
+    "DegenerateCurveError": 2,
+    "OverflowSignal": 3,
+    "RootSolveError": 3,
+    "TractConfigError": 3,
+    "AmbiguousTractError": 3,
+    "BranchSelectionError": 3,
+    "NotConvergedError": 3,
+    "NotEscapingError": 3,
+    "FitError": 3,
+    "SpecRejectionError": 4,
+    "InvariantViolationError": 4,
+    "UnsupportedHomotopyError": 4,
+}
 
-    def test_threaded_output_matches_serial(self, workdir, tmp_path, monkeypatch):
-        argv = ["diag", "appendix-a", "--d", "2", "--rho", "50",
-                "--samples", "12", "--seed", "1"]
-        a, b = tmp_path / "serial.json", tmp_path / "threaded.json"
-        assert run(argv + ["--output", str(a)]) == 0
-        monkeypatch.setenv("RAYFORGE_THREADS", "4")
-        assert run(argv + ["--output", str(b)]) == 0
-        ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
-        for key in ("max_critical_point_ratio", "max_coefficient_ratio",
-                    "containment_failures"):
-            assert ja[key] == jb[key]
+
+class TestSurface:
+    def test_exit_code_table_covers_every_error_class(self):
+        classes = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.RayforgeError)
+        }
+        assert classes == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_exit_code_and_stream(self, name, workdir, capsys, monkeypatch):
+        cls = getattr(errors, name)
+        exc = cls(1j, (0, 1)) if cls is errors.AmbiguousTractError else cls("boom")
+
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(tracts, "make_tract_config", raising)
+        code = run(["tracts", "inspect", "--map", workdir["map"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_CODES[name]
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err == f"rayforge: {exc}\n"
+        else:
+            assert captured.err == ""
+            payload = json.loads(captured.out)
+            assert payload == {
+                "schema": "rayforge/1",
+                "error": {"kind": name, "message": str(exc)},
+            }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--spec", "{spec1}", "--seed", "1"],
+            ["diag", "appendix-a", "--d", "2", "--rho", "50", "--threads", "2"],
+        ],
+        ids=["classify-seed", "appendix-threads"],
+    )
+    def test_removed_flags_exit_2(self, argv, workdir, capsys):
+        argv = [a.format(**workdir) for a in argv]
+        assert run(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_echo(self, workdir, capsys):
+        commands = [
+            ["ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
+             "--t-lo", "1", "--t-hi", "5", "--samples", "2", "--out", "json"],
+            ["classify", "--spec", workdir["spec1"]],
+            ["diag", "appendix-a", "--d", "2", "--rho", "50", "--samples", "4",
+             "--seed", "5"],
+            ["homotopy", "word", "--marked", workdir["marked"],
+             "--curve", workdir["curve"]],
+            ["tracts", "inspect", "--map", workdir["map"]],
+        ]
+        for argv in commands:
+            assert run(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert "threads" not in payload["config"]
+            if argv[0] == "diag":
+                assert payload["config"]["seed"] == 5
+                assert payload["containment_inconclusive"] == 0
+            else:
+                assert "seed" not in payload["config"]
+        result = str(workdir["dir"] / "run.json")
+        assert run(["classify", "--spec", workdir["spec1"], "--out", result]) == 0
+        assert run(["diag", "invariant-set", "--run", result]) == 0
+        echoed = json.loads(capsys.readouterr().out)["config"]
+        assert "seed" not in echoed and "threads" not in echoed
 
 
 class TestDeterminism:

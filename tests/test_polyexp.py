@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rayforge import polyexp as pe
-from rayforge.errors import DomainError, OverflowSignal
+from rayforge.errors import DomainError, OverflowSignal, RootSolveError
 from rayforge.polyexp import PolyExpMap
 
 
@@ -265,10 +265,24 @@ class TestDerivativeSup:
 
 
 class TestAppendixReport:
-    def test_deterministic_across_threads(self):
+    def test_per_sample_streams(self):
+        # Sample k draws from the stream seeded by (seed, k): reruns agree,
+        # and a shorter run ending at the worst sample finds the same worst.
         a = pe.appendix_report(2, 100.0, samples=40, seed=3, containment_maps=5)
-        b = pe.appendix_report(2, 100.0, samples=40, seed=3, containment_maps=5, threads=3)
-        assert a == b
+        assert a == pe.appendix_report(2, 100.0, samples=40, seed=3, containment_maps=5)
+        k = a.worst_case["sample_index"] + 1
+        b = pe.appendix_report(2, 100.0, samples=k, seed=3, containment_maps=5)
+        assert b.worst_case == a.worst_case
+        assert b.max_critical_point_ratio == a.max_critical_point_ratio
+
+    def test_failed_root_solve_is_inconclusive(self, monkeypatch):
+        def stalled(coeffs, ws):
+            raise RootSolveError("stalled", worst_residual=1.0)
+
+        monkeypatch.setattr(pe, "poly_roots_batch", stalled)
+        rep = pe.appendix_report(2, 100.0, samples=12, seed=3, containment_maps=8)
+        assert rep.containment_failures == 0
+        assert rep.containment_inconclusive == 8
 
     def test_scale_invariant_ratio(self):
         a = pe.appendix_report(3, 100.0, samples=60, seed=1, containment_maps=0)

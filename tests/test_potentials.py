@@ -90,6 +90,23 @@ class TestIterate:
         assert pot.log_step(2, 1e200) == 2e200
 
 
+class TestAdmissibility:
+    def test_bounded_address_admissible_at_small_potential(self):
+        # For a bounded address s_n / step^n(t) -> 0 at every t > 0, so the
+        # smallest potential on the grid is already admissible.
+        a = ExternalAddress((7, -3), (2,))
+        admissible = []
+        for t in (0.02, 0.1, 0.5, 2.0):
+            vals = pot.chain(1, t, max_len=2000)
+            n = len(vals) - 1
+            if abs(a.entry(n)) / vals[n] < 1e-6:
+                admissible.append(t)
+        assert admissible and min(admissible) == 0.02
+
+    def test_straight_point(self):
+        assert pot.straight_point(2, 1.5, -3) == complex(1.5, -3 * math.pi)
+
+
 class TestExternalAddress:
     def test_non_integral_entries_rejected(self):
         for bad in ((1.5,), (0, 2.0000001), (float("inf"),), ("1",)):
@@ -140,28 +157,6 @@ class TestExternalAddress:
     def test_empty_period_rejected(self):
         with pytest.raises(DomainError):
             ExternalAddress((), ())
-
-
-class TestMinimumPotential:
-    def test_constant_zero(self):
-        assert pot.minimum_potential(ExternalAddress((), (0,))) == 0.0
-
-    def test_with_preperiod(self):
-        assert pot.minimum_potential(ExternalAddress((7, -3), (2,))) == 0.0
-
-    def test_grid_oracle_consistency(self):
-        # Admissibility (s_n / step^n(t) -> 0) is monotone in t, so checking
-        # it on a grid bounds the infimum from above by the smallest
-        # admissible sample; the closed form says the infimum is 0.
-        a = ExternalAddress((7, -3), (2,))
-        admissible = []
-        for t in (0.02, 0.1, 0.5, 2.0):
-            vals = pot.chain(1, t, max_len=2000)
-            n = len(vals) - 1
-            if abs(a.entry(n)) / vals[n] < 1e-6:
-                admissible.append(t)
-        assert admissible and min(admissible) == 0.02
-        assert pot.minimum_potential(a) <= min(admissible)
 
 
 class TestLadder:
