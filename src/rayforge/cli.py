@@ -8,11 +8,16 @@ Exit codes: 0 success, 2 usage or bad input, 3 numeric non-convergence,
 schema string and the resolved run configuration, and are byte-identical
 for identical arguments and seed.  Each error class in ``errors`` carries
 its own exit code.
+
+The argparse parser is built once per process, on the first ``main`` call,
+and reused by every later call.  Numeric options are checked as they are
+parsed, so a bad value is a usage error (exit 2) with a message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -46,13 +51,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _run_config(args, **extra) -> dict:
-    cfg = {
-        "command": args.command_path,
-        "cap": getattr(args, "cap", config.CAP),
-        "tol": getattr(args, "tol", None),
-    }
-    cfg.update(extra)
-    return cfg
+    return {"command": args.command_path, **extra}
 
 
 def _cmd_ray_trace(args) -> int:
@@ -71,7 +70,8 @@ def _cmd_ray_trace(args) -> int:
         max_depth=args.max_depth,
     )
     run_cfg = _run_config(
-        args, t_lo=args.t_lo, t_hi=args.t_hi, samples=args.samples, format=args.out
+        args, cap=args.cap, tol=args.tol, t_lo=args.t_lo, t_hi=args.t_hi,
+        samples=args.samples, format=args.out,
     )
     if args.out == "csv":
         buf = io.StringIO()
@@ -114,7 +114,10 @@ def _cmd_classify(args) -> int:
     cert = result.certificate
     payload = {
         "schema": serialize.SCHEMA,
-        "config": _run_config(args, max_iter=args.max_iter, spec=serialize.spec_to_json(spec)),
+        "config": _run_config(
+            args, cap=args.cap, tol=args.tol, max_iter=args.max_iter,
+            spec=serialize.spec_to_json(spec),
+        ),
         "d": result.map.d,
         "coeffs": [serialize.complex_to_json(c) for c in result.map.coeffs],
         "grid": [
@@ -244,6 +247,28 @@ def _cmd_tracts_inspect(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, accept, what: str):
+    """An argparse ``type=`` callable: ``convert`` the text, then reject
+    values that fail ``accept`` as a usage error naming ``what``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rayforge",
@@ -256,15 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace = ray_sub.add_parser("trace", help="trace a ray segment")
     trace.add_argument("--map", required=True, help="map JSON file")
     trace.add_argument("--address", required=True, help="address JSON file")
-    trace.add_argument("--t-lo", dest="t_lo", type=float, required=True)
-    trace.add_argument("--t-hi", dest="t_hi", type=float, required=True)
-    trace.add_argument("--samples", type=int, required=True)
+    trace.add_argument("--t-lo", dest="t_lo", type=_positive_float, required=True)
+    trace.add_argument("--t-hi", dest="t_hi", type=_positive_float, required=True)
+    trace.add_argument("--samples", type=_positive_int, required=True)
     trace.add_argument("--out", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
     trace.add_argument("--output", default=None, help="output file (default stdout)")
-    trace.add_argument("--cap", type=float, default=config.CAP)
-    trace.add_argument("--tol", type=float, default=config.TRACER_TOL)
-    trace.add_argument("--max-depth", dest="max_depth", type=int,
+    trace.add_argument("--cap", type=_positive_float, default=config.CAP)
+    trace.add_argument("--tol", type=_positive_float, default=config.TRACER_TOL)
+    trace.add_argument("--max-depth", dest="max_depth", type=_positive_int,
                        default=config.TRACER_MAX_DEPTH)
     trace.set_defaults(handler=_cmd_ray_trace, command_path="ray trace")
 
@@ -272,19 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--spec", required=True, help="target spec JSON file")
     classify.add_argument("--out", default=None, help="result JSON file (default stdout)")
     classify.add_argument("--log-iterates", action="store_true")
-    classify.add_argument("--max-iter", dest="max_iter", type=int,
+    classify.add_argument("--max-iter", dest="max_iter", type=_positive_int,
                           default=config.CLASSIFY_MAX_ITER)
-    classify.add_argument("--tol", type=float, default=config.CLASSIFY_TOL)
-    classify.add_argument("--cap", type=float, default=config.CAP)
+    classify.add_argument("--tol", type=_positive_float, default=config.CLASSIFY_TOL)
+    classify.add_argument("--cap", type=_positive_float, default=config.CAP)
     classify.set_defaults(handler=_cmd_classify, command_path="classify")
 
     diag = sub.add_parser("diag", help="diagnostic reports")
     diag_sub = diag.add_subparsers(dest="action", required=True)
     app = diag_sub.add_parser("appendix-a", help="Monte-Carlo bound checkers")
     app.add_argument("--d", type=int, required=True)
-    app.add_argument("--rho", type=float, required=True)
-    app.add_argument("--samples", type=int, default=1000)
-    app.add_argument("--seed", type=int, default=0)
+    app.add_argument("--rho", type=_positive_float, required=True)
+    app.add_argument("--samples", type=_positive_int, default=1000)
+    app.add_argument("--seed", type=_non_negative_int, default=0)
     app.add_argument("--output", default=None)
     app.set_defaults(handler=_cmd_diag_appendix, command_path="diag appendix-a")
 
@@ -306,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = tr_sub.add_parser("inspect", help="dump certified strip bounds")
     inspect.add_argument("--map", required=True, help="map JSON file")
     inspect.add_argument("--epsilon", type=float, default=None)
-    inspect.add_argument("--strips", type=int, default=3)
+    inspect.add_argument("--strips", type=_non_negative_int, default=3)
     inspect.add_argument("--output", default=None)
     inspect.set_defaults(handler=_cmd_tracts_inspect, command_path="tracts inspect")
 

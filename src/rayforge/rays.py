@@ -117,7 +117,8 @@ def trace_segment(
     A sample at potential t uses depth n, the largest with step^n(t) <= cap
     (bounded by max_depth).  The consecutive-depth increment measures the
     depth-(n-1) error; scaled by the tail-decay ratio it bounds the returned
-    point's error, which must come in under tol.  The depth-n and
+    point's error, which must come in under tol.  Depth 0 counts as
+    converged only when step(t) leaves the float range.  The depth-n and
     depth-(n-1) chains of all samples are pulled together; the first
     failing sample, depth n before depth n-1, raises its error.
     """
@@ -143,7 +144,12 @@ def trace_segment(
         depth = len(values) - 1
         z = tracts.unwrap(next(pulled))
         if depth == 0:
-            # Potential so large the straight point is the answer to full precision.
+            # Only a potential whose next step leaves the float range makes
+            # the straight point the answer to full precision; a chain cut
+            # short by the caller's cap or max_depth has no depth to certify.
+            d = map_.d
+            if not (d * t > config.EXP_ARG_LIMIT or potentials.step(d, t) > config.CAP):
+                raise NotConvergedError(f"depth budget exhausted at n=0 (t={t!r})")
             samples.append(RayPoint(z, t, address, 0, abs(z) * 1e-16))
             continue
         z_prev = tracts.unwrap(next(pulled))

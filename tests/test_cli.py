@@ -1,7 +1,13 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rayforge
 from rayforge import cli, errors, presets, serialize, tracts
 from rayforge.polyexp import PolyExpMap
 
@@ -16,6 +22,7 @@ def workdir(tmp_path):
     paths = {
         "map": write("exp.json", serialize.map_to_json(presets.EXP_MAP)),
         "zero": write("zero.json", serialize.address_to_json(presets.ZERO)),
+        "map2": write("d2.json", serialize.map_to_json(PolyExpMap(2, [0.1, 0.1j]))),
         "spec1": write("spec1.json", serialize.spec_to_json(presets.SPEC_D1)),
         "bad_spec": write(
             "bad.json", serialize.spec_to_json(presets.CLUSTER_REJECT)
@@ -90,6 +97,20 @@ class TestRayTrace:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
+
+    def test_cap_below_first_step_exit_3(self, workdir, capsys):
+        # step(1) = 6.4 exceeds the cap, so the chain stops at depth 0; the
+        # straight point 1.0 used to come out with err 1e-16 and exit 0
+        code = run(
+            [
+                "ray", "trace", "--map", workdir["map2"], "--address", workdir["zero"],
+                "--t-lo", "1", "--t-hi", "2", "--samples", "2", "--cap", "1",
+            ]
+        )
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["kind"] == "NotConvergedError"
+        assert "depth budget exhausted at n=0" in payload["error"]["message"]
 
     @pytest.mark.parametrize("entries", [[1.5], [0, "1"], [float("nan")]])
     def test_non_integral_address_entry_exit_2(self, workdir, tmp_path, capsys, entries):
@@ -201,6 +222,63 @@ EXIT_CODES = {
 }
 
 
+# A valid, quick invocation of each command that takes numeric options.
+BASE_ARGV = {
+    "ray trace": ["ray", "trace", "--map", "{map}", "--address", "{zero}",
+                  "--t-lo", "1", "--t-hi", "5", "--samples", "4"],
+    "classify": ["classify", "--spec", "{spec1}"],
+    "diag appendix-a": ["diag", "appendix-a", "--d", "2", "--rho", "50", "--samples", "4"],
+    "tracts inspect": ["tracts", "inspect", "--map", "{map}"],
+}
+
+
+class TestNumericOptions:
+    """Out-of-range numeric values are usage errors, caught as they are parsed."""
+
+    CASES = [
+        # (command, option, value); each comment says what the value used to do
+        ("ray trace", "--samples", "0"),  # exit 2, but from the library
+        ("ray trace", "--tol", "nan"),  # exit 0 with the tolerance check off
+        ("ray trace", "--cap", "-1"),  # depth-0 samples
+        ("ray trace", "--max-depth", "0"),  # depth-0 samples
+        ("ray trace", "--t-hi", "inf"),  # exit 0 with an inf sample
+        ("classify", "--max-iter", "0"),  # IndexError
+        ("classify", "--tol", "nan"),  # 50 iterations, then exit 3
+        ("classify", "--tol", "-1"),  # 50 iterations, then exit 3
+        ("classify", "--cap", "nan"),  # ValueError in the JSON writer
+        ("diag appendix-a", "--samples", "0"),  # argmax of an empty sequence
+        ("diag appendix-a", "--rho", "nan"),  # LinAlgError
+        ("diag appendix-a", "--rho", "inf"),  # ZeroDivisionError
+        ("diag appendix-a", "--seed", "-1"),  # ValueError in the RNG seeding
+        ("tracts inspect", "--strips", "-2"),  # exit 0 with no strips
+    ]
+
+    @pytest.mark.parametrize(
+        "command,option,value", CASES,
+        ids=[f"{c.split()[-1]}{o}={v}" for c, o, v in CASES],
+    )
+    def test_bad_value_exit_2(self, command, option, value, workdir, capsys):
+        argv = [a.format(**workdir) for a in BASE_ARGV[command]]
+        code = run(argv + [option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {option}: expected" in captured.err
+        assert repr(value) in captured.err
+
+
+# Keys of the config echo of each command.  Every key but "command" names one
+# of the command's own options; "format" is the value of --out.
+CONFIG_KEYS = {
+    "ray trace": {"command", "cap", "tol", "t_lo", "t_hi", "samples", "format"},
+    "classify": {"command", "cap", "tol", "max_iter", "spec"},
+    "diag appendix-a": {"command", "d", "rho", "samples", "seed"},
+    "diag invariant-set": {"command", "run"},
+    "homotopy word": {"command"},
+    "tracts inspect": {"command", "epsilon"},
+}
+
+
 class TestSurface:
     def test_exit_code_table_covers_every_error_class(self):
         classes = {
@@ -256,20 +334,25 @@ class TestSurface:
              "--curve", workdir["curve"]],
             ["tracts", "inspect", "--map", workdir["map"]],
         ]
+        result = str(workdir["dir"] / "run.json")
+        assert run(["classify", "--spec", workdir["spec1"], "--out", result]) == 0
+        commands.append(["diag", "invariant-set", "--run", result])
         for argv in commands:
             assert run(argv) == 0
             payload = json.loads(capsys.readouterr().out)
-            assert "threads" not in payload["config"]
-            if argv[0] == "diag":
-                assert payload["config"]["seed"] == 5
+            config = payload["config"]
+            assert set(config) == CONFIG_KEYS[config["command"]]
+            if argv[0] == "diag" and argv[1] == "appendix-a":
+                assert config["seed"] == 5
                 assert payload["containment_inconclusive"] == 0
-            else:
-                assert "seed" not in payload["config"]
-        result = str(workdir["dir"] / "run.json")
-        assert run(["classify", "--spec", workdir["spec1"], "--out", result]) == 0
-        assert run(["diag", "invariant-set", "--run", result]) == 0
-        echoed = json.loads(capsys.readouterr().out)["config"]
-        assert "seed" not in echoed and "threads" not in echoed
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    def test_config_keys_are_own_options(self, command, capsys):
+        assert run(command.split() + ["--help"]) == 0
+        usage = capsys.readouterr().out
+        for key in CONFIG_KEYS[command] - {"command"}:
+            option = "out" if key == "format" else key
+            assert f"--{option.replace('_', '-')} " in usage
 
 
 class TestDeterminism:
@@ -323,3 +406,55 @@ class TestDeterminism:
         assert run(["diag", "invariant-set", "--run", str(result), "--output", str(a)]) == 0
         assert run(["diag", "invariant-set", "--run", str(result), "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserReuse:
+    """The parser is built once per process; reusing it changes no output."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_builds_no_parser_after_first_call(self, workdir, capsys, monkeypatch):
+        run(["tracts", "inspect", "--map", workdir["map"]])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["tracts", "inspect", "--map", workdir["map"]]) == 0
+        assert run(["classify", "--spec", workdir["spec1"], "--seed", "1"]) == 2
+        assert run(["diag", "appendix-a", "--d", "2", "--rho", "50", "--samples", "2"]) == 0
+        assert built == []
+
+    def test_sequence_matches_fresh_processes(self, workdir, tmp_path, capsys, monkeypatch):
+        # argparse wraps usage text to the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(rayforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        trace = [
+            "ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
+            "--t-lo", "1", "--t-hi", "5", "--samples", "8", "--out", "json",
+            "--output", "{out}",
+        ]
+        sequence = [
+            trace,
+            ["classify", "--spec", workdir["spec1"], "--seed", "1"],
+            ["diag", "appendix-a", "--d", "2", "--rho", "100", "--samples", "5"],
+            trace,
+        ]
+        for k, (argv, exit_code) in enumerate(zip(sequence, [0, 2, 0, 0])):
+            mine, fresh = tmp_path / f"mine{k}.json", tmp_path / f"fresh{k}.json"
+            code = run([a.format(out=mine) for a in argv])
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "rayforge", *(a.format(out=fresh) for a in argv)],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert code == proc.returncode == exit_code
+            assert captured.out.encode() == proc.stdout
+            assert captured.err.encode() == proc.stderr
+            if "--output" in argv:
+                assert mine.read_bytes() == fresh.read_bytes()

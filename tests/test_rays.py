@@ -5,7 +5,12 @@ import pytest
 
 from rayforge import potentials as pot
 from rayforge import rays, tracts
-from rayforge.errors import DomainError, NotEscapingError, RayforgeError
+from rayforge.errors import (
+    DomainError,
+    NotConvergedError,
+    NotEscapingError,
+    RayforgeError,
+)
 from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
 
@@ -108,6 +113,29 @@ class TestTraceSegment:
             lhs = D2(p.z)
             rhs = rays.trace_ray(D2, cfg_d2, addr.shift(), pot.step(2, p.t)).z
             assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
+
+    def test_depth_zero_budget_not_converged(self, cfg_exp):
+        # a chain cut at its first entry by max_depth is no certificate
+        with pytest.raises(NotConvergedError, match="depth budget exhausted at n=0"):
+            rays.trace_segment(EXP, cfg_exp, ZERO, 1.0, 2.0, 2, max_depth=0)
+
+    def test_depth_zero_cap_not_converged(self):
+        # the cap stops the chain at t=1 although the default depth traces
+        # 0.9194-0.0199i there; the straight point 1.0 used to pass with err 1e-16
+        map_ = PolyExpMap(2, [0.1, 0.1j])
+        cfg = tracts.make_tract_config(map_)
+        assert rays.trace_ray(map_, cfg, ZERO, 1.0).z == pytest.approx(
+            0.9194 - 0.0199j, abs=1e-4
+        )
+        with pytest.raises(NotConvergedError, match="depth budget exhausted at n=0"):
+            rays.trace_segment(map_, cfg, ZERO, 1.0, 2.0, 2, cap=1.0)
+
+    def test_depth_zero_beyond_float_range_is_straight(self, cfg_exp):
+        # step(t) overflows, so the straight point is exact in double precision
+        for t in (701.0, 695.0):
+            pt = rays.trace_ray(EXP, cfg_exp, ZERO, t, max_depth=0)
+            assert pt.depth_used == 0 and pt.z == t
+            assert pt.error_estimate == t * 1e-16
 
     def test_ordering_enforced(self, cfg_exp):
         a = rays.trace_ray(EXP, cfg_exp, ZERO, 2.0)
