@@ -70,8 +70,8 @@ def _cmd_ray_trace(args) -> int:
         max_depth=args.max_depth,
     )
     run_cfg = _run_config(
-        args, cap=args.cap, tol=args.tol, t_lo=args.t_lo, t_hi=args.t_hi,
-        samples=args.samples, format=args.out,
+        args, cap=args.cap, tol=args.tol, max_depth=args.max_depth,
+        t_lo=args.t_lo, t_hi=args.t_hi, samples=args.samples, format=args.out,
     )
     if args.out == "csv":
         buf = io.StringIO()
@@ -166,6 +166,7 @@ def _cmd_diag_appendix(args) -> int:
         "containment_maps": report.containment_maps,
         "containment_failures": report.containment_failures,
         "containment_inconclusive": report.containment_inconclusive,
+        "containment_proven": report.containment_proven,
         "worst_case": report.worst_case,
     }
     _emit(serialize.dumps(payload), args.output)
@@ -227,7 +228,7 @@ def _cmd_tracts_inspect(args) -> int:
     cfg = tracts.make_tract_config(map_, eps=args.epsilon)
     payload = {
         "schema": serialize.SCHEMA,
-        "config": _run_config(args, epsilon=args.epsilon),
+        "config": _run_config(args, epsilon=args.epsilon, strips=args.strips),
         "d": cfg.d,
         "r": cfg.r,
         "r_min": cfg.r_min,

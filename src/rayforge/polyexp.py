@@ -2,8 +2,11 @@
 
 Holds evaluation, derivatives and singular data, a simultaneous-iteration
 polynomial root solver, and the disk/coefficient/derivative checkers that
-probe how singular-value magnitudes control a map's geometry.  Checkers are
-Monte-Carlo with explicit seeds; nothing here keeps mutable state.
+probe how singular-value magnitudes control a map's geometry.  Disk
+containment is proven first, from Fujiwara's root bound over the whole
+disk, and sampled with a root solve only when the proof fails; the other
+checkers are Monte-Carlo.  Random draws take explicit seeds; nothing here
+keeps mutable state.
 """
 
 from __future__ import annotations
@@ -293,25 +296,49 @@ class ContainmentReport:
     part2: bool
     inconclusive: bool
     samples: int
+    proven: bool
+
+
+def fujiwara_bound(coeffs: Sequence[complex], r: float) -> float:
+    """Fujiwara's (1916) bound on |z| over the roots of p(z) = w, |w| <= r.
+
+    The roots of z^d + a_{d-1} z^{d-1} + ... + a_0 satisfy |z| <= 2 max(
+    |a_{d-1}|, |a_{d-2}|^(1/2), ..., |a_1|^(1/(d-1)), |a_0/2|^(1/d)); here
+    a_0 = b_0 - w, and |b_0| + r bounds |a_0| over the closed disk.  Returns
+    inf when a coefficient or r is not finite.
+    """
+    d = len(coeffs)
+    terms = [abs(coeffs[d - k]) ** (1.0 / k) for k in range(1, d)]
+    terms.append(((abs(coeffs[0]) + r) / 2) ** (1.0 / d))
+    if not all(math.isfinite(x) for x in terms):
+        return math.inf
+    return 2 * max(terms)
 
 
 def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> ContainmentReport:
-    """Sampled containment of polynomial preimages of disks.
+    """Containment of polynomial preimages of disks.
 
-    Part 1: roots of p(z) = w stay inside |z| < r for w on 360 points of
-    the circle |w| = r (meaningful for r >= rho).  Part 2: |p(z)| <
-    rho^(2d+1) on |z| = rho^2, so the rho^2-disk maps into the
-    rho^(2d+1)-disk.  The checker reports; it never asserts its preconditions.  A failed root
-    solve makes the report inconclusive rather than failed.
+    Part 1: the roots of p(z) = w stay inside |z| < r for |w| <= r
+    (meaningful for r >= rho).  It is proven for the whole disk when
+    Fujiwara's bound B satisfies B (1 + 1e-12) < r; the margin covers the
+    rounding of B, whose d-th roots are off by about |ln x| 2^-53 < 1e-13
+    relative.  Otherwise (always for d = 1, where B = |b_0| + r) it is
+    sampled by a root solve on 360 points of the circle |w| = r, and a
+    failed solve makes the report inconclusive rather than failed.
+    Part 2: |p(z)| < rho^(2d+1) on 360 points of |z| = rho^2, so the
+    rho^2-disk maps into the rho^(2d+1)-disk.  The checker reports; it
+    never asserts its preconditions.
     """
     samples = 360
     angles = 2 * np.pi * np.arange(samples) / samples
     circle = np.exp(1j * angles)
-    try:
-        roots = poly_roots_batch(map_.coeffs, r * circle)
-    except RootSolveError:
-        return ContainmentReport(False, False, False, True, samples)
-    part1 = bool(np.all(np.abs(roots) < r))
+    part1 = proven = fujiwara_bound(map_.coeffs, r) * (1 + 1e-12) < r
+    if not proven:
+        try:
+            roots = poly_roots_batch(map_.coeffs, r * circle)
+        except RootSolveError:
+            return ContainmentReport(False, False, False, True, samples, False)
+        part1 = bool(np.all(np.abs(roots) < r))
 
     target = rho ** (2 * map_.d + 1)
     zs = rho**2 * circle
@@ -320,7 +347,7 @@ def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containmen
     )
     values = _horner_batch(high_to_low, zs)
     part2 = bool(np.all(np.abs(values) < target))
-    return ContainmentReport(part1 and part2, part1, part2, False, samples)
+    return ContainmentReport(part1 and part2, part1, part2, False, samples, proven)
 
 
 @dataclass(frozen=True)
@@ -379,6 +406,7 @@ class AppendixReport:
     containment_maps: int
     containment_failures: int
     containment_inconclusive: int
+    containment_proven: int
     worst_case: dict
 
 
@@ -394,9 +422,10 @@ def appendix_report(
     singular values in the rho-disk, and preimage containment for r = rho.
 
     Sample ``idx`` draws from its own RNG stream, seeded by (seed, idx), so
-    each sample's values depend only on the seed and its index.  A
-    containment check whose root solve failed counts as inconclusive, never
-    as a failure.
+    each sample's values depend only on the seed and its index.
+    Containment failures and inconclusive checks are counted from sampled
+    checks only: a proven containment is neither, and a sampled check whose
+    root solve failed counts as inconclusive, never as a failure.
     """
     if containment_maps is None:
         containment_maps = min(samples, 200)
@@ -412,6 +441,7 @@ def appendix_report(
             contains.append(check_disk_containment(map_, rho, rho))
 
     inconclusive = sum(1 for rep in contains if rep.inconclusive)
+    proven = sum(1 for rep in contains if rep.proven)
     failures = sum(1 for rep in contains if not rep.inconclusive and not rep.part1)
     worst_idx = int(np.argmax(ratios))
     return AppendixReport(
@@ -424,6 +454,7 @@ def appendix_report(
         containment_maps=containment_maps,
         containment_failures=failures,
         containment_inconclusive=inconclusive,
+        containment_proven=proven,
         worst_case={"sample_index": worst_idx, "ratio": float(ratios[worst_idx])},
     )
 

@@ -122,8 +122,8 @@ def trace_segment(
     depth-(n-1) chains of all samples are pulled together; the first
     failing sample, depth n before depth n-1, raises its error.
     """
-    if not 0 < t_lo <= t_hi:
-        raise DomainError("need 0 < t_lo <= t_hi")
+    if not 0 < t_lo <= t_hi < math.inf:
+        raise DomainError("need finite 0 < t_lo <= t_hi")
     if n_samples < 1:
         raise DomainError("need at least one sample")
     if n_samples == 1:

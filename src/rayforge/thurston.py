@@ -126,10 +126,10 @@ class MarkedGrid:
         d = spec.d
         t_top = potentials.iterate(d, spec.potential(i), spec.depth, cap=cap)
         s_next = spec.address(i).entry(spec.depth + 1)
-        v = 2 * math.pi * s_next / d
         log_next = potentials.log_step(d, t_top)
         if log_next <= math.log(cap):
-            return complex(math.expm1(d * t_top), v)
+            return potentials.straight_point(d, potentials.step(d, t_top), s_next)
+        v = 2 * math.pi * s_next / d
         arg = v * math.exp(-log_next) if log_next < 700 else 0.0
         return tracts.LogPolar(log_next, arg)
 

@@ -13,17 +13,18 @@ import math
 
 import numpy as np
 
-from rayforge import config, tracts
+from rayforge import config, polyexp, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
     InvariantViolationError,
     OverflowSignal,
+    RootSolveError,
     TractConfigError,
     UnsupportedHomotopyError,
 )
 from rayforge.homotopy import MarkedSet, PolylineCurve
-from rayforge.polyexp import PolyExpMap
+from rayforge.polyexp import ContainmentReport, PolyExpMap
 from rayforge.tracts import TractConfig
 
 
@@ -285,3 +286,27 @@ def scalar_pullback_grid(state, cap: float = config.CAP) -> np.ndarray:
                     "which the strip-indexed shadow does not support"
                 ) from exc
     return new
+
+
+def sampled_disk_containment(map_: PolyExpMap, rho: float, r: float) -> ContainmentReport:
+    """Reference containment check: the sampled check that
+    ``polyexp.check_disk_containment`` ran for every map before it tried
+    Fujiwara's bound, a root solve of p(z) = w on 360 points of |w| = r.
+    Its reports are never proven."""
+    samples = 360
+    angles = 2 * np.pi * np.arange(samples) / samples
+    circle = np.exp(1j * angles)
+    try:
+        roots = polyexp.poly_roots_batch(map_.coeffs, r * circle)
+    except RootSolveError:
+        return ContainmentReport(False, False, False, True, samples, False)
+    part1 = bool(np.all(np.abs(roots) < r))
+
+    target = rho ** (2 * map_.d + 1)
+    zs = rho**2 * circle
+    high_to_low = np.array(
+        (1.0,) + tuple(reversed(map_.coeffs)), dtype=complex
+    )
+    values = polyexp._horner_batch(high_to_low, zs)
+    part2 = bool(np.all(np.abs(values) < target))
+    return ContainmentReport(part1 and part2, part1, part2, False, samples, False)

@@ -270,12 +270,14 @@ class TestNumericOptions:
 # Keys of the config echo of each command.  Every key but "command" names one
 # of the command's own options; "format" is the value of --out.
 CONFIG_KEYS = {
-    "ray trace": {"command", "cap", "tol", "t_lo", "t_hi", "samples", "format"},
+    "ray trace": {
+        "command", "cap", "tol", "max_depth", "t_lo", "t_hi", "samples", "format",
+    },
     "classify": {"command", "cap", "tol", "max_iter", "spec"},
     "diag appendix-a": {"command", "d", "rho", "samples", "seed"},
     "diag invariant-set": {"command", "run"},
     "homotopy word": {"command"},
-    "tracts inspect": {"command", "epsilon"},
+    "tracts inspect": {"command", "epsilon", "strips"},
 }
 
 

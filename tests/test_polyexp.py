@@ -1,8 +1,11 @@
 import cmath
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from oracles import sampled_disk_containment
 
 from rayforge import polyexp as pe
 from rayforge.errors import DomainError, OverflowSignal, RootSolveError
@@ -237,6 +240,127 @@ class TestDiskContainment:
         assert rep.inconclusive or not rep.holds
 
 
+def _random_monic(rng, d):
+    """b_0..b_{d-1} with moduli spread over 1e-3..1e6 and uniform phases."""
+    moduli = 10 ** rng.uniform(-3, 6, d)
+    return [complex(m * cmath.exp(1j * rng.uniform(0, 2 * math.pi))) for m in moduli]
+
+
+def _threshold_radius(coeffs):
+    """The radius r* with fujiwara_bound(coeffs, r*) = r*, by bisection on
+    log r (the bound grows like r^(1/d), so B(r)/r decreases for d >= 2)."""
+    lo, hi = 1e-9, 1e30
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if pe.fujiwara_bound(coeffs, mid) >= mid else (lo, mid)
+    return hi
+
+
+def _max_root_modulus(coeffs, w):
+    """max |z| over the roots of p(z) = w at 50 digits."""
+    with mpmath.workdps(50):
+        high_to_low = [mpmath.mpc(1)] + [mpmath.mpc(c) for c in reversed(coeffs[1:])]
+        high_to_low.append(mpmath.mpc(coeffs[0]) - mpmath.mpc(w))
+        roots = mpmath.polyroots(high_to_low, maxsteps=200, extraprec=60)
+        return max(abs(z) for z in roots)
+
+
+class TestFujiwaraBound:
+    def test_roots_inside_bound_over_the_disk(self):
+        # Every root of p(z) = w, |w| <= r, lies in |z| <= B, checked at 50
+        # digits on and inside the circle; half the maps sit at the radius
+        # where B crosses r, so there B is just below r.
+        rng = np.random.default_rng(2024)
+        for d in (2, 3, 4, 5):
+            for k in range(10):
+                coeffs = _random_monic(rng, d)
+                if k % 2:
+                    r = _threshold_radius(coeffs) * (1 + 1e-9)
+                    assert pe.fujiwara_bound(coeffs, r) < r
+                else:
+                    r = 10 ** rng.uniform(-1, 7)
+                bound = pe.fujiwara_bound(coeffs, r)
+                phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
+                for w in r * phases * np.array([1.0, 1.0, rng.uniform(), rng.uniform()]):
+                    assert _max_root_modulus(coeffs, complex(w)) <= bound, (d, k)
+
+    def test_proof_switches_at_the_threshold(self):
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 4):
+            m = PolyExpMap(d, _random_monic(rng, d))
+            r_star = _threshold_radius(m.coeffs)
+            assert pe.check_disk_containment(m, r_star, r_star * (1 + 1e-9)).proven
+            assert not pe.check_disk_containment(m, r_star, r_star * (1 - 1e-9)).proven
+
+    def test_degree_one_never_proven(self):
+        # B = |b_0| + r >= r
+        for b0 in (0.0, 1e-300, 3.0 - 4.0j):
+            assert pe.fujiwara_bound([b0], 10.0) >= 10.0
+            assert not pe.check_disk_containment(PolyExpMap(1, [b0]), 10.0, 10.0).proven
+
+    @pytest.mark.parametrize(
+        "coeffs, r",
+        [
+            ([math.nan, 0.0], 100.0),
+            ([0.0, complex(math.inf, 0.0)], 100.0),
+            ([1e308, 1e308j, 0.0], 1e308),
+            ([0.0, 0.0], math.inf),
+            ([0.0, 0.0], math.nan),
+        ],
+    )
+    def test_non_finite_input_proves_nothing(self, coeffs, r):
+        assert not pe.fujiwara_bound(coeffs, r) * (1 + 1e-12) < r
+
+    def test_proven_maps_pass_the_sampled_oracle(self):
+        # appendix_report-style maps: wherever the bound proves containment,
+        # the sampled oracle passes part 1 too and every other field agrees;
+        # wherever it does not, the reports are equal.
+        proven = sampled = 0
+        for k in range(500):
+            d, rho = (2, 3)[k % 2], (2.0, 10.0, 100.0, 1000.0)[(k // 2) % 4]
+            rng = np.random.default_rng((17, k))
+            pe.sample_poly_with_critical_values_in(d, rho, rng)
+            m = pe.sample_map_with_singular_values_in(d, rho, rng)
+            rep = pe.check_disk_containment(m, rho, rho)
+            oracle = sampled_disk_containment(m, rho, rho)
+            if rep.proven:
+                proven += 1
+                assert oracle.part1 and not oracle.inconclusive, k
+                assert rep == dataclasses.replace(oracle, proven=True), k
+            else:
+                sampled += 1
+                assert rep == oracle, k
+        assert proven and sampled
+
+    def test_unproven_map_is_solved(self, monkeypatch):
+        # At rho = 2 the bound fails, so the check still solves on the circle
+        # and returns the sampled report.
+        m = pe.sample_map_with_singular_values_in(2, 2.0, np.random.default_rng(5))
+        expected = sampled_disk_containment(m, 2.0, 2.0)
+        calls = []
+        solve = pe.poly_roots_batch
+
+        def counted(coeffs, ws):
+            calls.append(len(ws))
+            return solve(coeffs, ws)
+
+        monkeypatch.setattr(pe, "poly_roots_batch", counted)
+        rep = pe.check_disk_containment(m, 2.0, 2.0)
+        assert calls == [360]
+        assert rep == expected and not rep.proven
+
+    def test_proven_map_skips_the_solve(self, monkeypatch):
+        m = pe.sample_map_with_singular_values_in(2, 100.0, np.random.default_rng(5))
+        expected = sampled_disk_containment(m, 100.0, 100.0)
+
+        def unreachable(coeffs, ws):
+            raise AssertionError("root solve reached on a proven map")
+
+        monkeypatch.setattr(pe, "poly_roots_batch", unreachable)
+        rep = pe.check_disk_containment(m, 100.0, 100.0)
+        assert rep.proven and rep == dataclasses.replace(expected, proven=True)
+
+
 class TestDerivativeSup:
     def test_d1_boundary_value(self):
         rep = pe.sup_derivative_bound(1, 2.0, 5.0, seed=2)
@@ -279,8 +403,10 @@ class TestAppendixReport:
         def stalled(coeffs, ws):
             raise RootSolveError("stalled", worst_residual=1.0)
 
+        # At rho = 2 Fujiwara's bound proves none of the 8 maps, so every
+        # check reaches the stalled solve.
         monkeypatch.setattr(pe, "poly_roots_batch", stalled)
-        rep = pe.appendix_report(2, 100.0, samples=12, seed=3, containment_maps=8)
+        rep = pe.appendix_report(2, 2.0, samples=12, seed=3, containment_maps=8)
         assert rep.containment_failures == 0
         assert rep.containment_inconclusive == 8
 

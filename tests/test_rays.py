@@ -137,6 +137,14 @@ class TestTraceSegment:
             assert pt.depth_used == 0 and pt.z == t
             assert pt.error_estimate == t * 1e-16
 
+    @pytest.mark.parametrize(
+        "t_lo, t_hi", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan)]
+    )
+    def test_non_finite_potentials_rejected(self, cfg_exp, t_lo, t_hi):
+        # t_hi = inf used to pass the ordering check and return an inf sample
+        with pytest.raises(DomainError, match="finite"):
+            rays.trace_segment(EXP, cfg_exp, ZERO, t_lo, t_hi, 2)
+
     def test_ordering_enforced(self, cfg_exp):
         a = rays.trace_ray(EXP, cfg_exp, ZERO, 2.0)
         b = rays.trace_ray(EXP, cfg_exp, ZERO, 1.0)
