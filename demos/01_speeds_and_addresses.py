@@ -18,11 +18,11 @@ print("\nIterating from t = 1 (d = 1): the tower explodes fast.")
 for n in range(6):
     value = pot.iterate(1, 1.0, n)
     if isinstance(value, OverflowAt):
-        print(f"  step^{n}(1) overflows the 1e300 cap at level {value.index}")
+        print(f"  step^{n}(1) overflows the 1e300 float-range limit at level {value.index}")
         break
     print(f"  step^{n}(1) = {value:.6g}")
 
-print("\nBeyond the cap, work in log scale:")
+print("\nBeyond the limit, work in log scale:")
 print(f"  log step(1, 594.29) = {pot.log_step(1, 594.29):.4f}")
 print(f"  log step(1, 1.26e258) = {pot.log_step(1, 1.26e258):.6g}")
 

@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# Strip geometry repeats with period 2*pi/d, so more strips show nothing new.
+MAX_STRIPS = 10_000
+
 
 def _read_json(path: str):
     try:
@@ -65,12 +68,11 @@ def _cmd_ray_trace(args) -> int:
         args.t_lo,
         args.t_hi,
         args.samples,
-        cap=args.cap,
         tol=args.tol,
         max_depth=args.max_depth,
     )
     run_cfg = _run_config(
-        args, cap=args.cap, tol=args.tol, max_depth=args.max_depth,
+        args, tol=args.tol, max_depth=args.max_depth,
         t_lo=args.t_lo, t_hi=args.t_hi, samples=args.samples, format=args.out,
     )
     if args.out == "csv":
@@ -108,14 +110,13 @@ def _finite(x: float):
 def _cmd_classify(args) -> int:
     spec = serialize.spec_from_json(_read_json(args.spec))
     result = thurston.classify(
-        spec, max_iter=args.max_iter, tol=args.tol, cap=args.cap,
-        log_iterates=args.log_iterates,
+        spec, max_iter=args.max_iter, tol=args.tol, log_iterates=args.log_iterates
     )
     cert = result.certificate
     payload = {
         "schema": serialize.SCHEMA,
         "config": _run_config(
-            args, cap=args.cap, tol=args.tol, max_iter=args.max_iter,
+            args, tol=args.tol, max_iter=args.max_iter,
             spec=serialize.spec_to_json(spec),
         ),
         "d": result.map.d,
@@ -180,14 +181,18 @@ def _cmd_diag_invariant(args) -> int:
         grids = run.get("iterates")
         if grids is None:
             grids = [run["grid"]]
+        grids = [
+            [[serialize.complex_from_json(v) for v in row] for row in grid]
+            for grid in grids
+        ]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"run file lacks spec/grid data: {exc}") from exc
+    m, levels = spec.m, spec.depth + 1
     rows = []
-    for it, grid_json in enumerate(grids):
-        grid = np.array(
-            [[complex(v["re"], v["im"]) for v in row] for row in grid_json],
-            dtype=complex,
-        )
+    for it, grid_rows in enumerate(grids):
+        if len(grid_rows) != m or any(len(row) != levels for row in grid_rows):
+            raise DomainError(f"grid {it} is not {m}x{levels}, the shape its spec needs")
+        grid = np.array(grid_rows, dtype=complex)
         rep = thurston.invariant_set_diagnostics(grid, spec)
         rows.append(
             {
@@ -266,6 +271,9 @@ def _checked(convert, accept, what: str):
 
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_strip_count = _checked(
+    int, lambda v: 0 <= v <= MAX_STRIPS, f"an integer in [0, {MAX_STRIPS}]"
+)
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
 
 
@@ -288,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
     trace.add_argument("--output", default=None, help="output file (default stdout)")
-    trace.add_argument("--cap", type=_positive_float, default=config.CAP)
     trace.add_argument("--tol", type=_positive_float, default=config.TRACER_TOL)
     trace.add_argument("--max-depth", dest="max_depth", type=_positive_int,
                        default=config.TRACER_MAX_DEPTH)
@@ -301,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--max-iter", dest="max_iter", type=_positive_int,
                           default=config.CLASSIFY_MAX_ITER)
     classify.add_argument("--tol", type=_positive_float, default=config.CLASSIFY_TOL)
-    classify.add_argument("--cap", type=_positive_float, default=config.CAP)
     classify.set_defaults(handler=_cmd_classify, command_path="classify")
 
     diag = sub.add_parser("diag", help="diagnostic reports")
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = tr_sub.add_parser("inspect", help="dump certified strip bounds")
     inspect.add_argument("--map", required=True, help="map JSON file")
     inspect.add_argument("--epsilon", type=float, default=None)
-    inspect.add_argument("--strips", type=_non_negative_int, default=3)
+    inspect.add_argument("--strips", type=_strip_count, default=3)
     inspect.add_argument("--output", default=None)
     inspect.set_defaults(handler=_cmd_tracts_inspect, command_path="tracts inspect")
 

@@ -2,17 +2,18 @@
 
 Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
-defaults of the few options a caller can set: ``cap``, ``tol``,
-``max_iter``, ``max_depth``, the strip fuzz ``eps`` and the tract retry
-``budget``.  The empirical constants (M, L, K, A) are calibration
-defaults for the diagnostic checkers, not proven values.
+defaults of the few options a caller can set: ``tol``, ``max_iter``,
+``max_depth``, the strip fuzz ``eps`` and the tract retry ``budget``.
+The empirical constants (M, L, K, A) are calibration defaults for the
+diagnostic checkers, not proven values.
 """
 
 import math
 
 # Largest magnitude an iterated escape-speed value may reach before the
 # overflow signal fires.  Kept below float max so downstream arithmetic
-# (logs, midpoints, comparisons) stays finite.
+# (logs, midpoints, comparisons) stays finite.  Fixed by double precision,
+# so no caller sets it.
 CAP = 1e300
 
 # exp() overflows doubles just above 709.78; stay under with headroom for

@@ -19,23 +19,24 @@ from .errors import DomainError, OverflowSignal
 
 @dataclass(frozen=True)
 class OverflowAt:
-    """Marker returned when an iterated speed first exceeds the cap.
+    """Marker returned when an iterated speed first exceeds ``config.CAP``.
 
-    ``index`` is the first iterate (1-based step count) above the cap.
+    ``index`` is the first iterate (1-based step count) above it.
     """
 
     index: int
 
 
-def _integers(entries: Sequence[int]) -> tuple[int, ...]:
-    """Address entries as ints; a non-integral entry is rejected, never truncated."""
+def integers(entries: Sequence[int], what: str) -> tuple[int, ...]:
+    """Entries as ints; a non-integral entry is rejected, never truncated.
+    Integral floats such as 2.0 pass.  ``what`` names the entries in the error."""
     entries = tuple(entries)
     try:
         if all(int(x) == x for x in entries):
             return tuple(int(x) for x in entries)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"address entries must be integers, got {list(entries)!r}")
+    raise DomainError(f"{what} must be integers, got {list(entries)!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class ExternalAddress:
     period: tuple[int, ...]
 
     def __init__(self, preperiod: Sequence[int] = (), period: Sequence[int] = (0,)):
-        object.__setattr__(self, "preperiod", _integers(preperiod))
-        object.__setattr__(self, "period", _integers(period))
+        object.__setattr__(self, "preperiod", integers(preperiod, "address entries"))
+        object.__setattr__(self, "period", integers(period, "address entries"))
         if not self.period:
             raise DomainError("address period must be nonempty")
 
@@ -151,37 +152,32 @@ def log_step(d: int, t: float) -> float:
     return x + math.log1p(-math.exp(-x))
 
 
-def iterate(d: int, t: float, n: int, cap: float = config.CAP):
-    """n-fold speed step with an explicit overflow signal.
-
-    Returns the value when every intermediate stays <= cap, otherwise
-    ``OverflowAt(k)`` with k the first step that exceeded the cap.
-    Monotone in t for fixed d, n.
-    """
-    if n < 0:
-        raise DomainError("iterate needs n >= 0")
-    value = float(t)
-    for k in range(1, n + 1):
-        if d * value > config.EXP_ARG_LIMIT:
-            return OverflowAt(k)
-        value = step(d, value)
-        if value > cap:
-            return OverflowAt(k)
-    return value
-
-
-def chain(d: int, t: float, cap: float = config.CAP, max_len: int = 512) -> list[float]:
-    """[t, step(t), step^2(t), ...] truncated before the first value > cap."""
+def chain(d: int, t: float, max_len: int = 512) -> list[float]:
+    """[t, step(t), step^2(t), ...] truncated before the first value above
+    the float-range limit ``config.CAP``."""
     values = [float(t)]
     while len(values) < max_len:
         v = values[-1]
         if d * v > config.EXP_ARG_LIMIT:
             break
         nxt = step(d, v)
-        if nxt > cap:
+        if nxt > config.CAP:
             break
         values.append(nxt)
     return values
+
+
+def iterate(d: int, t: float, n: int):
+    """n-fold speed step with an explicit overflow signal.
+
+    Returns the value when every intermediate stays <= ``config.CAP``,
+    otherwise ``OverflowAt(k)`` with k the first step that exceeded it.
+    Monotone in t for fixed d, n.
+    """
+    if n < 0:
+        raise DomainError("iterate needs n >= 0")
+    values = chain(d, t, max_len=n + 1)
+    return values[-1] if len(values) == n + 1 else OverflowAt(len(values))
 
 
 @dataclass(frozen=True)
@@ -209,12 +205,12 @@ def straight_point(d: int, t: float, s: int) -> complex:
     return complex(t, 2 * math.pi * s / d)
 
 
-def _straight_points(orbits, d: int, depth: int, cap: float):
+def _straight_points(orbits, d: int, depth: int):
     """Asymptotic marked points (potential, |position|, tract index) per orbit
-    entry, to the requested depth, truncating at the overflow cap."""
+    entry, to the requested depth, truncating at the float-range limit."""
     pts = []
     for i, (t0, addr) in enumerate(orbits):
-        values = chain(d, t0, cap=cap, max_len=depth + 1)
+        values = chain(d, t0, max_len=depth + 1)
         for j, tj in enumerate(values):
             s = addr.entry(j)
             # math.hypot, not abs(): the two can differ in the last bit.
@@ -225,10 +221,7 @@ def _straight_points(orbits, d: int, depth: int, cap: float):
 
 
 def build_ladder(
-    orbits: Sequence[tuple[float, ExternalAddress]],
-    d: int,
-    depth: int,
-    cap: float = config.CAP,
+    orbits: Sequence[tuple[float, ExternalAddress]], d: int, depth: int
 ) -> PotentialLadder:
     """Merge the iterated potentials of all orbits into a sorted ladder.
 
@@ -250,7 +243,7 @@ def build_ladder(
     rtol = config.POTENTIAL_EQ_RTOL
     merged: list[float] = []
     for t0, _ in orbits:
-        merged.extend(chain(d, t0, cap=cap, max_len=depth + 1))
+        merged.extend(chain(d, t0, max_len=depth + 1))
     merged.sort()
     potentials: list[float] = []
     for t in merged:
@@ -261,7 +254,7 @@ def build_ladder(
     )
 
     # Sampled separation conditions, probed a couple of levels deeper.
-    sample_pts = _straight_points(orbits, d, depth + config.LADDER_EXTRA_DEPTH, cap)
+    sample_pts = _straight_points(orbits, d, depth + config.LADDER_EXTRA_DEPTH)
 
     def distinct(a: float, b: float) -> bool:
         return b - a > rtol * max(1.0, abs(a), abs(b))
@@ -326,10 +319,7 @@ def _tails_agree_infinitely_often(a: ExternalAddress, b: ExternalAddress) -> boo
 
 
 def detect_clusters(
-    orbits: Sequence[tuple[float, ExternalAddress]],
-    d: int,
-    depth: int,
-    cap: float = config.CAP,
+    orbits: Sequence[tuple[float, ExternalAddress]], d: int, depth: int
 ) -> ClusterReport:
     """Group the truncated grid by equal potential and equal tract index.
 
@@ -342,7 +332,7 @@ def detect_clusters(
     entries = []  # (potential, tract, orbit, level)
     chains = []
     for i, (t0, addr) in enumerate(orbits):
-        values = chain(d, t0, cap=cap, max_len=depth + 1)
+        values = chain(d, t0, max_len=depth + 1)
         chains.append(values)
         for j, tj in enumerate(values):
             entries.append((tj, addr.entry(j), i, j))

@@ -88,7 +88,6 @@ def trace_ray(
     cfg: tracts.TractConfig,
     address: ExternalAddress,
     t: float,
-    cap: float = config.CAP,
     tol: float = config.TRACER_TOL,
     max_depth: int = config.TRACER_MAX_DEPTH,
 ) -> RayPoint:
@@ -97,7 +96,7 @@ def trace_ray(
     if not t > 0:
         raise DomainError(f"potential must be > 0, got {t}")
     return trace_segment(
-        map_, cfg, address, t, t, 1, cap=cap, tol=tol, max_depth=max_depth
+        map_, cfg, address, t, t, 1, tol=tol, max_depth=max_depth
     ).samples[0]
 
 
@@ -108,19 +107,19 @@ def trace_segment(
     t_lo: float,
     t_hi: float,
     n_samples: int,
-    cap: float = config.CAP,
     tol: float = config.TRACER_TOL,
     max_depth: int = config.TRACER_MAX_DEPTH,
 ) -> RaySegment:
     """Trace the ray at geometrically spaced potentials in [t_lo, t_hi].
 
-    A sample at potential t uses depth n, the largest with step^n(t) <= cap
-    (bounded by max_depth).  The consecutive-depth increment measures the
-    depth-(n-1) error; scaled by the tail-decay ratio it bounds the returned
-    point's error, which must come in under tol.  Depth 0 counts as
-    converged only when step(t) leaves the float range.  The depth-n and
-    depth-(n-1) chains of all samples are pulled together; the first
-    failing sample, depth n before depth n-1, raises its error.
+    A sample at potential t uses depth n, the largest with step^n(t) at
+    most the float-range limit config.CAP (bounded by max_depth).  The
+    consecutive-depth increment measures the depth-(n-1) error; scaled by
+    the tail-decay ratio it bounds the returned point's error, which must
+    come in under tol.  Depth 0 counts as converged only when step(t)
+    leaves the float range.  The depth-n and depth-(n-1) chains of all
+    samples are pulled together; the first failing sample, depth n before
+    depth n-1, raises its error.
     """
     if not 0 < t_lo <= t_hi < math.inf:
         raise DomainError("need finite 0 < t_lo <= t_hi")
@@ -134,7 +133,7 @@ def trace_segment(
         ts[-1] = t_hi
     speeds, chains = [], []
     for t in ts:
-        values = potentials.chain(map_.d, t, cap=cap, max_len=max_depth + 1)
+        values = potentials.chain(map_.d, t, max_len=max_depth + 1)
         depth = len(values) - 1
         speeds.append(values)
         chains += [(values, depth), (values, depth - 1)] if depth else [(values, 0)]
@@ -146,7 +145,7 @@ def trace_segment(
         if depth == 0:
             # Only a potential whose next step leaves the float range makes
             # the straight point the answer to full precision; a chain cut
-            # short by the caller's cap or max_depth has no depth to certify.
+            # short by max_depth has no depth to certify.
             d = map_.d
             if not (d * t > config.EXP_ARG_LIMIT or potentials.step(d, t) > config.CAP):
                 raise NotConvergedError(f"depth budget exhausted at n=0 (t={t!r})")

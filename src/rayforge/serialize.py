@@ -20,7 +20,7 @@ from typing import Any
 from .errors import DomainError
 from .homotopy import MarkedSet, PolylineCurve
 from .polyexp import PolyExpMap
-from .potentials import ExternalAddress
+from .potentials import ExternalAddress, integers
 from .thurston import TargetSpec
 
 SCHEMA = "rayforge/1"
@@ -33,7 +33,7 @@ def complex_to_json(z: complex) -> dict:
 def complex_from_json(obj: Any) -> complex:
     try:
         return complex(float(obj["re"]), float(obj["im"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected {{re, im}} object, got {obj!r}") from exc
 
 
@@ -54,7 +54,8 @@ def map_to_json(map_: PolyExpMap) -> dict:
 
 def map_from_json(obj: Any) -> PolyExpMap:
     try:
-        return PolyExpMap(int(obj["d"]), [complex_from_json(c) for c in obj["coeffs"]])
+        (d,) = integers([obj["d"]], "map degree d")
+        return PolyExpMap(d, [complex_from_json(c) for c in obj["coeffs"]])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"bad map object: {obj!r}") from exc
 
@@ -74,8 +75,11 @@ def spec_from_json(obj: Any) -> TargetSpec:
         orbits = tuple(
             (float(o["T"]), address_from_json(o["address"])) for o in obj["orbits"]
         )
-        return TargetSpec(int(obj["d"]), orbits, int(obj["J"]))
-    except (KeyError, TypeError) as exc:
+        d, depth = integers([obj["d"], obj["J"]], "spec fields d and J")
+        return TargetSpec(d, orbits, depth)
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad spec object: {obj!r}") from exc
 
 

@@ -65,10 +65,10 @@ class TargetSpec:
         return self.orbits[i][0]
 
 
-def validate_spec(spec: TargetSpec, cap: float = config.CAP) -> None:
+def validate_spec(spec: TargetSpec) -> None:
     """Reject structurally unsupported targets.
 
-    Checks: m <= d, positive potentials, depth representable under the cap,
+    Checks: m <= d, positive potentials, depth representable in floats,
     pairwise non-overlapping addresses, and finitely many nontrivial
     clusters (equal-speed orbits whose shifted addresses keep agreeing).
     """
@@ -84,13 +84,13 @@ def validate_spec(spec: TargetSpec, cap: float = config.CAP) -> None:
     for i, (t, _) in enumerate(spec.orbits):
         if not t > 0:
             raise SpecRejectionError(f"orbit {i} potential must be > 0, got {t}")
-        top = potentials.iterate(spec.d, t, spec.depth, cap=cap)
+        top = potentials.iterate(spec.d, t, spec.depth)
         if isinstance(top, potentials.OverflowAt):
             raise SpecRejectionError(
                 f"depth {spec.depth} is too deep for orbit {i} (T={t}): its "
                 f"speed overflows at level {top.index}; use a smaller depth"
             )
-    report = potentials.detect_clusters(spec.orbits, spec.d, spec.depth, cap=cap)
+    report = potentials.detect_clusters(spec.orbits, spec.d, spec.depth)
     if report.infinite:
         raise SpecRejectionError(
             "configuration admits infinitely many nontrivial clusters "
@@ -121,13 +121,13 @@ class MarkedGrid:
     def depth(self) -> int:
         return self.z.shape[1] - 1
 
-    def tail_seed(self, i: int, cap: float = config.CAP):
+    def tail_seed(self, i: int):
         spec = self.spec
         d = spec.d
-        t_top = potentials.iterate(d, spec.potential(i), spec.depth, cap=cap)
+        t_top = potentials.iterate(d, spec.potential(i), spec.depth)
         s_next = spec.address(i).entry(spec.depth + 1)
         log_next = potentials.log_step(d, t_top)
-        if log_next <= math.log(cap):
+        if log_next <= math.log(config.CAP):
             return potentials.straight_point(d, potentials.step(d, t_top), s_next)
         v = 2 * math.pi * s_next / d
         arg = v * math.exp(-log_next) if log_next < 700 else 0.0
@@ -146,10 +146,10 @@ class ThurstonState:
     soft_flags: list[str] = field(default_factory=list)
 
 
-def straight_grid(spec: TargetSpec, cap: float = config.CAP) -> np.ndarray:
+def straight_grid(spec: TargetSpec) -> np.ndarray:
     z = np.zeros((spec.m, spec.depth + 1), dtype=complex)
     for i, (t0, addr) in enumerate(spec.orbits):
-        values = potentials.chain(spec.d, t0, cap=cap, max_len=spec.depth + 1)
+        values = potentials.chain(spec.d, t0, max_len=spec.depth + 1)
         if len(values) != spec.depth + 1:
             raise SpecRejectionError(
                 f"depth {spec.depth} too deep for orbit {i}; speeds overflow"
@@ -160,16 +160,13 @@ def straight_grid(spec: TargetSpec, cap: float = config.CAP) -> np.ndarray:
 
 
 def init_state(
-    spec: TargetSpec,
-    cap: float = config.CAP,
-    jitter: float = 0.0,
-    jitter_seed: int = 0,
+    spec: TargetSpec, jitter: float = 0.0, jitter_seed: int = 0
 ) -> ThurstonState:
     """Straight-spider initial state: grid on the asymptotic positions, map
     fitted to the first column.  ``jitter`` displaces every grid entry by
     that radius (seeded) to probe independence of the starting marking."""
-    validate_spec(spec, cap=cap)
-    z = straight_grid(spec, cap=cap)
+    validate_spec(spec)
+    z = straight_grid(spec)
     if jitter:
         rng = np.random.default_rng(jitter_seed)
         phases = rng.uniform(0, 2 * math.pi, z.shape)
@@ -271,9 +268,7 @@ def _fit_newton(d: int, targets: Sequence[complex], warm: PolyExpMap) -> PolyExp
     raise FitError(f"degree-{d} fit stalled at residual {worst:.3e}", residual=worst)
 
 
-def pullback_step(
-    state: ThurstonState, cap: float = config.CAP
-) -> ThurstonState:
+def pullback_step(state: ThurstonState) -> ThurstonState:
     """One pullback: lift every grid point one level back through the branch
     its address dictates, then refit the map to the new first column.
 
@@ -287,7 +282,7 @@ def pullback_step(
     old = state.grid.z
     points = [(i, j) for i in range(spec.m) for j in range(spec.depth + 1)]
     seeds = [
-        state.grid.tail_seed(i, cap=cap) if j == spec.depth else complex(old[i, j + 1])
+        state.grid.tail_seed(i) if j == spec.depth else complex(old[i, j + 1])
         for i, j in points
     ]
     complex_seeds = [(k, s) for k, s in enumerate(seeds) if isinstance(s, complex)]
@@ -415,7 +410,6 @@ def classify(
     spec: TargetSpec,
     max_iter: int = config.CLASSIFY_MAX_ITER,
     tol: float = config.CLASSIFY_TOL,
-    cap: float = config.CAP,
     log_iterates: bool = False,
     jitter: float = 0.0,
     jitter_seed: int = 0,
@@ -426,11 +420,11 @@ def classify(
     oscillation and slow contraction are distinguishable) when max_iter
     steps do not bring the sup-norm grid displacement under tol.
     """
-    state = init_state(spec, cap=cap, jitter=jitter, jitter_seed=jitter_seed)
+    state = init_state(spec, jitter=jitter, jitter_seed=jitter_seed)
     iterate_log = [state.grid.z.copy()] if log_iterates else []
     converged = False
     for _ in range(max_iter):
-        state = pullback_step(state, cap=cap)
+        state = pullback_step(state)
         if log_iterates:
             iterate_log.append(state.grid.z.copy())
         if state.deltas[-1] < tol:

@@ -47,15 +47,14 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class LogPolar:
-    """A complex value exp(log_abs + i*arg), for magnitudes beyond floats."""
+    """A complex value exp(log_abs + i*arg), for magnitudes beyond floats.
+
+    The inverse branches serve it to first order only, which is exact in
+    double precision far out; pass representable seeds as complex.
+    """
 
     log_abs: float
     arg: float = 0.0
-
-    def to_complex(self) -> complex:
-        if self.log_abs > config.EXP_ARG_LIMIT:
-            raise OverflowSignal("LogPolar value exceeds the float range")
-        return cmath.rect(math.exp(self.log_abs), self.arg)
 
 
 @dataclass(frozen=True)
@@ -229,10 +228,8 @@ def inverse_branches(
     seeds: list[complex] = []
     for n, w in zip(ns, ws):
         if isinstance(w, LogPolar):
-            if w.log_abs > math.log(config.CAP):
-                out.append(_asymptotic_branch(map_, n, w))
-                continue
-            w = w.to_complex()
+            out.append(_asymptotic_branch(map_, n, w))
+            continue
         w = complex(w)
         if w.real <= cfg.r_min:
             out.append(DomainError(
@@ -312,9 +309,9 @@ def inverse_branch(
     """The preimage of w under f lying in strip n.
 
     Solves p(zeta) = w, then lifts log(zeta) by the unique multiple of
-    2*pi*i that lands in strip n.  For seeds given in LogPolar form beyond
-    the float range the root is expanded to first order in the coefficients
-    (the corrections underflow exactly when they should).
+    2*pi*i that lands in strip n.  For seeds given in LogPolar form, which
+    lie beyond the float range, the root is expanded to first order in the
+    coefficients (the corrections underflow exactly when they should).
     """
     (z,) = inverse_branches(map_, cfg, (n,), (w,))
     return unwrap(z)

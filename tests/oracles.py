@@ -255,7 +255,7 @@ def scalar_make_tract_config(
     )
 
 
-def scalar_pullback_grid(state, cap: float = config.CAP) -> np.ndarray:
+def scalar_pullback_grid(state) -> np.ndarray:
     """Reference pullback: the point-by-point loop that the batched
     ``thurston.pullback_step`` replaced, returning the pulled grid (no
     refit) or raising the first failure in grid order."""
@@ -267,7 +267,7 @@ def scalar_pullback_grid(state, cap: float = config.CAP) -> np.ndarray:
     for i in range(spec.m):
         addr = spec.address(i)
         for j in range(spec.depth + 1):
-            seed = state.grid.tail_seed(i, cap=cap) if j == spec.depth else old[i, j + 1]
+            seed = state.grid.tail_seed(i) if j == spec.depth else old[i, j + 1]
             if isinstance(seed, complex) or isinstance(seed, np.complexfloating):
                 seed_c = complex(seed)
                 if seed_c.real <= cfg.r_min:

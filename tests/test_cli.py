@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rayforge
-from rayforge import cli, errors, presets, serialize, tracts
+from rayforge import cli, errors, presets, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
 
 
@@ -22,7 +22,6 @@ def workdir(tmp_path):
     paths = {
         "map": write("exp.json", serialize.map_to_json(presets.EXP_MAP)),
         "zero": write("zero.json", serialize.address_to_json(presets.ZERO)),
-        "map2": write("d2.json", serialize.map_to_json(PolyExpMap(2, [0.1, 0.1j]))),
         "spec1": write("spec1.json", serialize.spec_to_json(presets.SPEC_D1)),
         "bad_spec": write(
             "bad.json", serialize.spec_to_json(presets.CLUSTER_REJECT)
@@ -97,20 +96,6 @@ class TestRayTrace:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
-
-    def test_cap_below_first_step_exit_3(self, workdir, capsys):
-        # step(1) = 6.4 exceeds the cap, so the chain stops at depth 0; the
-        # straight point 1.0 used to come out with err 1e-16 and exit 0
-        code = run(
-            [
-                "ray", "trace", "--map", workdir["map2"], "--address", workdir["zero"],
-                "--t-lo", "1", "--t-hi", "2", "--samples", "2", "--cap", "1",
-            ]
-        )
-        assert code == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"]["kind"] == "NotConvergedError"
-        assert "depth budget exhausted at n=0" in payload["error"]["message"]
 
     @pytest.mark.parametrize("entries", [[1.5], [0, "1"], [float("nan")]])
     def test_non_integral_address_entry_exit_2(self, workdir, tmp_path, capsys, entries):
@@ -239,18 +224,17 @@ class TestNumericOptions:
         # (command, option, value); each comment says what the value used to do
         ("ray trace", "--samples", "0"),  # exit 2, but from the library
         ("ray trace", "--tol", "nan"),  # exit 0 with the tolerance check off
-        ("ray trace", "--cap", "-1"),  # depth-0 samples
         ("ray trace", "--max-depth", "0"),  # depth-0 samples
         ("ray trace", "--t-hi", "inf"),  # exit 0 with an inf sample
         ("classify", "--max-iter", "0"),  # IndexError
         ("classify", "--tol", "nan"),  # 50 iterations, then exit 3
         ("classify", "--tol", "-1"),  # 50 iterations, then exit 3
-        ("classify", "--cap", "nan"),  # ValueError in the JSON writer
         ("diag appendix-a", "--samples", "0"),  # argmax of an empty sequence
         ("diag appendix-a", "--rho", "nan"),  # LinAlgError
         ("diag appendix-a", "--rho", "inf"),  # ZeroDivisionError
         ("diag appendix-a", "--seed", "-1"),  # ValueError in the RNG seeding
         ("tracts inspect", "--strips", "-2"),  # exit 0 with no strips
+        ("tracts inspect", "--strips", "10001"),  # 1e8 ran for over a minute
     ]
 
     @pytest.mark.parametrize(
@@ -267,13 +251,111 @@ class TestNumericOptions:
         assert repr(value) in captured.err
 
 
+def _write(tmp_path, name, obj) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+MAP2 = serialize.map_to_json(PolyExpMap(2, [0.1, 0.1j]))
+SPEC1 = serialize.spec_to_json(presets.SPEC_D1)
+
+
+class TestMalformedInput:
+    """Malformed or non-integral numbers in input files are usage errors."""
+
+    def _trace(self, workdir, tmp_path, map_obj) -> int:
+        return run(
+            ["ray", "trace", "--map", _write(tmp_path, "m.json", map_obj),
+             "--address", workdir["zero"], "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
+        )
+
+    def _classify(self, tmp_path, spec_obj) -> int:
+        return run(["classify", "--spec", _write(tmp_path, "s.json", spec_obj)])
+
+    @pytest.mark.parametrize(
+        "map_obj",
+        [
+            MAP2 | {"coeffs": [{"re": "abc", "im": 0.0}, MAP2["coeffs"][1]]},  # exit 1
+            MAP2 | {"d": "x"},  # exit 1
+            MAP2 | {"d": 2.5},  # traced as d=2
+        ],
+        ids=["re-abc", "d-x", "d-2.5"],
+    )
+    def test_ray_trace_map_exit_2(self, map_obj, workdir, tmp_path, capsys):
+        assert self._trace(workdir, tmp_path, map_obj) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rayforge: ")
+
+    @pytest.mark.parametrize(
+        "spec_obj",
+        [
+            SPEC1 | {"d": "x"},  # exit 1
+            SPEC1 | {"orbits": [SPEC1["orbits"][0] | {"T": "fast"}]},  # exit 1
+            SPEC1 | {"d": 1.7},  # classified at d=1
+            SPEC1 | {"J": 2.9},  # classified at J=2
+        ],
+        ids=["d-x", "T-fast", "d-1.7", "J-2.9"],
+    )
+    def test_classify_spec_exit_2(self, spec_obj, tmp_path, capsys):
+        assert self._classify(tmp_path, spec_obj) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rayforge: ")
+
+    def test_integral_floats_pass(self, workdir, tmp_path, capsys):
+        assert self._trace(workdir, tmp_path, MAP2) == 0
+        want = capsys.readouterr().out
+        assert self._trace(workdir, tmp_path, MAP2 | {"d": 2.0}) == 0
+        assert capsys.readouterr().out == want
+        assert self._classify(tmp_path, SPEC1) == 0
+        want = capsys.readouterr().out
+        assert self._classify(tmp_path, SPEC1 | {"d": 1.0, "J": 3.0}) == 0
+        assert capsys.readouterr().out == want
+
+
+class TestInvariantSetInput:
+    """diag invariant-set reads only grids of the shape its spec needs."""
+
+    def _run(self, tmp_path, spec, **fields) -> int:
+        grid = [[serialize.complex_to_json(complex(v)) for v in row]
+                for row in thurston.straight_grid(spec)]
+        run_obj = {"config": {"spec": serialize.spec_to_json(spec)}, "grid": grid}
+        return run(["diag", "invariant-set", "--run",
+                    _write(tmp_path, "run.json", run_obj | fields)])
+
+    def test_straight_grid_passes(self, tmp_path, capsys):
+        assert self._run(tmp_path, presets.SPEC_D2) == 0
+        assert len(json.loads(capsys.readouterr().out)["iterations"]) == 1
+
+    @pytest.mark.parametrize(
+        "spec,fields",
+        [
+            (presets.SPEC_D1, {"grid": [[{"im": 0.0}] * 4]}),  # KeyError
+            (presets.SPEC_D1, {"grid": [[{"re": "abc", "im": 0.0}] * 4]}),  # ValueError
+            (presets.SPEC_D1, {"grid": []}),  # ValueError
+            (presets.SPEC_D2, {"grid": [[{"re": 2.0, "im": 0.0}] * 3,
+                                        [{"re": 2.5, "im": 3.1}] * 2]}),  # ValueError
+            (presets.SPEC_D1, {"grid": [[{"re": 2.0, "im": 0.0}]]}),  # exit 0
+            (presets.SPEC_D1, {"iterates": [[[{"re": 2.0, "im": 0.0}] * 4], []]}),  # ValueError
+        ],
+        ids=["no-re", "re-abc", "empty", "ragged", "1x1-for-1x4", "second-iterate"],
+    )
+    def test_bad_grid_exit_2(self, spec, fields, tmp_path, capsys):
+        assert self._run(tmp_path, spec, **fields) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rayforge: ")
+
+
 # Keys of the config echo of each command.  Every key but "command" names one
 # of the command's own options; "format" is the value of --out.
 CONFIG_KEYS = {
     "ray trace": {
-        "command", "cap", "tol", "max_depth", "t_lo", "t_hi", "samples", "format",
+        "command", "tol", "max_depth", "t_lo", "t_hi", "samples", "format",
     },
-    "classify": {"command", "cap", "tol", "max_iter", "spec"},
+    "classify": {"command", "tol", "max_iter", "spec"},
     "diag appendix-a": {"command", "d", "rho", "samples", "seed"},
     "diag invariant-set": {"command", "run"},
     "homotopy word": {"command"},
@@ -317,13 +399,18 @@ class TestSurface:
         [
             ["classify", "--spec", "{spec1}", "--seed", "1"],
             ["diag", "appendix-a", "--d", "2", "--rho", "50", "--threads", "2"],
+            # the float-range limit is fixed at config.CAP
+            BASE_ARGV["ray trace"] + ["--cap", "1"],
+            BASE_ARGV["classify"] + ["--cap", "1"],
         ],
-        ids=["classify-seed", "appendix-threads"],
+        ids=["classify-seed", "appendix-threads", "trace-cap", "classify-cap"],
     )
     def test_removed_flags_exit_2(self, argv, workdir, capsys):
         argv = [a.format(**workdir) for a in argv]
         assert run(argv) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_config_echo(self, workdir, capsys):
         commands = [

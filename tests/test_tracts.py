@@ -206,14 +206,13 @@ class TestInverseBranch:
 
     def test_asymptotic_branch_first_order(self):
         # moderately large log seed: compare the asymptotic expansion path
-        # against the exact root path
+        # against the exact root path on the same seed in complex form
         m = PolyExpMap(2, [0.3, 0.8])
         cfg = tracts.make_tract_config(m)
         L = 500.0
-        exact_like = tracts.inverse_branch(m, cfg, 1, tracts.LogPolar(L, 0.1))
-        z0 = complex(L / 2, 0.05 + math.pi)
-        corr = -0.8 / (2 * cmath.exp(complex(L / 2, 0.05)))
-        assert abs(exact_like - (z0 + corr)) < 1e-12
+        asymptotic = tracts.inverse_branch(m, cfg, 1, tracts.LogPolar(L, 0.1))
+        exact = tracts.inverse_branch(m, cfg, 1, cmath.rect(math.exp(L), 0.1))
+        assert abs(asymptotic - exact) < 1e-12
 
 
 class TestContraction:
