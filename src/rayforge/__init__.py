@@ -41,8 +41,6 @@ from .polyexp import (
     check_critical_point_bound,
     check_disk_containment,
     critical_points,
-    poly_roots,
-    singular_values,
     sup_derivative_bound,
 )
 from .potentials import (
@@ -82,7 +80,6 @@ from .thurston import (
 from .tracts import (
     LogPolar,
     TractConfig,
-    contraction_ratio,
     inverse_branch,
     inverse_branches,
     make_tract_config,

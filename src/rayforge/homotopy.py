@@ -85,10 +85,6 @@ def reduce_letters(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(stack)
 
 
-def concat(a: HomotopyWord, b: HomotopyWord) -> HomotopyWord:
-    return HomotopyWord(reduce_letters(a.letters + b.letters))
-
-
 def _segment_crossings(
     a: complex, b: complex, marked: MarkedSet, skip_start_vertex: bool
 ) -> list[tuple[float, int, int]]:

@@ -86,16 +86,27 @@ class PolyExpMap:
         return math.log(self.d) + self.d * z.real
 
     def singular_data(self) -> "SingularData":
-        return singular_values(self)
+        """Critical points of p, their critical values and the asymptotic
+        value p(0), from one root solve of p'."""
+        cps = critical_points(self)
+        cvs = tuple(self.poly(c) for c in cps)
+        distinct: list[complex] = []
+        for v in sorted(cvs + (self.coeffs[0],), key=lambda c: (c.real, c.imag)):
+            if not any(abs(v - u) <= 1e-9 * max(1.0, abs(u)) for u in distinct):
+                distinct.append(v)
+        return SingularData(cps, cvs, self.coeffs[0], tuple(distinct))
 
 
 @dataclass(frozen=True)
 class SingularData:
-    """Critical values of p (with multiplicity) plus the asymptotic value p(0).
+    """Critical points of p with their critical values (with multiplicity)
+    plus the asymptotic value p(0).
 
-    ``all`` collapses the union to distinct members at a mild tolerance.
+    ``all`` collapses the singular values to distinct members at a mild
+    tolerance.
     """
 
+    critical_points: tuple[complex, ...]
     critical_values: tuple[complex, ...]
     asymptotic_value: complex
     all: tuple[complex, ...]
@@ -107,14 +118,6 @@ class SingularData:
         return max(v.real for v in self.all)
 
 
-def _dedup(values: Sequence[complex], rtol: float = 1e-9) -> tuple[complex, ...]:
-    out: list[complex] = []
-    for v in sorted(values, key=lambda c: (c.real, c.imag)):
-        if not any(abs(v - u) <= rtol * max(1.0, abs(u)) for u in out):
-            out.append(v)
-    return tuple(out)
-
-
 def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
     """Roots of p', sorted by (re, im).  Empty for d = 1."""
     d = map_.d
@@ -124,14 +127,6 @@ def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
     high_to_low = [d] + [k * map_.coeffs[k] for k in range(d - 1, 0, -1)]
     roots = np.roots(np.asarray(high_to_low, dtype=complex))
     return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
-
-
-def singular_values(map_: PolyExpMap) -> SingularData:
-    """Critical values of the polynomial together with the asymptotic value."""
-    cps = critical_points(map_)
-    cvs = tuple(map_.poly(c) for c in cps)
-    asym = map_.coeffs[0]
-    return SingularData(cvs, asym, _dedup(cvs + (asym,)))
 
 
 def _horner_batch(coeffs_high_to_low: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -219,63 +214,30 @@ def poly_roots_batch(coeffs: Sequence[complex], ws: np.ndarray) -> np.ndarray:
     return x
 
 
-def poly_roots(coeffs: Sequence[complex], w: complex) -> tuple[complex, ...]:
-    """The d solutions of p(z) = w, complete with multiplicity."""
-    roots = poly_roots_batch(coeffs, np.array([w], dtype=complex))[0]
-    return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of a bound checker: the measured ratio(s) against a constant."""
+    """Outcome of a bound checker: the measured ratio against a constant."""
 
     holds: bool
     ratio: float
-    detail: tuple = ()
 
 
-def check_critical_point_bound(
-    map_: PolyExpMap,
-    rho: float,
-    constant: float = config.CRITICAL_POINT_M,
-    normalize: bool = False,
-) -> BoundReport:
-    """Measure max |critical point| / rho^(1/d) against the configured constant.
+def check_critical_point_bound(map_: PolyExpMap, rho: float) -> BoundReport:
+    """Measure max |critical point| / rho^(1/d) against CRITICAL_POINT_M.
 
-    Requires d > 1, p(0) = 0 (pass normalize=True to conjugate by the root of
-    p nearest 0 first) and all critical values of p inside the rho-disk;
-    violations of the preconditions raise.
+    Requires d > 1, p(0) = 0 and all critical values of p inside the
+    rho-disk; a map that violates a precondition raises DomainError.  For
+    d = 1 there is no critical point and the report holds with ratio 0.
     """
     if map_.d < 2:
         return BoundReport(True, 0.0)
-    if normalize:
-        roots = poly_roots(map_.coeffs, 0.0)
-        shift = min(roots, key=abs)
-        map_ = translate_argument(map_, shift)
-    elif abs(map_.poly(0.0)) > 1e-12:
-        raise DomainError("checker needs p(0) = 0; pass normalize=True to shift")
-    cps = critical_points(map_)
-    cvs = [map_.poly(c) for c in cps]
-    if any(abs(v) > rho for v in cvs):
+    if abs(map_.poly(0.0)) > 1e-12:
+        raise DomainError("checker needs p(0) = 0")
+    sd = map_.singular_data()
+    if any(abs(v) > rho for v in sd.critical_values):
         raise DomainError("critical values are not inside the rho-disk")
-    ratio = max(abs(c) for c in cps) / rho ** (1.0 / map_.d)
-    return BoundReport(ratio <= constant, ratio, tuple(cps))
-
-
-def translate_argument(map_: PolyExpMap, shift: complex) -> PolyExpMap:
-    """The map with polynomial q(z) = p(z + shift) (same degree, monic)."""
-    d = map_.d
-    coeffs_high_to_low = [1.0 + 0j] + [map_.coeffs[k] for k in range(d - 1, -1, -1)]
-    # Horner-style expansion of p(z + shift).
-    acc = [coeffs_high_to_low[0]]
-    for c in coeffs_high_to_low[1:]:
-        nxt = [acc[0]]
-        for k in range(1, len(acc)):
-            nxt.append(acc[k] + shift * acc[k - 1])
-        nxt.append(acc[-1] * shift + c)
-        acc = nxt
-    low_to_high = list(reversed(acc))  # q_0, q_1, ..., q_d with q_d = 1
-    return PolyExpMap(d, low_to_high[:d])
+    ratio = max(abs(c) for c in sd.critical_points) / rho ** (1.0 / map_.d)
+    return BoundReport(ratio <= config.CRITICAL_POINT_M, ratio)
 
 
 def check_coefficient_bound(map_: PolyExpMap, rho: float) -> BoundReport:
@@ -284,9 +246,7 @@ def check_coefficient_bound(map_: PolyExpMap, rho: float) -> BoundReport:
     ratios = tuple(
         abs(map_.coeffs[k]) / rho ** ((d - k) / d) for k in range(d)
     )
-    return BoundReport(
-        all(r <= config.COEFFICIENT_L for r in ratios), max(ratios), ratios
-    )
+    return BoundReport(all(r <= config.COEFFICIENT_L for r in ratios), max(ratios))
 
 
 @dataclass(frozen=True)
@@ -315,6 +275,10 @@ def fujiwara_bound(coeffs: Sequence[complex], r: float) -> float:
     return 2 * max(terms)
 
 
+# The 360 sample points of the unit circle used by check_disk_containment.
+_CIRCLE = np.exp(1j * (2 * np.pi * np.arange(360) / 360))
+
+
 def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> ContainmentReport:
     """Containment of polynomial preimages of disks.
 
@@ -329,19 +293,17 @@ def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containmen
     rho^2-disk maps into the rho^(2d+1)-disk.  The checker reports; it
     never asserts its preconditions.
     """
-    samples = 360
-    angles = 2 * np.pi * np.arange(samples) / samples
-    circle = np.exp(1j * angles)
+    samples = len(_CIRCLE)
     part1 = proven = fujiwara_bound(map_.coeffs, r) * (1 + 1e-12) < r
     if not proven:
         try:
-            roots = poly_roots_batch(map_.coeffs, r * circle)
+            roots = poly_roots_batch(map_.coeffs, r * _CIRCLE)
         except RootSolveError:
             return ContainmentReport(False, False, False, True, samples, False)
         part1 = bool(np.all(np.abs(roots) < r))
 
     target = rho ** (2 * map_.d + 1)
-    zs = rho**2 * circle
+    zs = rho**2 * _CIRCLE
     high_to_low = np.array(
         (1.0,) + tuple(reversed(map_.coeffs)), dtype=complex
     )
@@ -417,7 +379,7 @@ def appendix_report(
     seed: int = 0,
     containment_maps: int | None = None,
 ) -> AppendixReport:
-    """Sampled bounds: critical points of normalized polynomials with
+    """Sampled bounds: critical points of polynomials with p(0) = 0 and
     critical values in the rho-disk, coefficient ratios of maps with
     singular values in the rho-disk, and preimage containment for r = rho.
 
@@ -434,7 +396,7 @@ def appendix_report(
     for idx in range(samples):
         rng = np.random.default_rng((seed, idx))
         poly = sample_poly_with_critical_values_in(d, rho, rng)
-        ratios.append(check_critical_point_bound(poly, rho, constant=math.inf).ratio)
+        ratios.append(check_critical_point_bound(poly, rho).ratio)
         map_ = sample_map_with_singular_values_in(d, rho, rng)
         coeffs.append(check_coefficient_bound(map_, rho).ratio)
         if idx < containment_maps:

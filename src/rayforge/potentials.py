@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import config
@@ -149,7 +149,7 @@ def log_step(d: int, t: float) -> float:
     x = d * t
     if x > 50:
         return x  # correction below double resolution
-    return x + math.log1p(-math.exp(-x))
+    return math.log(math.expm1(x))
 
 
 def chain(d: int, t: float, max_len: int = 512) -> list[float]:
@@ -192,8 +192,6 @@ class PotentialLadder:
     potentials: tuple[float, ...]
     midpoints: tuple[float, ...]
     t_prime: float
-    d: int
-    depth: int
 
     def midpoints_above_threshold(self) -> tuple[float, ...]:
         return tuple(r for r in self.midpoints if r > self.t_prime)
@@ -289,7 +287,7 @@ def build_ladder(
             t_prime = candidate
             break
 
-    return PotentialLadder(tuple(potentials), midpoints, t_prime, d, depth)
+    return PotentialLadder(tuple(potentials), midpoints, t_prime)
 
 
 @dataclass(frozen=True)
@@ -304,11 +302,6 @@ class ClusterReport:
     clusters: tuple[tuple[tuple[int, int], ...], ...]
     nontrivial_count: int
     infinite: bool
-    keys: tuple[tuple[float, int], ...] = field(default=())
-
-    @property
-    def finite(self) -> bool:
-        return not self.infinite
 
 
 def _tails_agree_infinitely_often(a: ExternalAddress, b: ExternalAddress) -> bool:
@@ -373,5 +366,4 @@ def detect_clusters(
         clusters=tuple(tuple(g) for g in groups),
         nontrivial_count=nontrivial,
         infinite=infinite,
-        keys=tuple(keys),
     )

@@ -34,10 +34,6 @@ D2_RAY_MAP = PolyExpMap(2, [0.0, 0.1])
 D3_MAP = PolyExpMap(3, [0.1, -0.1, 0.2])
 
 
-def ray_map(d: int) -> PolyExpMap:
-    return {1: EXP_MAP, 2: D2_MAP, 3: D3_MAP}[d]
-
-
 # Classification targets: depths sit at the overflow horizon of doubles
 # for these potentials.
 SPEC_D1 = TargetSpec(1, ((2.0, ZERO),), 3)

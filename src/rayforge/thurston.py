@@ -36,7 +36,7 @@ from .errors import (
     SpecRejectionError,
     UnsupportedHomotopyError,
 )
-from .polyexp import PolyExpMap, critical_points
+from .polyexp import PolyExpMap
 from .potentials import ExternalAddress
 
 
@@ -133,9 +133,6 @@ class MarkedGrid:
         arg = v * math.exp(-log_next) if log_next < 700 else 0.0
         return tracts.LogPolar(log_next, arg)
 
-    def copy(self) -> "MarkedGrid":
-        return MarkedGrid(self.z.copy(), self.spec)
-
 
 @dataclass
 class ThurstonState:
@@ -219,10 +216,9 @@ def fit_map(
 def _singular_vector(map_: PolyExpMap, reference: Sequence[complex]) -> np.ndarray:
     """(asymptotic, critical values) with the critical values ordered to
     match the reference vector (continuity along the iteration)."""
-    cps = list(critical_points(map_))
-    cvs = [map_.poly(c) for c in cps]
-    out = [map_.coeffs[0]]
-    remaining = list(cvs)
+    sd = map_.singular_data()
+    out = [sd.asymptotic_value]
+    remaining = list(sd.critical_values)
     for ref in reference[1:]:
         k = min(range(len(remaining)), key=lambda idx: abs(remaining[idx] - ref))
         out.append(remaining.pop(k))

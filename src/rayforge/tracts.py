@@ -43,6 +43,7 @@ from .errors import (
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_CAP = math.log(config.CAP)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ class LogPolar:
     """A complex value exp(log_abs + i*arg), for magnitudes beyond floats.
 
     The inverse branches serve it to first order only, which is exact in
-    double precision far out; pass representable seeds as complex.
+    double precision far out, and reject it with a DomainError at or below
+    log(config.CAP); pass representable seeds as complex.
     """
 
     log_abs: float
@@ -228,7 +230,13 @@ def inverse_branches(
     seeds: list[complex] = []
     for n, w in zip(ns, ws):
         if isinstance(w, LogPolar):
-            out.append(_asymptotic_branch(map_, n, w))
+            if w.log_abs <= _LOG_CAP:
+                out.append(DomainError(
+                    f"log-polar seed with log magnitude {w.log_abs} is within "
+                    "the float range; pass it as a complex number"
+                ))
+            else:
+                out.append(_asymptotic_branch(map_, n, w))
             continue
         w = complex(w)
         if w.real <= cfg.r_min:
@@ -310,8 +318,8 @@ def inverse_branch(
 
     Solves p(zeta) = w, then lifts log(zeta) by the unique multiple of
     2*pi*i that lands in strip n.  For seeds given in LogPolar form, which
-    lie beyond the float range, the root is expanded to first order in the
-    coefficients (the corrections underflow exactly when they should).
+    must lie beyond log(config.CAP), the root is expanded to first order in
+    the coefficients (the corrections underflow exactly when they should).
     """
     (z,) = inverse_branches(map_, cfg, (n,), (w,))
     return unwrap(z)
@@ -341,21 +349,3 @@ def _asymptotic_branch(
         eta = cmath.exp(complex(z0.real, w.arg / d))
         corr = -map_.coeffs[d - 1] / (d * eta)
     return z0 + corr
-
-
-def contraction_ratio(
-    map_: polyexp.PolyExpMap,
-    cfg: TractConfig,
-    w1: complex,
-    w2: complex,
-    n: int,
-) -> float:
-    """|L_n(w1) - L_n(w2)| / |w1 - w2|; zero when the seeds coincide.
-
-    Below 1/2 whenever |f'| >= 2 holds along the connecting segment.
-    """
-    if w1 == w2:
-        return 0.0
-    z1 = inverse_branch(map_, cfg, n, w1)
-    z2 = inverse_branch(map_, cfg, n, w2)
-    return abs(z1 - z2) / abs(w1 - w2)

@@ -136,6 +136,18 @@ class TestClassify:
         code = run(["classify", "--spec", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-17])
+    def test_tiny_potential_exit_4(self, t, tmp_path, capsys):
+        # d*T below 1e-16 once made the tail's log step a math domain error.
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps(
+            {"d": 1, "J": 3, "orbits": [{"T": t, "address": {"period": [0]}}]}
+        ))
+        assert run(["classify", "--spec", str(spec)]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["kind"] == "InvariantViolationError"
+        assert captured.err == ""
+
 
 class TestDiag:
     def test_appendix_report(self, workdir, capsys):

@@ -54,26 +54,34 @@ class TestEval:
 
 class TestSingularValues:
     def test_pure_power_collapses(self):
-        sd = pe.singular_values(PolyExpMap(3, [0.0, 0.0, 0.0]))
+        sd = PolyExpMap(3, [0.0, 0.0, 0.0]).singular_data()
         assert sd.asymptotic_value == 0.0
         assert all(abs(v) < 1e-12 for v in sd.critical_values)
         assert len(sd.all) == 1
 
     def test_shifted_power(self):
         c = 0.7 - 0.2j
-        sd = pe.singular_values(PolyExpMap(3, [c, 0.0, 0.0]))
+        sd = PolyExpMap(3, [c, 0.0, 0.0]).singular_data()
         assert all(abs(v - c) < 1e-10 for v in sd.all)
 
     def test_double_root_quadratic(self):
         # p = (z+1)^2: critical value 0, asymptotic p(0) = 1
-        sd = pe.singular_values(PolyExpMap(2, [1.0, 2.0]))
+        sd = PolyExpMap(2, [1.0, 2.0]).singular_data()
         assert sd.critical_values == pytest.approx((0.0,), abs=1e-12)
         assert sd.asymptotic_value == 1.0
         assert sorted(v.real for v in sd.all) == pytest.approx([0.0, 1.0], abs=1e-12)
 
+    def test_carries_critical_points(self):
+        m = PolyExpMap(3, [0.2, 0.5 - 1j, -0.1])
+        sd = m.singular_data()
+        assert sd.critical_points == pe.critical_points(m)
+        assert sd.critical_values == tuple(m.poly(c) for c in sd.critical_points)
+        assert sd.asymptotic_value == m.coeffs[0]
+        assert PolyExpMap(1, [0.5]).singular_data().all == (0.5,)
+
     def test_counts(self):
         m = PolyExpMap(3, [0.2, 0.5 - 1j, -0.1])
-        sd = pe.singular_values(m)
+        sd = m.singular_data()
         assert len(sd.critical_values) == 2
         assert len(sd.all) <= 3
 
@@ -83,7 +91,7 @@ class TestSingularValues:
         rng = np.random.default_rng(9)
         coeffs = [complex(a, b) for a, b in rng.uniform(-1, 1, (3, 2))]
         m = PolyExpMap(3, coeffs)
-        sd = pe.singular_values(m)
+        sd = m.singular_data()
         xs = np.linspace(-3, 3, 301)
         grid = xs[:, None] + 1j * xs[None, :]
         dvals = np.abs(
@@ -109,13 +117,18 @@ class TestSingularValues:
             assert abs(a - b) < 1e-8
 
 
+def poly_roots(coeffs, w):
+    """The d solutions of p(z) = w from a one-row batch solve."""
+    return tuple(pe.poly_roots_batch(coeffs, np.array([w], dtype=complex))[0])
+
+
 class TestPolyRoots:
     def test_square(self):
-        roots = pe.poly_roots([0.0, 0.0], 4.0)
+        roots = poly_roots([0.0, 0.0], 4.0)
         assert sorted(r.real for r in roots) == pytest.approx([-2.0, 2.0], abs=1e-12)
 
     def test_plus_one(self):
-        roots = pe.poly_roots([1.0, 0.0], 0.0)
+        roots = poly_roots([1.0, 0.0], 0.0)
         assert sorted(r.imag for r in roots) == pytest.approx([-1.0, 1.0], abs=1e-10)
 
     def test_vieta_random_cubics(self):
@@ -123,7 +136,7 @@ class TestPolyRoots:
         for _ in range(40):
             coeffs = [complex(a, b) for a, b in rng.uniform(-2, 2, (3, 2))]
             w = complex(*rng.uniform(-5, 5, 2))
-            roots = pe.poly_roots(coeffs, w)
+            roots = poly_roots(coeffs, w)
             assert len(roots) == 3
             s = sum(roots)
             p = roots[0] * roots[1] * roots[2]
@@ -134,14 +147,14 @@ class TestPolyRoots:
                 assert abs(val - w) <= 1e-10 * max(1.0, abs(w))
 
     def test_huge_right_hand_side(self):
-        roots = pe.poly_roots([0.5, -0.25], 1e280 + 1e270j)
+        roots = poly_roots([0.5, -0.25], 1e280 + 1e270j)
         for r in roots:
             val = (r - 0.25) * r + 0.5
             assert abs(val - (1e280 + 1e270j)) <= 1e-10 * 1e280
 
     def test_multiple_root_target(self):
         # w at the critical value of p = z^2: double root at 0
-        roots = pe.poly_roots([0.0, 0.0], 0.0)
+        roots = poly_roots([0.0, 0.0], 0.0)
         assert all(abs(r) < 1e-5 for r in roots)
 
     def test_batch_matches_scalar(self):
@@ -180,18 +193,13 @@ class TestCriticalPointBound:
         worst = 0.0
         for _ in range(300):
             m = pe.sample_poly_with_critical_values_in(3, 50.0, rng)
-            rep = pe.check_critical_point_bound(m, 50.0, constant=math.inf)
+            rep = pe.check_critical_point_bound(m, 50.0)
             worst = max(worst, rep.ratio)
         assert worst < 4.0  # empirical headroom under the configured constant
 
     def test_precondition_rejected(self):
         with pytest.raises(DomainError):
             pe.check_critical_point_bound(PolyExpMap(2, [1.0, 2.0]), 10.0)
-
-    def test_normalize_shifts_root(self):
-        m = PolyExpMap(2, [1.0, 2.0])  # p = (z+1)^2, p(0) = 1
-        rep = pe.check_critical_point_bound(m, 10.0, normalize=True)
-        assert rep.holds
 
 
 class TestCoefficientBound:

@@ -89,6 +89,13 @@ class TestIterate:
         # far beyond the float range of the step value itself
         assert pot.log_step(2, 1e200) == 2e200
 
+    def test_log_step_tiny_argument(self):
+        # step(d, t) = expm1(d t) ~ d t, so log_step ~ log(d t) stays finite
+        # where 1 - exp(-d t) rounds to 0.
+        for t in (1e-17, 1e-100, 1e-300):
+            assert pot.log_step(1, t) == pytest.approx(math.log(t), rel=1e-14)
+        assert pot.log_step(3, 1e-20) == pytest.approx(math.log(3e-20), rel=1e-14)
+
 
 class TestAdmissibility:
     def test_bounded_address_admissible_at_small_potential(self):

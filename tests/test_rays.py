@@ -237,7 +237,7 @@ class TestExtraction:
         rng = np.random.default_rng(20)
         for _ in range(24):
             d = int(rng.integers(1, 4))
-            m = presets.ray_map(d)
+            m = {1: presets.EXP_MAP, 2: presets.D2_MAP, 3: presets.D3_MAP}[d]
             cfg = tracts.make_tract_config(m)
             entries = tuple(int(x) for x in rng.integers(-3, 4, rng.integers(1, 4)))
             addr = ExternalAddress((), entries)

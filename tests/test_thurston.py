@@ -14,7 +14,7 @@ from rayforge.errors import (
     SpecRejectionError,
     UnsupportedHomotopyError,
 )
-from rayforge.polyexp import PolyExpMap, singular_values
+from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
 from rayforge.thurston import TargetSpec
 
@@ -99,7 +99,7 @@ class TestFitMap:
         for _ in range(50):
             targets = [complex(*rng.uniform(-3, 3, 2)) for _ in range(2)]
             m = thurston.fit_map(2, targets, warm=warm)
-            sd = singular_values(m)
+            sd = m.singular_data()
             assert abs(sd.asymptotic_value - targets[0]) < 1e-10
             assert min(abs(cv - targets[1]) for cv in sd.critical_values) < 1e-9
 
@@ -123,7 +123,7 @@ class TestFitMap:
 
     def test_d3_newton_round_trip(self):
         truth = PolyExpMap(3, [0.4 + 0.2j, -0.3, 0.5 - 0.1j])
-        sd = singular_values(truth)
+        sd = truth.singular_data()
         targets = [sd.asymptotic_value] + list(sd.critical_values)
         warm = PolyExpMap(3, [c + 0.02 for c in truth.coeffs])
         fitted = thurston.fit_map(3, targets, warm=warm)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from rayforge import config, tracts
 from rayforge import polyexp as pe
-from rayforge import tracts
 from rayforge.errors import (
     AmbiguousTractError,
     DomainError,
@@ -187,12 +187,14 @@ class TestInverseBranch:
         with pytest.raises(DomainError):
             tracts.inverse_branch(EXP, cfg_exp, 0, complex(cfg_exp.r_min - 1, 0))
 
-    def test_log_polar_seed_matches_complex(self, cfg_exp):
-        w = cmath.exp(40) * cmath.exp(0.3j)
-        lp = tracts.LogPolar(40.0, 0.3)
-        a = tracts.inverse_branch(EXP, cfg_exp, 1, w)
-        b = tracts.inverse_branch(EXP, cfg_exp, 1, lp)
-        assert abs(a - b) < 1e-12
+    def test_log_polar_seed_in_float_range_rejected(self, cfg_exp):
+        # The first-order branch is wrong for representable magnitudes, so
+        # a LogPolar seed at or below log(CAP) is refused, not served.
+        for log_abs in (3.0, 40.0, math.log(config.CAP)):
+            with pytest.raises(DomainError, match="float range"):
+                tracts.inverse_branch(EXP, cfg_exp, 1, tracts.LogPolar(log_abs, 0.3))
+        (row,) = tracts.inverse_branches(EXP, cfg_exp, (1,), (tracts.LogPolar(40.0, 0.3),))
+        assert isinstance(row, DomainError)
 
     def test_log_polar_beyond_floats(self, cfg_exp):
         # seed exp(1e6): the asymptotic branch gives log-magnitude / d
@@ -209,19 +211,27 @@ class TestInverseBranch:
         # against the exact root path on the same seed in complex form
         m = PolyExpMap(2, [0.3, 0.8])
         cfg = tracts.make_tract_config(m)
-        L = 500.0
+        L = 700.0
         asymptotic = tracts.inverse_branch(m, cfg, 1, tracts.LogPolar(L, 0.1))
         exact = tracts.inverse_branch(m, cfg, 1, cmath.rect(math.exp(L), 0.1))
         assert abs(asymptotic - exact) < 1e-12
 
 
+def contraction_ratio(map_, cfg, w1, w2, n):
+    """|L_n(w1) - L_n(w2)| / |w1 - w2|; zero when the seeds coincide."""
+    if w1 == w2:
+        return 0.0
+    z1, z2 = (tracts.inverse_branch(map_, cfg, n, w) for w in (w1, w2))
+    return abs(z1 - z2) / abs(w1 - w2)
+
+
 class TestContraction:
     def test_exponential_ratio(self, cfg_exp):
-        got = tracts.contraction_ratio(EXP, cfg_exp, cmath.exp(10), cmath.exp(10) + 1, 0)
+        got = contraction_ratio(EXP, cfg_exp, cmath.exp(10), cmath.exp(10) + 1, 0)
         assert got == pytest.approx(math.exp(-10), rel=1e-3)
 
     def test_identical_seeds(self, cfg_exp):
-        assert tracts.contraction_ratio(EXP, cfg_exp, 5 + 1j, 5 + 1j, 0) == 0.0
+        assert contraction_ratio(EXP, cfg_exp, 5 + 1j, 5 + 1j, 0) == 0.0
 
     def test_random_pairs_below_half(self, cfg_d2_gen):
         rng = np.random.default_rng(10)
@@ -229,7 +239,7 @@ class TestContraction:
             w1 = complex(rng.uniform(cfg_d2_gen.r + 1, cfg_d2_gen.r + 30), rng.uniform(-10, 10))
             w2 = complex(rng.uniform(cfg_d2_gen.r + 1, cfg_d2_gen.r + 30), rng.uniform(-10, 10))
             n = int(rng.integers(-5, 6))
-            assert tracts.contraction_ratio(D2_GEN, cfg_d2_gen, w1, w2, n) < 0.5
+            assert contraction_ratio(D2_GEN, cfg_d2_gen, w1, w2, n) < 0.5
 
 
 class TestSeparation:
