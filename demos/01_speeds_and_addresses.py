@@ -8,19 +8,18 @@ the potential ladder of a family of orbits, and cluster detection.
 """
 
 from rayforge import potentials as pot
-from rayforge.potentials import ExternalAddress, OverflowAt
+from rayforge.potentials import ExternalAddress
 
 print("=== speed steps ===")
 for t in (0.5, 1.0, 2.0):
     print(f"step(1, {t}) = {pot.step(1, t):.6f}")
 
 print("\nIterating from t = 1 (d = 1): the tower explodes fast.")
-for n in range(6):
-    value = pot.iterate(1, 1.0, n)
-    if isinstance(value, OverflowAt):
-        print(f"  step^{n}(1) overflows the 1e300 float-range limit at level {value.index}")
-        break
+tower = pot.chain(1, 1.0)
+for n, value in enumerate(tower):
     print(f"  step^{n}(1) = {value:.6g}")
+horizon = len(tower)
+print(f"  step^{horizon}(1) overflows the 1e300 float-range limit at level {horizon}")
 
 print("\nBeyond the limit, work in log scale:")
 print(f"  log step(1, 594.29) = {pot.log_step(1, 594.29):.4f}")

@@ -18,7 +18,7 @@ for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
     for i, (t, addr) in enumerate(spec.orbits):
         print(f"  orbit {i}: speed {t}, address {addr}")
     result = thurston.classify(spec, log_iterates=True)
-    print(f"converged in {result.iterations} iterations")
+    print(f"converged in {len(result.deltas)} iterations")
     print("coefficients (b_0 first):")
     for c in result.map.coeffs:
         print(f"  {c:.12g}")
@@ -41,7 +41,7 @@ for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
     print(f"restart from a 0.1-jittered grid reproduces the coefficients "
           f"to {gap:.2e}")
 
-    report = thurston.invariant_set_diagnostics(result.grid.z, spec)
+    report = thurston.invariant_set_diagnostics(result.z, spec)
     print(f"invariant-region shadow at rho = {report.rho:.4g}: "
           f"inside={report.inside_disk} tails={report.tail_asymptotics} "
           f"separation={report.separation} budget={report.homotopy_budget}")

@@ -46,12 +46,10 @@ from .polyexp import (
 from .potentials import (
     ClusterReport,
     ExternalAddress,
-    OverflowAt,
     PotentialLadder,
     build_ladder,
     detect_clusters,
     inverse_step,
-    iterate,
     log_step,
     step,
 )
@@ -66,7 +64,6 @@ from .rays import (
 from .thurston import (
     Certificate,
     ClassifyResult,
-    MarkedGrid,
     TargetSpec,
     ThurstonState,
     classify,

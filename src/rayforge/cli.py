@@ -123,11 +123,11 @@ def _cmd_classify(args) -> int:
         "coeffs": [serialize.complex_to_json(c) for c in result.map.coeffs],
         "grid": [
             [serialize.complex_to_json(complex(v)) for v in row]
-            for row in result.grid.z
+            for row in result.z
         ],
         "delta_history": list(result.deltas),
-        "iterations": result.iterations,
-        "converged": result.converged,
+        "iterations": len(result.deltas),
+        "converged": True,
         "certificate": {
             "passed": cert.passed,
             "notes": list(cert.notes),
@@ -187,6 +187,7 @@ def _cmd_diag_invariant(args) -> int:
         ]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"run file lacks spec/grid data: {exc}") from exc
+    thurston.validate_spec(spec)
     m, levels = spec.m, spec.depth + 1
     rows = []
     for it, grid_rows in enumerate(grids):

@@ -17,16 +17,6 @@ from . import config
 from .errors import DomainError, OverflowSignal
 
 
-@dataclass(frozen=True)
-class OverflowAt:
-    """Marker returned when an iterated speed first exceeds ``config.CAP``.
-
-    ``index`` is the first iterate (1-based step count) above it.
-    """
-
-    index: int
-
-
 def integers(entries: Sequence[int], what: str) -> tuple[int, ...]:
     """Entries as ints; a non-integral entry is rejected, never truncated.
     Integral floats such as 2.0 pass.  ``what`` names the entries in the error."""
@@ -96,11 +86,6 @@ class ExternalAddress:
             pre.pop()
         return ExternalAddress(pre, per)
 
-    @property
-    def is_periodic(self) -> bool:
-        """True when some shift returns the sequence to itself."""
-        return not self.canonical().preperiod
-
     def same_sequence(self, other: "ExternalAddress") -> bool:
         a, b = self.canonical(), other.canonical()
         return a.preperiod == b.preperiod and a.period == b.period
@@ -144,6 +129,8 @@ def log_step(d: int, t: float) -> float:
     Stays finite for any representable t > 0, which is what the far tail
     of an orbit grid needs.
     """
+    if d < 1:
+        raise DomainError(f"degree must be >= 1, got {d}")
     if t <= 0:
         raise DomainError("log_step needs t > 0")
     x = d * t
@@ -165,19 +152,6 @@ def chain(d: int, t: float, max_len: int = 512) -> list[float]:
             break
         values.append(nxt)
     return values
-
-
-def iterate(d: int, t: float, n: int):
-    """n-fold speed step with an explicit overflow signal.
-
-    Returns the value when every intermediate stays <= ``config.CAP``,
-    otherwise ``OverflowAt(k)`` with k the first step that exceeded it.
-    Monotone in t for fixed d, n.
-    """
-    if n < 0:
-        raise DomainError("iterate needs n >= 0")
-    values = chain(d, t, max_len=n + 1)
-    return values[-1] if len(values) == n + 1 else OverflowAt(len(values))
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ def extract_potential_address(
     for _ in range(deepest):
         u = potentials.inverse_step(map_.d, u)
     k = start + len(prefix) - 1
-    level = potentials.iterate(map_.d, u, k)
+    level = potentials.chain(map_.d, u, max_len=k + 1)[k]
     straight = potentials.straight_point(map_.d, level, prefix[-1])
     residual = abs(orbit[k] - straight)
     return Extraction(u, tuple(prefix), residual, deepest, start)

@@ -21,6 +21,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +65,34 @@ class TargetSpec:
     def potential(self, i: int) -> float:
         return self.orbits[i][0]
 
+    @cached_property
+    def speeds(self) -> tuple[tuple[float, ...], ...]:
+        """Per orbit, the speeds step^j(T_i) for j = 0..depth, cut short
+        where they leave the float range (``validate_spec`` rejects that)."""
+        return tuple(
+            tuple(potentials.chain(self.d, t, max_len=self.depth + 1))
+            for t, _ in self.orbits
+        )
+
+    @cached_property
+    def tail(self) -> tuple[complex | tracts.LogPolar, ...]:
+        """Per orbit, the frozen level-(depth+1) point at its straight
+        position step^(depth+1)(T_i) + 2*pi*i*s/d, as a complex seed in the
+        float range and as a ``tracts.LogPolar`` seed beyond it."""
+        seeds = []
+        for i, values in enumerate(self.speeds):
+            t_top = values[self.depth]
+            s_next = self.address(i).entry(self.depth + 1)
+            log_next = potentials.log_step(self.d, t_top)
+            if log_next <= math.log(config.CAP):
+                t_next = potentials.step(self.d, t_top)
+                seeds.append(potentials.straight_point(self.d, t_next, s_next))
+            else:
+                v = 2 * math.pi * s_next / self.d
+                arg = v * math.exp(-log_next) if log_next < 700 else 0.0
+                seeds.append(tracts.LogPolar(log_next, arg))
+        return tuple(seeds)
+
 
 def validate_spec(spec: TargetSpec) -> None:
     """Reject structurally unsupported targets.
@@ -84,11 +113,11 @@ def validate_spec(spec: TargetSpec) -> None:
     for i, (t, _) in enumerate(spec.orbits):
         if not t > 0:
             raise SpecRejectionError(f"orbit {i} potential must be > 0, got {t}")
-        top = potentials.iterate(spec.d, t, spec.depth)
-        if isinstance(top, potentials.OverflowAt):
+        levels = len(spec.speeds[i])
+        if levels <= spec.depth:
             raise SpecRejectionError(
                 f"depth {spec.depth} is too deep for orbit {i} (T={t}): its "
-                f"speed overflows at level {top.index}; use a smaller depth"
+                f"speed overflows at level {levels}; use a smaller depth"
             )
     report = potentials.detect_clusters(spec.orbits, spec.d, spec.depth)
     if report.infinite:
@@ -106,53 +135,22 @@ def validate_spec(spec: TargetSpec) -> None:
 
 
 @dataclass
-class MarkedGrid:
-    """Truncated orbit grid: z[i][j], i < m orbits, j = 0..depth levels.
-
-    Levels past the truncation follow the straight asymptotic rule
-    step^j(T_i) + 2*pi*i*s_ij/d; ``tail_seed`` serves level depth+1 in a
-    form the inverse branches accept beyond the float range.
-    """
-
-    z: np.ndarray  # complex, shape (m, depth+1)
-    spec: TargetSpec
-
-    @property
-    def depth(self) -> int:
-        return self.z.shape[1] - 1
-
-    def tail_seed(self, i: int):
-        spec = self.spec
-        d = spec.d
-        t_top = potentials.iterate(d, spec.potential(i), spec.depth)
-        s_next = spec.address(i).entry(spec.depth + 1)
-        log_next = potentials.log_step(d, t_top)
-        if log_next <= math.log(config.CAP):
-            return potentials.straight_point(d, potentials.step(d, t_top), s_next)
-        v = 2 * math.pi * s_next / d
-        arg = v * math.exp(-log_next) if log_next < 700 else 0.0
-        return tracts.LogPolar(log_next, arg)
-
-
-@dataclass
 class ThurstonState:
+    """The map and the truncated orbit grid z[i][j] (orbit i < m, level
+    j = 0..depth) of one pullback iterate, with the history so far."""
+
     map: PolyExpMap
-    grid: MarkedGrid
-    iteration: int
+    spec: TargetSpec
+    z: np.ndarray  # complex, shape (m, depth+1)
     deltas: list[float] = field(default_factory=list)
     soft_flags: list[str] = field(default_factory=list)
 
 
 def straight_grid(spec: TargetSpec) -> np.ndarray:
     z = np.zeros((spec.m, spec.depth + 1), dtype=complex)
-    for i, (t0, addr) in enumerate(spec.orbits):
-        values = potentials.chain(spec.d, t0, max_len=spec.depth + 1)
-        if len(values) != spec.depth + 1:
-            raise SpecRejectionError(
-                f"depth {spec.depth} too deep for orbit {i}; speeds overflow"
-            )
+    for i, values in enumerate(spec.speeds):
         for j, tj in enumerate(values):
-            z[i, j] = potentials.straight_point(spec.d, tj, addr.entry(j))
+            z[i, j] = potentials.straight_point(spec.d, tj, spec.address(i).entry(j))
     return z
 
 
@@ -168,9 +166,8 @@ def init_state(
         rng = np.random.default_rng(jitter_seed)
         phases = rng.uniform(0, 2 * math.pi, z.shape)
         z = z + jitter * np.exp(1j * phases)
-    grid = MarkedGrid(z, spec)
     map_ = fit_map(spec.d, [complex(v) for v in z[:, 0]])
-    return ThurstonState(map_, grid, 0)
+    return ThurstonState(map_, spec, z)
 
 
 def fit_map(
@@ -272,14 +269,13 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     in grid order (orbit by orbit, level by level): the first point whose
     seed fell left of the singular values, or whose branch failed.
     """
-    spec = state.grid.spec
+    spec = state.spec
     map_ = state.map
     cfg = tracts.make_tract_config(map_)
-    old = state.grid.z
+    old = state.z
     points = [(i, j) for i in range(spec.m) for j in range(spec.depth + 1)]
     seeds = [
-        state.grid.tail_seed(i) if j == spec.depth else complex(old[i, j + 1])
-        for i, j in points
+        spec.tail[i] if j == spec.depth else complex(old[i, j + 1]) for i, j in points
     ]
     complex_seeds = [(k, s) for k, s in enumerate(seeds) if isinstance(s, complex)]
     # Points after the first seed left of the singular values are never
@@ -313,11 +309,7 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     delta = float(np.abs(new - old).max())
     new_map = fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_)
     return ThurstonState(
-        new_map,
-        MarkedGrid(new, spec),
-        state.iteration + 1,
-        state.deltas + [delta],
-        state.soft_flags + soft,
+        new_map, spec, new, state.deltas + [delta], state.soft_flags + soft
     )
 
 
@@ -393,11 +385,9 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
 @dataclass
 class ClassifyResult:
     map: PolyExpMap
-    grid: MarkedGrid
+    z: np.ndarray
     certificate: Certificate
     deltas: list[float]
-    iterations: int
-    converged: bool
     iterate_log: list[np.ndarray] = field(default_factory=list)
     soft_flags: list[str] = field(default_factory=list)
 
@@ -417,16 +407,14 @@ def classify(
     steps do not bring the sup-norm grid displacement under tol.
     """
     state = init_state(spec, jitter=jitter, jitter_seed=jitter_seed)
-    iterate_log = [state.grid.z.copy()] if log_iterates else []
-    converged = False
+    iterate_log = [state.z.copy()] if log_iterates else []
     for _ in range(max_iter):
         state = pullback_step(state)
         if log_iterates:
-            iterate_log.append(state.grid.z.copy())
+            iterate_log.append(state.z.copy())
         if state.deltas[-1] < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NotConvergedError(
             f"pullback did not converge in {max_iter} iterations "
             f"(last delta {state.deltas[-1]:.3e})",
@@ -434,14 +422,7 @@ def classify(
         )
     certificate = verify(state.map, spec)
     return ClassifyResult(
-        state.map,
-        state.grid,
-        certificate,
-        state.deltas,
-        state.iteration,
-        converged,
-        iterate_log,
-        state.soft_flags,
+        state.map, state.z, certificate, state.deltas, iterate_log, state.soft_flags
     )
 
 
@@ -474,7 +455,9 @@ def invariant_set_diagnostics(
     homotopy budget is trivially respected (the shadow forbids nontrivial
     words).  Also checks
     that pullbacks of inside points keep Re < rho/2 and that points mapping
-    into the marked disk keep Re < (d+1)*t_n.  Report only, never raises.
+    into the marked disk keep Re < (d+1)*t_n.  ``grid_z`` has the shape
+    (m, depth+1) of a spec that ``validate_spec`` accepts.  Report only,
+    never raises.
     """
     d = spec.d
     ladder = potentials.build_ladder(spec.orbits, d, spec.depth)
@@ -486,11 +469,10 @@ def invariant_set_diagnostics(
     t_n = max((t for t in ladder.potentials if t < rho), default=rho / 2)
 
     m, levels = grid_z.shape
-    n_inside = []
-    for i in range(m):
-        values = potentials.chain(d, spec.potential(i), max_len=levels)
-        n_i = max((j for j, tj in enumerate(values) if tj < rho), default=-1)
-        n_inside.append(n_i)
+    n_inside = [
+        max((j for j, tj in enumerate(values) if tj < rho), default=-1)
+        for values in spec.speeds
+    ]
 
     cond_inside = all(
         abs(grid_z[i, j]) < rho

@@ -259,15 +259,15 @@ def scalar_pullback_grid(state) -> np.ndarray:
     """Reference pullback: the point-by-point loop that the batched
     ``thurston.pullback_step`` replaced, returning the pulled grid (no
     refit) or raising the first failure in grid order."""
-    spec = state.grid.spec
+    spec = state.spec
     map_ = state.map
     cfg = tracts.make_tract_config(map_)
-    old = state.grid.z
+    old = state.z
     new = np.zeros_like(old)
     for i in range(spec.m):
         addr = spec.address(i)
         for j in range(spec.depth + 1):
-            seed = state.grid.tail_seed(i) if j == spec.depth else old[i, j + 1]
+            seed = spec.tail[i] if j == spec.depth else old[i, j + 1]
             if isinstance(seed, complex) or isinstance(seed, np.complexfloating):
                 seed_c = complex(seed)
                 if seed_c.real <= cfg.r_min:

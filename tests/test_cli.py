@@ -360,6 +360,25 @@ class TestInvariantSetInput:
         assert captured.out == ""
         assert captured.err.startswith("rayforge: ")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            thurston.TargetSpec(1, ((2.0, presets.ZERO),), 0),
+            thurston.TargetSpec(
+                2, ((1.0, presets.ZERO), (1.2, presets.ONE), (1.4, presets.MIXED)), 2
+            ),
+            thurston.TargetSpec(1, ((800.0, presets.ZERO),), 1),
+        ],
+        ids=["J=0", "3-orbits-d=2", "T=800-J=1"],
+    )
+    def test_rejected_spec_exit_4(self, spec, tmp_path, capsys):
+        # diag invariant-set rejects the specs that classify rejects
+        with pytest.raises(errors.SpecRejectionError) as want:
+            thurston.validate_spec(spec)
+        assert self._run(tmp_path, spec) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "SpecRejectionError", "message": str(want.value)}
+
 
 # Keys of the config echo of each command.  Every key but "command" names one
 # of the command's own options; "format" is the value of --out.

@@ -5,7 +5,7 @@ import pytest
 
 from rayforge import potentials as pot
 from rayforge.errors import DomainError, OverflowSignal
-from rayforge.potentials import ExternalAddress, OverflowAt
+from rayforge.potentials import ExternalAddress
 
 
 class TestStep:
@@ -26,6 +26,8 @@ class TestStep:
     def test_bad_degree(self):
         with pytest.raises(DomainError):
             pot.step(0, 1.0)
+        with pytest.raises(DomainError, match="degree"):
+            pot.log_step(0, 1.0)
 
 
 class TestInverseStep:
@@ -58,27 +60,27 @@ class TestInverseStep:
 class TestIterate:
     def test_chained_values(self):
         # exp-tower of 1 at 50-digit precision
-        assert pot.iterate(1, 1.0, 3) == pytest.approx(96.022365565026879911, rel=1e-13)
+        assert pot.chain(1, 1.0)[3] == pytest.approx(96.022365565026879911, rel=1e-13)
 
     def test_overflow_index(self):
-        res = pot.iterate(1, 1.0, 5)
-        assert res == OverflowAt(5)
+        # step^5(1) is past the float-range limit, so the chain stops at level 4
+        assert len(pot.chain(1, 1.0)) == 5
 
     def test_zero_fixed(self):
-        assert pot.iterate(2, 0.0, 10) == 0.0
+        assert pot.chain(2, 0.0, max_len=11) == [0.0] * 11
 
     def test_monotone_in_t(self):
-        for n in range(4):
-            a = pot.iterate(1, 1.0, n)
-            b = pot.iterate(1, 1.1, n)
-            assert b > a
+        a, b = pot.chain(1, 1.0), pot.chain(1, 1.1)
+        assert len(a) == len(b) == 5
+        for x, y in zip(a, b):
+            assert y > x
 
     def test_super_exponential_growth(self):
         # The inequality step^n(1) > exp(n^2) kicks in at n = 4 for d = 1
         # (n = 3 gives 96.0 < exp(9)); the only deeper iterate overflows.
-        f4 = pot.iterate(1, 1.0, 4)
+        values = pot.chain(1, 1.0)
+        f3, f4 = values[3], values[4]
         assert f4 > math.exp(16)
-        f3 = pot.iterate(1, 1.0, 3)
         assert f4 / math.exp(16) > f3 / math.exp(9)
 
     def test_log_step_matches(self):
@@ -145,12 +147,8 @@ class TestExternalAddress:
         assert [c.entry(n) for n in range(8)] == [a.entry(n) for n in range(8)]
         assert len(c.preperiod) + len(c.period) <= len(a.preperiod) + len(a.period)
         assert ExternalAddress((), (1, 0, 1, 0)).canonical().period == (1, 0)
-
-    def test_periodicity_flag(self):
-        assert ExternalAddress((), (1, 0)).is_periodic
-        assert ExternalAddress((5,), (0,)).is_periodic is False
-        # preperiod that is secretly part of the cycle
-        assert ExternalAddress((0,), (0,)).is_periodic
+        # a preperiod that is secretly part of the cycle folds into the period
+        assert ExternalAddress((0,), (0,)).canonical() == ExternalAddress((), (0,))
 
     def test_overlap_detection(self):
         a = ExternalAddress((), (1, 0))

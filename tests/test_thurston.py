@@ -56,7 +56,7 @@ class TestValidate:
 class TestInitState:
     def test_straight_grid_values(self):
         state = thurston.init_state(presets.SPEC_D1)
-        z = state.grid.z
+        z = state.z
         # chained speed steps from T = 2 (50-digit values, rounded)
         assert z[0, 0] == pytest.approx(2.0)
         assert z[0, 1] == pytest.approx(6.3890560989306502, rel=1e-14)
@@ -66,21 +66,20 @@ class TestInitState:
 
     def test_offsets_follow_addresses(self):
         state = thurston.init_state(presets.SPEC_D2)
-        z = state.grid.z
+        z = state.z
         assert z[1, 0] == pytest.approx(2.5 + 1j * math.pi)
         assert z[1, 1].imag == pytest.approx(math.pi)
 
-    def test_tail_seed_is_log_polar_beyond_cap(self):
-        state = thurston.init_state(presets.SPEC_D1)
-        seed = state.grid.tail_seed(0)
+    def test_tail_is_log_polar_beyond_cap(self):
+        seed = presets.SPEC_D1.tail[0]
         assert isinstance(seed, tracts.LogPolar)
         assert seed.log_abs == pytest.approx(1.2554089653312633e258, rel=1e-13)
 
-    def test_tail_seed_complex_when_representable(self):
+    def test_tail_complex_when_representable(self):
         spec = TargetSpec(1, ((0.5, ZERO),), 4)
-        state = thurston.init_state(spec)
-        seed = state.grid.tail_seed(0)
+        seed = spec.tail[0]
         assert isinstance(seed, complex)
+        assert seed == pot.straight_point(1, pot.step(1, spec.speeds[0][4]), 0)
 
 
 class TestFitMap:
@@ -139,7 +138,7 @@ class TestPullback:
     def test_fixed_point_has_tiny_delta(self):
         # converge to the machine fixed point; one more step moves nothing
         res = thurston.classify(presets.SPEC_D1, max_iter=200, tol=1e-15)
-        state = thurston.ThurstonState(res.map, res.grid, 0)
+        state = thurston.ThurstonState(res.map, presets.SPEC_D1, res.z)
         stepped = thurston.pullback_step(state)
         assert stepped.deltas[-1] < 1e-12
 
@@ -153,8 +152,8 @@ class TestPullback:
 
     def test_grid_is_orbit_at_fixed_point(self):
         res = thurston.classify(presets.SPEC_D1, tol=1e-12)
-        z = res.grid.z
-        for j in range(res.grid.depth):
+        z = res.z
+        for j in range(presets.SPEC_D1.depth):
             lhs = res.map(complex(z[0, j]))
             rhs = complex(z[0, j + 1])
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
@@ -174,7 +173,7 @@ class TestBatchedPullback:
         spec = TargetSpec(2, ((1.0, ONE), (1.2, ZERO)), 2)
         z = thurston.straight_grid(spec)
         z[0, 1:] = row0
-        return thurston.ThurstonState(self.MAP, thurston.MarkedGrid(z, spec), 0)
+        return thurston.ThurstonState(self.MAP, spec, z)
 
     def _assert_same_error(self, state, kind, point):
         with pytest.raises(kind) as want:
@@ -204,13 +203,28 @@ class TestBatchedPullback:
         for _ in range(3):
             want = scalar_pullback_grid(state)
             state = thurston.pullback_step(state)
-            assert np.array_equal(state.grid.z.view(np.int64), want.view(np.int64))
+            assert np.array_equal(state.z.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
+    def test_step_reads_cached_speeds(self, preset, monkeypatch):
+        # The frozen tail comes from the spec's cached speeds: once the state
+        # exists, a pullback step builds no speed chain.
+        spec = TargetSpec(preset.d, preset.orbits, preset.depth)
+        state = thurston.init_state(spec)
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("pullback_step rebuilt a speed chain")
+
+        monkeypatch.setattr(pot, "chain", no_chain)
+        want = scalar_pullback_grid(state)
+        got = thurston.pullback_step(state).z
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestClassify:
     def test_d1_shipped_target(self):
         res = thurston.classify(presets.SPEC_D1)
-        assert res.converged and res.iterations <= 50
+        assert len(res.deltas) <= 50
         assert res.certificate.passed
         kappa = res.map.coeffs[0]
         assert abs(kappa.imag) < 1e-6
@@ -219,7 +233,7 @@ class TestClassify:
 
     def test_d2_shipped_target(self):
         res = thurston.classify(presets.SPEC_D2)
-        assert res.converged and res.iterations <= 50
+        assert len(res.deltas) <= 50
         assert res.certificate.passed
 
     def test_uniqueness_under_grid_perturbation(self):
@@ -235,7 +249,7 @@ class TestClassify:
         values = pot.chain(1, 2.0, max_len=3)
         for j, tj in enumerate(values):
             pt = rays.trace_ray(res.map, cfg, ZERO, tj)
-            assert abs(pt.z - complex(res.grid.z[0, j])) < 1e-6
+            assert abs(pt.z - complex(res.z[0, j])) < 1e-6
 
     def test_nonconvergence_carries_history(self):
         with pytest.raises(NotConvergedError) as err:
@@ -278,7 +292,7 @@ class TestVerify:
 class TestDiagnostics:
     def test_straight_state_passes_all(self):
         state = thurston.init_state(presets.SPEC_D2)
-        rep = thurston.invariant_set_diagnostics(state.grid.z, presets.SPEC_D2)
+        rep = thurston.invariant_set_diagnostics(state.z, presets.SPEC_D2)
         assert rep.inside_disk and rep.tail_asymptotics and rep.separation
         assert rep.homotopy_budget and rep.pullback_real_parts
         assert rep.derivative_domain
@@ -292,7 +306,7 @@ class TestDiagnostics:
     def test_shrunken_rho_reports_not_raises(self):
         state = thurston.init_state(presets.SPEC_D1)
         rep = thurston.invariant_set_diagnostics(
-            state.grid.z, presets.SPEC_D1, rho=1.0
+            state.z, presets.SPEC_D1, rho=1.0
         )
         assert not rep.inside_disk or rep.inside_disk  # report only
         assert isinstance(rep.separation, bool)
