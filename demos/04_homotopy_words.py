@@ -52,5 +52,5 @@ print("  after looping leg (1,1) around grid point (0,1):",
 print("\npullback growth budget (how long words may get per lift):")
 for j in range(4):
     print(f"  level {j}: admissible length "
-          f"{ht.word_budget(3, j, 1, 1)} (cascade budget), "
+          f"{ht.word_budget(3, j):.0f} (cascade budget), "
           f"one-lift bound {ht.growth_bound(1, j):.0f}")

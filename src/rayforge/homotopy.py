@@ -203,23 +203,18 @@ def leg_words(
     return words
 
 
-def growth_bound(
-    parent_word_len: int, j: int, constant_a: float = config.GROWTH_A
-) -> float:
+def growth_bound(parent_word_len: int, j: int) -> float:
     """Admissible word length of a pulled-back leg at level j, given the
-    parent leg's word length at level j+1: A*(j+1)^4*max(1, parent)."""
-    return constant_a * (j + 1) ** 4 * max(1, parent_word_len)
+    parent leg's word length at level j+1: A*(j+1)^4*max(1, parent) with
+    A = GROWTH_A."""
+    return config.GROWTH_A * (j + 1) ** 4 * max(1, parent_word_len)
 
 
-def word_budget(
-    n_inside: int,
-    j: int,
-    constant_a: float = config.GROWTH_A,
-    constant_c: float = config.GROWTH_C,
-) -> float:
+def word_budget(n_inside: int, j: int) -> float:
     """Total word-length budget at level j <= n_inside over a full pullback
-    cascade: A^(n_inside+1-j) * ((n_inside+1)! / j!)^4 * C."""
+    cascade: A^(n_inside+1-j) * ((n_inside+1)! / j!)^4 * C with A = GROWTH_A
+    and C = GROWTH_C."""
     if j > n_inside:
         raise DomainError("budget applies to levels j <= n_inside")
     ratio = math.factorial(n_inside + 1) // math.factorial(j)
-    return constant_a ** (n_inside + 1 - j) * ratio**4 * constant_c
+    return config.GROWTH_A ** (n_inside + 1 - j) * ratio**4 * config.GROWTH_C

@@ -2,11 +2,13 @@
 
 Holds evaluation, derivatives and singular data, a simultaneous-iteration
 polynomial root solver, and the disk/coefficient/derivative checkers that
-probe how singular-value magnitudes control a map's geometry.  Disk
-containment is proven first, from Fujiwara's root bound over the whole
-disk, and sampled with a root solve only when the proof fails; the other
-checkers are Monte-Carlo.  Random draws take explicit seeds; nothing here
-keeps mutable state.
+probe how singular-value magnitudes control a map's geometry.
+``PolyExpMap.poly`` and ``poly_derivative`` are the only evaluators of p
+and p', for scalars and numpy arrays alike; the root solve, the checkers
+and the samplers call them.  Disk containment is proven first, from
+Fujiwara's root bound over the whole disk, and sampled with a root solve
+only when the proof fails; the other checkers are Monte-Carlo.  Random
+draws take explicit seeds; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
@@ -129,14 +131,7 @@ def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
     return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
 
 
-def _horner_batch(coeffs_high_to_low: np.ndarray, x: np.ndarray) -> np.ndarray:
-    value = np.full_like(x, coeffs_high_to_low[0])
-    for c in coeffs_high_to_low[1:]:
-        value = value * x + c
-    return value
-
-
-def poly_roots_batch(coeffs: Sequence[complex], ws: np.ndarray) -> np.ndarray:
+def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
     """Solve p(z) = w simultaneously for a batch of right-hand sides.
 
     Ehrlich-Aberth iteration started on the d-th-root fan of each w (a fixed
@@ -147,17 +142,11 @@ def poly_roots_batch(coeffs: Sequence[complex], ws: np.ndarray) -> np.ndarray:
     (len(ws), d); raises RootSolveError when some residual stays above the
     post tolerance after ROOT_MAX_ITER sweeps.
     """
-    cs = tuple(complex(c) for c in coeffs)
-    d = len(cs)
+    d, cs = map_.d, map_.coeffs
     ws = np.asarray(ws, dtype=complex).ravel()
     scale = np.maximum(1.0, np.abs(ws))
     if d == 1:
         return (ws - cs[0]).reshape(-1, 1)
-
-    p_high_to_low = np.array((1.0,) + tuple(reversed(cs)), dtype=complex)
-    dp_high_to_low = np.array(
-        (d,) + tuple(k * cs[k] for k in range(d - 1, 0, -1)), dtype=complex
-    )
 
     radius = np.maximum(np.abs(ws), 1.0 + max(abs(c) for c in cs)) ** (1.0 / d)
     angles = (np.angle(ws)[:, None] + 2 * np.pi * np.arange(d)[None, :] + 0.7) / d
@@ -182,13 +171,13 @@ def poly_roots_batch(coeffs: Sequence[complex], ws: np.ndarray) -> np.ndarray:
         return keep
 
     for _ in range(config.ROOT_MAX_ITER):
-        pv = _horner_batch(p_high_to_low, xl) - wl
+        pv = map_.poly(xl) - wl
         keep = retire(np.abs(pv) <= tl)
         if not live.size:
             break
         if keep is not None:
             pv = pv[keep]
-        dpv = _horner_batch(dp_high_to_low, xl)
+        dpv = map_.poly_derivative(xl)
         dpv = np.where(dpv == 0, 1e-30, dpv)
         newton = pv / dpv
         diff = xl[:, :, None] - xl[:, None, :]
@@ -204,7 +193,7 @@ def poly_roots_batch(coeffs: Sequence[complex], ws: np.ndarray) -> np.ndarray:
     x[live] = xl
 
     wcol = ws[:, None]
-    residual = np.abs(_horner_batch(p_high_to_low, x) - wcol)
+    residual = np.abs(map_.poly(x) - wcol)
     worst = float((residual / scale[:, None]).max())
     if worst > config.ROOT_POST_RTOL:
         raise RootSolveError(
@@ -297,18 +286,13 @@ def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containmen
     part1 = proven = fujiwara_bound(map_.coeffs, r) * (1 + 1e-12) < r
     if not proven:
         try:
-            roots = poly_roots_batch(map_.coeffs, r * _CIRCLE)
+            roots = poly_roots_batch(map_, r * _CIRCLE)
         except RootSolveError:
             return ContainmentReport(False, False, False, True, samples, False)
         part1 = bool(np.all(np.abs(roots) < r))
 
     target = rho ** (2 * map_.d + 1)
-    zs = rho**2 * _CIRCLE
-    high_to_low = np.array(
-        (1.0,) + tuple(reversed(map_.coeffs)), dtype=complex
-    )
-    values = _horner_batch(high_to_low, zs)
-    part2 = bool(np.all(np.abs(values) < target))
+    part2 = bool(np.all(np.abs(map_.poly(rho**2 * _CIRCLE)) < target))
     return ContainmentReport(part1 and part2, part1, part2, False, samples, proven)
 
 
@@ -421,6 +405,13 @@ def appendix_report(
     )
 
 
+def _rescaled(map_: PolyExpMap, a: float) -> PolyExpMap:
+    """q(z) = a^-d p(a z): scales singular values by a^-d and critical
+    points by 1/a, and keeps q monic."""
+    d = map_.d
+    return PolyExpMap(d, [map_.coeffs[k] * a ** (k - d) for k in range(d)])
+
+
 def sample_poly_with_critical_values_in(
     d: int, rho: float, rng: np.random.Generator
 ) -> PolyExpMap:
@@ -429,20 +420,15 @@ def sample_poly_with_critical_values_in(
     if d < 2:
         raise DomainError("needs d >= 2")
     cps = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
-    dp = d * np.poly(cps)  # p' coefficients, highest first
-    # integrate with zero constant term
-    p_high_to_low = np.concatenate([dp / np.arange(d, 0, -1), [0.0]])
-    cvs = _horner_batch(p_high_to_low, cps)
-    peak = float(np.abs(cvs).max())
+    # p' = d prod (z - c); integrate with zero constant term.  The leading
+    # coefficient d/d is exactly 1.0, so p is monic.
+    descending = d * np.poly(cps) / np.arange(d, 0, -1)
+    p = PolyExpMap(d, [0.0, *reversed(descending[1:])])
+    peak = float(np.abs(p.poly(cps)).max())
     if peak == 0.0:
         return PolyExpMap(d, [0.0] * d)
     target = rho * rng.uniform(0.3, 1.0)
-    # q(z) = a^-d p(a z) scales critical values by a^-d and points by 1/a.
-    a = (peak / target) ** (1.0 / d)
-    coeffs_low_to_high = [
-        complex(p_high_to_low[d - k]) * a ** (k - d) for k in range(d)
-    ]
-    return PolyExpMap(d, coeffs_low_to_high)
+    return _rescaled(p, (peak / target) ** (1.0 / d))
 
 
 def sample_map_with_singular_values_in(
@@ -461,6 +447,4 @@ def sample_map_with_singular_values_in(
     peak = shifted.singular_data().max_modulus()
     if peak <= rho or peak == 0.0:
         return shifted
-    a = (peak / (0.95 * rho)) ** (1.0 / d)
-    rescaled = [shifted.coeffs[k] * a ** (k - d) for k in range(d)]
-    return PolyExpMap(d, rescaled)
+    return _rescaled(shifted, (peak / (0.95 * rho)) ** (1.0 / d))

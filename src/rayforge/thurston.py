@@ -75,6 +75,11 @@ class TargetSpec:
         )
 
     @cached_property
+    def ladder(self) -> potentials.PotentialLadder:
+        """The merged potential ladder of all orbits to level depth."""
+        return potentials.build_ladder(self.orbits, self.d, self.depth)
+
+    @cached_property
     def tail(self) -> tuple[complex | tracts.LogPolar, ...]:
         """Per orbit, the frozen level-(depth+1) point at its straight
         position step^(depth+1)(T_i) + 2*pi*i*s/d, as a complex seed in the
@@ -441,13 +446,11 @@ class InvariantReport:
     details: dict
 
 
-def invariant_set_diagnostics(
-    grid_z: np.ndarray,
-    spec: TargetSpec,
-    rho: float | None = None,
-) -> InvariantReport:
+def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> InvariantReport:
     """Check the marked-grid shadow of the invariant-region conditions.
 
+    rho is the first midpoint of ``spec.ladder`` above its threshold (else
+    its first midpoint, else twice the largest T).
     (1) the first N_i+1 points of each orbit stay in the rho-disk; (2) the
     rest sit within 1/j of their straight asymptotic positions; (3) points
     inside the disk stay pairwise separated by pi/(2d*M^n) with M the
@@ -460,12 +463,11 @@ def invariant_set_diagnostics(
     never raises.
     """
     d = spec.d
-    ladder = potentials.build_ladder(spec.orbits, d, spec.depth)
-    if rho is None:
-        above = ladder.midpoints_above_threshold()
-        if not above:
-            above = ladder.midpoints or (2 * max(t for t, _ in spec.orbits),)
-        rho = above[0]
+    ladder = spec.ladder
+    above = ladder.midpoints_above_threshold()
+    if not above:
+        above = ladder.midpoints or (2 * max(t for t, _ in spec.orbits),)
+    rho = above[0]
     t_n = max((t for t in ladder.potentials if t < rho), default=rho / 2)
 
     m, levels = grid_z.shape

@@ -249,7 +249,7 @@ def inverse_branches(
         out.append(None)
     if not solve:
         return out
-    for k, w, roots in zip(solve, seeds, _solve_rows(map_.coeffs, seeds)):
+    for k, w, roots in zip(solve, seeds, _solve_rows(map_, seeds)):
         if isinstance(roots, RootSolveError):
             out[k] = roots
             continue
@@ -260,16 +260,16 @@ def inverse_branches(
     return out
 
 
-def _solve_rows(coeffs, ws: list[complex]) -> list:
+def _solve_rows(map_: polyexp.PolyExpMap, ws: list[complex]) -> list:
     """Roots of p = w per row, or the RootSolveError of that row's solve."""
     try:
-        return list(polyexp.poly_roots_batch(coeffs, np.array(ws, dtype=complex)))
+        return list(polyexp.poly_roots_batch(map_, np.array(ws, dtype=complex)))
     except RootSolveError as exc:
         if len(ws) == 1:
             return [exc]
         # Rows are solved independently: one-row solves pin the failure on
         # the rows that stalled, with the message each one raises alone.
-        return [row for w in ws for row in _solve_rows(coeffs, [w])]
+        return [row for w in ws for row in _solve_rows(map_, [w])]
 
 
 def _select_branch(

@@ -297,16 +297,12 @@ def sampled_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containm
     angles = 2 * np.pi * np.arange(samples) / samples
     circle = np.exp(1j * angles)
     try:
-        roots = polyexp.poly_roots_batch(map_.coeffs, r * circle)
+        roots = polyexp.poly_roots_batch(map_, r * circle)
     except RootSolveError:
         return ContainmentReport(False, False, False, True, samples, False)
     part1 = bool(np.all(np.abs(roots) < r))
 
     target = rho ** (2 * map_.d + 1)
-    zs = rho**2 * circle
-    high_to_low = np.array(
-        (1.0,) + tuple(reversed(map_.coeffs)), dtype=complex
-    )
-    values = polyexp._horner_batch(high_to_low, zs)
+    values = map_.poly(rho**2 * circle)
     part2 = bool(np.all(np.abs(values) < target))
     return ContainmentReport(part1 and part2, part1, part2, False, samples, False)

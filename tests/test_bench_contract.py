@@ -7,10 +7,12 @@ in ``src/`` must fail here rather than inside a benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
+from rayforge import polyexp, tracts
 from rayforge.polyexp import PolyExpMap
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -26,6 +28,16 @@ def _layers():
 @pytest.mark.parametrize("mod, fn", _layers())
 def test_traced_layer_resolves(mod, fn):
     assert callable(getattr(importlib.import_module(f"rayforge.{mod}"), fn))
+
+
+@pytest.mark.parametrize(
+    "fn, pos, name",
+    [(polyexp.poly_roots_batch, 1, "ws"), (tracts.make_tract_config, 0, "map_")],
+)
+def test_traced_argument_position(fn, pos, name):
+    # The tracer reads rows per call and the map key from these positional
+    # arguments; a moved parameter would skew a traced run without failing it.
+    assert list(inspect.signature(fn).parameters)[pos] == name
 
 
 def test_singular_values_of_a_map():

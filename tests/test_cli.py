@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rayforge
-from rayforge import cli, errors, presets, serialize, thurston, tracts
+from rayforge import cli, errors, potentials, presets, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
 
 
@@ -170,6 +170,24 @@ class TestDiag:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["iterations"]) > 3
         assert all(row["inside_disk"] for row in payload["iterations"])
+
+    def test_invariant_set_builds_ladder_once(self, tmp_path, monkeypatch, capsys):
+        # The ladder depends on the spec alone, so one run file needs one.
+        spec = _write(tmp_path, "spec2.json", serialize.spec_to_json(presets.SPEC_D2))
+        out = str(tmp_path / "logged.json")
+        assert run(["classify", "--spec", spec, "--out", out, "--log-iterates"]) == 0
+        capsys.readouterr()
+        calls = []
+        build = potentials.build_ladder
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(potentials, "build_ladder", counted)
+        assert run(["diag", "invariant-set", "--run", out]) == 0
+        assert len(json.loads(capsys.readouterr().out)["iterations"]) == 11
+        assert len(calls) == 1
 
 
 class TestHomotopyAndTracts:

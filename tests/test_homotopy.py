@@ -7,6 +7,7 @@ from oracles import (
     random_word_fixture,
     winding_numbers,
 )
+from rayforge import config
 from rayforge import homotopy as ht
 from rayforge.errors import DegenerateCurveError, DomainError
 from rayforge.homotopy import HomotopyWord, MarkedSet, PolylineCurve
@@ -220,13 +221,14 @@ class TestLegWords:
 
 
 class TestBounds:
-    def test_growth_formula(self):
-        assert ht.growth_bound(0, 1, 1.0) == 16.0
-        assert ht.growth_bound(3, 0, 2.0) == 6.0
+    def test_growth_formula(self, monkeypatch):
+        assert ht.growth_bound(0, 1) == 16.0
+        monkeypatch.setattr(config, "GROWTH_A", 2.0)
+        assert ht.growth_bound(3, 0) == 6.0
 
     def test_budget_table_frozen(self):
         # direct evaluation of A^(N+1-j) ((N+1)!/j!)^4 C at N=3, A=C=1
-        assert [ht.word_budget(3, j, 1, 1) for j in range(4)] == [
+        assert [ht.word_budget(3, j) for j in range(4)] == [
             331776,
             331776,
             20736,

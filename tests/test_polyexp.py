@@ -119,7 +119,8 @@ class TestSingularValues:
 
 def poly_roots(coeffs, w):
     """The d solutions of p(z) = w from a one-row batch solve."""
-    return tuple(pe.poly_roots_batch(coeffs, np.array([w], dtype=complex))[0])
+    map_ = PolyExpMap(len(coeffs), coeffs)
+    return tuple(pe.poly_roots_batch(map_, np.array([w], dtype=complex))[0])
 
 
 class TestPolyRoots:
@@ -161,15 +162,17 @@ class TestPolyRoots:
         # Each row leaves the sweep where its one-row solve would stop, so
         # batch rows are bitwise equal to one-row solves.
         rng = np.random.default_rng(41)
-        for d in (2, 3):
+        for d in (1, 2, 3, 4):
             for n_rows in (1, 2, 17, 200, *rng.integers(1, 201, 4)):
-                coeffs = list(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                map_ = PolyExpMap(d, coeffs)
                 ws = 10 ** rng.uniform(-1, 6, n_rows) * np.exp(
                     1j * rng.uniform(-np.pi, np.pi, n_rows)
                 )
-                batch = pe.poly_roots_batch(coeffs, ws)
+                batch = pe.poly_roots_batch(map_, ws)
+                assert batch.shape == (n_rows, d)
                 for k in range(n_rows):
-                    single = pe.poly_roots_batch(coeffs, ws[k : k + 1])[0]
+                    single = pe.poly_roots_batch(map_, ws[k : k + 1])[0]
                     assert np.array_equal(batch[k].view(np.int64), single.view(np.int64))
 
 
@@ -348,9 +351,9 @@ class TestFujiwaraBound:
         calls = []
         solve = pe.poly_roots_batch
 
-        def counted(coeffs, ws):
+        def counted(map_, ws):
             calls.append(len(ws))
-            return solve(coeffs, ws)
+            return solve(map_, ws)
 
         monkeypatch.setattr(pe, "poly_roots_batch", counted)
         rep = pe.check_disk_containment(m, 2.0, 2.0)
@@ -361,7 +364,7 @@ class TestFujiwaraBound:
         m = pe.sample_map_with_singular_values_in(2, 100.0, np.random.default_rng(5))
         expected = sampled_disk_containment(m, 100.0, 100.0)
 
-        def unreachable(coeffs, ws):
+        def unreachable(map_, ws):
             raise AssertionError("root solve reached on a proven map")
 
         monkeypatch.setattr(pe, "poly_roots_batch", unreachable)
@@ -408,7 +411,7 @@ class TestAppendixReport:
         assert b.max_critical_point_ratio == a.max_critical_point_ratio
 
     def test_failed_root_solve_is_inconclusive(self, monkeypatch):
-        def stalled(coeffs, ws):
+        def stalled(map_, ws):
             raise RootSolveError("stalled", worst_residual=1.0)
 
         # At rho = 2 Fujiwara's bound proves none of the 8 maps, so every

@@ -302,11 +302,3 @@ class TestDiagnostics:
         for grid in res.iterate_log:
             rep = thurston.invariant_set_diagnostics(grid, presets.SPEC_D1)
             assert rep.inside_disk and rep.tail_asymptotics and rep.separation
-
-    def test_shrunken_rho_reports_not_raises(self):
-        state = thurston.init_state(presets.SPEC_D1)
-        rep = thurston.invariant_set_diagnostics(
-            state.z, presets.SPEC_D1, rho=1.0
-        )
-        assert not rep.inside_disk or rep.inside_disk  # report only
-        assert isinstance(rep.separation, bool)
