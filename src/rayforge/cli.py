@@ -272,6 +272,7 @@ def _checked(convert, accept, what: str):
 
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_degree = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _strip_count = _checked(
     int, lambda v: 0 <= v <= MAX_STRIPS, f"an integer in [0, {MAX_STRIPS}]"
 )
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diag", help="diagnostic reports")
     diag_sub = diag.add_subparsers(dest="action", required=True)
     app = diag_sub.add_parser("appendix-a", help="Monte-Carlo bound checkers")
-    app.add_argument("--d", type=int, required=True)
+    app.add_argument("--d", type=_degree, required=True)
     app.add_argument("--rho", type=_positive_float, required=True)
     app.add_argument("--samples", type=_positive_int, default=1000)
     app.add_argument("--seed", type=_non_negative_int, default=0)

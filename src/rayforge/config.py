@@ -3,7 +3,7 @@
 Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
 defaults of the few options a caller can set: ``tol``, ``max_iter``,
-``max_depth``, the strip fuzz ``eps`` and the tract retry ``budget``.
+``max_depth`` and the strip fuzz ``eps``.
 The empirical constants (M, L, K, A) are calibration defaults for the
 diagnostic checkers, not proven values.
 """

@@ -30,7 +30,6 @@ from .potentials import ExternalAddress
 class RayPoint:
     z: complex
     t: float
-    address: ExternalAddress
     depth_used: int
     error_estimate: float
 
@@ -149,7 +148,7 @@ def trace_segment(
             d = map_.d
             if not (d * t > config.EXP_ARG_LIMIT or potentials.step(d, t) > config.CAP):
                 raise NotConvergedError(f"depth budget exhausted at n=0 (t={t!r})")
-            samples.append(RayPoint(z, t, address, 0, abs(z) * 1e-16))
+            samples.append(RayPoint(z, t, 0, abs(z) * 1e-16))
             continue
         z_prev = tracts.unwrap(next(pulled))
         increment = abs(z - z_prev)
@@ -169,7 +168,7 @@ def trace_segment(
                 f"(increment {increment:.3e}, error estimate {err:.3e})",
                 details=(z_prev, z),
             )
-        samples.append(RayPoint(z, t, address, depth, max(err, floor)))
+        samples.append(RayPoint(z, t, depth, max(err, floor)))
     return RaySegment(tuple(samples))
 
 
@@ -178,7 +177,6 @@ class Extraction:
     t: float
     prefix: tuple[int, ...]
     residual: float
-    depth: int
     start: int = 0  # orbit index of prefix[0] (0 unless the point itself
     #                 sits left of the strip region)
 
@@ -242,7 +240,7 @@ def extract_potential_address(
     level = potentials.chain(map_.d, u, max_len=k + 1)[k]
     straight = potentials.straight_point(map_.d, level, prefix[-1])
     residual = abs(orbit[k] - straight)
-    return Extraction(u, tuple(prefix), residual, deepest, start)
+    return Extraction(u, tuple(prefix), residual, start)
 
 
 @dataclass(frozen=True)

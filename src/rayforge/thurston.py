@@ -80,6 +80,17 @@ class TargetSpec:
         return potentials.build_ladder(self.orbits, self.d, self.depth)
 
     @cached_property
+    def straight(self) -> np.ndarray:
+        """The read-only straight grid: point (i, j) at its asymptotic
+        position step^j(T_i) + 2*pi*i*s_j/d, shape (m, depth+1)."""
+        z = np.zeros((self.m, self.depth + 1), dtype=complex)
+        for i, values in enumerate(self.speeds):
+            for j, tj in enumerate(values):
+                z[i, j] = potentials.straight_point(self.d, tj, self.address(i).entry(j))
+        z.flags.writeable = False
+        return z
+
+    @cached_property
     def tail(self) -> tuple[complex | tracts.LogPolar, ...]:
         """Per orbit, the frozen level-(depth+1) point at its straight
         position step^(depth+1)(T_i) + 2*pi*i*s/d, as a complex seed in the
@@ -102,9 +113,10 @@ class TargetSpec:
 def validate_spec(spec: TargetSpec) -> None:
     """Reject structurally unsupported targets.
 
-    Checks: m <= d, positive potentials, depth representable in floats,
-    pairwise non-overlapping addresses, and finitely many nontrivial
-    clusters (equal-speed orbits whose shifted addresses keep agreeing).
+    Checks: m <= d, positive potentials whose speeds grow in double
+    precision, depth representable in floats, pairwise non-overlapping
+    addresses, and finitely many nontrivial clusters (equal-speed orbits
+    whose shifted addresses keep agreeing).
     """
     if spec.depth < 1:
         raise SpecRejectionError("grid depth must be >= 1")
@@ -118,6 +130,12 @@ def validate_spec(spec: TargetSpec) -> None:
     for i, (t, _) in enumerate(spec.orbits):
         if not t > 0:
             raise SpecRejectionError(f"orbit {i} potential must be > 0, got {t}")
+        # Only a tiny d*T can round step(T) down to T, which stalls the tower.
+        if spec.d * t < 1 and potentials.step(spec.d, t) <= t:
+            raise SpecRejectionError(
+                f"orbit {i} (T={t}): its speed does not grow in double "
+                "precision, since step(T) rounds to T; use a larger potential"
+            )
         levels = len(spec.speeds[i])
         if levels <= spec.depth:
             raise SpecRejectionError(
@@ -148,15 +166,6 @@ class ThurstonState:
     spec: TargetSpec
     z: np.ndarray  # complex, shape (m, depth+1)
     deltas: list[float] = field(default_factory=list)
-    soft_flags: list[str] = field(default_factory=list)
-
-
-def straight_grid(spec: TargetSpec) -> np.ndarray:
-    z = np.zeros((spec.m, spec.depth + 1), dtype=complex)
-    for i, values in enumerate(spec.speeds):
-        for j, tj in enumerate(values):
-            z[i, j] = potentials.straight_point(spec.d, tj, spec.address(i).entry(j))
-    return z
 
 
 def init_state(
@@ -166,7 +175,7 @@ def init_state(
     fitted to the first column.  ``jitter`` displaces every grid entry by
     that radius (seeded) to probe independence of the starting marking."""
     validate_spec(spec)
-    z = straight_grid(spec)
+    z = spec.straight.copy()
     if jitter:
         rng = np.random.default_rng(jitter_seed)
         phases = rng.uniform(0, 2 * math.pi, z.shape)
@@ -282,15 +291,17 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     seeds = [
         spec.tail[i] if j == spec.depth else complex(old[i, j + 1]) for i, j in points
     ]
-    complex_seeds = [(k, s) for k, s in enumerate(seeds) if isinstance(s, complex)]
-    # Points after the first seed left of the singular values are never
-    # reached; the points before it are, so their failures come first.
-    stop = next((k for k, s in complex_seeds if s.real <= cfg.r_min), len(points))
     pulled = tracts.inverse_branches(
-        map_, cfg, [spec.address(i).entry(j) for i, j in points[:stop]], seeds[:stop]
+        map_, cfg, [spec.address(i).entry(j) for i, j in points], seeds
     )
     new = np.zeros_like(old)
-    for (i, j), z in zip(points, pulled):
+    for (i, j), seed, z in zip(points, seeds, pulled):
+        if isinstance(z, DomainError):
+            raise InvariantViolationError(
+                f"grid point ({i},{j + 1}) fell left of the singular "
+                f"values (Re {seed.real:.3g} <= {cfg.r_min:.3g}); "
+                "marked points escaped the admissible region"
+            ) from z
         if isinstance(z, BranchSelectionError):
             raise UnsupportedHomotopyError(
                 f"pullback of grid point ({i},{j}) found no branch in its "
@@ -298,24 +309,9 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
                 "which the strip-indexed shadow does not support"
             ) from z
         new[i, j] = tracts.unwrap(z)
-    if stop < len(points):
-        i, j = points[stop]
-        raise InvariantViolationError(
-            f"grid point ({i},{j + 1}) fell left of the singular "
-            f"values (Re {seeds[stop].real:.3g} <= {cfg.r_min:.3g}); "
-            "marked points escaped the admissible region"
-        )
-    soft = [
-        f"({points[k][0]},{points[k][1] + 1}) in best-effort zone "
-        f"(Re {s.real:.3g} <= r {cfg.r:.3g})"
-        for k, s in complex_seeds
-        if s.real <= cfg.r
-    ]
     delta = float(np.abs(new - old).max())
     new_map = fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_)
-    return ThurstonState(
-        new_map, spec, new, state.deltas + [delta], state.soft_flags + soft
-    )
+    return ThurstonState(new_map, spec, new, state.deltas + [delta])
 
 
 @dataclass(frozen=True)
@@ -394,7 +390,6 @@ class ClassifyResult:
     certificate: Certificate
     deltas: list[float]
     iterate_log: list[np.ndarray] = field(default_factory=list)
-    soft_flags: list[str] = field(default_factory=list)
 
 
 def classify(
@@ -426,9 +421,7 @@ def classify(
             details=state.deltas,
         )
     certificate = verify(state.map, spec)
-    return ClassifyResult(
-        state.map, state.z, certificate, state.deltas, iterate_log, state.soft_flags
-    )
+    return ClassifyResult(state.map, state.z, certificate, state.deltas, iterate_log)
 
 
 @dataclass(frozen=True)
@@ -436,14 +429,12 @@ class InvariantReport:
     """Computable shadows of the invariant-region conditions at one state."""
 
     rho: float
-    n_inside: tuple[int, ...]
     inside_disk: bool
     tail_asymptotics: bool
     separation: bool
     homotopy_budget: bool
     pullback_real_parts: bool
     derivative_domain: bool
-    details: dict
 
 
 def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> InvariantReport:
@@ -481,7 +472,7 @@ def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> Invariant
         for i in range(m)
         for j in range(n_inside[i] + 1)
     )
-    straight = straight_grid(spec)
+    straight = spec.straight
     cond_tail = all(
         abs(grid_z[i, j] - straight[i, j]) < (1.0 / j if j > 0 else math.inf)
         for i in range(m)
@@ -519,12 +510,10 @@ def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> Invariant
     )
     return InvariantReport(
         rho=rho,
-        n_inside=tuple(n_inside),
         inside_disk=cond_inside,
         tail_asymptotics=cond_tail,
         separation=cond_sep,
         homotopy_budget=cond_budget,
         pullback_real_parts=cond_pullback_re,
         derivative_domain=cond_deriv_domain,
-        details={"t_n": t_n, "log_derivative_bound": log_m_rho},
     )

@@ -86,7 +86,6 @@ class TractConfig:
 def make_tract_config(
     map_: polyexp.PolyExpMap,
     eps: float | None = None,
-    budget: int = config.TRACT_RETRY_BUDGET,
 ) -> TractConfig:
     """Choose and certify (r, t_up, t_lo) for the strip inclusions.
 
@@ -94,7 +93,7 @@ def make_tract_config(
     coefficient moduli, so one pass certifies every strip index at once;
     |f'| >= 2 is additionally sampled on the inner strips.  On a sampled
     violation the half-plane is pushed right and everything is retried,
-    up to the budget.
+    up to ``config.TRACT_RETRY_BUDGET`` tries.
     """
     d = map_.d
     if eps is None:
@@ -140,7 +139,7 @@ def make_tract_config(
         skipped = np.logical_or.accumulate(broken, axis=2)
         return not np.any(hot & ~skipped & (np.abs(slope) < 2))
 
-    for _ in range(budget):
+    for _ in range(config.TRACT_RETRY_BUDGET):
         t_up = math.log(r + 1) / d - 1
         t_lo = math.log((r + 1) / sin_eps) / d + 1
 

@@ -138,15 +138,27 @@ class TestClassify:
 
     @pytest.mark.parametrize("t", [1e-300, 1e-17])
     def test_tiny_potential_exit_4(self, t, tmp_path, capsys):
-        # d*T below 1e-16 once made the tail's log step a math domain error.
+        # d*T below 1e-16 once made the tail's log step a math domain error;
+        # step(1, T) rounds to T there, so the spec is rejected up front.
         spec = tmp_path / "tiny.json"
         spec.write_text(json.dumps(
             {"d": 1, "J": 3, "orbits": [{"T": t, "address": {"period": [0]}}]}
         ))
         assert run(["classify", "--spec", str(spec)]) == 4
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["error"]["kind"] == "InvariantViolationError"
+        assert json.loads(captured.out)["error"]["kind"] == "SpecRejectionError"
         assert captured.err == ""
+
+    def test_stalled_speed_tower_exit_4(self, tmp_path, capsys):
+        # step(1, 1e-300) rounds to 1e-300, so no depth ever overflows; the
+        # spec used to pass validation after O(J) work, then fail in classify.
+        spec = _write(tmp_path, "stalled.json", {
+            "d": 1, "J": 100_000, "orbits": [{"T": 1e-300, "address": {"period": [0]}}],
+        })
+        assert run(["classify", "--spec", spec]) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "SpecRejectionError"
+        assert error["message"].startswith("orbit 0 (T=1e-300): its speed does not grow")
 
 
 class TestDiag:
@@ -172,22 +184,31 @@ class TestDiag:
         assert all(row["inside_disk"] for row in payload["iterations"])
 
     def test_invariant_set_builds_ladder_once(self, tmp_path, monkeypatch, capsys):
-        # The ladder depends on the spec alone, so one run file needs one.
+        # The ladder and the straight grid depend on the spec alone, so a run
+        # file with 11 grids builds them no more often than one with 1 grid.
         spec = _write(tmp_path, "spec2.json", serialize.spec_to_json(presets.SPEC_D2))
-        out = str(tmp_path / "logged.json")
-        assert run(["classify", "--spec", spec, "--out", out, "--log-iterates"]) == 0
+        logged, plain = str(tmp_path / "logged.json"), str(tmp_path / "plain.json")
+        assert run(["classify", "--spec", spec, "--out", logged, "--log-iterates"]) == 0
+        assert run(["classify", "--spec", spec, "--out", plain]) == 0
         capsys.readouterr()
         calls = []
-        build = potentials.build_ladder
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(potentials, "build_ladder", counted)
-        assert run(["diag", "invariant-set", "--run", out]) == 0
+        monkeypatch.setattr(potentials, "build_ladder", counted(potentials.build_ladder))
+        monkeypatch.setattr(potentials, "straight_point", counted(potentials.straight_point))
+        assert run(["diag", "invariant-set", "--run", plain]) == 0
+        assert len(json.loads(capsys.readouterr().out)["iterations"]) == 1
+        one_grid = calls.count("straight_point")
+        calls.clear()
+        assert run(["diag", "invariant-set", "--run", logged]) == 0
         assert len(json.loads(capsys.readouterr().out)["iterations"]) == 11
-        assert len(calls) == 1
+        assert calls.count("build_ladder") == 1
+        assert calls.count("straight_point") <= one_grid
 
 
 class TestHomotopyAndTracts:
@@ -263,6 +284,7 @@ class TestNumericOptions:
         ("diag appendix-a", "--rho", "nan"),  # LinAlgError
         ("diag appendix-a", "--rho", "inf"),  # ZeroDivisionError
         ("diag appendix-a", "--seed", "-1"),  # ValueError in the RNG seeding
+        ("diag appendix-a", "--d", "1"),  # exit 2 from the library, naming no option
         ("tracts inspect", "--strips", "-2"),  # exit 0 with no strips
         ("tracts inspect", "--strips", "10001"),  # 1e8 ran for over a minute
     ]
@@ -350,7 +372,7 @@ class TestInvariantSetInput:
 
     def _run(self, tmp_path, spec, **fields) -> int:
         grid = [[serialize.complex_to_json(complex(v)) for v in row]
-                for row in thurston.straight_grid(spec)]
+                for row in spec.straight]
         run_obj = {"config": {"spec": serialize.spec_to_json(spec)}, "grid": grid}
         return run(["diag", "invariant-set", "--run",
                     _write(tmp_path, "run.json", run_obj | fields)])

@@ -35,6 +35,13 @@ class TestValidate:
         with pytest.raises(SpecRejectionError, match="smaller depth"):
             thurston.validate_spec(spec)
 
+    def test_stalled_speed_tower_rejected_before_chains(self):
+        # step(1, 1e-300) rounds to 1e-300: the chain would run to J.
+        spec = TargetSpec(1, ((1e-300, ZERO),), 100_000)
+        with pytest.raises(SpecRejectionError, match="does not grow in double precision"):
+            thurston.validate_spec(spec)
+        assert "speeds" not in vars(spec)
+
     def test_infinite_cluster_diagnostic(self):
         with pytest.raises(SpecRejectionError, match="cluster"):
             thurston.validate_spec(presets.CLUSTER_REJECT)
@@ -171,7 +178,7 @@ class TestBatchedPullback:
 
     def _state(self, row0):
         spec = TargetSpec(2, ((1.0, ONE), (1.2, ZERO)), 2)
-        z = thurston.straight_grid(spec)
+        z = spec.straight.copy()
         z[0, 1:] = row0
         return thurston.ThurstonState(self.MAP, spec, z)
 

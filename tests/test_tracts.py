@@ -102,7 +102,7 @@ def _config_or_error(build, map_, **kwargs):
 
 
 class TestConfigMatchesScalarReference:
-    def test_equal_config_or_error_on_seeded_maps(self):
+    def test_equal_config_or_error_on_seeded_maps(self, monkeypatch):
         # d = 1..3 with coefficient moduli 0.01..100, every fourth map of
         # the form (w - a)^d + c, whose coefficients dwarf its singular
         # values (the only maps found that fail the vertical outer edge);
@@ -123,10 +123,11 @@ class TestConfigMatchesScalarReference:
             kwargs = {}
             if k % 2:
                 kwargs["eps"] = float(rng.uniform(0.01, 0.98)) * math.pi / (2 * d)
-            if k % 5 == 0:
-                kwargs["budget"] = 1
-            want = _config_or_error(scalar_make_tract_config, map_, **kwargs)
-            got = _config_or_error(tracts.make_tract_config, map_, **kwargs)
+            budget = 1 if k % 5 == 0 else config.TRACT_RETRY_BUDGET
+            want = _config_or_error(scalar_make_tract_config, map_, budget=budget, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(config, "TRACT_RETRY_BUDGET", budget)
+                got = _config_or_error(tracts.make_tract_config, map_, **kwargs)
             assert got == want
             errors += isinstance(want, tuple)
         assert errors > 0
