@@ -102,11 +102,6 @@ def _cmd_ray_trace(args) -> int:
     return EXIT_OK
 
 
-def _finite(x: float):
-    """JSON-safe float: certificate fields may be nan/inf on failed orbits."""
-    return x if math.isfinite(x) else None
-
-
 def _cmd_classify(args) -> int:
     spec = serialize.spec_from_json(_read_json(args.spec))
     result = thurston.classify(
@@ -120,37 +115,19 @@ def _cmd_classify(args) -> int:
             spec=serialize.spec_to_json(spec),
         ),
         "d": result.map.d,
-        "coeffs": [serialize.complex_to_json(c) for c in result.map.coeffs],
-        "grid": [
-            [serialize.complex_to_json(complex(v)) for v in row]
-            for row in result.z
-        ],
+        "coeffs": serialize.to_json(result.map.coeffs),
+        "grid": serialize.to_json(result.z),
         "delta_history": list(result.deltas),
         "iterations": len(result.deltas),
         "converged": True,
         "certificate": {
             "passed": cert.passed,
             "notes": list(cert.notes),
-            "orbits": [
-                {
-                    "orbit": c.orbit,
-                    "singular_value": serialize.complex_to_json(c.singular_value),
-                    "potential": _finite(c.potential),
-                    "potential_error": _finite(c.potential_error),
-                    "prefix_match_length": c.prefix_match_length,
-                    "prefix_length": c.prefix_length,
-                    "residual": _finite(c.residual),
-                    "escaped": c.escaped,
-                }
-                for c in cert.checks
-            ],
+            "orbits": serialize.to_json(cert.checks),
         },
     }
     if args.log_iterates:
-        payload["iterates"] = [
-            [[serialize.complex_to_json(complex(v)) for v in row] for row in grid]
-            for grid in result.iterate_log
-        ]
+        payload["iterates"] = serialize.to_json(result.iterate_log)
     _emit(serialize.dumps(payload), args.out)
     return EXIT_OK if cert.passed else EXIT_NUMERIC
 
@@ -162,13 +139,7 @@ def _cmd_diag_appendix(args) -> int:
         "config": _run_config(
             args, d=args.d, rho=args.rho, samples=args.samples, seed=args.seed
         ),
-        "max_critical_point_ratio": report.max_critical_point_ratio,
-        "max_coefficient_ratio": report.max_coefficient_ratio,
-        "containment_maps": report.containment_maps,
-        "containment_failures": report.containment_failures,
-        "containment_inconclusive": report.containment_inconclusive,
-        "containment_proven": report.containment_proven,
-        "worst_case": report.worst_case,
+        **serialize.to_json(report),
     }
     _emit(serialize.dumps(payload), args.output)
     return EXIT_OK
@@ -195,18 +166,7 @@ def _cmd_diag_invariant(args) -> int:
             raise DomainError(f"grid {it} is not {m}x{levels}, the shape its spec needs")
         grid = np.array(grid_rows, dtype=complex)
         rep = thurston.invariant_set_diagnostics(grid, spec)
-        rows.append(
-            {
-                "iteration": it,
-                "rho": rep.rho,
-                "inside_disk": rep.inside_disk,
-                "tail_asymptotics": rep.tail_asymptotics,
-                "separation": rep.separation,
-                "homotopy_budget": rep.homotopy_budget,
-                "pullback_real_parts": rep.pullback_real_parts,
-                "derivative_domain": rep.derivative_domain,
-            }
-        )
+        rows.append({"iteration": it, **serialize.to_json(rep)})
     payload = {
         "schema": serialize.SCHEMA,
         "config": _run_config(args, run=args.run),
@@ -223,7 +183,7 @@ def _cmd_homotopy_word(args) -> int:
     payload = {
         "schema": serialize.SCHEMA,
         "config": _run_config(args),
-        "word": [[idx, sign] for idx, sign in word.letters],
+        "word": serialize.to_json(word.letters),
     }
     _emit(serialize.dumps(payload), args.output)
     return EXIT_OK
@@ -235,12 +195,7 @@ def _cmd_tracts_inspect(args) -> int:
     payload = {
         "schema": serialize.SCHEMA,
         "config": _run_config(args, epsilon=args.epsilon, strips=args.strips),
-        "d": cfg.d,
-        "r": cfg.r,
-        "r_min": cfg.r_min,
-        "t_up": cfg.t_up,
-        "t_lo": cfg.t_lo,
-        "eps": cfg.eps,
+        **serialize.to_json(cfg),
         "strips": [
             {
                 "n": n,

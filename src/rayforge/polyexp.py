@@ -279,8 +279,10 @@ def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containmen
     sampled by a root solve on 360 points of the circle |w| = r, and a
     failed solve makes the report inconclusive rather than failed.
     Part 2: |p(z)| < rho^(2d+1) on 360 points of |z| = rho^2, so the
-    rho^2-disk maps into the rho^(2d+1)-disk.  The checker reports; it
-    never asserts its preconditions.
+    rho^2-disk maps into the rho^(2d+1)-disk.  It is checked as |q(u)| < rho
+    on the unit circle for q(u) = rho^(-2d) p(rho^2 u), whose coefficients
+    b_k rho^(2(k-d)) stay in the float range where rho^(2d+1) may not.
+    The checker reports; it never asserts its preconditions.
     """
     samples = len(_CIRCLE)
     part1 = proven = fujiwara_bound(map_.coeffs, r) * (1 + 1e-12) < r
@@ -291,8 +293,14 @@ def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containmen
             return ContainmentReport(False, False, False, True, samples, False)
         part1 = bool(np.all(np.abs(roots) < r))
 
-    target = rho ** (2 * map_.d + 1)
-    part2 = bool(np.all(np.abs(map_.poly(rho**2 * _CIRCLE)) < target))
+    # A monic q has max |q| >= 1 on the unit circle, so part 2 fails for
+    # rho <= 1; for rho > 1 the powers of rho in q's coefficients can only
+    # underflow.
+    part2 = False
+    if rho > 1:
+        d = map_.d
+        q = PolyExpMap(d, [b * rho ** (2 * (k - d)) for k, b in enumerate(map_.coeffs)])
+        part2 = bool(np.all(np.abs(q.poly(_CIRCLE)) < rho))
     return ContainmentReport(part1 and part2, part1, part2, False, samples, proven)
 
 
@@ -343,10 +351,6 @@ def sup_derivative_bound(
 class AppendixReport:
     """Monte-Carlo summary of the disk/coefficient/critical-point checkers."""
 
-    d: int
-    rho: float
-    samples: int
-    seed: int
     max_critical_point_ratio: float
     max_coefficient_ratio: float
     containment_maps: int
@@ -391,10 +395,6 @@ def appendix_report(
     failures = sum(1 for rep in contains if not rep.inconclusive and not rep.part1)
     worst_idx = int(np.argmax(ratios))
     return AppendixReport(
-        d=d,
-        rho=rho,
-        samples=samples,
-        seed=seed,
         max_critical_point_ratio=float(max(ratios)),
         max_coefficient_ratio=float(max(coeffs)),
         containment_maps=containment_maps,

@@ -218,7 +218,7 @@ def extract_potential_address(
         if log_err > angle_budget:
             break
         try:
-            idx = tracts.tract_index(zk, map_.d, cfg)
+            idx = tracts.tract_index(zk, cfg)
         except DomainError as exc:
             if not prefix:
                 start = k + 1  # leading iterates left of the strips
@@ -272,8 +272,5 @@ def check_monotone(
             zs = [map_(z) for z in zs]
         except OverflowSignal:
             break
-    onset = 0
-    for n in sorted(violations):
-        if n >= onset:
-            onset = n + 1
+    onset = max(violations) + 1 if violations else 0
     return MonotoneReport(onset, horizon, violations)

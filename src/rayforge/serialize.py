@@ -10,12 +10,22 @@ Schemas ("rayforge/1"):
 
 Every command output embeds the schema string and the run configuration,
 and serialization is byte-deterministic for equal inputs.
+
+``to_json`` is the one encoder: a dataclass becomes its fields by name, a
+dict stays a dict, a list, tuple or ndarray becomes a list, a complex
+number becomes {"re", "im"} and a non-finite float null; other values pass
+through.  So map, address and report keys are the dataclasses' field
+names, except for the ``ray trace`` samples (t, re, im, depth, err).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from typing import Any
+
+import numpy as np
 
 from .errors import DomainError
 from .homotopy import MarkedSet, PolylineCurve
@@ -30,6 +40,21 @@ def complex_to_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def to_json(obj: Any) -> Any:
+    """The JSON value of ``obj`` by the module's one encoding rule."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, complex):
+        return complex_to_json(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def complex_from_json(obj: Any) -> complex:
     try:
         return complex(float(obj["re"]), float(obj["im"]))
@@ -37,19 +62,11 @@ def complex_from_json(obj: Any) -> complex:
         raise DomainError(f"expected {{re, im}} object, got {obj!r}") from exc
 
 
-def address_to_json(addr: ExternalAddress) -> dict:
-    return {"preperiod": list(addr.preperiod), "period": list(addr.period)}
-
-
 def address_from_json(obj: Any) -> ExternalAddress:
     try:
         return ExternalAddress(obj.get("preperiod", []), obj["period"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError(f"bad address object: {obj!r}") from exc
-
-
-def map_to_json(map_: PolyExpMap) -> dict:
-    return {"d": map_.d, "coeffs": [complex_to_json(c) for c in map_.coeffs]}
 
 
 def map_from_json(obj: Any) -> PolyExpMap:
@@ -64,9 +81,7 @@ def spec_to_json(spec: TargetSpec) -> dict:
     return {
         "d": spec.d,
         "J": spec.depth,
-        "orbits": [
-            {"T": float(t), "address": address_to_json(a)} for t, a in spec.orbits
-        ],
+        "orbits": [{"T": float(t), "address": to_json(a)} for t, a in spec.orbits],
     }
 
 

@@ -340,9 +340,7 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
     (potential, address prefix) against the target.  Independent of the
     pullback route: only forward evaluation and strip reads are used."""
     cfg = tracts.make_tract_config(map_)
-    sv = _singular_vector(
-        map_, [potentials.straight_point(spec.d, t, a.entry(0)) for t, a in spec.orbits]
-    )
+    sv = _singular_vector(map_, spec.straight[:, 0])
     checks = []
     notes = []
     passed = True

@@ -177,7 +177,7 @@ def make_tract_config(
     )
 
 
-def tract_index(z: complex, d: int, cfg: TractConfig) -> int:
+def tract_index(z: complex, cfg: TractConfig) -> int:
     """Index of the strip containing z.
 
     Certified for Re z >= t_lo; points with Re z >= t_up are read
@@ -190,22 +190,17 @@ def tract_index(z: complex, d: int, cfg: TractConfig) -> int:
         raise DomainError(
             f"point {z} lies left of the strip region (Re < {cfg.t_up:.3g})"
         )
-    m = z.imag * d / (2 * math.pi)
-    lower = math.floor(m)
-    frac = m - lower
-    if frac > 0.5:
-        n = lower + 1
-    elif frac < 0.5:
-        n = lower
-    else:
-        n = lower if abs(lower) <= abs(lower + 1) else lower + 1
-    dist = abs(z.imag - 2 * math.pi * n / d)
-    half = math.pi / (2 * d)
+    # A point midway between two centers lies pi/d > pi/2d + eps from both,
+    # so the rounding of a tie never changes the outcome.
+    n = round(z.imag * cfg.d / (2 * math.pi))
+    center = cfg.strip_center(n)
+    dist = abs(z.imag - center)
+    half = cfg.strip_half_width()
     if dist <= half:
-        return int(n)
+        return n
     if dist <= half + cfg.eps:
-        side = 1 if z.imag > 2 * math.pi * n / d else -1
-        raise AmbiguousTractError(z, (int(n), int(n) + side))
+        side = 1 if z.imag > center else -1
+        raise AmbiguousTractError(z, (n, n + side))
     raise DomainError(f"point {z} lies between strips (offset {dist:.3g})")
 
 
@@ -280,8 +275,7 @@ def _select_branch(
 ) -> complex:
     """Lift log(zeta) of the root closest to strip n by the multiple of
     2*pi*i that lands there, and check the residual of f at the result."""
-    d = map_.d
-    center = 2 * math.pi * n / d
+    center = cfg.strip_center(n)
     best = None
     candidates = []
     for zeta in sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)):
@@ -294,7 +288,7 @@ def _select_branch(
         candidates.append(z)
         if best is None or dist < best[0]:
             best = (dist, z)
-    if best is None or best[0] > math.pi / (2 * d) + cfg.eps:
+    if best is None or best[0] > cfg.strip_half_width() + cfg.eps:
         raise BranchSelectionError(
             f"no root of p = w lands in strip {n} for w={w}", candidates
         )

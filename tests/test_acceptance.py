@@ -246,8 +246,8 @@ def test_10_determinism(tmp_path):
         p.write_text(serialize.dumps(obj))
         return str(p)
 
-    map_path = write("exp.json", serialize.map_to_json(presets.EXP_MAP))
-    addr_path = write("zero.json", serialize.address_to_json(presets.ZERO))
+    map_path = write("exp.json", serialize.to_json(presets.EXP_MAP))
+    addr_path = write("zero.json", serialize.to_json(presets.ZERO))
     spec_path = write("spec.json", serialize.spec_to_json(presets.SPEC_D1))
     marked_path = write(
         "pts.json", {"points": [{"re": 0.0, "im": 0.0}, {"re": 3.0, "im": -1.0}]}

@@ -20,8 +20,8 @@ def workdir(tmp_path):
         return str(path)
 
     paths = {
-        "map": write("exp.json", serialize.map_to_json(presets.EXP_MAP)),
-        "zero": write("zero.json", serialize.address_to_json(presets.ZERO)),
+        "map": write("exp.json", serialize.to_json(presets.EXP_MAP)),
+        "zero": write("zero.json", serialize.to_json(presets.ZERO)),
         "spec1": write("spec1.json", serialize.spec_to_json(presets.SPEC_D1)),
         "bad_spec": write(
             "bad.json", serialize.spec_to_json(presets.CLUSTER_REJECT)
@@ -172,6 +172,18 @@ class TestDiag:
         assert payload["containment_failures"] == 0
         assert payload["max_critical_point_ratio"] > 0
 
+    @pytest.mark.parametrize("d,rho", [("2", "1e62"), ("3", "1e45"), ("20", "1e10")])
+    def test_appendix_report_beyond_float_range(self, d, rho, capsys):
+        # rho^(2d+1) leaves the float range; the containment check used to
+        # raise OverflowError computing it (exit 1 with a traceback)
+        code = run(["diag", "appendix-a", "--d", d, "--rho", rho, "--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert set(payload) == PAYLOAD_KEYS["diag appendix-a"]
+        assert payload["containment_maps"] == 5
+
     def test_invariant_set_from_run(self, workdir, capsys):
         out = str(workdir["dir"] / "logged.json")
         assert run(
@@ -232,7 +244,7 @@ class TestHomotopyAndTracts:
         # its critical value overflows; the strip bounds used to come out
         # inf and crash the JSON writer
         path = tmp_path / "big.json"
-        path.write_text(serialize.dumps(serialize.map_to_json(PolyExpMap(2, [0, 1e200]))))
+        path.write_text(serialize.dumps(serialize.to_json(PolyExpMap(2, [0, 1e200]))))
         code = run(["tracts", "inspect", "--map", str(path)])
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
@@ -309,7 +321,7 @@ def _write(tmp_path, name, obj) -> str:
     return str(path)
 
 
-MAP2 = serialize.map_to_json(PolyExpMap(2, [0.1, 0.1j]))
+MAP2 = serialize.to_json(PolyExpMap(2, [0.1, 0.1j]))
 SPEC1 = serialize.spec_to_json(presets.SPEC_D1)
 
 
@@ -432,6 +444,105 @@ CONFIG_KEYS = {
     "homotopy word": {"command"},
     "tracts inspect": {"command", "epsilon", "strips"},
 }
+
+
+# Keys of each command's JSON payload and of the records inside it.  Report
+# keys are the field names of the library's dataclasses, so renaming a field
+# changes the wire format; these sets pin it.
+PAYLOAD_KEYS = {
+    "ray trace": {"schema", "config", "samples"},
+    "classify": {
+        "schema", "config", "d", "coeffs", "grid", "delta_history", "iterations",
+        "converged", "certificate",
+    },
+    "diag appendix-a": {
+        "schema", "config", "max_critical_point_ratio", "max_coefficient_ratio",
+        "containment_maps", "containment_failures", "containment_inconclusive",
+        "containment_proven", "worst_case",
+    },
+    "diag invariant-set": {"schema", "config", "iterations"},
+    "homotopy word": {"schema", "config", "word"},
+    "tracts inspect": {
+        "schema", "config", "d", "r", "r_min", "t_up", "t_lo", "eps", "strips",
+    },
+}
+COMPLEX_KEYS = {"re", "im"}
+SAMPLE_KEYS = {"t", "re", "im", "depth", "err"}
+CERTIFICATE_KEYS = {"passed", "notes", "orbits"}
+ORBIT_KEYS = {
+    "orbit", "singular_value", "potential", "potential_error",
+    "prefix_match_length", "prefix_length", "residual", "escaped",
+}
+INVARIANT_ROW_KEYS = {
+    "iteration", "rho", "inside_disk", "tail_asymptotics", "separation",
+    "homotopy_budget", "pullback_real_parts", "derivative_domain",
+}
+STRIP_KEYS = {"n", "center", "half_width"}
+WORST_CASE_KEYS = {"sample_index", "ratio"}
+
+
+class TestWireSchema:
+    """The exact keys of every JSON payload on shipped inputs."""
+
+    def _payload(self, argv, capsys) -> dict:
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == PAYLOAD_KEYS[payload["config"]["command"]]
+        return payload
+
+    def test_ray_trace(self, workdir, capsys):
+        payload = self._payload(
+            ["ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
+             "--t-lo", "1", "--t-hi", "5", "--samples", "3", "--out", "json"],
+            capsys,
+        )
+        assert all(set(s) == SAMPLE_KEYS for s in payload["samples"])
+
+    @pytest.mark.parametrize("spec", ["SPEC_D1", "SPEC_D2"])
+    @pytest.mark.parametrize("log_iterates", [False, True], ids=["plain", "logged"])
+    def test_classify_and_invariant_set(self, spec, log_iterates, tmp_path, capsys):
+        spec_obj = serialize.spec_to_json(getattr(presets, spec))
+        spec_path = _write(tmp_path, "spec.json", spec_obj)
+        out = str(tmp_path / "run.json")
+        argv = ["classify", "--spec", spec_path, "--out", out]
+        assert run(argv + ["--log-iterates"] * log_iterates) == 0
+        payload = json.loads(open(out).read())
+        logged = {"iterates"} if log_iterates else set()
+        assert set(payload) == PAYLOAD_KEYS["classify"] | logged
+        grids = payload.get("iterates", [payload["grid"]])
+        points = [v for g in grids + [payload["grid"]] for row in g for v in row]
+        points += payload["coeffs"]
+        assert all(set(v) == COMPLEX_KEYS for v in points)
+        cert = payload["certificate"]
+        assert set(cert) == CERTIFICATE_KEYS
+        assert all(set(o) == ORBIT_KEYS for o in cert["orbits"])
+        assert all(set(o["singular_value"]) == COMPLEX_KEYS for o in cert["orbits"])
+
+        rows = self._payload(["diag", "invariant-set", "--run", out], capsys)["iterations"]
+        assert len(rows) == len(grids)
+        assert all(set(row) == INVARIANT_ROW_KEYS for row in rows)
+
+    def test_appendix_a(self, capsys):
+        payload = self._payload(
+            ["diag", "appendix-a", "--d", "2", "--rho", "50", "--samples", "4"], capsys
+        )
+        assert set(payload["worst_case"]) == WORST_CASE_KEYS
+
+    def test_homotopy_word(self, workdir, capsys):
+        payload = self._payload(
+            ["homotopy", "word", "--marked", workdir["marked"],
+             "--curve", workdir["curve"]],
+            capsys,
+        )
+        assert payload["word"] == [[1, 1]]
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--epsilon", "0.1"]], ids=["default", "epsilon"]
+    )
+    def test_tracts_inspect(self, extra, workdir, capsys):
+        argv = ["tracts", "inspect", "--map", workdir["map"]] + extra
+        payload = self._payload(argv, capsys)
+        assert all(set(s) == STRIP_KEYS for s in payload["strips"])
 
 
 class TestSurface:

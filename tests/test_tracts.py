@@ -135,27 +135,27 @@ class TestConfigMatchesScalarReference:
 
 class TestTractIndex:
     def test_center_hits(self, cfg_exp, cfg_d2):
-        assert tracts.tract_index(100 + 0j, 1, cfg_exp) == 0
-        assert tracts.tract_index(50 + 3 * math.pi * 1j, 2, cfg_d2) == 3
+        assert tracts.tract_index(100 + 0j, cfg_exp) == 0
+        assert tracts.tract_index(50 + 3 * math.pi * 1j, cfg_d2) == 3
 
     def test_nominal_edge_inclusive(self, cfg_exp):
         # half-width pi/2 for d=1: the nominal boundary still resolves
-        assert tracts.tract_index(50 + (math.pi / 2) * 1j, 1, cfg_exp) == 0
+        assert tracts.tract_index(50 + (math.pi / 2) * 1j, cfg_exp) == 0
 
     def test_fuzz_zone_is_ambiguous(self, cfg_exp):
         z = 50 + (math.pi / 2 + cfg_exp.eps / 2) * 1j
         with pytest.raises(AmbiguousTractError) as err:
-            tracts.tract_index(z, 1, cfg_exp)
+            tracts.tract_index(z, cfg_exp)
         assert set(err.value.candidates) == {0, 1}
 
     def test_between_strips_rejected(self, cfg_d2):
         z = 50 + (math.pi / 2) * 1j  # midway between centers 0 and pi
         with pytest.raises(DomainError):
-            tracts.tract_index(z, 2, cfg_d2)
+            tracts.tract_index(z, cfg_d2)
 
     def test_left_of_region_rejected(self, cfg_exp):
         with pytest.raises(DomainError):
-            tracts.tract_index(-5 + 0j, 1, cfg_exp)
+            tracts.tract_index(-5 + 0j, cfg_exp)
 
 
 class TestInverseBranch:
@@ -181,7 +181,7 @@ class TestInverseBranch:
                 rng.uniform(-20, 20),
             )
             z = tracts.inverse_branch(D2_GEN, cfg_d2_gen, n, w)
-            assert tracts.tract_index(z, 2, cfg_d2_gen) == n
+            assert tracts.tract_index(z, cfg_d2_gen) == n
             assert abs(D2_GEN(z) - w) <= 1e-9 * max(1.0, abs(w))
 
     def test_domain_error_left_of_singular_values(self, cfg_exp):
