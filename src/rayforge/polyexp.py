@@ -375,7 +375,9 @@ def appendix_report(
     each sample's values depend only on the seed and its index.
     Containment failures and inconclusive checks are counted from sampled
     checks only: a proven containment is neither, and a sampled check whose
-    root solve failed counts as inconclusive, never as a failure.
+    root solve failed counts as inconclusive, never as a failure.  Raises
+    OverflowSignal when a sample's arithmetic leaves the float range (rho
+    near the largest double).
     """
     if containment_maps is None:
         containment_maps = min(samples, 200)
@@ -383,12 +385,17 @@ def appendix_report(
     ratios, coeffs, contains = [], [], []
     for idx in range(samples):
         rng = np.random.default_rng((seed, idx))
-        poly = sample_poly_with_critical_values_in(d, rho, rng)
-        ratios.append(check_critical_point_bound(poly, rho).ratio)
-        map_ = sample_map_with_singular_values_in(d, rho, rng)
-        coeffs.append(check_coefficient_bound(map_, rho).ratio)
-        if idx < containment_maps:
-            contains.append(check_disk_containment(map_, rho, rho))
+        try:
+            poly = sample_poly_with_critical_values_in(d, rho, rng)
+            ratios.append(check_critical_point_bound(poly, rho).ratio)
+            map_ = sample_map_with_singular_values_in(d, rho, rng)
+            coeffs.append(check_coefficient_bound(map_, rho).ratio)
+            if idx < containment_maps:
+                contains.append(check_disk_containment(map_, rho, rho))
+        except OverflowError as exc:
+            raise OverflowSignal(
+                f"sample {idx} at rho={rho!r} left the float range: {exc}"
+            ) from exc
 
     inconclusive = sum(1 for rep in contains if rep.inconclusive)
     proven = sum(1 for rep in contains if rep.proven)
@@ -409,7 +416,8 @@ def _rescaled(map_: PolyExpMap, a: float) -> PolyExpMap:
     """q(z) = a^-d p(a z): scales singular values by a^-d and critical
     points by 1/a, and keeps q monic."""
     d = map_.d
-    return PolyExpMap(d, [map_.coeffs[k] * a ** (k - d) for k in range(d)])
+    # A zero coefficient stays zero even where a^(k-d) overflows.
+    return PolyExpMap(d, [c * a ** (k - d) if c else c for k, c in enumerate(map_.coeffs)])
 
 
 def sample_poly_with_critical_values_in(

@@ -10,6 +10,12 @@ is a genuine orbit segment of the map and the singular values escape with
 the prescribed speeds and addresses, which an independent forward-orbit
 verifier certifies.
 
+``classify`` mixes each next grid from the last pullbacks (Anderson mixing,
+Walker & Ni 2011), which reaches the same fixed point in fewer steps.  It
+stops as the plain iteration does, on the first real pullback step that
+moves the grid by less than ``tol``, and takes the plain step whenever a
+mixed grid fails or does worse.
+
 Branches are selected purely by strip index: configurations that would
 need nontrivial leg words to pull back are unsupported and surface as
 UnsupportedHomotopyError.
@@ -34,6 +40,7 @@ from .errors import (
     InvariantViolationError,
     NotConvergedError,
     NotEscapingError,
+    RayforgeError,
     SpecRejectionError,
     UnsupportedHomotopyError,
 )
@@ -390,6 +397,39 @@ class ClassifyResult:
     iterate_log: list[np.ndarray] = field(default_factory=list)
 
 
+def _anderson_mix(
+    history: Sequence[tuple[np.ndarray, np.ndarray]], pulled: ThurstonState
+) -> ThurstonState | None:
+    """The Anderson-mixed next iterate from (x, P(x)) pairs of flattened
+    grids, oldest first, the last of them ``pulled``: P(x_k) minus the
+    weighted differences of successive P(x), with weights that minimise the
+    same combination of the residuals P(x) - x, solved from their Gram
+    matrix by Cramer's rule.  None when that system is singular or no map
+    fits the mixed grid."""
+    xs, ps = zip(*history)
+    fs = [p - x for x, p in zip(xs, ps)]
+    df = [b - a for a, b in zip(fs, fs[1:])]
+    dp = [b - a for a, b in zip(ps, ps[1:])]
+    gram = [[np.vdot(a, b) for b in df] for a in df]
+    rhs = [np.vdot(a, fs[-1]) for a in df]
+    if len(df) == 1:
+        det = gram[0][0].real
+        numerators = [rhs[0]]
+    else:
+        (g00, g01), (g10, g11) = gram
+        det = (g00 * g11 - g01 * g10).real
+        numerators = [rhs[0] * g11 - g01 * rhs[1], g00 * rhs[1] - g10 * rhs[0]]
+    if not det > 0:
+        return None
+    x = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
+    z = x.reshape(pulled.z.shape)
+    try:
+        map_ = fit_map(pulled.spec.d, [complex(v) for v in z[:, 0]], warm=pulled.map)
+    except RayforgeError:
+        return None
+    return ThurstonState(map_, pulled.spec, z, pulled.deltas)
+
+
 def classify(
     spec: TargetSpec,
     max_iter: int = config.CLASSIFY_MAX_ITER,
@@ -400,26 +440,54 @@ def classify(
 ) -> ClassifyResult:
     """Iterate the pullback to its fixed point and certify the result.
 
+    Each next grid is the Anderson mix (memory ``config.ANDERSON_MEMORY``)
+    of the last pullbacks, with the map refitted to its first column.  The
+    first real pullback step that moves the grid by less than tol (sup
+    norm) stops the run, and its pulled state is the result.  The history
+    is dropped and the last pulled grid taken as it is (the plain step)
+    when the pullback of a mixed grid raises or moves it more than the step
+    before, or when no mixed grid can be formed.  ``deltas`` and
+    ``iterate_log`` record real pullback steps only; max_iter bounds the
+    ``pullback_step`` calls, a raising one included.
+
     Raises NotConvergedError (with the delta history attached, so
     oscillation and slow contraction are distinguishable) when max_iter
     steps do not bring the sup-norm grid displacement under tol.
     """
-    state = init_state(spec, jitter=jitter, jitter_seed=jitter_seed)
+    state = pulled = init_state(spec, jitter=jitter, jitter_seed=jitter_seed)
     iterate_log = [state.z.copy()] if log_iterates else []
+    history: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_iter):
-        state = pullback_step(state)
+        mixed = state is not pulled  # a mixed grid, not the last pulled one
+        try:
+            step = pullback_step(state)
+        except RayforgeError:
+            if not mixed:
+                raise
+            state, history = pulled, []
+            continue
         if log_iterates:
-            iterate_log.append(state.z.copy())
-        if state.deltas[-1] < tol:
+            iterate_log.append(step.z.copy())
+        if step.deltas[-1] < tol:
             break
+        if mixed and step.deltas[-1] > step.deltas[-2]:
+            history = []
+        else:
+            history.append((state.z.ravel(), step.z.ravel()))
+            del history[: -(config.ANDERSON_MEMORY + 1)]
+        pulled = state = step
+        if len(history) > 1:
+            state = _anderson_mix(history, step) or step
+            if state is step:
+                history = []
     else:
         raise NotConvergedError(
             f"pullback did not converge in {max_iter} iterations "
-            f"(last delta {state.deltas[-1]:.3e})",
-            details=state.deltas,
+            f"(last delta {pulled.deltas[-1]:.3e})",
+            details=pulled.deltas,
         )
-    certificate = verify(state.map, spec)
-    return ClassifyResult(state.map, state.z, certificate, state.deltas, iterate_log)
+    certificate = verify(step.map, spec)
+    return ClassifyResult(step.map, step.z, certificate, step.deltas, iterate_log)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ import math
 
 import numpy as np
 
-from rayforge import config, polyexp, tracts
+from rayforge import config, polyexp, thurston, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
     InvariantViolationError,
+    NotConvergedError,
     OverflowSignal,
     RootSolveError,
     TractConfigError,
@@ -252,6 +253,26 @@ def scalar_make_tract_config(
 
     raise TractConfigError(
         f"could not certify strip bounds within budget (last r={r})"
+    )
+
+
+def plain_pullback(
+    spec: thurston.TargetSpec,
+    max_iter: int = config.CLASSIFY_MAX_ITER,
+    tol: float = config.CLASSIFY_TOL,
+) -> thurston.ClassifyResult:
+    """Reference classifier: the plain fixed-point iteration z <- P(z), one
+    ``thurston.pullback_step`` after another from the straight spider, with
+    the stopping rule of ``thurston.classify`` and no mixing.  Its deltas
+    are the contraction of the pullback operator itself."""
+    state = thurston.init_state(spec)
+    for _ in range(max_iter):
+        state = thurston.pullback_step(state)
+        if state.deltas[-1] < tol:
+            certificate = thurston.verify(state.map, spec)
+            return thurston.ClassifyResult(state.map, state.z, certificate, state.deltas)
+    raise NotConvergedError(
+        f"plain pullback did not converge in {max_iter} iterations", details=state.deltas
     )
 
 

@@ -184,6 +184,27 @@ class TestDiag:
         assert set(payload) == PAYLOAD_KEYS["diag appendix-a"]
         assert payload["containment_maps"] == 5
 
+    @pytest.mark.parametrize("d", ["2", "3"])
+    @pytest.mark.parametrize("rho", ["1e306", "1e307", "1e308"])
+    def test_appendix_report_near_float_max(self, d, rho, capsys):
+        # Rescaling a sample toward rho used to overflow a^(k-d) on its zero
+        # b_0 (exit 1 with an OverflowError traceback).
+        code = run(["diag", "appendix-a", "--d", d, "--rho", rho, "--samples", "200"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert set(payload) == PAYLOAD_KEYS["diag appendix-a"]
+        assert payload["containment_failures"] == 0
+
+    @pytest.mark.parametrize("d,rho", [("2", "1.7e308"), ("3", "1.7e308"), ("4", "1e308")])
+    def test_appendix_report_past_float_max_signals_overflow(self, d, rho, capsys):
+        # Singular values past the largest double: exit 3 with a payload,
+        # never an OverflowError traceback.
+        code = run(["diag", "appendix-a", "--d", d, "--rho", rho, "--samples", "200"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 3
+        assert error["kind"] == "OverflowSignal"
+        assert "left the float range" in error["message"]
+
     def test_invariant_set_from_run(self, workdir, capsys):
         out = str(workdir["dir"] / "logged.json")
         assert run(
@@ -197,7 +218,8 @@ class TestDiag:
 
     def test_invariant_set_builds_ladder_once(self, tmp_path, monkeypatch, capsys):
         # The ladder and the straight grid depend on the spec alone, so a run
-        # file with 11 grids builds them no more often than one with 1 grid.
+        # file with one grid per iteration builds them no more often than one
+        # with 1 grid.
         spec = _write(tmp_path, "spec2.json", serialize.spec_to_json(presets.SPEC_D2))
         logged, plain = str(tmp_path / "logged.json"), str(tmp_path / "plain.json")
         assert run(["classify", "--spec", spec, "--out", logged, "--log-iterates"]) == 0
@@ -218,7 +240,9 @@ class TestDiag:
         one_grid = calls.count("straight_point")
         calls.clear()
         assert run(["diag", "invariant-set", "--run", logged]) == 0
-        assert len(json.loads(capsys.readouterr().out)["iterations"]) == 11
+        rows = json.loads(capsys.readouterr().out)["iterations"]
+        with open(logged, encoding="utf-8") as fh:
+            assert len(rows) == json.load(fh)["iterations"] + 1
         assert calls.count("build_ladder") == 1
         assert calls.count("straight_point") <= one_grid
 

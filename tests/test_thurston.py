@@ -18,7 +18,7 @@ from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
 from rayforge.thurston import TargetSpec
 
-from oracles import scalar_pullback_grid
+from oracles import plain_pullback, scalar_pullback_grid
 
 ZERO = presets.ZERO
 ONE = presets.ONE
@@ -150,7 +150,8 @@ class TestPullback:
         assert stepped.deltas[-1] < 1e-12
 
     def test_deltas_decrease_geometrically(self):
-        res = thurston.classify(presets.SPEC_D1)
+        # the plain operator contracts; classify's mixed deltas are not this
+        res = plain_pullback(presets.SPEC_D1)
         dl = res.deltas
         for k in range(3, len(dl) - 1):
             if dl[k] == 0:
@@ -275,6 +276,145 @@ class TestClassify:
         pa = res_a.certificate.checks[0].potential
         pb = res_b.certificate.checks[0].potential
         assert abs(pa - pb) < 1e-8
+
+
+def _coeff_gap(a, b):
+    return max(abs(x - y) for x, y in zip(a.map.coeffs, b.map.coeffs))
+
+
+# Newly certified by the mixed iteration: the plain iteration contracts by
+# only about 0.8 per step on the first and stops short of 1e-10 in 50 steps;
+# on the second it converges, but its map fails the prefix check (2/3).
+SLOW_D1 = TargetSpec(1, ((0.5, ZERO),), 4)
+PREFIX_D2 = TargetSpec(2, ((1.3276, ONE), (2.1696, ExternalAddress((), (0, 0)))), 2)
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize(
+        "spec, most", [(presets.SPEC_D1, 7), (presets.SPEC_D2, 6)], ids=["d1", "d2"]
+    )
+    def test_shipped_specs_take_few_steps(self, spec, most, monkeypatch):
+        plain = plain_pullback(spec)
+        calls = []
+        step = thurston.pullback_step
+        monkeypatch.setattr(
+            thurston, "pullback_step", lambda state: calls.append(state) or step(state)
+        )
+        res = thurston.classify(spec)
+        assert len(calls) == len(res.deltas) <= most
+        assert res.certificate.passed
+        assert _coeff_gap(res, plain) < 1e-9
+
+    def test_failed_mixed_pullback_falls_back_to_plain_step(self, monkeypatch):
+        # The first pullback of a grid that no earlier step returned (a mixed
+        # grid) raises; the safeguard drops the history and steps on from the
+        # last pulled grid.
+        spec = presets.SPEC_D2
+        plain = plain_pullback(spec)
+        pulled, raised = [], []
+        step = thurston.pullback_step
+
+        def first_mixed_raises(state):
+            if pulled and not raised and all(state is not p for p in pulled):
+                raised.append(state)
+                raise InvariantViolationError("forced failure of a mixed pullback")
+            pulled.append(step(state))
+            return pulled[-1]
+
+        monkeypatch.setattr(thurston, "pullback_step", first_mixed_raises)
+        res = thurston.classify(spec)
+        assert raised
+        assert len(res.deltas) == len(pulled)
+        assert res.certificate.passed
+        assert _coeff_gap(res, plain) < 1e-9
+
+    def test_growing_mixed_step_falls_back_to_plain_step(self, monkeypatch):
+        # The first pullback of a mixed grid reports a displacement larger
+        # than the step before: the next two grids are the pulled ones (the
+        # plain step, then a plain step again while the history refills).
+        spec = presets.SPEC_D2
+        plain = plain_pullback(spec)
+        states, pulled, grown = [], [], []
+        step = thurston.pullback_step
+
+        def first_mixed_grows(state):
+            states.append(state)
+            out = step(state)
+            if pulled and not grown and all(state is not p for p in pulled):
+                grown.append(len(states) - 1)
+                out = thurston.ThurstonState(
+                    out.map, out.spec, out.z, out.deltas[:-1] + [2 * out.deltas[-2]]
+                )
+            pulled.append(out)
+            return out
+
+        monkeypatch.setattr(thurston, "pullback_step", first_mixed_grows)
+        res = thurston.classify(spec)
+        k = grown[0]
+        assert states[k + 1] is pulled[k] and states[k + 2] is pulled[k + 1]
+        assert res.certificate.passed
+        assert _coeff_gap(res, plain) < 1e-9
+
+    def test_no_mixed_grid_without_weights_or_map(self, monkeypatch):
+        state = thurston.init_state(presets.SPEC_D2)
+        one = thurston.pullback_step(state)
+        two = thurston.pullback_step(one)
+        pairs = [(state.z.ravel(), one.z.ravel()), (one.z.ravel(), two.z.ravel())]
+        assert thurston._anderson_mix(pairs, two) is not None
+        # equal residuals leave the mixing system singular
+        assert thurston._anderson_mix([pairs[0], pairs[0]], one) is None
+
+        def no_fit(*args, **kwargs):
+            raise FitError("forced fit failure")
+
+        monkeypatch.setattr(thurston, "fit_map", no_fit)
+        assert thurston._anderson_mix(pairs, two) is None
+
+    def test_certifies_every_spec_the_plain_iteration_certifies(self):
+        rng = np.random.default_rng(11)
+
+        def address():
+            period = rng.integers(-1, 2, size=rng.integers(1, 3))
+            return ExternalAddress((), tuple(int(s) for s in period))
+
+        plain_certified = 0
+        for k in range(48):
+            d = 1 + k % 2
+            ts = [float(t) for t in rng.uniform(0.8, 3.0, d)]
+            depth = min(len(pot.chain(d, t)) - 1 for t in ts)
+            while True:
+                spec = TargetSpec(d, tuple((t, address()) for t in ts), depth)
+                try:
+                    thurston.validate_spec(spec)
+                    break
+                except SpecRejectionError:
+                    pass
+            try:
+                plain = plain_pullback(spec)
+            except RayforgeError:
+                continue
+            if not plain.certificate.passed:
+                continue
+            plain_certified += 1
+            res = thurston.classify(spec)
+            assert res.certificate.passed, spec
+            assert _coeff_gap(res, plain) < 1e-9, spec
+        assert plain_certified >= 30
+
+    def test_slow_contraction_spec_certified(self):
+        with pytest.raises(NotConvergedError):
+            plain_pullback(SLOW_D1)
+        res = thurston.classify(SLOW_D1)
+        assert res.certificate.passed
+        assert res.certificate.checks[0].potential_error < 1e-10
+
+    def test_prefix_spec_certified_from_any_start(self):
+        assert not plain_pullback(PREFIX_D2).certificate.passed
+        res = thurston.classify(PREFIX_D2)
+        assert res.certificate.passed
+        alt = thurston.classify(PREFIX_D2, jitter=0.1, jitter_seed=1)
+        assert alt.certificate.passed
+        assert _coeff_gap(res, alt) < 1e-12
 
 
 class TestVerify:
