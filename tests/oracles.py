@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from rayforge import config, polyexp, thurston, tracts
@@ -327,3 +328,55 @@ def sampled_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containm
     values = map_.poly(rho**2 * circle)
     part2 = bool(np.all(np.abs(values) < target))
     return ContainmentReport(part1 and part2, part1, part2, False, samples, False)
+
+
+def appendix_report_per_sample(
+    d: int, rho: float, samples: int, seed: int, containment_maps: int
+) -> polyexp.AppendixReport:
+    """Reference ``polyexp.appendix_report`` built from the public scalar
+    pieces: each sample draws a polynomial and a map from its own stream
+    and is measured on its own, and the critical-point ratio comes from a
+    root solve of p' in ``check_critical_point_bound``."""
+    ratios, coeffs, contains = [], [], []
+    for idx in range(samples):
+        rng = np.random.default_rng((seed, idx))
+        poly = polyexp.sample_poly_with_critical_values_in(d, rho, rng)
+        ratios.append(polyexp.check_critical_point_bound(poly, rho).ratio)
+        map_ = polyexp.sample_map_with_singular_values_in(d, rho, rng)
+        coeffs.append(polyexp.check_coefficient_bound(map_, rho).ratio)
+        if idx < containment_maps:
+            contains.append(polyexp.check_disk_containment(map_, rho, rho))
+    worst_idx = int(np.argmax(ratios))
+    return polyexp.AppendixReport(
+        max_critical_point_ratio=float(max(ratios)),
+        max_coefficient_ratio=float(max(coeffs)),
+        containment_maps=containment_maps,
+        containment_failures=sum(1 for r in contains if not r.inconclusive and not r.part1),
+        containment_inconclusive=sum(1 for r in contains if r.inconclusive),
+        containment_proven=sum(1 for r in contains if r.proven),
+        worst_case={"sample_index": worst_idx, "ratio": float(ratios[worst_idx])},
+    )
+
+
+def critical_point_ratio_50_digits(d: int, rng: np.random.Generator) -> float:
+    """max |critical point| / rho^(1/d) of the polynomial that
+    ``polyexp.sample_poly_with_critical_values_in`` draws from ``rng``,
+    recomputed at 50 digits from the same normals and uniform.
+
+    The sampler rescales p, whose critical points c_k are drawn, by a =
+    (peak / (rho u))^(1/d), peak = max |p(c_k)|; the ratio max |c_k| / a /
+    rho^(1/d) = max |c_k| (u / peak)^(1/d) does not depend on rho."""
+    re, im = rng.standard_normal(d - 1), rng.standard_normal(d - 1)
+    with mpmath.workdps(50):
+        cps = [mpmath.mpc(x, y) for x, y in zip(re, im)]
+        e = [mpmath.mpc(1)]  # prod (w - c_k), highest power first
+        for c in cps:
+            e = [a - c * b for a, b in zip(e + [0], [0] + e)]
+        # p(w) = sum_m d e_m w^(d-m) / (d-m), the integral of d prod (w - c_k)
+        peak = max(
+            abs(sum(d * e[m] * c ** (d - m) / (d - m) for m in range(d))) for c in cps
+        )
+        if peak == 0:
+            return 0.0
+        u = mpmath.mpf(rng.uniform(0.3, 1.0))
+        return float(max(abs(c) for c in cps) * (u / peak) ** (mpmath.mpf(1) / d))

@@ -184,24 +184,39 @@ class TestDiag:
         assert set(payload) == PAYLOAD_KEYS["diag appendix-a"]
         assert payload["containment_maps"] == 5
 
-    @pytest.mark.parametrize("d", ["2", "3"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", ["2", "3", "4"])
     @pytest.mark.parametrize("rho", ["1e306", "1e307", "1e308"])
     def test_appendix_report_near_float_max(self, d, rho, capsys):
         # Rescaling a sample toward rho used to overflow a^(k-d) on its zero
-        # b_0 (exit 1 with an OverflowError traceback).
+        # b_0 (exit 1 with an OverflowError traceback).  The report is
+        # scale-free: it equals the rho = 1e2 report up to rounding.
         code = run(["diag", "appendix-a", "--d", d, "--rho", rho, "--samples", "200"])
-        payload = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
         assert code == 0
+        assert captured.err == ""
+        payload = json.loads(captured.out)
         assert set(payload) == PAYLOAD_KEYS["diag appendix-a"]
         assert payload["containment_failures"] == 0
+        assert run(["diag", "appendix-a", "--d", d, "--rho", "1e2", "--samples", "200"]) == 0
+        near = json.loads(capsys.readouterr().out)
+        for key in ("containment_maps", "containment_failures",
+                    "containment_inconclusive", "containment_proven"):
+            assert payload[key] == near[key], key
+        assert payload["worst_case"]["sample_index"] == near["worst_case"]["sample_index"]
+        for key in ("max_critical_point_ratio", "max_coefficient_ratio"):
+            assert payload[key] == pytest.approx(near[key], rel=1e-12), key
 
-    @pytest.mark.parametrize("d,rho", [("2", "1.7e308"), ("3", "1.7e308"), ("4", "1e308")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d,rho", [("2", "1.7e308"), ("3", "1.7e308")])
     def test_appendix_report_past_float_max_signals_overflow(self, d, rho, capsys):
         # Singular values past the largest double: exit 3 with a payload,
-        # never an OverflowError traceback.
+        # never an OverflowError traceback or a numpy warning.
         code = run(["diag", "appendix-a", "--d", d, "--rho", rho, "--samples", "200"])
-        error = json.loads(capsys.readouterr().out)["error"]
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
         assert code == 3
+        assert captured.err == ""
         assert error["kind"] == "OverflowSignal"
         assert "left the float range" in error["message"]
 

@@ -5,7 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import sampled_disk_containment
+from oracles import (
+    appendix_report_per_sample,
+    critical_point_ratio_50_digits,
+    sampled_disk_containment,
+)
 
 from rayforge import polyexp as pe
 from rayforge.errors import DomainError, OverflowSignal, RootSolveError
@@ -403,12 +407,80 @@ class TestAppendixReport:
     def test_per_sample_streams(self):
         # Sample k draws from the stream seeded by (seed, k): reruns agree,
         # and a shorter run ending at the worst sample finds the same worst.
-        a = pe.appendix_report(2, 100.0, samples=40, seed=3, containment_maps=5)
-        assert a == pe.appendix_report(2, 100.0, samples=40, seed=3, containment_maps=5)
-        k = a.worst_case["sample_index"] + 1
-        b = pe.appendix_report(2, 100.0, samples=k, seed=3, containment_maps=5)
-        assert b.worst_case == a.worst_case
-        assert b.max_critical_point_ratio == a.max_critical_point_ratio
+        for d in (2, 3, 5):
+            a = pe.appendix_report(d, 100.0, samples=40, seed=3, containment_maps=5)
+            assert a == pe.appendix_report(d, 100.0, samples=40, seed=3, containment_maps=5)
+            k = a.worst_case["sample_index"] + 1
+            b = pe.appendix_report(d, 100.0, samples=k, seed=3, containment_maps=5)
+            assert b.worst_case == a.worst_case, d
+            assert b.max_critical_point_ratio == a.max_critical_point_ratio, d
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_one_row_samplers_match_the_batch(self, d):
+        # The public samplers are one-row draws: each stream, drawing a
+        # polynomial and then a map as appendix_report does, gives bitwise
+        # the same coefficients as its row of a batched draw.
+        def rngs():
+            return [np.random.default_rng((4, idx)) for idx in range(12)]
+
+        batch = rngs()
+        polys = pe._sample_polys(d, 100.0, batch)[0] if d > 1 else None
+        maps = pe._sample_maps(d, 100.0, batch)
+        for idx, rng in enumerate(rngs()):
+            if d > 1:
+                poly = pe.sample_poly_with_critical_values_in(d, 100.0, rng)
+                assert np.array(poly.coeffs).tobytes() == polys[idx].tobytes()
+            map_ = pe.sample_map_with_singular_values_in(d, 100.0, rng)
+            assert np.array(map_.coeffs).tobytes() == maps[idx].tobytes()
+
+    def test_vanishing_critical_values_draw_no_target(self):
+        # All critical points at 0 give p = w^d with no critical value to
+        # scale: the sampler returns the zero map and draws no target.
+        class ZeroNormals:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+            def uniform(self, *args):
+                raise AssertionError("target drawn for a zero peak")
+
+        for d in (2, 3, 5):
+            poly = pe.sample_poly_with_critical_values_in(d, 100.0, ZeroNormals())
+            assert poly == PolyExpMap(d, [0.0] * d)
+            assert pe.check_critical_point_bound(poly, 100.0).ratio == 0.0
+
+    def test_matches_the_per_sample_oracle(self):
+        # Same draws, same counts and worst sample; the critical-point ratio
+        # comes from the drawn points instead of a root solve of p', so it
+        # may move in the last bits.  rho <= 10 reaches the sampled
+        # containment check.
+        ulps = {2: 16, 3: 16, 4: 32, 5: 128}
+        for d in (2, 3, 4, 5):
+            for rho in (2.0, 5.0, 10.0, 1e2, 1e3, 1e300):
+                for seed in range(10):
+                    rep = pe.appendix_report(d, rho, samples=10, seed=seed)
+                    ref = appendix_report_per_sample(d, rho, 10, seed, 10)
+                    case = (d, rho, seed)
+                    assert rep.containment_proven == ref.containment_proven, case
+                    assert rep.containment_failures == ref.containment_failures, case
+                    assert rep.containment_inconclusive == ref.containment_inconclusive, case
+                    assert rep.worst_case["sample_index"] == ref.worst_case["sample_index"], case
+                    for got, want in (
+                        (rep.max_critical_point_ratio, ref.max_critical_point_ratio),
+                        (rep.max_coefficient_ratio, ref.max_coefficient_ratio),
+                    ):
+                        assert abs(got - want) <= ulps[d] * math.ulp(want), case
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_critical_point_ratio_at_50_digits(self, d):
+        # The ratio is scale-free, so one reference serves both rho.
+        for seed in range(4):
+            refs = [
+                critical_point_ratio_50_digits(d, np.random.default_rng((seed, idx)))
+                for idx in range(50)
+            ]
+            for rho in (1e2, 1e300):
+                rep = pe.appendix_report(d, rho, samples=50, seed=seed, containment_maps=0)
+                assert abs(rep.max_critical_point_ratio - max(refs)) <= 4 * math.ulp(max(refs))
 
     def test_failed_root_solve_is_inconclusive(self, monkeypatch):
         def stalled(map_, ws):
