@@ -98,13 +98,17 @@ class PolyExpMap:
 
     def singular_data(self) -> "SingularData":
         """Critical points of p, their critical values and the asymptotic
-        value p(0), from one root solve of p'."""
+        value p(0), from one root solve of p'.  Raises OverflowSignal when
+        two singular values lie farther apart than the largest double."""
         cps = critical_points(self)
         cvs = tuple(self.poly(c) for c in cps)
         distinct: list[complex] = []
-        for v in sorted(cvs + (self.coeffs[0],), key=lambda c: (c.real, c.imag)):
-            if not any(abs(v - u) <= 1e-9 * max(1.0, abs(u)) for u in distinct):
-                distinct.append(v)
+        try:
+            for v in sorted(cvs + (self.coeffs[0],), key=lambda c: (c.real, c.imag)):
+                if not any(abs(v - u) <= 1e-9 * max(1.0, abs(u)) for u in distinct):
+                    distinct.append(v)
+        except OverflowError as exc:
+            raise OverflowSignal("singular values too far apart for double precision") from exc
         return SingularData(cps, cvs, self.coeffs[0], tuple(distinct))
 
 
@@ -187,13 +191,13 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
         if keep is not None:
             pv = pv[keep]
         dpv = map_.poly_derivative(xl)
-        dpv = np.where(dpv == 0, 1e-30, dpv)
+        dpv[dpv == 0] = 1e-30
         newton = pv / dpv
         diff = xl[:, :, None] - xl[:, None, :]
-        np.einsum("bii->bi", diff)[...] = 1.0
+        diff.reshape(len(xl), d * d)[:, :: d + 1] = 1.0  # the diagonal
         repulsion = (1.0 / diff).sum(axis=2) - 1.0
         denom = 1.0 - newton * repulsion
-        denom = np.where(denom == 0, 1e-30, denom)
+        denom[denom == 0] = 1e-30
         corr = newton / denom
         xl = xl - corr
         retire(np.abs(corr) <= 4e-16 * (1.0 + np.abs(xl)))

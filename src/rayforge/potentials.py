@@ -173,8 +173,9 @@ class PotentialLadder:
 
 def straight_point(d: int, t: float, s: int) -> complex:
     """The asymptotic position t + 2*pi*i*s/d of an orbit point with speed t
-    in strip s."""
-    return complex(t, 2 * math.pi * s / d)
+    in strip s; t and s may also be numpy arrays.  For t > 0 the sum equals
+    complex(t, 2*pi*s/d) bit for bit."""
+    return t + 1j * (2 * math.pi * s / d)
 
 
 def _straight_points(orbits, d: int, depth: int):

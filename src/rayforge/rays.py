@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import config, potentials, tracts
 from .errors import (
     DomainError,
@@ -54,32 +56,30 @@ def _pull_chains(
     map_: PolyExpMap,
     cfg: tracts.TractConfig,
     address: ExternalAddress,
-    chains: list[tuple[list[float], int]],
-) -> list:
+    seed_ts: np.ndarray,
+    depths: np.ndarray,
+) -> tuple[np.ndarray, dict]:
     """Apply the inverse branches s_{depth-1}, ..., s_0 to the straight seed
-    of every (speed chain, depth) pair.
+    at potential seed_ts[c] of every chain c, of depth depths[c].
 
     All chains pull through the same level in one batched call, the deepest
     level first; a chain joins at its own depth and leaves at its first
-    failure.  Entry c of the result is chain c's point, or the error that
-    stopped it.
+    failure.  Returns the chains' points, and the error that stopped each
+    failed chain by chain index.
     """
-    d = map_.d
-    zs: list = [
-        potentials.straight_point(d, values[depth], address.entry(depth))
-        for values, depth in chains
-    ]
-    for level in range(max((depth for _, depth in chains), default=0) - 1, -1, -1):
-        rows = [
-            c for c, (_, depth) in enumerate(chains)
-            if depth > level and not isinstance(zs[c], Exception)
-        ]
-        pulled = tracts.inverse_branches(
-            map_, cfg, [address.entry(level)] * len(rows), [zs[c] for c in rows]
+    strips = np.array([address.entry(n) for n in range(int(depths.max(initial=0)) + 1)])
+    z = potentials.straight_point(map_.d, seed_ts, strips[depths])
+    errors: dict = {}
+    live = np.ones(len(z), dtype=bool)
+    for level in range(len(strips) - 2, -1, -1):
+        rows = np.flatnonzero(live & (depths > level))
+        z[rows], failed = tracts.inverse_branches(
+            map_, cfg, np.full(len(rows), strips[level]), z[rows]
         )
-        for c, z in zip(rows, pulled):
-            zs[c] = z
-    return zs
+        for k, exc in failed.items():
+            errors[int(rows[k])] = exc
+            live[rows[k]] = False
+    return z, errors
 
 
 def trace_ray(
@@ -130,46 +130,53 @@ def trace_segment(
         ratio = (t_hi / t_lo) ** (1.0 / (n_samples - 1))
         ts = [t_lo * ratio**k for k in range(n_samples)]
         ts[-1] = t_hi
-    speeds, chains = [], []
-    for t in ts:
-        values = potentials.chain(map_.d, t, max_len=max_depth + 1)
-        depth = len(values) - 1
-        speeds.append(values)
-        chains += [(values, depth), (values, depth - 1)] if depth else [(values, 0)]
-    pulled = iter(_pull_chains(map_, cfg, address, chains))
-    samples = []
-    for t, values in zip(ts, speeds):
-        depth = len(values) - 1
-        z = tracts.unwrap(next(pulled))
-        if depth == 0:
-            # Only a potential whose next step leaves the float range makes
-            # the straight point the answer to full precision; a chain cut
-            # short by max_depth has no depth to certify.
-            d = map_.d
-            if not (d * t > config.EXP_ARG_LIMIT or potentials.step(d, t) > config.CAP):
-                raise NotConvergedError(f"depth budget exhausted at n=0 (t={t!r})")
-            samples.append(RayPoint(z, t, 0, abs(z) * 1e-16))
-            continue
-        z_prev = tracts.unwrap(next(pulled))
-        increment = abs(z - z_prev)
+    d = map_.d
+    speeds = [potentials.chain(d, t, max_len=max_depth + 1) for t in ts]
+    depths = [len(values) - 1 for values in speeds]
+    depths += [max(n - 1, 0) for n in depths]
+    # Chain s pulls sample s from speed step^n(t) through n levels, chain
+    # S + s from step^(n-1)(t) through n - 1; a depth-0 sample pulls its
+    # straight point twice through no level, so its increment is 0.
+    S = len(ts)
+    seed_ts = np.array([speeds[c % S][n] for c, n in enumerate(depths)])
+    z, errors = _pull_chains(map_, cfg, address, seed_ts, np.array(depths))
+    z, z_prev = z[:S], z[S:]
+    with np.errstate(all="ignore"):
+        gap = z - z_prev
+        increment = np.hypot(gap.real, gap.imag)
+        size = np.hypot(z.real, z.imag)
+        floor = size * 1e-16
         # The increment measures the depth-(n-1) error; the depth-n error is
         # the increment shrunk by the seed-tail ratio
         # exp(-(step^n - step^(n-1))/2), evaluated in log space because the
         # deepest seed dwarfs the float range.
-        floor = abs(z) * 1e-16
-        if increment <= floor:
-            err = floor
-        else:
-            log_err = math.log(increment) + (values[depth - 1] - values[depth]) / 2
-            err = math.exp(log_err) if log_err > -700 else 0.0
-        if err > tol * max(1.0, abs(z)):
-            raise NotConvergedError(
-                f"depth budget exhausted at n={depth} "
-                f"(increment {increment:.3e}, error estimate {err:.3e})",
-                details=(z_prev, z),
-            )
-        samples.append(RayPoint(z, t, depth, max(err, floor)))
-    return RaySegment(tuple(samples))
+        log_err = np.log(increment) + (seed_ts[S:] - seed_ts[:S]) / 2
+        err = np.where(
+            increment <= floor, floor, np.where(log_err > -700, np.exp(log_err), 0.0)
+        )
+    failed = err > tol * np.maximum(1.0, size)
+    for s, t in enumerate(ts):
+        if depths[s] == 0:
+            # Only a potential whose next step leaves the float range makes
+            # the straight point the answer to full precision; a chain cut
+            # short by max_depth has no depth to certify.
+            failed[s] = not (d * t > config.EXP_ARG_LIMIT or potentials.step(d, t) > config.CAP)
+    failed[[c % S for c in errors]] = True
+    if failed.any():
+        s = int(failed.argmax())
+        for c in (s, S + s):
+            if c in errors:
+                raise errors[c]
+        if depths[s] == 0:
+            raise NotConvergedError(f"depth budget exhausted at n=0 (t={ts[s]!r})")
+        raise NotConvergedError(
+            f"depth budget exhausted at n={depths[s]} "
+            f"(increment {increment[s]:.3e}, error estimate {err[s]:.3e})",
+            details=(complex(z_prev[s]), complex(z[s])),
+        )
+    err = np.maximum(err, floor)
+    samples = zip(z.tolist(), ts, depths[:S], err.tolist())
+    return RaySegment(tuple(RayPoint(*sample) for sample in samples))
 
 
 @dataclass(frozen=True)

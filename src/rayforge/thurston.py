@@ -298,24 +298,26 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     seeds = [
         spec.tail[i] if j == spec.depth else complex(old[i, j + 1]) for i, j in points
     ]
-    pulled = tracts.inverse_branches(
+    new, errors = tracts.inverse_branches(
         map_, cfg, [spec.address(i).entry(j) for i, j in points], seeds
     )
-    new = np.zeros_like(old)
-    for (i, j), seed, z in zip(points, seeds, pulled):
-        if isinstance(z, DomainError):
+    if errors:
+        k = min(errors)
+        (i, j), seed, exc = points[k], seeds[k], errors[k]
+        if isinstance(exc, DomainError):
             raise InvariantViolationError(
                 f"grid point ({i},{j + 1}) fell left of the singular "
                 f"values (Re {seed.real:.3g} <= {cfg.r_min:.3g}); "
                 "marked points escaped the admissible region"
-            ) from z
-        if isinstance(z, BranchSelectionError):
+            ) from exc
+        if isinstance(exc, BranchSelectionError):
             raise UnsupportedHomotopyError(
                 f"pullback of grid point ({i},{j}) found no branch in its "
                 "strip; the configuration would need nontrivial leg words, "
                 "which the strip-indexed shadow does not support"
-            ) from z
-        new[i, j] = tracts.unwrap(z)
+            ) from exc
+        raise exc
+    new = new.reshape(old.shape)
     delta = float(np.abs(new - old).max())
     new_map = fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_)
     return ThurstonState(new_map, spec, new, state.deltas + [delta])

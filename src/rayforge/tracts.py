@@ -15,9 +15,9 @@ branches are still well-defined single-valued continuations and are served
 best-effort, which is what ray tracing at small potentials needs.
 
 ``inverse_branches`` serves a whole batch of (strip, seed) rows with one
-root solve.  Batched solves and branches are row-independent: every row is
-bitwise equal to its one-row call, so batch size never changes output
-bytes.
+root solve and one numpy pass over the rows.  Batched solves and branches
+are row-independent: every row is bitwise equal to its one-row call, so
+batch size never changes output bytes.
 """
 
 from __future__ import annotations
@@ -208,97 +208,119 @@ def inverse_branches(
     map_: polyexp.PolyExpMap,
     cfg: TractConfig,
     ns: Sequence[int],
-    ws: Sequence[complex | LogPolar],
-) -> list:
+    ws: Sequence[complex | LogPolar] | np.ndarray,
+) -> tuple[np.ndarray, dict[int, RayforgeError]]:
     """The preimages of ws[k] under f lying in strips ns[k], from one root
-    solve for all rows.
+    solve and one array pass over all rows.
 
-    Row k of the result is the preimage, or the error that the one-row call
-    ``inverse_branch(map_, cfg, ns[k], ws[k])`` raises (DomainError,
-    RootSolveError, BranchSelectionError), returned rather than raised so
-    that callers report the first failure in their own order.  Rows are
-    solved independently, so no row's value or error depends on the batch.
+    ``ws`` is a complex array, or a sequence that may also hold LogPolar
+    seeds.  Returns the preimages as a complex array, NaN on failed rows,
+    and the errors of the failed rows by row index: row k's is the error
+    that the one-row call ``inverse_branch(map_, cfg, ns[k], ws[k])``
+    raises (DomainError, RootSolveError, BranchSelectionError,
+    OverflowSignal), returned rather than raised so that callers report
+    the first failure in their own order.  Rows are solved independently,
+    so no row's value or error depends on the batch.
     """
-    out: list = []
-    solve: list[int] = []  # rows that need a root solve, with their seeds
-    seeds: list[complex] = []
-    for n, w in zip(ns, ws):
-        if isinstance(w, LogPolar):
-            if w.log_abs <= _LOG_CAP:
-                out.append(DomainError(
-                    f"log-polar seed with log magnitude {w.log_abs} is within "
-                    "the float range; pass it as a complex number"
-                ))
-            else:
-                out.append(_asymptotic_branch(map_, n, w))
-            continue
-        w = complex(w)
-        if w.real <= cfg.r_min:
-            out.append(DomainError(
-                f"seed {w} is not right of the singular values (Re <= {cfg.r_min:.3g})"
-            ))
-            continue
-        solve.append(len(out))
-        seeds.append(w)
-        out.append(None)
-    if not solve:
-        return out
-    for k, w, roots in zip(solve, seeds, _solve_rows(map_, seeds)):
-        if isinstance(roots, RootSolveError):
-            out[k] = roots
-            continue
-        try:
-            out[k] = _select_branch(map_, cfg, ns[k], w, roots)
-        except RayforgeError as exc:
-            out[k] = exc
-    return out
+    polar = {}
+    if not isinstance(ws, np.ndarray):
+        polar = {k: w for k, w in enumerate(ws) if isinstance(w, LogPolar)}
+        ws = [math.nan if k in polar else w for k, w in enumerate(ws)]
+    seeds = np.asarray(ws, dtype=complex)
+    ns = np.asarray(ns)
+    z = np.full(len(seeds), complex(math.nan, math.nan))
+    errors: dict[int, RayforgeError] = {}
+    for k, w in polar.items():
+        if w.log_abs <= _LOG_CAP:
+            errors[k] = DomainError(
+                f"log-polar seed with log magnitude {w.log_abs} is within "
+                "the float range; pass it as a complex number"
+            )
+        else:
+            z[k] = _asymptotic_branch(map_, int(ns[k]), w)
+    left = seeds.real <= cfg.r_min
+    for k in left.nonzero()[0].tolist():
+        errors[k] = DomainError(
+            f"seed {complex(seeds[k])} is not right of the singular values "
+            f"(Re <= {cfg.r_min:.3g})"
+        )
+    left[list(polar)] = True
+    rows = (~left).nonzero()[0]
+    if rows.size:
+        roots, stalled = _solve_rows(map_, seeds[rows])
+        z[rows], failed = _select_branches(map_, cfg, ns[rows], seeds[rows], roots)
+        failed.update(stalled)
+        errors.update((int(rows[k]), exc) for k, exc in failed.items())
+    return z, errors
 
 
-def _solve_rows(map_: polyexp.PolyExpMap, ws: list[complex]) -> list:
-    """Roots of p = w per row, or the RootSolveError of that row's solve."""
+def _solve_rows(map_: polyexp.PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Roots of p = w per row, and the RootSolveError of each row whose
+    solve stalled (its roots are NaN)."""
     try:
-        return list(polyexp.poly_roots_batch(map_, np.array(ws, dtype=complex)))
+        return polyexp.poly_roots_batch(map_, ws), {}
     except RootSolveError as exc:
         if len(ws) == 1:
-            return [exc]
-        # Rows are solved independently: one-row solves pin the failure on
-        # the rows that stalled, with the message each one raises alone.
-        return [row for w in ws for row in _solve_rows(map_, [w])]
+            return np.full((1, map_.d), complex(math.nan, math.nan)), {0: exc}
+    # Rows are solved independently: one-row solves pin the failure on the
+    # rows that stalled, with the message each one raises alone.
+    solved = [_solve_rows(map_, ws[k : k + 1]) for k in range(len(ws))]
+    roots = np.concatenate([r for r, _ in solved])
+    return roots, {k: e[0] for k, (_, e) in enumerate(solved) if e}
 
 
-def _select_branch(
+@np.errstate(all="ignore")
+def _select_branches(
     map_: polyexp.PolyExpMap,
     cfg: TractConfig,
-    n: int,
-    w: complex,
+    ns: np.ndarray,
+    ws: np.ndarray,
     roots: np.ndarray,
-) -> complex:
-    """Lift log(zeta) of the root closest to strip n by the multiple of
-    2*pi*i that lands there, and check the residual of f at the result."""
-    center = cfg.strip_center(n)
-    best = None
-    candidates = []
-    for zeta in sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)):
-        if zeta == 0:
-            continue
-        base = cmath.log(zeta)
-        k = round((center - base.imag) / (2 * math.pi))
-        z = complex(base.real, base.imag + 2 * math.pi * k)
-        dist = abs(z.imag - center)
-        candidates.append(z)
-        if best is None or dist < best[0]:
-            best = (dist, z)
-    if best is None or best[0] > cfg.strip_half_width() + cfg.eps:
-        raise BranchSelectionError(
-            f"no root of p = w lands in strip {n} for w={w}", candidates
-        )
-    z = best[1]
-    fz = map_(z)
-    if abs(fz - w) > config.INVERSE_RESIDUAL_RTOL * max(1.0, abs(w)):
-        raise BranchSelectionError(
-            f"branch residual {abs(fz - w):.3e} too large for w={w}", candidates
-        )
-    return z
+) -> tuple[np.ndarray, dict[int, RayforgeError]]:
+    """Per row, lift log(zeta) of the root closest to strip ns[k] by the
+    multiple of 2*pi*i that lands there, and check the residual of f at the
+    result; the preimages (NaN on failed rows) and the errors by row.
+
+    Ties go to the first root in (re, im) order, and a zero root is never a
+    candidate.  The log is numpy's, whose real part can differ from
+    ``cmath.log`` in the last bit; its imaginary part, and so the strip a
+    root lifts to, is the same.
+    """
+    d = map_.d
+    rows = np.arange(len(ws))
+    roots = np.sort(roots, axis=1)  # by (re, im)
+    center = (2 * math.pi * ns / d)[:, None]
+    base = np.log(roots)
+    lifted = base + 2j * math.pi * np.rint((center - base.imag) / (2 * math.pi))
+    dist = np.abs(lifted.imag - center)
+    dist[roots == 0] = np.inf
+    best = dist.argmin(axis=1)
+    z = lifted[rows, best]
+    far = dist[rows, best] > cfg.strip_half_width() + cfg.eps
+    # f(z) as PolyExpMap.__call__ evaluates it, for all rows at once; an
+    # overflow of exp or of p leaves the residual non-finite.
+    big = d * z.real > config.EXP_ARG_LIMIT
+    fz = map_.poly(np.exp(z))
+    diff = fz - ws
+    gap = np.hypot(diff.real, diff.imag)
+    tight = gap <= config.INVERSE_RESIDUAL_RTOL * np.maximum(1.0, np.hypot(ws.real, ws.imag))
+    errors: dict[int, RayforgeError] = {}
+    for k in (far | big | ~tight).nonzero()[0].tolist():
+        w, at = complex(ws[k]), complex(z[k])
+        candidates = [complex(c) for c, r in zip(lifted[k], roots[k]) if r != 0]
+        if far[k]:
+            errors[k] = BranchSelectionError(
+                f"no root of p = w lands in strip {ns[k]} for w={w}", candidates
+            )
+        elif big[k] or not cmath.isfinite(fz[k]):
+            part = "exp" if big[k] else "polynomial"
+            errors[k] = OverflowSignal(f"{part} overflow evaluating map at {at}")
+        else:
+            errors[k] = BranchSelectionError(
+                f"branch residual {gap[k]:.3e} too large for w={w}", candidates
+            )
+        z[k] = complex(math.nan, math.nan)
+    return z, errors
 
 
 def inverse_branch(
@@ -314,15 +336,10 @@ def inverse_branch(
     must lie beyond log(config.CAP), the root is expanded to first order in
     the coefficients (the corrections underflow exactly when they should).
     """
-    (z,) = inverse_branches(map_, cfg, (n,), (w,))
-    return unwrap(z)
-
-
-def unwrap(row):
-    """A row of ``inverse_branches``: its preimage, or its error raised."""
-    if isinstance(row, Exception):
-        raise row
-    return row
+    z, errors = inverse_branches(map_, cfg, (n,), (w,))
+    if errors:
+        raise errors[0]
+    return complex(z[0])
 
 
 def _asymptotic_branch(

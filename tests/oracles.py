@@ -9,6 +9,7 @@ left-to-right = +1 sign rule.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -380,3 +381,66 @@ def critical_point_ratio_50_digits(d: int, rng: np.random.Generator) -> float:
             return 0.0
         u = mpmath.mpf(rng.uniform(0.3, 1.0))
         return float(max(abs(c) for c in cps) * (u / peak) ** (mpmath.mpf(1) / d))
+
+
+def scalar_inverse_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex) -> complex:
+    """Reference inverse branch: the row-by-row rule that the array pass of
+    ``tracts.inverse_branches`` replaced, for a complex seed.  The roots of
+    p = w are sorted by (re, im); each nonzero root's ``cmath.log`` is
+    lifted by the multiple of 2*pi*i nearest strip n; the first nearest
+    lift wins, and f (``PolyExpMap.__call__``) is checked there."""
+    w = complex(w)
+    if w.real <= cfg.r_min:
+        raise DomainError(
+            f"seed {w} is not right of the singular values (Re <= {cfg.r_min:.3g})"
+        )
+    (roots,) = polyexp.poly_roots_batch(map_, np.array([w]))
+    center = cfg.strip_center(n)
+    best, candidates = None, []
+    for zeta in sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)):
+        if zeta == 0:
+            continue
+        base = cmath.log(zeta)
+        k = round((center - base.imag) / (2 * math.pi))
+        z = complex(base.real, base.imag + 2 * math.pi * k)
+        candidates.append(z)
+        if best is None or abs(z.imag - center) < best[0]:
+            best = (abs(z.imag - center), z)
+    if best is None or best[0] > cfg.strip_half_width() + cfg.eps:
+        raise BranchSelectionError(f"no root of p = w lands in strip {n} for w={w}", candidates)
+    z = best[1]
+    residual = abs(map_(z) - w)
+    if residual > config.INVERSE_RESIDUAL_RTOL * max(1.0, abs(w)):
+        raise BranchSelectionError(
+            f"branch residual {residual:.3e} too large for w={w}", candidates
+        )
+    return z
+
+
+def ray_point_50_digits(map_: PolyExpMap, address, t: float, depth: int) -> mpmath.mpc:
+    """The ray point of ``address`` at potential t, at 50 digits: the
+    straight seed step^depth(t) + 2*pi*i*s_depth/d pulled back through the
+    branches s_{depth-1}, ..., s_0.  Each branch solves p = w with
+    ``mpmath.polyroots`` and lifts the log of the root nearest its strip,
+    as the tracer does.  The seed's own error, about exp(-step^depth(t)/2),
+    is below 1e-40 for the depths ``rays.trace_segment`` uses."""
+    d = map_.d
+    with mpmath.workdps(50):
+        speed = mpmath.mpf(t)
+        for _ in range(depth):
+            speed = mpmath.expm1(d * speed)
+        two_pi = 2 * mpmath.pi
+        z = mpmath.mpc(speed, two_pi * address.entry(depth) / d)
+        for level in range(depth - 1, -1, -1):
+            center = two_pi * address.entry(level) / d
+            high_to_low = [1] + [mpmath.mpc(c) for c in reversed(map_.coeffs)]
+            high_to_low[-1] -= z
+            # Solve for zeta / scale, whose roots are of order one.
+            scale = max(1, abs(z)) ** (mpmath.mpf(1) / d)
+            scaled = [a / scale**j for j, a in enumerate(high_to_low)]
+            lifts = []
+            for u in mpmath.polyroots(scaled, maxsteps=200, extraprec=100):
+                base = mpmath.log(u * scale)
+                lifts.append(base + 1j * two_pi * mpmath.nint((center - base.imag) / two_pi))
+            z = min(lifts, key=lambda c: abs(c.imag - center))
+        return z

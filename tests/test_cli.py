@@ -289,6 +289,23 @@ class TestHomotopyAndTracts:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "OverflowSignal"
 
+    @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
+    def test_singular_values_too_far_apart_exit_3(self, command, workdir, tmp_path, capsys):
+        # p = w^3 - 3a^2 w has the finite critical values -+2a^3 near
+        # 0.8e308 (1+i), whose difference overflows; the de-duplication of
+        # the singular values used to die with a bare OverflowError (exit 1)
+        a = (0.4e308 * (1 + 1j)) ** (1 / 3)
+        path = tmp_path / "far.json"
+        path.write_text(serialize.dumps(serialize.to_json(PolyExpMap(3, [0, -3 * a * a, 0]))))
+        argv = ["--map", str(path)]
+        if command == "ray trace":
+            argv += ["--address", workdir["zero"], "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
+        code = run(command.split() + argv)
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["kind"] == "OverflowSignal"
+        assert "too far" in payload["error"]["message"]
+
 
 # Exit code of each error class raised out of a subcommand handler.
 EXIT_CODES = {

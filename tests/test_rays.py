@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from rayforge import polyexp, presets
 from rayforge import potentials as pot
 from rayforge import rays, tracts
 from rayforge.errors import (
@@ -13,6 +15,8 @@ from rayforge.errors import (
 )
 from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
+
+from oracles import ray_point_50_digits
 
 EXP = PolyExpMap(1, [0.0])
 D2 = PolyExpMap(2, [0.0, 0.1])
@@ -41,9 +45,10 @@ class TestTraceRay:
         # consecutive depths agree to the shallower depth's tail scale
         values = pot.chain(1, 3.0)
         n = len(values) - 1
-        deep, shallower = rays._pull_chains(
-            EXP, cfg_exp, ZERO, [(values, n), (values, n - 1)]
+        (deep, shallower), errors = rays._pull_chains(
+            EXP, cfg_exp, ZERO, np.array([values[n], values[n - 1]]), np.array([n, n - 1])
         )
+        assert not errors
         assert abs(deep - shallower) < 10 * math.exp(-values[-2] / 2)
         assert pt.error_estimate < 1e-10
 
@@ -66,7 +71,10 @@ class TestTraceRay:
     def test_depth_stability(self, cfg_exp):
         values = pot.chain(1, 2.0)
         n = len(values) - 1
-        deep, prev = rays._pull_chains(EXP, cfg_exp, ZERO, [(values, n), (values, n - 1)])
+        (deep, prev), errors = rays._pull_chains(
+            EXP, cfg_exp, ZERO, np.array([values[n], values[n - 1]]), np.array([n, n - 1])
+        )
+        assert not errors
         assert abs(deep - prev) < 1e-10
 
     def test_error_estimate_reported(self, cfg_exp):
@@ -202,6 +210,44 @@ class TestSegmentMatchesSamples:
             assert got.t == want.t and got.depth_used == want.depth_used
             assert _bits(got.z) == _bits(want.z)
             assert _bits(got.error_estimate) == _bits(want.error_estimate)
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "map_, address",
+        [
+            (presets.EXP_MAP, presets.MIXED),
+            (presets.D2_MAP, presets.WITH_PREPERIOD),
+            (presets.D2_RAY_MAP, presets.ALTERNATE),
+            (presets.D3_MAP, presets.TRIPLE),
+        ],
+    )
+    def test_samples_within_error_estimate_of_50_digits(self, map_, address):
+        cfg = tracts.make_tract_config(map_)
+        for p in rays.trace_segment(map_, cfg, address, 0.8, 3.2, 6).samples:
+            ref = ray_point_50_digits(map_, address, p.t, p.depth_used)
+            ulp = math.ulp(max(abs(p.z.real), abs(p.z.imag)))
+            assert abs(mpmath.mpc(p.z) - ref) <= p.error_estimate + 4 * ulp
+
+
+class TestBatching:
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_one_root_solve_per_pull_level(self, case, monkeypatch):
+        map_, addr, t_lo, t_hi, n, _ = TestSegmentMatchesSamples.CASES[case]
+        cfg = tracts.make_tract_config(map_)
+        rows = []
+        solve = polyexp.poly_roots_batch
+
+        def counted(m, ws):
+            rows.append(len(ws))
+            return solve(m, ws)
+
+        monkeypatch.setattr(polyexp, "poly_roots_batch", counted)
+        seg = rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n)
+        depths = [p.depth_used for p in seg.samples]
+        # one call per level, each with every chain that still pulls at it
+        assert len(rows) == max(depths)
+        assert sum(rows) == sum(2 * k - 1 for k in depths if k)
 
 
 class TestExtraction:

@@ -194,8 +194,8 @@ class TestInverseBranch:
         for log_abs in (3.0, 40.0, math.log(config.CAP)):
             with pytest.raises(DomainError, match="float range"):
                 tracts.inverse_branch(EXP, cfg_exp, 1, tracts.LogPolar(log_abs, 0.3))
-        (row,) = tracts.inverse_branches(EXP, cfg_exp, (1,), (tracts.LogPolar(40.0, 0.3),))
-        assert isinstance(row, DomainError)
+        z, errors = tracts.inverse_branches(EXP, cfg_exp, (1,), (tracts.LogPolar(40.0, 0.3),))
+        assert isinstance(errors[0], DomainError) and cmath.isnan(z[0])
 
     def test_log_polar_beyond_floats(self, cfg_exp):
         # seed exp(1e6): the asymptotic branch gives log-magnitude / d
