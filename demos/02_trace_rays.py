@@ -13,6 +13,7 @@ import math
 
 from rayforge import potentials as pot
 from rayforge import presets, rays, tracts
+from rayforge.errors import OverflowSignal
 
 m = presets.EXP_MAP
 cfg = tracts.make_tract_config(m)
@@ -40,9 +41,19 @@ for p in seg.samples:
     buf.write(f"{p.t:.6f},{p.z.real:.12g},{p.z.imag:.12g}\n")
 print(buf.getvalue())
 
-rep = rays.check_monotone(seg, m, 6)
+# Re f^n along the samples, for n = 0..6 or until f overflows.
+zs = [p.z for p in seg.samples]
+onset = horizon = 0
+for n in range(7):
+    if any(b.real <= a.real for a, b in zip(zs, zs[1:])):
+        onset = n + 1
+    horizon = n
+    try:
+        zs = [m(z) for z in zs]
+    except OverflowSignal:
+        break
 print(f"real parts of iterated samples strictly increase from iterate "
-      f"N = {rep.onset} (horizon {rep.horizon})")
+      f"N = {onset} (horizon {horizon})")
 
 print("\n=== round trip: read the coordinates back off the point ===")
 ext = rays.extract_potential_address(m, cfg, pt.z)

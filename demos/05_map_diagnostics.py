@@ -3,9 +3,9 @@
 Three sampled bounds: critical points of a normalized polynomial stay
 within a universal multiple of rho^(1/d) once its critical values sit in
 the rho-disk; coefficients of a map with singular values in the rho-disk
-stay under L * rho^((d-k)/d); and polynomial preimages of the rho-disk
-stay inside it.  Containment is proven from Fujiwara's root bound where
-the bound suffices and sampled on the circle elsewhere; the sampled
+stay under a constant times rho^((d-k)/d); and polynomial preimages of the
+rho-disk stay inside it.  Containment is proven from Fujiwara's root bound
+where the bound suffices and sampled on the circle elsewhere; the sampled
 constants are reported, never asserted as proven values.
 """
 
@@ -33,19 +33,14 @@ worst = 0.0
 for _ in range(2000):
     b = complex(*rng.uniform(-8, 8, 2))
     rho = abs(b * b / 4) + 1e-12
-    rep = polyexp.check_critical_point_bound(PolyExpMap(2, [0.0, b]), rho)
-    worst = max(worst, rep.ratio)
+    cps = PolyExpMap(2, [0.0, b]).singular_data().critical_points
+    worst = max(worst, max(abs(c) for c in cps) / rho ** (1 / 2))
 print(f"2000 extremal quadratics: max ratio {worst:.9f} (algebra says <= 1)")
 
-print("\n=== derivative envelope left of the marked region ===")
-for d in (2, 3):
-    rep = polyexp.sup_derivative_bound(d, 1.0, 40.0, seed=5)
-    print(f"d={d}, t=1: log sup |f'| sampled = {rep.log_empirical:.3f}, "
-          f"log formula envelope = {rep.log_formula_bound:.3f}, "
-          f"holds = {rep.holds}")
-
 print("\n=== containment detail for one sampled map ===")
-m = polyexp.sample_map_with_singular_values_in(2, 100.0, np.random.default_rng(9))
+# A map with singular values in the 100-disk, as appendix_report draws them.
+m = PolyExpMap(2, [-8.224321441320894 - 37.99682436844082j,
+                   16.268517451296468 - 4.921059027414673j])
 sd = m.singular_data()
 print(f"coefficients: {[f'{c:.4g}' for c in m.coeffs]}")
 print(f"singular values: {[f'{v:.4g}' for v in sd.all]} "

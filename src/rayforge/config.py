@@ -4,8 +4,8 @@ Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
 defaults of the few options a caller can set: ``tol``, ``max_iter``,
 ``max_depth`` and the strip fuzz ``eps``.
-The empirical constants (M, L, K, A) are calibration defaults for the
-diagnostic checkers, not proven values.
+The empirical constants (K, A, C) are calibration defaults, not proven
+values.
 """
 
 import math
@@ -39,9 +39,8 @@ STRIP_EDGE_SAMPLES = 720
 TRACT_RETRY_BUDGET = 5
 R_FLOOR = 2.0
 
-# Empirical diagnostic constants (calibrated by the Monte-Carlo checkers).
-CRITICAL_POINT_M = 4.0
-COEFFICIENT_L = 8.0
+# Empirical constants: the derivative envelope of the invariant-set
+# diagnostics and the leg word-length budgets.
 DERIVATIVE_K = 4.0
 GROWTH_A = 1.0
 GROWTH_C = 1.0

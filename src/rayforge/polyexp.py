@@ -1,15 +1,15 @@
 """The map family under study: f(z) = p(exp(z)) with p monic of degree d.
 
 Holds evaluation, derivatives and singular data, a simultaneous-iteration
-polynomial root solver, and the disk/coefficient/derivative checkers that
-probe how singular-value magnitudes control a map's geometry.  One Horner
-loop evaluates p, for scalars, arrays and rows of polynomials alike, and
-``poly_derivative`` evaluates p'.  Disk containment is proven first, from
-Fujiwara's root bound over the whole disk, and sampled with a root solve
-only when the proof fails; the other checkers are Monte-Carlo.
-``appendix_report`` draws all its samples, then measures them as arrays at
-the critical points the samplers drew, with no root solve of p'.  Its
-ratios differ from such a solve's in the last bits (by up to 11 ulp at
+polynomial root solver, the disk-containment checker and the Monte-Carlo
+report ``diag appendix-a`` prints, which samples how singular-value
+magnitudes control a map's geometry.  One Horner loop evaluates p, for
+scalars, arrays and rows of polynomials alike, and ``poly_derivative``
+evaluates p'.  Disk containment is proven first, from Fujiwara's root bound
+over the whole disk, and sampled with a root solve only when the proof
+fails.  ``appendix_report`` draws all its samples, then measures them as
+arrays at the critical points the samplers drew, with no root solve of p'.
+Its ratios differ from such a solve's in the last bits (by up to 11 ulp at
 d <= 3 and 311 at d = 4) and are the closer to a 50-digit reference.
 Random draws take explicit seeds; nothing here keeps mutable state.
 """
@@ -153,7 +153,7 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
     every row is bitwise equal to its one-row solve and the output never
     depends on what else is in the batch.  Returns an array of shape
     (len(ws), d); raises RootSolveError when some residual stays above the
-    post tolerance after ROOT_MAX_ITER sweeps.
+    post tolerance after ROOT_MAX_ITER sweeps, or is not a number.
     """
     d, cs = map_.d, map_.coeffs
     ws = np.asarray(ws, dtype=complex).ravel()
@@ -208,47 +208,12 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
     wcol = ws[:, None]
     residual = np.abs(map_.poly(x) - wcol)
     worst = float((residual / scale[:, None]).max())
-    if worst > config.ROOT_POST_RTOL:
+    if not worst <= config.ROOT_POST_RTOL:  # a NaN residual fails too
         raise RootSolveError(
             f"root iteration stalled, worst relative residual {worst:.3e}",
             worst_residual=worst,
         )
     return x
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of a bound checker: the measured ratio against a constant."""
-
-    holds: bool
-    ratio: float
-
-
-def check_critical_point_bound(map_: PolyExpMap, rho: float) -> BoundReport:
-    """Measure max |critical point| / rho^(1/d) against CRITICAL_POINT_M.
-
-    Requires d > 1, p(0) = 0 and all critical values of p inside the
-    rho-disk; a map that violates a precondition raises DomainError.  For
-    d = 1 there is no critical point and the report holds with ratio 0.
-    """
-    if map_.d < 2:
-        return BoundReport(True, 0.0)
-    if abs(map_.poly(0.0)) > 1e-12:
-        raise DomainError("checker needs p(0) = 0")
-    sd = map_.singular_data()
-    if any(abs(v) > rho for v in sd.critical_values):
-        raise DomainError("critical values are not inside the rho-disk")
-    ratio = max(abs(c) for c in sd.critical_points) / rho ** (1.0 / map_.d)
-    return BoundReport(ratio <= config.CRITICAL_POINT_M, ratio)
-
-
-def check_coefficient_bound(map_: PolyExpMap, rho: float) -> BoundReport:
-    """Per-coefficient ratios |b_k| / rho^((d-k)/d) against COEFFICIENT_L."""
-    d = map_.d
-    ratios = tuple(
-        abs(map_.coeffs[k]) / rho ** ((d - k) / d) for k in range(d)
-    )
-    return BoundReport(all(r <= config.COEFFICIENT_L for r in ratios), max(ratios))
 
 
 @dataclass(frozen=True)
@@ -319,51 +284,9 @@ def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containmen
 
 
 @dataclass(frozen=True)
-class DerivativeSupReport:
-    """Log-scale comparison of the sampled sup of |f'| with K*exp(d^3*t)."""
-
-    log_formula_bound: float
-    log_empirical: float
-    holds: bool
-    d: int
-    t: float
-
-
-def sup_derivative_bound(
-    d: int,
-    t: float,
-    rho: float,
-    seed: int = 0,
-) -> DerivativeSupReport:
-    """Sample sup |f'(z)| over 32 maps with singular values in the rho-disk
-    and 256 points with Re z < (d+1)t each, in log scale, against
-    log K + d^3 t with K = DERIVATIVE_K.
-
-    The formula bound is meaningful for d >= 2; for d = 1 the sampled
-    supremum itself (which scales like exp(2t)) is still reported but the
-    holds flag compares against exp(2t) scaling instead.
-    """
-    rng = np.random.default_rng(seed)
-    x_line = (d + 1) * t
-    log_emp = -math.inf
-    for _ in range(32):
-        map_ = sample_map_with_singular_values_in(d, rho, rng)
-        # Maximum principle: the sup over the half-plane sits on the
-        # boundary line; sample it plus as many interior points.
-        ys = rng.uniform(-math.pi, math.pi, 256)
-        xs = np.concatenate([np.full(128, x_line), rng.uniform(0, x_line, 128)])
-        for x, y in zip(xs, ys):
-            log_emp = max(log_emp, map_.log_abs_derivative(complex(x, y)))
-    if d >= 2:
-        log_formula = math.log(config.DERIVATIVE_K) + d**3 * t
-    else:
-        log_formula = math.log(config.DERIVATIVE_K) + 2 * t
-    return DerivativeSupReport(log_formula, log_emp, log_emp <= log_formula, d, t)
-
-
-@dataclass(frozen=True)
 class AppendixReport:
-    """Monte-Carlo summary of the disk/coefficient/critical-point checkers."""
+    """Monte-Carlo summary of the critical-point and coefficient ratios and
+    of preimage containment."""
 
     max_critical_point_ratio: float
     max_coefficient_ratio: float
@@ -389,8 +312,10 @@ def appendix_report(
     Sample ``idx`` draws from its own RNG stream, seeded by (seed, idx), so
     each sample's values depend only on the seed and its index.  The
     samples are drawn first and measured as arrays, at the critical points
-    they drew.  Containment failures and inconclusive checks are counted
-    from sampled checks only: a proven containment is neither, and a
+    they drew.  Fujiwara's bound proves containment for all checked maps at
+    once; each map it leaves unproven goes through ``check_disk_containment``.
+    Containment failures and inconclusive checks are counted from those
+    sampled checks only: a proven containment is neither, and a
     sampled check whose root solve failed counts as inconclusive, never as
     a failure.  Raises OverflowSignal naming the first sample whose
     arithmetic leaves the float range (rho near the largest double).
@@ -407,20 +332,14 @@ def appendix_report(
 
     checked = coeffs[:containment_maps]
     proven = fujiwara_bound(checked, rho) * (1 + 1e-12) < rho
-    failures = inconclusive = 0
-    for row in checked[~proven]:
-        try:
-            roots = poly_roots_batch(PolyExpMap(d, row), rho * _CIRCLE)
-            failures += not np.all(np.abs(roots) < rho)
-        except RootSolveError:
-            inconclusive += 1
+    sampled = [check_disk_containment(PolyExpMap(d, row), rho, rho) for row in checked[~proven]]
     worst_idx = int(ratios.argmax())
     return AppendixReport(
         max_critical_point_ratio=float(ratios[worst_idx]),
         max_coefficient_ratio=float(coeff_ratios.max()),
         containment_maps=containment_maps,
-        containment_failures=failures,
-        containment_inconclusive=inconclusive,
+        containment_failures=sum(not (rep.part1 or rep.inconclusive) for rep in sampled),
+        containment_inconclusive=sum(rep.inconclusive for rep in sampled),
         containment_proven=int(proven.sum()),
         worst_case={"sample_index": worst_idx, "ratio": float(ratios[worst_idx])},
     )
@@ -444,11 +363,12 @@ def _finite_rows(rho: float, rows: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _sample_polys(d: int, rho: float, rngs: list) -> tuple:
-    """``sample_poly_with_critical_values_in`` for row i from rngs[i], in
-    its draw order, for all rows at once: the coefficients (n, d), the drawn
-    critical points c (n, d-1) and the factors a (n,) that put row i's
-    critical points at c[i] / a[i].  A row with no nonzero critical value
-    draws no target and is the zero map (a = inf)."""
+    """Random monic p with p(0) = 0 and critical values scaled into the
+    rho-disk (max modulus placed uniformly in [0.3, 1]*rho), row i drawn
+    from rngs[i] alone: the coefficients (n, d), the drawn critical points c
+    (n, d-1) and the factors a (n,) that put row i's critical points at
+    c[i] / a[i].  A row with no nonzero critical value draws no target and
+    is the zero map (a = inf)."""
     if d < 2:
         raise DomainError("needs d >= 2")
     n = len(rngs)
@@ -473,9 +393,10 @@ def _sample_polys(d: int, rho: float, rngs: list) -> tuple:
 
 @np.errstate(all="ignore")
 def _sample_maps(d: int, rho: float, rngs: list) -> np.ndarray:
-    """``sample_map_with_singular_values_in`` for row i from rngs[i], in its
-    draw order, for all rows at once: the coefficients (n, d), NaN where a
-    row's critical values leave the float range."""
+    """Random maps whose singular values (critical values of p and p(0))
+    are scaled into the rho-disk, row i drawn from rngs[i] alone: the
+    coefficients (n, d), NaN where a row's critical values leave the float
+    range."""
     n = len(rngs)
     if d == 1:
         shifted, scale = np.zeros((n, 1), dtype=complex), rho
@@ -492,18 +413,3 @@ def _sample_maps(d: int, rho: float, rngs: list) -> np.ndarray:
     shrink = np.where(peak > rho, (peak / (0.95 * rho)) ** (1.0 / d), 1.0)
     return np.where(np.isfinite(peak)[:, None], _rescaled(shifted, shrink), np.nan)
 
-
-def sample_poly_with_critical_values_in(
-    d: int, rho: float, rng: np.random.Generator
-) -> PolyExpMap:
-    """Random monic p with p(0) = 0 and critical values scaled into the
-    rho-disk (max modulus placed uniformly in [0.3, 1]*rho)."""
-    return PolyExpMap(d, _sample_polys(d, rho, [rng])[0][0])
-
-
-def sample_map_with_singular_values_in(
-    d: int, rho: float, rng: np.random.Generator
-) -> PolyExpMap:
-    """Random map whose singular values (critical values of p and p(0)) are
-    scaled into the rho-disk."""
-    return PolyExpMap(d, _finite_rows(rho, _sample_maps(d, rho, [rng]))[0])

@@ -69,9 +69,6 @@ class ExternalAddress:
             addr = addr.shift()
         return addr
 
-    def bound(self) -> int:
-        return max(abs(x) for x in self.preperiod + self.period)
-
     def canonical(self) -> "ExternalAddress":
         """Minimal-period, minimal-preperiod representative of the sequence."""
         per = list(self.period)
@@ -265,20 +262,6 @@ def build_ladder(
     return PotentialLadder(tuple(potentials), midpoints, t_prime)
 
 
-@dataclass(frozen=True)
-class ClusterReport:
-    """Partition of grid indices (orbit, level) by (potential, tract index).
-
-    ``infinite`` is set when two orbits keep equal potentials and agreeing
-    tract indices arbitrarily deep, which a finite truncation can detect
-    from the periodic representations.
-    """
-
-    clusters: tuple[tuple[tuple[int, int], ...], ...]
-    nontrivial_count: int
-    infinite: bool
-
-
 def _tails_agree_infinitely_often(a: ExternalAddress, b: ExternalAddress) -> bool:
     """Do entry(n) of a and b coincide for infinitely many n?"""
     start = max(len(a.preperiod), len(b.preperiod))
@@ -288,57 +271,29 @@ def _tails_agree_infinitely_often(a: ExternalAddress, b: ExternalAddress) -> boo
 
 def detect_clusters(
     orbits: Sequence[tuple[float, ExternalAddress]], d: int, depth: int
-) -> ClusterReport:
-    """Group the truncated grid by equal potential and equal tract index.
+) -> bool:
+    """Does the configuration admit infinitely many nontrivial clusters?
 
-    Two grid points share a cluster exactly when their potentials agree to
-    relative tolerance and their address entries at that level are equal.
-    The infinite flag fires when two orbits align in potential at some
-    offset and their shifted addresses agree at infinitely many positions.
+    A cluster is a set of grid points with equal potential (to relative
+    tolerance) and equal tract index.  Clusters never thin out when two
+    orbits align in potential at some offset within ``depth`` levels and
+    their shifted addresses agree at infinitely many positions.
     """
     rtol = config.POTENTIAL_EQ_RTOL
-    entries = []  # (potential, tract, orbit, level)
-    chains = []
-    for i, (t0, addr) in enumerate(orbits):
-        values = chain(d, t0, max_len=depth + 1)
-        chains.append(values)
-        for j, tj in enumerate(values):
-            entries.append((tj, addr.entry(j), i, j))
-
-    entries.sort(key=lambda e: (e[0], e[1]))
-    groups: list[list[tuple[int, int]]] = []
-    keys: list[tuple[float, int]] = []
-    for t, s, i, j in entries:
-        if keys and s == keys[-1][1] and t - keys[-1][0] <= rtol * max(1.0, t):
-            groups[-1].append((i, j))
-        else:
-            groups.append([(i, j)])
-            keys.append((t, s))
-    nontrivial = sum(1 for g in groups if len(g) > 1)
-
-    infinite = False
+    chains = [chain(d, t0, max_len=depth + 1) for t0, _ in orbits]
     for a, b in itertools.combinations(range(len(orbits)), 2):
-        ta, addr_a = orbits[a]
-        tb, addr_b = orbits[b]
         # Potential alignment: step^da(ta) == step^db(tb) persists once true.
-        align = None
-        for da, va in enumerate(chains[a]):
-            for db, vb in enumerate(chains[b]):
-                if abs(va - vb) <= rtol * max(1.0, abs(va), abs(vb)):
-                    align = (da, db)
-                    break
-            if align:
-                break
-        if align is None:
-            continue
-        if _tails_agree_infinitely_often(
-            addr_a.shifted(align[0]), addr_b.shifted(align[1])
+        align = next(
+            (
+                (da, db)
+                for da, va in enumerate(chains[a])
+                for db, vb in enumerate(chains[b])
+                if abs(va - vb) <= rtol * max(1.0, abs(va), abs(vb))
+            ),
+            None,
+        )
+        if align is not None and _tails_agree_infinitely_often(
+            orbits[a][1].shifted(align[0]), orbits[b][1].shifted(align[1])
         ):
-            infinite = True
-            break
-
-    return ClusterReport(
-        clusters=tuple(tuple(g) for g in groups),
-        nontrivial_count=nontrivial,
-        infinite=infinite,
-    )
+            return True
+    return False

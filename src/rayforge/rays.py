@@ -47,10 +47,6 @@ class RaySegment:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DomainError("segment potentials must strictly increase")
 
-    @property
-    def points(self) -> tuple[complex, ...]:
-        return tuple(p.z for p in self.samples)
-
 
 def _pull_chains(
     map_: PolyExpMap,
@@ -249,35 +245,3 @@ def extract_potential_address(
     residual = abs(orbit[k] - straight)
     return Extraction(u, tuple(prefix), residual, start)
 
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    """First iterate from which Re f^n is strictly increasing along a segment."""
-
-    onset: int
-    horizon: int
-    violations: dict[int, int]
-
-
-def check_monotone(
-    segment: RaySegment, map_: PolyExpMap, n_iterates: int
-) -> MonotoneReport:
-    """Find the smallest N with Re f^n strictly increasing for all testable
-    n >= N.  Overflow truncates the testable range (reported as horizon)."""
-    zs = list(segment.points)
-    if len(zs) <= 1:
-        return MonotoneReport(0, n_iterates, {})
-    violations: dict[int, int] = {}
-    horizon = 0
-    for n in range(n_iterates + 1):
-        res = [z.real for z in zs]
-        bad = sum(1 for a, b in zip(res, res[1:]) if b <= a)
-        if bad:
-            violations[n] = bad
-        horizon = n
-        try:
-            zs = [map_(z) for z in zs]
-        except OverflowSignal:
-            break
-    onset = max(violations) + 1 if violations else 0
-    return MonotoneReport(onset, horizon, violations)

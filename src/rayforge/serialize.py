@@ -55,11 +55,21 @@ def to_json(obj: Any) -> Any:
     return obj
 
 
+def finite_from_json(value: Any, field: str) -> float:
+    """``value`` as a float; NaN, an infinity or a literal beyond the float
+    range (which Python's json reads as one) is refused, naming ``field``."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"{field} must be a finite number, got {value!r}")
+    return x
+
+
 def complex_from_json(obj: Any) -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
+        re, im = float(obj["re"]), float(obj["im"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected {{re, im}} object, got {obj!r}") from exc
+    return complex(finite_from_json(re, "re"), finite_from_json(im, "im"))
 
 
 def address_from_json(obj: Any) -> ExternalAddress:
@@ -88,7 +98,8 @@ def spec_to_json(spec: TargetSpec) -> dict:
 def spec_from_json(obj: Any) -> TargetSpec:
     try:
         orbits = tuple(
-            (float(o["T"]), address_from_json(o["address"])) for o in obj["orbits"]
+            (finite_from_json(o["T"], "orbit potential T"), address_from_json(o["address"]))
+            for o in obj["orbits"]
         )
         d, depth = integers([obj["d"], obj["J"]], "spec fields d and J")
         return TargetSpec(d, orbits, depth)

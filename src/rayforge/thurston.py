@@ -149,8 +149,7 @@ def validate_spec(spec: TargetSpec) -> None:
                 f"depth {spec.depth} is too deep for orbit {i} (T={t}): its "
                 f"speed overflows at level {levels}; use a smaller depth"
             )
-    report = potentials.detect_clusters(spec.orbits, spec.d, spec.depth)
-    if report.infinite:
+    if potentials.detect_clusters(spec.orbits, spec.d, spec.depth):
         raise SpecRejectionError(
             "configuration admits infinitely many nontrivial clusters "
             "(equal speeds with persistently agreeing addresses)"

@@ -219,7 +219,8 @@ def inverse_branches(
     that the one-row call ``inverse_branch(map_, cfg, ns[k], ws[k])``
     raises (DomainError, RootSolveError, BranchSelectionError,
     OverflowSignal), returned rather than raised so that callers report
-    the first failure in their own order.  Rows are solved independently,
+    the first failure in their own order.  A non-finite complex seed is a
+    DomainError row and is never solved.  Rows are solved independently,
     so no row's value or error depends on the batch.
     """
     polar = {}
@@ -238,14 +239,18 @@ def inverse_branches(
             )
         else:
             z[k] = _asymptotic_branch(map_, int(ns[k]), w)
+    # LogPolar rows hold NaN here; every other non-finite seed is refused.
+    non_finite = ~np.isfinite(seeds)
+    for k in non_finite.nonzero()[0].tolist():
+        if k not in polar:
+            errors[k] = DomainError(f"seed {complex(seeds[k])} is not finite")
     left = seeds.real <= cfg.r_min
     for k in left.nonzero()[0].tolist():
         errors[k] = DomainError(
             f"seed {complex(seeds[k])} is not right of the singular values "
             f"(Re <= {cfg.r_min:.3g})"
         )
-    left[list(polar)] = True
-    rows = (~left).nonzero()[0]
+    rows = (~(left | non_finite)).nonzero()[0]
     if rows.size:
         roots, stalled = _solve_rows(map_, seeds[rows])
         z[rows], failed = _select_branches(map_, cfg, ns[rows], seeds[rows], roots)

@@ -331,20 +331,42 @@ def sampled_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containm
     return ContainmentReport(part1 and part2, part1, part2, False, samples, False)
 
 
+def sample_poly_with_critical_values_in(d: int, rho: float, rng) -> PolyExpMap:
+    """One row of ``polyexp._sample_polys``: a random monic p with p(0) = 0
+    and critical values scaled into the rho-disk."""
+    return PolyExpMap(d, polyexp._sample_polys(d, rho, [rng])[0][0])
+
+
+def sample_map_with_singular_values_in(d: int, rho: float, rng) -> PolyExpMap:
+    """One row of ``polyexp._sample_maps``: a random map whose singular
+    values are scaled into the rho-disk."""
+    return PolyExpMap(d, polyexp._sample_maps(d, rho, [rng])[0])
+
+
+def critical_point_ratio(map_: PolyExpMap, rho: float) -> float:
+    """max |critical point| / rho^(1/d), the critical points from the
+    ``np.roots`` solve of p' in ``singular_data``; 0 for d = 1."""
+    cps = map_.singular_data().critical_points
+    return max(map(abs, cps), default=0.0) / rho ** (1.0 / map_.d)
+
+
+def coefficient_ratio(map_: PolyExpMap, rho: float) -> float:
+    """max over k of |b_k| / rho^((d-k)/d)."""
+    return max(abs(b) / rho ** ((map_.d - k) / map_.d) for k, b in enumerate(map_.coeffs))
+
+
 def appendix_report_per_sample(
     d: int, rho: float, samples: int, seed: int, containment_maps: int
 ) -> polyexp.AppendixReport:
-    """Reference ``polyexp.appendix_report`` built from the public scalar
-    pieces: each sample draws a polynomial and a map from its own stream
-    and is measured on its own, and the critical-point ratio comes from a
-    root solve of p' in ``check_critical_point_bound``."""
+    """Reference ``polyexp.appendix_report`` built one sample at a time: each
+    sample draws a polynomial and a map from its own stream and is measured
+    on its own, and the critical-point ratio comes from a root solve of p'."""
     ratios, coeffs, contains = [], [], []
     for idx in range(samples):
         rng = np.random.default_rng((seed, idx))
-        poly = polyexp.sample_poly_with_critical_values_in(d, rho, rng)
-        ratios.append(polyexp.check_critical_point_bound(poly, rho).ratio)
-        map_ = polyexp.sample_map_with_singular_values_in(d, rho, rng)
-        coeffs.append(polyexp.check_coefficient_bound(map_, rho).ratio)
+        ratios.append(critical_point_ratio(sample_poly_with_critical_values_in(d, rho, rng), rho))
+        map_ = sample_map_with_singular_values_in(d, rho, rng)
+        coeffs.append(coefficient_ratio(map_, rho))
         if idx < containment_maps:
             contains.append(polyexp.check_disk_containment(map_, rho, rho))
     worst_idx = int(np.argmax(ratios))
@@ -359,9 +381,30 @@ def appendix_report_per_sample(
     )
 
 
+def check_monotone(segment, map_: PolyExpMap, n_iterates: int) -> tuple[int, int, dict]:
+    """(onset, horizon, violations) of a ray segment: the smallest N with
+    Re f^n strictly increasing along the samples for all testable n >= N,
+    the last iterate tested (an overflow cuts the range short), and the
+    count of non-increasing steps per iterate that has any."""
+    zs = [p.z for p in segment.samples]
+    violations: dict[int, int] = {}
+    horizon = 0
+    for n in range(n_iterates + 1):
+        res = [z.real for z in zs]
+        bad = sum(1 for a, b in zip(res, res[1:]) if b <= a)
+        if bad:
+            violations[n] = bad
+        horizon = n
+        try:
+            zs = [map_(z) for z in zs]
+        except OverflowSignal:
+            break
+    return max(violations, default=-1) + 1, horizon, violations
+
+
 def critical_point_ratio_50_digits(d: int, rng: np.random.Generator) -> float:
     """max |critical point| / rho^(1/d) of the polynomial that
-    ``polyexp.sample_poly_with_critical_values_in`` draws from ``rng``,
+    ``sample_poly_with_critical_values_in`` draws from ``rng``,
     recomputed at 50 digits from the same normals and uniform.
 
     The sampler rescales p, whose critical points c_k are drawn, by a =

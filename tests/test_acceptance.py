@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     OracleDegenerate,
+    check_monotone,
     curve_clearance,
     plain_pullback,
     random_word_fixture,
@@ -162,10 +163,10 @@ def test_06_monotonicity():
     for m, addr, lo, hi, n in presets.SEGMENTS:
         cfg = tracts.make_tract_config(m)
         seg = rays.trace_segment(m, cfg, addr, lo, hi, n)
-        rep = rays.check_monotone(seg, m, 8)
-        ok = ok and rep.onset <= 3
-        ok = ok and all(k < rep.onset for k in rep.violations)
-        details.append(f"d={m.d} {addr}: N={rep.onset} horizon={rep.horizon}")
+        onset, horizon, violations = check_monotone(seg, m, 8)
+        ok = ok and onset <= 3
+        ok = ok and all(k < onset for k in violations)
+        details.append(f"d={m.d} {addr}: N={onset} horizon={horizon}")
     report(6, "monotonicity", ok, f"({'; '.join(details)})")
 
 
@@ -237,14 +238,14 @@ def test_09_cluster_rejection():
         thurston.validate_spec(presets.CLUSTER_REJECT)
     except SpecRejectionError as exc:
         rejected_with_cluster_message = "cluster" in str(exc)
-    accept = potentials.detect_clusters(presets.CLUSTER_ACCEPT_ORBITS, 3, 2)
-    ok = rejected_with_cluster_message and not accept.infinite
+    infinite = potentials.detect_clusters(presets.CLUSTER_ACCEPT_ORBITS, 3, 2)
+    ok = rejected_with_cluster_message and not infinite
     report(
         9,
         "cluster-rejection",
         ok,
         f"(equal-T rejected={rejected_with_cluster_message}, "
-        f"distinct-T finite={not accept.infinite})",
+        f"distinct-T finite={not infinite})",
     )
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,58 @@ class TestMalformedInput:
         want = capsys.readouterr().out
         assert self._classify(tmp_path, SPEC1 | {"d": 1.0, "J": 3.0}) == 0
         assert capsys.readouterr().out == want
+
+
+class TestNonFiniteInput:
+    """NaN, infinities and literals beyond the float range, which Python's
+    json reads as floats, are refused with exit 2 by every command that
+    reads a file, naming the field."""
+
+    NAN_MAP = '{"d": 2, "coeffs": [{"re": NaN, "im": 0}, {"re": 0.1, "im": 0}]}'
+
+    @staticmethod
+    def _file(tmp_path, name, text) -> str:
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def _check(self, argv, field, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rayforge: {field} must be a finite number, got ")
+
+    def test_ray_trace(self, workdir, tmp_path, capsys):
+        argv = ["ray", "trace", "--map", self._file(tmp_path, "m.json", self.NAN_MAP),
+                "--address", workdir["zero"], "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
+        self._check(argv, "re", capsys)
+
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "1e400"])
+    def test_classify(self, t, tmp_path, capsys):
+        text = '{"d": 1, "J": 3, "orbits": [{"T": %s, "address": {"period": [0]}}]}' % t
+        argv = ["classify", "--spec", self._file(tmp_path, "s.json", text)]
+        self._check(argv, "orbit potential T", capsys)
+
+    def test_invariant_set(self, tmp_path, capsys):
+        grid = [[serialize.complex_to_json(complex(v)) for v in row]
+                for row in presets.SPEC_D1.straight]
+        grid[0][1] = {"re": 1e400, "im": 0.0}
+        run_obj = {"config": {"spec": serialize.spec_to_json(presets.SPEC_D1)}, "grid": grid}
+        text = json.dumps(run_obj)  # writes 1e400 as Infinity
+        argv = ["diag", "invariant-set", "--run", self._file(tmp_path, "run.json", text)]
+        self._check(argv, "re", capsys)
+
+    def test_homotopy_word(self, workdir, tmp_path, capsys):
+        text = '{"vertices": [{"re": 0.0, "im": 0.0}, {"re": 2.0, "im": -Infinity}]}'
+        argv = ["homotopy", "word", "--marked", workdir["marked"],
+                "--curve", self._file(tmp_path, "c.json", text)]
+        self._check(argv, "im", capsys)
+
+    def test_tracts_inspect(self, tmp_path, capsys):
+        argv = ["tracts", "inspect", "--map", self._file(tmp_path, "m.json", self.NAN_MAP)]
+        self._check(argv, "re", capsys)
 
 
 class TestInvariantSetInput:

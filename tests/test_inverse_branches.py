@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from rayforge import tracts
-from rayforge.errors import RayforgeError
+from rayforge import polyexp, presets, tracts
+from rayforge.errors import DomainError, RayforgeError
 from rayforge.polyexp import PolyExpMap
 
 from oracles import scalar_inverse_branch
@@ -89,6 +89,22 @@ class TestRowIndependence:
         assert kinds == {
             "complex", "DomainError", "BranchSelectionError", "RootSolveError", "OverflowSignal"
         }
+
+
+class TestNonFiniteSeeds:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused_without_a_solve(self, monkeypatch):
+        cfg = tracts.make_tract_config(presets.D2_MAP)
+        solved = []
+        solve = polyexp.poly_roots_batch
+        monkeypatch.setattr(polyexp, "poly_roots_batch", lambda m, ws: solved.append(ws) or solve(m, ws))
+        seeds = [math.nan, complex(5, math.inf), math.inf, 50.0]
+        z, errors = tracts.inverse_branches(presets.D2_MAP, cfg, [0, 0, 0, 0], seeds)
+        assert sorted(errors) == [0, 1, 2]
+        for k, exc in errors.items():
+            assert type(exc) is DomainError and str(exc) == f"seed {complex(seeds[k])} is not finite"
+        assert np.isnan(z[:3]).all() and z[3] == tracts.inverse_branch(presets.D2_MAP, cfg, 0, 50.0)
+        assert [list(ws) for ws in solved] == [[50.0], [50.0]]
 
 
 class TestScalarReference:

