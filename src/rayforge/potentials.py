@@ -136,6 +136,12 @@ def log_step(d: int, t: float) -> float:
     return math.log(math.expm1(x))
 
 
+def same_potential(a: float, b: float) -> bool:
+    """Equality of potentials at relative tolerance POTENTIAL_EQ_RTOL, the
+    one rule of ladders and cluster detection."""
+    return abs(a - b) <= config.POTENTIAL_EQ_RTOL * max(1.0, abs(a), abs(b))
+
+
 def chain(d: int, t: float, max_len: int = 512) -> list[float]:
     """[t, step(t), step^2(t), ...] truncated before the first value above
     the float-range limit ``config.CAP``."""
@@ -195,9 +201,9 @@ def build_ladder(
 ) -> PotentialLadder:
     """Merge the iterated potentials of all orbits into a sorted ladder.
 
-    Duplicates collapse at relative tolerance POTENTIAL_EQ_RTOL.  The
-    threshold t_prime is the smallest rung (or 0) above which, on data
-    sampled LADDER_EXTRA_DEPTH levels deeper than the ladder itself,
+    Duplicates collapse under ``same_potential``.  The threshold t_prime
+    is the smallest rung (or 0) above which, on data sampled
+    LADDER_EXTRA_DEPTH levels deeper than the ladder itself,
     consecutive gaps exceed 2, moduli of marked points gain more than 2 per
     rung, and every midpoint separates the positions below it from the
     positions above it by at least 1.
@@ -210,14 +216,13 @@ def build_ladder(
         if not t0 > 0:
             raise DomainError(f"orbit potential must be > 0, got {t0}")
 
-    rtol = config.POTENTIAL_EQ_RTOL
     merged: list[float] = []
     for t0, _ in orbits:
         merged.extend(chain(d, t0, max_len=depth + 1))
     merged.sort()
     potentials: list[float] = []
     for t in merged:
-        if not potentials or t - potentials[-1] > rtol * max(1.0, t):
+        if not potentials or not same_potential(potentials[-1], t):
             potentials.append(t)
     midpoints = tuple(
         (potentials[i] + potentials[i + 1]) / 2 for i in range(len(potentials) - 1)
@@ -225,13 +230,9 @@ def build_ladder(
 
     # Sampled separation conditions, probed a couple of levels deeper.
     sample_pts = _straight_points(orbits, d, depth + config.LADDER_EXTRA_DEPTH)
-
-    def distinct(a: float, b: float) -> bool:
-        return b - a > rtol * max(1.0, abs(a), abs(b))
-
     sample_pots: list[float] = []
     for t in sorted(p[0] for p in sample_pts):
-        if not sample_pots or distinct(sample_pots[-1], t):
+        if not sample_pots or not same_potential(sample_pots[-1], t):
             sample_pots.append(t)
 
     def conditions_hold(threshold: float) -> bool:
@@ -241,7 +242,7 @@ def build_ladder(
                 return False
         pts_above = sorted(p for p in sample_pts if p[0] > threshold)
         for (ta, pa, *_), (tb, pb, *_) in itertools.combinations(pts_above, 2):
-            if distinct(ta, tb) and not pb > pa + 2:
+            if not same_potential(ta, tb) and not pb > pa + 2:
                 return False
         for rho in midpoints:
             if rho <= threshold:
@@ -279,7 +280,6 @@ def detect_clusters(
     orbits align in potential at some offset within ``depth`` levels and
     their shifted addresses agree at infinitely many positions.
     """
-    rtol = config.POTENTIAL_EQ_RTOL
     chains = [chain(d, t0, max_len=depth + 1) for t0, _ in orbits]
     for a, b in itertools.combinations(range(len(orbits)), 2):
         # Potential alignment: step^da(ta) == step^db(tb) persists once true.
@@ -288,7 +288,7 @@ def detect_clusters(
                 (da, db)
                 for da, va in enumerate(chains[a])
                 for db, vb in enumerate(chains[b])
-                if abs(va - vb) <= rtol * max(1.0, abs(va), abs(vb))
+                if same_potential(va, vb)
             ),
             None,
         )

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import config, potentials, tracts
 from .errors import (
+    BranchSelectionError,
     DomainError,
     NotConvergedError,
     NotEscapingError,
@@ -114,7 +115,8 @@ def trace_segment(
     come in under tol.  Depth 0 counts as converged only when step(t)
     leaves the float range.  The depth-n and depth-(n-1) chains of all
     samples are pulled together; the first failing sample, depth n before
-    depth n-1, raises its error.
+    depth n-1, raises its error.  A chain point left of the singular values,
+    where no single-valued branch exists, raises BranchSelectionError.
     """
     if not 0 < t_lo <= t_hi < math.inf:
         raise DomainError("need finite 0 < t_lo <= t_hi")
@@ -161,6 +163,11 @@ def trace_segment(
     if failed.any():
         s = int(failed.argmax())
         for c in (s, S + s):
+            if isinstance(errors.get(c), DomainError):
+                raise BranchSelectionError(
+                    f"no single-valued branch for the ray at potential {ts[s]!r}: "
+                    f"its pull-chain {errors[c]}"
+                ) from errors[c]
             if c in errors:
                 raise errors[c]
         if depths[s] == 0:

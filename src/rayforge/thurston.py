@@ -4,11 +4,12 @@ A target prescribes, for each singular orbit, an escape speed T_i and an
 address s_i.  The state is a truncated grid z[i][j] of orbit points
 (j = 0..J) plus a map from the family; one step pulls every grid point
 back one level through the inverse branch its address dictates (the level
-past J is frozen at its straight asymptotic position) and refits the map so
-its singular values match the new first column.  At a fixed point the grid
-is a genuine orbit segment of the map and the singular values escape with
-the prescribed speeds and addresses, which an independent forward-orbit
-verifier certifies.
+past J is frozen at its straight asymptotic position; beyond the float
+range its pullback is taken to first order, exact in double precision
+there) and refits the map so its singular values match the new first
+column.  At a fixed point the grid is a genuine orbit segment of the map
+and the singular values escape with the prescribed speeds and addresses,
+which an independent forward-orbit verifier certifies.
 
 ``classify`` mixes each next grid from the last pullbacks (Anderson mixing,
 Walker & Ni 2011), which reaches the same fixed point in fewer steps.  It
@@ -98,23 +99,26 @@ class TargetSpec:
         return z
 
     @cached_property
-    def tail(self) -> tuple[complex | tracts.LogPolar, ...]:
-        """Per orbit, the frozen level-(depth+1) point at its straight
-        position step^(depth+1)(T_i) + 2*pi*i*s/d, as a complex seed in the
-        float range and as a ``tracts.LogPolar`` seed beyond it."""
-        seeds = []
+    def tail(self) -> tuple[dict[int, complex], dict[int, complex]]:
+        """The frozen level-(depth+1) points w_i = step^(depth+1)(T_i) +
+        2*pi*i*s/d by orbit, split at the float range into (seeds, far):
+        seeds[i] is w_i as a complex seed, and far[i], where w_i is beyond
+        the float range, the part of its level-depth pullback that depends
+        on the spec alone, z0 = log|w_i|/d + i*(arg w_i + 2*pi*s_depth)/d."""
+        seeds, far = {}, {}
         for i, values in enumerate(self.speeds):
             t_top = values[self.depth]
             s_next = self.address(i).entry(self.depth + 1)
             log_next = potentials.log_step(self.d, t_top)
             if log_next <= math.log(config.CAP):
                 t_next = potentials.step(self.d, t_top)
-                seeds.append(potentials.straight_point(self.d, t_next, s_next))
+                seeds[i] = potentials.straight_point(self.d, t_next, s_next)
             else:
                 v = 2 * math.pi * s_next / self.d
                 arg = v * math.exp(-log_next) if log_next < 700 else 0.0
-                seeds.append(tracts.LogPolar(log_next, arg))
-        return tuple(seeds)
+                n = self.address(i).entry(self.depth)
+                far[i] = complex(log_next / self.d, arg / self.d + 2 * math.pi * n / self.d)
+        return seeds, far
 
 
 def validate_spec(spec: TargetSpec) -> None:
@@ -281,23 +285,34 @@ def _fit_newton(d: int, targets: Sequence[complex], warm: PolyExpMap) -> PolyExp
     raise FitError(f"degree-{d} fit stalled at residual {worst:.3e}", residual=worst)
 
 
+def _far_tail_pullback(map_: PolyExpMap, z0: complex) -> complex:
+    """The pullback of a frozen seed w beyond the float range, given
+    z0 = log(w)/d lifted to its strip: zeta = e^z0 * (1 - b_{d-1}/(d*zeta)
+    + ...) solves p(zeta) = w, and only the first correction survives double
+    precision.  It is dropped where e^z0 overflows."""
+    if z0.real > config.EXP_ARG_LIMIT:
+        return z0
+    return z0 - map_.coeffs[-1] / (map_.d * cmath.exp(z0))
+
+
 def pullback_step(state: ThurstonState) -> ThurstonState:
     """One pullback: lift every grid point one level back through the branch
     its address dictates, then refit the map to the new first column.
 
-    All grid points are pulled in one batched call.  Failures are reported
-    in grid order (orbit by orbit, level by level): the first point whose
-    seed fell left of the singular values, or whose branch failed.
+    All grid points with a complex seed are pulled in one batched call, and
+    the far-tail points of ``spec.tail`` to first order.  Failures are
+    reported in grid order (orbit by orbit, level by level): the first point
+    whose seed fell left of the singular values, or whose branch failed.
     """
     spec = state.spec
     map_ = state.map
     cfg = tracts.make_tract_config(map_)
     old = state.z
+    tail, far = spec.tail
     points = [(i, j) for i in range(spec.m) for j in range(spec.depth + 1)]
-    seeds = [
-        spec.tail[i] if j == spec.depth else complex(old[i, j + 1]) for i, j in points
-    ]
-    new, errors = tracts.inverse_branches(
+    points = [(i, j) for i, j in points if j < spec.depth or i in tail]
+    seeds = [tail[i] if j == spec.depth else complex(old[i, j + 1]) for i, j in points]
+    pulled, errors = tracts.inverse_branches(
         map_, cfg, [spec.address(i).entry(j) for i, j in points], seeds
     )
     if errors:
@@ -316,7 +331,10 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
                 "which the strip-indexed shadow does not support"
             ) from exc
         raise exc
-    new = new.reshape(old.shape)
+    new = np.empty_like(old)
+    new[tuple(zip(*points))] = pulled
+    for i, z0 in far.items():
+        new[i, spec.depth] = _far_tail_pullback(map_, z0)
     delta = float(np.abs(new - old).max())
     new_map = fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_)
     return ThurstonState(new_map, spec, new, state.deltas + [delta])

@@ -43,20 +43,6 @@ from .errors import (
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_LOG_CAP = math.log(config.CAP)
-
-
-@dataclass(frozen=True)
-class LogPolar:
-    """A complex value exp(log_abs + i*arg), for magnitudes beyond floats.
-
-    The inverse branches serve it to first order only, which is exact in
-    double precision far out, and reject it with a DomainError at or below
-    log(config.CAP); pass representable seeds as complex.
-    """
-
-    log_abs: float
-    arg: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -208,13 +194,12 @@ def inverse_branches(
     map_: polyexp.PolyExpMap,
     cfg: TractConfig,
     ns: Sequence[int],
-    ws: Sequence[complex | LogPolar] | np.ndarray,
+    ws: Sequence[complex] | np.ndarray,
 ) -> tuple[np.ndarray, dict[int, RayforgeError]]:
-    """The preimages of ws[k] under f lying in strips ns[k], from one root
-    solve and one array pass over all rows.
+    """The preimages of the complex seeds ws[k] under f lying in strips
+    ns[k], from one root solve and one array pass over all rows.
 
-    ``ws`` is a complex array, or a sequence that may also hold LogPolar
-    seeds.  Returns the preimages as a complex array, NaN on failed rows,
+    Returns the preimages as a complex array, NaN on failed rows,
     and the errors of the failed rows by row index: row k's is the error
     that the one-row call ``inverse_branch(map_, cfg, ns[k], ws[k])``
     raises (DomainError, RootSolveError, BranchSelectionError,
@@ -223,27 +208,13 @@ def inverse_branches(
     DomainError row and is never solved.  Rows are solved independently,
     so no row's value or error depends on the batch.
     """
-    polar = {}
-    if not isinstance(ws, np.ndarray):
-        polar = {k: w for k, w in enumerate(ws) if isinstance(w, LogPolar)}
-        ws = [math.nan if k in polar else w for k, w in enumerate(ws)]
     seeds = np.asarray(ws, dtype=complex)
     ns = np.asarray(ns)
     z = np.full(len(seeds), complex(math.nan, math.nan))
     errors: dict[int, RayforgeError] = {}
-    for k, w in polar.items():
-        if w.log_abs <= _LOG_CAP:
-            errors[k] = DomainError(
-                f"log-polar seed with log magnitude {w.log_abs} is within "
-                "the float range; pass it as a complex number"
-            )
-        else:
-            z[k] = _asymptotic_branch(map_, int(ns[k]), w)
-    # LogPolar rows hold NaN here; every other non-finite seed is refused.
     non_finite = ~np.isfinite(seeds)
     for k in non_finite.nonzero()[0].tolist():
-        if k not in polar:
-            errors[k] = DomainError(f"seed {complex(seeds[k])} is not finite")
+        errors[k] = DomainError(f"seed {complex(seeds[k])} is not finite")
     left = seeds.real <= cfg.r_min
     for k in left.nonzero()[0].tolist():
         errors[k] = DomainError(
@@ -332,35 +303,15 @@ def inverse_branch(
     map_: polyexp.PolyExpMap,
     cfg: TractConfig,
     n: int,
-    w: complex | LogPolar,
+    w: complex,
 ) -> complex:
-    """The preimage of w under f lying in strip n.
+    """The preimage of the complex seed w under f lying in strip n.
 
     Solves p(zeta) = w, then lifts log(zeta) by the unique multiple of
-    2*pi*i that lands in strip n.  For seeds given in LogPolar form, which
-    must lie beyond log(config.CAP), the root is expanded to first order in
-    the coefficients (the corrections underflow exactly when they should).
+    2*pi*i that lands in strip n.
     """
     z, errors = inverse_branches(map_, cfg, (n,), (w,))
     if errors:
         raise errors[0]
     return complex(z[0])
 
-
-def _asymptotic_branch(
-    map_: polyexp.PolyExpMap, n: int, w: LogPolar
-) -> complex:
-    """First-order branch for seeds beyond the float range.
-
-    zeta = w^(1/d) * (1 - b_{d-1}/(d*zeta) + ...); only the leading
-    correction survives double precision, and it underflows to zero for
-    truly enormous seeds.
-    """
-    d = map_.d
-    z0 = complex(w.log_abs / d, w.arg / d + 2 * math.pi * n / d)
-    if w.log_abs / d > config.EXP_ARG_LIMIT:
-        corr = 0.0
-    else:
-        eta = cmath.exp(complex(z0.real, w.arg / d))
-        corr = -map_.coeffs[d - 1] / (d * eta)
-    return z0 + corr

@@ -281,25 +281,31 @@ def plain_pullback(
 def scalar_pullback_grid(state) -> np.ndarray:
     """Reference pullback: the point-by-point loop that the batched
     ``thurston.pullback_step`` replaced, returning the pulled grid (no
-    refit) or raising the first failure in grid order."""
+    refit) or raising the first failure in grid order.  A frozen seed beyond
+    the float range is pulled back to first order, z0 - b_{d-1}/(d*e^z0),
+    and to z0 alone where e^z0 overflows."""
     spec = state.spec
     map_ = state.map
     cfg = tracts.make_tract_config(map_)
     old = state.z
     new = np.zeros_like(old)
+    tail, far = spec.tail
     for i in range(spec.m):
         addr = spec.address(i)
         for j in range(spec.depth + 1):
-            seed = spec.tail[i] if j == spec.depth else old[i, j + 1]
-            if isinstance(seed, complex) or isinstance(seed, np.complexfloating):
-                seed_c = complex(seed)
-                if seed_c.real <= cfg.r_min:
-                    raise InvariantViolationError(
-                        f"grid point ({i},{j + 1}) fell left of the singular "
-                        f"values (Re {seed_c.real:.3g} <= {cfg.r_min:.3g}); "
-                        "marked points escaped the admissible region"
-                    )
-                seed = seed_c
+            if j == spec.depth and i in far:
+                z0 = far[i]
+                if z0.real <= config.EXP_ARG_LIMIT:
+                    z0 -= map_.coeffs[map_.d - 1] / (map_.d * cmath.exp(z0))
+                new[i, j] = z0
+                continue
+            seed = complex(tail[i] if j == spec.depth else old[i, j + 1])
+            if seed.real <= cfg.r_min:
+                raise InvariantViolationError(
+                    f"grid point ({i},{j + 1}) fell left of the singular "
+                    f"values (Re {seed.real:.3g} <= {cfg.r_min:.3g}); "
+                    "marked points escaped the admissible region"
+                )
             try:
                 new[i, j] = tracts.inverse_branch(map_, cfg, addr.entry(j), seed)
             except BranchSelectionError as exc:

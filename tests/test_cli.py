@@ -98,6 +98,35 @@ class TestRayTrace:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
 
+    @pytest.mark.parametrize(
+        "b0, period, t_lo, t_hi, seed",
+        [
+            (14.80 + 4.02j, [0], "1.2795", "3.601", "12.394403491819059"),
+            (5.55 + 5.94j, [0, 1], "1.0513", "2.0038", "5.403480077577757"),
+        ],
+    )
+    def test_pull_chain_left_of_singular_values_exit_3(
+        self, b0, period, t_lo, t_hi, seed, tmp_path, capsys
+    ):
+        # valid input whose pull chain dips left of the singular values at
+        # the lowest potential; it used to exit 2, blaming the caller
+        map_path, addr_path = tmp_path / "map.json", tmp_path / "addr.json"
+        map_path.write_text(serialize.dumps(serialize.to_json(PolyExpMap(1, [b0]))))
+        addr_path.write_text(json.dumps({"period": period}))
+        code = run(
+            [
+                "ray", "trace", "--map", str(map_path), "--address", str(addr_path),
+                "--t-lo", t_lo, "--t-hi", t_hi, "--samples", "16",
+            ]
+        )
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "BranchSelectionError"
+        assert error["message"].startswith(
+            f"no single-valued branch for the ray at potential {t_lo}: its pull-chain "
+            f"seed ({seed}"
+        )
+
     @pytest.mark.parametrize("entries", [[1.5], [0, "1"], [float("nan")]])
     def test_non_integral_address_entry_exit_2(self, workdir, tmp_path, capsys, entries):
         # an entry of 1.5 used to be traced as strip 1 with exit 0

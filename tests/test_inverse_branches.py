@@ -30,8 +30,6 @@ WILD_ROWS = [
     (-3, 21392114.094972994 + 0.024729019256154863j),  # BranchSelectionError: residual
     (1, 21392114.56523069 - 118.74595111004622j),  # RootSolveError
     (2, 1e306 + 0j),  # OverflowSignal: f overflows at the branch
-    (1, tracts.LogPolar(800.0, 0.3)),  # the first-order branch
-    (0, tracts.LogPolar(40.0, 0.3)),  # DomainError: log-polar within the float range
 ]
 # Random rows just right of the singular values: any outcome.
 RANDOM_ROWS = st.tuples(
@@ -74,12 +72,11 @@ class TestRowIndependence:
             else:
                 assert _bits([z[k]]) == _bits([want])
         assert not errors
-        if not any(isinstance(w, tracts.LogPolar) for w in ws):
-            # complex rows as one array, as the ray tracer passes them
-            z2, errors2 = tracts.inverse_branches(WILD, WILD_CFG, list(ns), np.array(ws))
-            assert _bits(z2) == _bits(z) and errors2.keys() == {
-                k for k, (n, w) in enumerate(rows) if cmath.isnan(z[k])
-            }
+        # the rows as one array, as the ray tracer passes them
+        z2, errors2 = tracts.inverse_branches(WILD, WILD_CFG, list(ns), np.array(ws))
+        assert _bits(z2) == _bits(z) and errors2.keys() == {
+            k for k, (n, w) in enumerate(rows) if cmath.isnan(z[k])
+        }
 
     def test_pool_covers_every_outcome(self):
         kinds = {

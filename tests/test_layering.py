@@ -27,3 +27,8 @@ def test_potentials_loads_no_higher_layer():
     loaded = _loaded_after("import rayforge.potentials")
     assert "rayforge.potentials" in loaded
     assert not loaded & {"rayforge.tracts", "rayforge.thurston", "rayforge.rays", "rayforge.cli"}
+
+
+def test_tracts_loads_only_its_layer():
+    loaded = _loaded_after("import rayforge.tracts")
+    assert loaded == {"rayforge.config", "rayforge.errors", "rayforge.polyexp", "rayforge.tracts"}

@@ -208,6 +208,20 @@ class TestLadder:
             assert all(b - a > 2 for a, b in zip(above, above[1:]))
 
 
+class TestSamePotential:
+    def test_old_predicates_on_sorted_positive_pairs(self):
+        # the ladder merge and its sampled check compared sorted positive
+        # values as b - a > rtol * max(1, b) and > rtol * max(1, a, b)
+        rtol = 1e-12
+        rng = np.random.default_rng(11)
+        a = 10 ** rng.uniform(-3, 300, 4000)
+        near = a * (1 + rng.choice([0.0, 0.5, 0.99, 1.0, 1.01, 2.0], 4000) * rtol)
+        for x, y in zip(a.tolist(), np.maximum(a, near).tolist()):
+            assert pot.same_potential(x, y) is not (y - x > rtol * max(1.0, y))
+            assert pot.same_potential(y, x) is pot.same_potential(x, y)
+        assert pot.same_potential(0.5, 0.5 + 1e-12) and not pot.same_potential(0.5, 0.5 + 2e-12)
+
+
 class TestClusters:
     def test_distinct_tracts_always_trivial(self):
         assert not pot.detect_clusters(

@@ -8,6 +8,7 @@ from rayforge import polyexp, presets
 from rayforge import potentials as pot
 from rayforge import rays, tracts
 from rayforge.errors import (
+    BranchSelectionError,
     DomainError,
     NotConvergedError,
     NotEscapingError,
@@ -181,7 +182,8 @@ class TestSegmentMatchesSamples:
         # sample 0 fails: its chains fall left of the singular values
         (PolyExpMap(2, [8 + 3j, -13 + 9j]), ONE, 0.2, 4.0, 12, {}),
         (EXP, ExternalAddress((), (0, -1)), 0.2, 4.0, 12, {"max_depth": 2}),
-        # sample 0 passes, sample 1 pulls a seed left of the singular values
+        # sample 0 passes, sample 1 pulls a seed left of the singular values,
+        # where no single-valued branch exists
         (PolyExpMap(1, [2.45 + 1.3j]), ExternalAddress((7, -3), (2,)), 0.2, 4.0, 12, {}),
     ]
 
@@ -198,7 +200,8 @@ class TestSegmentMatchesSamples:
                 break
         if case == 5:
             # the failure comes after passing samples, not at sample 0
-            assert len(expected) == 2 and isinstance(expected[-1], DomainError)
+            assert len(expected) == 2 and isinstance(expected[-1], BranchSelectionError)
+            assert isinstance(expected[-1].__cause__, DomainError)
         if isinstance(expected[-1], Exception):
             with pytest.raises(type(expected[-1])) as err:
                 rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n, **opts)

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,16 +78,18 @@ class TestInitState:
         assert z[1, 0] == pytest.approx(2.5 + 1j * math.pi)
         assert z[1, 1].imag == pytest.approx(math.pi)
 
-    def test_tail_is_log_polar_beyond_cap(self):
-        seed = presets.SPEC_D1.tail[0]
-        assert isinstance(seed, tracts.LogPolar)
-        assert seed.log_abs == pytest.approx(1.2554089653312633e258, rel=1e-13)
+    def test_far_tail_beyond_cap(self):
+        # log|w| = step^3(2) for d = 1, so z0 = log|w| in strip s_3 = 0
+        seeds, far = presets.SPEC_D1.tail
+        assert not seeds and list(far) == [0]
+        assert far[0].real == pytest.approx(1.2554089653312633e258, rel=1e-13)
+        assert far[0].imag == 0.0
 
     def test_tail_complex_when_representable(self):
         spec = TargetSpec(1, ((0.5, ZERO),), 4)
-        seed = spec.tail[0]
-        assert isinstance(seed, complex)
-        assert seed == pot.straight_point(1, pot.step(1, spec.speeds[0][4]), 0)
+        seeds, far = spec.tail
+        assert not far and isinstance(seeds[0], complex)
+        assert seeds[0] == pot.straight_point(1, pot.step(1, spec.speeds[0][4]), 0)
 
 
 class TestFitMap:
@@ -226,6 +230,43 @@ class TestBatchedPullback:
         want = scalar_pullback_grid(state)
         got = thurston.pullback_step(state).z
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestFarTailPullback:
+    """The first-order pullback of a frozen seed beyond the float range."""
+
+    def test_overflowing_exp_drops_correction(self):
+        # z0 = log(w)/d in strip n; e^z0 overflows, so z0 is the answer
+        exp_map = PolyExpMap(1, [0.0])
+        assert thurston._far_tail_pullback(exp_map, complex(1e6, 0.0)) == 1e6
+        z0 = complex(800.0, 4 * math.pi)
+        assert thurston._far_tail_pullback(PolyExpMap(1, [0.5]), z0) == z0
+
+    def test_matches_exact_root_path_at_700(self):
+        # w = exp(700 + 0.1i) is still a float: the exact branch is the check
+        m = PolyExpMap(2, [0.3, 0.8])
+        cfg = tracts.make_tract_config(m)
+        z0 = complex(700.0 / 2, 0.1 / 2 + math.pi)
+        exact = tracts.inverse_branch(m, cfg, 1, cmath.rect(math.exp(700.0), 0.1))
+        assert abs(thurston._far_tail_pullback(m, z0) - exact) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, -5])
+    def test_within_one_ulp_of_mpmath_root(self, n):
+        # p = zeta^24 + 40 zeta^23, w = exp(700 + 0.1i): the correction
+        # 40/(24 e^z0) ~ 3e-13 is visible, and must carry the strip rotation
+        # e^(2 pi i n/d) of e^z0.  The exact z solves p(e^z) = w near z0.
+        d, log_abs, arg = 24, 700.0, 0.1
+        m = PolyExpMap(d, [0.0] * (d - 1) + [40.0])
+        z0 = complex(log_abs / d, arg / d + 2 * math.pi * n / d)
+        got = thurston._far_tail_pullback(m, z0)
+        with mpmath.workdps(80):
+            w = mpmath.exp(mpmath.mpc(log_abs, arg))
+            z = mpmath.mpc(z0)
+            for _ in range(20):
+                e = mpmath.exp(z)
+                z -= (e**d + 40 * e ** (d - 1) - w) / (d * e**d + 40 * (d - 1) * e ** (d - 1))
+            gap = abs(mpmath.mpc(got) - z)
+        assert gap <= math.ulp(max(abs(got.real), abs(got.imag)))
 
 
 class TestClassify:

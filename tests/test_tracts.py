@@ -188,35 +188,6 @@ class TestInverseBranch:
         with pytest.raises(DomainError):
             tracts.inverse_branch(EXP, cfg_exp, 0, complex(cfg_exp.r_min - 1, 0))
 
-    def test_log_polar_seed_in_float_range_rejected(self, cfg_exp):
-        # The first-order branch is wrong for representable magnitudes, so
-        # a LogPolar seed at or below log(CAP) is refused, not served.
-        for log_abs in (3.0, 40.0, math.log(config.CAP)):
-            with pytest.raises(DomainError, match="float range"):
-                tracts.inverse_branch(EXP, cfg_exp, 1, tracts.LogPolar(log_abs, 0.3))
-        z, errors = tracts.inverse_branches(EXP, cfg_exp, (1,), (tracts.LogPolar(40.0, 0.3),))
-        assert isinstance(errors[0], DomainError) and cmath.isnan(z[0])
-
-    def test_log_polar_beyond_floats(self, cfg_exp):
-        # seed exp(1e6): the asymptotic branch gives log-magnitude / d
-        z = tracts.inverse_branch(EXP, cfg_exp, 0, tracts.LogPolar(1e6, 0.0))
-        assert z == pytest.approx(1e6)
-        kappa = PolyExpMap(1, [0.5])
-        cfgk = tracts.make_tract_config(kappa)
-        z2 = tracts.inverse_branch(kappa, cfgk, 2, tracts.LogPolar(800.0, 0.0))
-        # correction -kappa/exp(800) underflows; the lift lands in strip 2
-        assert z2 == pytest.approx(800.0 + 4j * math.pi)
-
-    def test_asymptotic_branch_first_order(self):
-        # moderately large log seed: compare the asymptotic expansion path
-        # against the exact root path on the same seed in complex form
-        m = PolyExpMap(2, [0.3, 0.8])
-        cfg = tracts.make_tract_config(m)
-        L = 700.0
-        asymptotic = tracts.inverse_branch(m, cfg, 1, tracts.LogPolar(L, 0.1))
-        exact = tracts.inverse_branch(m, cfg, 1, cmath.rect(math.exp(L), 0.1))
-        assert abs(asymptotic - exact) < 1e-12
-
 
 def contraction_ratio(map_, cfg, w1, w2, n):
     """|L_n(w1) - L_n(w2)| / |w1 - w2|; zero when the seeds coincide."""
