@@ -14,6 +14,12 @@ H_r; between the singular-value floor ``r_min`` and ``r`` the inverse
 branches are still well-defined single-valued continuations and are served
 best-effort, which is what ray tracing at small potentials needs.
 
+The inverse branches read only the strip geometry (``d``, ``eps``,
+``r_min``); the certified fields gate whether a map is served at all.  A
+``TractBox`` certifies a box of maps at once, with the same routine run on
+coefficient bounds, so that the pullback iteration, whose maps converge,
+certifies once per run and not once per step.
+
 ``inverse_branches`` serves a whole batch of (strip, seed) rows with one
 root solve and one numpy pass over the rows.  Batched solves and branches
 are row-independent: every row is bitwise equal to its one-row call, so
@@ -25,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -69,9 +75,16 @@ class TractConfig:
         return math.pi / (2 * self.d)
 
 
+def _r_min(sv: polyexp.SingularData) -> float:
+    """Hard domain floor: the half-plane right of every singular value is
+    free of branch points, so inverse branches are single-valued there."""
+    return sv.max_real() + 1e-6
+
+
 def make_tract_config(
     map_: polyexp.PolyExpMap,
     eps: float | None = None,
+    slack: Sequence[float] | None = None,
 ) -> TractConfig:
     """Choose and certify (r, t_up, t_lo) for the strip inclusions.
 
@@ -80,6 +93,16 @@ def make_tract_config(
     |f'| >= 2 is additionally sampled on the inner strips.  On a sampled
     violation the half-plane is pushed right and everything is retried,
     up to ``config.TRACT_RETRY_BUDGET`` tries.
+
+    ``slack`` (delta_k >= 0 per b_k) certifies, at one r, every map whose
+    coefficients lie within delta_k of map_'s and whose singular values
+    satisfy 2*max|SV| + 2 <= r (``TractBox.covers``); r starts from a
+    first-order bound of max|SV| over that box.  The strip checks and the
+    tail bound are monotone in the coefficient moduli and run on
+    |b_k| + delta_k.  At Re z = x, f moves by at most sum_k delta_k e^{kx}
+    and f' by sum_k k delta_k e^{kx}, so the |f'| scan counts a point as
+    hot when Re f plus the first exceeds r and passes it when |f'| minus
+    the second is >= 2.  ``r_min`` stays map_'s.
     """
     d = map_.d
     if eps is None:
@@ -88,10 +111,15 @@ def make_tract_config(
         raise DomainError(f"eps must lie in (0, pi/2d), got {eps}")
     sv = map_.singular_data()
     abs_coeffs = [abs(c) for c in map_.coeffs]
-    r = max(config.R_FLOOR, 2 * sv.max_modulus() + 2)
-    # Hard domain floor: the half-plane right of every singular value is
-    # free of branch points, so inverse branches are single-valued there.
-    r_min = sv.max_real() + 1e-6
+    top = sv.max_modulus()
+    if slack is not None:
+        abs_coeffs = [b + s for b, s in zip(abs_coeffs, slack)]
+        # A singular value p(c), at a critical point c or at c = 0, moves
+        # by sum_k delta_k |c|^k to first order over the box.
+        pairs = zip((0j,) + sv.critical_points, (sv.asymptotic_value,) + sv.critical_values)
+        top = max(abs(v) + sum(s * abs(c) ** k for k, s in enumerate(slack)) for c, v in pairs)
+    r = max(config.R_FLOOR, 2 * top + 2)
+    r_min = _r_min(sv)
     sin_eps = math.sin(d * eps)
     half = math.pi / (2 * d)
 
@@ -112,18 +140,25 @@ def make_tract_config(
         edges and a fringe of outer-strip points with Re f > r, on strips
         -2..2 by 64 abscissae by five heights.  Where f overflows, or f'
         does with Re f > r, the remaining heights at that abscissa are
-        skipped, as the point-by-point scan stopped there."""
+        skipped, as the point-by-point scan stopped there.  With slack,
+        the margins by abscissa widen the hot set and narrow the pass."""
         heights = (-half - eps, -half + eps, 0.0, half - eps, half + eps)
         ys = 2 * math.pi * np.arange(-2, 3)[:, None] / d + np.array(heights)
-        z = edge(t_up, x_tail, 64)[None, :, None] + 1j * ys[:, None, :]
+        xs = edge(t_up, x_tail, 64)
+        z = xs[None, :, None] + 1j * ys[:, None, :]
         w = np.exp(z)
         value = map_.poly(w)
         slope = map_.poly_derivative(w) * w
+        re_value, gain = value.real, np.abs(slope)
+        if slack is not None:
+            moves = np.asarray(slack)[:, None] * np.exp(np.arange(d)[:, None] * xs)
+            re_value = re_value + moves.sum(axis=0)[:, None]
+            gain = gain - (np.arange(d) @ moves)[:, None]
         big = d * z.real > config.EXP_ARG_LIMIT
-        hot = ~big & np.isfinite(value) & (value.real > r)
+        hot = ~big & np.isfinite(value) & (re_value > r)
         broken = big | ~np.isfinite(value) | (hot & ~np.isfinite(slope))
         skipped = np.logical_or.accumulate(broken, axis=2)
-        return not np.any(hot & ~skipped & (np.abs(slope) < 2))
+        return not np.any(hot & ~skipped & (gain < 2))
 
     for _ in range(config.TRACT_RETRY_BUDGET):
         t_up = math.log(r + 1) / d - 1
@@ -161,6 +196,39 @@ def make_tract_config(
     raise TractConfigError(
         f"could not certify strip bounds within budget (last r={r})"
     )
+
+
+@dataclass(frozen=True)
+class TractBox:
+    """One certificate for a box of maps: ``cfg`` is
+    ``make_tract_config(center, slack=slack)``, which certifies every map
+    whose coefficients b_k lie within slack[k] of center[k] and whose
+    singular values satisfy 2*max|SV| + 2 <= cfg.r."""
+
+    center: tuple[complex, ...]
+    slack: tuple[float, ...]
+    cfg: TractConfig
+
+    def covers(self, map_: polyexp.PolyExpMap) -> TractConfig | None:
+        """The box's certificate with map_'s own ``r_min``, or None when
+        map_ lies outside the box."""
+        if any(abs(b - c) > s for b, c, s in zip(map_.coeffs, self.center, self.slack)):
+            return None
+        sv = map_.singular_data()
+        if 2 * sv.max_modulus() + 2 > self.cfg.r:
+            return None
+        return replace(self.cfg, r_min=_r_min(sv))
+
+
+def make_tract_box(map_: polyexp.PolyExpMap) -> TractBox:
+    """A box around map_, slack_k = TRACT_BOX_RHO * max(|b_k|, 1).  Where
+    the box does not certify, map_'s own certificate is the box, with zero
+    slack, so that map_ passes or fails exactly as it does alone."""
+    slack = tuple(config.TRACT_BOX_RHO * max(abs(b), 1.0) for b in map_.coeffs)
+    try:
+        return TractBox(map_.coeffs, slack, make_tract_config(map_, slack=slack))
+    except RayforgeError:
+        return TractBox(map_.coeffs, (0.0,) * map_.d, make_tract_config(map_))
 
 
 def tract_index(z: complex, cfg: TractConfig) -> int:

@@ -6,10 +6,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rayforge
-from rayforge import cli, errors, potentials, presets, serialize, thurston, tracts
+from rayforge import cli, config, errors, potentials, presets, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
 
 
@@ -815,6 +816,77 @@ class TestDeterminism:
         assert run(["diag", "invariant-set", "--run", str(result), "--output", str(a)]) == 0
         assert run(["diag", "invariant-set", "--run", str(result), "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _seeded_specs(n: int, seed: int) -> list:
+    """n specs of degree 1 and 2 in turn: potentials in [0.8, 3], periodic
+    addresses of period 1 or 2 over {-1, 0, 1}, at the deepest depth the
+    potentials allow; addresses are redrawn until validate_spec accepts."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for k in range(n):
+        d = 1 + k % 2
+        ts = [float(t) for t in rng.uniform(0.8, 3.0, d)]
+        depth = min(len(potentials.chain(d, t)) - 1 for t in ts)
+        while True:
+            orbits = tuple(
+                (t, potentials.ExternalAddress((), tuple(rng.integers(-1, 2, rng.integers(1, 3)).tolist())))
+                for t in ts
+            )
+            spec = thurston.TargetSpec(d, orbits, depth)
+            try:
+                thurston.validate_spec(spec)
+                break
+            except errors.SpecRejectionError:
+                pass
+        specs.append(spec)
+    return specs
+
+
+class TestTractBoxBytes:
+    """classify reads only the strip geometry of its tract certificates, so
+    one certified box per run gives the bytes of one certificate per
+    pullback step (TRACT_BOX_RHO = 0)."""
+
+    SPECS = [presets.SPEC_D1, presets.SPEC_D2] + _seeded_specs(14, 18)
+
+    def _outputs(self, spec, tmp_path, capsys) -> list:
+        spec_path = _write(tmp_path, "spec.json", serialize.spec_to_json(spec))
+        run_path, inv_path = tmp_path / "run.json", tmp_path / "inv.json"
+        outputs = []
+        for extra in ([], ["--log-iterates"]):
+            run_path.unlink(missing_ok=True)
+            code = run(["classify", "--spec", spec_path, "--out", str(run_path)] + extra)
+            written = run_path.read_bytes() if run_path.exists() else None
+            outputs.append((code, capsys.readouterr(), written))
+            if code == 0:
+                code = run(["diag", "invariant-set", "--run", str(run_path), "--output", str(inv_path)])
+                outputs.append((code, capsys.readouterr(), inv_path.read_bytes()))
+        return outputs
+
+    def test_box_and_per_map_bytes_equal(self, tmp_path, capsys, monkeypatch):
+        counts = {"builds": 0, "steps": 0, "verify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(tracts, "make_tract_config", counted("builds", tracts.make_tract_config))
+        monkeypatch.setattr(thurston, "pullback_step", counted("steps", thurston.pullback_step))
+        monkeypatch.setattr(thurston, "verify", counted("verify", thurston.verify))
+        boxed = [self._outputs(spec, tmp_path, capsys) for spec in self.SPECS]
+        box_builds = counts["builds"]
+        counts.update(builds=0, steps=0, verify=0)
+        monkeypatch.setattr(config, "TRACT_BOX_RHO", 0.0)
+        per_map = [self._outputs(spec, tmp_path, capsys) for spec in self.SPECS]
+        assert boxed == per_map
+        # without slack every pullback step certifies its own map, as does verify
+        assert counts["builds"] == counts["steps"] + counts["verify"]
+        assert box_builds < counts["builds"] / 2
+        assert all(outputs[0][0] == 0 for outputs in boxed)
 
 
 class TestParserReuse:

@@ -231,6 +231,22 @@ class TestBatchedPullback:
         got = thurston.pullback_step(state).z
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
+    def test_classify_certifies_per_box(self, preset, monkeypatch):
+        # One tract box covers the converging maps of a run: its builds are
+        # the box, at most one rebuild, and the certificate of verify.
+        calls = []
+        make = tracts.make_tract_config
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(tracts, "make_tract_config", counted)
+        res = thurston.classify(preset)
+        assert res.certificate.passed
+        assert len(calls) <= 3 < len(res.deltas)
+
 
 class TestFarTailPullback:
     """The first-order pullback of a frozen seed beyond the float range."""
