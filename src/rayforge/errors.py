@@ -90,16 +90,6 @@ class SpecRejectionError(RayforgeError):
     exit_code = 4
 
 
-class FitError(RayforgeError):
-    """Coefficient fitting did not converge to the target singular values."""
-
-    exit_code = 3
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class InvariantViolationError(RayforgeError):
     """A pullback left the region where the iteration is valid."""
 

@@ -42,7 +42,6 @@ from . import config, potentials, rays, tracts
 from .errors import (
     BranchSelectionError,
     DomainError,
-    FitError,
     InvariantViolationError,
     NotConvergedError,
     NotEscapingError,
@@ -208,8 +207,9 @@ def fit_map(
 
     targets[0] is the asymptotic value p(0); the rest are critical values.
     Degrees 1 and 2 are closed-form (the d=2 square-root sign follows the
-    warm start, principal on a tie); higher degrees run a damped Newton
-    iteration on the coefficients and require a warm start.
+    warm start, principal on a tie).  There is no fitter for higher degrees:
+    they raise SpecRejectionError, so ``classify`` rejects them after
+    ``validate_spec`` has passed the spec.
     """
     targets = [complex(v) for v in targets]
     m = len(targets)
@@ -234,11 +234,9 @@ def fit_map(
                     stacklevel=2,
                 )
         return PolyExpMap(2, [c, b])
-    if warm is None:
-        raise FitError(f"degree-{d} fitting needs a warm start")
-    if m != d:
-        raise FitError(f"degree-{d} fitting supports exactly d targets, got {m}")
-    return _fit_newton(d, targets, warm)
+    raise SpecRejectionError(
+        f"classify solves degrees 1 and 2; there is no fitter for degree {d}"
+    )
 
 
 def _singular_vector(map_: PolyExpMap, reference: Sequence[complex]) -> np.ndarray:
@@ -251,45 +249,6 @@ def _singular_vector(map_: PolyExpMap, reference: Sequence[complex]) -> np.ndarr
         k = min(range(len(remaining)), key=lambda idx: abs(remaining[idx] - ref))
         out.append(remaining.pop(k))
     return np.array(out, dtype=complex)
-
-
-def _fit_newton(d: int, targets: Sequence[complex], warm: PolyExpMap) -> PolyExpMap:
-    """Damped Newton on the coefficients until every singular value sits
-    within 1e-10 (relative to the largest target) of its target."""
-    rtol = 1e-10
-    target_vec = np.array(targets, dtype=complex)
-    scale = max(1.0, float(np.abs(target_vec).max()))
-    x = np.array(warm.coeffs, dtype=complex)
-
-    def residual(coeffs: np.ndarray) -> np.ndarray:
-        return _singular_vector(PolyExpMap(d, list(coeffs)), targets) - target_vec
-
-    res = residual(x)
-    for _ in range(80):
-        if float(np.abs(res).max()) <= rtol * scale:
-            return PolyExpMap(d, list(x))
-        jac = np.zeros((d, d), dtype=complex)
-        h = 1e-7 * scale
-        for k in range(d):
-            bumped = x.copy()
-            bumped[k] += h
-            jac[:, k] = (residual(bumped) - res) / h
-        try:
-            step_vec = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"singular Jacobian in degree-{d} fit") from exc
-        for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            trial = x - damping * step_vec
-            trial_res = residual(trial)
-            if float(np.abs(trial_res).max()) < float(np.abs(res).max()):
-                x, res = trial, trial_res
-                break
-        else:
-            break
-    worst = float(np.abs(res).max())
-    if worst <= rtol * scale:
-        return PolyExpMap(d, list(x))
-    raise FitError(f"degree-{d} fit stalled at residual {worst:.3e}", residual=worst)
 
 
 def _far_tail_pullback(map_: PolyExpMap, z0: complex) -> complex:
@@ -440,8 +399,7 @@ def _anderson_mix(
     grids, oldest first, the last of them ``pulled``: P(x_k) minus the
     weighted differences of successive P(x), with weights that minimise the
     same combination of the residuals P(x) - x, solved from their Gram
-    matrix by Cramer's rule.  None when that system is singular or no map
-    fits the mixed grid."""
+    matrix by Cramer's rule.  None when that system is singular."""
     xs, ps = zip(*history)
     fs = [p - x for x, p in zip(xs, ps)]
     df = [b - a for a, b in zip(fs, fs[1:])]
@@ -459,10 +417,7 @@ def _anderson_mix(
         return None
     x = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
     z = x.reshape(pulled.z.shape)
-    try:
-        map_ = fit_map(pulled.spec.d, [complex(v) for v in z[:, 0]], warm=pulled.map)
-    except RayforgeError:
-        return None
+    map_ = fit_map(pulled.spec.d, [complex(v) for v in z[:, 0]], warm=pulled.map)
     return ThurstonState(map_, pulled.spec, z, pulled.deltas, pulled.box)
 
 
@@ -488,7 +443,8 @@ def classify(
 
     Raises NotConvergedError (with the delta history attached, so
     oscillation and slow contraction are distinguishable) when max_iter
-    steps do not bring the sup-norm grid displacement under tol.
+    steps do not bring the sup-norm grid displacement under tol, and
+    SpecRejectionError for degrees above 2, which ``fit_map`` cannot fit.
     """
     state = pulled = init_state(spec, jitter=jitter, jitter_seed=jitter_seed)
     iterate_log = [state.z.copy()] if log_iterates else []

@@ -192,6 +192,61 @@ class TestClassify:
         assert error["message"].startswith("orbit 0 (T=1e-300): its speed does not grow")
 
 
+# Specs of degree above 2 that validate_spec accepts.  perfbench's
+# classify-mix redraws a spec until validate_spec passes, so the degree rule
+# must not live there.
+HIGH_DEGREE_SPECS = {
+    "d=3-m=2": thurston.TargetSpec(3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE)), 1),
+    "d=3-m=3": thurston.TargetSpec(
+        3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE), (2.0, presets.ONE)), 1
+    ),
+    "d=4": thurston.TargetSpec(
+        4, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE), (2.0, presets.ONE)), 1
+    ),
+    "d=5": thurston.TargetSpec(5, ((1.6, presets.ZERO), (1.8, presets.ONE)), 1),
+}
+
+
+class TestDegreeRejection:
+    """classify solves d = 1 and 2 and rejects higher degrees with exit 4."""
+
+    @pytest.mark.parametrize("name", sorted(HIGH_DEGREE_SPECS))
+    def test_classify_exit_4(self, name, tmp_path, capsys):
+        spec = HIGH_DEGREE_SPECS[name]
+        thurston.validate_spec(spec)
+        path = _write(tmp_path, "spec.json", serialize.spec_to_json(spec))
+        out = tmp_path / "result.json"
+        assert run(["classify", "--spec", path, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert not out.exists()
+        error = json.loads(captured.out)["error"]
+        assert error == {
+            "kind": "SpecRejectionError",
+            "message": f"classify solves degrees 1 and 2; there is no fitter for degree {spec.d}",
+        }
+
+    def test_invalid_spec_keeps_its_reason(self, tmp_path, capsys):
+        spec = thurston.TargetSpec(3, ((1.6, presets.ZERO), (1.6, presets.ZERO)), 1)
+        with pytest.raises(errors.SpecRejectionError) as want:
+            thurston.validate_spec(spec)
+        path = _write(tmp_path, "spec.json", serialize.spec_to_json(spec))
+        assert run(["classify", "--spec", path]) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "SpecRejectionError", "message": str(want.value)}
+
+    @pytest.mark.parametrize("name", sorted(HIGH_DEGREE_SPECS))
+    def test_invariant_set_serves_straight_grid(self, name, tmp_path, capsys):
+        spec = HIGH_DEGREE_SPECS[name]
+        grid = serialize.to_json(spec.straight.tolist())
+        run_obj = {"config": {"spec": serialize.spec_to_json(spec)}, "grid": grid}
+        argv = ["diag", "invariant-set", "--run", _write(tmp_path, "run.json", run_obj)]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(json.loads(captured.out)["iterations"]) == 1
+
+
 class TestDiag:
     def test_appendix_report(self, workdir, capsys):
         code = run(
@@ -350,7 +405,6 @@ EXIT_CODES = {
     "BranchSelectionError": 3,
     "NotConvergedError": 3,
     "NotEscapingError": 3,
-    "FitError": 3,
     "SpecRejectionError": 4,
     "InvariantViolationError": 4,
     "UnsupportedHomotopyError": 4,
@@ -563,7 +617,7 @@ class TestInvariantSetInput:
         ids=["J=0", "3-orbits-d=2", "T=800-J=1"],
     )
     def test_rejected_spec_exit_4(self, spec, tmp_path, capsys):
-        # diag invariant-set rejects the specs that classify rejects
+        # diag invariant-set rejects the specs that validate_spec rejects
         with pytest.raises(errors.SpecRejectionError) as want:
             thurston.validate_spec(spec)
         assert self._run(tmp_path, spec) == 4

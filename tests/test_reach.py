@@ -27,7 +27,6 @@ LEGS = "spider legs, which ROADMAP item 7 pulls back or deletes"
 ALLOWED = {
     ("rays", "trace_ray"): PERFBENCH,
     ("tracts", "inverse_branch"): PERFBENCH,
-    ("thurston", "_fit_newton"): "the d >= 3 cold start of ROADMAP item 2 brings it back",
     ("homotopy", "straight_leg"): LEGS,
     ("homotopy", "ordered_marked_subset"): LEGS,
     ("homotopy", "leg_words"): LEGS,
