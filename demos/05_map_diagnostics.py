@@ -17,8 +17,7 @@ from rayforge.polyexp import PolyExpMap
 print("=== sampled bound constants across scales ===")
 for d in (2, 3):
     for rho in (1e2, 1e3):
-        rep = polyexp.appendix_report(d, rho, samples=400, seed=11,
-                                      containment_maps=50)
+        rep = polyexp.appendix_report(d, rho, samples=400, seed=11)
         print(f"d={d} rho={rho:g}: "
               f"max |crit pt| / rho^(1/d) = {rep.max_critical_point_ratio:.4f}, "
               f"max |b_k| / rho^((d-k)/d) = {rep.max_coefficient_ratio:.4f}, "

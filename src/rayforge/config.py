@@ -4,8 +4,7 @@ Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
 defaults of the few options a caller can set: ``tol``, ``max_iter``,
 ``max_depth`` and the strip fuzz ``eps``.
-The empirical constants (K, A, C) are calibration defaults, not proven
-values.
+The empirical constant K is a calibration default, not a proven value.
 """
 
 import math
@@ -43,11 +42,9 @@ R_FLOOR = 2.0
 # box covers only its own map, so every pullback step certifies its map.
 TRACT_BOX_RHO = 0.2
 
-# Empirical constants: the derivative envelope of the invariant-set
-# diagnostics and the leg word-length budgets.
+# Empirical constant: the derivative envelope of the invariant-set
+# diagnostics.
 DERIVATIVE_K = 4.0
-GROWTH_A = 1.0
-GROWTH_C = 1.0
 
 # Pullback iteration.
 CLASSIFY_MAX_ITER = 50

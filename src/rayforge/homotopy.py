@@ -15,11 +15,9 @@ perturbs by a hair and retries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from . import config
 from .errors import DegenerateCurveError, DomainError
 
 
@@ -63,15 +61,6 @@ class HomotopyWord:
     """Freely reduced word; letters are (marked-point index, sign)."""
 
     letters: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def abelianization(self, size: int) -> tuple[int, ...]:
-        counts = [0] * size
-        for idx, sign in self.letters:
-            counts[idx] += sign
-        return tuple(counts)
 
 
 def reduce_letters(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -161,60 +150,3 @@ def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> HomotopyWord:
     for _, idx in sorted(tail):
         letters.append((idx, 1))
     return HomotopyWord(reduce_letters(letters))
-
-
-def straight_leg(point: complex) -> PolylineCurve:
-    """The horizontal curve from a point to +infinity (empty word shape)."""
-    return PolylineCurve([point])
-
-
-def ordered_marked_subset(
-    grid_points: Mapping[tuple[int, int], complex], i: int, j: int
-) -> list[tuple[int, int]]:
-    """Indices (k, l) with l < j, plus (k, j) for k <= i, column-major.
-
-    This is the prefix of marked points "before" leg (i, j) in the spider
-    ordering; generator indices of that leg's word refer to this list.
-    """
-    rows = sorted({k for k, _ in grid_points})
-    cols = sorted({l for _, l in grid_points})
-    out = []
-    for l in cols:
-        if l > j:
-            break
-        for k in rows:
-            if (k, l) not in grid_points:
-                continue
-            if l < j or k <= i:
-                out.append((k, l))
-    return out
-
-
-def leg_words(
-    grid_points: Mapping[tuple[int, int], complex],
-    legs: Mapping[tuple[int, int], PolylineCurve],
-) -> dict[tuple[int, int], HomotopyWord]:
-    """Word of each spider leg relative to the points preceding it."""
-    words = {}
-    for (i, j), curve in legs.items():
-        subset = ordered_marked_subset(grid_points, i, j)
-        marked = MarkedSet([grid_points[kl] for kl in subset])
-        words[(i, j)] = word_of_curve(marked, curve)
-    return words
-
-
-def growth_bound(parent_word_len: int, j: int) -> float:
-    """Admissible word length of a pulled-back leg at level j, given the
-    parent leg's word length at level j+1: A*(j+1)^4*max(1, parent) with
-    A = GROWTH_A."""
-    return config.GROWTH_A * (j + 1) ** 4 * max(1, parent_word_len)
-
-
-def word_budget(n_inside: int, j: int) -> float:
-    """Total word-length budget at level j <= n_inside over a full pullback
-    cascade: A^(n_inside+1-j) * ((n_inside+1)! / j!)^4 * C with A = GROWTH_A
-    and C = GROWTH_C."""
-    if j > n_inside:
-        raise DomainError("budget applies to levels j <= n_inside")
-    ratio = math.factorial(n_inside + 1) // math.factorial(j)
-    return config.GROWTH_A ** (n_inside + 1 - j) * ratio**4 * config.GROWTH_C

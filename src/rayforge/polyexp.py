@@ -303,7 +303,6 @@ def appendix_report(
     rho: float,
     samples: int = 1000,
     seed: int = 0,
-    containment_maps: int | None = None,
 ) -> AppendixReport:
     """Sampled bounds: critical points of polynomials with p(0) = 0 and
     critical values in the rho-disk, coefficient ratios of maps with
@@ -312,17 +311,16 @@ def appendix_report(
     Sample ``idx`` draws from its own RNG stream, seeded by (seed, idx), so
     each sample's values depend only on the seed and its index.  The
     samples are drawn first and measured as arrays, at the critical points
-    they drew.  Fujiwara's bound proves containment for all checked maps at
-    once; each map it leaves unproven goes through ``check_disk_containment``.
+    they drew.  Containment is checked on the first min(samples, 200) maps:
+    Fujiwara's bound proves it for all of them at once; each map it leaves
+    unproven goes through ``check_disk_containment``.
     Containment failures and inconclusive checks are counted from those
     sampled checks only: a proven containment is neither, and a
     sampled check whose root solve failed counts as inconclusive, never as
     a failure.  Raises OverflowSignal naming the first sample whose
     arithmetic leaves the float range (rho near the largest double).
     """
-    if containment_maps is None:
-        containment_maps = min(samples, 200)
-
+    containment_maps = min(samples, 200)
     rngs = [np.random.default_rng((seed, idx)) for idx in range(samples)]
     _, cps, a = _sample_polys(d, rho, rngs)
     coeffs = _sample_maps(d, rho, rngs)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import config, potentials, tracts
 from .errors import (
+    AmbiguousTractError,
     BranchSelectionError,
     DomainError,
     NotConvergedError,
@@ -204,7 +205,8 @@ def extract_potential_address(
     well-conditioned.  Strip indices, by contrast, are only readable while
     the accumulated angle error (amplified by |f'| per step) stays small,
     so the prefix stops at that precision horizon.  An orbit that stays bounded or leaves the
-    strips raises NotEscapingError with the orbit attached.
+    strips, or an iterate whose strip is ambiguous, raises NotEscapingError
+    with the orbit attached.
     """
     orbit = [complex(z)]
     overflowed = False
@@ -236,6 +238,8 @@ def extract_potential_address(
             raise NotEscapingError(
                 f"iterate {k} left the strip region: {exc}", orbit
             ) from exc
+        except AmbiguousTractError as exc:
+            raise NotEscapingError(f"iterate {k} has no readable strip: {exc}", orbit) from exc
         prefix.append(idx)
     if not prefix:
         raise NotEscapingError(

@@ -26,7 +26,7 @@ from rayforge.errors import (
     TractConfigError,
     UnsupportedHomotopyError,
 )
-from rayforge.homotopy import MarkedSet, PolylineCurve
+from rayforge.homotopy import HomotopyWord, MarkedSet, PolylineCurve
 from rayforge.polyexp import ContainmentReport, PolyExpMap
 from rayforge.tracts import TractConfig
 
@@ -79,6 +79,15 @@ def winding_numbers(marked: MarkedSet, curve: PolylineCurve) -> list[int | None]
                 total += 1 if yb > ya else -1
         out.append(total)
     return out
+
+
+def abelianization(word: HomotopyWord, size: int) -> tuple[int, ...]:
+    """Net signed count of each generator in the word: its image in Z^size,
+    which the winding numbers of a curve must match."""
+    counts = [0] * size
+    for idx, sign in word.letters:
+        counts[idx] += sign
+    return tuple(counts)
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:

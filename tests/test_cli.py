@@ -192,6 +192,33 @@ class TestClassify:
         assert error["message"].startswith("orbit 0 (T=1e-300): its speed does not grow")
 
 
+# classify-mix specs (seed 1 job 229; seed 7919 jobs 124, 211 and 250) whose
+# converged maps send one singular value to an iterate in the fuzz between two
+# strips: the strip read is ambiguous, so the certificate fails at that orbit.
+AMBIGUOUS_READ_SPECS = [
+    ((1.2401532110404452, [0]), (1.3297366319869068, [-1, -1])),
+    ((0.9492931057127437, [0, -1]), (2.4069747135768145, [-1])),
+    ((1.6605896289037676, [1, 1]), (1.2903920989418753, [-1, 1])),
+    ((1.3311809671796175, [1, 0]), (1.1121698238087603, [-1, 1])),
+]
+
+
+@pytest.mark.parametrize("orbits", AMBIGUOUS_READ_SPECS)
+def test_ambiguous_strip_read_fails_the_certificate(orbits, tmp_path, capsys):
+    spec = _write(tmp_path, "spec.json", {
+        "d": 2, "J": 2,
+        "orbits": [{"T": t, "address": {"period": p}} for t, p in orbits],
+    })
+    out = tmp_path / "result.json"
+    assert run(["classify", "--spec", spec, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    cert = json.loads(out.read_text())["certificate"]
+    assert cert["passed"] is False
+    failed = [c for c in cert["orbits"] if not c["escaped"]]
+    assert len(failed) == 1
+    assert any("has no readable strip" in note and "ambiguous" in note for note in cert["notes"])
+
+
 # Specs of degree above 2 that validate_spec accepts.  perfbench's
 # classify-mix redraws a spec until validate_spec passes, so the degree rule
 # must not live there.

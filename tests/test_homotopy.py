@@ -3,11 +3,11 @@ import pytest
 
 from oracles import (
     OracleDegenerate,
+    abelianization,
     curve_clearance,
     random_word_fixture,
     winding_numbers,
 )
-from rayforge import config
 from rayforge import homotopy as ht
 from rayforge.errors import DegenerateCurveError, DomainError
 from rayforge.homotopy import HomotopyWord, MarkedSet, PolylineCurve
@@ -40,11 +40,11 @@ class TestReduction:
 class TestWordOfCurve:
     def test_straight_leg_empty(self):
         marked = MarkedSet([0 + 0j, 3 + 2j])
-        assert ht.word_of_curve(marked, ht.straight_leg(0 + 0j)).letters == ()
+        assert ht.word_of_curve(marked, PolylineCurve([0 + 0j])).letters == ()
 
     def test_exit_edge_crossing(self):
         marked = MarkedSet([0 + 2j, 3 + 0j])
-        word = ht.word_of_curve(marked, ht.straight_leg(0 + 2j))
+        word = ht.word_of_curve(marked, PolylineCurve([0 + 2j]))
         assert word.letters == ((1, 1),)
 
     def test_simple_loop_single_letter(self):
@@ -72,7 +72,7 @@ class TestWordOfCurve:
     def test_must_start_at_marked_point(self):
         marked = MarkedSet([0 + 0j])
         with pytest.raises(DomainError):
-            ht.word_of_curve(marked, ht.straight_leg(1 + 1j))
+            ht.word_of_curve(marked, PolylineCurve([1 + 1j]))
 
     def test_through_point_degenerate(self):
         marked = MarkedSet([0 + 0j, 2 + 0.5j])
@@ -98,7 +98,7 @@ class TestWindingOracle:
                 winds = winding_numbers(marked, curve)
             except (DegenerateCurveError, OracleDegenerate):
                 continue
-            ab = word.abelianization(len(marked))
+            ab = abelianization(word, len(marked))
             for i, w in enumerate(winds):
                 if i == base_idx:
                     continue
@@ -149,6 +149,9 @@ class TestWindingOracle:
 
 
 class TestLegWords:
+    """Words of curves from the points of a two-orbit grid, each relative to
+    the points before it in column-major order (level by level)."""
+
     def _grid(self):
         # two orbits, three levels; distinct real parts per entry
         pts = {}
@@ -157,26 +160,32 @@ class TestLegWords:
                 pts[(i, j)] = complex(2.0 + 3.0 * j + 0.7 * i, 2.0 * i + 0.3 * j)
         return pts
 
+    def _prefixes(self, pts):
+        """(key, marked set of the points up to and including it)."""
+        order = sorted(pts, key=lambda key: (key[1], key[0]))
+        return [
+            (key, MarkedSet([pts[k] for k in order[: n + 1]])) for n, key in enumerate(order)
+        ]
+
     def test_straight_spider_all_empty(self):
         pts = self._grid()
-        legs = {key: ht.straight_leg(z) for key, z in pts.items()}
-        words = ht.leg_words(pts, legs)
-        assert all(len(w) == 0 for w in words.values())
+        for key, marked in self._prefixes(pts):
+            assert ht.word_of_curve(marked, PolylineCurve([pts[key]])).letters == (), key
 
     def test_equal_real_parts_straight_spider_empty(self):
-        # equal-speed orbits put marked points at equal Re; legs then start
+        # equal-speed orbits put marked points at equal Re; curves then start
         # on earlier points' cut rays, which must still encode as empty
         pts = {(0, 0): 2.0 + 0j, (1, 0): 2.0 + 3j, (0, 1): 6.0 + 0j, (1, 1): 6.0 + 3j}
-        legs = {key: ht.straight_leg(z) for key, z in pts.items()}
-        words = ht.leg_words(pts, legs)
-        assert all(len(w) == 0 for w in words.values())
+        for key, marked in self._prefixes(pts):
+            assert ht.word_of_curve(marked, PolylineCurve([pts[key]])).letters == (), key
 
     def test_single_loop_detected(self):
+        # the curve from (1, 1) loops once around grid point (0, 1), the
+        # third point before it, before exiting
         pts = self._grid()
-        legs = {key: ht.straight_leg(z) for key, z in pts.items()}
-        # leg (1, 1) loops once around grid point (0, 1) before exiting
+        marked = dict(self._prefixes(pts))[(1, 1)]
         start = pts[(1, 1)]  # (5.7, 2.3)
-        legs[(1, 1)] = PolylineCurve(
+        curve = PolylineCurve(
             [
                 start,
                 complex(6.0, 1.3),
@@ -186,23 +195,13 @@ class TestLegWords:
                 complex(7.0, 1.3),
             ]
         )
-        words = ht.leg_words(pts, legs)
-        assert len(words[(1, 1)]) == 1
-        others = [w for k, w in words.items() if k != (1, 1)]
-        assert all(len(w) == 0 for w in others)
-
-    def test_ordering_is_column_major(self):
-        pts = self._grid()
-        order = ht.ordered_marked_subset(pts, 1, 1)
-        assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
-        order2 = ht.ordered_marked_subset(pts, 0, 2)
-        assert order2 == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]
+        assert ht.word_of_curve(marked, curve).letters == ((2, 1),)
 
     def test_relabeling_consistency_via_abelianization(self):
         # a loop around the first-column point shows up at that generator
         pts = self._grid()
-        legs = {key: ht.straight_leg(z) for key, z in pts.items()}
-        legs[(1, 1)] = PolylineCurve(
+        marked = dict(self._prefixes(pts))[(1, 1)]
+        curve = PolylineCurve(
             [
                 pts[(1, 1)],  # (5.7, 2.3)
                 complex(5.9, -0.7),
@@ -213,28 +212,6 @@ class TestLegWords:
                 complex(7.0, -1.0),
             ]
         )
-        words = ht.leg_words(pts, legs)
-        subset = ht.ordered_marked_subset(pts, 1, 1)
-        ab = words[(1, 1)].abelianization(len(subset))
-        assert ab[subset.index((0, 0))] == 1
+        ab = abelianization(ht.word_of_curve(marked, curve), len(marked))
+        assert ab[marked.points.index(pts[(0, 0)])] == 1
         assert sum(abs(x) for x in ab) == 1
-
-
-class TestBounds:
-    def test_growth_formula(self, monkeypatch):
-        assert ht.growth_bound(0, 1) == 16.0
-        monkeypatch.setattr(config, "GROWTH_A", 2.0)
-        assert ht.growth_bound(3, 0) == 6.0
-
-    def test_budget_table_frozen(self):
-        # direct evaluation of A^(N+1-j) ((N+1)!/j!)^4 C at N=3, A=C=1
-        assert [ht.word_budget(3, j) for j in range(4)] == [
-            331776,
-            331776,
-            20736,
-            256,
-        ]
-
-    def test_budget_domain(self):
-        with pytest.raises(DomainError):
-            ht.word_budget(2, 3)

@@ -422,10 +422,10 @@ class TestAppendixReport:
         # Sample k draws from the stream seeded by (seed, k): reruns agree,
         # and a shorter run ending at the worst sample finds the same worst.
         for d in (2, 3, 5):
-            a = pe.appendix_report(d, 100.0, samples=40, seed=3, containment_maps=5)
-            assert a == pe.appendix_report(d, 100.0, samples=40, seed=3, containment_maps=5)
+            a = pe.appendix_report(d, 100.0, samples=40, seed=3)
+            assert a == pe.appendix_report(d, 100.0, samples=40, seed=3)
             k = a.worst_case["sample_index"] + 1
-            b = pe.appendix_report(d, 100.0, samples=k, seed=3, containment_maps=5)
+            b = pe.appendix_report(d, 100.0, samples=k, seed=3)
             assert b.worst_case == a.worst_case, d
             assert b.max_critical_point_ratio == a.max_critical_point_ratio, d
 
@@ -493,7 +493,7 @@ class TestAppendixReport:
                 for idx in range(50)
             ]
             for rho in (1e2, 1e300):
-                rep = pe.appendix_report(d, rho, samples=50, seed=seed, containment_maps=0)
+                rep = pe.appendix_report(d, rho, samples=50, seed=seed)
                 assert abs(rep.max_critical_point_ratio - max(refs)) <= 4 * math.ulp(max(refs))
 
     def test_failed_root_solve_is_inconclusive(self, monkeypatch):
@@ -503,13 +503,13 @@ class TestAppendixReport:
         # At rho = 2 Fujiwara's bound proves none of the 8 maps, so every
         # check reaches the stalled solve.
         monkeypatch.setattr(pe, "poly_roots_batch", stalled)
-        rep = pe.appendix_report(2, 2.0, samples=12, seed=3, containment_maps=8)
+        rep = pe.appendix_report(2, 2.0, samples=8, seed=3)
         assert rep.containment_failures == 0
         assert rep.containment_inconclusive == 8
 
     def test_scale_invariant_ratio(self):
-        a = pe.appendix_report(3, 100.0, samples=60, seed=1, containment_maps=0)
-        b = pe.appendix_report(3, 1000.0, samples=60, seed=1, containment_maps=0)
+        a = pe.appendix_report(3, 100.0, samples=60, seed=1)
+        b = pe.appendix_report(3, 1000.0, samples=60, seed=1)
         assert a.max_critical_point_ratio == pytest.approx(
             b.max_critical_point_ratio, rel=1e-9
         )

@@ -6,7 +6,8 @@ by ``diag invariant-set``; ``ray trace`` as CSV and as JSON; ``tracts
 inspect``; ``homotopy word``; and ``diag appendix-a`` at rho = 2, where
 containment is sampled, and at rho = 100, where it is proven.  A function
 that none of them reaches is dead code, unless ``ALLOWED`` names it with
-the reason it stays.  Dunder methods are exempt.
+the reason it stays.  Dunder methods are exempt.  Likewise every constant in
+``config.py`` must be read by some other module of the package.
 """
 
 import ast
@@ -23,16 +24,9 @@ PACKAGE = ROOT / "src" / "rayforge"
 # Functions no CLI command runs, each with the reason it stays.  Functions
 # nested inside one are covered by its entry.
 PERFBENCH = "traced by perfbench/tracing.py::LAYERS, so a rename must fail there first"
-LEGS = "spider legs, which ROADMAP item 7 pulls back or deletes"
 ALLOWED = {
     ("rays", "trace_ray"): PERFBENCH,
     ("tracts", "inverse_branch"): PERFBENCH,
-    ("homotopy", "straight_leg"): LEGS,
-    ("homotopy", "ordered_marked_subset"): LEGS,
-    ("homotopy", "leg_words"): LEGS,
-    ("homotopy", "growth_bound"): LEGS,
-    ("homotopy", "word_budget"): LEGS,
-    ("homotopy", "HomotopyWord.abelianization"): LEGS,
 }
 
 PROBE = textwrap.dedent(
@@ -131,3 +125,27 @@ def test_every_function_is_reached(tmp_path):
 
     unreached = defined - reached
     assert sorted((m, q) for m, q in unreached if (m, q.split(".<locals>.")[0]) not in ALLOWED) == []
+
+
+def test_every_config_constant_is_read():
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    constants = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "config":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "config"
+            ):
+                read.add(node.attr)
+    assert constants, "no constants found in config.py"
+    assert sorted(constants - read) == [], "config constants that no module reads as config.NAME"
