@@ -34,13 +34,8 @@ TRACER_TOL = 1e-10
 TRACER_MAX_DEPTH = 128
 
 # Tract certification.
-STRIP_EDGE_SAMPLES = 720
 TRACT_RETRY_BUDGET = 5
 R_FLOOR = 2.0
-# Relative half-width of the coefficient box that one tract certificate
-# covers in ``classify``: slack_k = TRACT_BOX_RHO * max(|b_k|, 1).  At 0 a
-# box covers only its own map, so every pullback step certifies its map.
-TRACT_BOX_RHO = 0.2
 
 # Empirical constant: the derivative envelope of the invariant-set
 # diagnostics.

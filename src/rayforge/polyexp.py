@@ -97,8 +97,8 @@ class PolyExpMap:
         return math.log(self.d) + self.d * z.real
 
     def singular_data(self) -> "SingularData":
-        """Critical points of p, their critical values and the asymptotic
-        value p(0), from one root solve of p'.  Raises OverflowSignal when
+        """Critical points of p (``critical_points``), their critical values
+        and the asymptotic value p(0).  Raises OverflowSignal when
         two singular values lie farther apart than the largest double."""
         cps = critical_points(self)
         cvs = tuple(self.poly(c) for c in cps)
@@ -134,13 +134,30 @@ class SingularData:
 
 
 def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
-    """Roots of p', sorted by (re, im).  Empty for d = 1."""
-    d = map_.d
+    """Roots of p', sorted by (re, im).  Empty for d = 1.
+
+    Closed forms below degree 4: -b_1/2 at d = 2, and at d = 3 the
+    quadratic formula for 3w^2 + 2 b_2 w + b_1 in its cancellation-free
+    form (the root of larger modulus, q/3, takes the square root that adds
+    to 2 b_2; the other is b_1/q).  Higher degrees take the eigenvalues of
+    the companion matrix (``np.roots``).
+    """
+    d, b = map_.d, map_.coeffs
     if d == 1:
         return ()
-    # p'(w) = d w^{d-1} + (d-1) b_{d-1} w^{d-2} + ... + b_1
-    high_to_low = [d] + [k * map_.coeffs[k] for k in range(d - 1, 0, -1)]
-    roots = np.roots(np.asarray(high_to_low, dtype=complex))
+    if d == 2:
+        roots = [-b[1] / 2]
+    elif d == 3:
+        two_b2 = 2 * b[2]
+        root = cmath.sqrt(two_b2 * two_b2 - 12 * b[1])
+        if (two_b2.conjugate() * root).real < 0:
+            root = -root
+        q = -(two_b2 + root) / 2
+        roots = [q / 3, b[1] / q] if q else [0j, 0j]
+    else:
+        # p'(w) = d w^{d-1} + (d-1) b_{d-1} w^{d-2} + ... + b_1
+        high_to_low = [d] + [k * b[k] for k in range(d - 1, 0, -1)]
+        roots = np.roots(np.asarray(high_to_low, dtype=complex))
     return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
 
 

@@ -11,10 +11,9 @@ column.  At a fixed point the grid is a genuine orbit segment of the map
 and the singular values escape with the prescribed speeds and addresses,
 which an independent forward-orbit verifier certifies.
 
-The tract certificate gates each step.  Its strip geometry is all the
-pullback reads, and one certified box of maps (``tracts.TractBox``) is
-carried from state to state and rebuilt only when a map leaves it, so a
-run certifies once or twice, not once per step.
+The tract certificate gates each step: every step proves the strip
+bounds of its own map (``tracts.make_tract_config``), and the strip
+geometry is all the pullback reads.
 
 ``classify`` mixes each next grid from the last pullbacks (Anderson mixing,
 Walker & Ni 2011), which reaches the same fixed point in fewer steps.  It
@@ -174,14 +173,12 @@ def validate_spec(spec: TargetSpec) -> None:
 @dataclass
 class ThurstonState:
     """The map and the truncated orbit grid z[i][j] (orbit i < m, level
-    j = 0..depth) of one pullback iterate, with the history so far and the
-    tract box that certified the last step (None: none yet)."""
+    j = 0..depth) of one pullback iterate, with the history so far."""
 
     map: PolyExpMap
     spec: TargetSpec
     z: np.ndarray  # complex, shape (m, depth+1)
     deltas: list[float] = field(default_factory=list)
-    box: tracts.TractBox | None = None
 
 
 def init_state(
@@ -270,19 +267,13 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     reported in grid order (orbit by orbit, level by level): the first point
     whose seed fell left of the singular values, or whose branch failed.
 
-    The map's tract certificate comes from ``state.box`` when that box
-    covers the map, and from a new box around the map otherwise
-    (``tracts.make_tract_box``); the new state carries the box on.  The
-    branches read only the strip geometry and the map's own ``r_min``, so
-    the grid does not depend on which box certified it.
+    The map's own tract certificate gates the step: a map it does not
+    certify raises before any point is pulled.  The branches read only its
+    strip geometry and ``r_min``.
     """
     spec = state.spec
     map_ = state.map
-    box = state.box
-    cfg = box.covers(map_) if box is not None else None
-    if cfg is None:
-        box = tracts.make_tract_box(map_)
-        cfg = box.cfg
+    cfg = tracts.make_tract_config(map_)
     old = state.z
     tail, far = spec.tail
     points = [(i, j) for i in range(spec.m) for j in range(spec.depth + 1)]
@@ -313,7 +304,7 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
         new[i, spec.depth] = _far_tail_pullback(map_, z0)
     delta = float(np.abs(new - old).max())
     new_map = fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_)
-    return ThurstonState(new_map, spec, new, state.deltas + [delta], box)
+    return ThurstonState(new_map, spec, new, state.deltas + [delta])
 
 
 @dataclass(frozen=True)
@@ -418,7 +409,7 @@ def _anderson_mix(
     x = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
     z = x.reshape(pulled.z.shape)
     map_ = fit_map(pulled.spec.d, [complex(v) for v in z[:, 0]], warm=pulled.map)
-    return ThurstonState(map_, pulled.spec, z, pulled.deltas, pulled.box)
+    return ThurstonState(map_, pulled.spec, z, pulled.deltas)
 
 
 def classify(

@@ -7,18 +7,18 @@ horizontal strips around the center line Im z = 2*pi*n/d:
     outer:  [t_up, oo) x [center - pi/2d - eps, center + pi/2d + eps]
     inner:  [t_lo, oo) x [center - pi/2d + eps, center + pi/2d - eps]
 
-``make_tract_config`` certifies the bounds by boundary sampling (Re f is
-harmonic, so edge minima control the interiors) plus analytic tails, and
-retries with a larger r on failure.  The certified guarantees hold on
-H_r; between the singular-value floor ``r_min`` and ``r`` the inverse
-branches are still well-defined single-valued continuations and are served
-best-effort, which is what ray tracing at small potentials needs.
+``make_tract_config`` proves the bounds on the strip edges (Re f is
+harmonic, so edge extrema control the interiors) and |f'| >= 2 on H_r in
+closed form: each check is a polynomial inequality in u = e^x on a whole
+half-line, settled by Descartes' rule of signs, and a failed check retries
+with a larger r.  The proven guarantees hold on H_r; between the
+singular-value floor ``r_min`` and ``r`` the inverse branches are still
+well-defined single-valued continuations and are served best-effort, which
+is what ray tracing at small potentials needs.
 
 The inverse branches read only the strip geometry (``d``, ``eps``,
-``r_min``); the certified fields gate whether a map is served at all.  A
-``TractBox`` certifies a box of maps at once, with the same routine run on
-coefficient bounds, so that the pullback iteration, whose maps converge,
-certifies once per run and not once per step.
+``r_min``); the proven fields gate whether a map is served at all.  A
+certificate costs tens of microseconds, so every map certifies alone.
 
 ``inverse_branches`` serves a whole batch of (strip, seed) rows with one
 root solve and one numpy pass over the rows.  Batched solves and branches
@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,17 +47,14 @@ from .errors import (
 )
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
 @dataclass(frozen=True)
 class TractConfig:
     """Certified strip bounds for one map.
 
-    ``r``: right half-plane on which the branch guarantees (residuals,
-    1/2-contraction) were sampled; ``r_min``: hard domain floor just right
-    of the singular values; ``t_up``/``t_lo``: left edges of the outer and
-    inner strips; ``eps``: fuzz half-width.
+    ``r``: right half-plane on which the branch guarantees (the strip
+    inclusions and |f'| >= 2) were proven; ``r_min``: hard domain floor
+    just right of the singular values; ``t_up``/``t_lo``: left edges of
+    the outer and inner strips; ``eps``: fuzz half-width.
     """
 
     d: int
@@ -75,34 +71,48 @@ class TractConfig:
         return math.pi / (2 * self.d)
 
 
-def _r_min(sv: polyexp.SingularData) -> float:
-    """Hard domain floor: the half-plane right of every singular value is
-    free of branch points, so inverse branches are single-valued there."""
-    return sv.max_real() + 1e-6
+# Each closed form is a short sum of positive terms, within a few dozen ulp
+# of its exact value; growing it by this factor keeps a tie in floating
+# point from passing a check that fails in exact arithmetic.
+_ROUNDING = 1 + 2**-44
 
 
-def make_tract_config(
-    map_: polyexp.PolyExpMap,
-    eps: float | None = None,
-    slack: Sequence[float] | None = None,
-) -> TractConfig:
-    """Choose and certify (r, t_up, t_lo) for the strip inclusions.
+def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> TractConfig:
+    """Choose (r, t_up, t_lo) and prove the strip inclusions.
 
-    r starts at max(R_FLOOR, 2*max|SV| + 2).  The strip checks use the
-    coefficient moduli, so one pass certifies every strip index at once;
-    |f'| >= 2 is additionally sampled on the inner strips.  On a sampled
-    violation the half-plane is pushed right and everything is retried,
-    up to ``config.TRACT_RETRY_BUDGET`` tries.
+    r starts at max(R_FLOOR, 2*max|SV| + 2) and is pushed right (r ->
+    2r + 1) until every check holds, up to ``config.TRACT_RETRY_BUDGET``
+    tries, with t_up = log(r + 1)/d - 1 and t_lo = log((r + 1)/s)/d + 1.
+    At offset y from the center of any strip, f(x + iy) is e^{dx} e^{idy}
+    plus terms bounded by B(u) = sum_k |b_k| u^k, u = e^x, so with
+    s = sin(d*eps) each claim is a closed form, proven on a whole
+    half-line:
 
-    ``slack`` (delta_k >= 0 per b_k) certifies, at one r, every map whose
-    coefficients lie within delta_k of map_'s and whose singular values
-    satisfy 2*max|SV| + 2 <= r (``TractBox.covers``); r starts from a
-    first-order bound of max|SV| over that box.  The strip checks and the
-    tail bound are monotone in the coefficient moduli and run on
-    |b_k| + delta_k.  At Re z = x, f moves by at most sum_k delta_k e^{kx}
-    and f' by sum_k k delta_k e^{kx}, so the |f'| scan counts a point as
-    hot when Re f plus the first exceeds r and passes it when |f'| minus
-    the second is >= 2.  ``r_min`` stays map_'s.
+    - outer left edge: Re f is largest at y = 0, so the check is
+      e^{d t_up} + B(e^{t_up}) <= r.
+    - outer horizontal edges, y = +-(pi/2d + eps): g(u) = B(u) - s u^d
+      <= r for u >= e^{t_up}.  The left-edge check covers u = e^{t_up};
+      beyond, the only maximum is at the one positive root u_g of g'
+      (one sign change: Descartes), where g = sum_k (d-k)/d |b_k| u_g^k.
+    - |f'| >= 2 wherever Re f > r: there |f'| = |w p'(w)| exceeds
+      d r - sum_k (d-k)|b_k| u^k, which falls with u, and is at least
+      d u^d - sum_k k|b_k| u^k, which stays >= 2 from the u* where it
+      reaches 2.  So the first bound is checked at u*.
+    - inner edges, y = +-(pi/2d - eps) for x >= t_lo and x = t_lo: the
+      outer checks imply them, so they cost nothing.  Re f exceeds
+      s u^d - B(u) on both, and s u^d - B(u) - r has one sign change, so
+      the claim is s l^d - B(l) > r at l = e^{t_lo} = e v, where
+      s v^d = r + 1.  B(e v) <= e^{d-1} B(v) and, v being right of
+      e^{t_up}, B(v) <= r + s v^d = 2r + 1; so s l^d - B(l) >=
+      e^{d-1} ((e - 2) r + e - 1) > r for d >= 2, and for d = 1,
+      B = |b_0| < r/2.
+
+    ``_positive_root`` gives u_g and u* to rounding, or bounds them from
+    above, the safe side; ``_ROUNDING`` covers the rounding of the sums.
+    Every comparison fails on NaN or inf.  OverflowSignal is raised when
+    the strips lie past the float range: a singular value is not finite,
+    or the inner strip would start where f overflows, d*t_lo >
+    EXP_ARG_LIMIT.
     """
     d = map_.d
     if eps is None:
@@ -110,87 +120,29 @@ def make_tract_config(
     if not 0 < eps < math.pi / (2 * d):
         raise DomainError(f"eps must lie in (0, pi/2d), got {eps}")
     sv = map_.singular_data()
-    abs_coeffs = [abs(c) for c in map_.coeffs]
-    top = sv.max_modulus()
-    if slack is not None:
-        abs_coeffs = [b + s for b, s in zip(abs_coeffs, slack)]
-        # A singular value p(c), at a critical point c or at c = 0, moves
-        # by sum_k delta_k |c|^k to first order over the box.
-        pairs = zip((0j,) + sv.critical_points, (sv.asymptotic_value,) + sv.critical_values)
-        top = max(abs(v) + sum(s * abs(c) ** k for k, s in enumerate(slack)) for c, v in pairs)
-    r = max(config.R_FLOOR, 2 * top + 2)
-    r_min = _r_min(sv)
-    sin_eps = math.sin(d * eps)
-    half = math.pi / (2 * d)
-
-    def edge(
-        t_from: float, t_to: float, samples: int = config.STRIP_EDGE_SAMPLES
-    ) -> np.ndarray:
-        return t_from + (t_to - t_from) * np.arange(samples) / (samples - 1)
-
-    def re_bound(x, rel_y, sign: int) -> np.ndarray:
-        """Re f at height rel_y off a strip center, worst case over strip
-        indices: the leading term plus (sign=1) or minus (sign=-1) the
-        coefficient-moduli slack."""
-        lead = np.exp(d * x) * np.cos(d * rel_y)
-        return lead + sign * sum(b * np.exp(k * x) for k, b in enumerate(abs_coeffs))
-
-    def expanding(r: float, t_up: float, x_tail: float) -> bool:
-        """|f'| >= 2 sampled where the preimage of H_r lives: inner-strip
-        edges and a fringe of outer-strip points with Re f > r, on strips
-        -2..2 by 64 abscissae by five heights.  Where f overflows, or f'
-        does with Re f > r, the remaining heights at that abscissa are
-        skipped, as the point-by-point scan stopped there.  With slack,
-        the margins by abscissa widen the hot set and narrow the pass."""
-        heights = (-half - eps, -half + eps, 0.0, half - eps, half + eps)
-        ys = 2 * math.pi * np.arange(-2, 3)[:, None] / d + np.array(heights)
-        xs = edge(t_up, x_tail, 64)
-        z = xs[None, :, None] + 1j * ys[:, None, :]
-        w = np.exp(z)
-        value = map_.poly(w)
-        slope = map_.poly_derivative(w) * w
-        re_value, gain = value.real, np.abs(slope)
-        if slack is not None:
-            moves = np.asarray(slack)[:, None] * np.exp(np.arange(d)[:, None] * xs)
-            re_value = re_value + moves.sum(axis=0)[:, None]
-            gain = gain - (np.arange(d) @ moves)[:, None]
-        big = d * z.real > config.EXP_ARG_LIMIT
-        hot = ~big & np.isfinite(value) & (re_value > r)
-        broken = big | ~np.isfinite(value) | (hot & ~np.isfinite(slope))
-        skipped = np.logical_or.accumulate(broken, axis=2)
-        return not np.any(hot & ~skipped & (gain < 2))
-
+    if not all(cmath.isfinite(v) for v in sv.all):
+        raise OverflowSignal("singular values leave the float range")
+    moduli = [abs(b) for b in map_.coeffs]
+    falling = [(d - k) * b for k, b in enumerate(moduli)]
+    rising = [k * b for k, b in enumerate(moduli)][1:]
+    s = math.sin(d * eps)
+    u_g = _positive_root(d * s, rising)
+    u_star = _positive_root(d, [2.0] + rising)
+    r = max(config.R_FLOOR, 2 * sv.max_modulus() + 2)
     for _ in range(config.TRACT_RETRY_BUDGET):
         t_up = math.log(r + 1) / d - 1
-        t_lo = math.log((r + 1) / sin_eps) / d + 1
-
-        # Beyond x_tail the leading term dominates every coefficient sum.
-        x_tail = max(t_lo, t_up) + 1
-        while x_tail * d < config.EXP_ARG_LIMIT:
-            lead = math.exp(d * x_tail) * sin_eps
-            low = sum(b * math.exp(k * x_tail) for k, b in enumerate(abs_coeffs))
-            if lead > 2 * (low + r + 1):
-                break
-            x_tail += 1.0
-        if d * x_tail > _LOG_FLOAT_MAX:
+        t_lo = math.log((r + 1) / s) / d + 1
+        if not d * t_lo <= config.EXP_ARG_LIMIT:
             raise OverflowSignal(
-                f"strip samples up to Re z = {x_tail:.6g} leave the float range"
+                f"the inner strip starts at Re z = {t_lo:.6g}, where f leaves the float range"
             )
-
-        with np.errstate(all="ignore"):
-            ok = (
-                # Outer-strip boundary: Re f <= r there (the horizontal
-                # edges have cos < 0).
-                not np.any(re_bound(edge(t_up, x_tail), half + eps, 1) > r)
-                and not np.any(re_bound(t_up, edge(-(half + eps), half + eps), 1) > r)
-                # Inner strip: Re f > r on its boundary, hence inside
-                # (harmonicity).
-                and not np.any(re_bound(edge(t_lo, x_tail), half - eps, -1) <= r)
-                and not np.any(re_bound(t_lo, edge(-(half - eps), half - eps), -1) <= r)
-                and expanding(r, t_up, x_tail)
-            )
-        if ok:
-            return TractConfig(d=d, r=r, r_min=r_min, t_up=t_up, t_lo=t_lo, eps=eps)
+        up = math.exp(t_up)
+        if (
+            (math.exp(d * t_up) + _poly(moduli, up)) * _ROUNDING <= r
+            and (u_g <= up or _poly(falling, u_g) * _ROUNDING <= d * r)
+            and _poly(falling, u_star) * _ROUNDING <= d * r - 2
+        ):
+            return TractConfig(d=d, r=r, r_min=sv.max_real() + 1e-6, t_up=t_up, t_lo=t_lo, eps=eps)
         r = 2 * r + 1
 
     raise TractConfigError(
@@ -198,37 +150,45 @@ def make_tract_config(
     )
 
 
-@dataclass(frozen=True)
-class TractBox:
-    """One certificate for a box of maps: ``cfg`` is
-    ``make_tract_config(center, slack=slack)``, which certifies every map
-    whose coefficients b_k lie within slack[k] of center[k] and whose
-    singular values satisfy 2*max|SV| + 2 <= cfg.r."""
-
-    center: tuple[complex, ...]
-    slack: tuple[float, ...]
-    cfg: TractConfig
-
-    def covers(self, map_: polyexp.PolyExpMap) -> TractConfig | None:
-        """The box's certificate with map_'s own ``r_min``, or None when
-        map_ lies outside the box."""
-        if any(abs(b - c) > s for b, c, s in zip(map_.coeffs, self.center, self.slack)):
-            return None
-        sv = map_.singular_data()
-        if 2 * sv.max_modulus() + 2 > self.cfg.r:
-            return None
-        return replace(self.cfg, r_min=_r_min(sv))
+def _poly(cs: Sequence[float], u: float) -> float:
+    """sum_k cs[k] u^k by Horner's rule; it overflows to inf, never raises."""
+    value = cs[-1]
+    for c in reversed(cs[:-1]):
+        value = value * u + c
+    return value
 
 
-def make_tract_box(map_: polyexp.PolyExpMap) -> TractBox:
-    """A box around map_, slack_k = TRACT_BOX_RHO * max(|b_k|, 1).  Where
-    the box does not certify, map_'s own certificate is the box, with zero
-    slack, so that map_ passes or fails exactly as it does alone."""
-    slack = tuple(config.TRACT_BOX_RHO * max(abs(b), 1.0) for b in map_.coeffs)
-    try:
-        return TractBox(map_.coeffs, slack, make_tract_config(map_, slack=slack))
-    except RayforgeError:
-        return TractBox(map_.coeffs, (0.0,) * map_.d, make_tract_config(map_))
+def _positive_root(a: float, cs: Sequence[float]) -> float:
+    """The one positive root of a u^n = sum_k cs[k] u^k (n = len(cs), a > 0,
+    cs[k] >= 0), to rounding; 0 when every cs[k] is 0.
+
+    n <= 2 is closed-form, without cancellation or a squared term that
+    could overflow or underflow.  Above, the root lies in [M, 2M] with
+    M = max_k (cs[k]/a)^(1/(n-k)), and right of it a u^n - sum_k cs[k] u^k
+    is increasing and convex, so Newton's method from 2M decreases onto
+    the root without passing it.  Where a step overflows, the last iterate
+    is returned: an upper bound on the root, the safe side for
+    ``make_tract_config``.  NaN or inf pass through.
+    """
+    n = len(cs)
+    if not any(cs):
+        return 0.0
+    if n == 1:
+        return cs[0] / a
+    if n == 2:
+        half = cs[1] / (2 * a)
+        return half + math.hypot(half, math.sqrt(cs[0]) / math.sqrt(a))
+    poly = [-c for c in cs] + [a]
+    slope = [k * c for k, c in enumerate(poly)][1:]
+    u = 2 * max(c ** (1 / (n - k)) / a ** (1 / (n - k)) for k, c in enumerate(cs))
+    while True:
+        gain = _poly(slope, u)
+        if not gain > 0:
+            return u
+        nxt = u - _poly(poly, u) / gain
+        if not 0 < nxt < u:
+            return u
+        u = nxt
 
 
 def tract_index(z: complex, cfg: TractConfig) -> int:

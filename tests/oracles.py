@@ -152,9 +152,12 @@ def random_word_fixture(rng: np.random.Generator, max_points: int = 6,
     return marked, base_idx, PolylineCurve(verts)
 
 
-# Reference strip certificate: the scalar sampling loops that the numpy
-# ``tracts.make_tract_config`` replaced, kept to check that it returns the
-# same TractConfig (or raises the same TractConfigError) on every map.
+# Reference strip certificate: the scalar sampling loops that the
+# closed-form ``tracts.make_tract_config`` replaced, kept to check that it
+# returns the same TractConfig (or raises the same TractConfigError) on
+# maps whose sampled and proven r agree.  It samples each strip edge at
+# STRIP_EDGE_SAMPLES points.
+STRIP_EDGE_SAMPLES = 720
 
 
 def _edge_xs(t_from: float, t_to: float, samples: int) -> list[float]:
@@ -166,7 +169,7 @@ def scalar_make_tract_config(
     map_: PolyExpMap,
     eps: float | None = None,
     r_floor: float = config.R_FLOOR,
-    edge_samples: int = config.STRIP_EDGE_SAMPLES,
+    edge_samples: int = STRIP_EDGE_SAMPLES,
     budget: int = config.TRACT_RETRY_BUDGET,
 ) -> TractConfig:
     """Choose and certify (r, t_up, t_lo) for the strip inclusions.
@@ -265,6 +268,117 @@ def scalar_make_tract_config(
     raise TractConfigError(
         f"could not certify strip bounds within budget (last r={r})"
     )
+
+
+# Interval oracle for the strip certificate: every claim of a TractConfig,
+# proven with outward-rounded interval arithmetic (mpmath.iv, 80 bits) on
+# adaptive bisections of each edge, up to X = t_lo + 1, and beyond X by the
+# leading term, which dominates from there on.
+
+
+def _interval_proven(lo: float, hi: float, holds, depth: int = 40, budget: int = 4000) -> bool:
+    """Whether holds(X) proves the claim on every piece of a bisection of
+    [lo, hi] (pieces halved at most ``depth`` times, at most ``budget``
+    evaluations).  lo and hi are floats or interval endpoints, exact at
+    the working precision."""
+    pieces = [(mpmath.mpf(lo), mpmath.mpf(hi), depth)]
+    while pieces:
+        a, b, k = pieces.pop()
+        budget -= 1
+        if budget < 0:
+            return False
+        if holds(mpmath.iv.mpf([a, b])):
+            continue
+        if k == 0:
+            return False
+        m = (a + b) / 2
+        pieces += [(a, m, k - 1), (m, b, k - 1)]
+    return True
+
+
+def _exp_sum(cs, x):
+    """Enclosure (low, high) of sum_k cs[k] e^{kx} over the interval x: the
+    direct interval sum, narrowed by the mean-value form about its midpoint
+    (whose excess shrinks with the square of the width)."""
+    iv = mpmath.iv
+    mid = iv.mpf(x.mid)
+    direct = sum(c * iv.exp(k * x) for k, c in enumerate(cs))
+    centered = sum(c * iv.exp(k * mid) for k, c in enumerate(cs)) + sum(
+        k * c * iv.exp(k * x) for k, c in enumerate(cs)
+    ) * (x - mid)
+    return max(direct.a, centered.a), min(direct.b, centered.b)
+
+
+def interval_tract_violations(map_: PolyExpMap, cfg: TractConfig) -> list[str]:
+    """The claims of ``cfg`` that interval arithmetic cannot prove; empty
+    when it proves them all.
+
+    With B(x) = sum_k |b_k| e^{kx}, which bounds the lower terms of f on
+    every strip and for every map with these coefficient moduli, and
+    s = sin(d*eps), h = pi/2d:
+    - outer left: e^{d t_up} cos(dy) + B(t_up) <= r for |y| <= h + eps;
+    - outer horizontal: B(x) - s e^{dx} <= r for x >= t_up.  Beyond X,
+      B(x) e^{-dx} falls, so s e^{dX} >= B(X) keeps the left side <= 0;
+    - inner left: e^{d t_lo} cos(dy) - B(t_lo) > r for |y| <= h - eps;
+    - inner horizontal: s e^{dx} - B(x) > r for x >= t_lo.  Beyond X it is
+      e^{dx} (s - B(x) e^{-dx}) - r, whose factors grow once positive;
+    - expanding: |f'| >= 2 wherever Re f > r, for x >= t_up (left of t_up
+      Re f <= r, by the outer left claim at y = 0).  |f'| = |w p'(w)| is
+      at least d e^{dx} - sum_k k|b_k| e^{kx}, which grows once positive
+      (the tail), and where Re f > r it exceeds d r - sum_k (d-k)|b_k| e^{kx};
+      the larger of the two must be >= 2.
+    """
+    iv = mpmath.iv
+    precs = iv.prec, mpmath.mp.prec
+    iv.prec = mpmath.mp.prec = 80
+    try:
+        d, r = cfg.d, iv.mpf(cfg.r)
+        moduli = [iv.sqrt(iv.mpf(b.real) ** 2 + iv.mpf(b.imag) ** 2) for b in map_.coeffs]
+        s = iv.sin(d * iv.mpf(cfg.eps))
+        x_max = cfg.t_lo + 1
+        x_top = iv.mpf(x_max)
+
+        def low(x):
+            return sum(b * iv.exp(k * x) for k, b in enumerate(moduli))
+
+        def lead(x):
+            return iv.exp(d * x)
+
+        outer_edge = moduli + [-s]  # B(x) - s e^{dx}
+        inner_edge = [-b for b in moduli] + [s]  # s e^{dx} - B(x)
+        rising = [-k * b for k, b in enumerate(moduli)] + [iv.mpf(d)]
+        falling = [d * r - d * moduli[0]] + [-(d - k) * b for k, b in enumerate(moduli)][1:]
+
+        # On the left edges, at offset y from the strip center, write
+        # |y| = pi/2d - v: then cos(dy) = sin(dv), with no cancellation
+        # near the fuzz edge |y| = pi/2d - eps, which is v = eps.
+        def outer_left(v):
+            return (lead(cfg.t_up) * iv.sin(d * v) + low(cfg.t_up)).b <= r.a
+
+        def inner_left(v):
+            return (lead(cfg.t_lo) * iv.sin(d * v) - low(cfg.t_lo)).a > r.b
+
+        def expanding(x):
+            return max(_exp_sum(falling, x)[0], _exp_sum(rising, x)[0]) >= 2
+
+        center = (iv.pi / (2 * d)).b  # v at y = 0, rounded up
+        claims = {
+            "outer left": _interval_proven(-cfg.eps, center, outer_left),
+            "outer horizontal": _interval_proven(
+                cfg.t_up, x_max, lambda x: _exp_sum(outer_edge, x)[1] <= r.a
+            )
+            and (s * lead(x_top) - low(x_top)).a >= 0,
+            "inner left": _interval_proven(cfg.eps, center, inner_left),
+            "inner horizontal": _interval_proven(
+                cfg.t_lo, x_max, lambda x: _exp_sum(inner_edge, x)[0] > r.b
+            )
+            and (s - low(x_top) / lead(x_top)).a > 0,
+            "expanding": _interval_proven(cfg.t_up, x_max, expanding)
+            and _exp_sum(rising, x_top)[0] >= 2,
+        }
+    finally:
+        iv.prec, mpmath.mp.prec = precs
+    return [name for name, proven in claims.items() if not proven]
 
 
 def plain_pullback(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rayforge
-from rayforge import cli, config, errors, potentials, presets, serialize, thurston, tracts
+from rayforge import cli, errors, potentials, presets, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
 
 
@@ -924,28 +924,13 @@ def _seeded_specs(n: int, seed: int) -> list:
     return specs
 
 
-class TestTractBoxBytes:
-    """classify reads only the strip geometry of its tract certificates, so
-    one certified box per run gives the bytes of one certificate per
-    pullback step (TRACT_BOX_RHO = 0)."""
+class TestCertificateCount:
+    """classify certifies the map of every pullback step and the map that
+    verify checks, one certificate each; diag invariant-set makes none."""
 
     SPECS = [presets.SPEC_D1, presets.SPEC_D2] + _seeded_specs(14, 18)
 
-    def _outputs(self, spec, tmp_path, capsys) -> list:
-        spec_path = _write(tmp_path, "spec.json", serialize.spec_to_json(spec))
-        run_path, inv_path = tmp_path / "run.json", tmp_path / "inv.json"
-        outputs = []
-        for extra in ([], ["--log-iterates"]):
-            run_path.unlink(missing_ok=True)
-            code = run(["classify", "--spec", spec_path, "--out", str(run_path)] + extra)
-            written = run_path.read_bytes() if run_path.exists() else None
-            outputs.append((code, capsys.readouterr(), written))
-            if code == 0:
-                code = run(["diag", "invariant-set", "--run", str(run_path), "--output", str(inv_path)])
-                outputs.append((code, capsys.readouterr(), inv_path.read_bytes()))
-        return outputs
-
-    def test_box_and_per_map_bytes_equal(self, tmp_path, capsys, monkeypatch):
+    def test_one_certificate_per_step_and_verify(self, tmp_path, capsys, monkeypatch):
         counts = {"builds": 0, "steps": 0, "verify": 0}
 
         def counted(name, fn):
@@ -958,16 +943,17 @@ class TestTractBoxBytes:
         monkeypatch.setattr(tracts, "make_tract_config", counted("builds", tracts.make_tract_config))
         monkeypatch.setattr(thurston, "pullback_step", counted("steps", thurston.pullback_step))
         monkeypatch.setattr(thurston, "verify", counted("verify", thurston.verify))
-        boxed = [self._outputs(spec, tmp_path, capsys) for spec in self.SPECS]
-        box_builds = counts["builds"]
-        counts.update(builds=0, steps=0, verify=0)
-        monkeypatch.setattr(config, "TRACT_BOX_RHO", 0.0)
-        per_map = [self._outputs(spec, tmp_path, capsys) for spec in self.SPECS]
-        assert boxed == per_map
-        # without slack every pullback step certifies its own map, as does verify
+        run_path, inv_path = tmp_path / "run.json", tmp_path / "inv.json"
+        codes = []
+        for spec in self.SPECS:
+            spec_path = _write(tmp_path, "spec.json", serialize.spec_to_json(spec))
+            codes.append(run(["classify", "--spec", spec_path, "--out", str(run_path)]))
+            if codes[-1] == 0:
+                assert run(["diag", "invariant-set", "--run", str(run_path), "--output", str(inv_path)]) == 0
+        capsys.readouterr()
+        assert codes == [0] * len(self.SPECS)
+        assert counts["verify"] == len(self.SPECS)
         assert counts["builds"] == counts["steps"] + counts["verify"]
-        assert box_builds < counts["builds"] / 2
-        assert all(outputs[0][0] == 0 for outputs in boxed)
 
 
 class TestParserReuse:

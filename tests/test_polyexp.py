@@ -126,6 +126,42 @@ class TestSingularValues:
             assert abs(a - b) < 1e-8
 
 
+class TestCriticalPointsClosedForm:
+    """Degrees 2 and 3 take closed forms in place of ``np.roots``."""
+
+    def test_d2_bitwise_equal_to_np_roots(self):
+        rng = np.random.default_rng(21)
+        moduli = 10 ** rng.uniform(-3, 3, 20000)
+        b1s = moduli * np.exp(1j * rng.uniform(0, 2 * math.pi, 20000))
+        for b1 in b1s.tolist():
+            want = complex(np.roots(np.asarray([2, b1], dtype=complex))[0])
+            assert pe.critical_points(PolyExpMap(2, [0.5, b1])) == (want,)
+
+    def test_d3_within_4_ulp_of_50_digit_roots(self):
+        # Each critical point lies within 4 ulp (of its larger component)
+        # of the roots of 3w^2 + 2 b_2 w + b_1 at 50 digits; np.roots
+        # strays to 14 ulp on such draws.
+        rng = np.random.default_rng(22)
+        for _ in range(500):
+            b = 10 ** rng.uniform(-3, 3, 2) * np.exp(1j * rng.uniform(0, 2 * math.pi, 2))
+            m = PolyExpMap(3, [0.5, complex(b[0]), complex(b[1])])
+            got = pe.critical_points(m)
+            with mpmath.workdps(50):
+                exact = mpmath.polyroots(
+                    [3, 2 * mpmath.mpc(m.coeffs[2]), mpmath.mpc(m.coeffs[1])], extraprec=200
+                )
+                for g in got:
+                    e = min(exact, key=lambda z: abs(z - mpmath.mpc(g)))
+                    gap = float(abs(e - mpmath.mpc(g)))
+                    assert gap <= 4 * math.ulp(max(abs(float(e.real)), abs(float(e.imag))))
+            assert len(set(got)) == 2 and got == tuple(sorted(got, key=lambda c: (c.real, c.imag)))
+
+    def test_d3_double_root(self):
+        assert pe.critical_points(PolyExpMap(3, [0.5, 0.0, 0.0])) == (0j, 0j)
+        # (w - 1)^3: p' = 3 (w - 1)^2
+        assert pe.critical_points(PolyExpMap(3, [-1.0, 3.0, -3.0])) == (1 + 0j, 1 + 0j)
+
+
 def poly_roots(coeffs, w):
     """The d solutions of p(z) = w from a one-row batch solve."""
     map_ = PolyExpMap(len(coeffs), coeffs)

@@ -225,20 +225,24 @@ class TestBatchedPullback:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
-    def test_classify_certifies_per_box(self, preset, monkeypatch):
-        # One tract box covers the converging maps of a run: its builds are
-        # the box, at most one rebuild, and the certificate of verify.
-        calls = []
-        make = tracts.make_tract_config
+    def test_classify_certifies_per_step(self, preset, monkeypatch):
+        # Every pullback step certifies its own map, and verify the result.
+        calls = {"builds": [], "steps": [], "verify": []}
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return make(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[0])
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(tracts, "make_tract_config", counted)
+            return wrapper
+
+        monkeypatch.setattr(tracts, "make_tract_config", counted("builds", tracts.make_tract_config))
+        monkeypatch.setattr(thurston, "pullback_step", counted("steps", thurston.pullback_step))
+        monkeypatch.setattr(thurston, "verify", counted("verify", thurston.verify))
         res = thurston.classify(preset)
         assert res.certificate.passed
-        assert len(calls) <= 3 < len(res.deltas)
+        assert calls["builds"] == [s.map for s in calls["steps"]] + calls["verify"]
+        assert len(calls["verify"]) == 1 < len(res.deltas) <= len(calls["steps"])
 
 
 class TestFarTailPullback:

@@ -14,7 +14,10 @@ from rayforge.errors import (
 )
 from rayforge.polyexp import PolyExpMap
 
-from oracles import scalar_make_tract_config
+from oracles import interval_tract_violations, scalar_make_tract_config
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 EXP = PolyExpMap(1, [0.0])
 D2 = PolyExpMap(2, [0.0, 0.0])
@@ -131,6 +134,90 @@ class TestConfigMatchesScalarReference:
             assert got == want
             errors += isinstance(want, tuple)
         assert errors > 0
+
+
+def _map(d, log_moduli, phases):
+    return PolyExpMap(d, [10**m * cmath.exp(1j * a) for m, a in zip(log_moduli[:d], phases[:d])])
+
+
+LOG_MODULI = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
+PHASES = st.lists(st.floats(0, 2 * math.pi), min_size=4, max_size=4)
+# eps as a fraction of its upper bound pi/2d; None is the default eps
+EPS_FRACTION = st.one_of(st.none(), st.floats(0.01, 0.99))
+
+
+class TestIntervalOracle:
+    """Every claim of a certified config holds under interval arithmetic
+    (``oracles.interval_tract_violations``)."""
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(st.integers(1, 4), LOG_MODULI, PHASES, EPS_FRACTION)
+    # Maps on which one check alone decides r: without the outer-left
+    # check, the outer horizontal check or the |f'| check, each of these
+    # would get a smaller r that the oracle refutes.
+    @hypothesis.example(2, [0.617, 0.611, 0, 0], [2.32, 4.298, 0, 0], None)
+    @hypothesis.example(3, [0.521, 1.427, 2.738, 0], [1.786, 4.075, 4.374, 0], 0.2968663340322374)
+    @hypothesis.example(
+        4, [-1.893, -0.855, -0.193, 0.117], [0.92, 5.378, 3.586, 1.793], 0.7833389281650613
+    )
+    def test_certified_configs_hold(self, d, log_moduli, phases, fraction):
+        map_ = _map(d, log_moduli, phases)
+        eps = None if fraction is None else fraction * math.pi / (2 * d)
+        try:
+            cfg = tracts.make_tract_config(map_, eps=eps)
+        except TractConfigError:
+            hypothesis.reject()
+        assert interval_tract_violations(map_, cfg) == []
+
+
+class TestFailSafe:
+    """A map whose closed-form terms overflow or turn NaN raises
+    OverflowSignal or TractConfigError and never gets a config."""
+
+    @pytest.mark.parametrize(
+        "map_, eps, error",
+        [
+            (PolyExpMap(1, [math.inf]), None, OverflowSignal),
+            (PolyExpMap(2, [0.0, math.nan]), None, OverflowSignal),
+            (PolyExpMap(3, [0.0, 0.0, 1e200]), None, OverflowSignal),
+            # 1/s overflows, so the inner strip starts at infinity
+            (PolyExpMap(2, [0.0, 1.0]), 1e-310, OverflowSignal),
+            # the outer horizontal maximum |b_2|^3 (4/27) / s^2 overflows
+            # on every retry
+            (PolyExpMap(3, [0.0, 0.0, 1.0]), 1e-300 / 3, TractConfigError),
+        ],
+    )
+    def test_no_config(self, map_, eps, error):
+        with pytest.raises(error):
+            tracts.make_tract_config(map_, eps=eps)
+
+    @pytest.mark.parametrize("b", [7e5, 1e14, 7e14, 7e17, 7e20, 1e26, 3e38])
+    def test_float_ties_never_pass(self, b):
+        # p = w^3 + b w^2: the outer horizontal maximum (8/27) b^3 lies 2
+        # below r = 2 max|SV| + 2, which rounds to it; a check that compared
+        # the rounded values as they are would pass r on these.
+        map_ = PolyExpMap(3, [0.0, 0.0, b])
+        cfg = tracts.make_tract_config(map_)
+        assert interval_tract_violations(map_, cfg) == []
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 4),
+        st.lists(st.floats(-300, 300), min_size=4, max_size=4),
+        PHASES,
+        st.one_of(st.none(), st.floats(-300, -0.005)),
+    )
+    def test_extreme_maps_raise_or_hold(self, d, log_moduli, phases, log_fraction):
+        # Coefficients and fuzz widths across the float range: the config
+        # either is refused or holds under interval arithmetic.
+        map_ = _map(d, log_moduli, phases)
+        eps = None if log_fraction is None else 10**log_fraction * math.pi / (2 * d)
+        try:
+            cfg = tracts.make_tract_config(map_, eps=eps)
+        except (OverflowSignal, TractConfigError):
+            return
+        assert all(math.isfinite(v) for v in (cfg.r, cfg.r_min, cfg.t_up, cfg.t_lo))
+        assert interval_tract_violations(map_, cfg) == []
 
 
 class TestTractIndex:
