@@ -47,7 +47,9 @@ for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
           f"to {gap:.2e}")
 
     report = thurston.invariant_set_diagnostics(result.z, spec)
-    print(f"invariant-region shadow at rho = {report.rho:.4g}: "
-          f"inside={report.inside_disk} tails={report.tail_asymptotics} "
-          f"separation={report.separation} budget={report.homotopy_budget}")
+    print(f"invariant-region margins at rho = {report.rho:.4g} "
+          f"(positive where the condition holds): "
+          f"disk {report.inside_disk_margin:.4g}, "
+          f"pullback Re {report.pullback_real_part_margin:.4g}, "
+          f"derivative domain {report.derivative_domain_margin:.4g}")
     print()

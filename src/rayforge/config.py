@@ -4,7 +4,6 @@ Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
 defaults of the few options a caller can set: ``tol``, ``max_iter``,
 ``max_depth`` and the strip fuzz ``eps``.
-The empirical constant K is a calibration default, not a proven value.
 """
 
 import math
@@ -36,10 +35,6 @@ TRACER_MAX_DEPTH = 128
 # Tract certification.
 TRACT_RETRY_BUDGET = 5
 R_FLOOR = 2.0
-
-# Empirical constant: the derivative envelope of the invariant-set
-# diagnostics.
-DERIVATIVE_K = 4.0
 
 # Pullback iteration.
 CLASSIFY_MAX_ITER = 50

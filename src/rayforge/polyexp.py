@@ -97,11 +97,10 @@ class PolyExpMap:
         return math.log(self.d) + self.d * z.real
 
     def singular_data(self) -> "SingularData":
-        """Critical points of p (``critical_points``), their critical values
-        and the asymptotic value p(0).  Raises OverflowSignal when
-        two singular values lie farther apart than the largest double."""
-        cps = critical_points(self)
-        cvs = tuple(self.poly(c) for c in cps)
+        """The critical values of p (at ``critical_points``) and the
+        asymptotic value p(0).  Raises OverflowSignal when two singular
+        values lie farther apart than the largest double."""
+        cvs = tuple(self.poly(c) for c in critical_points(self))
         distinct: list[complex] = []
         try:
             for v in sorted(cvs + (self.coeffs[0],), key=lambda c: (c.real, c.imag)):
@@ -109,19 +108,18 @@ class PolyExpMap:
                     distinct.append(v)
         except OverflowError as exc:
             raise OverflowSignal("singular values too far apart for double precision") from exc
-        return SingularData(cps, cvs, self.coeffs[0], tuple(distinct))
+        return SingularData(cvs, self.coeffs[0], tuple(distinct))
 
 
 @dataclass(frozen=True)
 class SingularData:
-    """Critical points of p with their critical values (with multiplicity)
-    plus the asymptotic value p(0).
+    """The critical values of p (with multiplicity, in the order of
+    ``critical_points``) plus the asymptotic value p(0).
 
     ``all`` collapses the singular values to distinct members at a mild
     tolerance.
     """
 
-    critical_points: tuple[complex, ...]
     critical_values: tuple[complex, ...]
     asymptotic_value: complex
     all: tuple[complex, ...]

@@ -475,34 +475,44 @@ def classify(
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Computable shadows of the invariant-region conditions at one state."""
+    """Computable shadows of the invariant-region conditions at one state:
+    rho, and each condition as a signed margin, positive exactly when it
+    holds and +inf (``null`` on the wire) when it holds vacuously, on no
+    points."""
 
     rho: float
-    inside_disk: bool
-    tail_asymptotics: bool
-    separation: bool
-    homotopy_budget: bool
-    pullback_real_parts: bool
-    derivative_domain: bool
+    inside_disk_margin: float
+    pullback_real_part_margin: float
+    derivative_domain_margin: float
+
+
+def _margin(bound: float, values) -> float:
+    """bound - max(values); +inf for no values."""
+    return float(bound - max(values, default=-math.inf))
 
 
 def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> InvariantReport:
-    """Check the marked-grid shadow of the invariant-region conditions.
+    """Measure the marked-grid shadow of the invariant-region conditions.
 
     rho is the first midpoint of ``spec.ladder`` above its threshold (else
-    its first midpoint, else twice the largest T).
-    (1) the first N_i+1 points of each orbit stay in the rho-disk; (2) the
-    rest sit within 1/j of their straight asymptotic positions; (3) points
-    inside the disk stay pairwise separated by pi/(2d*M^n) with M the
-    log-scale derivative bound K*exp(d^3*t_n), K = DERIVATIVE_K; (4) the
-    homotopy budget is trivially respected (the shadow forbids nontrivial
-    words).  Also checks
-    that pullbacks of inside points keep Re < rho/2 and that points mapping
-    into the marked disk keep Re < (d+1)*t_n.  ``grid_z`` has the shape
-    (m, depth+1) of a spec that ``validate_spec`` accepts.  Report only,
-    never raises.
+    its first midpoint, else twice the largest T), and t_n the largest
+    ladder potential below rho (else rho/2).  The inside points of orbit i
+    are its first N_i+1, where N_i is the last level whose speed is below
+    rho.  Three margins, each positive exactly when its condition holds:
+
+    - ``inside_disk_margin`` = rho - max |z| over the inside points: they
+      stay in the rho-disk;
+    - ``pullback_real_part_margin`` = rho/2 - max Re z over the inside
+      points: their pullbacks keep Re < rho/2;
+    - ``derivative_domain_margin`` = (d+1)*t_n - max Re z over the points
+      z[i, j] whose image z[i, j+1] lies in the marked disk, of radius 1 +
+      max_i |straight[i, N_i+1]| (level capped at depth): they keep
+      Re < (d+1)*t_n.
+
+    A margin over no points is +inf, which serializes as ``null``: the
+    condition holds vacuously.  ``grid_z`` has the shape (m, depth+1) of a
+    spec that ``validate_spec`` accepts.  Report only, never raises.
     """
-    d = spec.d
     ladder = spec.ladder
     above = ladder.midpoints_above_threshold()
     if not above:
@@ -515,54 +525,19 @@ def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> Invariant
         max((j for j, tj in enumerate(values) if tj < rho), default=-1)
         for values in spec.speeds
     ]
-
-    cond_inside = all(
-        abs(grid_z[i, j]) < rho
-        for i in range(m)
-        for j in range(n_inside[i] + 1)
-    )
-    straight = spec.straight
-    cond_tail = all(
-        abs(grid_z[i, j] - straight[i, j]) < (1.0 / j if j > 0 else math.inf)
-        for i in range(m)
-        for j in range(n_inside[i] + 1, levels)
-    )
-    # Separation in log scale: M^n with M = K e^{d^3 t_n} overflows floats.
-    log_m_rho = math.log(config.DERIVATIVE_K) + d**3 * t_n
-    cond_sep = True
-    inside_pts = [
-        (i, j) for i in range(m) for j in range(n_inside[i] + 1)
-    ]
-    for a in range(len(inside_pts)):
-        for b in range(a + 1, len(inside_pts)):
-            (i, j), (k, l) = inside_pts[a], inside_pts[b]
-            n = min(n_inside[i] + 1 - j, n_inside[k] + 1 - l)
-            gap = abs(grid_z[i, j] - grid_z[k, l])
-            log_bound = math.log(math.pi / (2 * d)) - n * log_m_rho
-            if gap <= 0 or math.log(gap) <= log_bound:
-                cond_sep = False
-    cond_budget = True  # strip-indexed pullbacks keep every leg word empty
-
-    cond_pullback_re = all(
-        grid_z[i, j].real < rho / 2
-        for i in range(m)
-        for j in range(n_inside[i] + 1)
-    )
+    inside = [grid_z[i, j] for i in range(m) for j in range(n_inside[i] + 1)]
     disk_radius = max(
-        abs(straight[i, min(n_inside[i] + 1, levels - 1)]) for i in range(m)
+        abs(spec.straight[i, min(n_inside[i] + 1, levels - 1)]) for i in range(m)
     ) + 1
-    cond_deriv_domain = all(
-        grid_z[i, j].real < (d + 1) * t_n
+    into_disk = [
+        grid_z[i, j]
         for i in range(m)
         for j in range(levels - 1)
         if abs(grid_z[i, j + 1]) <= disk_radius
-    )
+    ]
     return InvariantReport(
         rho=rho,
-        inside_disk=cond_inside,
-        tail_asymptotics=cond_tail,
-        separation=cond_sep,
-        homotopy_budget=cond_budget,
-        pullback_real_parts=cond_pullback_re,
-        derivative_domain=cond_deriv_domain,
+        inside_disk_margin=_margin(rho, (abs(z) for z in inside)),
+        pullback_real_part_margin=_margin(rho / 2, (z.real for z in inside)),
+        derivative_domain_margin=_margin((spec.d + 1) * t_n, (z.real for z in into_disk)),
     )

@@ -473,9 +473,10 @@ def sample_map_with_singular_values_in(d: int, rho: float, rng) -> PolyExpMap:
 
 
 def critical_point_ratio(map_: PolyExpMap, rho: float) -> float:
-    """max |critical point| / rho^(1/d), the critical points from the
-    ``np.roots`` solve of p' in ``singular_data``; 0 for d = 1."""
-    cps = map_.singular_data().critical_points
+    """max |critical point| / rho^(1/d), the critical points from
+    ``polyexp.critical_points`` (closed forms at d = 2 and 3, ``np.roots``
+    above); 0 for d = 1."""
+    cps = polyexp.critical_points(map_)
     return max(map(abs, cps), default=0.0) / rho ** (1.0 / map_.d)
 
 

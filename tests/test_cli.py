@@ -342,7 +342,7 @@ class TestDiag:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["iterations"]) > 3
-        assert all(row["inside_disk"] for row in payload["iterations"])
+        assert all(row["inside_disk_margin"] > 0 for row in payload["iterations"])
 
     def test_invariant_set_builds_ladder_once(self, tmp_path, monkeypatch, capsys):
         # The ladder and the straight grid depend on the spec alone, so a run
@@ -694,8 +694,8 @@ ORBIT_KEYS = {
     "prefix_match_length", "prefix_length", "residual", "escaped",
 }
 INVARIANT_ROW_KEYS = {
-    "iteration", "rho", "inside_disk", "tail_asymptotics", "separation",
-    "homotopy_budget", "pullback_real_parts", "derivative_domain",
+    "iteration", "rho", "inside_disk_margin", "pullback_real_part_margin",
+    "derivative_domain_margin",
 }
 STRIP_KEYS = {"n", "center", "half_width"}
 WORST_CASE_KEYS = {"sample_index", "ratio"}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rayforge import potentials as pot
-from rayforge import presets, rays, thurston, tracts
+from rayforge import presets, rays, serialize, thurston, tracts
 from rayforge.errors import (
     DomainError,
     InvariantViolationError,
@@ -483,16 +483,79 @@ class TestVerify:
         assert any("escape" in note or "orbit" in note for note in cert.notes)
 
 
+MARGINS = ("inside_disk_margin", "pullback_real_part_margin", "derivative_domain_margin")
+
+
+def _margins(grid, spec) -> dict[str, float]:
+    rep = thurston.invariant_set_diagnostics(grid, spec)
+    return {name: getattr(rep, name) for name in MARGINS}
+
+
 class TestDiagnostics:
     def test_straight_state_passes_all(self):
         state = thurston.init_state(presets.SPEC_D2)
-        rep = thurston.invariant_set_diagnostics(state.z, presets.SPEC_D2)
-        assert rep.inside_disk and rep.tail_asymptotics and rep.separation
-        assert rep.homotopy_budget and rep.pullback_real_parts
-        assert rep.derivative_domain
+        assert all(v > 0 for v in _margins(state.z, presets.SPEC_D2).values())
 
     def test_converged_run_passes_all(self):
         res = thurston.classify(presets.SPEC_D1, log_iterates=True)
         for grid in res.iterate_log:
-            rep = thurston.invariant_set_diagnostics(grid, presets.SPEC_D1)
-            assert rep.inside_disk and rep.tail_asymptotics and rep.separation
+            assert all(v > 0 for v in _margins(grid, presets.SPEC_D1).values())
+
+    def test_no_points_holds_vacuously(self):
+        # Every image z[i, 1] far outside the marked disk: no point is in
+        # the derivative domain, so its margin is +inf, null on the wire.
+        grid = presets.SPEC_D2.straight.copy()
+        grid[:, 1] = 1e6
+        rep = thurston.invariant_set_diagnostics(grid, presets.SPEC_D2)
+        assert rep.derivative_domain_margin == math.inf
+        assert serialize.to_json(rep)["derivative_domain_margin"] is None
+
+
+class TestMarginSigns:
+    """Moving one point of a hand-built grid just across one condition's
+    boundary flips that margin's sign and no other.
+
+    The grid is the straight grid of SPEC_D2: rho ~ 28.05 puts level 0
+    alone inside (speeds 2.0 and 2.5; level 1 is at 53.6 and 147.4), the
+    images z[i, 1] lie in the marked disk, and the derivative bound is
+    (d+1)*t_n = 3 * 2.5, with t_n = 2.5 the largest potential below rho.
+    """
+
+    SPEC = presets.SPEC_D2
+
+    def _flipped(self, grid, point, inside, outside) -> set[str]:
+        signs = []
+        for z in (inside, outside):
+            moved = grid.copy()
+            moved[point] = z
+            margins = _margins(moved, self.SPEC)
+            signs.append({name: v > 0 for name, v in margins.items()})
+        assert all(signs[0].values())
+        return {name for name in MARGINS if signs[0][name] != signs[1][name]}
+
+    def test_inside_disk(self):
+        grid = self.SPEC.straight.copy()
+        rho = thurston.invariant_set_diagnostics(grid, self.SPEC).rho
+        # On the imaginary axis, so the real-part conditions stay far off.
+        flipped = self._flipped(grid, (0, 0), 1j * rho * (1 - 1e-9), 1j * rho * (1 + 1e-9))
+        assert flipped == {"inside_disk_margin"}
+
+    def test_pullback_real_part(self):
+        grid = self.SPEC.straight.copy()
+        rho = thurston.invariant_set_diagnostics(grid, self.SPEC).rho
+        # Image z[0, 1] outside the marked disk, so z[0, 0] leaves the
+        # derivative domain and only the inside conditions read it.
+        grid[0, 1] = 1e6
+        half = rho / 2
+        flipped = self._flipped(grid, (0, 0), half * (1 - 1e-9), half * (1 + 1e-9))
+        assert flipped == {"pullback_real_part_margin"}
+
+    def test_derivative_domain(self):
+        grid = self.SPEC.straight.copy()
+        bound = 3 * 2.5
+        assert _margins(grid, self.SPEC)["derivative_domain_margin"] == bound - 2.5
+        im = grid[1, 0].imag
+        flipped = self._flipped(
+            grid, (1, 0), complex(bound * (1 - 1e-9), im), complex(bound * (1 + 1e-9), im)
+        )
+        assert flipped == {"derivative_domain_margin"}

@@ -86,7 +86,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "map_",
         [
-            # certifying this map would sample exp(d x) past the float maximum
+            # its inner strip would start where exp(d x) overflows, d*t_lo > EXP_ARG_LIMIT
             PolyExpMap(1, [1e307]),
             # its critical value overflows, so r and every strip bound are inf
             PolyExpMap(2, [0, 1e200]),
