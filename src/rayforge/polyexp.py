@@ -7,16 +7,16 @@ magnitudes control a map's geometry.  One Horner loop evaluates p, for
 scalars, arrays and rows of polynomials alike, and ``poly_derivative``
 evaluates p'.  Disk containment is proven first, from Fujiwara's root bound
 over the whole disk, and sampled with a root solve only when the proof
-fails.  ``appendix_report`` draws all its samples, then measures them as
-arrays at the critical points the samplers drew, with no root solve of p'.
-Its ratios differ from such a solve's in the last bits (by up to 11 ulp at
-d <= 3 and 311 at d = 4) and are the closer to a 50-digit reference.
-Random draws take explicit seeds; nothing here keeps mutable state.
+fails.  ``appendix_report`` measures the samples it draws as arrays, at
+the critical points it drew, with no root solve of p'; its ratios are the
+closer of the two to a 50-digit reference.  Random draws take explicit
+seeds; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -323,25 +323,29 @@ def appendix_report(
     critical values in the rho-disk, coefficient ratios of maps with
     singular values in the rho-disk, and preimage containment for r = rho.
 
-    Sample ``idx`` draws from its own RNG stream, seeded by (seed, idx), so
-    each sample's values depend only on the seed and its index.  The
-    samples are drawn first and measured as arrays, at the critical points
-    they drew.  Containment is checked on the first min(samples, 200) maps:
+    ``default_rng(seed)`` draws one (samples, 4d) block of uniforms; row k
+    is sample k, its first 2d-1 entries the polynomial, the other 2d+1 the
+    map.  Row k depends only on (seed, k): a shorter run is a prefix of a
+    longer one, and ``PCG64(seed).advance(4dk)`` draws row k alone.
+    Containment is checked on the first min(samples, 200) maps:
     Fujiwara's bound proves it for all of them at once; each map it leaves
     unproven goes through ``check_disk_containment``.
     Containment failures and inconclusive checks are counted from those
     sampled checks only: a proven containment is neither, and a
     sampled check whose root solve failed counts as inconclusive, never as
     a failure.  Raises OverflowSignal naming the first sample whose
-    arithmetic leaves the float range (rho near the largest double).
+    arithmetic leaves the float range (rho near the largest or below the
+    smallest normal double).
     """
     containment_maps = min(samples, 200)
-    rngs = [np.random.default_rng((seed, idx)) for idx in range(samples)]
-    _, cps, a = _sample_polys(d, rho, rngs)
-    coeffs = _sample_maps(d, rho, rngs)
+    block = np.random.default_rng(seed).random((samples, 4 * d))
+    _, cps, a = _sample_polys(d, rho, block[:, : 2 * d - 1])
+    coeffs = _sample_maps(d, rho, block[:, 2 * d - 1 :])
     ratios = np.abs(cps).max(axis=1) / a / rho ** (1.0 / d)
     coeff_ratios = (np.abs(coeffs) / [rho ** ((d - k) / d) for k in range(d)]).max(axis=1)
-    _finite_rows(rho, np.stack([ratios, coeff_ratios], axis=1))
+    bad = ~np.isfinite([ratios, coeff_ratios]).all(axis=0)
+    if bad.any():
+        raise OverflowSignal(f"sample {bad.argmax()} at rho={rho!r} left the float range")
 
     checked = coeffs[:containment_maps]
     proven = fujiwara_bound(checked, rho) * (1 + 1e-12) < rho
@@ -366,27 +370,32 @@ def _rescaled(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.where(coeffs != 0, coeffs * a[:, None] ** np.arange(-d, 0), coeffs)
 
 
-def _finite_rows(rho: float, rows: np.ndarray) -> np.ndarray:
-    """``rows``; raises OverflowSignal naming the first row that is not finite."""
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        raise OverflowSignal(f"sample {bad.argmax()} at rho={rho!r} left the float range")
-    return rows
+@functools.cache
+def _gauss_legendre(m: int) -> tuple:
+    """m-point Gauss-Legendre (node, weight) pairs on [0, 1] (Newton on P_m)."""
+    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(m), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return tuple(zip(((1 + x) / 2).tolist(), (1 / ((1 - x * x) * dp * dp)).tolist()))
 
 
 @np.errstate(all="ignore")
-def _sample_polys(d: int, rho: float, rngs: list) -> tuple:
-    """Random monic p with p(0) = 0 and critical values scaled into the
-    rho-disk (max modulus placed uniformly in [0.3, 1]*rho), row i drawn
-    from rngs[i] alone: the coefficients (n, d), the drawn critical points c
-    (n, d-1) and the factors a (n,) that put row i's critical points at
-    c[i] / a[i].  A row with no nonzero critical value draws no target and
-    is the zero map (a = inf)."""
+def _sample_polys(d: int, rho: float, u: np.ndarray) -> tuple:
+    """Random monic p with p(0) = 0, one per row of the (n, 2d-1) uniforms
+    ``u``: d-1 radii and d-1 angles of the critical points c (Box-Muller, so
+    Re c and Im c are i.i.d. N(0, 1)), then the largest critical value's
+    modulus rho (0.3 + 0.7 u).  Returns the coefficients (n, d), c (n, d-1)
+    and the factors a (n,) that put row i's critical points at c[i] / a[i]:
+    inf for the zero map (no nonzero critical value), NaN where the target
+    is below the smallest normal double or a overflows."""
     if d < 2:
         raise DomainError("needs d >= 2")
-    n = len(rngs)
-    normals = np.array([rng.standard_normal((2, d - 1)) for rng in rngs]).reshape(n, 2, d - 1)
-    cps = normals[:, 0] + 1j * normals[:, 1]
+    n = len(u)
+    cps = np.sqrt(-2 * np.log1p(-u[:, : d - 1])) * np.exp(2j * np.pi * u[:, d - 1 : 2 * d - 2])
     # p' = d prod (z - c), expanded highest power first as np.poly does;
     # integrate with zero constant term.  The leading coefficient d/d is
     # exactly 1.0, so p is monic.
@@ -396,33 +405,33 @@ def _sample_polys(d: int, rho: float, rngs: list) -> tuple:
         prod[:, 1 : k + 2] -= cps[:, k, None] * prod[:, : k + 1]
     descending = d * prod / np.arange(d, 0, -1)
     coeffs = np.concatenate([np.zeros((n, 1)), descending[:, :0:-1]], axis=1)
-    peak = np.abs(_horner(coeffs.T[:, :, None], cps)).max(axis=1)
-    live = np.flatnonzero(peak != 0.0)
-    target = rho * np.array([rngs[i].uniform(0.3, 1.0) for i in live])
-    a = np.full(n, np.inf)
-    a[live] = (peak[live] / target) ** (1.0 / d)
+    # p(c_k) = d c_k * (mean of prod (w - c) over [0, c_k]), exact by Gauss-Legendre:
+    # within 8 * 2^-53 of 50 digits at d <= 5, where Horner's rule on coeffs cancels.
+    mean = 0
+    for t, w in _gauss_legendre((d + 1) // 2):
+        mean = mean + w * np.prod(t * cps[:, :, None] - cps[:, None, :], axis=-1)
+    peak = np.abs(d * cps * mean).max(axis=1)
+    target = rho * (0.3 + 0.7 * u[:, -1])
+    a = (peak / target) ** (1.0 / d)
+    a[~np.isfinite(a) | (target < np.finfo(float).tiny)] = np.nan
+    a[peak == 0.0] = np.inf
     return _rescaled(coeffs, a), cps, a
 
 
 @np.errstate(all="ignore")
-def _sample_maps(d: int, rho: float, rngs: list) -> np.ndarray:
+def _sample_maps(d: int, rho: float, u: np.ndarray) -> np.ndarray:
     """Random maps whose singular values (critical values of p and p(0))
-    are scaled into the rho-disk, row i drawn from rngs[i] alone: the
-    coefficients (n, d), NaN where a row's critical values leave the float
-    range."""
-    n = len(rngs)
+    are scaled into the rho-disk, one per row of the (n, 2d+1) uniforms
+    ``u``: p from the first 2d-1 as in ``_sample_polys``, then the radius
+    and angle of the shift of b_0.  Returns the coefficients (n, d), NaN
+    where a row's critical values leave the float range."""
+    shift = u[:, -2] * np.exp(2j * np.pi * u[:, -1])
     if d == 1:
-        shifted, scale = np.zeros((n, 1), dtype=complex), rho
-    else:
-        shifted, cps, a = _sample_polys(d, rho, rngs)
-        scale = rho / 2
-    u = np.array([(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi)) for rng in rngs]).reshape(n, 2)
-    shifted[:, 0] += scale * u[:, 0] * np.exp(1j * u[:, 1])
-    if d == 1:
-        return shifted
+        return rho * shift[:, None]
+    shifted, cps, a = _sample_polys(d, rho, u[:, : 2 * d - 1])
+    shifted[:, 0] += rho / 2 * shift
     # Shifting p moves its critical values, not its critical points.
     values = _horner(shifted.T[:, :, None], cps / a[:, None])
     peak = np.maximum(np.abs(values).max(axis=1), np.abs(shifted[:, 0]))
     shrink = np.where(peak > rho, (peak / (0.95 * rho)) ** (1.0 / d), 1.0)
     return np.where(np.isfinite(peak)[:, None], _rescaled(shifted, shrink), np.nan)
-

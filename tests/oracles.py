@@ -460,16 +460,30 @@ def sampled_disk_containment(map_: PolyExpMap, rho: float, r: float) -> Containm
     return ContainmentReport(part1 and part2, part1, part2, False, samples, False)
 
 
+def _row(d: int, rng) -> np.ndarray:
+    """One sample's 4d uniforms, drawn from ``rng`` as ``appendix_report``
+    draws each row of its block: 2d-1 for the polynomial of the
+    critical-point ratio, 2d-1 for the map's polynomial, 2 for its b_0."""
+    return rng.random((1, 4 * d))
+
+
 def sample_poly_with_critical_values_in(d: int, rho: float, rng) -> PolyExpMap:
-    """One row of ``polyexp._sample_polys``: a random monic p with p(0) = 0
-    and critical values scaled into the rho-disk."""
-    return PolyExpMap(d, polyexp._sample_polys(d, rho, [rng])[0][0])
+    """The polynomial of one row drawn from ``rng``: a random monic p with
+    p(0) = 0 and critical values scaled into the rho-disk."""
+    return PolyExpMap(d, polyexp._sample_polys(d, rho, _row(d, rng)[:, : 2 * d - 1])[0][0])
 
 
 def sample_map_with_singular_values_in(d: int, rho: float, rng) -> PolyExpMap:
-    """One row of ``polyexp._sample_maps``: a random map whose singular
+    """The map of one row drawn from ``rng``: a random map whose singular
     values are scaled into the rho-disk."""
-    return PolyExpMap(d, polyexp._sample_maps(d, rho, [rng])[0])
+    return PolyExpMap(d, polyexp._sample_maps(d, rho, _row(d, rng)[:, 2 * d - 1 :])[0])
+
+
+def sample_stream(d: int, seed: int, k: int) -> np.random.Generator:
+    """A generator whose next row is row k of the block that
+    ``appendix_report`` draws for ``seed``: each uniform takes one 64-bit
+    step of the seed's PCG64 stream."""
+    return np.random.Generator(np.random.PCG64(seed).advance(4 * d * k))
 
 
 def critical_point_ratio(map_: PolyExpMap, rho: float) -> float:
@@ -488,14 +502,15 @@ def coefficient_ratio(map_: PolyExpMap, rho: float) -> float:
 def appendix_report_per_sample(
     d: int, rho: float, samples: int, seed: int, containment_maps: int
 ) -> polyexp.AppendixReport:
-    """Reference ``polyexp.appendix_report`` built one sample at a time: each
-    sample draws a polynomial and a map from its own stream and is measured
-    on its own, and the critical-point ratio comes from a root solve of p'."""
+    """Reference ``polyexp.appendix_report`` built one sample at a time:
+    sample k draws its polynomial and its map from its own row, which a
+    generator advanced to it gives, and is measured on its own; the
+    critical-point ratio comes from a root solve of p'."""
     ratios, coeffs, contains = [], [], []
     for idx in range(samples):
-        rng = np.random.default_rng((seed, idx))
-        ratios.append(critical_point_ratio(sample_poly_with_critical_values_in(d, rho, rng), rho))
-        map_ = sample_map_with_singular_values_in(d, rho, rng)
+        poly = sample_poly_with_critical_values_in(d, rho, sample_stream(d, seed, idx))
+        ratios.append(critical_point_ratio(poly, rho))
+        map_ = sample_map_with_singular_values_in(d, rho, sample_stream(d, seed, idx))
         coeffs.append(coefficient_ratio(map_, rho))
         if idx < containment_maps:
             contains.append(polyexp.check_disk_containment(map_, rho, rho))
@@ -534,15 +549,18 @@ def check_monotone(segment, map_: PolyExpMap, n_iterates: int) -> tuple[int, int
 
 def critical_point_ratio_50_digits(d: int, rng: np.random.Generator) -> float:
     """max |critical point| / rho^(1/d) of the polynomial that
-    ``sample_poly_with_critical_values_in`` draws from ``rng``,
-    recomputed at 50 digits from the same normals and uniform.
+    ``sample_poly_with_critical_values_in`` draws from ``rng``, recomputed
+    at 50 digits from the double critical points and target uniform of the
+    same row.
 
-    The sampler rescales p, whose critical points c_k are drawn, by a =
-    (peak / (rho u))^(1/d), peak = max |p(c_k)|; the ratio max |c_k| / a /
-    rho^(1/d) = max |c_k| (u / peak)^(1/d) does not depend on rho."""
-    re, im = rng.standard_normal(d - 1), rng.standard_normal(d - 1)
+    The sampler rescales p, whose critical points c_k the row gives, by a =
+    (peak / (rho t))^(1/d), peak = max |p(c_k)|, t = 0.3 + 0.7 u; the ratio
+    max |c_k| / a / rho^(1/d) = max |c_k| (t / peak)^(1/d) does not depend
+    on rho."""
+    row = _row(d, rng)[:, : 2 * d - 1]
+    (doubles,) = polyexp._sample_polys(d, 1.0, row)[1]
     with mpmath.workdps(50):
-        cps = [mpmath.mpc(x, y) for x, y in zip(re, im)]
+        cps = [mpmath.mpc(c) for c in doubles]
         e = [mpmath.mpc(1)]  # prod (w - c_k), highest power first
         for c in cps:
             e = [a - c * b for a, b in zip(e + [0], [0] + e)]
@@ -552,8 +570,8 @@ def critical_point_ratio_50_digits(d: int, rng: np.random.Generator) -> float:
         )
         if peak == 0:
             return 0.0
-        u = mpmath.mpf(rng.uniform(0.3, 1.0))
-        return float(max(abs(c) for c in cps) * (u / peak) ** (mpmath.mpf(1) / d))
+        t = mpmath.mpf(0.3 + 0.7 * row[0, -1])
+        return float(max(abs(c) for c in cps) * (t / peak) ** (mpmath.mpf(1) / d))
 
 
 def scalar_inverse_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex) -> complex:

@@ -321,10 +321,13 @@ class TestDiag:
             assert payload[key] == pytest.approx(near[key], rel=1e-12), key
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("d,rho", [("2", "1.7e308"), ("3", "1.7e308")])
+    @pytest.mark.parametrize(
+        "d,rho", [("2", "1.7e308"), ("3", "1.7e308"), ("2", "1e-310"), ("3", "1e-310")]
+    )
     def test_appendix_report_past_float_max_signals_overflow(self, d, rho, capsys):
-        # Singular values past the largest double: exit 3 with a payload,
-        # never an OverflowError traceback or a numpy warning.
+        # Singular values past the largest double, or targets below the
+        # smallest normal one (which used to report a ratio of 0.0): exit 3
+        # with a payload, never an OverflowError traceback or a numpy warning.
         code = run(["diag", "appendix-a", "--d", d, "--rho", rho, "--samples", "200"])
         captured = capsys.readouterr()
         error = json.loads(captured.out)["error"]

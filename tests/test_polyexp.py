@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -12,12 +13,16 @@ from oracles import (
     critical_point_ratio_50_digits,
     sample_map_with_singular_values_in,
     sample_poly_with_critical_values_in,
+    sample_stream,
     sampled_disk_containment,
 )
 
 from rayforge import polyexp as pe
 from rayforge.errors import OverflowSignal, RootSolveError
 from rayforge.polyexp import PolyExpMap
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 class TestEval:
@@ -363,9 +368,7 @@ class TestFujiwaraBound:
         proven = sampled = 0
         for k in range(500):
             d, rho = (2, 3)[k % 2], (2.0, 10.0, 100.0, 1000.0)[(k // 2) % 4]
-            rng = np.random.default_rng((17, k))
-            sample_poly_with_critical_values_in(d, rho, rng)
-            m = sample_map_with_singular_values_in(d, rho, rng)
+            m = sample_map_with_singular_values_in(d, rho, np.random.default_rng((17, k)))
             rep = pe.check_disk_containment(m, rho, rho)
             oracle = sampled_disk_containment(m, rho, rho)
             if rep.proven:
@@ -445,8 +448,9 @@ class TestDerivativeSup:
 
 class TestAppendixReport:
     def test_per_sample_streams(self):
-        # Sample k draws from the stream seeded by (seed, k): reruns agree,
-        # and a shorter run ending at the worst sample finds the same worst.
+        # Sample k is row k of one block drawn from the seed's stream:
+        # reruns agree, and a shorter run ending at the worst sample is a
+        # prefix of the longer one and finds the same worst.
         for d in (2, 3, 5):
             a = pe.appendix_report(d, 100.0, samples=40, seed=3)
             assert a == pe.appendix_report(d, 100.0, samples=40, seed=3)
@@ -455,38 +459,51 @@ class TestAppendixReport:
             assert b.worst_case == a.worst_case, d
             assert b.max_critical_point_ratio == a.max_critical_point_ratio, d
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    def test_one_row_samplers_match_the_batch(self, d):
-        # Rows are drawn independently: each stream, drawing a polynomial
-        # and then a map as appendix_report does, gives bitwise the same
-        # coefficients alone as in its row of a batched draw.
-        def rngs():
-            return [np.random.default_rng((4, idx)) for idx in range(12)]
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.integers(0, 2**63 - 1), st.integers(1, 40), st.data())
+    def test_one_row_samplers_match_the_batch(self, d, seed, n, data):
+        # The generator advanced to row k draws bitwise row k of the block,
+        # and the one-row samplers give bitwise the coefficients of row k of
+        # the batched samplers (d = 1 has a map and no polynomial).
+        k = data.draw(st.integers(0, n - 1))
+        block = np.random.default_rng(seed).random((n, 4 * d))
+        assert sample_stream(d, seed, k).random(4 * d).tobytes() == block[k].tobytes()
+        if d > 1:
+            polys = pe._sample_polys(d, 100.0, block[:, : 2 * d - 1])[0]
+            poly = sample_poly_with_critical_values_in(d, 100.0, sample_stream(d, seed, k))
+            assert np.array(poly.coeffs).tobytes() == polys[k].tobytes()
+        maps = pe._sample_maps(d, 100.0, block[:, 2 * d - 1 :])
+        map_ = sample_map_with_singular_values_in(d, 100.0, sample_stream(d, seed, k))
+        assert np.array(map_.coeffs).tobytes() == maps[k].tobytes()
 
-        batch = rngs()
-        polys = pe._sample_polys(d, 100.0, batch)[0] if d > 1 else None
-        maps = pe._sample_maps(d, 100.0, batch)
-        for idx, rng in enumerate(rngs()):
-            if d > 1:
-                poly = sample_poly_with_critical_values_in(d, 100.0, rng)
-                assert np.array(poly.coeffs).tobytes() == polys[idx].tobytes()
-            map_ = sample_map_with_singular_values_in(d, 100.0, rng)
-            assert np.array(map_.coeffs).tobytes() == maps[idx].tobytes()
+    def test_zero_radius_rows_are_the_zero_map(self, monkeypatch):
+        # Radius uniforms of 0 put every critical point at 0: p = w^d has
+        # no critical value to scale, so a = inf, the polynomial is zero
+        # and its ratio 0, and the report raises no OverflowSignal, even
+        # where a nonzero peak would (a target below the smallest normal).
+        draw = np.random.default_rng
 
-    def test_vanishing_critical_values_draw_no_target(self):
-        # All critical points at 0 give p = w^d with no critical value to
-        # scale: the sampler returns the zero map and draws no target.
-        class ZeroNormals:
-            def standard_normal(self, size):
-                return np.zeros(size)
+        class ZeroRadii:
+            def __init__(self, seed):
+                self.rng = draw(seed)
 
-            def uniform(self, *args):
-                raise AssertionError("target drawn for a zero peak")
+            def random(self, shape):
+                block = self.rng.random(shape)
+                d = shape[1] // 4
+                block[:, : d - 1] = block[:, 2 * d - 1 : 3 * d - 2] = 0.0
+                return block
 
-        for d in (2, 3, 5):
-            poly = sample_poly_with_critical_values_in(d, 100.0, ZeroNormals())
-            assert poly == PolyExpMap(d, [0.0] * d)
-            assert critical_point_ratio(poly, 100.0) == 0.0
+        for d, rho in itertools.product((2, 3, 5), (100.0, 1e-310)):
+            u = draw(d).random((4, 2 * d - 1))
+            u[:, : d - 1] = 0.0
+            coeffs, cps, a = pe._sample_polys(d, rho, u)
+            assert not coeffs.any() and not cps.any() and np.all(a == np.inf)
+            assert critical_point_ratio(PolyExpMap(d, coeffs[0]), rho) == 0.0
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", ZeroRadii)
+                rep = pe.appendix_report(d, rho, samples=6, seed=d)
+            assert rep.max_critical_point_ratio == 0.0, (d, rho)
 
     def test_matches_the_per_sample_oracle(self):
         # Same draws, same counts and worst sample; the critical-point ratio
@@ -515,7 +532,7 @@ class TestAppendixReport:
         # The ratio is scale-free, so one reference serves both rho.
         for seed in range(4):
             refs = [
-                critical_point_ratio_50_digits(d, np.random.default_rng((seed, idx)))
+                critical_point_ratio_50_digits(d, sample_stream(d, seed, idx))
                 for idx in range(50)
             ]
             for rho in (1e2, 1e300):
@@ -535,7 +552,8 @@ class TestAppendixReport:
 
     def test_scale_invariant_ratio(self):
         a = pe.appendix_report(3, 100.0, samples=60, seed=1)
-        b = pe.appendix_report(3, 1000.0, samples=60, seed=1)
-        assert a.max_critical_point_ratio == pytest.approx(
-            b.max_critical_point_ratio, rel=1e-9
-        )
+        for rho in (1000.0, 1e-300):
+            b = pe.appendix_report(3, rho, samples=60, seed=1)
+            assert a.max_critical_point_ratio == pytest.approx(
+                b.max_critical_point_ratio, rel=1e-9
+            ), rho
