@@ -34,7 +34,6 @@ TRACER_MAX_DEPTH = 128
 
 # Tract certification.
 TRACT_RETRY_BUDGET = 5
-R_FLOOR = 2.0
 
 # Pullback iteration.
 CLASSIFY_MAX_ITER = 50

@@ -1,16 +1,16 @@
 """The map family under study: f(z) = p(exp(z)) with p monic of degree d.
 
 Holds evaluation, derivatives and singular data, a simultaneous-iteration
-polynomial root solver, the disk-containment checker and the Monte-Carlo
-report ``diag appendix-a`` prints, which samples how singular-value
-magnitudes control a map's geometry.  One Horner loop evaluates p, for
-scalars, arrays and rows of polynomials alike, and ``poly_derivative``
-evaluates p'.  Disk containment is proven first, from Fujiwara's root bound
-over the whole disk, and sampled with a root solve only when the proof
-fails.  ``appendix_report`` measures the samples it draws as arrays, at
-the critical points it drew, with no root solve of p'; its ratios are the
-closer of the two to a 50-digit reference.  Random draws take explicit
-seeds; nothing here keeps mutable state.
+polynomial root solver and the Monte-Carlo report ``diag appendix-a``
+prints, which samples how singular-value magnitudes control a map's
+geometry.  One Horner loop evaluates p, for scalars, arrays and rows of
+polynomials alike, and ``poly_derivative`` evaluates p'.  The report
+proves disk containment for all its maps at once from Fujiwara's root
+bound, and ``check_disk_containment`` samples each map the proof leaves
+open with one root solve.  ``appendix_report`` measures the samples it
+draws as arrays, at the critical points it drew, with no root solve of
+p'; its ratios are the closer of the two to a 50-digit reference.  Random
+draws take explicit seeds; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class SingularData:
     ``critical_points``) plus the asymptotic value p(0).
 
     ``all`` collapses the singular values to distinct members at a mild
-    tolerance.
+    tolerance.  The maxima range over every singular value, since a
+    collapsed one may lie right of the member kept for it.
     """
 
     critical_values: tuple[complex, ...]
@@ -125,10 +126,10 @@ class SingularData:
     all: tuple[complex, ...]
 
     def max_modulus(self) -> float:
-        return max(abs(v) for v in self.all)
+        return max(abs(v) for v in (self.asymptotic_value, *self.critical_values))
 
     def max_real(self) -> float:
-        return max(v.real for v in self.all)
+        return max(v.real for v in (self.asymptotic_value, *self.critical_values))
 
 
 def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
@@ -231,16 +232,6 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    holds: bool
-    part1: bool
-    part2: bool
-    inconclusive: bool
-    samples: int
-    proven: bool
-
-
 @np.errstate(all="ignore")
 def fujiwara_bound(coeffs: Sequence[complex] | np.ndarray, r: float) -> float | np.ndarray:
     """Fujiwara's (1916) bound on |z| over the roots of p(z) = w, |w| <= r.
@@ -258,44 +249,15 @@ def fujiwara_bound(coeffs: Sequence[complex] | np.ndarray, r: float) -> float | 
     return np.where(np.isfinite(terms).all(axis=-1), 2 * terms.max(axis=-1), np.inf)[()]
 
 
-# The 360 sample points of the unit circle used by check_disk_containment.
-_CIRCLE = np.exp(1j * (2 * np.pi * np.arange(360) / 360))
-
-
-def check_disk_containment(map_: PolyExpMap, rho: float, r: float) -> ContainmentReport:
-    """Containment of polynomial preimages of disks.
-
-    Part 1: the roots of p(z) = w stay inside |z| < r for |w| <= r
-    (meaningful for r >= rho).  It is proven for the whole disk when
-    Fujiwara's bound B satisfies B (1 + 1e-12) < r; the margin covers the
-    rounding of B, whose d-th roots are off by about |ln x| 2^-53 < 1e-13
-    relative.  Otherwise (always for d = 1, where B = |b_0| + r) it is
-    sampled by a root solve on 360 points of the circle |w| = r, and a
-    failed solve makes the report inconclusive rather than failed.
-    Part 2: |p(z)| < rho^(2d+1) on 360 points of |z| = rho^2, so the
-    rho^2-disk maps into the rho^(2d+1)-disk.  It is checked as |q(u)| < rho
-    on the unit circle for q(u) = rho^(-2d) p(rho^2 u), whose coefficients
-    b_k rho^(2(k-d)) stay in the float range where rho^(2d+1) may not.
-    The checker reports; it never asserts its preconditions.
-    """
-    samples = len(_CIRCLE)
-    part1 = proven = bool(fujiwara_bound(map_.coeffs, r) * (1 + 1e-12) < r)
-    if not proven:
-        try:
-            roots = poly_roots_batch(map_, r * _CIRCLE)
-        except RootSolveError:
-            return ContainmentReport(False, False, False, True, samples, False)
-        part1 = bool(np.all(np.abs(roots) < r))
-
-    # A monic q has max |q| >= 1 on the unit circle, so part 2 fails for
-    # rho <= 1; for rho > 1 the powers of rho in q's coefficients can only
-    # underflow.
-    part2 = False
-    if rho > 1:
-        d = map_.d
-        q = PolyExpMap(d, [b * rho ** (2 * (k - d)) for k, b in enumerate(map_.coeffs)])
-        part2 = bool(np.all(np.abs(q.poly(_CIRCLE)) < rho))
-    return ContainmentReport(part1 and part2, part1, part2, False, samples, proven)
+def check_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
+    """Whether every root of p(z) = w lies in |z| < r, sampled on 360
+    points of the circle |w| = r; None (inconclusive) when the root solve
+    fails.  It reports, and never asserts its preconditions."""
+    try:
+        roots = poly_roots_batch(map_, r * np.exp(1j * (2 * np.pi * np.arange(360) / 360)))
+    except RootSolveError:
+        return None
+    return bool(np.all(np.abs(roots) < r))
 
 
 @dataclass(frozen=True)
@@ -327,15 +289,15 @@ def appendix_report(
     is sample k, its first 2d-1 entries the polynomial, the other 2d+1 the
     map.  Row k depends only on (seed, k): a shorter run is a prefix of a
     longer one, and ``PCG64(seed).advance(4dk)`` draws row k alone.
-    Containment is checked on the first min(samples, 200) maps:
-    Fujiwara's bound proves it for all of them at once; each map it leaves
-    unproven goes through ``check_disk_containment``.
-    Containment failures and inconclusive checks are counted from those
-    sampled checks only: a proven containment is neither, and a
-    sampled check whose root solve failed counts as inconclusive, never as
-    a failure.  Raises OverflowSignal naming the first sample whose
-    arithmetic leaves the float range (rho near the largest or below the
-    smallest normal double).
+    Containment is checked on the first min(samples, 200) maps.
+    Fujiwara's bound B proves it for all of them at once where
+    B (1 + 1e-12) < rho; the margin covers the rounding of B, whose d-th
+    roots are off by about |ln x| 2^-53 < 1e-13 relative.  Each map left
+    unproven goes through ``check_disk_containment``, whose failed root
+    solves count as inconclusive, never as failures.  Raises
+    OverflowSignal naming the first sample whose arithmetic leaves the
+    float range (rho near the largest or below the smallest normal
+    double).
     """
     containment_maps = min(samples, 200)
     block = np.random.default_rng(seed).random((samples, 4 * d))
@@ -349,14 +311,14 @@ def appendix_report(
 
     checked = coeffs[:containment_maps]
     proven = fujiwara_bound(checked, rho) * (1 + 1e-12) < rho
-    sampled = [check_disk_containment(PolyExpMap(d, row), rho, rho) for row in checked[~proven]]
+    sampled = [check_disk_containment(PolyExpMap(d, row), rho) for row in checked[~proven]]
     worst_idx = int(ratios.argmax())
     return AppendixReport(
         max_critical_point_ratio=float(ratios[worst_idx]),
         max_coefficient_ratio=float(coeff_ratios.max()),
         containment_maps=containment_maps,
-        containment_failures=sum(not (rep.part1 or rep.inconclusive) for rep in sampled),
-        containment_inconclusive=sum(rep.inconclusive for rep in sampled),
+        containment_failures=sampled.count(False),
+        containment_inconclusive=sampled.count(None),
         containment_proven=int(proven.sum()),
         worst_case={"sample_index": worst_idx, "ratio": float(ratios[worst_idx])},
     )

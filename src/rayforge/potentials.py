@@ -83,18 +83,11 @@ class ExternalAddress:
             pre.pop()
         return ExternalAddress(pre, per)
 
-    def same_sequence(self, other: "ExternalAddress") -> bool:
-        a, b = self.canonical(), other.canonical()
-        return a.preperiod == b.preperiod and a.period == b.period
-
     def overlaps(self, other: "ExternalAddress") -> bool:
-        """True when some shifts of the two sequences coincide."""
-        for a in range(len(self.preperiod) + len(self.period)):
-            sa = self.shifted(a)
-            for b in range(len(other.preperiod) + len(other.period)):
-                if sa.same_sequence(other.shifted(b)):
-                    return True
-        return False
+        """True when some shifts of the two sequences coincide, which is
+        when their minimal periods are rotations of each other."""
+        p, q = self.canonical().period, other.canonical().period
+        return len(p) == len(q) and any(q == p[k:] + p[:k] for k in range(len(p)))
 
     def __str__(self) -> str:
         pre = " ".join(str(x) for x in self.preperiod)

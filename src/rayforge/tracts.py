@@ -80,7 +80,7 @@ _ROUNDING = 1 + 2**-44
 def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> TractConfig:
     """Choose (r, t_up, t_lo) and prove the strip inclusions.
 
-    r starts at max(R_FLOOR, 2*max|SV| + 2) and is pushed right (r ->
+    r starts at 2*max|SV| + 2 and is pushed right (r ->
     2r + 1) until every check holds, up to ``config.TRACT_RETRY_BUDGET``
     tries, with t_up = log(r + 1)/d - 1 and t_lo = log((r + 1)/s)/d + 1.
     At offset y from the center of any strip, f(x + iy) is e^{dx} e^{idy}
@@ -128,7 +128,7 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
     s = math.sin(d * eps)
     u_g = _positive_root(d * s, rising)
     u_star = _positive_root(d, [2.0] + rising)
-    r = max(config.R_FLOOR, 2 * sv.max_modulus() + 2)
+    r = 2 * sv.max_modulus() + 2
     for _ in range(config.TRACT_RETRY_BUDGET):
         t_up = math.log(r + 1) / d - 1
         t_lo = math.log((r + 1) / s) / d + 1

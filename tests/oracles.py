@@ -27,7 +27,7 @@ from rayforge.errors import (
     UnsupportedHomotopyError,
 )
 from rayforge.homotopy import HomotopyWord, MarkedSet, PolylineCurve
-from rayforge.polyexp import ContainmentReport, PolyExpMap
+from rayforge.polyexp import PolyExpMap
 from rayforge.tracts import TractConfig
 
 
@@ -168,15 +168,14 @@ def _edge_xs(t_from: float, t_to: float, samples: int) -> list[float]:
 def scalar_make_tract_config(
     map_: PolyExpMap,
     eps: float | None = None,
-    r_floor: float = config.R_FLOOR,
     edge_samples: int = STRIP_EDGE_SAMPLES,
     budget: int = config.TRACT_RETRY_BUDGET,
 ) -> TractConfig:
     """Choose and certify (r, t_up, t_lo) for the strip inclusions.
 
-    r starts at max(r_floor, 2*max|SV| + 2).  The strip checks use the
-    coefficient moduli, so one pass certifies every strip index at once;
-    |f'| >= 2 is additionally sampled on the inner strips.  On a sampled
+    r starts at 2*max|SV| + 2.  The strip checks use the coefficient
+    moduli, so one pass certifies every strip index at once; |f'| >= 2
+    is additionally sampled on the inner strips.  On a sampled
     violation the half-plane is pushed right and everything is retried,
     up to the budget.
     """
@@ -187,7 +186,7 @@ def scalar_make_tract_config(
         raise DomainError(f"eps must lie in (0, pi/2d), got {eps}")
     sv = map_.singular_data()
     abs_coeffs = [abs(c) for c in map_.coeffs]
-    r = max(r_floor, 2 * sv.max_modulus() + 2)
+    r = 2 * sv.max_modulus() + 2
     # Hard domain floor: the half-plane right of every singular value is
     # free of branch points, so inverse branches are single-valued there.
     r_min = sv.max_real() + 1e-6
@@ -440,24 +439,18 @@ def scalar_pullback_grid(state) -> np.ndarray:
     return new
 
 
-def sampled_disk_containment(map_: PolyExpMap, rho: float, r: float) -> ContainmentReport:
-    """Reference containment check: the sampled check that
-    ``polyexp.check_disk_containment`` ran for every map before it tried
-    Fujiwara's bound, a root solve of p(z) = w on 360 points of |w| = r.
-    Its reports are never proven."""
+def sampled_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
+    """Reference sampled containment check: a root solve of p(z) = w on
+    360 points of |w| = r.  True when every root lies inside |z| < r, None
+    when the solve fails."""
     samples = 360
     angles = 2 * np.pi * np.arange(samples) / samples
     circle = np.exp(1j * angles)
     try:
         roots = polyexp.poly_roots_batch(map_, r * circle)
     except RootSolveError:
-        return ContainmentReport(False, False, False, True, samples, False)
-    part1 = bool(np.all(np.abs(roots) < r))
-
-    target = rho ** (2 * map_.d + 1)
-    values = map_.poly(rho**2 * circle)
-    part2 = bool(np.all(np.abs(values) < target))
-    return ContainmentReport(part1 and part2, part1, part2, False, samples, False)
+        return None
+    return bool(np.all(np.abs(roots) < r))
 
 
 def _row(d: int, rng) -> np.ndarray:
@@ -505,23 +498,30 @@ def appendix_report_per_sample(
     """Reference ``polyexp.appendix_report`` built one sample at a time:
     sample k draws its polynomial and its map from its own row, which a
     generator advanced to it gives, and is measured on its own; the
-    critical-point ratio comes from a root solve of p'."""
+    critical-point ratio comes from a root solve of p'.  Containment is
+    proven map by map from Fujiwara's bound, and sampled by
+    ``sampled_disk_containment`` where the bound fails."""
     ratios, coeffs, contains = [], [], []
+    proven = 0
     for idx in range(samples):
         poly = sample_poly_with_critical_values_in(d, rho, sample_stream(d, seed, idx))
         ratios.append(critical_point_ratio(poly, rho))
         map_ = sample_map_with_singular_values_in(d, rho, sample_stream(d, seed, idx))
         coeffs.append(coefficient_ratio(map_, rho))
-        if idx < containment_maps:
-            contains.append(polyexp.check_disk_containment(map_, rho, rho))
+        if idx >= containment_maps:
+            continue
+        if polyexp.fujiwara_bound(map_.coeffs, rho) * (1 + 1e-12) < rho:
+            proven += 1
+        else:
+            contains.append(sampled_disk_containment(map_, rho))
     worst_idx = int(np.argmax(ratios))
     return polyexp.AppendixReport(
         max_critical_point_ratio=float(max(ratios)),
         max_coefficient_ratio=float(max(coeffs)),
         containment_maps=containment_maps,
-        containment_failures=sum(1 for r in contains if not r.inconclusive and not r.part1),
-        containment_inconclusive=sum(1 for r in contains if r.inconclusive),
-        containment_proven=sum(1 for r in contains if r.proven),
+        containment_failures=contains.count(False),
+        containment_inconclusive=contains.count(None),
+        containment_proven=proven,
         worst_case={"sample_index": worst_idx, "ratio": float(ratios[worst_idx])},
     )
 

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import itertools
 import math
 
@@ -272,22 +271,23 @@ class TestCoefficientBound:
 
 class TestDiskContainment:
     def test_pure_power(self):
-        rep = pe.check_disk_containment(PolyExpMap(3, [0.0, 0.0, 0.0]), 10.0, 10.0)
-        assert rep.holds and rep.part1 and rep.part2
+        assert pe.check_disk_containment(PolyExpMap(3, [0.0, 0.0, 0.0]), 10.0) is True
 
     def test_random_d2_maps(self):
         for k in range(25):
             m = sample_map_with_singular_values_in(2, 100.0, np.random.default_rng((5, k)))
-            rep = pe.check_disk_containment(m, 100.0, 100.0)
-            assert rep.part1, k
+            assert pe.check_disk_containment(m, 100.0) is True, k
 
     def test_violated_precondition_reports(self):
         # Singular values far outside the disk: the checker must report a
         # verdict (here: containment genuinely fails) rather than raise.
         m = PolyExpMap(2, [500.0, 40.0])
-        rep = pe.check_disk_containment(m, 2.0, 2.0)
-        assert isinstance(rep.holds, bool)
-        assert rep.inconclusive or not rep.holds
+        assert pe.check_disk_containment(m, 2.0) in (False, None)
+
+
+def _proven(coeffs, r) -> bool:
+    """Fujiwara's bound proves containment as ``appendix_report`` decides it."""
+    return bool(pe.fujiwara_bound(coeffs, r) * (1 + 1e-12) < r)
 
 
 def _random_monic(rng, d):
@@ -339,14 +339,14 @@ class TestFujiwaraBound:
         for d in (2, 3, 4):
             m = PolyExpMap(d, _random_monic(rng, d))
             r_star = _threshold_radius(m.coeffs)
-            assert pe.check_disk_containment(m, r_star, r_star * (1 + 1e-9)).proven
-            assert not pe.check_disk_containment(m, r_star, r_star * (1 - 1e-9)).proven
+            assert _proven(m.coeffs, r_star * (1 + 1e-9))
+            assert not _proven(m.coeffs, r_star * (1 - 1e-9))
 
     def test_degree_one_never_proven(self):
         # B = |b_0| + r >= r
         for b0 in (0.0, 1e-300, 3.0 - 4.0j):
             assert pe.fujiwara_bound([b0], 10.0) >= 10.0
-            assert not pe.check_disk_containment(PolyExpMap(1, [b0]), 10.0, 10.0).proven
+            assert not _proven([b0], 10.0)
 
     @pytest.mark.parametrize(
         "coeffs, r",
@@ -359,32 +359,28 @@ class TestFujiwaraBound:
         ],
     )
     def test_non_finite_input_proves_nothing(self, coeffs, r):
-        assert not pe.fujiwara_bound(coeffs, r) * (1 + 1e-12) < r
+        assert not _proven(coeffs, r)
 
     def test_proven_maps_pass_the_sampled_oracle(self):
-        # appendix_report-style maps: wherever the bound proves containment,
-        # the sampled oracle passes part 1 too and every other field agrees;
-        # wherever it does not, the reports are equal.
+        # appendix_report-style maps: the sampler agrees with the sampled
+        # oracle on every map, and wherever the bound proves containment
+        # the oracle passes too.
         proven = sampled = 0
         for k in range(500):
             d, rho = (2, 3)[k % 2], (2.0, 10.0, 100.0, 1000.0)[(k // 2) % 4]
             m = sample_map_with_singular_values_in(d, rho, np.random.default_rng((17, k)))
-            rep = pe.check_disk_containment(m, rho, rho)
-            oracle = sampled_disk_containment(m, rho, rho)
-            if rep.proven:
+            oracle = sampled_disk_containment(m, rho)
+            assert pe.check_disk_containment(m, rho) is oracle, k
+            if _proven(m.coeffs, rho):
                 proven += 1
-                assert oracle.part1 and not oracle.inconclusive, k
-                assert rep == dataclasses.replace(oracle, proven=True), k
+                assert oracle is True, k
             else:
                 sampled += 1
-                assert rep == oracle, k
         assert proven and sampled
 
     def test_unproven_map_is_solved(self, monkeypatch):
-        # At rho = 2 the bound fails, so the check still solves on the circle
-        # and returns the sampled report.
-        m = sample_map_with_singular_values_in(2, 2.0, np.random.default_rng(5))
-        expected = sampled_disk_containment(m, 2.0, 2.0)
+        # At rho = 2 the bound leaves maps unproven, and the report solves
+        # each of them once on the 360-point circle.
         calls = []
         solve = pe.poly_roots_batch
 
@@ -393,20 +389,19 @@ class TestFujiwaraBound:
             return solve(map_, ws)
 
         monkeypatch.setattr(pe, "poly_roots_batch", counted)
-        rep = pe.check_disk_containment(m, 2.0, 2.0)
-        assert calls == [360]
-        assert rep == expected and not rep.proven
+        rep = pe.appendix_report(2, 2.0, samples=20, seed=5)
+        unproven = rep.containment_maps - rep.containment_proven
+        assert unproven and calls == [360] * unproven
 
     def test_proven_map_skips_the_solve(self, monkeypatch):
-        m = sample_map_with_singular_values_in(2, 100.0, np.random.default_rng(5))
-        expected = sampled_disk_containment(m, 100.0, 100.0)
-
         def unreachable(map_, ws):
             raise AssertionError("root solve reached on a proven map")
 
         monkeypatch.setattr(pe, "poly_roots_batch", unreachable)
-        rep = pe.check_disk_containment(m, 100.0, 100.0)
-        assert rep.proven and rep == dataclasses.replace(expected, proven=True)
+        for d in (2, 3):
+            rep = pe.appendix_report(d, 100.0, samples=200, seed=5)
+            assert rep.containment_proven == rep.containment_maps == 200, d
+            assert rep.containment_failures == rep.containment_inconclusive == 0, d
 
 
 def _log_sup_derivative(d: int, t: float, rho: float, seed: int) -> float:

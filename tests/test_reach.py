@@ -27,6 +27,7 @@ PERFBENCH = "traced by perfbench/tracing.py::LAYERS, so a rename must fail there
 ALLOWED = {
     ("rays", "trace_ray"): PERFBENCH,
     ("tracts", "inverse_branch"): PERFBENCH,
+    ("potentials", "ExternalAddress.shift"): "read by the ray-sweep check in perfbench/workloads.py",
 }
 
 PROBE = textwrap.dedent(

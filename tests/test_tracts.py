@@ -79,6 +79,16 @@ class TestConfig:
             if EXP(z).real > cfg_exp.r:
                 assert abs(EXP.derivative(z)) >= 2
 
+    def test_r_min_is_right_of_every_singular_value(self):
+        # The critical value 1e8 + 0.05 lies within the dedup tolerance of
+        # the asymptotic value 1e8, so ``all`` keeps only 1e8; r_min must
+        # still lie right of both.
+        m = PolyExpMap(2, [1e8, 1j * math.sqrt(0.2)])
+        sd = m.singular_data()
+        assert sd.all == (1e8,)
+        cfg = tracts.make_tract_config(m)
+        assert all(cfg.r_min > v.real for v in (sd.asymptotic_value, *sd.critical_values))
+
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
             tracts.make_tract_config(EXP, eps=2.0)
