@@ -160,22 +160,23 @@ def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
     return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
 
 
-def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
+def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve p(z) = w simultaneously for a batch of right-hand sides.
 
     Ehrlich-Aberth iteration started on the d-th-root fan of each w (a fixed
     0.7-radian twist breaks the real-axis symmetry trap).  Each row leaves
     the sweep as soon as its own residual or its own correction passes, so
     every row is bitwise equal to its one-row solve and the output never
-    depends on what else is in the batch.  Returns an array of shape
-    (len(ws), d); raises RootSolveError when some residual stays above the
+    depends on what else is in the batch.  Returns the (len(ws), d) roots
+    and the RootSolveError of each stalled row by row index: a row stalls,
+    and its roots are NaN, when its worst relative residual stays above the
     post tolerance after ROOT_MAX_ITER sweeps, or is not a number.
     """
     d, cs = map_.d, map_.coeffs
     ws = np.asarray(ws, dtype=complex).ravel()
     scale = np.maximum(1.0, np.abs(ws))
     if d == 1:
-        return (ws - cs[0]).reshape(-1, 1)
+        return (ws - cs[0]).reshape(-1, 1), {}
 
     radius = np.maximum(np.abs(ws), 1.0 + max(abs(c) for c in cs)) ** (1.0 / d)
     angles = (np.angle(ws)[:, None] + 2 * np.pi * np.arange(d)[None, :] + 0.7) / d
@@ -221,15 +222,13 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
             break
     x[live] = xl
 
-    wcol = ws[:, None]
-    residual = np.abs(map_.poly(x) - wcol)
-    worst = float((residual / scale[:, None]).max())
-    if not worst <= config.ROOT_POST_RTOL:  # a NaN residual fails too
-        raise RootSolveError(
-            f"root iteration stalled, worst relative residual {worst:.3e}",
-            worst_residual=worst,
-        )
-    return x
+    worst = (np.abs(map_.poly(x) - ws[:, None]) / scale[:, None]).max(axis=1)
+    stalled = {}
+    for k in (~(worst <= config.ROOT_POST_RTOL)).nonzero()[0].tolist():  # NaN fails too
+        message = f"root iteration stalled, worst relative residual {worst[k]:.3e}"
+        stalled[k] = RootSolveError(message, worst_residual=float(worst[k]))
+        x[k] = complex(math.nan, math.nan)
+    return x, stalled
 
 
 @np.errstate(all="ignore")
@@ -252,10 +251,9 @@ def fujiwara_bound(coeffs: Sequence[complex] | np.ndarray, r: float) -> float | 
 def check_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
     """Whether every root of p(z) = w lies in |z| < r, sampled on 360
     points of the circle |w| = r; None (inconclusive) when the root solve
-    fails.  It reports, and never asserts its preconditions."""
-    try:
-        roots = poly_roots_batch(map_, r * np.exp(1j * (2 * np.pi * np.arange(360) / 360)))
-    except RootSolveError:
+    stalls.  It reports, and never asserts its preconditions."""
+    roots, stalled = poly_roots_batch(map_, r * np.exp(1j * (2 * np.pi * np.arange(360) / 360)))
+    if stalled:
         return None
     return bool(np.all(np.abs(roots) < r))
 

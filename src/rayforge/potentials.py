@@ -59,15 +59,18 @@ class ExternalAddress:
 
     def shift(self) -> "ExternalAddress":
         """Drop the first entry (rotate the period when no preperiod is left)."""
-        if self.preperiod:
-            return ExternalAddress(self.preperiod[1:], self.period)
-        return ExternalAddress((), self.period[1:] + self.period[:1])
+        return self.shifted(1)
 
     def shifted(self, n: int) -> "ExternalAddress":
-        addr = self
-        for _ in range(n):
-            addr = addr.shift()
-        return addr
+        """Drop the first n entries: the preperiod first, then whole turns
+        and a rotation of the period."""
+        if n < 0:
+            raise DomainError("address shifts are counted from 0")
+        k = len(self.preperiod)
+        if n <= k:
+            return ExternalAddress(self.preperiod[n:], self.period)
+        r = (n - k) % len(self.period)
+        return ExternalAddress((), self.period[r:] + self.period[:r])
 
     def canonical(self) -> "ExternalAddress":
         """Minimal-period, minimal-preperiod representative of the sequence."""
@@ -174,19 +177,13 @@ def straight_point(d: int, t: float, s: int) -> complex:
     return t + 1j * (2 * math.pi * s / d)
 
 
-def _straight_points(orbits, d: int, depth: int):
-    """Asymptotic marked points (potential, |position|, tract index) per orbit
-    entry, to the requested depth, truncating at the float-range limit."""
-    pts = []
-    for i, (t0, addr) in enumerate(orbits):
-        values = chain(d, t0, max_len=depth + 1)
-        for j, tj in enumerate(values):
-            s = addr.entry(j)
-            # math.hypot, not abs(): the two can differ in the last bit.
-            p = straight_point(d, tj, s)
-            pos = math.hypot(p.real, p.imag)
-            pts.append((tj, pos, s, i, j))
-    return pts
+def _distinct(values) -> list[float]:
+    """The sorted values, runs of ``same_potential`` neighbours cut to their first."""
+    kept: list[float] = []
+    for t in sorted(values):
+        if not kept or not same_potential(kept[-1], t):
+            kept.append(t)
+    return kept
 
 
 def build_ladder(
@@ -200,6 +197,10 @@ def build_ladder(
     consecutive gaps exceed 2, moduli of marked points gain more than 2 per
     rung, and every midpoint separates the positions below it from the
     positions above it by at least 1.
+
+    A failed check has a key, the lower potential of its gap or pair or its
+    midpoint, and rules out exactly the thresholds below it; so t_prime is
+    the first of 0 and the rungs at or above the largest key, inf if none.
     """
     if depth < 0:
         raise DomainError("ladder depth must be >= 0")
@@ -209,50 +210,29 @@ def build_ladder(
         if not t0 > 0:
             raise DomainError(f"orbit potential must be > 0, got {t0}")
 
-    merged: list[float] = []
-    for t0, _ in orbits:
-        merged.extend(chain(d, t0, max_len=depth + 1))
-    merged.sort()
-    potentials: list[float] = []
-    for t in merged:
-        if not potentials or not same_potential(potentials[-1], t):
-            potentials.append(t)
-    midpoints = tuple(
-        (potentials[i] + potentials[i + 1]) / 2 for i in range(len(potentials) - 1)
-    )
+    # The checks probe marked points LADDER_EXTRA_DEPTH levels below the ladder.
+    chains = [chain(d, t0, max_len=depth + config.LADDER_EXTRA_DEPTH + 1) for t0, _ in orbits]
+    potentials = _distinct(t for values in chains for t in values[: depth + 1])
+    midpoints = tuple((a + b) / 2 for a, b in zip(potentials, potentials[1:]))
+    marked = [
+        (t, straight_point(d, t, addr.entry(j)))
+        for values, (_, addr) in zip(chains, orbits)
+        for j, t in enumerate(values)
+    ]
+    # math.hypot, not abs(): the two can differ in the last bit.
+    points = sorted((t, math.hypot(p.real, p.imag)) for t, p in marked)
 
-    # Sampled separation conditions, probed a couple of levels deeper.
-    sample_pts = _straight_points(orbits, d, depth + config.LADDER_EXTRA_DEPTH)
-    sample_pots: list[float] = []
-    for t in sorted(p[0] for p in sample_pts):
-        if not sample_pots or not same_potential(sample_pots[-1], t):
-            sample_pots.append(t)
-
-    def conditions_hold(threshold: float) -> bool:
-        above = [t for t in sample_pots if t > threshold]
-        for a, b in zip(above, above[1:]):
-            if b - a <= 2:
-                return False
-        pts_above = sorted(p for p in sample_pts if p[0] > threshold)
-        for (ta, pa, *_), (tb, pb, *_) in itertools.combinations(pts_above, 2):
-            if not same_potential(ta, tb) and not pb > pa + 2:
-                return False
-        for rho in midpoints:
-            if rho <= threshold:
-                continue
-            for t, pos, *_ in sample_pts:
-                if t < rho and not pos < rho - 1:
-                    return False
-                if t > rho and not pos > rho + 1:
-                    return False
-        return True
-
-    t_prime = math.inf
-    for candidate in [0.0] + potentials:
-        if conditions_hold(candidate):
-            t_prime = candidate
-            break
-
+    sample_pots = _distinct(t for t, _ in points)
+    keys = [a for a, b in zip(sample_pots, sample_pots[1:]) if b - a <= 2]
+    for (ta, pa), (tb, pb) in itertools.combinations(points, 2):
+        if not same_potential(ta, tb) and not pb > pa + 2:
+            keys.append(ta)
+    for rho in midpoints:
+        for t, pos in points:
+            if (t < rho and not pos < rho - 1) or (t > rho and not pos > rho + 1):
+                keys.append(rho)
+    largest = max(keys, default=-math.inf)
+    t_prime = next((c for c in [0.0, *potentials] if c >= largest), math.inf)
     return PotentialLadder(tuple(potentials), midpoints, t_prime)
 
 

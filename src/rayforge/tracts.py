@@ -42,7 +42,6 @@ from .errors import (
     DomainError,
     OverflowSignal,
     RayforgeError,
-    RootSolveError,
     TractConfigError,
 )
 
@@ -233,8 +232,9 @@ def inverse_branches(
     raises (DomainError, RootSolveError, BranchSelectionError,
     OverflowSignal), returned rather than raised so that callers report
     the first failure in their own order.  A non-finite complex seed is a
-    DomainError row and is never solved.  Rows are solved independently,
-    so no row's value or error depends on the batch.
+    DomainError row and is never solved; a stalled root solve's row keeps
+    the error ``polyexp.poly_roots_batch`` returns for it.  Rows are solved
+    independently, so no row's value or error depends on the batch.
     """
     seeds = np.asarray(ws, dtype=complex)
     ns = np.asarray(ns)
@@ -251,26 +251,11 @@ def inverse_branches(
         )
     rows = (~(left | non_finite)).nonzero()[0]
     if rows.size:
-        roots, stalled = _solve_rows(map_, seeds[rows])
+        roots, stalled = polyexp.poly_roots_batch(map_, seeds[rows])
         z[rows], failed = _select_branches(map_, cfg, ns[rows], seeds[rows], roots)
         failed.update(stalled)
         errors.update((int(rows[k]), exc) for k, exc in failed.items())
     return z, errors
-
-
-def _solve_rows(map_: polyexp.PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Roots of p = w per row, and the RootSolveError of each row whose
-    solve stalled (its roots are NaN)."""
-    try:
-        return polyexp.poly_roots_batch(map_, ws), {}
-    except RootSolveError as exc:
-        if len(ws) == 1:
-            return np.full((1, map_.d), complex(math.nan, math.nan)), {0: exc}
-    # Rows are solved independently: one-row solves pin the failure on the
-    # rows that stalled, with the message each one raises alone.
-    solved = [_solve_rows(map_, ws[k : k + 1]) for k in range(len(ws))]
-    roots = np.concatenate([r for r, _ in solved])
-    return roots, {k: e[0] for k, (_, e) in enumerate(solved) if e}
 
 
 @np.errstate(all="ignore")

@@ -10,19 +10,20 @@ left-to-right = +1 sign rule.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 
 import mpmath
 import numpy as np
 
-from rayforge import config, polyexp, thurston, tracts
+from rayforge import config, polyexp, potentials, thurston, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
     InvariantViolationError,
     NotConvergedError,
     OverflowSignal,
-    RootSolveError,
     TractConfigError,
     UnsupportedHomotopyError,
 )
@@ -442,13 +443,12 @@ def scalar_pullback_grid(state) -> np.ndarray:
 def sampled_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
     """Reference sampled containment check: a root solve of p(z) = w on
     360 points of |w| = r.  True when every root lies inside |z| < r, None
-    when the solve fails."""
+    when the solve stalls on any point."""
     samples = 360
     angles = 2 * np.pi * np.arange(samples) / samples
     circle = np.exp(1j * angles)
-    try:
-        roots = polyexp.poly_roots_batch(map_, r * circle)
-    except RootSolveError:
+    roots, stalled = polyexp.poly_roots_batch(map_, r * circle)
+    if stalled:
         return None
     return bool(np.all(np.abs(roots) < r))
 
@@ -492,20 +492,25 @@ def coefficient_ratio(map_: PolyExpMap, rho: float) -> float:
     return max(abs(b) / rho ** ((map_.d - k) / map_.d) for k, b in enumerate(map_.coeffs))
 
 
+@functools.cache
+def _critical_point_ratio_of_sample(d: int, seed: int, k: int) -> float:
+    return critical_point_ratio_50_digits(d, sample_stream(d, seed, k))
+
+
 def appendix_report_per_sample(
     d: int, rho: float, samples: int, seed: int, containment_maps: int
 ) -> polyexp.AppendixReport:
     """Reference ``polyexp.appendix_report`` built one sample at a time:
     sample k draws its polynomial and its map from its own row, which a
     generator advanced to it gives, and is measured on its own; the
-    critical-point ratio comes from a root solve of p'.  Containment is
-    proven map by map from Fujiwara's bound, and sampled by
+    critical-point ratio is the 50-digit one of the same row, cached per
+    (d, seed, k) since it does not depend on rho.  Containment is proven
+    map by map from Fujiwara's bound, and sampled by
     ``sampled_disk_containment`` where the bound fails."""
     ratios, coeffs, contains = [], [], []
     proven = 0
     for idx in range(samples):
-        poly = sample_poly_with_critical_values_in(d, rho, sample_stream(d, seed, idx))
-        ratios.append(critical_point_ratio(poly, rho))
+        ratios.append(_critical_point_ratio_of_sample(d, seed, idx))
         map_ = sample_map_with_singular_values_in(d, rho, sample_stream(d, seed, idx))
         coeffs.append(coefficient_ratio(map_, rho))
         if idx >= containment_maps:
@@ -585,7 +590,9 @@ def scalar_inverse_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex
         raise DomainError(
             f"seed {w} is not right of the singular values (Re <= {cfg.r_min:.3g})"
         )
-    (roots,) = polyexp.poly_roots_batch(map_, np.array([w]))
+    (roots,), stalled = polyexp.poly_roots_batch(map_, np.array([w]))
+    if stalled:
+        raise stalled[0]
     center = cfg.strip_center(n)
     best, candidates = None, []
     for zeta in sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)):
@@ -635,3 +642,62 @@ def ray_point_50_digits(map_: PolyExpMap, address, t: float, depth: int) -> mpma
                 lifts.append(base + 1j * two_pi * mpmath.nint((center - base.imag) / two_pi))
             z = min(lifts, key=lambda c: abs(c.imag - center))
         return z
+
+
+def ladder_threshold_by_search(
+    orbits, d: int, depth: int, checks=("gaps", "pairs", "midpoints")
+) -> potentials.PotentialLadder:
+    """Reference ``potentials.build_ladder``: the same rungs and midpoints,
+    and t_prime found by re-running the sampled separation checks for each
+    candidate threshold 0, then every rung upward, until one passes (inf
+    when none does).  ``checks`` names the checks run, all three by
+    default; leaving one out shows whether it decides t_prime."""
+    same = potentials.same_potential
+    merged: list[float] = []
+    for t0, _ in orbits:
+        merged.extend(potentials.chain(d, t0, max_len=depth + 1))
+    merged.sort()
+    rungs: list[float] = []
+    for t in merged:
+        if not rungs or not same(rungs[-1], t):
+            rungs.append(t)
+    midpoints = tuple((rungs[i] + rungs[i + 1]) / 2 for i in range(len(rungs) - 1))
+
+    # (potential, |position|, tract index, orbit, level) per marked point.
+    sample_pts = []
+    for i, (t0, addr) in enumerate(orbits):
+        values = potentials.chain(d, t0, max_len=depth + config.LADDER_EXTRA_DEPTH + 1)
+        for j, tj in enumerate(values):
+            s = addr.entry(j)
+            p = potentials.straight_point(d, tj, s)
+            sample_pts.append((tj, math.hypot(p.real, p.imag), s, i, j))
+    sample_pots: list[float] = []
+    for t in sorted(p[0] for p in sample_pts):
+        if not sample_pots or not same(sample_pots[-1], t):
+            sample_pots.append(t)
+
+    def conditions_hold(threshold: float) -> bool:
+        above = [t for t in sample_pots if t > threshold]
+        for a, b in zip(above, above[1:]):
+            if "gaps" in checks and b - a <= 2:
+                return False
+        pts_above = sorted(p for p in sample_pts if p[0] > threshold)
+        for (ta, pa, *_), (tb, pb, *_) in itertools.combinations(pts_above, 2):
+            if "pairs" in checks and not same(ta, tb) and not pb > pa + 2:
+                return False
+        for rho in midpoints:
+            if "midpoints" not in checks or rho <= threshold:
+                continue
+            for t, pos, *_ in sample_pts:
+                if t < rho and not pos < rho - 1:
+                    return False
+                if t > rho and not pos > rho + 1:
+                    return False
+        return True
+
+    t_prime = math.inf
+    for candidate in [0.0] + rungs:
+        if conditions_hold(candidate):
+            t_prime = candidate
+            break
+    return potentials.PotentialLadder(tuple(rungs), midpoints, t_prime)

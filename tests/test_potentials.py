@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ladder_threshold_by_search
 from rayforge import potentials as pot
 from rayforge.errors import DomainError, OverflowSignal
 from rayforge.potentials import ExternalAddress
@@ -138,6 +139,14 @@ class TestExternalAddress:
         a = ExternalAddress((), (1, 2))
         assert a.shift().period == (2, 1)
 
+    def test_shifted_past_the_preperiod(self):
+        a = ExternalAddress((7, -3), (1, 2, 3))
+        assert a.shifted(0) == a
+        assert a.shifted(2) == ExternalAddress((), (1, 2, 3))
+        assert a.shifted(2 + 3 * 1000 + 2) == ExternalAddress((), (3, 1, 2))
+        with pytest.raises(DomainError):
+            a.shifted(-1)
+
     def test_canonical_minimizes(self):
         a = ExternalAddress((2, 1), (0, 1))  # 2 1 0 1 0 1 ... = (2 | 1 0)
         c = a.canonical()
@@ -159,6 +168,23 @@ class TestExternalAddress:
     def test_empty_period_rejected(self):
         with pytest.raises(DomainError):
             ExternalAddress((), ())
+
+
+def _random_orbit_set(rng):
+    """(orbits, d, depth) with d in 1..4 and depth in 0..7; each orbit's T
+    is log-uniform in [0.02, 8] or, a quarter of the time, within 1e-13
+    relative of an earlier T; address entries lie in -4..4, preperiods
+    have length 0..2 and periods length 1..3."""
+    d, depth = int(rng.integers(1, 5)), int(rng.integers(0, 8))
+    orbits = []
+    for _ in range(int(rng.integers(1, 4))):
+        t = math.exp(rng.uniform(math.log(0.02), math.log(8.0)))
+        if orbits and rng.random() < 0.25:
+            t = orbits[int(rng.integers(len(orbits)))][0] * (1 + rng.uniform(-1e-13, 1e-13))
+        pre = rng.integers(-4, 5, int(rng.integers(0, 3))).tolist()
+        per = rng.integers(-4, 5, int(rng.integers(1, 4))).tolist()
+        orbits.append((float(t), ExternalAddress(pre, per)))
+    return orbits, d, depth
 
 
 class TestLadder:
@@ -206,6 +232,27 @@ class TestLadder:
                 assert ts[i] < r < ts[i + 1]
             above = [t for t in ts if t > lad.t_prime]
             assert all(b - a > 2 for a, b in zip(above, above[1:]))
+
+    def test_matches_the_candidate_search(self):
+        # The keyed threshold equals the one found by re-running the checks
+        # per candidate.  Leaving the gap or the pair check out of the search
+        # moves t_prime on some draws, so those checks are exercised as well
+        # as the midpoint check.
+        rng = np.random.default_rng(2024)
+        decided = {"gaps": 0, "pairs": 0}
+        for k in range(3000):
+            orbits, d, depth = _random_orbit_set(rng)
+            got = pot.build_ladder(orbits, d, depth)
+            ref = ladder_threshold_by_search(orbits, d, depth)
+            assert got.potentials == ref.potentials, k
+            assert got.midpoints == ref.midpoints, k
+            assert got.t_prime == ref.t_prime, k
+            for check in decided:
+                rest = tuple(c for c in ("gaps", "pairs", "midpoints") if c != check)
+                without = ladder_threshold_by_search(orbits, d, depth, rest)
+                decided[check] += without.t_prime != ref.t_prime
+        # 80 and 65 of the 3,000 draws.
+        assert decided["gaps"] >= 20 and decided["pairs"] >= 20, decided
 
 
 class TestSamePotential:

@@ -41,6 +41,22 @@ def test_shift_drops_the_first_entry(addr):
     assert _prefix(addr.shift(), 39) == _prefix(addr)[1:]
 
 
+def _one_shift(addr: ExternalAddress) -> ExternalAddress:
+    """Drop the first entry the step-by-step way."""
+    if addr.preperiod:
+        return ExternalAddress(addr.preperiod[1:], addr.period)
+    return ExternalAddress((), addr.period[1:] + addr.period[:1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ADDRESSES)
+def test_shifted_equals_repeated_single_shifts(addr):
+    stepped = addr
+    for n in range(3 * (len(addr.preperiod) + len(addr.period))):
+        assert addr.shifted(n) == stepped, n
+        stepped = _one_shift(stepped)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ADDRESSES, ADDRESSES, st.integers(0, 8))
 def test_overlaps_is_symmetric_and_holds_against_any_shift(a, b, k):
