@@ -22,7 +22,7 @@ EXP_ARG_LIMIT = 700.0
 # and cluster detection.
 POTENTIAL_EQ_RTOL = 1e-12
 
-# Root finding (simultaneous iteration).
+# Root finding: the post-check serves d >= 2, the iteration d >= 3 only.
 ROOT_ITER_RTOL = 1e-12
 ROOT_POST_RTOL = 1e-10
 ROOT_MAX_ITER = 200

@@ -25,7 +25,7 @@ class DomainError(RayforgeError, ValueError):
 
 
 class RootSolveError(RayforgeError):
-    """Simultaneous root iteration did not reach the residual tolerance."""
+    """A root solve of p(z) = w failed its relative-residual post-check."""
 
     exit_code = 3
 

@@ -1,16 +1,17 @@
 """The map family under study: f(z) = p(exp(z)) with p monic of degree d.
 
-Holds evaluation, derivatives and singular data, a simultaneous-iteration
-polynomial root solver and the Monte-Carlo report ``diag appendix-a``
-prints, which samples how singular-value magnitudes control a map's
-geometry.  One Horner loop evaluates p, for scalars, arrays and rows of
-polynomials alike, and ``poly_derivative`` evaluates p'.  The report
-proves disk containment for all its maps at once from Fujiwara's root
-bound, and ``check_disk_containment`` samples each map the proof leaves
-open with one root solve.  ``appendix_report`` measures the samples it
-draws as arrays, at the critical points it drew, with no root solve of
-p'; its ratios are the closer of the two to a 50-digit reference.  Random
-draws take explicit seeds; nothing here keeps mutable state.
+Holds evaluation, derivatives and singular data, a batched root solver
+for p(z) = w (the quadratic formula at degree 2, simultaneous iteration
+above) and the Monte-Carlo report ``diag appendix-a`` prints, which
+samples how singular-value magnitudes control a map's geometry.  One
+Horner loop evaluates p, for scalars, arrays and rows of polynomials
+alike, and ``poly_derivative`` evaluates p'.  The report proves disk
+containment for all its maps at once from Fujiwara's root bound, and
+``check_disk_containment`` samples each map the proof leaves open with
+one root solve.  ``appendix_report`` measures the samples it draws as
+arrays, at the critical points it drew, with no root solve of p'; its
+ratios are the closer of the two to a 50-digit reference.  Random draws
+take explicit seeds; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
@@ -161,23 +162,43 @@ def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
 
 
 def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Solve p(z) = w simultaneously for a batch of right-hand sides.
-
-    Ehrlich-Aberth iteration started on the d-th-root fan of each w (a fixed
-    0.7-radian twist breaks the real-axis symmetry trap).  Each row leaves
-    the sweep as soon as its own residual or its own correction passes, so
-    every row is bitwise equal to its one-row solve and the output never
-    depends on what else is in the batch.  Returns the (len(ws), d) roots
-    and the RootSolveError of each stalled row by row index: a row stalls,
-    and its roots are NaN, when its worst relative residual stays above the
-    post tolerance after ROOT_MAX_ITER sweeps, or is not a number.
-    """
+    """Solve p(z) = w for a batch of right-hand sides: in closed form at
+    d = 2, by Ehrlich-Aberth iteration above.  Every row is bitwise equal to
+    its one-row solve, so the output never depends on the rest of the batch.
+    Returns the (len(ws), d) roots and the RootSolveError of each stalled
+    row by row index: a row stalls, and its roots are NaN, when its worst
+    relative residual is above the post tolerance, or is not a number."""
     d, cs = map_.d, map_.coeffs
     ws = np.asarray(ws, dtype=complex).ravel()
     scale = np.maximum(1.0, np.abs(ws))
     if d == 1:
         return (ws - cs[0]).reshape(-1, 1), {}
+    x = _quadratic_roots(cs[1], cs[0] - ws) if d == 2 else _aberth_roots(map_, ws, scale)
 
+    worst = (np.abs(map_.poly(x) - ws[:, None]) / scale[:, None]).max(axis=1)
+    stalled = {}
+    for k in (~(worst <= config.ROOT_POST_RTOL)).nonzero()[0].tolist():  # NaN fails too
+        message = f"root iteration stalled, worst relative residual {worst[k]:.3e}"
+        stalled[k] = RootSolveError(message, worst_residual=float(worst[k]))
+        x[k] = complex(math.nan, math.nan)
+    return x, stalled
+
+
+@np.errstate(all="ignore")
+def _quadratic_roots(b1: complex, c: np.ndarray) -> np.ndarray:
+    """The roots q and c/q of z^2 + b1 z + c[k] in rows, as in
+    ``critical_points``: q = -(b1 + s)/2 with the square root s of
+    b1^2 - 4c that has Re(conj(b1) s) >= 0, and both roots 0 when q = 0."""
+    s = np.sqrt(b1 * b1 - 4 * c)
+    s[(b1.conjugate() * s).real < 0] *= -1
+    q = -(b1 + s) / 2
+    return np.stack([q, np.where(q == 0, 0j, c / q)], axis=1)
+
+
+def _aberth_roots(map_: PolyExpMap, ws: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """At most ROOT_MAX_ITER Ehrlich-Aberth sweeps from the d-th-root fan of
+    each w, twisted by 0.7 radians to break the real-axis symmetry trap."""
+    d, cs = map_.d, map_.coeffs
     radius = np.maximum(np.abs(ws), 1.0 + max(abs(c) for c in cs)) ** (1.0 / d)
     angles = (np.angle(ws)[:, None] + 2 * np.pi * np.arange(d)[None, :] + 0.7) / d
     x = radius[:, None] * np.exp(1j * angles)
@@ -221,14 +242,7 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict
         if not live.size:
             break
     x[live] = xl
-
-    worst = (np.abs(map_.poly(x) - ws[:, None]) / scale[:, None]).max(axis=1)
-    stalled = {}
-    for k in (~(worst <= config.ROOT_POST_RTOL)).nonzero()[0].tolist():  # NaN fails too
-        message = f"root iteration stalled, worst relative residual {worst[k]:.3e}"
-        stalled[k] = RootSolveError(message, worst_residual=float(worst[k]))
-        x[k] = complex(math.nan, math.nan)
-    return x, stalled
+    return x
 
 
 @np.errstate(all="ignore")
@@ -294,8 +308,8 @@ def appendix_report(
     unproven goes through ``check_disk_containment``, whose failed root
     solves count as inconclusive, never as failures.  Raises
     OverflowSignal naming the first sample whose arithmetic leaves the
-    float range (rho near the largest or below the smallest normal
-    double).
+    float range: rho near the largest double, or so small that a target
+    critical value rho (0.3 + 0.7u) is subnormal.
     """
     containment_maps = min(samples, 200)
     block = np.random.default_rng(seed).random((samples, 4 * d))
@@ -349,9 +363,9 @@ def _sample_polys(d: int, rho: float, u: np.ndarray) -> tuple:
     ``u``: d-1 radii and d-1 angles of the critical points c (Box-Muller, so
     Re c and Im c are i.i.d. N(0, 1)), then the largest critical value's
     modulus rho (0.3 + 0.7 u).  Returns the coefficients (n, d), c (n, d-1)
-    and the factors a (n,) that put row i's critical points at c[i] / a[i]:
-    inf for the zero map (no nonzero critical value), NaN where the target
-    is below the smallest normal double or a overflows."""
+    and the factors a (n,) that put row i's critical points at c[i] / a[i]
+    (a quotient of d-th roots where the quotient would overflow): inf for
+    the zero map, NaN where the target is subnormal or a overflows."""
     if d < 2:
         raise DomainError("needs d >= 2")
     n = len(u)
@@ -373,6 +387,7 @@ def _sample_polys(d: int, rho: float, u: np.ndarray) -> tuple:
     peak = np.abs(d * cps * mean).max(axis=1)
     target = rho * (0.3 + 0.7 * u[:, -1])
     a = (peak / target) ** (1.0 / d)
+    a[np.isinf(a)] = (peak ** (1.0 / d) / target ** (1.0 / d))[np.isinf(a)]
     a[~np.isfinite(a) | (target < np.finfo(float).tiny)] = np.nan
     a[peak == 0.0] = np.inf
     return _rescaled(coeffs, a), cps, a

@@ -242,6 +242,70 @@ class TestPolyRoots:
                     assert np.array_equal(batch[k].view(np.int64), single.view(np.int64))
 
 
+class TestQuadraticClosedForm:
+    """At d = 2, ``poly_roots_batch`` takes the cancellation-free quadratic
+    formula, checked against the formula at 700 digits (``mpmath.polyroots``
+    fails to converge on some of these rows)."""
+
+    UNIT = 8 * 2.0**-53
+
+    def test_roots_within_8_ulp_of_700_digit_roots(self):
+        # |w| log-uniform over 1e-2..1e300, a sixth of the rows with b_1 = 0
+        # and a third with w within 1e-12..1 of the critical value
+        # b_0 - b_1^2/4, where the roots are ill-conditioned: there the bound
+        # is the backward error of p(z) = w divided by |p'(z)|.
+        rng = np.random.default_rng(2027)
+        n = 2400
+
+        def draw(moduli):
+            return moduli * np.exp(2j * np.pi * rng.random(len(moduli)))
+
+        b0 = draw(10 ** rng.uniform(-3, 3, n))
+        b1 = draw(10 ** rng.uniform(-3, 3, n))
+        b1[: n // 6] = 0
+        ws = draw(10 ** rng.uniform(-2, 300, n))
+        near = np.arange(n) % 3 == 2
+        ws[near] = (b0 - b1 * b1 / 4)[near] + draw(10 ** rng.uniform(-12, 0, near.sum()))
+        with mpmath.workdps(700):
+            for k in range(n):
+                map_ = PolyExpMap(2, [complex(b0[k]), complex(b1[k])])
+                (got,), stalled = pe.poly_roots_batch(map_, ws[k : k + 1])
+                assert not stalled
+                B1 = mpmath.mpc(map_.coeffs[1])
+                s = mpmath.sqrt(B1 * B1 - 4 * (mpmath.mpc(map_.coeffs[0]) - complex(ws[k])))
+                exact = ((-B1 + s) / 2, (-B1 - s) / 2)
+                if sum(abs(complex(g) - e) for g, e in zip(got, exact[::-1])) < sum(
+                    abs(complex(g) - e) for g, e in zip(got, exact)
+                ):
+                    exact = exact[::-1]
+                for g, e in zip(got, exact):
+                    gap = float(abs(complex(g) - e))
+                    if near[k]:
+                        size = abs(g) ** 2 + abs(b1[k]) * abs(g) + abs(b0[k]) + abs(ws[k])
+                        assert gap * abs(2 * g + b1[k]) <= self.UNIT * size, k
+                    else:
+                        assert gap <= self.UNIT * float(abs(e)), k
+
+    def test_zero_square(self):
+        (roots,), stalled = pe.poly_roots_batch(PolyExpMap(2, [0.0, 0.0]), np.zeros(1))
+        assert not stalled and tuple(roots) == (0, 0)
+
+    def test_overflowing_discriminant_stalls_alone(self):
+        # b_1^2 - 4(b_0 - w) overflows at |w| = 1e308: that row stalls with
+        # the usual message, and the others are their one-row solves.
+        map_ = PolyExpMap(2, [0.3 - 0.1j, 1.5 + 2j])
+        ws = np.array([2.0 + 1j, 1e308 * np.exp(0.4j), 1e200j, -0.75])
+        with np.errstate(all="ignore"):
+            roots, stalled = pe.poly_roots_batch(map_, ws)
+        assert list(stalled) == [1] and isinstance(stalled[1], RootSolveError)
+        assert str(stalled[1]).startswith("root iteration stalled, worst relative residual")
+        assert np.isnan(roots[1]).all()
+        for k in (0, 2, 3):
+            (single,), fine = pe.poly_roots_batch(map_, ws[k : k + 1])
+            assert not fine
+            assert np.array_equal(roots[k].view(np.int64), single.view(np.int64))
+
+
 class TestCriticalPointBound:
     def test_pure_power(self):
         assert critical_point_ratio(PolyExpMap(3, [0.0, 0.0, 0.0]), 10.0) == 0.0
@@ -566,3 +630,14 @@ class TestAppendixReport:
             assert a.max_critical_point_ratio == pytest.approx(
                 b.max_critical_point_ratio, rel=1e-9
             ), rho
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_small_normal_rho(self, d):
+        # peak / target overflows at rho = 1e-307, though its d-th root, the
+        # rescale factor, does not: the report measures every sample.
+        tiny = pe.appendix_report(d, 1e-307, samples=50, seed=0)
+        ref = pe.appendix_report(d, 100.0, samples=50, seed=0)
+        assert tiny.max_critical_point_ratio == pytest.approx(
+            ref.max_critical_point_ratio, rel=1e-9
+        )
