@@ -4,10 +4,12 @@ Subcommands: ``ray trace``, ``classify``, ``diag appendix-a``,
 ``diag invariant-set``, ``homotopy word``, ``tracts inspect``.
 
 Exit codes: 0 success, 2 usage or bad input, 3 numeric non-convergence,
-4 target rejection.  Outputs are JSON (or CSV where noted), embed the
-schema string and the resolved run configuration, and are byte-identical
-for identical arguments and seed.  Each error class in ``errors`` carries
-its own exit code.
+4 target rejection.  Each error class in ``errors`` carries its own exit
+code.  Each ``_cmd_*`` handler returns (config extras, body, exit code);
+``main`` is the one writer.  It adds the schema string and the resolved
+run configuration, renders JSON (CSV for ``ray trace --out csv``) that is
+byte-identical for identical arguments and seed, and writes it to the
+output path, or to stdout for ``-`` or none.  An unwritable path exits 2.
 
 The argparse parser is built once per process, on the first ``main`` call,
 and reused by every later call.  Numeric options are checked as they are
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -45,19 +46,7 @@ def _read_json(path: str):
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _run_config(args, **extra) -> dict:
-    return {"command": args.command_path, **extra}
-
-
-def _cmd_ray_trace(args) -> int:
+def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
     map_ = serialize.map_from_json(_read_json(args.map))
     address = serialize.address_from_json(_read_json(args.address))
     cfg = tracts.make_tract_config(map_)
@@ -71,49 +60,28 @@ def _cmd_ray_trace(args) -> int:
         tol=args.tol,
         max_depth=args.max_depth,
     )
-    run_cfg = _run_config(
-        args, tol=args.tol, max_depth=args.max_depth,
-        t_lo=args.t_lo, t_hi=args.t_hi, samples=args.samples, format=args.out,
-    )
-    if args.out == "csv":
-        buf = io.StringIO()
-        cfg_line = json.dumps(run_cfg, sort_keys=True)
-        buf.write(f"# {serialize.SCHEMA} config={cfg_line}\n")
-        buf.write("t,re,im,depth,err\n")
-        for p in segment.samples:
-            buf.write(f"{p.t!r},{p.z.real!r},{p.z.imag!r},{p.depth_used},{p.error_estimate!r}\n")
-        _emit(buf.getvalue(), args.output)
-    else:
-        payload = {
-            "schema": serialize.SCHEMA,
-            "config": run_cfg,
-            "samples": [
-                {
-                    "t": p.t,
-                    "re": p.z.real,
-                    "im": p.z.imag,
-                    "depth": p.depth_used,
-                    "err": p.error_estimate,
-                }
-                for p in segment.samples
-            ],
+    samples = [
+        {
+            "t": p.t,
+            "re": p.z.real,
+            "im": p.z.imag,
+            "depth": p.depth_used,
+            "err": p.error_estimate,
         }
-        _emit(serialize.dumps(payload), args.output)
-    return EXIT_OK
+        for p in segment.samples
+    ]
+    extras = dict(tol=args.tol, max_depth=args.max_depth, t_lo=args.t_lo,
+                  t_hi=args.t_hi, samples=args.samples, format=args.out)
+    return extras, {"samples": samples}, EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, dict, int]:
     spec = serialize.spec_from_json(_read_json(args.spec))
     result = thurston.classify(
         spec, max_iter=args.max_iter, tol=args.tol, log_iterates=args.log_iterates
     )
     cert = result.certificate
-    payload = {
-        "schema": serialize.SCHEMA,
-        "config": _run_config(
-            args, tol=args.tol, max_iter=args.max_iter,
-            spec=serialize.spec_to_json(spec),
-        ),
+    body = {
         "d": result.map.d,
         "coeffs": serialize.to_json(result.map.coeffs),
         "grid": serialize.to_json(result.z),
@@ -127,25 +95,18 @@ def _cmd_classify(args) -> int:
         },
     }
     if args.log_iterates:
-        payload["iterates"] = serialize.to_json(result.iterate_log)
-    _emit(serialize.dumps(payload), args.out)
-    return EXIT_OK if cert.passed else EXIT_NUMERIC
+        body["iterates"] = serialize.to_json(result.iterate_log)
+    extras = dict(tol=args.tol, max_iter=args.max_iter, spec=serialize.spec_to_json(spec))
+    return extras, body, EXIT_OK if cert.passed else EXIT_NUMERIC
 
 
-def _cmd_diag_appendix(args) -> int:
+def _cmd_diag_appendix(args) -> tuple[dict, dict, int]:
     report = polyexp.appendix_report(args.d, args.rho, samples=args.samples, seed=args.seed)
-    payload = {
-        "schema": serialize.SCHEMA,
-        "config": _run_config(
-            args, d=args.d, rho=args.rho, samples=args.samples, seed=args.seed
-        ),
-        **serialize.to_json(report),
-    }
-    _emit(serialize.dumps(payload), args.output)
-    return EXIT_OK
+    extras = dict(d=args.d, rho=args.rho, samples=args.samples, seed=args.seed)
+    return extras, serialize.to_json(report), EXIT_OK
 
 
-def _cmd_diag_invariant(args) -> int:
+def _cmd_diag_invariant(args) -> tuple[dict, dict, int]:
     run = _read_json(args.run)
     try:
         spec = serialize.spec_from_json(run["config"]["spec"])
@@ -167,46 +128,39 @@ def _cmd_diag_invariant(args) -> int:
         grid = np.array(grid_rows, dtype=complex)
         rep = thurston.invariant_set_diagnostics(grid, spec)
         rows.append({"iteration": it, **serialize.to_json(rep)})
-    payload = {
-        "schema": serialize.SCHEMA,
-        "config": _run_config(args, run=args.run),
-        "iterations": rows,
-    }
-    _emit(serialize.dumps(payload), args.output)
-    return EXIT_OK
+    return {"run": args.run}, {"iterations": rows}, EXIT_OK
 
 
-def _cmd_homotopy_word(args) -> int:
+def _cmd_homotopy_word(args) -> tuple[dict, dict, int]:
     marked = serialize.marked_from_json(_read_json(args.marked))
     curve = serialize.curve_from_json(_read_json(args.curve))
     word = word_of_curve(marked, curve)
-    payload = {
-        "schema": serialize.SCHEMA,
-        "config": _run_config(args),
-        "word": serialize.to_json(word.letters),
-    }
-    _emit(serialize.dumps(payload), args.output)
-    return EXIT_OK
+    return {}, {"word": serialize.to_json(word.letters)}, EXIT_OK
 
 
-def _cmd_tracts_inspect(args) -> int:
+def _cmd_tracts_inspect(args) -> tuple[dict, dict, int]:
     map_ = serialize.map_from_json(_read_json(args.map))
     cfg = tracts.make_tract_config(map_, eps=args.epsilon)
-    payload = {
-        "schema": serialize.SCHEMA,
-        "config": _run_config(args, epsilon=args.epsilon, strips=args.strips),
-        **serialize.to_json(cfg),
-        "strips": [
-            {
-                "n": n,
-                "center": cfg.strip_center(n),
-                "half_width": cfg.strip_half_width(),
-            }
-            for n in range(-args.strips, args.strips + 1)
-        ],
-    }
-    _emit(serialize.dumps(payload), args.output)
-    return EXIT_OK
+    strips = [
+        {
+            "n": n,
+            "center": cfg.strip_center(n),
+            "half_width": cfg.strip_half_width(),
+        }
+        for n in range(-args.strips, args.strips + 1)
+    ]
+    body = {**serialize.to_json(cfg), "strips": strips}
+    return dict(epsilon=args.epsilon, strips=args.strips), body, EXIT_OK
+
+
+def _render(run_cfg: dict, body: dict) -> str:
+    """The report text: canonical JSON of the envelope and body, or, for
+    ``ray trace --out csv``, a config comment line and one row per sample."""
+    if run_cfg.get("format") == "csv":
+        rows = "".join(",".join(map(repr, s.values())) + "\n" for s in body["samples"])
+        cfg_line = json.dumps(run_cfg, sort_keys=True)
+        return f"# {serialize.SCHEMA} config={cfg_line}\nt,re,im,depth,err\n{rows}"
+    return serialize.dumps({"schema": serialize.SCHEMA, "config": run_cfg, **body})
 
 
 def _checked(convert, accept, what: str):
@@ -260,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify = sub.add_parser("classify", help="solve for a map with the target escape data")
     classify.add_argument("--spec", required=True, help="target spec JSON file")
-    classify.add_argument("--out", default=None, help="result JSON file (default stdout)")
+    classify.add_argument("--out", dest="output", metavar="OUT", default=None,
+                          help="result JSON file (default stdout)")
     classify.add_argument("--log-iterates", action="store_true")
     classify.add_argument("--max-iter", dest="max_iter", type=_positive_int,
                           default=config.CLASSIFY_MAX_ITER)
@@ -309,7 +264,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        extras, body, code = args.handler(args)
+        text = _render({"command": args.command_path, **extras}, body)
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise DomainError(f"cannot write {args.output}: {exc}") from exc
+        return code
     except RayforgeError as exc:
         # Usage errors go to stderr; numeric failures and rejections are
         # diagnostic JSON on stdout.

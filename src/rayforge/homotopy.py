@@ -135,12 +135,8 @@ def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> HomotopyWord:
     for idx, w in enumerate(marked.points):
         if w.real == last.real:
             # The open edge has x > Re w throughout, so it never crosses this
-            # ray; only an interior exit vertex strictly above w sits on it
-            # (the curve's start vertex is exempt, as in the segments).
-            if w != last and last != vs[0] and w.imag < last.imag:
-                raise DegenerateCurveError(
-                    f"exit vertex sits on the cut ray of point {idx}"
-                )
+            # ray.  An exit vertex on the ray ends a non-degenerate segment,
+            # whose crossing scan has already rejected it, or is the start.
             continue
         if w.real > last.real:
             if w.imag == last.imag:

@@ -178,7 +178,7 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict
     worst = (np.abs(map_.poly(x) - ws[:, None]) / scale[:, None]).max(axis=1)
     stalled = {}
     for k in (~(worst <= config.ROOT_POST_RTOL)).nonzero()[0].tolist():  # NaN fails too
-        message = f"root iteration stalled, worst relative residual {worst[k]:.3e}"
+        message = f"relative-residual post-check failed, worst relative residual {worst[k]:.3e}"
         stalled[k] = RootSolveError(message, worst_residual=float(worst[k]))
         x[k] = complex(math.nan, math.nan)
     return x, stalled

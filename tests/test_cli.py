@@ -849,6 +849,57 @@ class TestSurface:
             assert f"--{option.replace('_', '-')} " in usage
 
 
+# One call of every report, with the flag that names its output file.
+REPORT_CASES = {
+    "ray trace csv": (BASE_ARGV["ray trace"], "--output"),
+    "ray trace json": (BASE_ARGV["ray trace"] + ["--out", "json"], "--output"),
+    "classify": (BASE_ARGV["classify"] + ["--log-iterates"], "--out"),
+    "diag appendix-a": (BASE_ARGV["diag appendix-a"], "--output"),
+    "diag invariant-set": (["diag", "invariant-set", "--run", "{run}"], "--output"),
+    "homotopy word": (["homotopy", "word", "--marked", "{marked}", "--curve", "{curve}"],
+                      "--output"),
+    "tracts inspect": (BASE_ARGV["tracts inspect"] + ["--epsilon", "0.1"], "--output"),
+}
+
+
+class TestOutputPath:
+    """Every report goes through one writer: a file gets the stdout bytes,
+    ``-`` means stdout, and an unwritable path is a usage error."""
+
+    @pytest.fixture
+    def paths(self, workdir, tmp_path):
+        run_path = str(tmp_path / "run.json")
+        assert run(["classify", "--spec", workdir["spec1"], "--out", run_path]) == 0
+        return {**workdir, "run": run_path}
+
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_file_equals_stdout(self, case, paths, tmp_path, capsys):
+        argv, flag = REPORT_CASES[case]
+        argv = [a.format(**paths) for a in argv]
+        capsys.readouterr()
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert run(argv + [flag, "-"]) == 0
+        assert capsys.readouterr().out.encode() == stdout
+        out = tmp_path / "report.out"
+        assert run(argv + [flag, str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout
+
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exit_2(self, case, where, paths, tmp_path, capsys):
+        argv, flag = REPORT_CASES[case]
+        target = str(tmp_path / "absent" / "x.json") if where == "missing-dir" else str(tmp_path)
+        capsys.readouterr()
+        code = run([a.format(**paths) for a in argv] + [flag, target])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"rayforge: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestDeterminism:
     def _run_to_file(self, argv, path):
         code = run(argv + ["--output" if "--out" not in argv else "--out", path])

@@ -86,6 +86,15 @@ class TestWordOfCurve:
         with pytest.raises(DegenerateCurveError):
             ht.word_of_curve(marked, curve)
 
+    @pytest.mark.parametrize("tail", [[], [2 + 1j]], ids=["last", "repeated"])
+    def test_exit_vertex_on_ray_degenerate(self, tail):
+        # the exit vertex sits above 2 - 1j; the segment that ends there
+        # rejects it, so the horizontal tail needs no check of its own
+        marked = MarkedSet([0 + 0j, 2 - 1j])
+        curve = PolylineCurve([0 + 0j, 2 + 1j] + tail)
+        with pytest.raises(DegenerateCurveError, match="cut ray of point 1"):
+            ht.word_of_curve(marked, curve)
+
 
 class TestWindingOracle:
     def test_abelianization_matches_oracle_random(self):

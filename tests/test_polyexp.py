@@ -220,7 +220,7 @@ class TestPolyRoots:
         assert list(stalled) == list(alone) == [0] and not fine
         assert isinstance(stalled[0], RootSolveError)
         assert str(stalled[0]) == str(alone[0])
-        assert str(stalled[0]).startswith("root iteration stalled, worst relative residual")
+        assert str(stalled[0]).startswith("relative-residual post-check failed, worst relative residual")
         assert np.isnan(roots[0]).all()
         assert np.array_equal(roots[1].view(np.int64), single[0].view(np.int64))
 
@@ -298,7 +298,7 @@ class TestQuadraticClosedForm:
         with np.errstate(all="ignore"):
             roots, stalled = pe.poly_roots_batch(map_, ws)
         assert list(stalled) == [1] and isinstance(stalled[1], RootSolveError)
-        assert str(stalled[1]).startswith("root iteration stalled, worst relative residual")
+        assert str(stalled[1]).startswith("relative-residual post-check failed, worst relative residual")
         assert np.isnan(roots[1]).all()
         for k in (0, 2, 3):
             (single,), fine = pe.poly_roots_batch(map_, ws[k : k + 1])
