@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr_sub = tr.add_subparsers(dest="action", required=True)
     inspect = tr_sub.add_parser("inspect", help="dump certified strip bounds")
     inspect.add_argument("--map", required=True, help="map JSON file")
-    inspect.add_argument("--epsilon", type=float, default=None)
+    inspect.add_argument("--epsilon", type=_positive_float, default=None)
     inspect.add_argument("--strips", type=_strip_count, default=3)
     inspect.add_argument("--output", default=None)
     inspect.set_defaults(handler=_cmd_tracts_inspect, command_path="tracts inspect")

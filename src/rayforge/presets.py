@@ -34,16 +34,13 @@ D2_RAY_MAP = PolyExpMap(2, [0.0, 0.1])
 D3_MAP = PolyExpMap(3, [0.1, -0.1, 0.2])
 
 
-# Classification targets: depths sit at the overflow horizon of doubles
-# for these potentials.
+# Classification targets, with J = J*, the depth their JSON echo names.
 SPEC_D1 = TargetSpec(1, ((2.0, ZERO),), 3)
 SPEC_D2 = TargetSpec(2, ((2.0, ZERO), (2.5, ONE)), 2)
 
 # The three-orbit equal-speed configuration whose clusters never thin out,
 # plus its distinct-speed variant.
-CLUSTER_REJECT = TargetSpec(
-    3, ((1.0, ZERO), (1.0, ALTERNATE), (1.0, ALTERNATE_FLIP)), 2
-)
+CLUSTER_REJECT = TargetSpec(3, ((1.0, ZERO), (1.0, ALTERNATE), (1.0, ALTERNATE_FLIP)))
 CLUSTER_ACCEPT_ORBITS = (
     (1.0, ZERO),
     (1.15, ALTERNATE),

@@ -4,7 +4,7 @@ Schemas ("rayforge/1"):
   address  {"preperiod": [int], "period": [int]}
   orbit    {"T": float, "address": {...}}
   map      {"d": int, "coeffs": [{"re": float, "im": float}, ...]}   # b_0 first
-  spec     {"d": int, "J": int, "orbits": [orbit, ...]}
+  spec     {"d": int, "J": int, "orbits": [orbit, ...]}   # J optional; echoed as J*
   curve    {"vertices": [{"re": ..., "im": ...}, ...]}
   marked   {"points": [{"re": ..., "im": ...}, ...]}
 
@@ -101,8 +101,9 @@ def spec_from_json(obj: Any) -> TargetSpec:
             (finite_from_json(o["T"], "orbit potential T"), address_from_json(o["address"]))
             for o in obj["orbits"]
         )
-        d, depth = integers([obj["d"], obj["J"]], "spec fields d and J")
-        return TargetSpec(d, orbits, depth)
+        given = [obj["d"]] + ([obj["J"]] if "J" in obj else [])
+        d, *bound = integers(given, "spec fields d and J")
+        return TargetSpec(d, orbits, *bound)
     except DomainError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -2,9 +2,10 @@
 
 A target prescribes, for each singular orbit, an escape speed T_i and an
 address s_i.  The state is a truncated grid z[i][j] of orbit points
-(j = 0..J) plus a map from the family; one step pulls every grid point
-back one level through the inverse branch its address dictates (the level
-past J is frozen at its straight asymptotic position; beyond the float
+(j = 0..J*, the deepest level every speed reaches under the float-range
+limit) plus a map from the family; one step pulls every grid point back
+one level through the inverse branch its address dictates (the level
+past J* is frozen at its straight asymptotic position; beyond the float
 range its pullback is taken to first order, exact in double precision
 there) and refits the map so its singular values match the new first
 column.  At a fixed point the grid is a genuine orbit segment of the map
@@ -16,10 +17,7 @@ bounds of its own map (``tracts.make_tract_config``), and the strip
 geometry is all the pullback reads.
 
 ``classify`` mixes each next grid from the last pullbacks (Anderson mixing,
-Walker & Ni 2011), which reaches the same fixed point in fewer steps.  It
-stops as the plain iteration does, on the first real pullback step that
-moves the grid by less than ``tol``, and takes the plain step whenever a
-mixed grid fails or does worse.
+Walker & Ni 2011), which reaches the same fixed point in fewer steps.
 
 Branches are selected purely by strip index: configurations that would
 need nontrivial leg words to pull back are unsupported and surface as
@@ -54,7 +52,8 @@ from .potentials import ExternalAddress
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Degree, orbit depth, and per-orbit (potential, address) targets.
+    """Degree, per-orbit (potential, address) targets, and an optional
+    bound ``J`` on the grid depth: every J in 1..J* solves at ``depth`` J*.
 
     Orbit 0 is assigned to the asymptotic value; the remaining orbits to
     critical values.  Addresses must be pairwise non-overlapping under
@@ -64,7 +63,7 @@ class TargetSpec:
 
     d: int
     orbits: tuple[tuple[float, ExternalAddress], ...]
-    depth: int
+    J: int | None = None
 
     @property
     def m(self) -> int:
@@ -77,13 +76,25 @@ class TargetSpec:
         return self.orbits[i][0]
 
     @cached_property
-    def speeds(self) -> tuple[tuple[float, ...], ...]:
-        """Per orbit, the speeds step^j(T_i) for j = 0..depth, cut short
-        where they leave the float range (``validate_spec`` rejects that)."""
+    def towers(self) -> tuple[tuple[float, ...], ...]:
+        """Per orbit, the speeds step^j(T_i) under ``config.CAP``, at most
+        ``config.TRACER_MAX_DEPTH`` + 1 of them, as ``rays.trace_segment`` takes them."""
         return tuple(
-            tuple(potentials.chain(self.d, t, max_len=self.depth + 1))
+            tuple(potentials.chain(self.d, t, max_len=config.TRACER_MAX_DEPTH + 1))
             for t, _ in self.orbits
         )
+
+    @cached_property
+    def depth(self) -> int:
+        """The grid depth J* = min_i len(towers[i]) - 1.  A given J outside
+        1..J* is kept instead, for ``validate_spec`` to reject."""
+        deepest = min(map(len, self.towers)) - 1
+        return deepest if self.J is None or 1 <= self.J <= deepest else self.J
+
+    @cached_property
+    def speeds(self) -> tuple[tuple[float, ...], ...]:
+        """Per orbit, the speeds step^j(T_i) for j = 0..depth."""
+        return tuple(tower[: self.depth + 1] for tower in self.towers)
 
     @cached_property
     def ladder(self) -> potentials.PotentialLadder:
@@ -127,13 +138,14 @@ class TargetSpec:
 def validate_spec(spec: TargetSpec) -> None:
     """Reject structurally unsupported targets.
 
-    Checks: m <= d, positive potentials whose speeds grow in double
-    precision, depth representable in floats, pairwise non-overlapping
-    addresses, and finitely many nontrivial clusters (equal-speed orbits
-    whose shifted addresses keep agreeing).
+    Checks: m <= d, positive potentials whose speed towers reach
+    ``config.CAP`` within ``config.TRACER_MAX_DEPTH`` levels, a depth J* of
+    at least 1 and a given J in 1..J*, pairwise non-overlapping addresses,
+    and finitely many nontrivial clusters (equal-speed orbits whose shifted
+    addresses keep agreeing).
     """
-    if spec.depth < 1:
-        raise SpecRejectionError("grid depth must be >= 1")
+    if spec.J is not None and spec.J < 1:
+        raise SpecRejectionError(f"grid depth J must be >= 1, got {spec.J}")
     if spec.m < 1:
         raise SpecRejectionError("need at least one singular orbit")
     if spec.m > spec.d:
@@ -144,17 +156,22 @@ def validate_spec(spec: TargetSpec) -> None:
     for i, (t, _) in enumerate(spec.orbits):
         if not t > 0:
             raise SpecRejectionError(f"orbit {i} potential must be > 0, got {t}")
-        # Only a tiny d*T can round step(T) down to T, which stalls the tower.
-        if spec.d * t < 1 and potentials.step(spec.d, t) <= t:
+        levels = len(spec.towers[i])
+        if levels > config.TRACER_MAX_DEPTH:
             raise SpecRejectionError(
                 f"orbit {i} (T={t}): its speed does not grow in double "
-                "precision, since step(T) rounds to T; use a larger potential"
+                f"precision past config.CAP within {config.TRACER_MAX_DEPTH} "
+                "levels, the depth cap; use a larger potential"
             )
-        levels = len(spec.speeds[i])
+        if levels == 1:
+            raise SpecRejectionError(
+                f"orbit {i} (T={t}): its speed overflows at level 1, which "
+                "leaves no grid level; use a smaller potential"
+            )
         if levels <= spec.depth:
             raise SpecRejectionError(
-                f"depth {spec.depth} is too deep for orbit {i} (T={t}): its "
-                f"speed overflows at level {levels}; use a smaller depth"
+                f"depth {spec.depth} is too deep for orbit {i} (T={t}): its speed "
+                f"overflows at level {levels}; use a smaller depth, or leave J out"
             )
     if potentials.detect_clusters(spec.orbits, spec.d, spec.depth):
         raise SpecRejectionError(
@@ -334,9 +351,7 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
     pullback route: only forward evaluation and strip reads are used."""
     cfg = tracts.make_tract_config(map_)
     sv = _singular_vector(map_, spec.straight[:, 0])
-    checks = []
-    notes = []
-    passed = True
+    checks, notes = [], []  # every failed orbit adds a note
     for i in range(spec.m):
         target_t = spec.potential(i)
         addr = spec.address(i)
@@ -347,31 +362,14 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
                 OrbitCheck(i, complex(sv[i]), math.nan, math.inf, 0, 0, math.inf, False)
             )
             notes.append(f"orbit {i}: {exc}; orbit head: {list(exc.orbit)[:4]}")
-            passed = False
             continue
         perr = abs(ext.t - target_t)
-        match = 0
-        for k, s in enumerate(ext.prefix):
-            if s == addr.entry(ext.start + k):
-                match += 1
-            else:
-                break
-        ok = (
-            perr < config.VERIFY_POTENTIAL_RTOL * max(1.0, target_t)
-            and match == len(ext.prefix)
-        )
-        passed = passed and ok
-        checks.append(
-            OrbitCheck(
-                i, complex(sv[i]), ext.t, perr, match, len(ext.prefix), ext.residual, True
-            )
-        )
-        if not ok:
-            notes.append(
-                f"orbit {i}: potential error {perr:.3e}, prefix matched "
-                f"{match}/{len(ext.prefix)}"
-            )
-    return Certificate(passed, tuple(checks), tuple(notes))
+        n = len(ext.prefix)
+        match = next((k for k, s in enumerate(ext.prefix) if s != addr.entry(ext.start + k)), n)
+        checks.append(OrbitCheck(i, complex(sv[i]), ext.t, perr, match, n, ext.residual, True))
+        if not (perr < config.VERIFY_POTENTIAL_RTOL * max(1.0, target_t) and match == n):
+            notes.append(f"orbit {i}: potential error {perr:.3e}, prefix matched {match}/{n}")
+    return Certificate(not notes, tuple(checks), tuple(notes))
 
 
 @dataclass
@@ -422,10 +420,12 @@ def classify(
 ) -> ClassifyResult:
     """Iterate the pullback to its fixed point and certify the result.
 
-    Each next grid is the Anderson mix (memory ``config.ANDERSON_MEMORY``)
-    of the last pullbacks, with the map refitted to its first column.  The
-    first real pullback step that moves the grid by less than tol (sup
-    norm) stops the run, and its pulled state is the result.  The history
+    The grid has the spec's own depth J* (``spec.depth``), which a J in the
+    spec only bounds.  Each next grid is the Anderson mix (memory
+    ``config.ANDERSON_MEMORY``) of the last pullbacks, with the map refitted
+    to its first column.  The first real pullback step that moves the grid
+    by less than tol (sup norm) stops the run, and its pulled state is the
+    result.  The history
     is dropped and the last pulled grid taken as it is (the plain step)
     when the pullback of a mixed grid raises or moves it more than the step
     before, or when no mixed grid can be formed.  ``deltas`` and

@@ -192,6 +192,61 @@ class TestClassify:
         assert error["message"].startswith("orbit 0 (T=1e-300): its speed does not grow")
 
 
+class TestDepthBound:
+    """classify solves at the spec's own depth J*; a given J only bounds it."""
+
+    def _classify(self, tmp_path, obj, capsys) -> tuple[int, str]:
+        code = run(["classify", "--spec", _write(tmp_path, "spec.json", obj)])
+        return code, capsys.readouterr().out
+
+    def test_every_accepted_J_gives_the_same_bytes(self, tmp_path, capsys):
+        certified = 0
+        for spec in _seeded_specs(120, 5, t_lo=0.3):
+            depth = spec.depth
+            obj = {k: v for k, v in serialize.spec_to_json(spec).items() if k != "J"}
+            code, out = want = self._classify(tmp_path, obj, capsys)
+            if code == 0:
+                assert json.loads(out)["config"]["spec"]["J"] == depth
+                certified += 1
+            for J in range(1, depth + 1):
+                assert self._classify(tmp_path, obj | {"J": J}, capsys) == want, (obj, J)
+            code, out = self._classify(tmp_path, obj | {"J": depth + 1}, capsys)
+            assert code == 4, (obj, out)
+            assert json.loads(out)["error"]["message"].startswith(f"depth {depth + 1} is too deep")
+        assert certified >= 90
+
+    @pytest.mark.parametrize(
+        "d,orbits,bounds",
+        [
+            (1, [(0.5, [0])], [1, 2, 3]),
+            (1, [(1.0, [1])], [1]),
+            (2, [(0.3, [0])], [1]),
+            # chains of different length: orbit 1's level-3 seed is a number
+            (2, [(1.5, [0]), (0.5, [1])], [1, 2]),
+        ],
+        ids=["d1-T0.5", "d1-T1.0", "d2-T0.3", "d2-two-chains"],
+    )
+    def test_shallow_J_is_certified(self, d, orbits, bounds, tmp_path, capsys):
+        # The one-orbit specs failed their certificates at these J when the
+        # grid was cut at level J; all now solve at J*.
+        obj = {"d": d, "orbits": [{"T": t, "address": {"period": p}} for t, p in orbits]}
+        for J in bounds:
+            code, out = self._classify(tmp_path, obj | {"J": J}, capsys)
+            assert code == 0
+            assert json.loads(out)["certificate"]["passed"] is True
+
+    def test_invariant_set_rejects_a_grid_cut_at_J(self, tmp_path, capsys):
+        # A run file from when J set the depth: J = 1 below J* = 6, so its
+        # grid has 2 columns where the spec now needs 7.
+        spec_obj = {"d": 1, "J": 1, "orbits": [{"T": 0.5, "address": {"period": [0]}}]}
+        grid = serialize.to_json(serialize.spec_from_json(spec_obj).straight[:, :2])
+        path = _write(tmp_path, "run.json", {"config": {"spec": spec_obj}, "grid": grid})
+        assert run(["diag", "invariant-set", "--run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rayforge: grid 0 is not 1x7, the shape its spec needs\n"
+
+
 # classify-mix specs (seed 1 job 229; seed 7919 jobs 124, 211 and 250) whose
 # converged maps send one singular value to an iterate in the fuzz between two
 # strips: the strip read is ambiguous, so the certificate fails at that orbit.
@@ -223,14 +278,14 @@ def test_ambiguous_strip_read_fails_the_certificate(orbits, tmp_path, capsys):
 # classify-mix redraws a spec until validate_spec passes, so the degree rule
 # must not live there.
 HIGH_DEGREE_SPECS = {
-    "d=3-m=2": thurston.TargetSpec(3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE)), 1),
+    "d=3-m=2": thurston.TargetSpec(3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE))),
     "d=3-m=3": thurston.TargetSpec(
-        3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE), (2.0, presets.ONE)), 1
+        3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE), (2.0, presets.ONE))
     ),
     "d=4": thurston.TargetSpec(
-        4, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE), (2.0, presets.ONE)), 1
+        4, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE), (2.0, presets.ONE))
     ),
-    "d=5": thurston.TargetSpec(5, ((1.6, presets.ZERO), (1.8, presets.ONE)), 1),
+    "d=5": thurston.TargetSpec(5, ((1.6, presets.ZERO), (1.8, presets.ONE))),
 }
 
 
@@ -254,7 +309,7 @@ class TestDegreeRejection:
         }
 
     def test_invalid_spec_keeps_its_reason(self, tmp_path, capsys):
-        spec = thurston.TargetSpec(3, ((1.6, presets.ZERO), (1.6, presets.ZERO)), 1)
+        spec = thurston.TargetSpec(3, ((1.6, presets.ZERO), (1.6, presets.ZERO)))
         with pytest.raises(errors.SpecRejectionError) as want:
             thurston.validate_spec(spec)
         path = _write(tmp_path, "spec.json", serialize.spec_to_json(spec))
@@ -395,6 +450,14 @@ class TestHomotopyAndTracts:
         assert payload["r"] == 2.0
         assert len(payload["strips"]) == 7
 
+    def test_tracts_inspect_wide_epsilon_exit_2(self, workdir, capsys):
+        # A positive eps of pi/(2d) or more leaves no strip; the library says so.
+        code = run(["tracts", "inspect", "--map", workdir["map"], "--epsilon", "1.6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "rayforge: eps must lie in (0, pi/2d), got 1.6\n"
+
     def test_tracts_inspect_overflowing_map_exit_3(self, workdir, tmp_path, capsys):
         # its critical value overflows; the strip bounds used to come out
         # inf and crash the JSON writer
@@ -470,6 +533,10 @@ class TestNumericOptions:
         ("diag appendix-a", "--d", "1"),  # exit 2 from the library, naming no option
         ("tracts inspect", "--strips", "-2"),  # exit 0 with no strips
         ("tracts inspect", "--strips", "10001"),  # 1e8 ran for over a minute
+        ("tracts inspect", "--epsilon", "nan"),  # exit 2 from the library, naming no option
+        ("tracts inspect", "--epsilon", "inf"),  # the same
+        ("tracts inspect", "--epsilon", "0"),  # the same
+        ("tracts inspect", "--epsilon", "-1"),  # the same
     ]
 
     @pytest.mark.parametrize(
@@ -953,22 +1020,21 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _seeded_specs(n: int, seed: int) -> list:
-    """n specs of degree 1 and 2 in turn: potentials in [0.8, 3], periodic
-    addresses of period 1 or 2 over {-1, 0, 1}, at the deepest depth the
-    potentials allow; addresses are redrawn until validate_spec accepts."""
+def _seeded_specs(n: int, seed: int, t_lo: float = 0.8) -> list:
+    """n specs of degree 1 and 2 in turn, without J: potentials in [t_lo, 3],
+    periodic addresses of period 1 or 2 over {-1, 0, 1}; addresses are
+    redrawn until validate_spec accepts."""
     rng = np.random.default_rng(seed)
     specs = []
     for k in range(n):
         d = 1 + k % 2
-        ts = [float(t) for t in rng.uniform(0.8, 3.0, d)]
-        depth = min(len(potentials.chain(d, t)) - 1 for t in ts)
+        ts = [float(t) for t in rng.uniform(t_lo, 3.0, d)]
         while True:
             orbits = tuple(
                 (t, potentials.ExternalAddress((), tuple(rng.integers(-1, 2, rng.integers(1, 3)).tolist())))
                 for t in ts
             )
-            spec = thurston.TargetSpec(d, orbits, depth)
+            spec = thurston.TargetSpec(d, orbits)
             try:
                 thurston.validate_spec(spec)
                 break

@@ -61,7 +61,7 @@ PROBE = textwrap.dedent(
         "d1": presets.SPEC_D1,
         "d2": presets.SPEC_D2,
         "cluster": presets.CLUSTER_REJECT,
-        "d3": TargetSpec(3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE)), 1),
+        "d3": TargetSpec(3, ((1.6, presets.ZERO), (1.8, presets.ALTERNATE))),
     }
     for name, spec in specs.items():
         spec_json = serialize.spec_to_json(spec)

@@ -32,16 +32,37 @@ class TestValidate:
             thurston.validate_spec(spec)
 
     def test_depth_overflow_advises(self):
+        # J* = 3 for T = 2: a J above it is rejected, naming the overflow.
         spec = TargetSpec(1, ((2.0, ZERO),), 6)
-        with pytest.raises(SpecRejectionError, match="smaller depth"):
+        advice = "level 4; use a smaller depth, or leave J out"
+        with pytest.raises(SpecRejectionError, match=advice):
             thurston.validate_spec(spec)
 
     def test_stalled_speed_tower_rejected_before_chains(self):
-        # step(1, 1e-300) rounds to 1e-300: the chain would run to J.
+        # step(1, 1e-300) rounds to 1e-300: the tower stops at the depth cap,
+        # and no grid-depth speeds are built.
         spec = TargetSpec(1, ((1e-300, ZERO),), 100_000)
         with pytest.raises(SpecRejectionError, match="does not grow in double precision"):
             thurston.validate_spec(spec)
         assert "speeds" not in vars(spec)
+
+    def test_one_ulp_tower_rejected_before_any_pullback(self, monkeypatch):
+        # step(1, 1e-15) adds about an ulp, so the tower is still under CAP at
+        # level 128, and no pullback can mend that.
+        def no_pullback(state):
+            raise AssertionError("a rejected spec reached the pullback")
+
+        monkeypatch.setattr(thurston, "pullback_step", no_pullback)
+        spec = TargetSpec(1, ((1e-15, ZERO),), 100_000)
+        with pytest.raises(SpecRejectionError) as err:
+            thurston.classify(spec)
+        assert str(err.value).startswith("orbit 0 (T=1e-15): its speed does not grow")
+        assert f"within {thurston.config.TRACER_MAX_DEPTH} levels, the depth cap" in str(err.value)
+
+    def test_overflow_at_level_1_rejected(self):
+        # d*T = 800 overflows at the first step: no grid level is left.
+        with pytest.raises(SpecRejectionError, match="level 1, which leaves no grid level"):
+            thurston.validate_spec(TargetSpec(1, ((800.0, ZERO),)))
 
     def test_infinite_cluster_diagnostic(self):
         with pytest.raises(SpecRejectionError, match="cluster"):
@@ -85,10 +106,13 @@ class TestInitState:
         assert far[0].imag == 0.0
 
     def test_tail_complex_when_representable(self):
-        spec = TargetSpec(1, ((0.5, ZERO),), 4)
+        # The chains differ in length: orbit 0 sets J* = 2, and orbit 1's
+        # level-3 point still lies under the float-range limit.
+        spec = TargetSpec(2, ((1.5, ZERO), (0.5, ONE)))
         seeds, far = spec.tail
-        assert not far and isinstance(seeds[0], complex)
-        assert seeds[0] == pot.straight_point(1, pot.step(1, spec.speeds[0][4]), 0)
+        assert spec.depth == 2 and list(far) == [0] and list(seeds) == [1]
+        assert isinstance(seeds[1], complex)
+        assert seeds[1] == pot.straight_point(2, pot.step(2, spec.speeds[1][2]), 1)
 
 
 class TestFitMap:
@@ -318,17 +342,15 @@ class TestClassify:
         assert isinstance(err.value.details, list) and len(err.value.details) == 2
 
     def test_depth_stability_of_certificate(self):
-        # deeper truncation moves the certified potentials by < 1e-8
-        # (small potential, so the truncation horizon leaves slack; the
-        # contraction is weak there, hence the larger iteration allowance)
-        spec_a = TargetSpec(1, ((0.5, ZERO),), 4)
-        spec_b = TargetSpec(1, ((0.5, ZERO),), 6)
-        res_a = thurston.classify(spec_a, max_iter=500)
-        res_b = thurston.classify(spec_b, max_iter=500)
-        assert abs(res_a.map.coeffs[0] - res_b.map.coeffs[0]) < 1e-8
-        pa = res_a.certificate.checks[0].potential
-        pb = res_b.certificate.checks[0].potential
-        assert abs(pa - pb) < 1e-8
+        # J does not truncate the grid: J = 1, 2 and 6 all solve at J* = 6
+        # (a small potential, where a grid cut at level 1 or 2 gives another
+        # map) and give the map and certificate of J left out, bit for bit.
+        want = thurston.classify(TargetSpec(1, ((0.5, ZERO),)))
+        assert want.certificate.passed
+        for depth in (1, 2, 6):
+            res = thurston.classify(TargetSpec(1, ((0.5, ZERO),), depth))
+            assert res.map.coeffs == want.map.coeffs
+            assert res.certificate == want.certificate
 
 
 def _coeff_gap(a, b):
@@ -336,9 +358,10 @@ def _coeff_gap(a, b):
 
 
 # Newly certified by the mixed iteration: the plain iteration contracts by
-# only about 0.8 per step on the first and stops short of 1e-10 in 50 steps;
-# on the second it converges, but its map fails the prefix check (2/3).
-SLOW_D1 = TargetSpec(1, ((0.5, ZERO),), 4)
+# only about 0.7 per step on the first (at its J* = 6) and stops short of
+# 1e-10 in 50 steps; on the second it converges, but its map fails the
+# prefix check (2/3).
+SLOW_D1 = TargetSpec(1, ((0.5, ZERO),))
 PREFIX_D2 = TargetSpec(2, ((1.3276, ONE), (2.1696, ExternalAddress((), (0, 0)))), 2)
 
 
