@@ -35,7 +35,7 @@ class RootSolveError(RayforgeError):
 
 
 class TractConfigError(RayforgeError):
-    """Strip bounds could not be certified within the sampling budget."""
+    """No radius among the ``config.TRACT_RETRY_BUDGET`` tried proves the strip bounds."""
 
     exit_code = 3
 

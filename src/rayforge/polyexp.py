@@ -3,13 +3,13 @@
 Holds evaluation, derivatives and singular data, a batched root solver
 for p(z) = w (the quadratic formula at degree 2, simultaneous iteration
 above) and the Monte-Carlo report ``diag appendix-a`` prints, which
-samples how singular-value magnitudes control a map's geometry.  One
-Horner loop evaluates p, for scalars, arrays and rows of polynomials
-alike, and ``poly_derivative`` evaluates p'.  The report proves disk
-containment for all its maps at once from Fujiwara's root bound, and
-``check_disk_containment`` samples each map the proof leaves open with
-one root solve.  ``appendix_report`` measures the samples it draws as
-arrays, at the critical points it drew, with no root solve of p'; its
+samples how singular-value magnitudes control a map's geometry.  All
+Horner evaluation, of p, p' (coefficients formed once per map) and the
+tract certificate's sums, goes through ``horner``.  The report proves
+disk containment for all its maps at once from Fujiwara's root bound,
+and ``check_disk_containment`` samples each map the proof leaves open
+with one root solve.  ``appendix_report`` measures the samples it draws
+as arrays, at the critical points it drew, with no root solve of p'; its
 ratios are the closer of the two to a 50-digit reference.  Random draws
 take explicit seeds; nothing here keeps mutable state.
 """
@@ -28,12 +28,12 @@ from . import config
 from .errors import DomainError, OverflowSignal, RootSolveError
 
 
-def _horner(coeffs, w):
-    """Monic p(w) with b_0..b_{d-1} in ``coeffs``: scalars, or (n, 1) columns
-    of n polynomials that broadcast against an (n, m) array w."""
-    value = complex(1.0)
-    for b in reversed(coeffs):
-        value = value * w + b
+def horner(cs, x):
+    """sum_k cs[k] x^k by Horner's rule, cs[0] first (not monic), for scalars
+    or arrays; it overflows to inf or NaN and never raises."""
+    value = cs[-1]
+    for c in reversed(cs[:-1]):
+        value = value * x + c
     return value
 
 
@@ -56,14 +56,16 @@ class PolyExpMap:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "coeffs", cs)
 
+    @functools.cached_property
+    def derivative_coeffs(self) -> tuple[complex, ...]:
+        """p' as b_1, 2 b_2, ..., (d-1) b_{d-1}, d: lowest power first."""
+        return tuple(k * self.coeffs[k] for k in range(1, self.d)) + (complex(self.d),)
+
     def poly(self, w: complex) -> complex:
-        return _horner(self.coeffs, w)
+        return horner(self.coeffs + (1 + 0j,), w)
 
     def poly_derivative(self, w: complex) -> complex:
-        value = complex(self.d)
-        for k in range(self.d - 1, 0, -1):
-            value = value * w + k * self.coeffs[k]
-        return value
+        return horner(self.derivative_coeffs, w)
 
     def __call__(self, z: complex) -> complex:
         """Evaluate f(z); overflow of exp or of the polynomial raises."""
@@ -155,9 +157,7 @@ def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
         q = -(two_b2 + root) / 2
         roots = [q / 3, b[1] / q] if q else [0j, 0j]
     else:
-        # p'(w) = d w^{d-1} + (d-1) b_{d-1} w^{d-2} + ... + b_1
-        high_to_low = [d] + [k * b[k] for k in range(d - 1, 0, -1)]
-        roots = np.roots(np.asarray(high_to_low, dtype=complex))
+        roots = np.roots(np.asarray(map_.derivative_coeffs[::-1], dtype=complex))
     return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
 
 
@@ -406,7 +406,7 @@ def _sample_maps(d: int, rho: float, u: np.ndarray) -> np.ndarray:
     shifted, cps, a = _sample_polys(d, rho, u[:, : 2 * d - 1])
     shifted[:, 0] += rho / 2 * shift
     # Shifting p moves its critical values, not its critical points.
-    values = _horner(shifted.T[:, :, None], cps / a[:, None])
+    values = horner([*shifted.T[:, :, None], 1 + 0j], cps / a[:, None])
     peak = np.maximum(np.abs(values).max(axis=1), np.abs(shifted[:, 0]))
     shrink = np.where(peak > rho, (peak / (0.95 * rho)) ** (1.0 / d), 1.0)
     return np.where(np.isfinite(peak)[:, None], _rescaled(shifted, shrink), np.nan)

@@ -110,27 +110,30 @@ def trace_segment(
     """Trace the ray at geometrically spaced potentials in [t_lo, t_hi].
 
     A sample at potential t uses depth n, the largest with step^n(t) at
-    most the float-range limit config.CAP (bounded by max_depth).  The
-    consecutive-depth increment measures the depth-(n-1) error; scaled by
-    the tail-decay ratio it bounds the returned point's error, which must
-    come in under tol.  Depth 0 counts as converged only when step(t)
-    leaves the float range.  The depth-n and depth-(n-1) chains of all
-    samples are pulled together; the first failing sample, depth n before
-    depth n-1, raises its error.  A chain point left of the singular values,
+    most the float-range limit config.CAP (``potentials.chain``, bounded by
+    max_depth >= 1).  The consecutive-depth increment measures the
+    depth-(n-1) error; scaled by the tail-decay ratio it bounds the
+    returned point's error, which must come in under tol.  Depth 0 happens
+    only where step(t) leaves the float range: the straight point is then
+    exact in double precision, and its error is the floor |z| 1e-16 like
+    any other sample's.  The depth-n and depth-(n-1) chains of all samples
+    are pulled together; the first failing sample, depth n before depth
+    n-1, raises its error.  A chain point left of the singular values,
     where no single-valued branch exists, raises BranchSelectionError.
     """
     if not 0 < t_lo <= t_hi < math.inf:
         raise DomainError("need finite 0 < t_lo <= t_hi")
     if n_samples < 1:
         raise DomainError("need at least one sample")
+    if max_depth < 1:
+        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
     if n_samples == 1:
         ts = [t_lo]
     else:
         ratio = (t_hi / t_lo) ** (1.0 / (n_samples - 1))
         ts = [t_lo * ratio**k for k in range(n_samples)]
         ts[-1] = t_hi
-    d = map_.d
-    speeds = [potentials.chain(d, t, max_len=max_depth + 1) for t in ts]
+    speeds = [potentials.chain(map_.d, t, max_len=max_depth + 1) for t in ts]
     depths = [len(values) - 1 for values in speeds]
     depths += [max(n - 1, 0) for n in depths]
     # Chain s pulls sample s from speed step^n(t) through n levels, chain
@@ -154,12 +157,6 @@ def trace_segment(
             increment <= floor, floor, np.where(log_err > -700, np.exp(log_err), 0.0)
         )
     failed = err > tol * np.maximum(1.0, size)
-    for s, t in enumerate(ts):
-        if depths[s] == 0:
-            # Only a potential whose next step leaves the float range makes
-            # the straight point the answer to full precision; a chain cut
-            # short by max_depth has no depth to certify.
-            failed[s] = not (d * t > config.EXP_ARG_LIMIT or potentials.step(d, t) > config.CAP)
     failed[[c % S for c in errors]] = True
     if failed.any():
         s = int(failed.argmax())
@@ -171,8 +168,6 @@ def trace_segment(
                 ) from errors[c]
             if c in errors:
                 raise errors[c]
-        if depths[s] == 0:
-            raise NotConvergedError(f"depth budget exhausted at n=0 (t={ts[s]!r})")
         raise NotConvergedError(
             f"depth budget exhausted at n={depths[s]} "
             f"(increment {increment[s]:.3e}, error estimate {err[s]:.3e})",

@@ -116,18 +116,17 @@ class TargetSpec:
     def tail(self) -> tuple[dict[int, complex], dict[int, complex]]:
         """The frozen level-(depth+1) points w_i = step^(depth+1)(T_i) +
         2*pi*i*s/d by orbit, split at the float range into (seeds, far):
-        seeds[i] is w_i as a complex seed, and far[i], where w_i is beyond
-        the float range, the part of its level-depth pullback that depends
-        on the spec alone, z0 = log|w_i|/d + i*(arg w_i + 2*pi*s_depth)/d."""
+        seeds[i] is w_i as a complex seed where ``towers[i]`` reaches level
+        depth+1, and far[i], where w_i is beyond the float range, the part
+        of its level-depth pullback that depends on the spec alone,
+        z0 = log|w_i|/d + i*(arg w_i + 2*pi*s_depth)/d."""
         seeds, far = {}, {}
-        for i, values in enumerate(self.speeds):
-            t_top = values[self.depth]
+        for i, tower in enumerate(self.towers):
             s_next = self.address(i).entry(self.depth + 1)
-            log_next = potentials.log_step(self.d, t_top)
-            if log_next <= math.log(config.CAP):
-                t_next = potentials.step(self.d, t_top)
-                seeds[i] = potentials.straight_point(self.d, t_next, s_next)
+            if len(tower) > self.depth + 1:
+                seeds[i] = potentials.straight_point(self.d, tower[self.depth + 1], s_next)
             else:
+                log_next = potentials.log_step(self.d, tower[self.depth])
                 v = 2 * math.pi * s_next / self.d
                 arg = v * math.exp(-log_next) if log_next < 700 else 0.0
                 n = self.address(i).entry(self.depth)

@@ -137,9 +137,9 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
             )
         up = math.exp(t_up)
         if (
-            (math.exp(d * t_up) + _poly(moduli, up)) * _ROUNDING <= r
-            and (u_g <= up or _poly(falling, u_g) * _ROUNDING <= d * r)
-            and _poly(falling, u_star) * _ROUNDING <= d * r - 2
+            (math.exp(d * t_up) + polyexp.horner(moduli, up)) * _ROUNDING <= r
+            and (u_g <= up or polyexp.horner(falling, u_g) * _ROUNDING <= d * r)
+            and polyexp.horner(falling, u_star) * _ROUNDING <= d * r - 2
         ):
             return TractConfig(d=d, r=r, r_min=sv.max_real() + 1e-6, t_up=t_up, t_lo=t_lo, eps=eps)
         r = 2 * r + 1
@@ -147,14 +147,6 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
     raise TractConfigError(
         f"could not certify strip bounds within budget (last r={r})"
     )
-
-
-def _poly(cs: Sequence[float], u: float) -> float:
-    """sum_k cs[k] u^k by Horner's rule; it overflows to inf, never raises."""
-    value = cs[-1]
-    for c in reversed(cs[:-1]):
-        value = value * u + c
-    return value
 
 
 def _positive_root(a: float, cs: Sequence[float]) -> float:
@@ -181,10 +173,10 @@ def _positive_root(a: float, cs: Sequence[float]) -> float:
     slope = [k * c for k, c in enumerate(poly)][1:]
     u = 2 * max(c ** (1 / (n - k)) / a ** (1 / (n - k)) for k, c in enumerate(cs))
     while True:
-        gain = _poly(slope, u)
+        gain = polyexp.horner(slope, u)
         if not gain > 0:
             return u
-        nxt = u - _poly(poly, u) / gain
+        nxt = u - polyexp.horner(poly, u) / gain
         if not 0 < nxt < u:
             return u
         u = nxt

@@ -440,6 +440,36 @@ def scalar_pullback_grid(state) -> np.ndarray:
     return new
 
 
+# The three Horner loops that ``polyexp.horner`` replaced, kept verbatim as
+# bit-for-bit references: the monic p of ``PolyExpMap.poly``, its derivative
+# p', and the modulus sums of ``tracts.make_tract_config``.
+
+
+def horner_monic(coeffs, w):
+    """Monic p(w) with b_0..b_{d-1} in ``coeffs``: scalars, or (n, 1) columns
+    of n polynomials that broadcast against an (n, m) array w."""
+    value = complex(1.0)
+    for b in reversed(coeffs):
+        value = value * w + b
+    return value
+
+
+def horner_derivative(map_: PolyExpMap, w):
+    """p'(w) of the monic p of ``map_``."""
+    value = complex(map_.d)
+    for k in range(map_.d - 1, 0, -1):
+        value = value * w + k * map_.coeffs[k]
+    return value
+
+
+def horner_moduli(cs, u):
+    """sum_k cs[k] u^k by Horner's rule; it overflows to inf, never raises."""
+    value = cs[-1]
+    for c in reversed(cs[:-1]):
+        value = value * u + c
+    return value
+
+
 def sampled_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
     """Reference sampled containment check: a root solve of p(z) = w on
     360 points of |w| = r.  True when every root lies inside |z| < r, None

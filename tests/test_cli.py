@@ -99,6 +99,20 @@ class TestRayTrace:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
 
+    def test_depth_zero_below_precision_floor_exit_3(self, workdir, capsys):
+        # past the float range the sample is its straight point, whose error
+        # floor 1e-16 |z| a tolerance of 1e-17 cannot meet
+        code = run(
+            [
+                "ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
+                "--t-lo", "700", "--t-hi", "800", "--samples", "2", "--tol", "1e-17",
+            ]
+        )
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["kind"] == "NotConvergedError"
+        assert "n=0" in payload["error"]["message"]
+
     @pytest.mark.parametrize(
         "b0, period, t_lo, t_hi, seed",
         [

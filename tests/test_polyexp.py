@@ -10,6 +10,9 @@ from oracles import (
     coefficient_ratio,
     critical_point_ratio,
     critical_point_ratio_50_digits,
+    horner_derivative,
+    horner_moduli,
+    horner_monic,
     sample_map_with_singular_values_in,
     sample_poly_with_critical_values_in,
     sample_stream,
@@ -22,6 +25,45 @@ from rayforge.polyexp import PolyExpMap
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+
+# Any double, inf and NaN included, and complex numbers built from two.
+DOUBLES = st.floats(allow_nan=True, allow_infinity=True)
+COMPLEXES = st.builds(complex, DOUBLES, DOUBLES)
+
+
+def _bits(x) -> tuple:
+    return type(x), np.asarray(x).tobytes()
+
+
+class TestHorner:
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(COMPLEXES, min_size=1, max_size=6), COMPLEXES, st.lists(COMPLEXES, max_size=5)
+    )
+    def test_poly_and_derivative_match_the_loops(self, coeffs, w, ws):
+        # the same bits as the loops they replaced, on scalars and arrays
+        map_ = PolyExpMap(len(coeffs), coeffs)
+        ws = np.array(ws, dtype=complex)
+        with np.errstate(all="ignore"):
+            for x in (w, ws, ws.reshape(-1, 1)):
+                assert _bits(map_.poly(x)) == _bits(horner_monic(map_.coeffs, x))
+                assert _bits(map_.poly_derivative(x)) == _bits(horner_derivative(map_, x))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(DOUBLES, min_size=1, max_size=7), DOUBLES, st.lists(DOUBLES, max_size=5))
+    def test_modulus_sums_match_the_loop(self, cs, u, us):
+        # the real sums of make_tract_config and _positive_root, as floats
+        # and as arrays
+        us = np.array(us)
+        with np.errstate(all="ignore"):
+            for x in (u, us):
+                assert _bits(pe.horner(cs, x)) == _bits(horner_moduli(cs, x))
+
+    def test_derivative_coefficients_follow_the_map(self):
+        map_ = PolyExpMap(4, [1 + 2j, 3j, -1.5, 0.25j])
+        assert map_.derivative_coeffs == (3j, -3 + 0j, 0.75j, 4 + 0j)
+        assert PolyExpMap(1, [7.0]).derivative_coeffs == (1 + 0j,)
 
 
 class TestEval:

@@ -123,10 +123,13 @@ class TestTraceSegment:
             rhs = rays.trace_ray(D2, cfg_d2, addr.shift(), pot.step(2, p.t)).z
             assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
 
-    def test_depth_zero_budget_not_converged(self, cfg_exp):
-        # a chain cut at its first entry by max_depth is no certificate
-        with pytest.raises(NotConvergedError, match="depth budget exhausted at n=0"):
-            rays.trace_segment(EXP, cfg_exp, ZERO, 1.0, 2.0, 2, max_depth=0)
+    def test_max_depth_below_one_rejected(self, cfg_exp):
+        # a depth budget of 0 would cut every chain at its straight point
+        for max_depth in (0, -1):
+            with pytest.raises(DomainError, match="max_depth"):
+                rays.trace_segment(EXP, cfg_exp, ZERO, 1.0, 2.0, 2, max_depth=max_depth)
+            with pytest.raises(DomainError, match="max_depth"):
+                rays.trace_ray(EXP, cfg_exp, ZERO, 1.0, max_depth=max_depth)
 
     def test_depth_zero_cap_not_converged(self):
         # the default depth traces 0.9194-0.0199i at t=1, far from the
@@ -138,9 +141,10 @@ class TestTraceSegment:
         )
 
     def test_depth_zero_beyond_float_range_is_straight(self, cfg_exp):
-        # step(t) overflows, so the straight point is exact in double precision
+        # step(t) overflows, so even the default depth stops at the straight
+        # point, which is exact in double precision
         for t in (701.0, 695.0):
-            pt = rays.trace_ray(EXP, cfg_exp, ZERO, t, max_depth=0)
+            pt = rays.trace_ray(EXP, cfg_exp, ZERO, t)
             assert pt.depth_used == 0 and pt.z == t
             assert pt.error_estimate == t * 1e-16
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rayforge import potentials as pot
-from rayforge import presets, rays, serialize, thurston, tracts
+from rayforge import config, presets, rays, serialize, thurston, tracts
 from rayforge.errors import (
     DomainError,
     InvariantViolationError,
@@ -113,6 +113,32 @@ class TestInitState:
         assert spec.depth == 2 and list(far) == [0] and list(seeds) == [1]
         assert isinstance(seeds[1], complex)
         assert seeds[1] == pot.straight_point(2, pot.step(2, spec.speeds[1][2]), 1)
+
+    def test_tail_seeds_are_the_towers_next_level(self):
+        # Orbit i gets a complex seed exactly when its tower reaches level
+        # depth+1, bit for bit the straight point there; the far orbits are
+        # those whose next step passes the float-range limit.
+        rng = np.random.default_rng(30)
+        for _ in range(400):
+            d = int(rng.integers(1, 4))
+            orbits = tuple(
+                (float(rng.uniform(0.3, 5.0)), ExternalAddress((), (int(rng.integers(-2, 3)),)))
+                for _ in range(int(rng.integers(1, d + 1)))
+            )
+            deepest = TargetSpec(d, orbits).depth
+            spec = TargetSpec(d, orbits, int(rng.integers(1, deepest + 1)))
+            seeds, far = spec.tail
+            for i, tower in enumerate(spec.towers):
+                if len(tower) > spec.depth + 1:
+                    s = spec.address(i).entry(spec.depth + 1)
+                    seed = pot.straight_point(d, tower[spec.depth + 1], s)
+                    assert i not in far
+                    assert (seeds[i].real.hex(), seeds[i].imag.hex()) == (
+                        seed.real.hex(), seed.imag.hex()
+                    )
+                else:
+                    assert i not in seeds and i in far
+                    assert pot.log_step(d, tower[spec.depth]) > math.log(config.CAP)
 
 
 class TestFitMap:
