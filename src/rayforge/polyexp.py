@@ -313,7 +313,7 @@ def appendix_report(
     """
     containment_maps = min(samples, 200)
     block = np.random.default_rng(seed).random((samples, 4 * d))
-    _, cps, a = _sample_polys(d, rho, block[:, : 2 * d - 1])
+    _, cps, a, _ = _sample_polys(d, rho, block[:, : 2 * d - 1])
     coeffs = _sample_maps(d, rho, block[:, 2 * d - 1 :])
     ratios = np.abs(cps).max(axis=1) / a / rho ** (1.0 / d)
     coeff_ratios = (np.abs(coeffs) / [rho ** ((d - k) / d) for k in range(d)]).max(axis=1)
@@ -362,10 +362,11 @@ def _sample_polys(d: int, rho: float, u: np.ndarray) -> tuple:
     """Random monic p with p(0) = 0, one per row of the (n, 2d-1) uniforms
     ``u``: d-1 radii and d-1 angles of the critical points c (Box-Muller, so
     Re c and Im c are i.i.d. N(0, 1)), then the largest critical value's
-    modulus rho (0.3 + 0.7 u).  Returns the coefficients (n, d), c (n, d-1)
-    and the factors a (n,) that put row i's critical points at c[i] / a[i]
+    modulus rho (0.3 + 0.7 u).  Returns the coefficients (n, d), c (n, d-1),
+    the factors a (n,) that put row i's critical points at c[i] / a[i]
     (a quotient of d-th roots where the quotient would overflow): inf for
-    the zero map, NaN where the target is subnormal or a overflows."""
+    the zero map, NaN where the target is subnormal or a overflows, and
+    the critical values (n, d-1) of the returned polynomials."""
     if d < 2:
         raise DomainError("needs d >= 2")
     n = len(u)
@@ -384,13 +385,18 @@ def _sample_polys(d: int, rho: float, u: np.ndarray) -> tuple:
     mean = 0
     for t, w in _gauss_legendre((d + 1) // 2):
         mean = mean + w * np.prod(t * cps[:, :, None] - cps[:, None, :], axis=-1)
-    peak = np.abs(d * cps * mean).max(axis=1)
+    values = d * cps * mean
+    peak = np.abs(values).max(axis=1)
     target = rho * (0.3 + 0.7 * u[:, -1])
     a = (peak / target) ** (1.0 / d)
     a[np.isinf(a)] = (peak ** (1.0 / d) / target ** (1.0 / d))[np.isinf(a)]
     a[~np.isfinite(a) | (target < np.finfo(float).tiny)] = np.nan
     a[peak == 0.0] = np.inf
-    return _rescaled(coeffs, a), cps, a
+    # Scale by a^-d = m^-d 2^(-d e), which cannot overflow where the result does not.
+    m, e = np.frexp(a[:, None])
+    values = values * m**-d
+    values = np.ldexp(values.real, -d * e) + 1j * np.ldexp(values.imag, -d * e)
+    return _rescaled(coeffs, a), cps, a, values
 
 
 @np.errstate(all="ignore")
@@ -403,10 +409,9 @@ def _sample_maps(d: int, rho: float, u: np.ndarray) -> np.ndarray:
     shift = u[:, -2] * np.exp(2j * np.pi * u[:, -1])
     if d == 1:
         return rho * shift[:, None]
-    shifted, cps, a = _sample_polys(d, rho, u[:, : 2 * d - 1])
+    shifted, _, _, values = _sample_polys(d, rho, u[:, : 2 * d - 1])
     shifted[:, 0] += rho / 2 * shift
-    # Shifting p moves its critical values, not its critical points.
-    values = horner([*shifted.T[:, :, None], 1 + 0j], cps / a[:, None])
-    peak = np.maximum(np.abs(values).max(axis=1), np.abs(shifted[:, 0]))
+    # Shifting p by b_0 shifts its critical values by b_0.
+    peak = np.maximum(np.abs(values + shifted[:, :1]).max(axis=1), np.abs(shifted[:, 0]))
     shrink = np.where(peak > rho, (peak / (0.95 * rho)) ** (1.0 / d), 1.0)
     return np.where(np.isfinite(peak)[:, None], _rescaled(shifted, shrink), np.nan)

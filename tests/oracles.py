@@ -595,18 +595,24 @@ def critical_point_ratio_50_digits(d: int, rng: np.random.Generator) -> float:
     row = _row(d, rng)[:, : 2 * d - 1]
     (doubles,) = polyexp._sample_polys(d, 1.0, row)[1]
     with mpmath.workdps(50):
-        cps = [mpmath.mpc(c) for c in doubles]
-        e = [mpmath.mpc(1)]  # prod (w - c_k), highest power first
-        for c in cps:
-            e = [a - c * b for a, b in zip(e + [0], [0] + e)]
-        # p(w) = sum_m d e_m w^(d-m) / (d-m), the integral of d prod (w - c_k)
-        peak = max(
-            abs(sum(d * e[m] * c ** (d - m) / (d - m) for m in range(d))) for c in cps
-        )
+        peak = max(abs(v) for v in critical_values_50_digits(d, doubles))
         if peak == 0:
             return 0.0
         t = mpmath.mpf(0.3 + 0.7 * row[0, -1])
-        return float(max(abs(c) for c in cps) * (t / peak) ** (mpmath.mpf(1) / d))
+        top = max(abs(mpmath.mpc(complex(c))) for c in doubles)
+        return float(top * (t / peak) ** (mpmath.mpf(1) / d))
+
+
+def critical_values_50_digits(d: int, cps) -> list:
+    """p(c_k) at 50 digits for the monic p with p(0) = 0 whose critical
+    points are the doubles ``cps``: p is the integral of d prod (w - c_k)."""
+    with mpmath.workdps(50):
+        cs = [mpmath.mpc(complex(c)) for c in cps]
+        e = [mpmath.mpc(1)]  # prod (w - c_k), highest power first
+        for c in cs:
+            e = [a - c * b for a, b in zip(e + [0], [0] + e)]
+        # p(w) = sum_m d e_m w^(d-m) / (d-m)
+        return [sum(d * e[m] * c ** (d - m) / (d - m) for m in range(d)) for c in cs]
 
 
 def scalar_inverse_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex) -> complex:

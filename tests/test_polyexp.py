@@ -10,6 +10,7 @@ from oracles import (
     coefficient_ratio,
     critical_point_ratio,
     critical_point_ratio_50_digits,
+    critical_values_50_digits,
     horner_derivative,
     horner_moduli,
     horner_monic,
@@ -561,6 +562,44 @@ class TestDerivativeSup:
 
 
 class TestAppendixReport:
+    def test_shifted_critical_values_match_50_digits(self):
+        # _sample_maps shrinks a map toward 0.95 rho by the peak of its
+        # singular values: b_0 and the critical values of p shifted by b_0.
+        # Those come from the quadrature values of _sample_polys, and stay
+        # within 8 ulp of 50 digits, measured against the larger of the peak
+        # and the unshifted values (a critical value that b_0 cancels loses
+        # digits to the data, not to the rule).  Horner's rule on the shifted
+        # coefficients, which the peak used to come from, cancels: its worst
+        # error on the same maps is above 18 ulp at each d.
+        bound = 8 * 2.0**-53
+        for d in (3, 4, 5):
+            horner_worst = 0.0
+            for seed in range(10):
+                u = np.random.default_rng(seed).random((50, 4 * d))[:, 2 * d - 1 :]
+                coeffs, cps, a, values = pe._sample_polys(d, 100.0, u[:, : 2 * d - 1])
+                b0 = 100.0 / 2 * (u[:, -2] * np.exp(2j * np.pi * u[:, -1]))
+                shifted = np.column_stack([b0, coeffs[:, 1:]])
+                horner = horner_monic(shifted.T[:, :, None], cps / a[:, None])
+                # the maps are shrunk by the peak of these values
+                peaks = np.maximum(np.abs(values + b0[:, None]).max(axis=1), np.abs(b0))
+                shrink = np.where(peaks > 100.0, (peaks / (0.95 * 100.0)) ** (1.0 / d), 1.0)
+                maps = pe._sample_maps(d, 100.0, u)
+                assert maps.tobytes() == pe._rescaled(shifted, shrink).tobytes()
+                for k in range(len(u)):
+                    with mpmath.workdps(50):
+                        scale = mpmath.mpf(float(a[k])) ** -d
+                        exact = [v * scale for v in critical_values_50_digits(d, cps[k])]
+                        top = max(abs(v) for v in exact)
+                        b = mpmath.mpc(complex(b0[k]))
+                        peak = max([abs(v + b) for v in exact] + [abs(b)])
+
+                        def error(shifted_values):
+                            got = max(float(np.abs(shifted_values).max()), abs(b0[k]))
+                            return float(abs(got - peak) / max(peak, top))
+
+                        assert error(values[k] + b0[k]) <= bound, (d, seed, k)
+                        horner_worst = max(horner_worst, error(horner[k]))
+            assert horner_worst > 2 * bound, d
     def test_per_sample_streams(self):
         # Sample k is row k of one block drawn from the seed's stream:
         # reruns agree, and a shorter run ending at the worst sample is a
@@ -611,8 +650,9 @@ class TestAppendixReport:
         for d, rho in itertools.product((2, 3, 5), (100.0, 1e-310)):
             u = draw(d).random((4, 2 * d - 1))
             u[:, : d - 1] = 0.0
-            coeffs, cps, a = pe._sample_polys(d, rho, u)
+            coeffs, cps, a, values = pe._sample_polys(d, rho, u)
             assert not coeffs.any() and not cps.any() and np.all(a == np.inf)
+            assert not values.any()
             assert critical_point_ratio(PolyExpMap(d, coeffs[0]), rho) == 0.0
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", ZeroRadii)
