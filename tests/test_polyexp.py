@@ -570,7 +570,7 @@ class TestAppendixReport:
         # and the unshifted values (a critical value that b_0 cancels loses
         # digits to the data, not to the rule).  Horner's rule on the shifted
         # coefficients, which the peak used to come from, cancels: its worst
-        # error on the same maps is above 18 ulp at each d.
+        # error on the same maps is 18 ulp or more at each d.
         bound = 8 * 2.0**-53
         for d in (3, 4, 5):
             horner_worst = 0.0
@@ -600,6 +600,7 @@ class TestAppendixReport:
                         assert error(values[k] + b0[k]) <= bound, (d, seed, k)
                         horner_worst = max(horner_worst, error(horner[k]))
             assert horner_worst > 2 * bound, d
+
     def test_per_sample_streams(self):
         # Sample k is row k of one block drawn from the seed's stream:
         # reruns agree, and a shorter run ending at the worst sample is a

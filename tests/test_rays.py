@@ -10,7 +10,6 @@ from rayforge import rays, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
-    NotConvergedError,
     NotEscapingError,
     RayforgeError,
 )
