@@ -12,8 +12,13 @@ byte-identical for identical arguments and seed, and writes it to the
 output path, or to stdout for ``-`` or none.  An unwritable path exits 2.
 
 The argparse parser is built once per process, on the first ``main`` call,
-and reused by every later call.  Numeric options are checked as they are
-parsed, so a bad value is a usage error (exit 2) with a message on stderr.
+and reused by every later call.  ``main`` parses a command's arguments
+with that command's own leaf parser, looked up by the first one or two
+words of argv, so argparse runs one level, not one per word.  Help, an
+unknown command and any argument the leaf leaves unrecognized go through
+the full tree, so every message is the tree's.  Numeric options are
+checked as they are parsed, so a bad value is a usage error (exit 2) with
+a message on stderr.
 """
 
 from __future__ import annotations
@@ -189,7 +194,9 @@ _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser tree, and each command's leaf parser by its command
+    words: ``("ray", "trace")``, ``("classify",)`` and so on."""
     parser = argparse.ArgumentParser(
         prog="rayforge",
         description="Escaping dynamics of polynomial-exponential maps",
@@ -254,13 +261,28 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("--output", default=None)
     inspect.set_defaults(handler=_cmd_tracts_inspect, command_path="tracts inspect")
 
-    return parser
+    leaves = (trace, classify, app, inv, word, inspect)
+    return parser, {tuple(leaf.get_default("command_path").split()): leaf for leaf in leaves}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the leaf parser its first words name, one argparse
+    level instead of one per word, into the ``group`` and ``action`` that the
+    tree would set.  Argv that names no command, or that the leaf leaves
+    unrecognized, goes through the full tree, which prints the usual message."""
+    parser, leaves = build_parser()
+    words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+    if words in leaves:
+        namespace = argparse.Namespace(**dict(zip(("group", "action"), words)))
+        args, rest = leaves[words].parse_known_args(argv[len(words) :], namespace)
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

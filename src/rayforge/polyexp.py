@@ -8,10 +8,10 @@ Horner evaluation, of p, p' (coefficients formed once per map) and the
 tract certificate's sums, goes through ``horner``.  The report proves
 disk containment for all its maps at once from Fujiwara's root bound,
 and ``check_disk_containment`` samples each map the proof leaves open
-with one root solve.  ``appendix_report`` measures the samples it draws
-as arrays, at the critical points it drew, with no root solve of p'; its
-ratios are the closer of the two to a 50-digit reference.  Random draws
-take explicit seeds; nothing here keeps mutable state.
+with one root solve.  ``appendix_report`` draws all its samples in one
+array pass and measures them at the critical points it drew, with no root
+solve of p'; its ratios are the closer of the two to a 50-digit reference.
+Random draws take explicit seeds; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import numpy as np
 
 from . import config
 from .errors import DomainError, OverflowSignal, RootSolveError
+
+_TINY = np.finfo(float).tiny
 
 
 def horner(cs, x):
@@ -299,8 +301,9 @@ def appendix_report(
 
     ``default_rng(seed)`` draws one (samples, 4d) block of uniforms; row k
     is sample k, its first 2d-1 entries the polynomial, the other 2d+1 the
-    map.  Row k depends only on (seed, k): a shorter run is a prefix of a
-    longer one, and ``PCG64(seed).advance(4dk)`` draws row k alone.
+    map.  ``_sample`` draws all of them in one row-by-row pass, so row k
+    depends only on (seed, k): a shorter run is a prefix of a longer one,
+    and ``PCG64(seed).advance(4dk)`` draws row k alone.
     Containment is checked on the first min(samples, 200) maps.
     Fujiwara's bound B proves it for all of them at once where
     B (1 + 1e-12) < rho; the margin covers the rounding of B, whose d-th
@@ -311,12 +314,13 @@ def appendix_report(
     float range: rho near the largest double, or so small that a target
     critical value rho (0.3 + 0.7u) is subnormal.
     """
+    if d < 2:
+        raise DomainError("needs d >= 2")
     containment_maps = min(samples, 200)
-    block = np.random.default_rng(seed).random((samples, 4 * d))
-    _, cps, a, _ = _sample_polys(d, rho, block[:, : 2 * d - 1])
-    coeffs = _sample_maps(d, rho, block[:, 2 * d - 1 :])
-    ratios = np.abs(cps).max(axis=1) / a / rho ** (1.0 / d)
-    coeff_ratios = (np.abs(coeffs) / [rho ** ((d - k) / d) for k in range(d)]).max(axis=1)
+    cps, a, _, coeffs = _sample(d, rho, np.random.default_rng(seed).random((samples, 4 * d)))
+    ratios = np.maximum.reduce(np.abs(cps[:samples]), axis=1) / a[:samples] / rho ** (1.0 / d)
+    scale = [rho ** ((d - k) / d) for k in range(d)]
+    coeff_ratios = np.maximum.reduce(np.abs(coeffs) / scale, axis=1)
     bad = ~np.isfinite([ratios, coeff_ratios]).all(axis=0)
     if bad.any():
         raise OverflowSignal(f"sample {bad.argmax()} at rho={rho!r} left the float range")
@@ -358,60 +362,55 @@ def _gauss_legendre(m: int) -> tuple:
 
 
 @np.errstate(all="ignore")
-def _sample_polys(d: int, rho: float, u: np.ndarray) -> tuple:
-    """Random monic p with p(0) = 0, one per row of the (n, 2d-1) uniforms
-    ``u``: d-1 radii and d-1 angles of the critical points c (Box-Muller, so
-    Re c and Im c are i.i.d. N(0, 1)), then the largest critical value's
-    modulus rho (0.3 + 0.7 u).  Returns the coefficients (n, d), c (n, d-1),
-    the factors a (n,) that put row i's critical points at c[i] / a[i]
-    (a quotient of d-th roots where the quotient would overflow): inf for
-    the zero map, NaN where the target is subnormal or a overflows, and
-    the critical values (n, d-1) of the returned polynomials."""
-    if d < 2:
-        raise DomainError("needs d >= 2")
-    n = len(u)
-    cps = np.sqrt(-2 * np.log1p(-u[:, : d - 1])) * np.exp(2j * np.pi * u[:, d - 1 : 2 * d - 2])
-    # p' = d prod (z - c), expanded highest power first as np.poly does;
-    # integrate with zero constant term.  The leading coefficient d/d is
-    # exactly 1.0, so p is monic.
-    prod = np.zeros((n, d), dtype=complex)
-    prod[:, 0] = 1.0
-    for k in range(d - 1):
-        prod[:, 1 : k + 2] -= cps[:, k, None] * prod[:, : k + 1]
-    descending = d * prod / np.arange(d, 0, -1)
-    coeffs = np.concatenate([np.zeros((n, 1)), descending[:, :0:-1]], axis=1)
+def _sample(d: int, rho: float, block: np.ndarray) -> tuple:
+    """The polynomials and maps of an (n, 4d) uniform block in one pass over
+    2n rows: row k is sample k's polynomial (its first 2d-1 uniforms), row
+    n + k the one under its map (the next 2d-1).  A row gives d-1 radii and
+    d-1 angles of the critical points c of a monic p with p(0) = 0
+    (Box-Muller, so Re c and Im c are i.i.d. N(0, 1)), then the largest
+    critical value's modulus rho (0.3 + 0.7 u).  Each step works row by row.
+    Returns c (2n, d-1); the factors a (2n,) that put the critical points at
+    c / a (a quotient of d-th roots where the quotient would overflow): inf
+    for the zero map, NaN where the target is subnormal or a overflows; the
+    maps' rescaled critical values (n, d-1); and the maps (n, d): b_0 shifted
+    by rho/2 times the point of the last two uniforms, shrunk toward 0.95 rho
+    where a singular value leaves the disk, NaN where one leaves the float
+    range.  At d = 1 the maps are exp(z) + rho times that point."""
+    n = len(block)
+    shift = block[:, -2] * np.exp(2j * np.pi * block[:, -1])
+    if d == 1:
+        return None, None, None, rho * shift[:, None]
+    u = np.concatenate([block[:, : 2 * d - 1], block[:, 2 * d - 1 : -2]])
+    cps = np.sqrt(-2 * np.log1p(-u[:, : d - 1])) * np.exp(2j * np.pi * u[:, d - 1 : -1])
     # p(c_k) = d c_k * (mean of prod (w - c) over [0, c_k]), exact by Gauss-Legendre:
     # within 8 * 2^-53 of 50 digits at d <= 5, where Horner's rule on coeffs cancels.
     mean = 0
     for t, w in _gauss_legendre((d + 1) // 2):
-        mean = mean + w * np.prod(t * cps[:, :, None] - cps[:, None, :], axis=-1)
+        mean = mean + w * np.multiply.reduce(t * cps[:, :, None] - cps[:, None, :], axis=-1)
     values = d * cps * mean
-    peak = np.abs(values).max(axis=1)
+    peak = np.maximum.reduce(np.abs(values), axis=1)
     target = rho * (0.3 + 0.7 * u[:, -1])
     a = (peak / target) ** (1.0 / d)
-    a[np.isinf(a)] = (peak ** (1.0 / d) / target ** (1.0 / d))[np.isinf(a)]
-    a[~np.isfinite(a) | (target < np.finfo(float).tiny)] = np.nan
+    if (over := np.isinf(a)).any():
+        a[over] = peak[over] ** (1.0 / d) / target[over] ** (1.0 / d)
+    a[~np.isfinite(a) | (target < _TINY)] = np.nan
     a[peak == 0.0] = np.inf
+    # The maps: p' = d prod (z - c), expanded highest power first as np.poly
+    # does, integrated with zero constant term; d/d = 1.0 keeps p monic.
+    am = a[n:]
+    prod = np.zeros((n, d), dtype=complex)
+    prod[:, 0] = 1.0
+    for k in range(d - 1):
+        prod[:, 1 : k + 2] -= cps[n:, k, None] * prod[:, : k + 1]
+    descending = d * prod / np.arange(d, 0, -1)
+    shifted = _rescaled(np.concatenate([np.zeros((n, 1)), descending[:, :0:-1]], axis=1), am)
     # Scale by a^-d = m^-d 2^(-d e), which cannot overflow where the result does not.
-    m, e = np.frexp(a[:, None])
-    values = values * m**-d
+    m, e = np.frexp(am[:, None])
+    values = values[n:] * m**-d
     values = np.ldexp(values.real, -d * e) + 1j * np.ldexp(values.imag, -d * e)
-    return _rescaled(coeffs, a), cps, a, values
-
-
-@np.errstate(all="ignore")
-def _sample_maps(d: int, rho: float, u: np.ndarray) -> np.ndarray:
-    """Random maps whose singular values (critical values of p and p(0))
-    are scaled into the rho-disk, one per row of the (n, 2d+1) uniforms
-    ``u``: p from the first 2d-1 as in ``_sample_polys``, then the radius
-    and angle of the shift of b_0.  Returns the coefficients (n, d), NaN
-    where a row's critical values leave the float range."""
-    shift = u[:, -2] * np.exp(2j * np.pi * u[:, -1])
-    if d == 1:
-        return rho * shift[:, None]
-    shifted, _, _, values = _sample_polys(d, rho, u[:, : 2 * d - 1])
     shifted[:, 0] += rho / 2 * shift
     # Shifting p by b_0 shifts its critical values by b_0.
-    peak = np.maximum(np.abs(values + shifted[:, :1]).max(axis=1), np.abs(shifted[:, 0]))
+    b0 = shifted[:, :1]
+    peak = np.maximum(np.maximum.reduce(np.abs(values + b0), axis=1), np.abs(b0[:, 0]))
     shrink = np.where(peak > rho, (peak / (0.95 * rho)) ** (1.0 / d), 1.0)
-    return np.where(np.isfinite(peak)[:, None], _rescaled(shifted, shrink), np.nan)
+    return cps, a, values, np.where(np.isfinite(peak)[:, None], _rescaled(shifted, shrink), np.nan)

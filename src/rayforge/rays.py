@@ -113,13 +113,15 @@ def trace_segment(
     most the float-range limit config.CAP (``potentials.chain``, bounded by
     max_depth >= 1).  The consecutive-depth increment measures the
     depth-(n-1) error; scaled by the tail-decay ratio it bounds the
-    returned point's error, which must come in under tol.  Depth 0 happens
-    only where step(t) leaves the float range: the straight point is then
-    exact in double precision, and its error is the floor |z| 1e-16 like
-    any other sample's.  The depth-n and depth-(n-1) chains of all samples
-    are pulled together; the first failing sample, depth n before depth
-    n-1, raises its error.  A chain point left of the singular values,
-    where no single-valued branch exists, raises BranchSelectionError.
+    returned point's error, which must come in under tol max(1, |z|).
+    Depth 0 happens only where step(t) leaves the float range: the straight
+    point is then exact in double precision, and its error is the floor
+    |z| 1e-16 like any other sample's.  Where that floor alone exceeds
+    tol max(1, |z|), no depth can meet tol, and the error says so.  The
+    depth-n and depth-(n-1) chains of all samples are pulled together; the
+    first failing sample, depth n before depth n-1, raises its error.  A
+    chain point left of the singular values, where no single-valued branch
+    exists, raises BranchSelectionError.
     """
     if not 0 < t_lo <= t_hi < math.inf:
         raise DomainError("need finite 0 < t_lo <= t_hi")
@@ -156,7 +158,8 @@ def trace_segment(
         err = np.where(
             increment <= floor, floor, np.where(log_err > -700, np.exp(log_err), 0.0)
         )
-    failed = err > tol * np.maximum(1.0, size)
+    limit = tol * np.maximum(1.0, size)
+    failed = err > limit
     failed[[c % S for c in errors]] = True
     if failed.any():
         s = int(failed.argmax())
@@ -168,9 +171,14 @@ def trace_segment(
                 ) from errors[c]
             if c in errors:
                 raise errors[c]
+        cause = f"depth budget exhausted at n={depths[s]}"
+        if floor[s] > limit[s]:
+            cause = (
+                f"no depth can meet tol at n={depths[s]}: the error floor 1e-16*|z| = "
+                f"{floor[s]:.3e} is above tol*max(1, |z|) = {limit[s]:.3e}"
+            )
         raise NotConvergedError(
-            f"depth budget exhausted at n={depths[s]} "
-            f"(increment {increment[s]:.3e}, error estimate {err[s]:.3e})",
+            f"{cause} (increment {increment[s]:.3e}, error estimate {err[s]:.3e})",
             details=(complex(z_prev[s]), complex(z[s])),
         )
     err = np.maximum(err, floor)

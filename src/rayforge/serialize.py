@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -125,8 +126,53 @@ def marked_from_json(obj: Any) -> MarkedSet:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text equals ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, written by one recursive pass instead of the
+    pure-Python encoder that ``json`` falls back to for an indent.  Keys are
+    strings.  As in ``json``, bools are tested before ints, numbers are
+    written by ``int.__repr__`` and ``float.__repr__`` (so a numpy float64
+    reads as a float), and NaN or an infinity raises ValueError."""
+    out: list[str] = []
+    _render(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(obj: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is a line
+    break and the indent of the line that ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _render(obj[key], inner, out)
+            sep = ","
+        out.append(newline + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for value in obj:
+            out.append(sep + inner)
+            _render(value, inner, out)
+            sep = ","
+        out.append(newline + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def loads(text: str) -> Any:

@@ -17,7 +17,7 @@ import math
 import mpmath
 import numpy as np
 
-from rayforge import config, polyexp, potentials, thurston, tracts
+from rayforge import cli, config, polyexp, potentials, thurston, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
@@ -491,15 +491,19 @@ def _row(d: int, rng) -> np.ndarray:
 
 
 def sample_poly_with_critical_values_in(d: int, rho: float, rng) -> PolyExpMap:
-    """The polynomial of one row drawn from ``rng``: a random monic p with
-    p(0) = 0 and critical values scaled into the rho-disk."""
-    return PolyExpMap(d, polyexp._sample_polys(d, rho, _row(d, rng)[:, : 2 * d - 1])[0][0])
+    """The polynomial of one row drawn from ``rng``: the monic p with
+    p(0) = 0 whose critical points are the sampler's c / a, so that its
+    critical values lie in the rho-disk; p' = d prod (w - c / a) is expanded
+    by ``np.poly`` and integrated by ``np.polyint``."""
+    cps, a, _, _ = polyexp._sample(d, rho, _row(d, rng))
+    descending = np.polyint(d * np.poly(cps[0] / a[0]))
+    return PolyExpMap(d, descending[:0:-1])
 
 
 def sample_map_with_singular_values_in(d: int, rho: float, rng) -> PolyExpMap:
     """The map of one row drawn from ``rng``: a random map whose singular
     values are scaled into the rho-disk."""
-    return PolyExpMap(d, polyexp._sample_maps(d, rho, _row(d, rng)[:, 2 * d - 1 :])[0])
+    return PolyExpMap(d, polyexp._sample(d, rho, _row(d, rng))[3][0])
 
 
 def sample_stream(d: int, seed: int, k: int) -> np.random.Generator:
@@ -592,13 +596,13 @@ def critical_point_ratio_50_digits(d: int, rng: np.random.Generator) -> float:
     (peak / (rho t))^(1/d), peak = max |p(c_k)|, t = 0.3 + 0.7 u; the ratio
     max |c_k| / a / rho^(1/d) = max |c_k| (t / peak)^(1/d) does not depend
     on rho."""
-    row = _row(d, rng)[:, : 2 * d - 1]
-    (doubles,) = polyexp._sample_polys(d, 1.0, row)[1]
+    row = _row(d, rng)
+    doubles = polyexp._sample(d, 1.0, row)[0][0]
     with mpmath.workdps(50):
         peak = max(abs(v) for v in critical_values_50_digits(d, doubles))
         if peak == 0:
             return 0.0
-        t = mpmath.mpf(0.3 + 0.7 * row[0, -1])
+        t = mpmath.mpf(0.3 + 0.7 * row[0, 2 * d - 2])
         top = max(abs(mpmath.mpc(complex(c))) for c in doubles)
         return float(top * (t / peak) ** (mpmath.mpf(1) / d))
 
@@ -737,3 +741,14 @@ def ladder_threshold_by_search(
             t_prime = candidate
             break
     return potentials.PotentialLadder(tuple(rungs), midpoints, t_prime)
+
+
+def main_through_full_tree(argv: list[str]) -> int:
+    """``cli.main`` with argv parsed by the full parser tree (root, group and
+    leaf levels), as argparse parses it without the leaf lookup."""
+    leaf_first = cli._parse
+    cli._parse = lambda args: cli.build_parser()[0].parse_args(args)
+    try:
+        return cli.main(argv)
+    finally:
+        cli._parse = leaf_first

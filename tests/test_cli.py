@@ -1,17 +1,24 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import main_through_full_tree
 
 import rayforge
 from rayforge import cli, errors, potentials, presets, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 @pytest.fixture
@@ -98,6 +105,10 @@ class TestRayTrace:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
+        # the budget binds, not the floor: a deeper budget would meet tol
+        message = payload["error"]["message"]
+        assert message.startswith("depth budget exhausted at n=3 (increment ")
+        assert "floor" not in message
 
     def test_depth_zero_below_precision_floor_exit_3(self, workdir, capsys):
         # past the float range the sample is its straight point, whose error
@@ -111,7 +122,12 @@ class TestRayTrace:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
-        assert "n=0" in payload["error"]["message"]
+        # the message names the floor, 1e-16 |z| = 7e-14 at z = 700, and the
+        # tolerance it exceeds, not a depth budget
+        assert payload["error"]["message"] == (
+            "no depth can meet tol at n=0: the error floor 1e-16*|z| = 7.000e-14 is "
+            "above tol*max(1, |z|) = 7.000e-15 (increment 0.000e+00, error estimate 7.000e-14)"
+        )
 
     @pytest.mark.parametrize(
         "b0, period, t_lo, t_hi, seed",
@@ -1140,3 +1156,136 @@ class TestParserReuse:
             assert captured.err.encode() == proc.stderr
             if "--output" in argv:
                 assert mine.read_bytes() == fresh.read_bytes()
+
+
+# Every command's words, and the options its leaf parser takes.
+_COMMANDS = {
+    ("ray", "trace"): ("--map", "--address", "--t-lo", "--t-hi", "--samples", "--out",
+                       "--output", "--tol", "--max-depth"),
+    ("classify",): ("--spec", "--out", "--log-iterates", "--max-iter", "--tol"),
+    ("diag", "appendix-a"): ("--d", "--rho", "--samples", "--seed", "--output"),
+    ("diag", "invariant-set"): ("--run", "--output"),
+    ("homotopy", "word"): ("--marked", "--curve", "--output"),
+    ("tracts", "inspect"): ("--map", "--epsilon", "--strips", "--output"),
+}
+_OPTIONS = sorted({o for options in _COMMANDS.values() for o in options} | {"-h", "--help"})
+
+
+class TestLeafParsing:
+    """``main`` parses with the leaf parser that argv's first words name; the
+    exit code, stdout, stderr and written file are those of parsing with the
+    full tree (``oracles.main_through_full_tree``)."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("leaf")
+
+        def write(name, obj):
+            (root / name).write_text(serialize.dumps(obj))
+            return str(root / name)
+
+        files = {
+            "map": write("map.json", serialize.to_json(presets.EXP_MAP)),
+            "address": write("address.json", serialize.to_json(presets.ZERO)),
+            "spec": write("spec.json", serialize.spec_to_json(presets.SPEC_D1)),
+            "marked": write("marked.json", {"points": [{"re": 0.0, "im": 0.0}]}),
+            "curve": write("curve.json", {"vertices": [{"re": -1.0, "im": 1.0}, {"re": 1.0, "im": -1.0}]}),
+            "out": str(root / "out.txt"),
+        }
+        files["run"] = str(root / "run.json")
+        assert cli.main(["classify", "--spec", files["spec"], "--out", files["run"]]) == 0
+        return files
+
+    @staticmethod
+    def _required(words, files):
+        return {
+            ("ray", "trace"): ["--map", files["map"], "--address", files["address"],
+                               "--t-lo", "1", "--t-hi", "2", "--samples", "2"],
+            ("classify",): ["--spec", files["spec"]],
+            ("diag", "appendix-a"): ["--d", "2", "--rho", "100", "--samples", "2"],
+            ("diag", "invariant-set"): ["--run", files["run"]],
+            ("homotopy", "word"): ["--marked", files["marked"], "--curve", files["curve"]],
+            ("tracts", "inspect"): ["--map", files["map"]],
+        }[words]
+
+    @staticmethod
+    def _outcome(main, argv, out):
+        """Exit code, stdout, stderr and the files written: ``out``, and any
+        relative path, which lands in a fresh working directory."""
+        if os.path.exists(out):
+            os.remove(out)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(list(argv))
+            written = {p.name: p.read_bytes() for p in Path(cwd).iterdir()}
+        if os.path.exists(out):
+            written[out] = Path(out).read_bytes()
+        return code, stdout.getvalue(), stderr.getvalue(), written
+
+    @hypothesis.settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[hypothesis.HealthCheck.too_slow],
+    )
+    @hypothesis.given(data=st.data())
+    def test_leaf_parse_matches_the_full_tree(self, files, data):
+        # argv: a command's words (or none), its required options or not, and
+        # up to three more chunks: an option of this or another command,
+        # whole or abbreviated, with a good or a bad value, as two words or
+        # as --opt=value, or a stray word.  The chunks come in any order, and
+        # now and then a stray word lands among the command words.
+        good = {
+            "--map": files["map"], "--address": files["address"], "--t-lo": "1",
+            "--t-hi": "2", "--samples": "3", "--out": "json", "--output": files["out"],
+            "--tol": "1e-3", "--max-depth": "4", "--spec": files["spec"], "--max-iter": "4",
+            "--d": "3", "--rho": "100", "--seed": "4", "--run": files["run"],
+            "--marked": files["marked"], "--curve": files["curve"], "--epsilon": "0.5",
+            "--strips": "2",
+        }
+        bad = ["0", "-1", "x", "nan", "inf", "", "-", "out.txt", "/nonexistent/x", files["map"]]
+        strays = sorted({w for c in _COMMANDS for w in c}) + ["bogus", "--", "-", "-x", "--=1"]
+        command = data.draw(st.sampled_from([*_COMMANDS, ()]), label="command")
+
+        def value(option):
+            return st.just(good.get(option, "1")) | st.sampled_from(bad)
+
+        def spelled(option):  # whole, or abbreviated to a prefix
+            return st.sampled_from([option[:n] for n in range(2, len(option) + 1)])
+
+        option = st.sampled_from(_COMMANDS.get(command) or _OPTIONS) | st.sampled_from(_OPTIONS)
+        pair = option.flatmap(lambda o: st.tuples(spelled(o), value(o)))
+        chunk = (
+            pair.map(list)
+            | pair.map(lambda p: ["=".join(p)])
+            | st.sampled_from(strays).map(lambda w: [w])
+        )
+        required = []
+        if command and data.draw(st.integers(0, 3), label="required options"):
+            required = self._required(command, files)
+        chunks = [required[k : k + 2] for k in range(0, len(required), 2)]
+        chunks = data.draw(st.permutations(chunks + data.draw(st.lists(chunk, max_size=3))))
+        argv = list(command) + [word for c in chunks for word in c]
+        if data.draw(st.integers(0, 9), label="stray among the words") == 0:
+            argv.insert(data.draw(st.integers(0, len(command))), data.draw(st.sampled_from(strays)))
+        hypothesis.note(repr(argv))
+        outcome = self._outcome(cli.main, argv, files["out"])
+        hypothesis.event(f"exit {outcome[0]}, files written: {len(outcome[3])}")
+        assert outcome == self._outcome(main_through_full_tree, argv, files["out"])
+
+    def test_leaf_namespace_equals_the_tree_namespace(self, files):
+        parser = cli.build_parser()[0]
+        for words in _COMMANDS:
+            argv = [*words, *self._required(words, files)]
+            assert vars(cli._parse(argv)) == vars(parser.parse_args(argv)), words
+
+    def test_main_without_argv_reads_sys_argv(self, files, monkeypatch, capsys):
+        argv = ["diag", "appendix-a", "--d", "2", "--rho", "100", "--samples", "3", "--bogus"]
+        monkeypatch.setattr(sys, "argv", ["rayforge", *argv])
+        assert cli.main() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rayforge [-h] {ray,classify,diag,homotopy,tracts} ...")
+        assert err.endswith("rayforge: error: unrecognized arguments: --bogus\n")
+        monkeypatch.setattr(sys, "argv", ["rayforge", *argv[:-1]])
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out)["config"]["samples"] == 3
+

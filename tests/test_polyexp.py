@@ -563,27 +563,34 @@ class TestDerivativeSup:
 
 class TestAppendixReport:
     def test_shifted_critical_values_match_50_digits(self):
-        # _sample_maps shrinks a map toward 0.95 rho by the peak of its
-        # singular values: b_0 and the critical values of p shifted by b_0.
-        # Those come from the quadrature values of _sample_polys, and stay
-        # within 8 ulp of 50 digits, measured against the larger of the peak
-        # and the unshifted values (a critical value that b_0 cancels loses
-        # digits to the data, not to the rule).  Horner's rule on the shifted
-        # coefficients, which the peak used to come from, cancels: its worst
-        # error on the same maps is 18 ulp or more at each d.
+        # _sample shrinks a map toward 0.95 rho by the peak of its singular
+        # values: b_0 and the critical values of p shifted by b_0.  Those
+        # come from the quadrature, and stay within 8 ulp of 50 digits,
+        # measured against the larger of the peak and the unshifted values (a
+        # critical value that b_0 cancels loses digits to the data, not to the
+        # rule).  Horner's rule on the shifted coefficients, which the peak
+        # used to come from, cancels: its worst error on the same maps is 18
+        # ulp or more at each d.
         bound = 8 * 2.0**-53
         for d in (3, 4, 5):
             horner_worst = 0.0
             for seed in range(10):
-                u = np.random.default_rng(seed).random((50, 4 * d))[:, 2 * d - 1 :]
-                coeffs, cps, a, values = pe._sample_polys(d, 100.0, u[:, : 2 * d - 1])
+                block = np.random.default_rng(seed).random((50, 4 * d))
+                cps, a, values, maps = pe._sample(d, 100.0, block)
+                cps, a = cps[50:], a[50:]  # the rows of the maps' polynomials
+                # With a zero b_0 shift no map leaves the rho-disk, so the
+                # maps are the rescaled polynomials themselves.
+                assert np.abs(values).max() <= 100.0
+                unshifted = block.copy()
+                unshifted[:, -2] = 0.0
+                coeffs = pe._sample(d, 100.0, unshifted)[3]
+                u = block[:, 2 * d - 1 :]
                 b0 = 100.0 / 2 * (u[:, -2] * np.exp(2j * np.pi * u[:, -1]))
                 shifted = np.column_stack([b0, coeffs[:, 1:]])
                 horner = horner_monic(shifted.T[:, :, None], cps / a[:, None])
                 # the maps are shrunk by the peak of these values
                 peaks = np.maximum(np.abs(values + b0[:, None]).max(axis=1), np.abs(b0))
                 shrink = np.where(peaks > 100.0, (peaks / (0.95 * 100.0)) ** (1.0 / d), 1.0)
-                maps = pe._sample_maps(d, 100.0, u)
                 assert maps.tobytes() == pe._rescaled(shifted, shrink).tobytes()
                 for k in range(len(u)):
                     with mpmath.workdps(50):
@@ -618,16 +625,19 @@ class TestAppendixReport:
     @hypothesis.given(st.integers(0, 2**63 - 1), st.integers(1, 40), st.data())
     def test_one_row_samplers_match_the_batch(self, d, seed, n, data):
         # The generator advanced to row k draws bitwise row k of the block,
-        # and the one-row samplers give bitwise the coefficients of row k of
-        # the batched samplers (d = 1 has a map and no polynomial).
+        # and the one-row sampler gives bitwise row k of the batched one:
+        # rows k and n + k of the batch (the polynomial of sample k and the
+        # one under its map) are rows 0 and 1 of the one-row call, and the
+        # map is row k (d = 1 has a map and no polynomial).
         k = data.draw(st.integers(0, n - 1))
         block = np.random.default_rng(seed).random((n, 4 * d))
         assert sample_stream(d, seed, k).random(4 * d).tobytes() == block[k].tobytes()
+        cps, a, values, maps = pe._sample(d, 100.0, block)
         if d > 1:
-            polys = pe._sample_polys(d, 100.0, block[:, : 2 * d - 1])[0]
-            poly = sample_poly_with_critical_values_in(d, 100.0, sample_stream(d, seed, k))
-            assert np.array(poly.coeffs).tobytes() == polys[k].tobytes()
-        maps = pe._sample_maps(d, 100.0, block[:, 2 * d - 1 :])
+            one = pe._sample(d, 100.0, sample_stream(d, seed, k).random((1, 4 * d)))
+            assert cps[[k, n + k]].tobytes() == one[0].tobytes()
+            assert a[[k, n + k]].tobytes() == one[1].tobytes()
+            assert values[k].tobytes() == one[2].tobytes()
         map_ = sample_map_with_singular_values_in(d, 100.0, sample_stream(d, seed, k))
         assert np.array(map_.coeffs).tobytes() == maps[k].tobytes()
 
@@ -649,12 +659,12 @@ class TestAppendixReport:
                 return block
 
         for d, rho in itertools.product((2, 3, 5), (100.0, 1e-310)):
-            u = draw(d).random((4, 2 * d - 1))
-            u[:, : d - 1] = 0.0
-            coeffs, cps, a, values = pe._sample_polys(d, rho, u)
-            assert not coeffs.any() and not cps.any() and np.all(a == np.inf)
-            assert not values.any()
-            assert critical_point_ratio(PolyExpMap(d, coeffs[0]), rho) == 0.0
+            block = ZeroRadii(d).random((4, 4 * d))
+            cps, a, values, maps = pe._sample(d, rho, block)
+            assert not cps.any() and np.all(a == np.inf) and not values.any()
+            # Each map is w^d + b_0: its polynomial part is zero.
+            assert not maps[:, 1:].any()
+            assert critical_point_ratio(PolyExpMap(d, maps[0]), rho) == 0.0
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", ZeroRadii)
                 rep = pe.appendix_report(d, rho, samples=6, seed=d)

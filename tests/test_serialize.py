@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -69,6 +70,48 @@ def test_dumps_is_canonical():
     b = serialize.dumps({"a": [1.5, 2.0], "b": 1})
     assert a == b
     assert a.endswith("\n")
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# Report-shaped payloads: nested lists, tuples and dicts of every leaf
+# type, edge floats included, and strings with non-ASCII and control
+# characters.
+_EDGE_FLOATS = [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-310]
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from("\x00\x1f\x7f\"\\/\u00e9\u2028\ud800\U0001f600"))
+)
+_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT, _FINITE, _FINITE.map(np.float64)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(_PAYLOADS)
+def test_dumps_equals_json_dumps(obj):
+    assert serialize.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(_PAYLOADS, _NON_FINITE, _TEXT)
+def test_dumps_refuses_non_finite_floats_like_json(obj, bad, key):
+    for payload in (bad, [obj, bad], {key: [obj, {key: bad}]}):
+        with pytest.raises(ValueError) as want:
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            serialize.dumps(payload)
+        assert str(got.value) == str(want.value)
 
 
 def test_malformed_objects_raise_domain_errors():
