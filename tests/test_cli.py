@@ -1209,11 +1209,15 @@ class TestLeafParsing:
         }[words]
 
     @staticmethod
-    def _outcome(main, argv, out):
-        """Exit code, stdout, stderr and the files written: ``out``, and any
-        relative path, which lands in a fresh working directory."""
+    def _outcome(main, argv, files):
+        """Exit code, stdout, stderr and the files written: ``files["out"]``,
+        any relative path, which lands in a fresh working directory, and any
+        input file that ``--output`` overwrote.  Overwritten inputs are put
+        back, so every call reads the same inputs."""
+        out = files["out"]
         if os.path.exists(out):
             os.remove(out)
+        inputs = {path: Path(path).read_bytes() for name, path in files.items() if name != "out"}
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -1221,6 +1225,10 @@ class TestLeafParsing:
             written = {p.name: p.read_bytes() for p in Path(cwd).iterdir()}
         if os.path.exists(out):
             written[out] = Path(out).read_bytes()
+        for path, before in inputs.items():
+            if (after := Path(path).read_bytes()) != before:
+                written[path] = after
+                Path(path).write_bytes(before)
         return code, stdout.getvalue(), stderr.getvalue(), written
 
     @hypothesis.settings(
@@ -1268,9 +1276,9 @@ class TestLeafParsing:
         if data.draw(st.integers(0, 9), label="stray among the words") == 0:
             argv.insert(data.draw(st.integers(0, len(command))), data.draw(st.sampled_from(strays)))
         hypothesis.note(repr(argv))
-        outcome = self._outcome(cli.main, argv, files["out"])
+        outcome = self._outcome(cli.main, argv, files)
         hypothesis.event(f"exit {outcome[0]}, files written: {len(outcome[3])}")
-        assert outcome == self._outcome(main_through_full_tree, argv, files["out"])
+        assert outcome == self._outcome(main_through_full_tree, argv, files)
 
     def test_leaf_namespace_equals_the_tree_namespace(self, files):
         parser = cli.build_parser()[0]
