@@ -4,9 +4,9 @@ Three sampled bounds: critical points of a normalized polynomial stay
 within a universal multiple of rho^(1/d) once its critical values sit in
 the rho-disk; coefficients of a map with singular values in the rho-disk
 stay under a constant times rho^((d-k)/d); and polynomial preimages of the
-rho-disk stay inside it.  Containment is proven from Fujiwara's root bound
-where the bound suffices and sampled on the circle elsewhere; the sampled
-constants are reported, never asserted as proven values.
+rho-disk stay inside it.  Containment is proven where Cauchy's root radius
+is below rho, one sign test per map, and sampled on the circle elsewhere;
+the sampled constants are reported, never asserted as proven values.
 """
 
 import numpy as np
@@ -44,8 +44,8 @@ sd = m.singular_data()
 print(f"coefficients: {[f'{c:.4g}' for c in m.coeffs]}")
 print(f"singular values: {[f'{v:.4g}' for v in sd.all]} "
       f"(max modulus {sd.max_modulus():.4f})")
-if polyexp.fujiwara_bound(m.coeffs, 100.0) * (1 + 1e-12) < 100.0:
-    inside, how = True, "proven by Fujiwara's bound"
+if polyexp.cauchy_proves(m.coeffs, 100.0):
+    inside, how = True, "proven: Cauchy's root radius is below 100"
 else:
     inside, how = polyexp.check_disk_containment(m, 100.0), "sampled on 360 points"
 print(f"preimages of the 100-disk stay inside: {inside} ({how})")

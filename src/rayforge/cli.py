@@ -41,6 +41,7 @@ EXIT_NUMERIC = 3
 
 # Strip geometry repeats with period 2*pi/d, so more strips show nothing new.
 MAX_STRIPS = 10_000
+MAX_UNIFORMS = 2**20  # diag appendix-a's one block of samples x 4d uniforms: 8 MB
 
 
 def _read_json(path: str):
@@ -106,6 +107,9 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_diag_appendix(args) -> tuple[dict, dict, int]:
+    if (cap := MAX_UNIFORMS // (4 * args.d)) < args.samples:
+        raise DomainError(f"argument --samples: expected at most {cap} at d={args.d}, "
+                          f"got '{args.samples}'")
     report = polyexp.appendix_report(args.d, args.rho, samples=args.samples, seed=args.seed)
     extras = dict(d=args.d, rho=args.rho, samples=args.samples, seed=args.seed)
     return extras, serialize.to_json(report), EXIT_OK
@@ -186,7 +190,8 @@ def _checked(convert, accept, what: str):
 
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_degree = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_degree = _checked(int, lambda v: 2 <= v <= config.MAX_DEGREE,
+                   f"an integer in [2, {config.MAX_DEGREE}]")
 _strip_count = _checked(
     int, lambda v: 0 <= v <= MAX_STRIPS, f"an integer in [0, {MAX_STRIPS}]"
 )

@@ -35,6 +35,12 @@ TRACER_MAX_DEPTH = 128
 # Tract certification.
 TRACT_RETRY_BUDGET = 5
 
+# A float sum of d + 1 positive terms grows by ROUNDING before its check, so a
+# rounding tie never passes: Horner's rule in a rounded variable is within
+# (3d + 1) 2^-53 of the sum, and 2^-44 = 512 * 2^-53 covers d <= MAX_DEGREE.
+ROUNDING = 1 + 2**-44
+MAX_DEGREE = 170
+
 # Pullback iteration.
 CLASSIFY_MAX_ITER = 50
 CLASSIFY_TOL = 1e-10

@@ -4,13 +4,13 @@ Holds evaluation, derivatives and singular data, a batched root solver
 for p(z) = w (the quadratic formula at degree 2, simultaneous iteration
 above) and the Monte-Carlo report ``diag appendix-a`` prints, which
 samples how singular-value magnitudes control a map's geometry.  All
-Horner evaluation, of p, p' (coefficients formed once per map) and the
-tract certificate's sums, goes through ``horner``.  The report proves
-disk containment for all its maps at once from Fujiwara's root bound,
-and ``check_disk_containment`` samples each map the proof leaves open
-with one root solve.  ``appendix_report`` draws all its samples in one
-array pass and measures them at the critical points it drew, with no root
-solve of p'; its ratios are the closer of the two to a 50-digit reference.
+Horner evaluation, of p, p' (coefficients formed once per map), the
+tract certificate's sums and the containment proof, goes through
+``horner``.  The report proves disk containment by Cauchy's root radius,
+and ``check_disk_containment`` samples each map left open with one root
+solve.  ``appendix_report`` draws all its samples in one array pass and
+measures them at the critical points it drew, with no root solve of p';
+its ratios are the closer of the two to a 50-digit reference.
 Random draws take explicit seeds; nothing here keeps mutable state.
 """
 
@@ -248,20 +248,18 @@ def _aberth_roots(map_: PolyExpMap, ws: np.ndarray, scale: np.ndarray) -> np.nda
 
 
 @np.errstate(all="ignore")
-def fujiwara_bound(coeffs: Sequence[complex] | np.ndarray, r: float) -> float | np.ndarray:
-    """Fujiwara's (1916) bound on |z| over the roots of p(z) = w, |w| <= r.
-
-    The roots of z^d + a_{d-1} z^{d-1} + ... + a_0 satisfy |z| <= 2 max(
-    |a_{d-1}|, |a_{d-2}|^(1/2), ..., |a_1|^(1/(d-1)), |a_0/2|^(1/d)); here
-    a_0 = b_0 - w, and |b_0| + r bounds |a_0| over the closed disk.
-    ``coeffs`` is one map's b_0..b_{d-1}, or an (n, d) array with one map
-    per row and then one bound per row.  The bound is inf where a
-    coefficient or r is not finite.
-    """
+def cauchy_proves(coeffs: Sequence[complex] | np.ndarray, r: float) -> bool | np.ndarray:
+    """Whether Cauchy's root radius, the one positive root of u^d - sum_k
+    a_k u^k with a_k = |b_k| and a_0 = |b_0| + r, is below r, which puts every
+    root of p(z) = w, |w| <= r, in |z| < r.  That polynomial has one sign
+    change, so one sign decides it: S = sum_k |b_k| x^(d-k) + x^(d-1) < 1 at
+    x = 1/r, one Horner pass grown by ``config.ROUNDING``, with no term that
+    overflows where S < 1.  Takes one map's b_0..b_{d-1}, or an (n, d) array
+    for one verdict per row; False at d = 1 and where an input is not finite."""
     mags = np.abs(np.asarray(coeffs, dtype=complex))
-    lower = np.concatenate([mags[..., :0:-1], (mags[..., :1] + r) / 2], axis=-1)
-    terms = lower ** (1.0 / np.arange(1, mags.shape[-1] + 1))
-    return np.where(np.isfinite(terms).all(axis=-1), 2 * terms.max(axis=-1), np.inf)[()]
+    x = np.float64(1.0) / r
+    s = x * horner(mags[..., ::-1].T, x) + x ** (mags.shape[-1] - 1)
+    return ((s * config.ROUNDING < 1) & (x > 0))[()]
 
 
 def check_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
@@ -305,17 +303,15 @@ def appendix_report(
     depends only on (seed, k): a shorter run is a prefix of a longer one,
     and ``PCG64(seed).advance(4dk)`` draws row k alone.
     Containment is checked on the first min(samples, 200) maps.
-    Fujiwara's bound B proves it for all of them at once where
-    B (1 + 1e-12) < rho; the margin covers the rounding of B, whose d-th
-    roots are off by about |ln x| 2^-53 < 1e-13 relative.  Each map left
-    unproven goes through ``check_disk_containment``, whose failed root
+    ``cauchy_proves`` proves it for all of them at once, and each map it
+    leaves open goes through ``check_disk_containment``, whose failed root
     solves count as inconclusive, never as failures.  Raises
     OverflowSignal naming the first sample whose arithmetic leaves the
     float range: rho near the largest double, or so small that a target
     critical value rho (0.3 + 0.7u) is subnormal.
     """
-    if d < 2:
-        raise DomainError("needs d >= 2")
+    if not 2 <= d <= config.MAX_DEGREE:
+        raise DomainError(f"needs 2 <= d <= {config.MAX_DEGREE}")
     containment_maps = min(samples, 200)
     cps, a, _, coeffs = _sample(d, rho, np.random.default_rng(seed).random((samples, 4 * d)))
     ratios = np.maximum.reduce(np.abs(cps[:samples]), axis=1) / a[:samples] / rho ** (1.0 / d)
@@ -326,7 +322,7 @@ def appendix_report(
         raise OverflowSignal(f"sample {bad.argmax()} at rho={rho!r} left the float range")
 
     checked = coeffs[:containment_maps]
-    proven = fujiwara_bound(checked, rho) * (1 + 1e-12) < rho
+    proven = cauchy_proves(checked, rho)
     sampled = [check_disk_containment(PolyExpMap(d, row), rho) for row in checked[~proven]]
     worst_idx = int(ratios.argmax())
     return AppendixReport(
@@ -375,11 +371,9 @@ def _sample(d: int, rho: float, block: np.ndarray) -> tuple:
     maps' rescaled critical values (n, d-1); and the maps (n, d): b_0 shifted
     by rho/2 times the point of the last two uniforms, shrunk toward 0.95 rho
     where a singular value leaves the disk, NaN where one leaves the float
-    range.  At d = 1 the maps are exp(z) + rho times that point."""
+    range."""
     n = len(block)
     shift = block[:, -2] * np.exp(2j * np.pi * block[:, -1])
-    if d == 1:
-        return None, None, None, rho * shift[:, None]
     u = np.concatenate([block[:, : 2 * d - 1], block[:, 2 * d - 1 : -2]])
     cps = np.sqrt(-2 * np.log1p(-u[:, : d - 1])) * np.exp(2j * np.pi * u[:, d - 1 : -1])
     # p(c_k) = d c_k * (mean of prod (w - c) over [0, c_k]), exact by Gauss-Legendre:

@@ -70,12 +70,6 @@ class TractConfig:
         return math.pi / (2 * self.d)
 
 
-# Each closed form is a short sum of positive terms, within a few dozen ulp
-# of its exact value; growing it by this factor keeps a tie in floating
-# point from passing a check that fails in exact arithmetic.
-_ROUNDING = 1 + 2**-44
-
-
 def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> TractConfig:
     """Choose (r, t_up, t_lo) and prove the strip inclusions.
 
@@ -107,7 +101,7 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
       B = |b_0| < r/2.
 
     ``_positive_root`` gives u_g and u* to rounding, or bounds them from
-    above, the safe side; ``_ROUNDING`` covers the rounding of the sums.
+    above, the safe side; ``config.ROUNDING`` covers the rounding of the sums.
     Every comparison fails on NaN or inf.  OverflowSignal is raised when
     the strips lie past the float range: a singular value is not finite,
     or the inner strip would start where f overflows, d*t_lo >
@@ -137,9 +131,9 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
             )
         up = math.exp(t_up)
         if (
-            (math.exp(d * t_up) + polyexp.horner(moduli, up)) * _ROUNDING <= r
-            and (u_g <= up or polyexp.horner(falling, u_g) * _ROUNDING <= d * r)
-            and polyexp.horner(falling, u_star) * _ROUNDING <= d * r - 2
+            (math.exp(d * t_up) + polyexp.horner(moduli, up)) * config.ROUNDING <= r
+            and (u_g <= up or polyexp.horner(falling, u_g) * config.ROUNDING <= d * r)
+            and polyexp.horner(falling, u_star) * config.ROUNDING <= d * r - 2
         ):
             return TractConfig(d=d, r=r, r_min=sv.max_real() + 1e-6, t_up=t_up, t_lo=t_lo, eps=eps)
         r = 2 * r + 1

@@ -500,10 +500,18 @@ def sample_poly_with_critical_values_in(d: int, rho: float, rng) -> PolyExpMap:
     return PolyExpMap(d, descending[:0:-1])
 
 
+def exp_maps(rho: float, block: np.ndarray) -> np.ndarray:
+    """The d = 1 maps exp(z) + rho u e^(2 pi i v) of an (n, 4) uniform block,
+    (u, v) the last two uniforms of a row, as an (n, 1) coefficient array."""
+    return rho * (block[:, -2] * np.exp(2j * np.pi * block[:, -1]))[:, None]
+
+
 def sample_map_with_singular_values_in(d: int, rho: float, rng) -> PolyExpMap:
     """The map of one row drawn from ``rng``: a random map whose singular
-    values are scaled into the rho-disk."""
-    return PolyExpMap(d, polyexp._sample(d, rho, _row(d, rng))[3][0])
+    values are scaled into the rho-disk (``exp_maps`` at d = 1, where the
+    asymptotic value is the only one)."""
+    row = _row(d, rng)
+    return PolyExpMap(d, exp_maps(rho, row)[0] if d == 1 else polyexp._sample(d, rho, row)[3][0])
 
 
 def sample_stream(d: int, seed: int, k: int) -> np.random.Generator:
@@ -539,8 +547,9 @@ def appendix_report_per_sample(
     generator advanced to it gives, and is measured on its own; the
     critical-point ratio is the 50-digit one of the same row, cached per
     (d, seed, k) since it does not depend on rho.  Containment is proven
-    map by map from Fujiwara's bound, and sampled by
-    ``sampled_disk_containment`` where the bound fails."""
+    map by map where Cauchy's radius is below rho, by the same inequality
+    as ``polyexp.cauchy_proves`` summed term by term in Python floats, and
+    sampled by ``sampled_disk_containment`` where it fails."""
     ratios, coeffs, contains = [], [], []
     proven = 0
     for idx in range(samples):
@@ -549,7 +558,9 @@ def appendix_report_per_sample(
         coeffs.append(coefficient_ratio(map_, rho))
         if idx >= containment_maps:
             continue
-        if polyexp.fujiwara_bound(map_.coeffs, rho) * (1 + 1e-12) < rho:
+        x = 1.0 / rho
+        terms = [abs(b) * x ** (d - k) for k, b in enumerate(map_.coeffs)]
+        if (sum(terms) + x ** (d - 1)) * config.ROUNDING < 1:
             proven += 1
         else:
             contains.append(sampled_disk_containment(map_, rho))

@@ -561,6 +561,9 @@ class TestNumericOptions:
         ("diag appendix-a", "--rho", "inf"),  # ZeroDivisionError
         ("diag appendix-a", "--seed", "-1"),  # ValueError in the RNG seeding
         ("diag appendix-a", "--d", "1"),  # exit 2 from the library, naming no option
+        # both: ValueError: Maximum allowed dimension exceeded, from the uniform block
+        ("diag appendix-a", "--d", "99999999999999999999"),
+        ("diag appendix-a", "--samples", "99999999999999999999"),
         ("tracts inspect", "--strips", "-2"),  # exit 0 with no strips
         ("tracts inspect", "--strips", "10001"),  # 1e8 ran for over a minute
         ("tracts inspect", "--epsilon", "nan"),  # exit 2 from the library, naming no option
@@ -581,6 +584,16 @@ class TestNumericOptions:
         assert captured.out == ""
         assert f"argument {option}: expected" in captured.err
         assert repr(value) in captured.err
+
+    def test_appendix_caps(self, capsys):
+        # A samples x 4d block above MAX_UNIFORMS is refused before any
+        # draw, and so is a degree the shared rounding factor does not cover.
+        base = ["diag", "appendix-a", "--rho", "50"]
+        over = cli.MAX_UNIFORMS // 12 + 1
+        assert run(base + ["--d", "3", "--samples", str(over)]) == 2
+        assert f"--samples: expected at most {over - 1} at d=3" in capsys.readouterr().err
+        assert run(base + ["--d", str(cli.config.MAX_DEGREE + 1), "--samples", "1"]) == 2
+        assert "--d: expected an integer in [2, 170]" in capsys.readouterr().err
 
 
 def _write(tmp_path, name, obj) -> str:

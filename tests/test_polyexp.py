@@ -11,6 +11,7 @@ from oracles import (
     critical_point_ratio,
     critical_point_ratio_50_digits,
     critical_values_50_digits,
+    exp_maps,
     horner_derivative,
     horner_moduli,
     horner_monic,
@@ -406,8 +407,8 @@ class TestDiskContainment:
 
 
 def _proven(coeffs, r) -> bool:
-    """Fujiwara's bound proves containment as ``appendix_report`` decides it."""
-    return bool(pe.fujiwara_bound(coeffs, r) * (1 + 1e-12) < r)
+    """Cauchy's radius proves containment as ``appendix_report`` decides it."""
+    return bool(pe.cauchy_proves(coeffs, r))
 
 
 def _random_monic(rng, d):
@@ -416,14 +417,24 @@ def _random_monic(rng, d):
     return [complex(m * cmath.exp(1j * rng.uniform(0, 2 * math.pi))) for m in moduli]
 
 
+def _cauchy_sum(coeffs, r):
+    """S = sum_k |b_k| r^(k-d) + r^(1-d) at 50 digits; S < 1 exactly when
+    Cauchy's radius, with a_0 = |b_0| + r, is below r."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        d = len(coeffs)
+        return sum(abs(mpmath.mpc(b)) * r ** (k - d) for k, b in enumerate(coeffs)) + r ** (1 - d)
+
+
 def _threshold_radius(coeffs):
-    """The radius r* with fujiwara_bound(coeffs, r*) = r*, by bisection on
-    log r (the bound grows like r^(1/d), so B(r)/r decreases for d >= 2)."""
-    lo, hi = 1e-9, 1e30
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        lo, hi = (mid, hi) if pe.fujiwara_bound(coeffs, mid) >= mid else (lo, mid)
-    return hi
+    """The exact radius r* with S(r*) = 1, by bisection on log r at 50
+    digits (every term of S falls with r at d >= 2)."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(1e-9), mpmath.mpf(1e30)
+        for _ in range(200):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if _cauchy_sum(coeffs, mid) >= 1 else (lo, mid)
+        return hi
 
 
 def _max_root_modulus(coeffs, w):
@@ -435,51 +446,63 @@ def _max_root_modulus(coeffs, w):
         return max(abs(z) for z in roots)
 
 
-class TestFujiwaraBound:
-    def test_roots_inside_bound_over_the_disk(self):
-        # Every root of p(z) = w, |w| <= r, lies in |z| <= B, checked at 50
-        # digits on and inside the circle; half the maps sit at the radius
-        # where B crosses r, so there B is just below r.
+class TestCauchyRadius:
+    def test_proven_maps_hold_at_50_digits(self):
+        # Wherever the float test proves a map, the inequality holds at 50
+        # digits and the roots of p(z) = w over |w| = r, and inside, lie in
+        # |z| < r.  Half the radii sit within 2^-40 of the exact threshold,
+        # where the rounding factor decides.
         rng = np.random.default_rng(2024)
+        proven = 0
         for d in (2, 3, 4, 5):
-            for k in range(10):
+            for k in range(12):
                 coeffs = _random_monic(rng, d)
                 if k % 2:
-                    r = _threshold_radius(coeffs) * (1 + 1e-9)
-                    assert pe.fujiwara_bound(coeffs, r) < r
+                    r = float(_threshold_radius(coeffs)) * (1 + rng.integers(-8, 9) * 2.0**-43)
                 else:
                     r = 10 ** rng.uniform(-1, 7)
-                bound = pe.fujiwara_bound(coeffs, r)
+                if not _proven(coeffs, r):
+                    continue
+                proven += 1
+                assert _cauchy_sum(coeffs, r) < 1, (d, k)
                 phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
                 for w in r * phases * np.array([1.0, 1.0, rng.uniform(), rng.uniform()]):
-                    assert _max_root_modulus(coeffs, complex(w)) <= bound, (d, k)
+                    assert _max_root_modulus(coeffs, complex(w)) < r, (d, k)
+        assert proven >= 12
 
     def test_proof_switches_at_the_threshold(self):
         rng = np.random.default_rng(7)
-        for d in (2, 3, 4):
-            m = PolyExpMap(d, _random_monic(rng, d))
-            r_star = _threshold_radius(m.coeffs)
-            assert _proven(m.coeffs, r_star * (1 + 1e-9))
-            assert not _proven(m.coeffs, r_star * (1 - 1e-9))
+        for d in (2, 3, 4, 5):
+            for _ in range(3):
+                coeffs = _random_monic(rng, d)
+                r_star = float(_threshold_radius(coeffs))
+                assert _proven(coeffs, r_star * (1 + 1e-9)), d
+                assert not _proven(coeffs, r_star * (1 - 1e-9)), d
 
     def test_degree_one_never_proven(self):
-        # B = |b_0| + r >= r
+        # S = |b_0| / r + 1 >= 1
         for b0 in (0.0, 1e-300, 3.0 - 4.0j):
-            assert pe.fujiwara_bound([b0], 10.0) >= 10.0
-            assert not _proven([b0], 10.0)
+            for r in (1e-3, 10.0, 1e300):
+                assert not _proven([b0], r)
 
     @pytest.mark.parametrize(
         "coeffs, r",
         [
             ([math.nan, 0.0], 100.0),
             ([0.0, complex(math.inf, 0.0)], 100.0),
-            ([1e308, 1e308j, 0.0], 1e308),
+            ([0.0, 0.0, complex(0.0, math.nan)], 100.0),
             ([0.0, 0.0], math.inf),
             ([0.0, 0.0], math.nan),
         ],
     )
     def test_non_finite_input_proves_nothing(self, coeffs, r):
         assert not _proven(coeffs, r)
+
+    def test_no_overflow_near_the_largest_double(self):
+        # |b_0| + r overflows here; the x^(d-1) term does not, and the
+        # roots of z^3 + 1e308 i z + 1e308 - w lie near 1e154.
+        assert _proven([1e308, 1e308j, 0.0], 1e308)
+        assert pe.cauchy_proves(np.array([[1e308, 1e308j, 0.0]] * 3), 1.7e308).all()
 
     def test_proven_maps_pass_the_sampled_oracle(self):
         # appendix_report-style maps: the sampler agrees with the sampled
@@ -512,6 +535,22 @@ class TestFujiwaraBound:
         rep = pe.appendix_report(2, 2.0, samples=20, seed=5)
         unproven = rep.containment_maps - rep.containment_proven
         assert unproven and calls == [360] * unproven
+
+    def test_small_rho_maps_proven_without_a_solve(self, monkeypatch):
+        # At d = 3, rho = 5 the report proves all 3 maps of seed 0, and runs
+        # no root solve, though for samples 0 and 2 the root-power bound
+        # 2 max(|a_2|, |a_1|^(1/2), |a_0 / 2|^(1/3)), a_0 = |b_0| + rho, is
+        # not below rho.
+        def unreachable(map_, ws):
+            raise AssertionError("root solve reached on a proven map")
+
+        monkeypatch.setattr(pe, "poly_roots_batch", unreachable)
+        rep = pe.appendix_report(3, 5.0, samples=3, seed=0)
+        assert rep.containment_proven == rep.containment_maps == 3
+        for k in (0, 2):
+            map_ = sample_map_with_singular_values_in(3, 5.0, sample_stream(3, 0, k))
+            b = [abs(c) for c in map_.coeffs]
+            assert 2 * max(b[2], b[1] ** 0.5, ((b[0] + 5.0) / 2) ** (1 / 3)) >= 5.0, k
 
     def test_proven_map_skips_the_solve(self, monkeypatch):
         def unreachable(map_, ws):
@@ -628,12 +667,14 @@ class TestAppendixReport:
         # and the one-row sampler gives bitwise row k of the batched one:
         # rows k and n + k of the batch (the polynomial of sample k and the
         # one under its map) are rows 0 and 1 of the one-row call, and the
-        # map is row k (d = 1 has a map and no polynomial).
+        # map is row k (d = 1 has a map, ``exp_maps``, and no polynomial).
         k = data.draw(st.integers(0, n - 1))
         block = np.random.default_rng(seed).random((n, 4 * d))
         assert sample_stream(d, seed, k).random(4 * d).tobytes() == block[k].tobytes()
-        cps, a, values, maps = pe._sample(d, 100.0, block)
-        if d > 1:
+        if d == 1:
+            maps = exp_maps(100.0, block)
+        else:
+            cps, a, values, maps = pe._sample(d, 100.0, block)
             one = pe._sample(d, 100.0, sample_stream(d, seed, k).random((1, 4 * d)))
             assert cps[[k, n + k]].tobytes() == one[0].tobytes()
             assert a[[k, n + k]].tobytes() == one[1].tobytes()
@@ -709,8 +750,8 @@ class TestAppendixReport:
             roots = np.full((len(ws), map_.d), complex(math.nan, math.nan))
             return roots, {0: RootSolveError("stalled", worst_residual=1.0)}
 
-        # At rho = 2 Fujiwara's bound proves none of the 8 maps, so every
-        # check reaches the stalled solve.
+        # At rho = 2 Cauchy's radius proves none of the 8 maps (nor any of
+        # 40,000 sampled d = 2 maps), so every check reaches the stalled solve.
         monkeypatch.setattr(pe, "poly_roots_batch", stalled)
         rep = pe.appendix_report(2, 2.0, samples=8, seed=3)
         assert rep.containment_failures == 0
