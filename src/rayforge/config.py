@@ -22,13 +22,13 @@ EXP_ARG_LIMIT = 700.0
 # and cluster detection.
 POTENTIAL_EQ_RTOL = 1e-12
 
-# Root finding: the post-check serves d >= 2, the iteration d >= 3 only.
+# Root finding: the iteration serves d >= 3 only.  Roots and inverse branches
+# pass where |p(zeta) - w| <= RESIDUAL_RTOL * polyexp.residual_scale.
 ROOT_ITER_RTOL = 1e-12
-ROOT_POST_RTOL = 1e-10
+RESIDUAL_RTOL = 1e-10
 ROOT_MAX_ITER = 200
 
-# Inverse branches and ray tracing.
-INVERSE_RESIDUAL_RTOL = 1e-10
+# Ray tracing.
 TRACER_TOL = 1e-10
 TRACER_MAX_DEPTH = 128
 
@@ -55,5 +55,5 @@ LADDER_EXTRA_DEPTH = 2
 
 
 def strip_epsilon(d: int) -> float:
-    """Default fuzz half-width between the inner and outer strip bounds."""
-    return math.pi / (4 * d)
+    """Default fuzz half-width between the inner and outer strips, pi/4d."""
+    return math.pi / 4 / d

@@ -40,17 +40,6 @@ class TractConfigError(RayforgeError):
     exit_code = 3
 
 
-class AmbiguousTractError(RayforgeError):
-    """A point sits in the fuzz zone between two strip estimates."""
-
-    exit_code = 3
-
-    def __init__(self, z, candidates):
-        super().__init__(f"tract index of {z} is ambiguous between {candidates}")
-        self.z = z
-        self.candidates = tuple(candidates)
-
-
 class BranchSelectionError(RayforgeError):
     """No inverse-branch candidate landed in the requested strip."""
 

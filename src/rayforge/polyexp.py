@@ -1,16 +1,16 @@
 """The map family under study: f(z) = p(exp(z)) with p monic of degree d.
 
-Holds evaluation, derivatives and singular data, a batched root solver
+Holds evaluation, p' and singular data, a batched root solver
 for p(z) = w (the quadratic formula at degree 2, simultaneous iteration
 above) and the Monte-Carlo report ``diag appendix-a`` prints, which
 samples how singular-value magnitudes control a map's geometry.  All
 Horner evaluation, of p, p' (coefficients formed once per map), the
-tract certificate's sums and the containment proof, goes through
-``horner``.  The report proves disk containment by Cauchy's root radius,
-and ``check_disk_containment`` samples each map left open with one root
-solve.  ``appendix_report`` draws all its samples in one array pass and
-measures them at the critical points it drew, with no root solve of p';
-its ratios are the closer of the two to a 50-digit reference.
+residual scale, the tract certificate's sums and the containment proof,
+goes through ``horner``.  The report proves disk containment by Cauchy's
+root radius, and ``check_disk_containment`` samples each map left open
+with one root solve.  ``appendix_report`` draws all its samples in one
+array pass and measures them at the critical points it drew, with no root
+solve of p'; its ratios are the closer of the two to a 50-digit reference.
 Random draws take explicit seeds; nothing here keeps mutable state.
 """
 
@@ -28,6 +28,8 @@ from . import config
 from .errors import DomainError, OverflowSignal, RootSolveError
 
 _TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+_PRODUCT_ENTRIES = 2**16  # complex entries of one chunk of _sample's product: 1 MB
 
 
 def horner(cs, x):
@@ -59,6 +61,11 @@ class PolyExpMap:
         object.__setattr__(self, "coeffs", cs)
 
     @functools.cached_property
+    def moduli(self) -> tuple[float, ...]:
+        """|b_0|, ..., |b_{d-1}|, 1: the moduli of p's coefficients, lowest first."""
+        return tuple(np.abs(self.coeffs).tolist()) + (1.0,)
+
+    @functools.cached_property
     def derivative_coeffs(self) -> tuple[complex, ...]:
         """p' as b_1, 2 b_2, ..., (d-1) b_{d-1}, d: lowest power first."""
         return tuple(k * self.coeffs[k] for k in range(1, self.d)) + (complex(self.d),)
@@ -78,28 +85,6 @@ class PolyExpMap:
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise OverflowSignal(f"polynomial overflow evaluating map at {z}")
         return value
-
-    def derivative(self, z: complex) -> complex:
-        """f'(z) = p'(exp z) * exp z."""
-        z = complex(z)
-        if self.d * z.real > config.EXP_ARG_LIMIT:
-            raise OverflowSignal(f"exp overflow in derivative at {z}")
-        w = cmath.exp(z)
-        value = self.poly_derivative(w) * w
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise OverflowSignal(f"derivative overflow at {z}")
-        return value
-
-    def log_abs_derivative(self, z: complex) -> float:
-        """log |f'(z)|, valid also where the value itself would overflow."""
-        z = complex(z)
-        if self.d * z.real <= config.EXP_ARG_LIMIT:
-            v = self.derivative(z)
-            if v == 0:
-                return -math.inf
-            return math.log(abs(v))
-        # Deep right: p'(w) = d w^{d-1} (1 + lower order), corrections underflow.
-        return math.log(self.d) + self.d * z.real
 
     def singular_data(self) -> "SingularData":
         """The critical values of p (at ``critical_points``) and the
@@ -163,30 +148,39 @@ def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
     return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
 
 
+@np.errstate(all="ignore")
 def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve p(z) = w for a batch of right-hand sides: in closed form at
     d = 2, by Ehrlich-Aberth iteration above.  Every row is bitwise equal to
     its one-row solve, so the output never depends on the rest of the batch.
     Returns the (len(ws), d) roots and the RootSolveError of each stalled
     row by row index: a row stalls, and its roots are NaN, when its worst
-    relative residual is above the post tolerance, or is not a number."""
+    relative residual, |p(z) - w| over ``residual_scale`` per root, is above
+    ``config.RESIDUAL_RTOL``, or is not a number."""
     d, cs = map_.d, map_.coeffs
     ws = np.asarray(ws, dtype=complex).ravel()
-    scale = np.maximum(1.0, np.abs(ws))
     if d == 1:
         return (ws - cs[0]).reshape(-1, 1), {}
-    x = _quadratic_roots(cs[1], cs[0] - ws) if d == 2 else _aberth_roots(map_, ws, scale)
+    x = _quadratic_roots(cs[1], cs[0] - ws) if d == 2 else _aberth_roots(map_, ws)
 
-    worst = (np.abs(map_.poly(x) - ws[:, None]) / scale[:, None]).max(axis=1)
+    worst = (np.abs(map_.poly(x) - ws[:, None]) / residual_scale(map_, x, ws[:, None])).max(1)
     stalled = {}
-    for k in (~(worst <= config.ROOT_POST_RTOL)).nonzero()[0].tolist():  # NaN fails too
+    for k in (~(worst <= config.RESIDUAL_RTOL)).nonzero()[0].tolist():  # NaN fails too
         message = f"relative-residual post-check failed, worst relative residual {worst[k]:.3e}"
         stalled[k] = RootSolveError(message, worst_residual=float(worst[k]))
         x[k] = complex(math.nan, math.nan)
     return x, stalled
 
 
-@np.errstate(all="ignore")
+def residual_scale(map_: PolyExpMap, zeta, ws):
+    """max(1, |w|, sum_k |b_k| |zeta|^k + |zeta|^d) elementwise, the scale at
+    which p(zeta) rounds; capped at the largest double, so that an
+    overflowed residual |p(zeta) - w| never passes.  Callers run it under
+    np.errstate, since the sum overflows to inf."""
+    terms = horner(map_.moduli, np.abs(zeta))
+    return np.minimum(np.maximum(np.maximum(1.0, np.abs(ws)), terms), _HUGE)
+
+
 def _quadratic_roots(b1: complex, c: np.ndarray) -> np.ndarray:
     """The roots q and c/q of z^2 + b1 z + c[k] in rows, as in
     ``critical_points``: q = -(b1 + s)/2 with the square root s of
@@ -197,7 +191,7 @@ def _quadratic_roots(b1: complex, c: np.ndarray) -> np.ndarray:
     return np.stack([q, np.where(q == 0, 0j, c / q)], axis=1)
 
 
-def _aberth_roots(map_: PolyExpMap, ws: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _aberth_roots(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
     """At most ROOT_MAX_ITER Ehrlich-Aberth sweeps from the d-th-root fan of
     each w, twisted by 0.7 radians to break the real-axis symmetry trap."""
     d, cs = map_.d, map_.coeffs
@@ -207,7 +201,7 @@ def _aberth_roots(map_: PolyExpMap, ws: np.ndarray, scale: np.ndarray) -> np.nda
 
     # The sweep runs on the live rows only: (row index, roots, w, tolerance).
     live = np.arange(len(ws))
-    xl, wl, tl = x, ws[:, None], (config.ROOT_ITER_RTOL * scale)[:, None]
+    xl, wl, tl = x, ws[:, None], (config.ROOT_ITER_RTOL * np.maximum(1.0, np.abs(ws)))[:, None]
 
     def retire(passed) -> np.ndarray | None:
         """Write back and drop the rows whose every entry passed; returns
@@ -378,9 +372,13 @@ def _sample(d: int, rho: float, block: np.ndarray) -> tuple:
     cps = np.sqrt(-2 * np.log1p(-u[:, : d - 1])) * np.exp(2j * np.pi * u[:, d - 1 : -1])
     # p(c_k) = d c_k * (mean of prod (w - c) over [0, c_k]), exact by Gauss-Legendre:
     # within 8 * 2^-53 of 50 digits at d <= 5, where Horner's rule on coeffs cancels.
-    mean = 0
-    for t, w in _gauss_legendre((d + 1) // 2):
-        mean = mean + w * np.multiply.reduce(t * cps[:, :, None] - cps[:, None, :], axis=-1)
+    # Its (rows, d-1, d-1) factors are formed _PRODUCT_ENTRIES at a time, same bits.
+    mean = np.zeros_like(cps)
+    step = max(1, _PRODUCT_ENTRIES // (d - 1) ** 2)
+    for lo in range(0, len(cps), step):
+        c = cps[lo : lo + step]
+        for t, w in _gauss_legendre((d + 1) // 2):
+            mean[lo : lo + step] += w * np.multiply.reduce(t * c[:, :, None] - c[:, None], axis=-1)
     values = d * cps * mean
     peak = np.maximum.reduce(np.abs(values), axis=1)
     target = rho * (0.3 + 0.7 * u[:, -1])

@@ -12,6 +12,7 @@ the tracer certifies convergence by comparing two consecutive depths.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import config, potentials, tracts
 from .errors import (
-    AmbiguousTractError,
     BranchSelectionError,
     DomainError,
     NotConvergedError,
@@ -206,9 +206,12 @@ def extract_potential_address(
     evaluation would overflow (which certifies right escape); the potential
     is pulled back from the deepest iterate, whose *real* part stays
     well-conditioned.  Strip indices, by contrast, are only readable while
-    the accumulated angle error (amplified by |f'| per step) stays small,
-    so the prefix stops at that precision horizon.  An orbit that stays bounded or leaves the
-    strips, or an iterate whose strip is ambiguous, raises NotEscapingError
+    the accumulated angle error (amplified by |f'| = |p'(e^z) e^z| per
+    step) stays below the fuzz eps, so the prefix stops at that precision
+    horizon.  ``tracts.tract_index`` reads each iterate and the read is
+    judged here.  Leading iterates left of t_up or between strips are
+    skipped (``start``).  A bounded orbit, a later iterate off the strips,
+    or an iterate in the fuzz (ambiguous strip) raises NotEscapingError
     with the orbit attached.
     """
     orbit = [complex(z)]
@@ -223,27 +226,36 @@ def extract_potential_address(
         raise NotEscapingError(
             "orbit did not certify escape within 64 steps", orbit
         )
-    angle_budget = math.log(math.pi / (4 * map_.d))
+    horizon = math.log(cfg.eps)
     log_err = math.log(max(abs(orbit[0]), 1.0) * 1e-16)
+    half = cfg.strip_half_width()
     prefix: list[int] = []
     start = 0
     for k, zk in enumerate(orbit):
         if k > 0:
-            log_err += map_.log_abs_derivative(orbit[k - 1])
-        if log_err > angle_budget:
+            w = cmath.exp(orbit[k - 1])
+            slope = map_.poly_derivative(w) * w
+            if not cmath.isfinite(slope):
+                raise OverflowSignal(f"derivative overflow at {orbit[k - 1]}")
+            log_err += math.log(abs(slope)) if slope else -math.inf
+        if log_err > horizon:
             break
-        try:
-            idx = tracts.tract_index(zk, cfg)
-        except DomainError as exc:
-            if not prefix:
-                start = k + 1  # leading iterates left of the strips
-                continue
-            raise NotEscapingError(
-                f"iterate {k} left the strip region: {exc}", orbit
-            ) from exc
-        except AmbiguousTractError as exc:
-            raise NotEscapingError(f"iterate {k} has no readable strip: {exc}", orbit) from exc
-        prefix.append(idx)
+        n, offset = tracts.tract_index(zk, cfg)
+        n, dist, right = int(n), abs(offset), zk.real >= cfg.t_up
+        if right and dist <= half:
+            prefix.append(n)
+        elif right and dist <= half + cfg.eps:
+            pair = (n, n + 1 if offset > 0 else n - 1)
+            note = f"has no readable strip: tract index of {zk} is ambiguous between {pair}"
+            raise NotEscapingError(f"iterate {k} {note}", orbit)
+        elif prefix:
+            where = (
+                f"between strips (offset {dist:.3g})" if right
+                else f"left of the strip region (Re < {cfg.t_up:.3g})"
+            )
+            raise NotEscapingError(f"iterate {k} left the strip region: point {zk} lies {where}", orbit)
+        else:
+            start = k + 1  # leading iterates left of the strips or between them
     if not prefix:
         raise NotEscapingError(
             "no orbit iterate was readable inside the strips", orbit

@@ -19,6 +19,8 @@ is what ray tracing at small potentials needs.
 The inverse branches read only the strip geometry (``d``, ``eps``,
 ``r_min``); the proven fields gate whether a map is served at all.  A
 certificate costs tens of microseconds, so every map certifies alone.
+``tract_index`` is the one reader of the strips, for the inverse branches
+and for the forward read (``rays.extract_potential_address``) alike.
 
 ``inverse_branches`` serves a whole batch of (strip, seed) rows with one
 root solve and one numpy pass over the rows.  Batched solves and branches
@@ -37,7 +39,6 @@ import numpy as np
 
 from . import config, polyexp
 from .errors import (
-    AmbiguousTractError,
     BranchSelectionError,
     DomainError,
     OverflowSignal,
@@ -102,12 +103,17 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
 
     ``_positive_root`` gives u_g and u* to rounding, or bounds them from
     above, the safe side; ``config.ROUNDING`` covers the rounding of the sums.
-    Every comparison fails on NaN or inf.  OverflowSignal is raised when
+    Every comparison fails on NaN or inf.  The factor covers d <=
+    ``config.MAX_DEGREE``; above, DomainError.  OverflowSignal is raised when
     the strips lie past the float range: a singular value is not finite,
     or the inner strip would start where f overflows, d*t_lo >
     EXP_ARG_LIMIT.
     """
     d = map_.d
+    if d > config.MAX_DEGREE:
+        raise DomainError(
+            f"tract certificate needs d <= config.MAX_DEGREE = {config.MAX_DEGREE}, got d = {d}"
+        )
     if eps is None:
         eps = config.strip_epsilon(d)
     if not 0 < eps < math.pi / (2 * d):
@@ -176,31 +182,18 @@ def _positive_root(a: float, cs: Sequence[float]) -> float:
         u = nxt
 
 
-def tract_index(z: complex, cfg: TractConfig) -> int:
-    """Index of the strip containing z.
+def tract_index(z, cfg: TractConfig):
+    """The nearest strip n = rint(Im z d/2pi) of a complex scalar or array
+    z, and the signed offset Im z - 2 pi n/d; it raises nothing.
 
-    Certified for Re z >= t_lo; points with Re z >= t_up are read
-    best-effort.  Angular distance up to pi/2d from a center resolves to
-    that strip; within the eps-fuzz beyond it the call raises
-    AmbiguousTractError carrying both flanking candidates.
+    The callers judge: |offset| <= pi/2d is strip n (certified for Re z >=
+    t_lo, best-effort for Re z >= t_up), the next eps is the fuzz between n
+    and n +- 1, and beyond lies between strips.  A tie, midway between two
+    centers, is pi/d > pi/2d + eps from both, so its rounding never matters.
     """
-    z = complex(z)
-    if z.real < cfg.t_up:
-        raise DomainError(
-            f"point {z} lies left of the strip region (Re < {cfg.t_up:.3g})"
-        )
-    # A point midway between two centers lies pi/d > pi/2d + eps from both,
-    # so the rounding of a tie never changes the outcome.
-    n = round(z.imag * cfg.d / (2 * math.pi))
-    center = cfg.strip_center(n)
-    dist = abs(z.imag - center)
-    half = cfg.strip_half_width()
-    if dist <= half:
-        return n
-    if dist <= half + cfg.eps:
-        side = 1 if z.imag > center else -1
-        raise AmbiguousTractError(z, (n, n + side))
-    raise DomainError(f"point {z} lies between strips (offset {dist:.3g})")
+    y = np.imag(z)
+    n = np.rint(y * cfg.d / (2 * math.pi))
+    return n, y - cfg.strip_center(n)
 
 
 def inverse_branches(
@@ -252,9 +245,9 @@ def _select_branches(
     ws: np.ndarray,
     roots: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, RayforgeError]]:
-    """Per row, lift log(zeta) of the root closest to strip ns[k] by the
-    multiple of 2*pi*i that lands there, and check the residual of f at the
-    result; the preimages (NaN on failed rows) and the errors by row.
+    """Per row, lift log(zeta) of each root toward strip ns[k], keep the lift
+    that ``tract_index`` reads in strip ns[k] nearest its center, and check
+    f there; the preimages (NaN on failed rows) and the errors by row.
 
     Ties go to the first root in (re, im) order, and a zero root is never a
     candidate.  The log is numpy's, whose real part can differ from
@@ -264,21 +257,21 @@ def _select_branches(
     d = map_.d
     rows = np.arange(len(ws))
     roots = np.sort(roots, axis=1)  # by (re, im)
-    center = (2 * math.pi * ns / d)[:, None]
+    center = cfg.strip_center(ns)[:, None]
     base = np.log(roots)
     lifted = base + 2j * math.pi * np.rint((center - base.imag) / (2 * math.pi))
-    dist = np.abs(lifted.imag - center)
-    dist[roots == 0] = np.inf
+    strip, offset = tract_index(lifted, cfg)
+    dist = np.where((strip == ns[:, None]) & (roots != 0), np.abs(offset), np.inf)
     best = dist.argmin(axis=1)
     z = lifted[rows, best]
     far = dist[rows, best] > cfg.strip_half_width() + cfg.eps
     # f(z) as PolyExpMap.__call__ evaluates it, for all rows at once; an
     # overflow of exp or of p leaves the residual non-finite.
     big = d * z.real > config.EXP_ARG_LIMIT
-    fz = map_.poly(np.exp(z))
+    fz = map_.poly(zeta := np.exp(z))
     diff = fz - ws
     gap = np.hypot(diff.real, diff.imag)
-    tight = gap <= config.INVERSE_RESIDUAL_RTOL * np.maximum(1.0, np.hypot(ws.real, ws.imag))
+    tight = gap <= config.RESIDUAL_RTOL * polyexp.residual_scale(map_, zeta, ws)
     errors: dict[int, RayforgeError] = {}
     for k in (far | big | ~tight).nonzero()[0].tolist():
         w, at = complex(ws[k]), complex(z[k])

@@ -251,7 +251,7 @@ def scalar_make_tract_config(
                     for rel in (-half - eps, -half + eps, 0.0, half - eps, half + eps):
                         z = complex(x, c + rel)
                         try:
-                            if map_(z).real > r and abs(map_.derivative(z)) < 2:
+                            if map_(z).real > r and abs(map_.poly_derivative(cmath.exp(z)) * cmath.exp(z)) < 2:
                                 ok = False
                                 break
                         except OverflowSignal:
@@ -659,7 +659,10 @@ def scalar_inverse_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex
         raise BranchSelectionError(f"no root of p = w lands in strip {n} for w={w}", candidates)
     z = best[1]
     residual = abs(map_(z) - w)
-    if residual > config.INVERSE_RESIDUAL_RTOL * max(1.0, abs(w)):
+    # p(zeta) rounds at the scale of its terms, so they bound the residual too.
+    u = abs(cmath.exp(z))
+    terms = sum(abs(b) * u**k for k, b in enumerate(map_.coeffs)) + u**map_.d
+    if residual > config.RESIDUAL_RTOL * max(1.0, abs(w), terms):
         raise BranchSelectionError(
             f"branch residual {residual:.3e} too large for w={w}", candidates
         )

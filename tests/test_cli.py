@@ -524,7 +524,6 @@ EXIT_CODES = {
     "OverflowSignal": 3,
     "RootSolveError": 3,
     "TractConfigError": 3,
-    "AmbiguousTractError": 3,
     "BranchSelectionError": 3,
     "NotConvergedError": 3,
     "NotEscapingError": 3,
@@ -594,6 +593,23 @@ class TestNumericOptions:
         assert f"--samples: expected at most {over - 1} at d=3" in capsys.readouterr().err
         assert run(base + ["--d", str(cli.config.MAX_DEGREE + 1), "--samples", "1"]) == 2
         assert "--d: expected an integer in [2, 170]" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
+    def test_tract_certificate_degree_cap(self, command, workdir, tmp_path, capsys):
+        # The tract certificate's rounding factor covers d <= MAX_DEGREE
+        # only, so a map of higher degree is a usage error, not a certificate.
+        d = cli.config.MAX_DEGREE + 1
+        map_path = _write(tmp_path, "m.json", serialize.to_json(PolyExpMap(d, [0.01] * d)))
+        argv = command.split() + ["--map", map_path]
+        if command == "ray trace":
+            argv += ["--address", workdir["zero"], "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rayforge: tract certificate needs d <= config.MAX_DEGREE = 170, got d = 171\n"
+        )
 
 
 def _write(tmp_path, name, obj) -> str:
@@ -889,7 +905,7 @@ class TestSurface:
     @pytest.mark.parametrize("name", sorted(EXIT_CODES))
     def test_error_exit_code_and_stream(self, name, workdir, capsys, monkeypatch):
         cls = getattr(errors, name)
-        exc = cls(1j, (0, 1)) if cls is errors.AmbiguousTractError else cls("boom")
+        exc = cls("boom")
 
         def raising(*args, **kwargs):
             raise exc

@@ -5,11 +5,12 @@ same outcomes as the row-by-row rule it replaced."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from rayforge import polyexp, presets, tracts
-from rayforge.errors import DomainError, RayforgeError
+from rayforge.errors import BranchSelectionError, DomainError, RayforgeError
 from rayforge.polyexp import PolyExpMap
 
 from oracles import scalar_inverse_branch
@@ -27,8 +28,11 @@ WILD_ROWS = [
     (1, 5e8 - 2e8j),  # a preimage
     (0, complex(WILD_CFG.r_min, 5.0)),  # DomainError: left of the singular values
     (0, 21430613.996445704 - 698305446.9543461j),  # BranchSelectionError: no root in strip
-    (-3, 21392114.094972994 + 0.024729019256154863j),  # BranchSelectionError: residual
-    (1, 21392114.56523069 - 118.74595111004622j),  # RootSolveError
+    # preimages near the critical value b_0 - b_1^2/4, whose residuals round
+    # at the scale of p's terms, far above |w|
+    (-3, 21392114.094972994 + 0.024729019256154863j),
+    (1, 21392114.56523069 - 118.74595111004622j),
+    (0, 1e308 + 0j),  # RootSolveError: b_1^2 - 4(b_0 - w) overflows
     (2, 1e306 + 0j),  # OverflowSignal: f overflows at the branch
 ]
 # Random rows just right of the singular values: any outcome.
@@ -102,6 +106,31 @@ class TestNonFiniteSeeds:
             assert type(exc) is DomainError and str(exc) == f"seed {complex(seeds[k])} is not finite"
         assert np.isnan(z[:3]).all() and z[3] == tracts.inverse_branch(presets.D2_MAP, cfg, 0, 50.0)
         assert [list(ws) for ws in solved] == [[50.0], [50.0]]
+
+
+class TestFarSingularValue:
+    """exp(z) - 1e8: the branch log(w + 1e8) is right to the last bits, but
+    its residual is the rounding of exp at |f'| = 1e8."""
+
+    MAP = PolyExpMap(1, [-1e8])
+    W = 96.02236556502682 + 0j
+
+    def test_right_branch_passes(self):
+        z = tracts.inverse_branch(self.MAP, tracts.make_tract_config(self.MAP), 0, self.W)
+        with mpmath.workdps(50):
+            exact = mpmath.log(mpmath.mpf(self.W.real) + 10**8)
+            assert abs(z - exact) <= 2 * math.ulp(z.real)
+
+    def test_moved_branch_fails(self, monkeypatch):
+        solve = polyexp.poly_roots_batch
+
+        def moved(map_, ws):
+            roots, stalled = solve(map_, ws)
+            return roots * (1 + 1e-8), stalled
+
+        monkeypatch.setattr(polyexp, "poly_roots_batch", moved)
+        with pytest.raises(BranchSelectionError, match="branch residual"):
+            tracts.inverse_branch(self.MAP, tracts.make_tract_config(self.MAP), 0, self.W)
 
 
 class TestScalarReference:

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -88,24 +89,6 @@ class TestEval:
         m = PolyExpMap(2, [1.0, 2.0])
         for x in (30.0, 50.0):
             assert abs(m(x)) == pytest.approx(math.exp(2 * x), rel=1e-3)
-
-    def test_chain_rule_consistency(self):
-        rng = np.random.default_rng(3)
-        m = PolyExpMap(3, [0.5 + 0.1j, -0.2, 1.0 - 0.3j])
-        for _ in range(50):
-            z = complex(rng.uniform(-2, 4), rng.uniform(-4, 4))
-            lhs = m.derivative(z) * cmath.exp(-z)
-            rhs = m.poly_derivative(cmath.exp(z))
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-    def test_log_abs_derivative_deep_right(self):
-        m = PolyExpMap(2, [0.3, 0.1])
-        z = 500.0 + 1.0j
-        assert m.log_abs_derivative(z) == pytest.approx(math.log(2) + 1000.0, rel=1e-12)
-        z2 = 5.0 + 1.0j
-        assert m.log_abs_derivative(z2) == pytest.approx(
-            math.log(abs(m.derivative(z2))), rel=1e-12
-        )
 
 
 class TestSingularValues:
@@ -350,6 +333,51 @@ class TestQuadraticClosedForm:
             assert np.array_equal(roots[k].view(np.int64), single.view(np.int64))
 
 
+# Singular values far left of the seeds: p's terms, |b_0| + |zeta|^d, dwarf w.
+FAR_MAPS = [PolyExpMap(2, [-1e10, 0.0]), PolyExpMap(3, [-1e12, 0.0, 0.0])]
+
+
+class TestResidualScale:
+    """The post-check measures |p(zeta) - w| against max(1, |w|, sum_k
+    |b_k| |zeta|^k + |zeta|^d): it passes right roots whose residual is the
+    rounding of p's terms, and still fails roots moved by 1e-8 relative."""
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(COMPLEXES, COMPLEXES, COMPLEXES)
+    def test_never_below_the_seed_scale(self, b0, zeta, w):
+        map_ = PolyExpMap(2, [b0, 1j])
+        with np.errstate(all="ignore"):  # as under its callers
+            scale = pe.residual_scale(map_, np.array([zeta]), np.array([w]))[0]
+        if all(map(cmath.isfinite, (b0, zeta, w))):
+            assert scale >= min(max(1.0, np.abs(w)), np.finfo(float).max)
+        assert not scale > np.finfo(float).max
+
+    @pytest.mark.parametrize("map_", FAR_MAPS, ids=["d2", "d3"])
+    def test_far_singular_value_roots_pass(self, map_):
+        ws = np.array([100.0, 96.02236556502682, 1e3 + 50j, 1e8j])
+        roots, stalled = pe.poly_roots_batch(map_, ws)
+        assert not stalled
+        with mpmath.workdps(50):
+            for w, row in zip(ws, roots):
+                for zeta in row:
+                    # each root is right to 1e-14 relative at 50 digits
+                    exact = mpmath.findroot(
+                        lambda z: mpmath.polyval([1] + [0] * (map_.d - 1) + [map_.coeffs[0] - w], z),
+                        mpmath.mpc(complex(zeta)),
+                    )
+                    assert abs(complex(zeta) - exact) <= 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize("map_", FAR_MAPS, ids=["d2", "d3"])
+    def test_moved_roots_fail(self, map_, monkeypatch):
+        solver = "_quadratic_roots" if map_.d == 2 else "_aberth_roots"
+        solve = getattr(pe, solver)
+        monkeypatch.setattr(pe, solver, lambda *args: solve(*args) * (1 + 1e-8))
+        ws = np.array([100.0, 1e3 + 50j])
+        roots, stalled = pe.poly_roots_batch(map_, ws)
+        assert sorted(stalled) == [0, 1] and np.isnan(roots).all()
+        assert all(exc.worst_residual > 1e-9 for exc in stalled.values())
+
+
 class TestCriticalPointBound:
     def test_pure_power(self):
         assert critical_point_ratio(PolyExpMap(3, [0.0, 0.0, 0.0]), 10.0) == 0.0
@@ -563,6 +591,12 @@ class TestCauchyRadius:
             assert rep.containment_failures == rep.containment_inconclusive == 0, d
 
 
+def _log_abs_slope(m: PolyExpMap, z: complex) -> float:
+    """log |f'(z)| with f'(z) = p'(e^z) e^z, as the forward verifier forms it."""
+    w = cmath.exp(z)
+    return math.log(abs(m.poly_derivative(w) * w))
+
+
 def _log_sup_derivative(d: int, t: float, rho: float, seed: int) -> float:
     """log sup |f'(z)| sampled over 32 maps with singular values in the
     rho-disk, at 128 points of the line Re z = (d+1)t and 128 points left
@@ -575,7 +609,7 @@ def _log_sup_derivative(d: int, t: float, rho: float, seed: int) -> float:
         m = sample_map_with_singular_values_in(d, rho, rng)
         ys = rng.uniform(-math.pi, math.pi, 256)
         xs = np.concatenate([np.full(128, x_line), rng.uniform(0, x_line, 128)])
-        log_sup = max(log_sup, *(m.log_abs_derivative(complex(x, y)) for x, y in zip(xs, ys)))
+        log_sup = max(log_sup, *(_log_abs_slope(m, complex(x, y)) for x, y in zip(xs, ys)))
     return log_sup
 
 
@@ -589,12 +623,12 @@ class TestDerivativeSup:
         m = PolyExpMap(2, [0.2, 0.1])
         t = 1.2
         line = max(
-            m.log_abs_derivative(complex(3 * t, y))
+            _log_abs_slope(m, complex(3 * t, y))
             for y in np.linspace(-math.pi, math.pi, 200)
         )
         rng = np.random.default_rng(8)
         interior = max(
-            m.log_abs_derivative(complex(rng.uniform(0, 3 * t), rng.uniform(-4, 4)))
+            _log_abs_slope(m, complex(rng.uniform(0, 3 * t), rng.uniform(-4, 4)))
             for _ in range(500)
         )
         assert interior <= line + 1e-9
@@ -775,3 +809,29 @@ class TestAppendixReport:
         assert tiny.max_critical_point_ratio == pytest.approx(
             ref.max_critical_point_ratio, rel=1e-9
         )
+
+
+class TestSampleMemory:
+    """``_sample`` forms its Gauss-Legendre product a chunk of rows at a
+    time: memory O(samples d), the same bits as one pass."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 20, 60])
+    def test_chunked_equals_one_pass(self, d, monkeypatch):
+        block = np.random.default_rng(d).random((40, 4 * d))
+        monkeypatch.setattr(pe, "_PRODUCT_ENTRIES", 2**62)
+        whole = pe._sample(d, 5.0, block)
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(pe, "_PRODUCT_ENTRIES", rows * (d - 1) ** 2)
+            chunked = pe._sample(d, 5.0, block)
+            assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole], (d, rows)
+
+    def test_peak_memory_bounded(self):
+        # One pass would hold (400, 59, 59) complex factors, 22 MB, at once.
+        tracemalloc.start()
+        try:
+            rep = pe.appendix_report(60, 1e3, samples=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.containment_proven == rep.containment_maps  # no root solve
+        assert peak < 8e6

@@ -236,6 +236,24 @@ class TestOracle:
             assert abs(mpmath.mpc(p.z) - ref) <= p.error_estimate + 4 * ulp
 
 
+class TestFarSingularValues:
+    """Singular values far left of the seeds: every branch and root carries
+    rounding at the scale of p's terms, |b_0| + |zeta|^d, far above |w|,
+    and the residual checks measure it there."""
+
+    @pytest.mark.parametrize(
+        "map_",
+        [PolyExpMap(1, [-1e8]), PolyExpMap(2, [-1e10, 0.0]), PolyExpMap(3, [-1e12, 0.0, 0.0])],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_samples_within_error_estimate_of_50_digits(self, map_):
+        cfg = tracts.make_tract_config(map_)
+        for p in rays.trace_segment(map_, cfg, ZERO, 1.0, 2.0, 2).samples:
+            ref = ray_point_50_digits(map_, ZERO, p.t, p.depth_used)
+            ulp = math.ulp(max(abs(p.z.real), abs(p.z.imag)))
+            assert abs(mpmath.mpc(p.z) - ref) <= p.error_estimate + 4 * ulp
+
+
 class TestBatching:
     @pytest.mark.parametrize("case", [1, 2])
     def test_one_root_solve_per_pull_level(self, case, monkeypatch):

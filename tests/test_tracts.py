@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from rayforge import config, tracts
+from rayforge import config, rays, tracts
 from rayforge import polyexp as pe
 from rayforge.errors import (
-    AmbiguousTractError,
     DomainError,
+    NotEscapingError,
     OverflowSignal,
     TractConfigError,
 )
@@ -77,7 +77,8 @@ class TestConfig:
         for _ in range(200):
             z = complex(rng.uniform(cfg_exp.t_up, 30), rng.uniform(-3, 3))
             if EXP(z).real > cfg_exp.r:
-                assert abs(EXP.derivative(z)) >= 2
+                w = cmath.exp(z)  # f'(z) = p'(e^z) e^z
+                assert abs(EXP.poly_derivative(w) * w) >= 2
 
     def test_r_min_is_right_of_every_singular_value(self):
         # The critical value 1e8 + 0.05 lies within the dedup tolerance of
@@ -88,6 +89,14 @@ class TestConfig:
         assert sd.all == (1e8,)
         cfg = tracts.make_tract_config(m)
         assert all(cfg.r_min > v.real for v in (sd.asymptotic_value, *sd.critical_values))
+
+    def test_degree_cap(self):
+        # config.ROUNDING covers the certificate's sums up to MAX_DEGREE
+        top = config.MAX_DEGREE
+        cfg = tracts.make_tract_config(PolyExpMap(top, [0.01] * top))
+        assert cfg.d == top and math.isfinite(cfg.t_lo)
+        with pytest.raises(DomainError, match=f"config.MAX_DEGREE = {top}, got d = {top + 1}"):
+            tracts.make_tract_config(PolyExpMap(top + 1, [0.01] * (top + 1)))
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
@@ -230,29 +239,74 @@ class TestFailSafe:
         assert interval_tract_violations(map_, cfg) == []
 
 
-class TestTractIndex:
-    def test_center_hits(self, cfg_exp, cfg_d2):
-        assert tracts.tract_index(100 + 0j, cfg_exp) == 0
-        assert tracts.tract_index(50 + 3 * math.pi * 1j, cfg_d2) == 3
+def _note(map_, cfg, z) -> str:
+    """The NotEscapingError message of the forward read of z."""
+    with pytest.raises(NotEscapingError) as err:
+        rays.extract_potential_address(map_, cfg, z)
+    return str(err.value)
 
-    def test_nominal_edge_inclusive(self, cfg_exp):
-        # half-width pi/2 for d=1: the nominal boundary still resolves
-        assert tracts.tract_index(50 + (math.pi / 2) * 1j, cfg_exp) == 0
+
+class TestTractIndex:
+    """The one strip reader: (nearest strip, signed offset from its center)
+    for scalars and arrays, and the forward read's judgment of each read,
+    note for note."""
+
+    def test_center_hits(self, cfg_exp, cfg_d2):
+        assert tracts.tract_index(100 + 0j, cfg_exp) == (0, 0.0)
+        assert tracts.tract_index(50 + 3 * math.pi * 1j, cfg_d2) == (3, 0.0)
+        z = np.array([100 + 0j, 7 + 2j * math.pi, -5 - 4j * math.pi])
+        n, offset = tracts.tract_index(z, cfg_exp)
+        assert n.tolist() == [0, 1, -2] and offset.tolist() == [0.0, 0.0, 0.0]
+
+    def test_nominal_edge_inclusive(self, cfg_exp, cfg_d2):
+        # |offset| = pi/2d exactly still reads as strip n
+        assert tracts.tract_index(50 + (math.pi / 2) * 1j, cfg_exp) == (0, math.pi / 2)
+        n, offset = tracts.tract_index(np.array([50 + 3 * math.pi / 4 * 1j, 9 - math.pi / 4 * 1j]), cfg_d2)
+        assert n.tolist() == [1, 0] and offset.tolist() == [-math.pi / 4, -math.pi / 4]
+        assert abs(offset).max() == cfg_d2.strip_half_width()
+        assert rays.extract_potential_address(EXP, cfg_exp, 50 + (math.pi / 2) * 1j).prefix == (0,)
 
     def test_fuzz_zone_is_ambiguous(self, cfg_exp):
-        z = 50 + (math.pi / 2 + cfg_exp.eps / 2) * 1j
-        with pytest.raises(AmbiguousTractError) as err:
-            tracts.tract_index(z, cfg_exp)
-        assert set(err.value.candidates) == {0, 1}
+        half, eps = cfg_exp.strip_half_width(), cfg_exp.eps
+        z = 50 + (half + eps / 2) * 1j
+        n, offset = tracts.tract_index(np.array([z, z.conjugate()]), cfg_exp)
+        assert n.tolist() == [0, 0] and offset.tolist() == [half + eps / 2, -(half + eps / 2)]
+        assert _note(EXP, cfg_exp, z) == (
+            "iterate 0 has no readable strip: tract index of (50+1.9634954084936207j) "
+            "is ambiguous between (0, 1)"
+        )
+        assert _note(EXP, cfg_exp, z.conjugate()).endswith("ambiguous between (0, -1)")
 
-    def test_between_strips_rejected(self, cfg_d2):
-        z = 50 + (math.pi / 2) * 1j  # midway between centers 0 and pi
-        with pytest.raises(DomainError):
-            tracts.tract_index(z, cfg_d2)
+    def test_between_strips_rejected(self, cfg_exp, cfg_d2):
+        # midway between centers 0 and pi: pi/2 = pi/d from both, past the fuzz
+        n, offset = tracts.tract_index(50 + (math.pi / 2) * 1j, cfg_d2)
+        assert (n, offset) == (0, math.pi / 2) and offset > cfg_d2.strip_half_width() + cfg_d2.eps
+        assert tracts.tract_index(50 + (3 * math.pi / 2) * 1j, cfg_d2) == (2, -math.pi / 2)
+        assert _note(EXP, cfg_exp, 2.979874906119652 + 6.091013933028755j) == (
+            "iterate 1 left the strip region: point (19.322982770902453-3.7597204542612146j) "
+            "lies between strips (offset 2.52)"
+        )
 
     def test_left_of_region_rejected(self, cfg_exp):
-        with pytest.raises(DomainError):
-            tracts.tract_index(-5 + 0j, cfg_exp)
+        # the reader reads any point; the forward read rejects a later
+        # iterate left of t_up
+        assert tracts.tract_index(-5 + 0j, cfg_exp) == (0, 0.0)
+        assert _note(EXP, cfg_exp, 1.2445143538679204 + 1.5564423340784401j) == (
+            "iterate 1 left the strip region: point (0.04982456600623937+3.470890994599219j) "
+            "lies left of the strip region (Re < 0.0986)"
+        )
+
+    def test_leading_iterates_off_the_strips_are_skipped(self, cfg_exp):
+        # iterates 0-2 lie between strips or left of them; the prefix starts at 3
+        ext = rays.extract_potential_address(EXP, cfg_exp, 4.006578560535997 - 3.2229860073058156j)
+        assert (ext.start, ext.prefix) == (3, (0, 0, 0, 0))
+
+    def test_scalar_reads_equal_array_reads(self, cfg_d2_gen):
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-5, 60, 200) + 1j * rng.uniform(-40, 40, 200)
+        n, offset = tracts.tract_index(z, cfg_d2_gen)
+        assert [tracts.tract_index(complex(v), cfg_d2_gen) for v in z] == list(zip(n, offset))
+        assert (np.abs(offset) <= math.pi / 2 + 1e-15).all()
 
 
 class TestInverseBranch:
@@ -278,7 +332,7 @@ class TestInverseBranch:
                 rng.uniform(-20, 20),
             )
             z = tracts.inverse_branch(D2_GEN, cfg_d2_gen, n, w)
-            assert tracts.tract_index(z, cfg_d2_gen) == n
+            assert tracts.tract_index(z, cfg_d2_gen)[0] == n
             assert abs(D2_GEN(z) - w) <= 1e-9 * max(1.0, abs(w))
 
     def test_domain_error_left_of_singular_values(self, cfg_exp):
