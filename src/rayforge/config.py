@@ -44,9 +44,6 @@ MAX_DEGREE = 170
 # Pullback iteration.
 CLASSIFY_MAX_ITER = 50
 CLASSIFY_TOL = 1e-10
-# Anderson memory of classify: each mixed grid combines the last
-# ANDERSON_MEMORY + 1 pullbacks.  The closed-form weight solve handles 1 or 2.
-ANDERSON_MEMORY = 2
 VERIFY_POTENTIAL_RTOL = 1e-6
 
 # Sampling depth added on top of the grid depth when probing ladder

@@ -16,14 +16,18 @@ perturbs by a hair and retries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateCurveError, DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MarkedSet:
-    """Finite ordered set of pairwise distinct marked points."""
+    """Finite ordered set of pairwise distinct marked points.
+
+    A dataclass, not a NamedTuple, because its own ``__init__`` validates
+    the points.
+    """
 
     points: tuple[complex, ...]
 
@@ -39,12 +43,13 @@ class MarkedSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolylineCurve:
     """Polyline from a marked point, continued horizontally to +infinity.
 
     ``vertices`` are the finite corners; the segment from the last vertex
-    extends to Re -> +oo at constant imaginary part.
+    extends to Re -> +oo at constant imaginary part.  A dataclass, not a
+    NamedTuple, because its own ``__init__`` validates the vertices.
     """
 
     vertices: tuple[complex, ...]
@@ -56,8 +61,7 @@ class PolylineCurve:
         object.__setattr__(self, "vertices", vs)
 
 
-@dataclass(frozen=True)
-class HomotopyWord:
+class HomotopyWord(NamedTuple):
     """Freely reduced word; letters are (marked-point index, sign)."""
 
     letters: tuple[tuple[int, int], ...]

@@ -20,7 +20,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,11 +41,13 @@ def horner(cs, x):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolyExpMap:
     """f = p o exp with p(w) = w^d + b_{d-1} w^{d-1} + ... + b_0.
 
-    ``coeffs`` lists b_0 first; the monic leading term is implicit.
+    ``coeffs`` lists b_0 first; the monic leading term is implicit.  A
+    dataclass, not a NamedTuple, because its own ``__init__`` validates
+    and it caches derived coefficients on the instance.
     """
 
     d: int
@@ -101,8 +103,7 @@ class PolyExpMap:
         return SingularData(cvs, self.coeffs[0], tuple(distinct))
 
 
-@dataclass(frozen=True)
-class SingularData:
+class SingularData(NamedTuple):
     """The critical values of p (with multiplicity, in the order of
     ``critical_points``) plus the asymptotic value p(0).
 
@@ -116,7 +117,11 @@ class SingularData:
     all: tuple[complex, ...]
 
     def max_modulus(self) -> float:
-        return max(abs(v) for v in (self.asymptotic_value, *self.critical_values))
+        """The largest |v|; OverflowSignal where that leaves the float range."""
+        try:
+            return max(abs(v) for v in (self.asymptotic_value, *self.critical_values))
+        except OverflowError as exc:
+            raise OverflowSignal("a singular value's modulus leaves the float range") from exc
 
     def max_real(self) -> float:
         return max(v.real for v in (self.asymptotic_value, *self.critical_values))
@@ -266,8 +271,7 @@ def check_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
     return bool(np.all(np.abs(roots) < r))
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     """Monte-Carlo summary of the critical-point and coefficient ratios and
     of preimage containment."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import config
 from .errors import DomainError, OverflowSignal
@@ -29,7 +29,7 @@ def integers(entries: Sequence[int], what: str) -> tuple[int, ...]:
     raise DomainError(f"{what} must be integers, got {list(entries)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExternalAddress:
     """Integer sequence with an eventually periodic representation.
 
@@ -37,7 +37,8 @@ class ExternalAddress:
     bounded sequences are representable, which is exactly the class every
     operation in this package supports; address families with unbounded
     entries are rejected at construction of the consumers that would need
-    them.
+    them.  A dataclass, not a NamedTuple, because its own ``__init__``
+    validates the entries.
     """
 
     preperiod: tuple[int, ...]
@@ -153,8 +154,7 @@ def chain(d: int, t: float, max_len: int = 512) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class PotentialLadder:
+class PotentialLadder(NamedTuple):
     """Sorted potentials of a marked-orbit family plus half-way midpoints.
 
     Above the threshold ``t_prime`` consecutive rungs are more than 2 apart

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ from .polyexp import PolyExpMap
 from .potentials import ExternalAddress
 
 
-@dataclass(frozen=True)
-class RayPoint:
+class RayPoint(NamedTuple):
     z: complex
     t: float
     depth_used: int
@@ -40,7 +40,11 @@ class RayPoint:
 
 @dataclass(frozen=True)
 class RaySegment:
-    """Ray samples ordered by strictly increasing potential."""
+    """Ray samples ordered by strictly increasing potential.
+
+    A dataclass, not a NamedTuple, because construction checks the order
+    in ``__post_init__``.
+    """
 
     samples: tuple[RayPoint, ...]
 
@@ -186,8 +190,7 @@ def trace_segment(
     return RaySegment(tuple(RayPoint(*sample) for sample in samples))
 
 
-@dataclass(frozen=True)
-class Extraction:
+class Extraction(NamedTuple):
     t: float
     prefix: tuple[int, ...]
     residual: float

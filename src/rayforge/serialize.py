@@ -11,11 +11,12 @@ Schemas ("rayforge/1"):
 Every command output embeds the schema string and the run configuration,
 and serialization is byte-deterministic for equal inputs.
 
-``to_json`` is the one encoder: a dataclass becomes its fields by name, a
-dict stays a dict, a list, tuple or ndarray becomes a list, a complex
-number becomes {"re", "im"} and a non-finite float null; other values pass
-through.  So map, address and report keys are the dataclasses' field
-names, except for the ``ray trace`` samples (t, re, im, depth, err).
+``to_json`` is the one encoder: a record (NamedTuple or dataclass) becomes
+its fields by name, a dict stays a dict, any other list, tuple or ndarray
+becomes a list, a complex number becomes {"re", "im"} and a non-finite
+float null; other values pass through.  So map, address and report keys
+are the records' field names, except for the ``ray trace`` samples (t, re,
+im, depth, err).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def complex_to_json(z: complex) -> dict:
 
 def to_json(obj: Any) -> Any:
     """The JSON value of ``obj`` by the module's one encoding rule."""
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple, before tuples
+        return {name: to_json(value) for name, value in zip(obj._fields, obj)}
     if dataclasses.is_dataclass(obj):
         return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -29,9 +29,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class TargetSpec:
     critical values.  Addresses must be pairwise non-overlapping under
     shifts and the configuration must admit only finitely many nontrivial
     clusters.
+
+    A dataclass, not a NamedTuple, because its derived properties are
+    cached on the instance.
     """
 
     d: int
@@ -186,15 +189,14 @@ def validate_spec(spec: TargetSpec) -> None:
                 )
 
 
-@dataclass
-class ThurstonState:
+class ThurstonState(NamedTuple):
     """The map and the truncated orbit grid z[i][j] (orbit i < m, level
     j = 0..depth) of one pullback iterate, with the history so far."""
 
     map: PolyExpMap
     spec: TargetSpec
     z: np.ndarray  # complex, shape (m, depth+1)
-    deltas: list[float] = field(default_factory=list)
+    deltas: list[float]
 
 
 def init_state(
@@ -210,7 +212,7 @@ def init_state(
         phases = rng.uniform(0, 2 * math.pi, z.shape)
         z = z + jitter * np.exp(1j * phases)
     map_ = fit_map(spec.d, [complex(v) for v in z[:, 0]])
-    return ThurstonState(map_, spec, z)
+    return ThurstonState(map_, spec, z, [])
 
 
 def fit_map(
@@ -323,8 +325,7 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     return ThurstonState(new_map, spec, new, state.deltas + [delta])
 
 
-@dataclass(frozen=True)
-class OrbitCheck:
+class OrbitCheck(NamedTuple):
     orbit: int
     singular_value: complex
     potential: float
@@ -335,8 +336,7 @@ class OrbitCheck:
     escaped: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Forward-orbit verification of a classified map against its target."""
 
     passed: bool
@@ -371,13 +371,17 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
     return Certificate(not notes, tuple(checks), tuple(notes))
 
 
-@dataclass
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     map: PolyExpMap
     z: np.ndarray
     certificate: Certificate
     deltas: list[float]
-    iterate_log: list[np.ndarray] = field(default_factory=list)
+    iterate_log: list[np.ndarray]
+
+
+# Each mixed grid combines the last _ANDERSON_MEMORY + 1 pullbacks; the
+# closed-form weight solve in _anderson_mix handles memory 1 or 2.
+_ANDERSON_MEMORY = 2
 
 
 def _anderson_mix(
@@ -420,9 +424,9 @@ def classify(
     """Iterate the pullback to its fixed point and certify the result.
 
     The grid has the spec's own depth J* (``spec.depth``), which a J in the
-    spec only bounds.  Each next grid is the Anderson mix (memory
-    ``config.ANDERSON_MEMORY``) of the last pullbacks, with the map refitted
-    to its first column.  The first real pullback step that moves the grid
+    spec only bounds.  Each next grid is the Anderson mix (memory 2, the
+    most the closed-form weight solve handles) of the last three pullbacks,
+    with the map refitted to its first column.  The first real pullback step that moves the grid
     by less than tol (sup norm) stops the run, and its pulled state is the
     result.  The history
     is dropped and the last pulled grid taken as it is (the plain step)
@@ -456,7 +460,7 @@ def classify(
             history = []
         else:
             history.append((state.z.ravel(), step.z.ravel()))
-            del history[: -(config.ANDERSON_MEMORY + 1)]
+            del history[: -(_ANDERSON_MEMORY + 1)]
         pulled = state = step
         if len(history) > 1:
             state = _anderson_mix(history, step) or step
@@ -472,8 +476,7 @@ def classify(
     return ClassifyResult(step.map, step.z, certificate, step.deltas, iterate_log)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Computable shadows of the invariant-region conditions at one state:
     rho, and each condition as a signed margin, positive exactly when it
     holds and +inf (``null`` on the wire) when it holds vacuously, on no

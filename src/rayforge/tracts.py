@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +46,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class TractConfig:
+class TractConfig(NamedTuple):
     """Certified strip bounds for one map.
 
     ``r``: right half-plane on which the branch guarantees (the strip
@@ -105,9 +103,9 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
     above, the safe side; ``config.ROUNDING`` covers the rounding of the sums.
     Every comparison fails on NaN or inf.  The factor covers d <=
     ``config.MAX_DEGREE``; above, DomainError.  OverflowSignal is raised when
-    the strips lie past the float range: a singular value is not finite,
-    or the inner strip would start where f overflows, d*t_lo >
-    EXP_ARG_LIMIT.
+    the strips lie past the float range: a singular value is not finite, a
+    coefficient's modulus overflows, or the inner strip would start where f
+    overflows, d*t_lo > EXP_ARG_LIMIT.
     """
     d = map_.d
     if d > config.MAX_DEGREE:
@@ -121,7 +119,10 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
     sv = map_.singular_data()
     if not all(cmath.isfinite(v) for v in sv.all):
         raise OverflowSignal("singular values leave the float range")
-    moduli = [abs(b) for b in map_.coeffs]
+    try:
+        moduli = [abs(b) for b in map_.coeffs]
+    except OverflowError as exc:
+        raise OverflowSignal("a coefficient's modulus leaves the float range") from exc
     falling = [(d - k) * b for k, b in enumerate(moduli)]
     rising = [k * b for k, b in enumerate(moduli)][1:]
     s = math.sin(d * eps)

@@ -395,7 +395,7 @@ def plain_pullback(
         state = thurston.pullback_step(state)
         if state.deltas[-1] < tol:
             certificate = thurston.verify(state.map, spec)
-            return thurston.ClassifyResult(state.map, state.z, certificate, state.deltas)
+            return thurston.ClassifyResult(state.map, state.z, certificate, state.deltas, [])
     raise NotConvergedError(
         f"plain pullback did not converge in {max_iter} iterations", details=state.deltas
     )

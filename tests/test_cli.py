@@ -515,6 +515,22 @@ class TestHomotopyAndTracts:
         assert payload["error"]["kind"] == "OverflowSignal"
         assert "too far" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
+    def test_coefficient_modulus_overflow_exit_3(self, command, workdir, tmp_path, capsys):
+        # both parts of b_0 are finite but |b_0| is not; Python's abs of it
+        # used to escape as a bare OverflowError (exit 1)
+        path = _write(tmp_path, "huge.json", {"d": 1, "coeffs": [{"re": 1.7e308, "im": 1.7e308}]})
+        argv = ["--map", path]
+        if command == "ray trace":
+            argv += ["--address", workdir["zero"], "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
+        code = run(command.split() + argv)
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {
+            "kind": "OverflowSignal",
+            "message": "a coefficient's modulus leaves the float range",
+        }
+
 
 # Exit code of each error class raised out of a subcommand handler.
 EXIT_CODES = {
@@ -796,8 +812,8 @@ CONFIG_KEYS = {
 
 
 # Keys of each command's JSON payload and of the records inside it.  Report
-# keys are the field names of the library's dataclasses, so renaming a field
-# changes the wire format; these sets pin it.
+# keys are the field names of the library's records (NamedTuple or
+# dataclass), so renaming a field changes the wire format; these sets pin it.
 PAYLOAD_KEYS = {
     "ray trace": {"schema", "config", "samples"},
     "classify": {

@@ -117,6 +117,13 @@ class TestSingularValues:
         assert sd.asymptotic_value == m.coeffs[0]
         assert PolyExpMap(1, [0.5]).singular_data().all == (0.5,)
 
+    def test_max_modulus_overflow_signals(self):
+        # both parts are finite, the modulus is not: Python's abs raises
+        sd = PolyExpMap(1, [1.7e308 + 1.7e308j]).singular_data()
+        with pytest.raises(OverflowSignal, match="singular value's modulus"):
+            sd.max_modulus()
+        assert PolyExpMap(2, [3 - 4j, 0.0]).singular_data().max_modulus() == 5.0
+
     def test_counts(self):
         m = PolyExpMap(3, [0.2, 0.5 - 1j, -0.1])
         sd = m.singular_data()

@@ -9,6 +9,7 @@ from rayforge.errors import DomainError
 from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
 from rayforge.thurston import OrbitCheck
+from rayforge.tracts import TractConfig
 
 
 def test_address_round_trip():
@@ -38,6 +39,11 @@ def test_to_json_map_and_address_wire_format():
         "preperiod": [7, -3],
         "period": [2],
     }
+    # a NamedTuple record is a tuple too: it encodes by field, a plain tuple as a list
+    assert serialize.to_json(TractConfig(1, 2.0, 0.5, -0.5, 2.5, 0.25)) == {
+        "d": 1, "r": 2.0, "r_min": 0.5, "t_up": -0.5, "t_lo": 2.5, "eps": 0.25,
+    }
+    assert serialize.to_json((1, 2.0, 0.5)) == [1, 2.0, 0.5]
 
 
 def test_to_json_non_finite_floats_are_null():

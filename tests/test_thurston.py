@@ -191,7 +191,7 @@ class TestPullback:
     def test_fixed_point_has_tiny_delta(self):
         # converge to the machine fixed point; one more step moves nothing
         res = thurston.classify(presets.SPEC_D1, max_iter=200, tol=1e-15)
-        state = thurston.ThurstonState(res.map, presets.SPEC_D1, res.z)
+        state = thurston.ThurstonState(res.map, presets.SPEC_D1, res.z, [])
         stepped = thurston.pullback_step(state)
         assert stepped.deltas[-1] < 1e-12
 
@@ -227,7 +227,7 @@ class TestBatchedPullback:
         spec = TargetSpec(2, ((1.0, ONE), (1.2, ZERO)), 2)
         z = spec.straight.copy()
         z[0, 1:] = row0
-        return thurston.ThurstonState(self.MAP, spec, z)
+        return thurston.ThurstonState(self.MAP, spec, z, [])
 
     def _assert_same_error(self, state, kind, point):
         with pytest.raises(kind) as want:
