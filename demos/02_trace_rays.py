@@ -37,12 +37,12 @@ print("\n=== a segment, geometrically sampled ===")
 seg = rays.trace_segment(m, cfg, presets.ZERO, 1.0, 5.0, 8)
 buf = io.StringIO()
 buf.write("t,re,im\n")
-for p in seg.samples:
+for p in seg:
     buf.write(f"{p.t:.6f},{p.z.real:.12g},{p.z.imag:.12g}\n")
 print(buf.getvalue())
 
 # Re f^n along the samples, for n = 0..6 or until f overflows.
-zs = [p.z for p in seg.samples]
+zs = [p.z for p in seg]
 onset = horizon = 0
 for n in range(7):
     if any(b.real <= a.real for a, b in zip(zs, zs[1:])):

@@ -12,18 +12,18 @@ print("marked points:", [f"{p:.0f}" for p in marked.points])
 
 print("\nstraight leg of the rightmost point: nothing lies ahead of it")
 word = ht.word_of_curve(marked, ht.PolylineCurve([5 - 1j]))
-print("  word:", word.letters)
+print("  word:", word)
 
 print("\nstraight leg of the first point: its exit passes above 5-1j")
 word = ht.word_of_curve(marked, ht.PolylineCurve([0 + 0j]))
-print("  word:", word.letters, "(one crossing of that cut ray)")
+print("  word:", word, "(one crossing of that cut ray)")
 
 print("\nclockwise loop around 5-1j, exiting below it:")
 loop = ht.PolylineCurve(
     [0 + 0j, 4 + 0j, 6 + 0j, 6 - 2j, 4 - 2j, 4 - 2.5j, 7 - 2.5j]
 )
 word = ht.word_of_curve(marked, loop)
-print("  word:", word.letters)
+print("  word:", word)
 
 print("\na back-and-forth wiggle cancels under free reduction:")
 letters = [(1, 1), (2, 1), (2, -1), (1, -1), (0, 1)]

@@ -74,7 +74,7 @@ def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
             "depth": p.depth_used,
             "err": p.error_estimate,
         }
-        for p in segment.samples
+        for p in segment
     ]
     extras = dict(tol=args.tol, max_depth=args.max_depth, t_lo=args.t_lo,
                   t_hi=args.t_hi, samples=args.samples, format=args.out)
@@ -143,8 +143,7 @@ def _cmd_diag_invariant(args) -> tuple[dict, dict, int]:
 def _cmd_homotopy_word(args) -> tuple[dict, dict, int]:
     marked = serialize.marked_from_json(_read_json(args.marked))
     curve = serialize.curve_from_json(_read_json(args.curve))
-    word = word_of_curve(marked, curve)
-    return {}, {"word": serialize.to_json(word.letters)}, EXIT_OK
+    return {}, {"word": serialize.to_json(word_of_curve(marked, curve))}, EXIT_OK
 
 
 def _cmd_tracts_inspect(args) -> tuple[dict, dict, int]:

@@ -16,7 +16,7 @@ perturbs by a hair and retries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DegenerateCurveError, DomainError
 
@@ -59,12 +59,6 @@ class PolylineCurve:
         if not vs:
             raise DomainError("curve needs at least its starting vertex")
         object.__setattr__(self, "vertices", vs)
-
-
-class HomotopyWord(NamedTuple):
-    """Freely reduced word; letters are (marked-point index, sign)."""
-
-    letters: tuple[tuple[int, int], ...]
 
 
 def reduce_letters(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -115,8 +109,9 @@ def _segment_crossings(
     return events
 
 
-def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> HomotopyWord:
-    """Crossing word of the curve relative to the marked set.
+def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> tuple[tuple[int, int], ...]:
+    """Crossing word of the curve relative to the marked set: its freely
+    reduced letters (marked-point index, sign).
 
     The curve must start at one of the marked points; its interior must
     avoid them.  The final horizontal edge crosses the ray of every marked
@@ -149,4 +144,4 @@ def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> HomotopyWord:
                 tail.append((w.real, idx))
     for _, idx in sorted(tail):
         letters.append((idx, 1))
-    return HomotopyWord(reduce_letters(letters))
+    return reduce_letters(letters)

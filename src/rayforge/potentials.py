@@ -49,6 +49,10 @@ class ExternalAddress:
         object.__setattr__(self, "period", integers(period, "address entries"))
         if not self.period:
             raise DomainError("address period must be nonempty")
+        for x in self.preperiod + self.period:
+            if not -(2**63) <= x < 2**63:
+                # the pull chains hold entries in numpy int64 arrays
+                raise DomainError(f"address entry {x} is outside the signed 64-bit range")
 
     def entry(self, n: int) -> int:
         if n < 0:
@@ -100,12 +104,14 @@ class ExternalAddress:
 
 
 def step(d: int, t: float) -> float:
-    """One escape-speed step: exp(d*t) - 1."""
+    """One escape-speed step: exp(d*t) - 1.  OverflowSignal where that
+    leaves the float range."""
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    if d * t > config.EXP_ARG_LIMIT + 10:
-        raise OverflowSignal(f"step({d}, {t}) exceeds the float range")
-    return math.expm1(d * t)
+    try:
+        return math.expm1(d * t)
+    except OverflowError:
+        raise OverflowSignal(f"step({d}, {t}) exceeds the float range") from None
 
 
 def inverse_step(d: int, y: float) -> float:

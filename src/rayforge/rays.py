@@ -8,13 +8,14 @@ as the depth n grows, where L_k is the inverse branch into strip k.  The
 seed error decays like exp(-step^n(t)/2), so the deepest representable
 seed is already far below double resolution for any moderate potential;
 the tracer certifies convergence by comparing two consecutive depths.
+It returns plain ray points, each carrying the error estimate that was
+tested against the tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,22 +37,6 @@ class RayPoint(NamedTuple):
     t: float
     depth_used: int
     error_estimate: float
-
-
-@dataclass(frozen=True)
-class RaySegment:
-    """Ray samples ordered by strictly increasing potential.
-
-    A dataclass, not a NamedTuple, because construction checks the order
-    in ``__post_init__``.
-    """
-
-    samples: tuple[RayPoint, ...]
-
-    def __post_init__(self):
-        ts = [p.t for p in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise DomainError("segment potentials must strictly increase")
 
 
 def _pull_chains(
@@ -89,16 +74,10 @@ def trace_ray(
     cfg: tracts.TractConfig,
     address: ExternalAddress,
     t: float,
-    tol: float = config.TRACER_TOL,
-    max_depth: int = config.TRACER_MAX_DEPTH,
 ) -> RayPoint:
     """Locate the ray point with the given address and potential t > 0:
     the one-sample segment at t."""
-    if not t > 0:
-        raise DomainError(f"potential must be > 0, got {t}")
-    return trace_segment(
-        map_, cfg, address, t, t, 1, tol=tol, max_depth=max_depth
-    ).samples[0]
+    return trace_segment(map_, cfg, address, t, t, 1)[0]
 
 
 def trace_segment(
@@ -110,22 +89,24 @@ def trace_segment(
     n_samples: int,
     tol: float = config.TRACER_TOL,
     max_depth: int = config.TRACER_MAX_DEPTH,
-) -> RaySegment:
-    """Trace the ray at geometrically spaced potentials in [t_lo, t_hi].
+) -> tuple[RayPoint, ...]:
+    """Trace the ray at geometrically spaced potentials in [t_lo, t_hi],
+    and return its points in order of strictly increasing potential.
 
     A sample at potential t uses depth n, the largest with step^n(t) at
     most the float-range limit config.CAP (``potentials.chain``, bounded by
     max_depth >= 1).  The consecutive-depth increment measures the
     depth-(n-1) error; scaled by the tail-decay ratio it bounds the
-    returned point's error, which must come in under tol max(1, |z|).
-    Depth 0 happens only where step(t) leaves the float range: the straight
-    point is then exact in double precision, and its error is the floor
-    |z| 1e-16 like any other sample's.  Where that floor alone exceeds
-    tol max(1, |z|), no depth can meet tol, and the error says so.  The
-    depth-n and depth-(n-1) chains of all samples are pulled together; the
-    first failing sample, depth n before depth n-1, raises its error.  A
-    chain point left of the singular values, where no single-valued branch
-    exists, raises BranchSelectionError.
+    returned point's error.  That bound, raised to the floor |z| 1e-16, is
+    the sample's error estimate: the number tested against tol max(1, |z|)
+    and the number returned.  Depth 0 happens only where step(t) leaves
+    the float range: the straight point is then exact in double precision,
+    and its error is the floor like any other sample's.  Where the floor
+    alone exceeds tol max(1, |z|), no depth can meet tol, and the error
+    says so.  The depth-n and depth-(n-1) chains of all samples are pulled
+    together; the first failing sample, depth n before depth n-1, raises
+    its error.  A chain point left of the singular values, where no
+    single-valued branch exists, raises BranchSelectionError.
     """
     if not 0 < t_lo <= t_hi < math.inf:
         raise DomainError("need finite 0 < t_lo <= t_hi")
@@ -139,6 +120,8 @@ def trace_segment(
         ratio = (t_hi / t_lo) ** (1.0 / (n_samples - 1))
         ts = [t_lo * ratio**k for k in range(n_samples)]
         ts[-1] = t_hi
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise DomainError("segment potentials must strictly increase")
     speeds = [potentials.chain(map_.d, t, max_len=max_depth + 1) for t in ts]
     depths = [len(values) - 1 for values in speeds]
     depths += [max(n - 1, 0) for n in depths]
@@ -159,9 +142,7 @@ def trace_segment(
         # exp(-(step^n - step^(n-1))/2), evaluated in log space because the
         # deepest seed dwarfs the float range.
         log_err = np.log(increment) + (seed_ts[S:] - seed_ts[:S]) / 2
-        err = np.where(
-            increment <= floor, floor, np.where(log_err > -700, np.exp(log_err), 0.0)
-        )
+        err = np.maximum(np.where(log_err > -700, np.exp(log_err), 0.0), floor)
     limit = tol * np.maximum(1.0, size)
     failed = err > limit
     failed[[c % S for c in errors]] = True
@@ -185,9 +166,8 @@ def trace_segment(
             f"{cause} (increment {increment[s]:.3e}, error estimate {err[s]:.3e})",
             details=(complex(z_prev[s]), complex(z[s])),
         )
-    err = np.maximum(err, floor)
     samples = zip(z.tolist(), ts, depths[:S], err.tolist())
-    return RaySegment(tuple(RayPoint(*sample) for sample in samples))
+    return tuple(RayPoint(*sample) for sample in samples)
 
 
 class Extraction(NamedTuple):

@@ -140,11 +140,11 @@ class TargetSpec:
 def validate_spec(spec: TargetSpec) -> None:
     """Reject structurally unsupported targets.
 
-    Checks: m <= d, positive potentials whose speed towers reach
-    ``config.CAP`` within ``config.TRACER_MAX_DEPTH`` levels, a depth J* of
-    at least 1 and a given J in 1..J*, pairwise non-overlapping addresses,
-    and finitely many nontrivial clusters (equal-speed orbits whose shifted
-    addresses keep agreeing).
+    Checks: m <= d <= ``config.MAX_DEGREE``, positive potentials whose
+    speed towers reach ``config.CAP`` within ``config.TRACER_MAX_DEPTH``
+    levels, a depth J* of at least 1 and a given J in 1..J*, pairwise
+    non-overlapping addresses, and finitely many nontrivial clusters
+    (equal-speed orbits whose shifted addresses keep agreeing).
     """
     if spec.J is not None and spec.J < 1:
         raise SpecRejectionError(f"grid depth J must be >= 1, got {spec.J}")
@@ -154,6 +154,11 @@ def validate_spec(spec: TargetSpec) -> None:
         raise SpecRejectionError(
             f"a degree-{spec.d} map has at most {spec.d} singular values, "
             f"got {spec.m} orbits"
+        )
+    if spec.d > config.MAX_DEGREE:
+        raise SpecRejectionError(
+            f"the tract certificate needs d <= config.MAX_DEGREE = {config.MAX_DEGREE}, "
+            f"got d = {spec.d}"
         )
     for i, (t, _) in enumerate(spec.orbits):
         if not t > 0:
@@ -426,12 +431,12 @@ def classify(
     The grid has the spec's own depth J* (``spec.depth``), which a J in the
     spec only bounds.  Each next grid is the Anderson mix (memory 2, the
     most the closed-form weight solve handles) of the last three pullbacks,
-    with the map refitted to its first column.  The first real pullback step that moves the grid
-    by less than tol (sup norm) stops the run, and its pulled state is the
-    result.  The history
-    is dropped and the last pulled grid taken as it is (the plain step)
-    when the pullback of a mixed grid raises or moves it more than the step
-    before, or when no mixed grid can be formed.  ``deltas`` and
+    with the map refitted to its first column.  The first real pullback
+    step that moves the grid by less than tol (sup norm) stops the run, and
+    its pulled state is the result.  The history is dropped and the last
+    pulled grid taken as it is (the plain step) when the pullback of a
+    mixed grid raises or moves it more than the step before, or when no
+    mixed grid can be formed.  ``deltas`` and
     ``iterate_log`` record real pullback steps only; max_iter bounds the
     ``pullback_step`` calls, a raising one included.
 

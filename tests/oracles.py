@@ -27,7 +27,7 @@ from rayforge.errors import (
     TractConfigError,
     UnsupportedHomotopyError,
 )
-from rayforge.homotopy import HomotopyWord, MarkedSet, PolylineCurve
+from rayforge.homotopy import MarkedSet, PolylineCurve
 from rayforge.polyexp import PolyExpMap
 from rayforge.tracts import TractConfig
 
@@ -82,11 +82,11 @@ def winding_numbers(marked: MarkedSet, curve: PolylineCurve) -> list[int | None]
     return out
 
 
-def abelianization(word: HomotopyWord, size: int) -> tuple[int, ...]:
+def abelianization(word: tuple[tuple[int, int], ...], size: int) -> tuple[int, ...]:
     """Net signed count of each generator in the word: its image in Z^size,
     which the winding numbers of a curve must match."""
     counts = [0] * size
-    for idx, sign in word.letters:
+    for idx, sign in word:
         counts[idx] += sign
     return tuple(counts)
 
@@ -581,7 +581,7 @@ def check_monotone(segment, map_: PolyExpMap, n_iterates: int) -> tuple[int, int
     Re f^n strictly increasing along the samples for all testable n >= N,
     the last iterate tested (an overflow cuts the range short), and the
     count of non-increasing steps per iterate that has any."""
-    zs = [p.z for p in segment.samples]
+    zs = [p.z for p in segment]
     violations: dict[int, int] = {}
     horizon = 0
     for n in range(n_iterates + 1):

@@ -201,7 +201,7 @@ def test_07_homotopy_oracle():
                 ]
                 try:
                     moved = word_of_curve(marked, PolylineCurve(verts))
-                    if moved.letters != word.letters:
+                    if moved != word:
                         invariance_fail += 1
                     invariance_done += 1
                 except DegenerateCurveError:

@@ -129,6 +129,21 @@ class TestRayTrace:
             "above tol*max(1, |z|) = 7.000e-15 (increment 0.000e+00, error estimate 7.000e-14)"
         )
 
+    def test_tol_below_floor_exit_3(self, workdir, capsys):
+        # at z = 3 the floor 1e-16 |z| exceeds tol |z| = 5e-17 |z|; the sample
+        # used to be returned, exit 0, with an err of 2.949e-16 above tol |z|
+        code = run(
+            [
+                "ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
+                "--t-lo", "3", "--t-hi", "3", "--samples", "1", "--tol", "5e-17",
+            ]
+        )
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "NotConvergedError"
+        assert error["message"].startswith("no depth can meet tol at n=")
+        assert "the error floor 1e-16*|z|" in error["message"]
+
     @pytest.mark.parametrize(
         "b0, period, t_lo, t_hi, seed",
         [
@@ -346,6 +361,24 @@ class TestDegreeRejection:
         assert run(["classify", "--spec", path]) == 4
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"kind": "SpecRejectionError", "message": str(want.value)}
+
+    @pytest.mark.parametrize("command", ["classify", "diag invariant-set"])
+    def test_degree_beyond_tract_certificate_exit_4(self, command, tmp_path, capsys):
+        # d = 10**400 used to exit 1: d * t overflowed a float in its speed tower
+        d = 10**400
+        spec = {"d": d, "orbits": [{"T": 1.0, "address": {"period": [0]}}]}
+        if command == "classify":
+            argv = ["classify", "--spec", _write(tmp_path, "spec.json", spec)]
+        else:
+            run_obj = {"config": {"spec": spec}, "grid": [[{"re": 1.0, "im": 0.0}]]}
+            argv = ["diag", "invariant-set", "--run", _write(tmp_path, "run.json", run_obj)]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] == {
+            "kind": "SpecRejectionError",
+            "message": f"the tract certificate needs d <= config.MAX_DEGREE = 170, got d = {d}",
+        }
 
     @pytest.mark.parametrize("name", sorted(HIGH_DEGREE_SPECS))
     def test_invariant_set_serves_straight_grid(self, name, tmp_path, capsys):
@@ -680,6 +713,44 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rayforge: ")
+
+    @pytest.mark.parametrize(
+        "address",
+        [
+            {"period": [2**64]},  # exit 1, numpy could not round the entry
+            {"period": [-(2**63) - 1]},  # exit 1
+            {"period": [10**400]},  # exit 1, the entry overflowed a float
+            {"preperiod": [10**400], "period": [0]},  # exit 1
+        ],
+        ids=["2^64", "-2^63-1", "10^400", "preperiod-10^400"],
+    )
+    @pytest.mark.parametrize("command", ["ray trace", "classify"])
+    def test_address_entry_beyond_int64_exit_2(
+        self, command, address, workdir, tmp_path, capsys
+    ):
+        if command == "ray trace":
+            code = run(
+                ["ray", "trace", "--map", workdir["map"],
+                 "--address", _write(tmp_path, "a.json", address),
+                 "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
+            )
+        else:
+            orbit = SPEC1["orbits"][0] | {"address": address}
+            code = self._classify(tmp_path, SPEC1 | {"orbits": [orbit]})
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "is outside the signed 64-bit range" in captured.err
+
+    def test_address_entry_at_int64_bound_is_read(self, workdir, tmp_path, capsys):
+        # 2^63 - 1 fits the pull chains' arrays: the trace itself fails
+        address = _write(tmp_path, "a.json", {"period": [2**63 - 1]})
+        code = run(
+            ["ray", "trace", "--map", workdir["map"], "--address", address,
+             "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
+        )
+        assert code == 3
+        assert "64-bit" not in capsys.readouterr().err
 
     def test_integral_floats_pass(self, workdir, tmp_path, capsys):
         assert self._trace(workdir, tmp_path, MAP2) == 0

@@ -39,12 +39,12 @@ def test_tracts_loads_only_its_layer():
 
 
 # Records stay dataclasses only where construction validates (their own
-# __init__ or __post_init__) or derived values are cached on the instance;
-# every other record is a NamedTuple, whose class costs a fraction of a
-# dataclass's to create at import.
+# __init__) or derived values are cached on the instance; every other
+# record is a NamedTuple, whose class costs a fraction of a dataclass's
+# to create at import.
 DATACLASS_RECORDS = {
     "homotopy.MarkedSet", "homotopy.PolylineCurve", "polyexp.PolyExpMap",
-    "potentials.ExternalAddress", "rays.RaySegment", "thurston.TargetSpec",
+    "potentials.ExternalAddress", "thurston.TargetSpec",
 }
 
 

@@ -10,6 +10,7 @@ from rayforge import rays, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
+    NotConvergedError,
     NotEscapingError,
     RayforgeError,
 )
@@ -102,22 +103,22 @@ class TestTraceRay:
 class TestTraceSegment:
     def test_geometric_spacing_and_monotone_reals(self, cfg_exp):
         seg = rays.trace_segment(EXP, cfg_exp, ZERO, 1.0, 5.0, 16)
-        assert len(seg.samples) == 16
-        ts = [p.t for p in seg.samples]
+        assert len(seg) == 16
+        ts = [p.t for p in seg]
         ratios = [b / a for a, b in zip(ts, ts[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
-        assert all(abs(p.z.imag) < 1e-12 for p in seg.samples)
-        res = [p.z.real for p in seg.samples]
+        assert all(abs(p.z.imag) < 1e-12 for p in seg)
+        res = [p.z.real for p in seg]
         assert all(b > a for a, b in zip(res, res[1:]))
 
     def test_single_sample_equals_trace(self, cfg_exp):
         seg = rays.trace_segment(EXP, cfg_exp, ZERO, 2.0, 9.0, 1)
-        assert seg.samples[0].z == rays.trace_ray(EXP, cfg_exp, ZERO, 2.0).z
+        assert seg[0].z == rays.trace_ray(EXP, cfg_exp, ZERO, 2.0).z
 
     def test_pairwise_functional_residual_d2(self, cfg_d2):
         addr = ExternalAddress((), (1, -1))
         seg = rays.trace_segment(D2, cfg_d2, addr, 1.0, 3.0, 8)
-        for p in seg.samples:
+        for p in seg:
             lhs = D2(p.z)
             rhs = rays.trace_ray(D2, cfg_d2, addr.shift(), pot.step(2, p.t)).z
             assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
@@ -127,8 +128,6 @@ class TestTraceSegment:
         for max_depth in (0, -1):
             with pytest.raises(DomainError, match="max_depth"):
                 rays.trace_segment(EXP, cfg_exp, ZERO, 1.0, 2.0, 2, max_depth=max_depth)
-            with pytest.raises(DomainError, match="max_depth"):
-                rays.trace_ray(EXP, cfg_exp, ZERO, 1.0, max_depth=max_depth)
 
     def test_depth_zero_cap_not_converged(self):
         # the default depth traces 0.9194-0.0199i at t=1, far from the
@@ -156,10 +155,44 @@ class TestTraceSegment:
             rays.trace_segment(EXP, cfg_exp, ZERO, t_lo, t_hi, 2)
 
     def test_ordering_enforced(self, cfg_exp):
-        a = rays.trace_ray(EXP, cfg_exp, ZERO, 2.0)
-        b = rays.trace_ray(EXP, cfg_exp, ZERO, 1.0)
-        with pytest.raises(DomainError):
-            rays.RaySegment((a, b))
+        # equal potentials with several samples repeat a potential
+        with pytest.raises(DomainError, match="strictly increase"):
+            rays.trace_segment(EXP, cfg_exp, ZERO, 2.0, 2.0, 3)
+
+
+class TestTolerance:
+    """Every sample the tracer returns reports an error within
+    tol max(1, |z|): the error it reports is the one it tested."""
+
+    def test_returned_samples_meet_tol(self):
+        rng = np.random.default_rng(37)
+        returned = raised = 0
+        for map_ in (presets.EXP_MAP, presets.D2_RAY_MAP):
+            cfg = tracts.make_tract_config(map_)
+            for address in (presets.ZERO, presets.ALTERNATE):
+                for tol in (1e-17, 5e-17, 1e-16, 1e-15, 1e-10):
+                    for opts in ({"max_depth": 1}, {"max_depth": 2}, {}):
+                        for _ in range(2):
+                            t_lo, t_hi = sorted(rng.uniform(0.5, 8.0, 2))
+                            n = int(rng.integers(1, 9))
+                            try:
+                                seg = rays.trace_segment(
+                                    map_, cfg, address, t_lo, t_hi, n, tol=tol, **opts
+                                )
+                            except RayforgeError:
+                                raised += 1
+                                continue
+                            returned += len(seg)
+                            for p in seg:
+                                assert p.error_estimate <= tol * max(1.0, abs(p.z)), (
+                                    map_, address, tol, opts, p,
+                                )
+        assert returned and raised
+
+    def test_floor_above_tol_not_converged(self, cfg_exp):
+        # at t = 3 the floor 1e-16 |z| is above 5e-17 |z|, so no depth meets tol
+        with pytest.raises(NotConvergedError, match="error floor"):
+            rays.trace_segment(EXP, cfg_exp, ZERO, 3.0, 3.0, 1, tol=5e-17)
 
 
 def _bits(z: complex) -> tuple[int, int]:
@@ -175,7 +208,7 @@ def _sample_ts(t_lo, t_hi, n):
 
 
 class TestSegmentMatchesSamples:
-    """The batched segment against one trace_ray call per sample."""
+    """The batched segment against a one-sample segment per sample."""
 
     CASES = [
         # (map, address, t_lo, t_hi, samples, trace options)
@@ -197,7 +230,7 @@ class TestSegmentMatchesSamples:
         expected = []
         for t in _sample_ts(t_lo, t_hi, n):
             try:
-                expected.append(rays.trace_ray(map_, cfg, addr, t, **opts))
+                expected.append(rays.trace_segment(map_, cfg, addr, t, t, 1, **opts)[0])
             except RayforgeError as exc:
                 expected.append(exc)
                 break
@@ -211,8 +244,8 @@ class TestSegmentMatchesSamples:
             assert str(err.value) == str(expected[-1])
             return
         seg = rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n, **opts)
-        assert len(seg.samples) == len(expected)
-        for got, want in zip(seg.samples, expected):
+        assert len(seg) == len(expected)
+        for got, want in zip(seg, expected):
             assert got.t == want.t and got.depth_used == want.depth_used
             assert _bits(got.z) == _bits(want.z)
             assert _bits(got.error_estimate) == _bits(want.error_estimate)
@@ -230,7 +263,7 @@ class TestOracle:
     )
     def test_samples_within_error_estimate_of_50_digits(self, map_, address):
         cfg = tracts.make_tract_config(map_)
-        for p in rays.trace_segment(map_, cfg, address, 0.8, 3.2, 6).samples:
+        for p in rays.trace_segment(map_, cfg, address, 0.8, 3.2, 6):
             ref = ray_point_50_digits(map_, address, p.t, p.depth_used)
             ulp = math.ulp(max(abs(p.z.real), abs(p.z.imag)))
             assert abs(mpmath.mpc(p.z) - ref) <= p.error_estimate + 4 * ulp
@@ -248,7 +281,7 @@ class TestFarSingularValues:
     )
     def test_samples_within_error_estimate_of_50_digits(self, map_):
         cfg = tracts.make_tract_config(map_)
-        for p in rays.trace_segment(map_, cfg, ZERO, 1.0, 2.0, 2).samples:
+        for p in rays.trace_segment(map_, cfg, ZERO, 1.0, 2.0, 2):
             ref = ray_point_50_digits(map_, ZERO, p.t, p.depth_used)
             ulp = math.ulp(max(abs(p.z.real), abs(p.z.imag)))
             assert abs(mpmath.mpc(p.z) - ref) <= p.error_estimate + 4 * ulp
@@ -268,7 +301,7 @@ class TestBatching:
 
         monkeypatch.setattr(polyexp, "poly_roots_batch", counted)
         seg = rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n)
-        depths = [p.depth_used for p in seg.samples]
+        depths = [p.depth_used for p in seg]
         # one call per level, each with every chain that still pulls at it
         assert len(rows) == max(depths)
         assert sum(rows) == sum(2 * k - 1 for k in depths if k)
