@@ -39,9 +39,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# Strip geometry repeats with period 2*pi/d, so more strips show nothing new.
-MAX_STRIPS = 10_000
 MAX_UNIFORMS = 2**20  # diag appendix-a's one block of samples x 4d uniforms: 8 MB
+# ray trace's samples x (max_depth + 1) pull levels, which a stalled speed
+# tower fills; 20,000 samples at the default depth fit.
+MAX_TRACE_LEVELS = 2**22
 
 
 def _read_json(path: str):
@@ -53,6 +54,13 @@ def _read_json(path: str):
 
 
 def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
+    if args.samples * (args.max_depth + 1) > MAX_TRACE_LEVELS:
+        if (cap := MAX_TRACE_LEVELS - 1) < args.max_depth:
+            raise DomainError(f"argument --max-depth: expected at most {cap}, "
+                              f"got '{args.max_depth}'")
+        cap = MAX_TRACE_LEVELS // (args.max_depth + 1)
+        raise DomainError(f"argument --samples: expected at most {cap} at "
+                          f"--max-depth {args.max_depth}, got '{args.samples}'")
     map_ = serialize.map_from_json(_read_json(args.map))
     address = serialize.address_from_json(_read_json(args.address))
     cfg = tracts.make_tract_config(map_)
@@ -148,17 +156,7 @@ def _cmd_homotopy_word(args) -> tuple[dict, dict, int]:
 
 def _cmd_tracts_inspect(args) -> tuple[dict, dict, int]:
     map_ = serialize.map_from_json(_read_json(args.map))
-    cfg = tracts.make_tract_config(map_, eps=args.epsilon)
-    strips = [
-        {
-            "n": n,
-            "center": cfg.strip_center(n),
-            "half_width": cfg.strip_half_width(),
-        }
-        for n in range(-args.strips, args.strips + 1)
-    ]
-    body = {**serialize.to_json(cfg), "strips": strips}
-    return dict(epsilon=args.epsilon, strips=args.strips), body, EXIT_OK
+    return {}, serialize.to_json(tracts.make_tract_config(map_)), EXIT_OK
 
 
 def _render(run_cfg: dict, body: dict) -> str:
@@ -191,9 +189,6 @@ _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _degree = _checked(int, lambda v: 2 <= v <= config.MAX_DEGREE,
                    f"an integer in [2, {config.MAX_DEGREE}]")
-_strip_count = _checked(
-    int, lambda v: 0 <= v <= MAX_STRIPS, f"an integer in [0, {MAX_STRIPS}]"
-)
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
 
 
@@ -260,8 +255,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     tr_sub = tr.add_subparsers(dest="action", required=True)
     inspect = tr_sub.add_parser("inspect", help="dump certified strip bounds")
     inspect.add_argument("--map", required=True, help="map JSON file")
-    inspect.add_argument("--epsilon", type=_positive_float, default=None)
-    inspect.add_argument("--strips", type=_strip_count, default=3)
     inspect.add_argument("--output", default=None)
     inspect.set_defaults(handler=_cmd_tracts_inspect, command_path="tracts inspect")
 

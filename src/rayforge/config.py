@@ -2,11 +2,11 @@
 
 Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
-defaults of the few options a caller can set: ``tol``, ``max_iter``,
-``max_depth`` and the strip fuzz ``eps``.
+defaults of the few options a caller can set: ``tol``, ``max_iter`` and
+``max_depth``.  The strip fuzz eps = pi/4d is no option: the tract
+certificate depends on the map alone, and its loop ends by itself (see
+``tracts.make_tract_config``).
 """
-
-import math
 
 # Largest magnitude an iterated escape-speed value may reach before the
 # overflow signal fires.  Kept below float max so downstream arithmetic
@@ -33,8 +33,6 @@ TRACER_TOL = 1e-10
 TRACER_MAX_DEPTH = 128
 
 # Tract certification.
-TRACT_RETRY_BUDGET = 5
-
 # A float sum of d + 1 positive terms grows by ROUNDING before its check, so a
 # rounding tie never passes: Horner's rule in a rounded variable is within
 # (3d + 1) 2^-53 of the sum, and 2^-44 = 512 * 2^-53 covers d <= MAX_DEGREE.
@@ -49,8 +47,3 @@ VERIFY_POTENTIAL_RTOL = 1e-6
 # Sampling depth added on top of the grid depth when probing ladder
 # separation conditions.
 LADDER_EXTRA_DEPTH = 2
-
-
-def strip_epsilon(d: int) -> float:
-    """Default fuzz half-width between the inner and outer strips, pi/4d."""
-    return math.pi / 4 / d

@@ -34,12 +34,6 @@ class RootSolveError(RayforgeError):
         self.worst_residual = worst_residual
 
 
-class TractConfigError(RayforgeError):
-    """No radius among the ``config.TRACT_RETRY_BUDGET`` tried proves the strip bounds."""
-
-    exit_code = 3
-
-
 class BranchSelectionError(RayforgeError):
     """No inverse-branch candidate landed in the requested strip."""
 

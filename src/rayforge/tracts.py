@@ -11,7 +11,10 @@ horizontal strips around the center line Im z = 2*pi*n/d:
 harmonic, so edge extrema control the interiors) and |f'| >= 2 on H_r in
 closed form: each check is a polynomial inequality in u = e^x on a whole
 half-line, settled by Descartes' rule of signs, and a failed check retries
-with a larger r.  The proven guarantees hold on H_r; between the
+with a larger r.  The certificate depends on the map alone (eps = pi/4d),
+and its loop needs no budget: r at least doubles on each try, so within
+about a thousand tries the inner strip passes the float range, which
+raises OverflowSignal.  The proven guarantees hold on H_r; between the
 singular-value floor ``r_min`` and ``r`` the inverse branches are still
 well-defined single-valued continuations and are served best-effort, which
 is what ray tracing at small potentials needs.
@@ -42,7 +45,6 @@ from .errors import (
     DomainError,
     OverflowSignal,
     RayforgeError,
-    TractConfigError,
 )
 
 
@@ -52,7 +54,7 @@ class TractConfig(NamedTuple):
     ``r``: right half-plane on which the branch guarantees (the strip
     inclusions and |f'| >= 2) were proven; ``r_min``: hard domain floor
     just right of the singular values; ``t_up``/``t_lo``: left edges of
-    the outer and inner strips; ``eps``: fuzz half-width.
+    the outer and inner strips; ``eps``: fuzz half-width, pi/4d.
     """
 
     d: int
@@ -69,16 +71,20 @@ class TractConfig(NamedTuple):
         return math.pi / (2 * self.d)
 
 
-def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> TractConfig:
-    """Choose (r, t_up, t_lo) and prove the strip inclusions.
+def make_tract_config(map_: polyexp.PolyExpMap) -> TractConfig:
+    """Choose (r, t_up, t_lo) and prove the strip inclusions, with the fuzz
+    eps = pi/4d.
 
-    r starts at 2*max|SV| + 2 and is pushed right (r ->
-    2r + 1) until every check holds, up to ``config.TRACT_RETRY_BUDGET``
-    tries, with t_up = log(r + 1)/d - 1 and t_lo = log((r + 1)/s)/d + 1.
+    r starts at 2*max|SV| + 2 and is pushed right (r -> 2r + 1) until every
+    check holds, with t_up = log(r + 1)/d - 1 and t_lo = log((r + 1)/s)/d + 1.
+    The loop needs no budget: r at least doubles on each try, so after at
+    most about 1,010 tries d*t_lo, which exceeds log r, passes
+    EXP_ARG_LIMIT, and OverflowSignal says that no radius within the float
+    range proves the strips.
     At offset y from the center of any strip, f(x + iy) is e^{dx} e^{idy}
     plus terms bounded by B(u) = sum_k |b_k| u^k, u = e^x, so with
-    s = sin(d*eps) each claim is a closed form, proven on a whole
-    half-line:
+    s = sin(d*eps) = sin(pi/4) each claim is a closed form, proven on a
+    whole half-line:
 
     - outer left edge: Re f is largest at y = 0, so the check is
       e^{d t_up} + B(e^{t_up}) <= r.
@@ -112,10 +118,7 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
         raise DomainError(
             f"tract certificate needs d <= config.MAX_DEGREE = {config.MAX_DEGREE}, got d = {d}"
         )
-    if eps is None:
-        eps = config.strip_epsilon(d)
-    if not 0 < eps < math.pi / (2 * d):
-        raise DomainError(f"eps must lie in (0, pi/2d), got {eps}")
+    eps = math.pi / 4 / d
     sv = map_.singular_data()
     if not all(cmath.isfinite(v) for v in sv.all):
         raise OverflowSignal("singular values leave the float range")
@@ -129,12 +132,13 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
     u_g = _positive_root(d * s, rising)
     u_star = _positive_root(d, [2.0] + rising)
     r = 2 * sv.max_modulus() + 2
-    for _ in range(config.TRACT_RETRY_BUDGET):
+    while True:
         t_up = math.log(r + 1) / d - 1
         t_lo = math.log((r + 1) / s) / d + 1
         if not d * t_lo <= config.EXP_ARG_LIMIT:
             raise OverflowSignal(
-                f"the inner strip starts at Re z = {t_lo:.6g}, where f leaves the float range"
+                f"no radius within the float range proves the strips: at r = {r:.6g} the "
+                f"inner strip starts at Re z = {t_lo:.6g}, where f leaves the float range"
             )
         up = math.exp(t_up)
         if (
@@ -144,10 +148,6 @@ def make_tract_config(map_: polyexp.PolyExpMap, eps: float | None = None) -> Tra
         ):
             return TractConfig(d=d, r=r, r_min=sv.max_real() + 1e-6, t_up=t_up, t_lo=t_lo, eps=eps)
         r = 2 * r + 1
-
-    raise TractConfigError(
-        f"could not certify strip bounds within budget (last r={r})"
-    )
 
 
 def _positive_root(a: float, cs: Sequence[float]) -> float:

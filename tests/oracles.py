@@ -24,7 +24,6 @@ from rayforge.errors import (
     InvariantViolationError,
     NotConvergedError,
     OverflowSignal,
-    TractConfigError,
     UnsupportedHomotopyError,
 )
 from rayforge.homotopy import MarkedSet, PolylineCurve
@@ -155,8 +154,8 @@ def random_word_fixture(rng: np.random.Generator, max_points: int = 6,
 
 # Reference strip certificate: the scalar sampling loops that the
 # closed-form ``tracts.make_tract_config`` replaced, kept to check that it
-# returns the same TractConfig (or raises the same TractConfigError) on
-# maps whose sampled and proven r agree.  It samples each strip edge at
+# returns the same TractConfig (or raises OverflowSignal alike) on maps
+# whose sampled and proven r agree.  It samples each strip edge at
 # STRIP_EDGE_SAMPLES points.
 STRIP_EDGE_SAMPLES = 720
 
@@ -167,24 +166,20 @@ def _edge_xs(t_from: float, t_to: float, samples: int) -> list[float]:
 
 
 def scalar_make_tract_config(
-    map_: PolyExpMap,
-    eps: float | None = None,
-    edge_samples: int = STRIP_EDGE_SAMPLES,
-    budget: int = config.TRACT_RETRY_BUDGET,
+    map_: PolyExpMap, edge_samples: int = STRIP_EDGE_SAMPLES
 ) -> TractConfig:
-    """Choose and certify (r, t_up, t_lo) for the strip inclusions.
+    """Choose and certify (r, t_up, t_lo) for the strip inclusions, with the
+    fuzz eps = pi/4d.
 
     r starts at 2*max|SV| + 2.  The strip checks use the coefficient
     moduli, so one pass certifies every strip index at once; |f'| >= 2
     is additionally sampled on the inner strips.  On a sampled
     violation the half-plane is pushed right and everything is retried,
-    up to the budget.
+    until the inner strip would start where f overflows: then
+    OverflowSignal.
     """
     d = map_.d
-    if eps is None:
-        eps = config.strip_epsilon(d)
-    if not 0 < eps < math.pi / (2 * d):
-        raise DomainError(f"eps must lie in (0, pi/2d), got {eps}")
+    eps = math.pi / 4 / d
     sv = map_.singular_data()
     abs_coeffs = [abs(c) for c in map_.coeffs]
     r = 2 * sv.max_modulus() + 2
@@ -193,9 +188,11 @@ def scalar_make_tract_config(
     r_min = sv.max_real() + 1e-6
     sin_eps = math.sin(d * eps)
 
-    for _ in range(budget):
+    while True:
         t_up = math.log(r + 1) / d - 1
         t_lo = math.log((r + 1) / sin_eps) / d + 1
+        if not d * t_lo <= config.EXP_ARG_LIMIT:
+            raise OverflowSignal("no radius within the float range proves the strips")
 
         # Beyond x_tail the leading term dominates every coefficient sum.
         x_tail = max(t_lo, t_up) + 1
@@ -264,10 +261,6 @@ def scalar_make_tract_config(
         if ok:
             return TractConfig(d=d, r=r, r_min=r_min, t_up=t_up, t_lo=t_lo, eps=eps)
         r = 2 * r + 1
-
-    raise TractConfigError(
-        f"could not certify strip bounds within budget (last r={r})"
-    )
 
 
 # Interval oracle for the strip certificate: every claim of a TractConfig,

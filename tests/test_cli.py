@@ -14,7 +14,7 @@ import pytest
 from oracles import main_through_full_tree
 
 import rayforge
-from rayforge import cli, errors, potentials, presets, serialize, thurston, tracts
+from rayforge import cli, config, errors, potentials, presets, rays, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -511,15 +511,18 @@ class TestHomotopyAndTracts:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["r"] == 2.0
-        assert len(payload["strips"]) == 7
 
-    def test_tracts_inspect_wide_epsilon_exit_2(self, workdir, capsys):
-        # A positive eps of pi/(2d) or more leaves no strip; the library says so.
-        code = run(["tracts", "inspect", "--map", workdir["map"], "--epsilon", "1.6"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "rayforge: eps must lie in (0, pi/2d), got 1.6\n"
+    def test_tracts_inspect_sixth_radius(self, tmp_path, capsys):
+        # p = w^4 + 10w^3 + 20w^2 is proven at its sixth radius, which a
+        # five-radius budget used to refuse with exit 3.
+        map_ = PolyExpMap(4, [0, 0, 20, 10])
+        path = _write(tmp_path, "m.json", serialize.to_json(map_))
+        assert run(["tracts", "inspect", "--map", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cfg = tracts.make_tract_config(map_)
+        assert payload == {"schema": serialize.SCHEMA, "config": {"command": "tracts inspect"},
+                           **serialize.to_json(cfg)}
+        assert payload["r"] == 9485.467536394055
 
     def test_tracts_inspect_overflowing_map_exit_3(self, workdir, tmp_path, capsys):
         # its critical value overflows; the strip bounds used to come out
@@ -572,7 +575,6 @@ EXIT_CODES = {
     "DegenerateCurveError": 2,
     "OverflowSignal": 3,
     "RootSolveError": 3,
-    "TractConfigError": 3,
     "BranchSelectionError": 3,
     "NotConvergedError": 3,
     "NotEscapingError": 3,
@@ -612,12 +614,10 @@ class TestNumericOptions:
         # both: ValueError: Maximum allowed dimension exceeded, from the uniform block
         ("diag appendix-a", "--d", "99999999999999999999"),
         ("diag appendix-a", "--samples", "99999999999999999999"),
-        ("tracts inspect", "--strips", "-2"),  # exit 0 with no strips
-        ("tracts inspect", "--strips", "10001"),  # 1e8 ran for over a minute
-        ("tracts inspect", "--epsilon", "nan"),  # exit 2 from the library, naming no option
-        ("tracts inspect", "--epsilon", "inf"),  # the same
-        ("tracts inspect", "--epsilon", "0"),  # the same
-        ("tracts inspect", "--epsilon", "-1"),  # the same
+        # both: samples x (max_depth + 1) pull levels past MAX_TRACE_LEVELS,
+        # which a stalled speed tower fills
+        ("ray trace", "--max-depth", "100000000"),
+        ("ray trace", "--samples", "100000000"),
     ]
 
     @pytest.mark.parametrize(
@@ -642,6 +642,28 @@ class TestNumericOptions:
         assert f"--samples: expected at most {over - 1} at d=3" in capsys.readouterr().err
         assert run(base + ["--d", str(cli.config.MAX_DEGREE + 1), "--samples", "1"]) == 2
         assert "--d: expected an integer in [2, 170]" in capsys.readouterr().err
+
+    def test_trace_work_cap(self, workdir, monkeypatch, capsys):
+        # samples x (max_depth + 1) up to MAX_TRACE_LEVELS passes to the
+        # tracer, one more is refused before it runs; the stub tracer
+        # allocates nothing.
+        monkeypatch.setattr(rays, "trace_segment", lambda *args, **kwargs: [])
+        base = ["ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
+                "--t-lo", "1", "--t-hi", "1"]
+        top = cli.MAX_TRACE_LEVELS
+        per_depth = top // (config.TRACER_MAX_DEPTH + 1)
+        assert run(base + ["--samples", str(per_depth)]) == 0
+        assert run(base + ["--samples", "1", "--max-depth", str(top - 1)]) == 0
+        capsys.readouterr()
+        assert run(base + ["--samples", str(per_depth + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"rayforge: argument --samples: expected at most {per_depth} at --max-depth "
+            f"{config.TRACER_MAX_DEPTH}, got '{per_depth + 1}'\n"
+        )
+        assert run(base + ["--samples", "1", "--max-depth", "100000000"]) == 2
+        assert capsys.readouterr().err == (
+            f"rayforge: argument --max-depth: expected at most {top - 1}, got '100000000'\n"
+        )
 
 
     @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
@@ -878,7 +900,7 @@ CONFIG_KEYS = {
     "diag appendix-a": {"command", "d", "rho", "samples", "seed"},
     "diag invariant-set": {"command", "run"},
     "homotopy word": {"command"},
-    "tracts inspect": {"command", "epsilon", "strips"},
+    "tracts inspect": {"command"},
 }
 
 
@@ -899,7 +921,7 @@ PAYLOAD_KEYS = {
     "diag invariant-set": {"schema", "config", "iterations"},
     "homotopy word": {"schema", "config", "word"},
     "tracts inspect": {
-        "schema", "config", "d", "r", "r_min", "t_up", "t_lo", "eps", "strips",
+        "schema", "config", "d", "r", "r_min", "t_up", "t_lo", "eps",
     },
 }
 COMPLEX_KEYS = {"re", "im"}
@@ -913,7 +935,6 @@ INVARIANT_ROW_KEYS = {
     "iteration", "rho", "inside_disk_margin", "pullback_real_part_margin",
     "derivative_domain_margin",
 }
-STRIP_KEYS = {"n", "center", "half_width"}
 WORST_CASE_KEYS = {"sample_index", "ratio"}
 
 
@@ -972,13 +993,8 @@ class TestWireSchema:
         )
         assert payload["word"] == [[1, 1]]
 
-    @pytest.mark.parametrize(
-        "extra", [[], ["--epsilon", "0.1"]], ids=["default", "epsilon"]
-    )
-    def test_tracts_inspect(self, extra, workdir, capsys):
-        argv = ["tracts", "inspect", "--map", workdir["map"]] + extra
-        payload = self._payload(argv, capsys)
-        assert all(set(s) == STRIP_KEYS for s in payload["strips"])
+    def test_tracts_inspect(self, workdir, capsys):
+        self._payload(["tracts", "inspect", "--map", workdir["map"]], capsys)
 
 
 class TestSurface:
@@ -1071,7 +1087,7 @@ REPORT_CASES = {
     "diag invariant-set": (["diag", "invariant-set", "--run", "{run}"], "--output"),
     "homotopy word": (["homotopy", "word", "--marked", "{marked}", "--curve", "{curve}"],
                       "--output"),
-    "tracts inspect": (BASE_ARGV["tracts inspect"] + ["--epsilon", "0.1"], "--output"),
+    "tracts inspect": (BASE_ARGV["tracts inspect"], "--output"),
 }
 
 
@@ -1282,7 +1298,7 @@ _COMMANDS = {
     ("diag", "appendix-a"): ("--d", "--rho", "--samples", "--seed", "--output"),
     ("diag", "invariant-set"): ("--run", "--output"),
     ("homotopy", "word"): ("--marked", "--curve", "--output"),
-    ("tracts", "inspect"): ("--map", "--epsilon", "--strips", "--output"),
+    ("tracts", "inspect"): ("--map", "--output"),
 }
 _OPTIONS = sorted({o for options in _COMMANDS.values() for o in options} | {"-h", "--help"})
 
@@ -1363,8 +1379,7 @@ class TestLeafParsing:
             "--t-hi": "2", "--samples": "3", "--out": "json", "--output": files["out"],
             "--tol": "1e-3", "--max-depth": "4", "--spec": files["spec"], "--max-iter": "4",
             "--d": "3", "--rho": "100", "--seed": "4", "--run": files["run"],
-            "--marked": files["marked"], "--curve": files["curve"], "--epsilon": "0.5",
-            "--strips": "2",
+            "--marked": files["marked"], "--curve": files["curve"],
         }
         bad = ["0", "-1", "x", "nan", "inf", "", "-", "out.txt", "/nonexistent/x", files["map"]]
         strays = sorted({w for c in _COMMANDS for w in c}) + ["bogus", "--", "-", "-x", "--=1"]
