@@ -21,9 +21,10 @@ for n, value in enumerate(tower):
 horizon = len(tower)
 print(f"  step^{horizon}(1) overflows the 1e300 float-range limit at level {horizon}")
 
-print("\nBeyond the limit, work in log scale:")
-print(f"  log step(1, 594.29) = {pot.log_step(1, 594.29):.4f}")
-print(f"  log step(1, 1.26e258) = {pot.log_step(1, 1.26e258):.6g}")
+print("\nBeyond the limit, work in log scale: log step(d, t) = d*t + log1p(-exp(-d*t)),")
+print("which is d*t in double precision once d*t > 37:")
+print(f"  log step(1, 594.29) = 1*594.29 = {1 * 594.29:.4f}")
+print(f"  log step(1, 1.26e258) = 1*1.26e258 = {1 * 1.26e258:.6g}")
 
 print("\n=== addresses ===")
 addr = ExternalAddress((7, -3), (2,))

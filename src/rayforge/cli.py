@@ -130,6 +130,9 @@ def _cmd_diag_invariant(args) -> tuple[dict, dict, int]:
         grids = run.get("iterates")
         if grids is None:
             grids = [run["grid"]]
+        if not grids:
+            raise DomainError("run file's iterates list is empty; classify "
+                              "--log-iterates logs at least the starting grid")
         grids = [
             [[serialize.complex_from_json(v) for v in row] for row in grid]
             for grid in grids

@@ -18,11 +18,12 @@ from .errors import DomainError, OverflowSignal
 
 
 def integers(entries: Sequence[int], what: str) -> tuple[int, ...]:
-    """Entries as ints; a non-integral entry is rejected, never truncated.
-    Integral floats such as 2.0 pass.  ``what`` names the entries in the error."""
+    """Entries as ints; a non-integral entry or a bool is rejected, never
+    truncated.  Integral floats such as 2.0 and numpy integers pass.
+    ``what`` names the entries in the error."""
     entries = tuple(entries)
     try:
-        if all(int(x) == x for x in entries):
+        if all(not isinstance(x, bool) and int(x) == x for x in entries):
             return tuple(int(x) for x in entries)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -121,22 +122,6 @@ def inverse_step(d: int, y: float) -> float:
     if y <= -1:
         raise DomainError(f"inverse step needs y > -1, got {y}")
     return math.log1p(y) / d
-
-
-def log_step(d: int, t: float) -> float:
-    """log(step(d, t)) computed without forming the step value.
-
-    Stays finite for any representable t > 0, which is what the far tail
-    of an orbit grid needs.
-    """
-    if d < 1:
-        raise DomainError(f"degree must be >= 1, got {d}")
-    if t <= 0:
-        raise DomainError("log_step needs t > 0")
-    x = d * t
-    if x > 50:
-        return x  # correction below double resolution
-    return math.log(math.expm1(x))
 
 
 def same_potential(a: float, b: float) -> bool:

@@ -60,8 +60,11 @@ def to_json(obj: Any) -> Any:
 
 
 def finite_from_json(value: Any, field: str) -> float:
-    """``value`` as a float; NaN, an infinity or a literal beyond the float
-    range (which Python's json reads as one) is refused, naming ``field``."""
+    """``value`` as a float, naming ``field`` when it is refused: a string
+    or a bool, which ``float`` would read, and NaN, an infinity or a
+    literal beyond the float range (which Python's json reads as one)."""
+    if isinstance(value, (str, bool)):
+        raise DomainError(f"{field} must be a JSON number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise DomainError(f"{field} must be a finite number, got {value!r}")
@@ -70,10 +73,11 @@ def finite_from_json(value: Any, field: str) -> float:
 
 def complex_from_json(obj: Any) -> complex:
     try:
-        re, im = float(obj["re"]), float(obj["im"])
+        return complex(finite_from_json(obj["re"], "re"), finite_from_json(obj["im"], "im"))
+    except DomainError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected {{re, im}} object, got {obj!r}") from exc
-    return complex(finite_from_json(re, "re"), finite_from_json(im, "im"))
 
 
 def address_from_json(obj: Any) -> ExternalAddress:

@@ -3,14 +3,14 @@
 A target prescribes, for each singular orbit, an escape speed T_i and an
 address s_i.  The state is a truncated grid z[i][j] of orbit points
 (j = 0..J*, the deepest level every speed reaches under the float-range
-limit) plus a map from the family; one step pulls every grid point back
-one level through the inverse branch its address dictates (the level
-past J* is frozen at its straight asymptotic position; beyond the float
-range its pullback is taken to first order, exact in double precision
-there) and refits the map so its singular values match the new first
-column.  At a fixed point the grid is a genuine orbit segment of the map
-and the singular values escape with the prescribed speeds and addresses,
-which an independent forward-orbit verifier certifies.
+limit) plus a map from the family; one step pulls point (i, j) back one
+level through the inverse branch in strip s_j of s_i, read from the
+spec's strip table (the level past J* is frozen at its straight position;
+beyond the float range its pullback is taken to first order, exact in
+double precision there) and refits the map so its singular values match
+the new first column.  At a fixed point the grid is a genuine orbit segment
+of the map and the singular values escape with the prescribed speeds and
+addresses, which an independent forward-orbit verifier certifies.
 
 The tract certificate gates each step: every step proves the strip
 bounds of its own map (``tracts.make_tract_config``), and the strip
@@ -53,7 +53,9 @@ from .potentials import ExternalAddress
 @dataclass(frozen=True)
 class TargetSpec:
     """Degree, per-orbit (potential, address) targets, and an optional
-    bound ``J`` on the grid depth: every J in 1..J* solves at ``depth`` J*.
+    bound ``J`` on the grid depth: ``depth`` is J* whatever J is, and
+    ``validate_spec`` accepts J in 1..J*.  ``strips`` is the one table of
+    the strips s_j that the grid levels and the frozen level use.
 
     Orbit 0 is assigned to the asymptotic value; the remaining orbits to
     critical values.  Addresses must be pairwise non-overlapping under
@@ -89,15 +91,15 @@ class TargetSpec:
 
     @cached_property
     def depth(self) -> int:
-        """The grid depth J* = min_i len(towers[i]) - 1.  A given J outside
-        1..J* is kept instead, for ``validate_spec`` to reject."""
-        deepest = min(map(len, self.towers)) - 1
-        return deepest if self.J is None or 1 <= self.J <= deepest else self.J
+        """The grid depth J* = min_i len(towers[i]) - 1, whatever J is given."""
+        return min(map(len, self.towers)) - 1
 
     @cached_property
-    def speeds(self) -> tuple[tuple[float, ...], ...]:
-        """Per orbit, the speeds step^j(T_i) for j = 0..depth."""
-        return tuple(tower[: self.depth + 1] for tower in self.towers)
+    def strips(self) -> np.ndarray:
+        """The read-only strip table: s_j of orbit i at [i, j], j = 0..depth+1."""
+        s = np.array([[a.entry(j) for j in range(self.depth + 2)] for _, a in self.orbits])
+        s.flags.writeable = False
+        return s
 
     @cached_property
     def ladder(self) -> potentials.PotentialLadder:
@@ -108,10 +110,8 @@ class TargetSpec:
     def straight(self) -> np.ndarray:
         """The read-only straight grid: point (i, j) at its asymptotic
         position step^j(T_i) + 2*pi*i*s_j/d, shape (m, depth+1)."""
-        z = np.zeros((self.m, self.depth + 1), dtype=complex)
-        for i, values in enumerate(self.speeds):
-            for j, tj in enumerate(values):
-                z[i, j] = potentials.straight_point(self.d, tj, self.address(i).entry(j))
+        speeds = np.array([tower[: self.depth + 1] for tower in self.towers])
+        z = potentials.straight_point(self.d, speeds, self.strips[:, :-1])
         z.flags.writeable = False
         return z
 
@@ -124,15 +124,14 @@ class TargetSpec:
         of its level-depth pullback that depends on the spec alone,
         z0 = log|w_i|/d + i*(arg w_i + 2*pi*s_depth)/d."""
         seeds, far = {}, {}
-        for i, tower in enumerate(self.towers):
-            s_next = self.address(i).entry(self.depth + 1)
+        for i, (tower, (n, s_next)) in enumerate(zip(self.towers, self.strips[:, -2:].tolist())):
             if len(tower) > self.depth + 1:
                 seeds[i] = potentials.straight_point(self.d, tower[self.depth + 1], s_next)
             else:
-                log_next = potentials.log_step(self.d, tower[self.depth])
+                # chain stopped at the float range, so d*t > 690 and log(step(d, t)) = d*t
+                log_next = self.d * tower[self.depth]
                 v = 2 * math.pi * s_next / self.d
-                arg = v * math.exp(-log_next) if log_next < 700 else 0.0
-                n = self.address(i).entry(self.depth)
+                arg = v * math.exp(-log_next) if log_next < config.EXP_ARG_LIMIT else 0.0
                 far[i] = complex(log_next / self.d, arg / self.d + 2 * math.pi * n / self.d)
         return seeds, far
 
@@ -140,14 +139,12 @@ class TargetSpec:
 def validate_spec(spec: TargetSpec) -> None:
     """Reject structurally unsupported targets.
 
-    Checks: m <= d <= ``config.MAX_DEGREE``, positive potentials whose
-    speed towers reach ``config.CAP`` within ``config.TRACER_MAX_DEPTH``
-    levels, a depth J* of at least 1 and a given J in 1..J*, pairwise
-    non-overlapping addresses, and finitely many nontrivial clusters
-    (equal-speed orbits whose shifted addresses keep agreeing).
+    Checks, in order: 1 <= m <= d <= ``config.MAX_DEGREE``; per orbit, a
+    positive potential whose speed tower passes ``config.CAP`` within
+    ``config.TRACER_MAX_DEPTH`` levels but not at level 1; a given J in
+    1..J*; finitely many nontrivial clusters (equal-speed orbits whose
+    shifted addresses keep agreeing); pairwise non-overlapping addresses.
     """
-    if spec.J is not None and spec.J < 1:
-        raise SpecRejectionError(f"grid depth J must be >= 1, got {spec.J}")
     if spec.m < 1:
         raise SpecRejectionError("need at least one singular orbit")
     if spec.m > spec.d:
@@ -175,11 +172,11 @@ def validate_spec(spec: TargetSpec) -> None:
                 f"orbit {i} (T={t}): its speed overflows at level 1, which "
                 "leaves no grid level; use a smaller potential"
             )
-        if levels <= spec.depth:
-            raise SpecRejectionError(
-                f"depth {spec.depth} is too deep for orbit {i} (T={t}): its speed "
-                f"overflows at level {levels}; use a smaller depth, or leave J out"
-            )
+    if spec.J is not None and not 1 <= spec.J <= spec.depth:
+        raise SpecRejectionError(
+            f"grid depth J must be in 1..J*, got J = {spec.J} with J* = {spec.depth}; "
+            "leave J out to solve at J*"
+        )
     if potentials.detect_clusters(spec.orbits, spec.d, spec.depth):
         raise SpecRejectionError(
             "configuration admits infinitely many nontrivial clusters "
@@ -299,15 +296,14 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     cfg = tracts.make_tract_config(map_)
     old = state.z
     tail, far = spec.tail
-    points = [(i, j) for i in range(spec.m) for j in range(spec.depth + 1)]
-    points = [(i, j) for i, j in points if j < spec.depth or i in tail]
-    seeds = [tail[i] if j == spec.depth else complex(old[i, j + 1]) for i, j in points]
-    pulled, errors = tracts.inverse_branches(
-        map_, cfg, [spec.address(i).entry(j) for i, j in points], seeds
-    )
+    pulls = np.ones(old.shape, dtype=bool)  # every grid point but the far tail
+    pulls[list(far), -1] = False
+    seeds = np.column_stack([old[:, 1:], [tail.get(i, 0) for i in range(spec.m)]])
+    pulled, errors = tracts.inverse_branches(map_, cfg, spec.strips[:, :-1][pulls], seeds[pulls])
     if errors:
-        k = min(errors)
-        (i, j), seed, exc = points[k], seeds[k], errors[k]
+        k = min(errors)  # a mask selects in row-major order, so k is first in grid order
+        (i, j), exc = np.argwhere(pulls)[k].tolist(), errors[k]
+        seed = complex(seeds[i, j])
         if isinstance(exc, DomainError):
             raise InvariantViolationError(
                 f"grid point ({i},{j + 1}) fell left of the singular "
@@ -322,7 +318,7 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
             ) from exc
         raise exc
     new = np.empty_like(old)
-    new[tuple(zip(*points))] = pulled
+    new[pulls] = pulled
     for i, z0 in far.items():
         new[i, spec.depth] = _far_tail_pullback(map_, z0)
     delta = float(np.abs(new - old).max())
@@ -528,10 +524,7 @@ def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> Invariant
     t_n = max((t for t in ladder.potentials if t < rho), default=rho / 2)
 
     m, levels = grid_z.shape
-    n_inside = [
-        max((j for j, tj in enumerate(values) if tj < rho), default=-1)
-        for values in spec.speeds
-    ]
+    n_inside = (spec.straight.real < rho).sum(axis=1) - 1  # speeds never fall along a row
     inside = [grid_z[i, j] for i in range(m) for j in range(n_inside[i] + 1)]
     disk_radius = max(
         abs(spec.straight[i, min(n_inside[i] + 1, levels - 1)]) for i in range(m)

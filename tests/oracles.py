@@ -397,25 +397,40 @@ def plain_pullback(
 def scalar_pullback_grid(state) -> np.ndarray:
     """Reference pullback: the point-by-point loop that the batched
     ``thurston.pullback_step`` replaced, returning the pulled grid (no
-    refit) or raising the first failure in grid order.  A frozen seed beyond
-    the float range is pulled back to first order, z0 - b_{d-1}/(d*e^z0),
-    and to z0 alone where e^z0 overflows."""
+    refit) or raising the first failure in grid order.
+
+    The frozen level J*+1 is derived here from ``spec.towers`` and the
+    addresses, not read from ``spec.tail``: where orbit i's tower reaches
+    it, the seed is w = complex(step^(J*+1)(T_i), 2*pi*s_(J*+1)/d).  Beyond
+    the float range w is pulled back to first order, z0 - b_{d-1}/(d*e^z0),
+    from z0 = (log|w| + i*(arg w + 2*pi*s_J*))/d with log|w| = d*t +
+    log1p(-e^(-d*t)) for t = step^J*(T_i), and arg w = 2*pi*s_(J*+1)/d
+    times e^(-log|w|) below EXP_ARG_LIMIT, 0 above; to z0 alone where e^z0
+    overflows."""
     spec = state.spec
     map_ = state.map
+    d = spec.d
     cfg = tracts.make_tract_config(map_)
     old = state.z
+    depth = old.shape[1] - 1
     new = np.zeros_like(old)
-    tail, far = spec.tail
     for i in range(spec.m):
-        addr = spec.address(i)
-        for j in range(spec.depth + 1):
-            if j == spec.depth and i in far:
-                z0 = far[i]
+        addr, tower = spec.address(i), spec.towers[i]
+        for j in range(depth + 1):
+            if j < depth:
+                seed = complex(old[i, j + 1])
+            elif len(tower) > depth + 1:
+                seed = complex(tower[depth + 1], 2 * math.pi * addr.entry(depth + 1) / d)
+            else:
+                x = d * tower[depth]
+                log_w = x + math.log1p(-math.exp(-x))
+                v = 2 * math.pi * addr.entry(depth + 1) / d
+                arg = v * math.exp(-log_w) if log_w < config.EXP_ARG_LIMIT else 0.0
+                z0 = complex(log_w / d, arg / d + 2 * math.pi * addr.entry(depth) / d)
                 if z0.real <= config.EXP_ARG_LIMIT:
-                    z0 -= map_.coeffs[map_.d - 1] / (map_.d * cmath.exp(z0))
+                    z0 -= map_.coeffs[d - 1] / (d * cmath.exp(z0))
                 new[i, j] = z0
                 continue
-            seed = complex(tail[i] if j == spec.depth else old[i, j + 1])
             if seed.real <= cfg.r_min:
                 raise InvariantViolationError(
                     f"grid point ({i},{j + 1}) fell left of the singular "

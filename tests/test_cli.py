@@ -257,7 +257,9 @@ class TestDepthBound:
                 assert self._classify(tmp_path, obj | {"J": J}, capsys) == want, (obj, J)
             code, out = self._classify(tmp_path, obj | {"J": depth + 1}, capsys)
             assert code == 4, (obj, out)
-            assert json.loads(out)["error"]["message"].startswith(f"depth {depth + 1} is too deep")
+            assert json.loads(out)["error"]["message"].startswith(
+                f"grid depth J must be in 1..J*, got J = {depth + 1} with J* = {depth}; "
+            )
         assert certified >= 90
 
     @pytest.mark.parametrize(
@@ -727,14 +729,33 @@ class TestMalformedInput:
             SPEC1 | {"orbits": [SPEC1["orbits"][0] | {"T": "fast"}]},  # exit 1
             SPEC1 | {"d": 1.7},  # classified at d=1
             SPEC1 | {"J": 2.9},  # classified at J=2
+            # solved as d = 1, J = 1 and address (0)
+            {"d": True, "J": True, "orbits": [{"T": 2.0, "address": {"period": [False]}}]},
+            SPEC1 | {"d": True},  # classified at d=1
+            SPEC1 | {"orbits": [SPEC1["orbits"][0] | {"T": "2.0"}]},  # read as 2.0
         ],
-        ids=["d-x", "T-fast", "d-1.7", "J-2.9"],
+        ids=["d-x", "T-fast", "d-1.7", "J-2.9", "bools", "d-true", "T-string"],
     )
     def test_classify_spec_exit_2(self, spec_obj, tmp_path, capsys):
         assert self._classify(tmp_path, spec_obj) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rayforge: ")
+
+    @pytest.mark.parametrize(
+        "coeff,message",
+        [
+            ({"re": "1e3", "im": "0"}, "re must be a JSON number, got '1e3'"),  # read as 1000
+            ({"re": 1.0, "im": True}, "im must be a JSON number, got True"),  # read as 1j
+        ],
+        ids=["re-string", "im-true"],
+    )
+    def test_tracts_inspect_non_number_exit_2(self, coeff, message, tmp_path, capsys):
+        path = _write(tmp_path, "m.json", {"d": 1, "coeffs": [coeff]})
+        assert run(["tracts", "inspect", "--map", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rayforge: {message}\n"
 
     @pytest.mark.parametrize(
         "address",
@@ -861,8 +882,10 @@ class TestInvariantSetInput:
                                         [{"re": 2.5, "im": 3.1}] * 2]}),  # ValueError
             (presets.SPEC_D1, {"grid": [[{"re": 2.0, "im": 0.0}]]}),  # exit 0
             (presets.SPEC_D1, {"iterates": [[[{"re": 2.0, "im": 0.0}] * 4], []]}),  # ValueError
+            (presets.SPEC_D1, {"iterates": []}),  # exit 0, no rows
         ],
-        ids=["no-re", "re-abc", "empty", "ragged", "1x1-for-1x4", "second-iterate"],
+        ids=["no-re", "re-abc", "empty", "ragged", "1x1-for-1x4", "second-iterate",
+             "no-iterates"],
     )
     def test_bad_grid_exit_2(self, spec, fields, tmp_path, capsys):
         assert self._run(tmp_path, spec, **fields) == 2
@@ -882,10 +905,14 @@ class TestInvariantSetInput:
         ids=["J=0", "3-orbits-d=2", "T=800-J=1"],
     )
     def test_rejected_spec_exit_4(self, spec, tmp_path, capsys):
-        # diag invariant-set rejects the specs that validate_spec rejects
+        # diag invariant-set rejects the specs that validate_spec rejects.
+        # spec_to_json echoes J*, so a given J is written as it was given.
         with pytest.raises(errors.SpecRejectionError) as want:
             thurston.validate_spec(spec)
-        assert self._run(tmp_path, spec) == 4
+        spec_obj = serialize.spec_to_json(spec) | {"J": spec.J}
+        grid = [[serialize.complex_to_json(complex(v)) for v in row] for row in spec.straight]
+        run_obj = {"config": {"spec": spec_obj}, "grid": grid}
+        assert run(["diag", "invariant-set", "--run", _write(tmp_path, "run.json", run_obj)]) == 4
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"kind": "SpecRejectionError", "message": str(want.value)}
 

@@ -30,8 +30,6 @@ class TestStep:
     def test_bad_degree(self):
         with pytest.raises(DomainError):
             pot.step(0, 1.0)
-        with pytest.raises(DomainError, match="degree"):
-            pot.log_step(0, 1.0)
 
 
 class TestInverseStep:
@@ -86,21 +84,6 @@ class TestIterate:
         f3, f4 = values[3], values[4]
         assert f4 > math.exp(16)
         assert f4 / math.exp(16) > f3 / math.exp(9)
-
-    def test_log_step_matches(self):
-        for t in (0.5, 2.0, 40.0, 500.0):
-            assert pot.log_step(1, t) == pytest.approx(
-                math.log(pot.step(1, t)), rel=1e-14
-            )
-        # far beyond the float range of the step value itself
-        assert pot.log_step(2, 1e200) == 2e200
-
-    def test_log_step_tiny_argument(self):
-        # step(d, t) = expm1(d t) ~ d t, so log_step ~ log(d t) stays finite
-        # where 1 - exp(-d t) rounds to 0.
-        for t in (1e-17, 1e-100, 1e-300):
-            assert pot.log_step(1, t) == pytest.approx(math.log(t), rel=1e-14)
-        assert pot.log_step(3, 1e-20) == pytest.approx(math.log(3e-20), rel=1e-14)
 
 
 class TestAdmissibility:

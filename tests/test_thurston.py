@@ -32,11 +32,29 @@ class TestValidate:
             thurston.validate_spec(spec)
 
     def test_depth_overflow_advises(self):
-        # J* = 3 for T = 2: a J above it is rejected, naming the overflow.
+        # J* = 3 for T = 2: a J above it is rejected, naming J and J*.
         spec = TargetSpec(1, ((2.0, ZERO),), 6)
-        advice = "level 4; use a smaller depth, or leave J out"
-        with pytest.raises(SpecRejectionError, match=advice):
+        with pytest.raises(SpecRejectionError) as err:
             thurston.validate_spec(spec)
+        assert str(err.value) == (
+            "grid depth J must be in 1..J*, got J = 6 with J* = 3; leave J out to solve at J*"
+        )
+        assert spec.depth == 3
+
+    def test_depth_checked_after_towers_before_overlap(self):
+        # One J check, after the per-orbit tower checks and before the
+        # cluster and overlap checks: J = 0 on an otherwise valid spec, and
+        # J = J* + 1 on a spec whose addresses also overlap, both name J.
+        valid = ((2.0, ZERO), (2.5, ONE))
+        overlapping = ((2.0, ZERO), (2.5, ExternalAddress((5,), (0,))))
+        for orbits, J in ((valid, 0), (overlapping, 3)):
+            with pytest.raises(SpecRejectionError, match="^grid depth J must be in 1..J\\*, "):
+                thurston.validate_spec(TargetSpec(2, orbits, J))
+        with pytest.raises(SpecRejectionError, match="overlap"):
+            thurston.validate_spec(TargetSpec(2, overlapping, 2))
+        # A tower check still comes first: T = 800 overflows at level 1.
+        with pytest.raises(SpecRejectionError, match="level 1, which leaves no grid level"):
+            thurston.validate_spec(TargetSpec(1, ((800.0, ZERO),), 0))
 
     def test_stalled_speed_tower_rejected_before_chains(self):
         # step(1, 1e-300) rounds to 1e-300: the tower stops at the depth cap,
@@ -44,7 +62,7 @@ class TestValidate:
         spec = TargetSpec(1, ((1e-300, ZERO),), 100_000)
         with pytest.raises(SpecRejectionError, match="does not grow in double precision"):
             thurston.validate_spec(spec)
-        assert "speeds" not in vars(spec)
+        assert not {"strips", "straight"} & vars(spec).keys()
 
     def test_one_ulp_tower_rejected_before_any_pullback(self, monkeypatch):
         # step(1, 1e-15) adds about an ulp, so the tower is still under CAP at
@@ -112,7 +130,7 @@ class TestInitState:
         seeds, far = spec.tail
         assert spec.depth == 2 and list(far) == [0] and list(seeds) == [1]
         assert isinstance(seeds[1], complex)
-        assert seeds[1] == pot.straight_point(2, pot.step(2, spec.speeds[1][2]), 1)
+        assert seeds[1] == pot.straight_point(2, pot.step(2, spec.towers[1][2]), 1)
 
     def test_tail_seeds_are_the_towers_next_level(self):
         # Orbit i gets a complex seed exactly when its tower reaches level
@@ -138,7 +156,12 @@ class TestInitState:
                     )
                 else:
                     assert i not in seeds and i in far
-                    assert pot.log_step(d, tower[spec.depth]) > math.log(config.CAP)
+                    # log|w_i| = log(step(d, t)) = d*t + log1p(-e^(-d*t)) is
+                    # d*t in double precision past the float-range limit
+                    x = d * tower[spec.depth]
+                    assert x > math.log(config.CAP)
+                    assert x + math.log1p(-math.exp(-x)) == x
+                    assert far[i].real == x / d
 
 
 class TestFitMap:
@@ -259,9 +282,38 @@ class TestBatchedPullback:
             state = thurston.pullback_step(state)
             assert np.array_equal(state.z.view(np.int64), want.view(np.int64))
 
+    # Shortest towers that end by each of potentials.chain's stop rules,
+    # d*t > EXP_ARG_LIMIT ("exp-arg"; d = 1, T = 2 ends at 1.26e258) or
+    # step(d, t) > CAP ("cap"; the last speed is 695 at d = 1, 347.5 at d = 2,
+    # so log|w| = d*t < 700 and the far point keeps its tiny argument), with
+    # the orbits whose frozen level is a complex seed; the rest are far.
+    FAR_TAILS = {
+        "d1-exp-arg": (1, ((2.0, ExternalAddress((), (0, 1))),), "exp-arg", []),
+        "d1-cap": (1, ((math.log1p(695.0), ExternalAddress((), (1, 0))),), "cap", []),
+        "d2-exp-arg": (2, ((2.0, ZERO), (2.5, ONE)), "exp-arg", []),
+        "d2-cap": (2, ((math.log1p(347.5) / 2, ExternalAddress((), (0, 1))), (2.5, ONE)),
+                   "cap", [1]),
+        "d2-seed-and-far": (2, ((1.5, ZERO), (0.5, ONE)), "exp-arg", [1]),
+    }
+
+    @pytest.mark.parametrize("name", list(FAR_TAILS))
+    def test_far_tail_grid_bitwise_equal_to_loop(self, name):
+        d, orbits, rule, seeded = self.FAR_TAILS[name]
+        spec = TargetSpec(d, orbits)
+        t = min(spec.towers, key=len)[-1]
+        assert (d * t > config.EXP_ARG_LIMIT) == (rule == "exp-arg")
+        assert rule == "exp-arg" or pot.step(d, t) > config.CAP
+        seeds, far = spec.tail
+        assert list(seeds) == seeded and sorted(far) == sorted(set(range(spec.m)) - set(seeded))
+        state = thurston.init_state(spec)
+        for _ in range(3):
+            want = scalar_pullback_grid(state)
+            state = thurston.pullback_step(state)
+            assert np.array_equal(state.z.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
     def test_step_reads_cached_speeds(self, preset, monkeypatch):
-        # The frozen tail comes from the spec's cached speeds: once the state
+        # The frozen tail comes from the spec's cached towers: once the state
         # exists, a pullback step builds no speed chain.
         spec = TargetSpec(preset.d, preset.orbits, preset.depth)
         state = thurston.init_state(spec)
