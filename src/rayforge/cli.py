@@ -223,7 +223,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     classify = sub.add_parser("classify", help="solve for a map with the target escape data")
     classify.add_argument("--spec", required=True, help="target spec JSON file")
-    classify.add_argument("--out", dest="output", metavar="OUT", default=None,
+    classify.add_argument("--output", "--out", dest="output", default=None,
                           help="result JSON file (default stdout)")
     classify.add_argument("--log-iterates", action="store_true")
     classify.add_argument("--max-iter", dest="max_iter", type=_positive_int,

@@ -23,7 +23,9 @@ EXP_ARG_LIMIT = 700.0
 POTENTIAL_EQ_RTOL = 1e-12
 
 # Root finding: the iteration serves d >= 3 only.  Roots and inverse branches
-# pass where |p(zeta) - w| <= RESIDUAL_RTOL * polyexp.residual_scale.
+# pass where |p(zeta) - w| <= RESIDUAL_RTOL * polyexp.residual_scale.  Below
+# ROOT_ITER_RTOL (1 + |z|), a Newton step of tracts._newton_roots that does
+# not shrink has reached rounding.
 ROOT_ITER_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 ROOT_MAX_ITER = 200

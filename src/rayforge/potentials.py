@@ -213,16 +213,27 @@ def build_ladder(
     # math.hypot, not abs(): the two can differ in the last bit.
     points = sorted((t, math.hypot(p.real, p.imag)) for t, p in marked)
 
+    # Each check scans its keys from the top, and stops at its first failure
+    # or at the largest key already found: no lower key can move t_prime.
     sample_pots = _distinct(t for t, _ in points)
-    keys = [a for a, b in zip(sample_pots, sample_pots[1:]) if b - a <= 2]
-    for (ta, pa), (tb, pb) in itertools.combinations(points, 2):
-        if not same_potential(ta, tb) and not pb > pa + 2:
-            keys.append(ta)
-    for rho in midpoints:
-        for t, pos in points:
-            if (t < rho and not pos < rho - 1) or (t > rho and not pos > rho + 1):
-                keys.append(rho)
-    largest = max(keys, default=-math.inf)
+    largest = -math.inf
+    for a, b in zip(reversed(sample_pots[:-1]), reversed(sample_pots[1:])):
+        if b - a <= 2:
+            largest = a
+            break
+    for i in range(len(points) - 1, -1, -1):
+        ta, pa = points[i]
+        if ta <= largest:
+            break
+        if any(not same_potential(ta, tb) and not pb > pa + 2 for tb, pb in points[i + 1 :]):
+            largest = ta
+            break
+    for rho in reversed(midpoints):
+        if rho <= largest:
+            break
+        if any((t < rho and not pos < rho - 1) or (t > rho and not pos > rho + 1) for t, pos in points):
+            largest = rho
+            break
     t_prime = next((c for c in [0.0, *potentials] if c >= largest), math.inf)
     return PotentialLadder(tuple(potentials), midpoints, t_prime)
 

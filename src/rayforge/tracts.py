@@ -25,10 +25,21 @@ certificate costs tens of microseconds, so every map certifies alone.
 ``tract_index`` is the one reader of the strips, for the inverse branches
 and for the forward read (``rays.extract_potential_address``) alike.
 
-``inverse_branches`` serves a whole batch of (strip, seed) rows with one
-root solve and one numpy pass over the rows.  Batched solves and branches
-are row-independent: every row is bitwise equal to its one-row call, so
-batch size never changes output bytes.
+``inverse_branches`` serves a whole batch of (strip, seed) rows in numpy
+passes over the rows, and a row takes one of three paths:
+
+- certified, d >= 3 and Re w > r: the certificate puts exactly one
+  preimage in strip n, so Newton's method finds it there, from the
+  leading-term guess (Log w + 2 pi i n)/d, with no root solve;
+- at d = 1: the one root of p = w is w - b_0, right of 0, and its log
+  lifts into strip n by 2 pi i n, with no choice among roots;
+- every other row, and a certified row whose Newton root fails a check:
+  all d roots of p = w (``polyexp.poly_roots_batch``), the log of each
+  lifted toward strip n, and the lift nearest the strip's center.
+
+Every path ends in the same strip, overflow and residual checks.  Batched
+solves and branches are row-independent: every row is bitwise equal to its
+one-row call, so batch size never changes output bytes.
 """
 
 from __future__ import annotations
@@ -204,7 +215,9 @@ def inverse_branches(
     ws: Sequence[complex] | np.ndarray,
 ) -> tuple[np.ndarray, dict[int, RayforgeError]]:
     """The preimages of the complex seeds ws[k] under f lying in strips
-    ns[k], from one root solve and one array pass over all rows.
+    ns[k], from array passes over all rows: Newton's method for the
+    certified rows at d >= 3 (``_newton_roots``), then one root solve
+    and one choice for the rest (``_select_branches``).
 
     Returns the preimages as a complex array, NaN on failed rows,
     and the errors of the failed rows by row index: row k's is the error
@@ -230,12 +243,71 @@ def inverse_branches(
             f"(Re <= {cfg.r_min:.3g})"
         )
     rows = (~(left | non_finite)).nonzero()[0]
+    if map_.d >= 3:
+        certified = rows[seeds[rows].real > cfg.r]
+        n_c, w_c = ns[certified], seeds[certified]
+        z_c = _newton_roots(map_, n_c, w_c)
+        near = _strip_distance(z_c, n_c, cfg) <= cfg.strip_half_width() + cfg.eps
+        big, _, _, tight = _residuals(map_, w_c, z_c)
+        z[certified] = np.where(near & ~big & tight, z_c, complex(math.nan, math.nan))
+        rows = rows[np.isnan(z[rows])]
     if rows.size:
         roots, stalled = polyexp.poly_roots_batch(map_, seeds[rows])
         z[rows], failed = _select_branches(map_, cfg, ns[rows], seeds[rows], roots)
         failed.update(stalled)
         errors.update((int(rows[k]), exc) for k, exc in failed.items())
     return z, errors
+
+
+@np.errstate(all="ignore")
+def _newton_roots(map_: polyexp.PolyExpMap, ns: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Per row, Newton's method in z for p(e^z) = w from (Log w + 2 pi i n)/d,
+    in logarithmic form: the step log(p/w) / (zeta p'/p) is near z - root
+    wherever p(e^z) ~ e^{dz}, so it converges in fewer steps, and from
+    farther, than the step (p - w) / (zeta p').  NaN on the rows that do
+    not converge.
+
+    A row stops on its own: after a step under ``_aberth_roots``'s
+    4e-16 (1 + |z|), and before a step that is not finite, or that does not
+    shrink once it is under ROOT_ITER_RTOL (1 + |z|), where rounding has set
+    in (farther out, Newton's steps may grow before they converge).  A row
+    still moving after ROOT_MAX_ITER steps has not converged.
+    """
+    z = (np.log(ws) + 2j * math.pi * ns) / map_.d
+    last = np.full(len(z), np.inf)
+    live = np.ones(len(z), dtype=bool)
+    for _ in range(config.ROOT_MAX_ITER):
+        zeta = np.exp(z)
+        fz = map_.poly(zeta)
+        step = np.log(fz / ws) * fz / (map_.poly_derivative(zeta) * zeta)
+        size, scale = np.abs(step), 1.0 + np.abs(z)
+        moved = live & (size < np.where(size > config.ROOT_ITER_RTOL * scale, np.inf, last))
+        z = np.where(moved, z - step, z)
+        live = moved & (size > 4e-16 * scale)
+        if not live.any():
+            break
+        last = size
+    return np.where(live, complex(math.nan, math.nan), z)
+
+
+def _strip_distance(z, ns, cfg: TractConfig):
+    """|Im z - 2 pi n/d| where ``tract_index`` reads z in strip n = ns[k],
+    and inf where it reads another strip."""
+    strip, offset = tract_index(z, cfg)
+    return np.where(strip == ns, np.abs(offset), np.inf)
+
+
+@np.errstate(all="ignore")
+def _residuals(map_: polyexp.PolyExpMap, ws: np.ndarray, z: np.ndarray) -> tuple:
+    """Whether f overflows exp at each z; f(z) as PolyExpMap.__call__
+    evaluates it, for all rows at once; |f(z) - w|; and whether that passes
+    ``config.RESIDUAL_RTOL`` at ``polyexp.residual_scale``.  An overflow of
+    exp or of p leaves the residual non-finite, so it never passes."""
+    big = map_.d * z.real > config.EXP_ARG_LIMIT
+    fz = map_.poly(zeta := np.exp(z))
+    diff = fz - ws
+    gap = np.hypot(diff.real, diff.imag)
+    return big, fz, gap, gap <= config.RESIDUAL_RTOL * polyexp.residual_scale(map_, zeta, ws)
 
 
 @np.errstate(all="ignore")
@@ -253,26 +325,25 @@ def _select_branches(
     Ties go to the first root in (re, im) order, and a zero root is never a
     candidate.  The log is numpy's, whose real part can differ from
     ``cmath.log`` in the last bit; its imaginary part, and so the strip a
-    root lifts to, is the same.
+    root lifts to, is the same.  At d = 1 the one root w - b_0 has Re > 0
+    (Re w > r_min = Re b_0 + 1e-6), so its log lies in |Im| < pi/2 and the
+    lift into strip n adds 2 pi i n: no sort, lift or choice.
     """
-    d = map_.d
     rows = np.arange(len(ws))
-    roots = np.sort(roots, axis=1)  # by (re, im)
-    center = cfg.strip_center(ns)[:, None]
-    base = np.log(roots)
-    lifted = base + 2j * math.pi * np.rint((center - base.imag) / (2 * math.pi))
-    strip, offset = tract_index(lifted, cfg)
-    dist = np.where((strip == ns[:, None]) & (roots != 0), np.abs(offset), np.inf)
-    best = dist.argmin(axis=1)
-    z = lifted[rows, best]
-    far = dist[rows, best] > cfg.strip_half_width() + cfg.eps
-    # f(z) as PolyExpMap.__call__ evaluates it, for all rows at once; an
-    # overflow of exp or of p leaves the residual non-finite.
-    big = d * z.real > config.EXP_ARG_LIMIT
-    fz = map_.poly(zeta := np.exp(z))
-    diff = fz - ws
-    gap = np.hypot(diff.real, diff.imag)
-    tight = gap <= config.RESIDUAL_RTOL * polyexp.residual_scale(map_, zeta, ws)
+    if map_.d == 1:
+        z = np.log(roots[:, 0]) + 2j * math.pi * ns
+        lifted = z[:, None]
+        dist = _strip_distance(z, ns, cfg)
+    else:
+        roots = np.sort(roots, axis=1)  # by (re, im)
+        center = cfg.strip_center(ns)[:, None]
+        base = np.log(roots)
+        lifted = base + 2j * math.pi * np.rint((center - base.imag) / (2 * math.pi))
+        dists = np.where(roots != 0, _strip_distance(lifted, ns[:, None], cfg), np.inf)
+        best = dists.argmin(axis=1)
+        z, dist = lifted[rows, best], dists[rows, best]
+    far = dist > cfg.strip_half_width() + cfg.eps
+    big, fz, gap, tight = _residuals(map_, ws, z)
     errors: dict[int, RayforgeError] = {}
     for k in (far | big | ~tight).nonzero()[0].tolist():
         w, at = complex(ws[k]), complex(z[k])
@@ -298,11 +369,8 @@ def inverse_branch(
     n: int,
     w: complex,
 ) -> complex:
-    """The preimage of the complex seed w under f lying in strip n.
-
-    Solves p(zeta) = w, then lifts log(zeta) by the unique multiple of
-    2*pi*i that lands in strip n.
-    """
+    """The preimage of the complex seed w under f lying in strip n: the
+    one-row call of ``inverse_branches``, raising its error."""
     z, errors = inverse_branches(map_, cfg, (n,), (w,))
     if errors:
         raise errors[0]

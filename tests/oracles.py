@@ -639,16 +639,22 @@ def critical_values_50_digits(d: int, cps) -> list:
 
 
 def scalar_inverse_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex) -> complex:
-    """Reference inverse branch: the row-by-row rule that the array pass of
-    ``tracts.inverse_branches`` replaced, for a complex seed.  The roots of
-    p = w are sorted by (re, im); each nonzero root's ``cmath.log`` is
-    lifted by the multiple of 2*pi*i nearest strip n; the first nearest
-    lift wins, and f (``PolyExpMap.__call__``) is checked there."""
+    """Reference inverse branch: the row-by-row rule of the array pass of
+    ``tracts.inverse_branches``, for a complex seed.  At d >= 3 a seed with
+    Re w > r first takes ``scalar_newton_branch``.  Otherwise, or where that
+    gives no root, the roots of p = w are sorted by (re, im); each nonzero
+    root's ``cmath.log`` is lifted by the multiple of 2*pi*i nearest strip
+    n; the first nearest lift wins, and f (``PolyExpMap.__call__``) is
+    checked there."""
     w = complex(w)
     if w.real <= cfg.r_min:
         raise DomainError(
             f"seed {w} is not right of the singular values (Re <= {cfg.r_min:.3g})"
         )
+    if map_.d >= 3 and w.real > cfg.r:
+        z = scalar_newton_branch(map_, cfg, n, w)
+        if z is not None:
+            return z
     (roots,), stalled = polyexp.poly_roots_batch(map_, np.array([w]))
     if stalled:
         raise stalled[0]
@@ -677,32 +683,80 @@ def scalar_inverse_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex
     return z
 
 
+def scalar_newton_branch(map_: PolyExpMap, cfg: TractConfig, n: int, w: complex) -> complex | None:
+    """Newton's method in z for p(e^z) = w from (Log w + 2*pi*i*n)/d, one
+    row, one step at a time, with the logarithmic step log(p/w) / (zeta p'/p).
+    It stops after a step of at most 4e-16 (1 + |z|), and before a step that
+    is not finite, or that does not shrink once it is under ROOT_ITER_RTOL
+    (1 + |z|).  The root, when it stopped within ROOT_MAX_ITER steps, lies
+    in strip n (``tract_index``, pi/2d + eps) and passes the residual check;
+    else None.  Each step is taken on a one-entry numpy array, whose complex
+    kernels round as the array pass's do (Python's complex arithmetic
+    differs in the last bit: it divides where numpy multiplies by a
+    reciprocal)."""
+    z = (np.log(np.array([w])) + 2j * math.pi * n) / map_.d
+    last = math.inf
+    for _ in range(config.ROOT_MAX_ITER):
+        with np.errstate(all="ignore"):
+            zeta = np.exp(z)
+            pv = horner_monic(map_.coeffs, zeta)
+            step = np.log(pv / w) * pv / (horner_derivative(map_, zeta) * zeta)
+        size, scale = abs(complex(step[0])), 1.0 + abs(complex(z[0]))
+        if not math.isfinite(size) or (size >= last and size <= config.ROOT_ITER_RTOL * scale):
+            break
+        z = z - step
+        if size <= 4e-16 * scale:
+            break
+        last = size
+    else:
+        return None
+    z = complex(z[0])
+    strip, offset = tracts.tract_index(z, cfg)
+    if strip != n or abs(offset) > cfg.strip_half_width() + cfg.eps:
+        return None
+    try:
+        residual = abs(map_(z) - w)
+    except OverflowSignal:
+        return None
+    u = abs(cmath.exp(z))
+    terms = sum(abs(b) * u**k for k, b in enumerate(map_.coeffs)) + u**map_.d
+    return z if residual <= config.RESIDUAL_RTOL * max(1.0, abs(w), terms) else None
+
+
+def branch_digits(map_: PolyExpMap, n: int, w) -> mpmath.mpc:
+    """The preimage of w under f in strip n at mpmath's working precision:
+    the roots of p = w by ``mpmath.polyroots``, each root's log lifted by
+    the multiple of 2*pi*i nearest strip n, and the lift nearest the
+    strip's center."""
+    d, w = map_.d, mpmath.mpc(w)
+    two_pi = 2 * mpmath.pi
+    center = two_pi * n / d
+    high_to_low = [1] + [mpmath.mpc(c) for c in reversed(map_.coeffs)]
+    high_to_low[-1] -= w
+    # Solve for zeta / scale, whose roots are of order one.
+    scale = max(1, abs(w)) ** (mpmath.mpf(1) / d)
+    scaled = [a / scale**j for j, a in enumerate(high_to_low)]
+    lifts = []
+    for u in mpmath.polyroots(scaled, maxsteps=200, extraprec=100):
+        base = mpmath.log(u * scale)
+        lifts.append(base + 1j * two_pi * mpmath.nint((center - base.imag) / two_pi))
+    return min(lifts, key=lambda c: abs(c.imag - center))
+
+
 def ray_point_50_digits(map_: PolyExpMap, address, t: float, depth: int) -> mpmath.mpc:
     """The ray point of ``address`` at potential t, at 50 digits: the
     straight seed step^depth(t) + 2*pi*i*s_depth/d pulled back through the
-    branches s_{depth-1}, ..., s_0.  Each branch solves p = w with
-    ``mpmath.polyroots`` and lifts the log of the root nearest its strip,
-    as the tracer does.  The seed's own error, about exp(-step^depth(t)/2),
-    is below 1e-40 for the depths ``rays.trace_segment`` uses."""
+    branches s_{depth-1}, ..., s_0 (``branch_digits``), as the tracer does.
+    The seed's own error, about exp(-step^depth(t)/2), is below 1e-40 for
+    the depths ``rays.trace_segment`` uses."""
     d = map_.d
     with mpmath.workdps(50):
         speed = mpmath.mpf(t)
         for _ in range(depth):
             speed = mpmath.expm1(d * speed)
-        two_pi = 2 * mpmath.pi
-        z = mpmath.mpc(speed, two_pi * address.entry(depth) / d)
+        z = mpmath.mpc(speed, 2 * mpmath.pi * address.entry(depth) / d)
         for level in range(depth - 1, -1, -1):
-            center = two_pi * address.entry(level) / d
-            high_to_low = [1] + [mpmath.mpc(c) for c in reversed(map_.coeffs)]
-            high_to_low[-1] -= z
-            # Solve for zeta / scale, whose roots are of order one.
-            scale = max(1, abs(z)) ** (mpmath.mpf(1) / d)
-            scaled = [a / scale**j for j, a in enumerate(high_to_low)]
-            lifts = []
-            for u in mpmath.polyroots(scaled, maxsteps=200, extraprec=100):
-                base = mpmath.log(u * scale)
-                lifts.append(base + 1j * two_pi * mpmath.nint((center - base.imag) / two_pi))
-            z = min(lifts, key=lambda c: abs(c.imag - center))
+            z = branch_digits(map_, address.entry(level), z)
         return z
 
 

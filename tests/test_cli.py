@@ -1109,7 +1109,7 @@ class TestSurface:
 REPORT_CASES = {
     "ray trace csv": (BASE_ARGV["ray trace"], "--output"),
     "ray trace json": (BASE_ARGV["ray trace"] + ["--out", "json"], "--output"),
-    "classify": (BASE_ARGV["classify"] + ["--log-iterates"], "--out"),
+    "classify": (BASE_ARGV["classify"] + ["--log-iterates"], "--output"),
     "diag appendix-a": (BASE_ARGV["diag appendix-a"], "--output"),
     "diag invariant-set": (["diag", "invariant-set", "--run", "{run}"], "--output"),
     "homotopy word": (["homotopy", "word", "--marked", "{marked}", "--curve", "{curve}"],
@@ -1142,6 +1142,13 @@ class TestOutputPath:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == stdout
 
+    def test_classify_out_is_a_second_spelling_of_output(self, workdir, tmp_path):
+        argv = ["classify", "--spec", workdir["spec1"], "--log-iterates"]
+        long, short = tmp_path / "output.json", tmp_path / "out.json"
+        assert run(argv + ["--output", str(long)]) == 0
+        assert run(argv + ["--out", str(short)]) == 0
+        assert long.read_bytes() == short.read_bytes() != b""
+
     @pytest.mark.parametrize("case", sorted(REPORT_CASES))
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_output_exit_2(self, case, where, paths, tmp_path, capsys):
@@ -1157,11 +1164,6 @@ class TestOutputPath:
 
 
 class TestDeterminism:
-    def _run_to_file(self, argv, path):
-        code = run(argv + ["--output" if "--out" not in argv else "--out", path])
-        assert code == 0
-        return open(path, "rb").read()
-
     def test_every_command_byte_identical(self, workdir, tmp_path):
         cases = [
             (
@@ -1172,7 +1174,7 @@ class TestDeterminism:
             ),
             (
                 ["classify", "--spec", workdir["spec1"], "--log-iterates"],
-                "--out",
+                "--output",
             ),
             (
                 ["diag", "appendix-a", "--d", "2", "--rho", "100",

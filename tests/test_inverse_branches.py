@@ -1,6 +1,7 @@
 """The array pass of ``tracts.inverse_branches``: every row bitwise equal
-to its one-row call (a hypothesis property over mixed batches), and the
-same outcomes as the row-by-row rule it replaced."""
+to its one-row call (a hypothesis property over mixed batches, on every
+path a row can take), the same outcomes as the row-by-row rule, and
+certified rows accurate to a few ulp of 60-digit preimages."""
 
 import cmath
 import math
@@ -13,7 +14,7 @@ from rayforge import polyexp, presets, tracts
 from rayforge.errors import BranchSelectionError, DomainError, RayforgeError
 from rayforge.polyexp import PolyExpMap
 
-from oracles import scalar_inverse_branch
+from oracles import branch_digits, scalar_inverse_branch
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -45,6 +46,65 @@ RANDOM_ROWS = st.tuples(
     ),
 )
 
+# One map per path a row can take: at d = 1 no root choice; at d = 3 and
+# d = 5 Newton's method for certified rows (Re w > r), with the root solve
+# for the rest and for the certified rows whose Newton root fails a check.
+# Each pool holds a row of every outcome the map has (d = 1 has no stalled
+# solve), and "newton" / "fallback" name the certified rows that do not and
+# do reach the root solve.
+PATHS = {
+    "d1": (
+        PolyExpMap(1, [21000000.0 - 260000000.0j]),
+        [
+            ("solve", 2, 523661528.59531564 - 12015392.650975449j),
+            ("solve", 0, complex(21000000.000001, 5.0)),  # DomainError
+            ("solve", 2**60, 5216933985462.856 + 0j),  # BranchSelectionError
+            ("solve", 0, 1.1352323168578197e304 + 0j),  # OverflowSignal
+        ],
+    ),
+    "d3": (
+        PolyExpMap(3, [-80.2 + 42j, -132.4 + 113.6j, -24.8 + 11j]),
+        [
+            ("newton", 2, 12893.241057251 - 295.8348959911247j),
+            ("fallback", 0, 12854.324239956331 - 13630.219052626275j),
+            ("solve", -2, 437.75278248709805 - 15.064047142189871j),
+            ("solve", 0, complex(54.0, 5.0)),  # DomainError
+            ("solve", -1, 62.60868287628567 + 299.2796983477575j),  # no root in strip
+            ("fallback", 2**60, 128447830.86274534 + 0j),  # branch residual
+            ("fallback", 0, 1.1352323168578197e304 + 0j),  # OverflowSignal
+            ("fallback", 0, 1.78e308 + 0j),  # RootSolveError
+        ],
+    ),
+    "d5": (
+        PolyExpMap(5, [-159.4 + 54.1j, 44.6 + 5.9j, -111.6 + 6.6j, -5.6 + 73.1j, 175.9 + 92.1j]),
+        [
+            ("newton", 2, 201174072829.10687 - 4615930986.417079j),
+            ("fallback", 3, 201888047678.7713 - 181611118814.13956j),
+            ("solve", -1, 4.042154420707671 + 4795070.076464716j),
+            ("solve", -2, -1155.2202810195547 + 39.75369996284444j),  # DomainError
+            ("solve", 0, 754.628975405588 - 472907164.1068232j),  # no root in strip
+            ("fallback", 2**60, 2004179799786681.8 + 0j),  # branch residual
+            ("fallback", 0, 1.1352323168578197e304 + 0j),  # OverflowSignal
+            ("fallback", 0, 1.7782794100389228e308 + 0j),  # RootSolveError
+        ],
+    ),
+}
+
+
+def _path_rows(name):
+    """Pool rows of map ``name`` and random rows around its r: certified
+    rows to the right, best-effort rows to the left."""
+    map_, pool = PATHS[name]
+    cfg = tracts.make_tract_config(map_)
+    near_r = st.builds(
+        lambda x, y: complex(cfg.r * x, cfg.r * y), st.floats(0.0, 4.0), st.floats(-4.0, 4.0)
+    )
+    return st.lists(
+        st.one_of(st.sampled_from([(n, w) for _, n, w in pool]), st.tuples(st.integers(-3, 3), near_r)),
+        min_size=1,
+        max_size=10,
+    )
+
 
 def _bits(values) -> list:
     return [tuple(np.array([complex(v)]).view(np.int64)) for v in values]
@@ -58,29 +118,48 @@ def _outcome(branch, *args):
         return exc
 
 
+def _assert_rows_independent(map_, cfg, rows):
+    """Every row of one batched call bitwise equal to its one-row call:
+    the same value, or the same error with the same candidates."""
+    ns, ws = zip(*rows)
+    z, errors = tracts.inverse_branches(map_, cfg, list(ns), list(ws))
+    for k, (n, w) in enumerate(rows):
+        want = _outcome(tracts.inverse_branch, map_, cfg, n, w)
+        if isinstance(want, RayforgeError):
+            got = errors.pop(k)
+            assert type(got) is type(want) and str(got) == str(want)
+            assert _bits(getattr(got, "candidates", ())) == _bits(getattr(want, "candidates", ()))
+            assert cmath.isnan(z[k])
+        else:
+            assert _bits([z[k]]) == _bits([want])
+    assert not errors
+    # the rows as one array, as the ray tracer passes them
+    z2, errors2 = tracts.inverse_branches(map_, cfg, list(ns), np.array(ws))
+    assert _bits(z2) == _bits(z) and errors2.keys() == {
+        k for k, (n, w) in enumerate(rows) if cmath.isnan(z[k])
+    }
+
+
+def _path(map_, cfg, n, w, monkeypatch) -> str:
+    """Whether row (n, w) is certified at d >= 3 ("newton" when it never
+    reaches the root solve, "fallback" when it does) or not ("solve")."""
+    solved = []
+    solve = polyexp.poly_roots_batch
+    monkeypatch.setattr(polyexp, "poly_roots_batch", lambda m, ws: solved.append(1) or solve(m, ws))
+    _outcome(tracts.inverse_branch, map_, cfg, n, w)
+    monkeypatch.setattr(polyexp, "poly_roots_batch", solve)
+    if map_.d < 3 or not w.real > cfg.r:
+        return "solve"
+    return "fallback" if solved else "newton"
+
+
 class TestRowIndependence:
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(
         st.lists(st.one_of(st.sampled_from(WILD_ROWS), RANDOM_ROWS), min_size=1, max_size=10)
     )
     def test_rows_bitwise_equal_one_row_calls(self, rows):
-        ns, ws = zip(*rows)
-        z, errors = tracts.inverse_branches(WILD, WILD_CFG, list(ns), list(ws))
-        for k, (n, w) in enumerate(rows):
-            want = _outcome(tracts.inverse_branch, WILD, WILD_CFG, n, w)
-            if isinstance(want, RayforgeError):
-                got = errors.pop(k)
-                assert type(got) is type(want) and str(got) == str(want)
-                assert _bits(getattr(got, "candidates", ())) == _bits(getattr(want, "candidates", ()))
-                assert cmath.isnan(z[k])
-            else:
-                assert _bits([z[k]]) == _bits([want])
-        assert not errors
-        # the rows as one array, as the ray tracer passes them
-        z2, errors2 = tracts.inverse_branches(WILD, WILD_CFG, list(ns), np.array(ws))
-        assert _bits(z2) == _bits(z) and errors2.keys() == {
-            k for k, (n, w) in enumerate(rows) if cmath.isnan(z[k])
-        }
+        _assert_rows_independent(WILD, WILD_CFG, rows)
 
     def test_pool_covers_every_outcome(self):
         kinds = {
@@ -90,6 +169,29 @@ class TestRowIndependence:
         assert kinds == {
             "complex", "DomainError", "BranchSelectionError", "RootSolveError", "OverflowSignal"
         }
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_rows_bitwise_equal_one_row_calls_on_every_path(self, name, data):
+        map_ = PATHS[name][0]
+        _assert_rows_independent(map_, tracts.make_tract_config(map_), data.draw(_path_rows(name)))
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_path_pools_cover_every_path_and_outcome(self, name, monkeypatch):
+        map_, pool = PATHS[name]
+        cfg = tracts.make_tract_config(map_)
+        seen = set()
+        for path, n, w in pool:
+            assert _path(map_, cfg, n, w, monkeypatch) == path
+            outcome = _outcome(tracts.inverse_branch, map_, cfg, n, w)
+            seen.add((path, type(outcome).__name__))
+        kinds = {kind for _, kind in seen}
+        assert kinds == {"complex", "DomainError", "BranchSelectionError", "OverflowSignal"} | (
+            {"RootSolveError"} if map_.d >= 3 else set()
+        )
+        if map_.d >= 3:
+            assert {("newton", "complex"), ("fallback", "complex"), ("solve", "complex")} <= seen
 
 
 class TestNonFiniteSeeds:
@@ -133,13 +235,63 @@ class TestFarSingularValue:
             tracts.inverse_branch(self.MAP, tracts.make_tract_config(self.MAP), 0, self.W)
 
 
+class TestMovedNewtonRoot:
+    """A certified row's Newton root is checked as a chosen root is: moved
+    off the preimage, it fails the residual check, and the row falls back
+    to the root solve rather than passing."""
+
+    MAP = PATHS["d3"][0]
+    N, W = 2, 12893.241057251 - 295.8348959911247j
+
+    def test_moved_root_falls_back(self, monkeypatch):
+        cfg = tracts.make_tract_config(self.MAP)
+        newton = tracts._newton_roots
+        right = tracts.inverse_branch(self.MAP, cfg, self.N, self.W)
+        assert _bits([right]) == _bits(newton(self.MAP, np.array([self.N]), np.array([self.W])))
+
+        solved = []
+        solve = polyexp.poly_roots_batch
+        monkeypatch.setattr(polyexp, "poly_roots_batch", lambda m, ws: solved.append(1) or solve(m, ws))
+        monkeypatch.setattr(tracts, "_newton_roots", lambda *args: newton(*args) * (1 + 1e-8))
+        moved = tracts.inverse_branch(self.MAP, cfg, self.N, self.W)
+        monkeypatch.setattr(tracts, "_newton_roots", lambda m, ns, ws: np.full(len(ws), np.nan + 0j))
+        fallback = tracts.inverse_branch(self.MAP, cfg, self.N, self.W)
+        assert solved == [1, 1] and _bits([moved]) == _bits([fallback])
+        assert abs(moved - right) <= 1e-12 * abs(right)
+
+
+class TestSixtyDigits:
+    """Certified rows at d = 3..5 (Re w > r, |n| <= 3) against 60-digit
+    preimages: Newton's method in the strip ends within a few ulp, where the
+    root solve's 1e-12 residual stop left tens to thousands."""
+
+    def test_certified_rows_p99_within_4_ulp(self):
+        rng = np.random.default_rng(40)
+        errors = []
+        for d in (3, 4, 5):
+            for _ in range(8):
+                map_ = PolyExpMap(d, rng.normal(size=d) + 1j * rng.normal(size=d))
+                cfg = tracts.make_tract_config(map_)
+                scale = cfg.r * 10 ** rng.uniform(-3, 3, 16)
+                ws = cfg.r + scale + 1j * rng.normal(size=16) * scale
+                ns = rng.integers(-3, 4, 16)
+                z, failed = tracts.inverse_branches(map_, cfg, ns, ws)
+                assert not failed
+                with mpmath.workdps(60):
+                    for zk, n, w in zip(z.tolist(), ns.tolist(), ws.tolist()):
+                        exact = branch_digits(map_, n, w)
+                        errors.append(float(abs(zk - exact)) / math.ulp(max(abs(zk.real), abs(zk.imag))))
+        assert np.percentile(errors, 99) <= 4
+
+
 class TestScalarReference:
     """The array pass against the row-by-row rule it replaced: the same
     outcome and strip, and preimages that differ in the last bit at most,
     from numpy's log in place of cmath's."""
 
     @pytest.mark.parametrize(
-        "map_", [PolyExpMap(2, [1.0, 2.0]), WILD, PolyExpMap(3, [2.0, -1 + 1j, 0.5])]
+        "map_",
+        [PolyExpMap(2, [1.0, 2.0]), WILD, PolyExpMap(3, [2.0, -1 + 1j, 0.5]), PATHS["d5"][0]],
     )
     def test_same_outcomes_to_one_ulp(self, map_):
         cfg = tracts.make_tract_config(map_)

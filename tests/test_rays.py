@@ -259,6 +259,8 @@ class TestOracle:
             (presets.D2_MAP, presets.WITH_PREPERIOD),
             (presets.D2_RAY_MAP, presets.ALTERNATE),
             (presets.D3_MAP, presets.TRIPLE),
+            (PolyExpMap(4, [0.2, -0.1j, 0.1 + 0.1j, -0.2]), presets.MIXED),
+            (PolyExpMap(5, [0.1, 0.2j, -0.1, 0.05 + 0.1j, 0.3]), presets.ZERO),
         ],
     )
     def test_samples_within_error_estimate_of_50_digits(self, map_, address):
@@ -289,17 +291,17 @@ class TestFarSingularValues:
 
 class TestBatching:
     @pytest.mark.parametrize("case", [1, 2])
-    def test_one_root_solve_per_pull_level(self, case, monkeypatch):
+    def test_one_branch_call_per_pull_level(self, case, monkeypatch):
         map_, addr, t_lo, t_hi, n, _ = TestSegmentMatchesSamples.CASES[case]
         cfg = tracts.make_tract_config(map_)
         rows = []
-        solve = polyexp.poly_roots_batch
+        branches = tracts.inverse_branches
 
-        def counted(m, ws):
+        def counted(m, c, ns, ws):
             rows.append(len(ws))
-            return solve(m, ws)
+            return branches(m, c, ns, ws)
 
-        monkeypatch.setattr(polyexp, "poly_roots_batch", counted)
+        monkeypatch.setattr(tracts, "inverse_branches", counted)
         seg = rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n)
         depths = [p.depth_used for p in seg]
         # one call per level, each with every chain that still pulls at it
