@@ -22,10 +22,10 @@ EXP_ARG_LIMIT = 700.0
 # and cluster detection.
 POTENTIAL_EQ_RTOL = 1e-12
 
-# Root finding: the iteration serves d >= 3 only.  Roots and inverse branches
-# pass where |p(zeta) - w| <= RESIDUAL_RTOL * polyexp.residual_scale.  Below
-# ROOT_ITER_RTOL (1 + |z|), a Newton step of tracts._newton_roots that does
-# not shrink has reached rounding.
+# Root finding: roots and inverse branches pass where |p(zeta) - w| <=
+# RESIDUAL_RTOL * polyexp.residual_scale.  Newton's method in the strip
+# (tracts._newton_roots, d >= 3) takes at most ROOT_MAX_ITER steps, and below
+# ROOT_ITER_RTOL (1 + |z|) a step that does not shrink has reached rounding.
 ROOT_ITER_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 ROOT_MAX_ITER = 200

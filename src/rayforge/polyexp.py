@@ -1,22 +1,22 @@
 """The map family under study: f(z) = p(exp(z)) with p monic of degree d.
 
-Holds evaluation, p' and singular data, a batched root solver
-for p(z) = w (the quadratic formula at degree 2, simultaneous iteration
-above) and the Monte-Carlo report ``diag appendix-a`` prints, which
-samples how singular-value magnitudes control a map's geometry.  All
-Horner evaluation, of p, p' (coefficients formed once per map), the
-residual scale, the tract certificate's sums and the containment proof,
-goes through ``horner``.  The report proves disk containment by Cauchy's
-root radius, and ``check_disk_containment`` samples each map left open
-with one root solve.  ``appendix_report`` draws all its samples in one
-array pass and measures them at the critical points it drew, with no root
-solve of p'; its ratios are the closer of the two to a 50-digit reference.
-Random draws take explicit seeds; nothing here keeps mutable state.
+Holds evaluation, p' and singular data, a batched root solver for p(z) = w
+(the quadratic formula at degree 2, companion-matrix eigenvalues above) and
+the Monte-Carlo report ``diag appendix-a`` prints, which samples how
+singular-value magnitudes control a map's geometry.  All Horner evaluation,
+of p, p' (coefficients formed once per map), the residual scale, the tract
+certificate's sums and the containment proofs, goes through ``horner``.  The
+report proves disk containment by Cauchy's root radius, or by Rouche's
+theorem on the maps left open, and solves no root of p - w or of p': it
+draws all its samples in one array pass and measures them at the critical
+points it drew; its ratios are the closer of the two to a 50-digit
+reference.  Random draws take explicit seeds; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +29,8 @@ from .errors import DomainError, OverflowSignal, RootSolveError
 
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
-_PRODUCT_ENTRIES = 2**16  # complex entries of one chunk of _sample's product: 1 MB
+_PRODUCT_ENTRIES = 2**16  # complex entries of one block of _sample or of Rouche's test: 1 MB
+_ROUCHE_DOUBLINGS = 6  # 360 to 23,040 points: each doubling halves the slack, doubles the pass
 
 
 def horner(cs, x):
@@ -156,7 +157,7 @@ def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
 @np.errstate(all="ignore")
 def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve p(z) = w for a batch of right-hand sides: in closed form at
-    d = 2, by Ehrlich-Aberth iteration above.  Every row is bitwise equal to
+    d = 2, as companion-matrix eigenvalues above.  Every row is bitwise equal to
     its one-row solve, so the output never depends on the rest of the batch.
     Returns the (len(ws), d) roots and the RootSolveError of each stalled
     row by row index: a row stalls, and its roots are NaN, when its worst
@@ -166,7 +167,7 @@ def poly_roots_batch(map_: PolyExpMap, ws: np.ndarray) -> tuple[np.ndarray, dict
     ws = np.asarray(ws, dtype=complex).ravel()
     if d == 1:
         return (ws - cs[0]).reshape(-1, 1), {}
-    x = _quadratic_roots(cs[1], cs[0] - ws) if d == 2 else _aberth_roots(map_, ws)
+    x = _quadratic_roots(cs[1], cs[0] - ws) if d == 2 else _companion_roots(map_, ws)
 
     worst = (np.abs(map_.poly(x) - ws[:, None]) / residual_scale(map_, x, ws[:, None])).max(1)
     stalled = {}
@@ -196,53 +197,22 @@ def _quadratic_roots(b1: complex, c: np.ndarray) -> np.ndarray:
     return np.stack([q, np.where(q == 0, 0j, c / q)], axis=1)
 
 
-def _aberth_roots(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
-    """At most ROOT_MAX_ITER Ehrlich-Aberth sweeps from the d-th-root fan of
-    each w, twisted by 0.7 radians to break the real-axis symmetry trap."""
-    d, cs = map_.d, map_.coeffs
-    radius = np.maximum(np.abs(ws), 1.0 + max(abs(c) for c in cs)) ** (1.0 / d)
-    angles = (np.angle(ws)[:, None] + 2 * np.pi * np.arange(d)[None, :] + 0.7) / d
-    x = radius[:, None] * np.exp(1j * angles)
-
-    # The sweep runs on the live rows only: (row index, roots, w, tolerance).
-    live = np.arange(len(ws))
-    xl, wl, tl = x, ws[:, None], (config.ROOT_ITER_RTOL * np.maximum(1.0, np.abs(ws)))[:, None]
-
-    def retire(passed) -> np.ndarray | None:
-        """Write back and drop the rows whose every entry passed; returns
-        the mask of the rows kept when some row left."""
-        nonlocal live, xl, wl, tl
-        if not np.count_nonzero(passed):  # the common case, and cheap
-            return None
-        done = passed.all(axis=1)
-        if not done.any():
-            return None
-        keep = ~done
-        x[live[done]] = xl[done]
-        live, xl, wl, tl = live[keep], xl[keep], wl[keep], tl[keep]
-        return keep
-
-    for _ in range(config.ROOT_MAX_ITER):
-        pv = map_.poly(xl) - wl
-        keep = retire(np.abs(pv) <= tl)
-        if not live.size:
-            break
-        if keep is not None:
-            pv = pv[keep]
-        dpv = map_.poly_derivative(xl)
-        dpv[dpv == 0] = 1e-30
-        newton = pv / dpv
-        diff = xl[:, :, None] - xl[:, None, :]
-        diff.reshape(len(xl), d * d)[:, :: d + 1] = 1.0  # the diagonal
-        repulsion = (1.0 / diff).sum(axis=2) - 1.0
-        denom = 1.0 - newton * repulsion
-        denom[denom == 0] = 1e-30
-        corr = newton / denom
-        xl = xl - corr
-        retire(np.abs(corr) <= 4e-16 * (1.0 + np.abs(xl)))
-        if not live.size:
-            break
-    x[live] = xl
+def _companion_roots(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each row's companion matrix of p - w, as ``np.roots``
+    builds it, from one stacked ``np.linalg.eigvals`` call.  That call refuses
+    the whole stack when one matrix is not finite or does not converge, so such
+    rows are masked, or solved one at a time; a failing row keeps NaN roots."""
+    companion = np.tile(np.eye(map_.d, k=-1, dtype=complex), (len(ws), 1, 1))
+    companion[:, 0] = -np.array(map_.coeffs[::-1])
+    companion[:, 0, -1] += ws
+    x = np.full((len(ws), map_.d), complex(math.nan, math.nan))
+    rows = np.isfinite(companion[:, 0]).all(axis=1).nonzero()[0]
+    try:
+        x[rows] = np.linalg.eigvals(companion[rows])
+    except np.linalg.LinAlgError:
+        for k in rows.tolist():
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[k] = np.linalg.eigvals(companion[k])
     return x
 
 
@@ -261,14 +231,44 @@ def cauchy_proves(coeffs: Sequence[complex] | np.ndarray, r: float) -> bool | np
     return ((s * config.ROUNDING < 1) & (x > 0))[()]
 
 
-def check_disk_containment(map_: PolyExpMap, r: float) -> bool | None:
-    """Whether every root of p(z) = w lies in |z| < r, sampled on 360
-    points of the circle |w| = r; None (inconclusive) when the root solve
-    stalls.  It reports, and never asserts its preconditions."""
-    roots, stalled = poly_roots_batch(map_, r * np.exp(1j * (2 * np.pi * np.arange(360) / 360)))
-    if stalled:
-        return None
-    return bool(np.all(np.abs(roots) < r))
+@np.errstate(all="ignore")
+def check_disk_containment(coeffs: Sequence[complex] | np.ndarray, r: float):
+    """Rouche's theorem on |z| = r: True where every root of p(z) = w, |w| <= r,
+    provably lies in |z| < r, False where one provably does not, else None;
+    for one map's b_0..b_{d-1}, or one verdict per row of an (n, d) array.
+
+    p_j is p by Horner's rule at N points r e^(2 pi i j/N) (N = 360, doubled
+    for rows left open), each within r 2^-48 of its circle point z_j, so in
+    |z| <= R = r (1 + 2^-40), where |p| <= S = sum_k |b_k| R^k and |p'| <= L =
+    sum_k k |b_k| R^(k-1), b_d = 1.  Products round within sqrt(5) u and sums
+    within u = 2^-53, so p_j is within e0 = (4d + 4) u S + L r 2^-40 of p at
+    z_j and at the circle point nearest its computed point (the margins over
+    ((sqrt(5) + 1) d + 1) u S and L r 2^-48 cover |.|, comparisons and e's
+    rounding; the smallest normal, underflow), and within e = e0 + L pi r/N
+    of p on z_j's arc.  False where some |p_j| + e0 <= r: that circle point maps into the
+    disk.  Where min |p_j| - e > max(r, e), |p| > r on the circle, so p - w
+    has as many roots in |z| < r as p, and p turns under pi/3 on each arc, so
+    sum_j arg(p_(j+1)/p_j) rounds to its winding number: True where that is
+    d, False below.  Every comparison fails on NaN and inf.
+    """
+    b = np.asarray(coeffs, dtype=complex)
+    monic = np.column_stack([b.reshape(-1, b.shape[-1]), np.ones(b.size // b.shape[-1])]).T
+    d, mags, big = len(monic) - 1, np.abs(monic), r * (1 + 2.0**-40)
+    slope = horner(mags[1:] * np.arange(1, d + 1)[:, None], big)
+    e0 = (4 * d + 4) * 2.0**-53 * horner(mags, big) + slope * r * 2.0**-40 + _TINY
+    verdict = np.zeros(monic.shape[1], dtype=int)  # indices into (None, False, True)
+    live, n = np.isfinite(e0).nonzero()[0], 360
+    while live.size and n <= 360 << _ROUCHE_DOUBLINGS:
+        e = e0 + slope * r * np.pi / n
+        circle, step = r * np.exp(2j * np.pi * np.arange(n) / n), max(1, _PRODUCT_ENTRIES // n)
+        for k in (live[lo : lo + step] for lo in range(0, len(live), step)):
+            size = np.abs(p := horner(monic[:, k, None], circle))
+            winding = np.rint(np.angle(np.roll(p, -1, axis=1) / p).sum(axis=1) / (2 * np.pi))
+            proven = size.min(axis=1) - e[k] > np.maximum(r, e[k])
+            refuted = (size + e0[k, None] <= r).any(axis=1)
+            verdict[k] = np.where(refuted, 1, np.where(proven, 1 + (winding == d), 0))
+        live, n = live[verdict[live] == 0], 2 * n
+    return np.array([None, False, True])[verdict].reshape(b.shape[:-1])[()]
 
 
 class AppendixReport(NamedTuple):
@@ -300,10 +300,9 @@ def appendix_report(
     map.  ``_sample`` draws all of them in one row-by-row pass, so row k
     depends only on (seed, k): a shorter run is a prefix of a longer one,
     and ``PCG64(seed).advance(4dk)`` draws row k alone.
-    Containment is checked on the first min(samples, 200) maps.
-    ``cauchy_proves`` proves it for all of them at once, and each map it
-    leaves open goes through ``check_disk_containment``, whose failed root
-    solves count as inconclusive, never as failures.  Raises
+    Containment is checked on the first min(samples, 200) maps: by
+    ``cauchy_proves`` at once, then by one ``check_disk_containment`` call on
+    the maps it leaves open, if any; ``containment_proven`` counts both.  Raises
     OverflowSignal naming the first sample whose arithmetic leaves the
     float range: rho near the largest double, or so small that a target
     critical value rho (0.3 + 0.7u) is subnormal.
@@ -319,17 +318,16 @@ def appendix_report(
     if bad.any():
         raise OverflowSignal(f"sample {bad.argmax()} at rho={rho!r} left the float range")
 
-    checked = coeffs[:containment_maps]
-    proven = cauchy_proves(checked, rho)
-    sampled = [check_disk_containment(PolyExpMap(d, row), rho) for row in checked[~proven]]
+    proven = cauchy_proves(checked := coeffs[:containment_maps], rho)
+    verdicts = [] if proven.all() else check_disk_containment(checked[~proven], rho).tolist()
     worst_idx = int(ratios.argmax())
     return AppendixReport(
         max_critical_point_ratio=float(ratios[worst_idx]),
         max_coefficient_ratio=float(coeff_ratios.max()),
         containment_maps=containment_maps,
-        containment_failures=sampled.count(False),
-        containment_inconclusive=sampled.count(None),
-        containment_proven=int(proven.sum()),
+        containment_failures=verdicts.count(False),
+        containment_inconclusive=verdicts.count(None),
+        containment_proven=int(proven.sum()) + verdicts.count(True),
         worst_case={"sample_index": worst_idx, "ratio": float(ratios[worst_idx])},
     )
 

@@ -267,8 +267,8 @@ def _newton_roots(map_: polyexp.PolyExpMap, ns: np.ndarray, ws: np.ndarray) -> n
     farther, than the step (p - w) / (zeta p').  NaN on the rows that do
     not converge.
 
-    A row stops on its own: after a step under ``_aberth_roots``'s
-    4e-16 (1 + |z|), and before a step that is not finite, or that does not
+    A row stops on its own: after a step under 4e-16 (1 + |z|), about two
+    ulp, and before a step that is not finite, or that does not
     shrink once it is under ROOT_ITER_RTOL (1 + |z|), where rounding has set
     in (farther out, Newton's steps may grow before they converge).  A row
     still moving after ROOT_MAX_ITER steps has not converged.

@@ -275,6 +275,51 @@ class TestPolyRoots:
                     single = pe.poly_roots_batch(map_, ws[k : k + 1])[0][0]
                     assert np.array_equal(batch[k].view(np.int64), single.view(np.int64))
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_failing_rows_stall_alone(self, d):
+        # Rows whose companion matrix is not finite, which np.linalg.eigvals
+        # refuses with the whole stack (w not finite, or w - b_0 overflowing
+        # for the map with b_0 = -1.7e308), stall; so may rows that overflow
+        # (|w| at 1.7e308 (1 + i), p(z) at the largest double).  Every row,
+        # stalled or not, is its one-row solve.
+        rng = np.random.default_rng(d)
+        special = [math.nan, complex(1, math.inf), -math.inf, 1.7e308 + 1.7e308j, np.finfo(float).max]
+        for b0 in (complex(*rng.standard_normal(2)), complex(-1.7e308)):
+            map_ = PolyExpMap(d, [b0, *(rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1))])
+            ws = np.concatenate([special, 10 ** rng.uniform(-1, 6, 8) * np.exp(2j * np.pi * rng.random(8))])
+            ws[-3:] = 1.7e308
+            rng.shuffle(ws)
+            with np.errstate(all="ignore"):
+                batch, stalled = pe.poly_roots_batch(map_, ws)
+                companion_not_finite = ~np.isfinite(ws - map_.coeffs[0])
+            assert set(companion_not_finite.nonzero()[0].tolist()) <= set(stalled)
+            assert companion_not_finite.sum() == (3 if b0.real > -1 else 8)
+            for k in range(len(ws)):
+                with np.errstate(all="ignore"):
+                    single, alone = pe.poly_roots_batch(map_, ws[k : k + 1])
+                assert np.array_equal(batch[k].view(np.int64), single[0].view(np.int64)), k
+                assert (k in stalled) == bool(alone) and str(stalled.get(k)) == str(alone.get(0))
+
+    def test_unconverged_row_stalls_alone(self, monkeypatch):
+        # eigvals raises LinAlgError for a whole stack when one matrix does
+        # not converge: the rows are then solved one at a time, and only the
+        # failing one stalls.
+        eigvals = np.linalg.eigvals
+
+        def refuse(a):
+            if (a[..., 0, -1] == 6.0).any():  # the row w = 7, where w - b_0 = 6
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        map_ = PolyExpMap(3, [1.0, 2.0, 3.0])
+        ws = np.array([5.0 + 1j, 7.0, -40.0j])
+        want = [pe.poly_roots_batch(map_, ws[k : k + 1])[0][0] for k in (0, 2)]
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        roots, stalled = pe.poly_roots_batch(map_, ws)
+        assert list(stalled) == [1] and np.isnan(roots[1]).all()
+        for k, single in zip((0, 2), want):
+            assert np.array_equal(roots[k].view(np.int64), single.view(np.int64))
+
 
 class TestQuadraticClosedForm:
     """At d = 2, ``poly_roots_batch`` takes the cancellation-free quadratic
@@ -376,7 +421,7 @@ class TestResidualScale:
 
     @pytest.mark.parametrize("map_", FAR_MAPS, ids=["d2", "d3"])
     def test_moved_roots_fail(self, map_, monkeypatch):
-        solver = "_quadratic_roots" if map_.d == 2 else "_aberth_roots"
+        solver = "_quadratic_roots" if map_.d == 2 else "_companion_roots"
         solve = getattr(pe, solver)
         monkeypatch.setattr(pe, solver, lambda *args: solve(*args) * (1 + 1e-8))
         ws = np.array([100.0, 1e3 + 50j])
@@ -427,18 +472,77 @@ class TestCoefficientBound:
 
 class TestDiskContainment:
     def test_pure_power(self):
-        assert pe.check_disk_containment(PolyExpMap(3, [0.0, 0.0, 0.0]), 10.0) is True
+        assert pe.check_disk_containment([0.0, 0.0, 0.0], 10.0) is True
 
     def test_random_d2_maps(self):
         for k in range(25):
             m = sample_map_with_singular_values_in(2, 100.0, np.random.default_rng((5, k)))
-            assert pe.check_disk_containment(m, 100.0) is True, k
+            assert pe.check_disk_containment(m.coeffs, 100.0) is True, k
 
     def test_violated_precondition_reports(self):
         # Singular values far outside the disk: the checker must report a
         # verdict (here: containment genuinely fails) rather than raise.
-        m = PolyExpMap(2, [500.0, 40.0])
-        assert pe.check_disk_containment(m, 2.0) in (False, None)
+        assert pe.check_disk_containment([500.0, 40.0], 2.0) in (False, None)
+
+    def test_zero_outside_is_refuted_by_the_winding(self):
+        # p = w^2 - 10w: |p| >= 9 on |w| = 1, so no sample refutes it, but p
+        # winds once around 0 there and its zero 10 lies outside.
+        assert pe.check_disk_containment([0.0, -10.0], 1.0) is False
+        assert sampled_disk_containment(PolyExpMap(2, [0.0, -10.0]), 1.0) is False
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_rounding_never_decides(self, d):
+        # p = w^d on |w| = r, r = 1 + k 2^-52 or 1 - k 2^-53, where |p| = r^d
+        # is within a few ulp of r: above 1 every preimage of the r-disk lies
+        # in |z| < r, and below it w = r^d has its preimage r on the circle.
+        # The rounding term keeps either answer from flipping to the other.
+        for k in range(1, 5):
+            assert pe.check_disk_containment([0.0] * d, 1 + k * 2.0**-52) in (True, None), k
+            assert pe.check_disk_containment([0.0] * d, 1 - k * 2.0**-53) in (False, None), k
+
+    @pytest.mark.parametrize(
+        "coeffs, r",
+        [
+            ([math.nan, 0.0], 2.0),
+            ([0.0, complex(0.0, math.inf)], 2.0),
+            ([1e308, 1e308, 1e308], 1e308),
+            ([0.0, 0.0], math.inf),
+            ([0.0, 0.0], math.nan),
+        ],
+    )
+    def test_non_finite_values_decide_nothing(self, coeffs, r):
+        assert pe.check_disk_containment(coeffs, r) is None
+
+    def test_rows_are_one_map_calls(self):
+        # An (n, d) array gives each row its one-map verdict: the doubling
+        # and the blocks of _PRODUCT_ENTRIES values never couple rows.
+        seen = set()
+        for d, rho, seed in ((2, 2.0, 0), (2, 10.0, 0), (3, 2.0, 1), (5, 2.0, 2)):
+            coeffs = pe._sample(d, rho, np.random.default_rng(seed).random((200, 4 * d)))[3]
+            verdicts = pe.check_disk_containment(coeffs, rho)
+            assert verdicts.shape == (200,) and verdicts.dtype == object
+            assert verdicts.tolist() == [pe.check_disk_containment(row, rho) for row in coeffs]
+            seen.update(verdicts.tolist())
+        assert seen == {True, False, None}
+
+    def test_inconclusive_maps_hold_at_50_digits(self):
+        # Over d = 2..5, rho in {2, 10}, seeds 0-9 and 200 maps each, the
+        # maps Cauchy's radius leaves open are proven or refuted but for 15
+        # near the threshold, all at rho = 2 and d >= 3; mpmath finds each of
+        # those contained at 50 digits, at 16 points of the circle and at the
+        # point w = r p(z)/|p(z)| of the sample z where |p| is least.
+        open_maps = []
+        for d, rho, seed in itertools.product((2, 3, 4, 5), (2.0, 10.0), range(10)):
+            coeffs = pe._sample(d, rho, np.random.default_rng(seed).random((200, 4 * d)))[3]
+            coeffs = coeffs[~pe.cauchy_proves(coeffs, rho)]
+            verdicts = pe.check_disk_containment(coeffs, rho) if len(coeffs) else []
+            open_maps += [(rho, row) for row, v in zip(coeffs, verdicts) if v is None]
+        assert len(open_maps) == 15
+        for rho, row in open_maps:
+            values = PolyExpMap(len(row), row).poly(rho * np.exp(2j * np.pi * np.arange(360) / 360))
+            nearest = values[np.abs(values).argmin()]
+            for w in [rho * nearest / abs(nearest), *rho * np.exp(2j * np.pi * np.arange(16) / 16)]:
+                assert _max_root_modulus(row, complex(w)) < rho
 
 
 def _proven(coeffs, r) -> bool:
@@ -540,36 +644,40 @@ class TestCauchyRadius:
         assert pe.cauchy_proves(np.array([[1e308, 1e308j, 0.0]] * 3), 1.7e308).all()
 
     def test_proven_maps_pass_the_sampled_oracle(self):
-        # appendix_report-style maps: the sampler agrees with the sampled
-        # oracle on every map, and wherever the bound proves containment
-        # the oracle passes too.
-        proven = sampled = 0
+        # appendix_report-style maps: wherever Cauchy's bound or Rouche's
+        # test proves containment the sampled oracle passes, and wherever
+        # Rouche's test refutes it the oracle fails.  A map may be left
+        # inconclusive; none of these 500 is.
+        verdicts = {True: 0, False: 0, None: 0}
+        cauchy = 0
         for k in range(500):
             d, rho = (2, 3)[k % 2], (2.0, 10.0, 100.0, 1000.0)[(k // 2) % 4]
             m = sample_map_with_singular_values_in(d, rho, np.random.default_rng((17, k)))
             oracle = sampled_disk_containment(m, rho)
-            assert pe.check_disk_containment(m, rho) is oracle, k
             if _proven(m.coeffs, rho):
-                proven += 1
+                cauchy += 1
                 assert oracle is True, k
-            else:
-                sampled += 1
-        assert proven and sampled
+                continue
+            verdict = pe.check_disk_containment(m.coeffs, rho)
+            verdicts[verdict] += 1
+            assert verdict is None or verdict is oracle, k
+        assert cauchy and verdicts[True] and verdicts[False]
+        assert verdicts[None] <= 2, verdicts
 
-    def test_unproven_map_is_solved(self, monkeypatch):
-        # At rho = 2 the bound leaves maps unproven, and the report solves
-        # each of them once on the 360-point circle.
-        calls = []
-        solve = pe.poly_roots_batch
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_no_root_solve_at_any_rho(self, d, monkeypatch):
+        # Cauchy's radius leaves maps open at rho = 2 and 10, and Rouche's
+        # test decides them with no root solve.
+        def unreachable(map_, ws):
+            raise AssertionError("root solve reached from appendix_report")
 
-        def counted(map_, ws):
-            calls.append(len(ws))
-            return solve(map_, ws)
-
-        monkeypatch.setattr(pe, "poly_roots_batch", counted)
-        rep = pe.appendix_report(2, 2.0, samples=20, seed=5)
-        unproven = rep.containment_maps - rep.containment_proven
-        assert unproven and calls == [360] * unproven
+        monkeypatch.setattr(pe, "poly_roots_batch", unreachable)
+        for rho in (2.0, 10.0, 100.0):
+            rep = pe.appendix_report(d, rho, samples=200, seed=5)
+            assert (
+                rep.containment_proven + rep.containment_failures + rep.containment_inconclusive
+                == rep.containment_maps
+            ), rho
 
     def test_small_rho_maps_proven_without_a_solve(self, monkeypatch):
         # At d = 3, rho = 5 the report proves all 3 maps of seed 0, and runs
@@ -755,8 +863,8 @@ class TestAppendixReport:
     def test_matches_the_per_sample_oracle(self):
         # Same draws, same counts and worst sample; the reference ratio is
         # the 50-digit one of each row, and the report's is within a few ulp
-        # of it (3 at most over seeds 0-29).  rho <= 10 reaches the sampled
-        # containment check.
+        # of it (3 at most over seeds 0-29).  rho <= 10 reaches Rouche's
+        # containment test.
         ulps = {2: 16, 3: 16, 4: 32, 5: 128}
         for d in (2, 3, 4, 5):
             for rho in (2.0, 5.0, 10.0, 1e2, 1e3, 1e300):
@@ -786,16 +894,21 @@ class TestAppendixReport:
                 rep = pe.appendix_report(d, rho, samples=50, seed=seed)
                 assert abs(rep.max_critical_point_ratio - max(refs)) <= 4 * math.ulp(max(refs))
 
-    def test_failed_root_solve_is_inconclusive(self, monkeypatch):
-        def stalled(map_, ws):
-            roots = np.full((len(ws), map_.d), complex(math.nan, math.nan))
-            return roots, {0: RootSolveError("stalled", worst_residual=1.0)}
+    def test_undecided_map_is_inconclusive(self, monkeypatch):
+        # A map neither test decides counts as inconclusive, never as a
+        # failure; Rouche's test runs once, on the maps Cauchy leaves open.
+        calls = []
+
+        def undecided(coeffs, r):
+            calls.append(len(coeffs))
+            return np.full(len(coeffs), None)
 
         # At rho = 2 Cauchy's radius proves none of the 8 maps (nor any of
-        # 40,000 sampled d = 2 maps), so every check reaches the stalled solve.
-        monkeypatch.setattr(pe, "poly_roots_batch", stalled)
+        # 40,000 sampled d = 2 maps).
+        monkeypatch.setattr(pe, "check_disk_containment", undecided)
         rep = pe.appendix_report(2, 2.0, samples=8, seed=3)
-        assert rep.containment_failures == 0
+        assert calls == [8]
+        assert rep.containment_failures == rep.containment_proven == 0
         assert rep.containment_inconclusive == 8
 
     def test_scale_invariant_ratio(self):

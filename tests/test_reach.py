@@ -4,7 +4,8 @@ One subprocess installs a profiler before it imports ``rayforge.cli``, then
 runs every subcommand in process: ``classify`` on four specs, each followed
 by ``diag invariant-set``; ``ray trace`` as CSV and as JSON, and at d = 3; ``tracts
 inspect``; ``homotopy word``; and ``diag appendix-a`` at rho = 2, where
-containment is sampled, and at rho = 100, where it is proven.  A function
+Rouche's theorem decides containment, and at rho = 100, where Cauchy's root
+radius proves it.  A function
 that none of them reaches is dead code, unless ``ALLOWED`` names it with
 the reason it stays.  Dunder methods are exempt.  Likewise every constant in
 ``config.py`` must be read by some other module of the package.
@@ -78,9 +79,10 @@ PROBE = textwrap.dedent(
     for fmt in ("csv", "json"):
         main("ray", "trace", "--map", map_, "--address", address, "--t-lo", "1",
              "--t-hi", "3", "--samples", "8", "--out", fmt)
-    # d = 3: certified rows take Newton's method, the others the root solve
+    # d = 3: certified rows take Newton's method, and the best-effort rows
+    # that t = 0.3 reaches the root solve
     main("ray", "trace", "--map", write("map3.json", serialize.to_json(presets.D3_MAP)),
-         "--address", address, "--t-lo", "1", "--t-hi", "3", "--samples", "8")
+         "--address", address, "--t-lo", "0.3", "--t-hi", "3", "--samples", "8")
     main("tracts", "inspect", "--map", map_)
     points = [{"re": 0.0, "im": 0.0}, {"re": 3.0, "im": 0.0}]
     vertices = [{"re": 0.0, "im": 0.0}, {"re": 2.0, "im": 1.0}, {"re": 5.0, "im": 1.0}]
