@@ -13,6 +13,7 @@ requested data.
 import numpy as np
 
 from rayforge import presets, thurston
+from rayforge.potentials import ExternalAddress
 
 for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
                     ("degree 2, two orbits", presets.SPEC_D2)):
@@ -40,10 +41,15 @@ for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
               f"extracted speed {c.potential:.10f} "
               f"(error {c.potential_error:.2e}), address prefix matched "
               f"{c.prefix_match_length}/{c.prefix_length}")
-    # uniqueness probe: a jittered starting grid lands on the same map
-    alt = thurston.classify(spec, jitter=0.1, jitter_seed=12345)
-    gap = max(abs(a - b) for a, b in zip(result.map.coeffs, alt.map.coeffs))
-    print(f"restart from a 0.1-jittered grid reproduces the coefficients "
+    # complex conjugation is an exact symmetry of the family: it takes the
+    # ray with address s to the conjugate ray with address -s, so the spec
+    # with every address negated is solved by the conjugate map
+    mirror = thurston.TargetSpec(spec.d, tuple(
+        (t, ExternalAddress([-s for s in a.preperiod], [-s for s in a.period]))
+        for t, a in spec.orbits))
+    alt = thurston.classify(mirror)
+    gap = max(abs(a - b.conjugate()) for a, b in zip(result.map.coeffs, alt.map.coeffs))
+    print(f"the spec with negated addresses gives the conjugate coefficients "
           f"to {gap:.2e}")
 
     report = thurston.invariant_set_diagnostics(result.z, spec)

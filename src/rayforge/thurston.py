@@ -201,18 +201,11 @@ class ThurstonState(NamedTuple):
     deltas: list[float]
 
 
-def init_state(
-    spec: TargetSpec, jitter: float = 0.0, jitter_seed: int = 0
-) -> ThurstonState:
+def init_state(spec: TargetSpec) -> ThurstonState:
     """Straight-spider initial state: grid on the asymptotic positions, map
-    fitted to the first column.  ``jitter`` displaces every grid entry by
-    that radius (seeded) to probe independence of the starting marking."""
+    fitted to the first column."""
     validate_spec(spec)
     z = spec.straight.copy()
-    if jitter:
-        rng = np.random.default_rng(jitter_seed)
-        phases = rng.uniform(0, 2 * math.pi, z.shape)
-        z = z + jitter * np.exp(1j * phases)
     map_ = fit_map(spec.d, [complex(v) for v in z[:, 0]])
     return ThurstonState(map_, spec, z, [])
 
@@ -419,8 +412,6 @@ def classify(
     max_iter: int = config.CLASSIFY_MAX_ITER,
     tol: float = config.CLASSIFY_TOL,
     log_iterates: bool = False,
-    jitter: float = 0.0,
-    jitter_seed: int = 0,
 ) -> ClassifyResult:
     """Iterate the pullback to its fixed point and certify the result.
 
@@ -441,7 +432,7 @@ def classify(
     steps do not bring the sup-norm grid displacement under tol, and
     SpecRejectionError for degrees above 2, which ``fit_map`` cannot fit.
     """
-    state = pulled = init_state(spec, jitter=jitter, jitter_seed=jitter_seed)
+    state = pulled = init_state(spec)
     iterate_log = [state.z.copy()] if log_iterates else []
     history: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_iter):

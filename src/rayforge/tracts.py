@@ -131,7 +131,7 @@ def make_tract_config(map_: polyexp.PolyExpMap) -> TractConfig:
         )
     eps = math.pi / 4 / d
     sv = map_.singular_data()
-    if not all(cmath.isfinite(v) for v in sv.all):
+    if not all(cmath.isfinite(v) for v in (sv.asymptotic_value, *sv.critical_values)):
         raise OverflowSignal("singular values leave the float range")
     try:
         moduli = [abs(b) for b in map_.coeffs]

@@ -24,10 +24,12 @@ from rayforge.errors import (
     InvariantViolationError,
     NotConvergedError,
     OverflowSignal,
+    SpecRejectionError,
     UnsupportedHomotopyError,
 )
 from rayforge.homotopy import MarkedSet, PolylineCurve
 from rayforge.polyexp import PolyExpMap
+from rayforge.potentials import ExternalAddress
 from rayforge.tracts import TractConfig
 
 
@@ -392,6 +394,88 @@ def plain_pullback(
     raise NotConvergedError(
         f"plain pullback did not converge in {max_iter} iterations", details=state.deltas
     )
+
+
+def seeded_specs(n: int, seed: int, t_lo: float = 0.8) -> list:
+    """n specs of degree 1 and 2 in turn, without J: potentials in [t_lo, 3],
+    periodic addresses of period 1 or 2 over {-1, 0, 1}; addresses are
+    redrawn until validate_spec accepts."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for k in range(n):
+        d = 1 + k % 2
+        ts = [float(t) for t in rng.uniform(t_lo, 3.0, d)]
+        while True:
+            orbits = tuple(
+                (t, ExternalAddress((), tuple(rng.integers(-1, 2, rng.integers(1, 3)).tolist())))
+                for t in ts
+            )
+            spec = thurston.TargetSpec(d, orbits)
+            try:
+                thurston.validate_spec(spec)
+                break
+            except SpecRejectionError:
+                pass
+        specs.append(spec)
+    return specs
+
+
+def jittered_classify(
+    spec: thurston.TargetSpec, radius: float, seed: int, **kwargs
+) -> thurston.ClassifyResult:
+    """``thurston.classify`` restarted off the straight spider: every grid
+    entry moved by ``radius`` at the phases
+    ``default_rng(seed).uniform(0, 2*pi)``, the map fitted to the moved
+    first column.  If the fixed point is unique, the restart reaches the
+    same map.  ``thurston.init_state`` is patched for this one call."""
+    straight = thurston.init_state
+
+    def jittered(spec: thurston.TargetSpec) -> thurston.ThurstonState:
+        z = straight(spec).z
+        phases = np.random.default_rng(seed).uniform(0, 2 * math.pi, z.shape)
+        z = z + radius * np.exp(1j * phases)
+        map_ = thurston.fit_map(spec.d, [complex(v) for v in z[:, 0]])
+        return thurston.ThurstonState(map_, spec, z, [])
+
+    thurston.init_state = jittered
+    try:
+        return thurston.classify(spec, **kwargs)
+    finally:
+        thurston.init_state = straight
+
+
+# The family's two exact symmetries (README, "Exact symmetries").  With
+# omega = e^(2 pi i/d), tau(z) = z + 2 pi i/d conjugates f = p o exp to
+# g(z) = p(omega e^z) - 2 pi i/d and moves strip n to strip n - 1, so the ray
+# of g with address s - 1 is the ray of f with address s moved by -2 pi i/d.
+# Complex conjugation takes the ray of address s to the conjugate ray of -s.
+
+
+def shifted_map(map_: PolyExpMap) -> PolyExpMap:
+    """tau^-1 o f o tau: coefficients b_0 - 2 pi i/d and b_k omega^k, k >= 1."""
+    d = map_.d
+    b0, *rest = map_.coeffs
+    rotated = [b * cmath.rect(1.0, 2 * math.pi * k / d) for k, b in enumerate(rest, 1)]
+    return PolyExpMap(d, [b0 - complex(0, 2 * math.pi / d)] + rotated)
+
+
+def conjugate_map(map_: PolyExpMap) -> PolyExpMap:
+    return PolyExpMap(map_.d, [b.conjugate() for b in map_.coeffs])
+
+
+def shifted_address(address: ExternalAddress) -> ExternalAddress:
+    """s - 1: every entry less 1."""
+    return ExternalAddress([s - 1 for s in address.preperiod], [s - 1 for s in address.period])
+
+
+def conjugate_address(address: ExternalAddress) -> ExternalAddress:
+    """-s: every entry negated."""
+    return ExternalAddress([-s for s in address.preperiod], [-s for s in address.period])
+
+
+def spec_image(spec: thurston.TargetSpec, address_map) -> thurston.TargetSpec:
+    """The spec with ``address_map`` applied to every orbit's address."""
+    return thurston.TargetSpec(spec.d, tuple((t, address_map(a)) for t, a in spec.orbits), spec.J)
 
 
 def scalar_pullback_grid(state) -> np.ndarray:

@@ -16,6 +16,7 @@ from oracles import (
     appendix_report_per_sample,
     check_monotone,
     curve_clearance,
+    jittered_classify,
     plain_pullback,
     random_word_fixture,
     winding_numbers,
@@ -129,7 +130,7 @@ def test_04_classification_end_to_end():
         ok = ok and len(res.deltas) <= 50
         ok = ok and res.certificate.passed and perr < 1e-6
         ok = ok and elapsed < 60.0
-        alt = thurston.classify(spec, max_iter=50, tol=1e-10, jitter=0.1, jitter_seed=1)
+        alt = jittered_classify(spec, 0.1, 1, max_iter=50, tol=1e-10)
         coeff_gap = max(
             abs(a - b) for a, b in zip(res.map.coeffs, alt.map.coeffs)
         )

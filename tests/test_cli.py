@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import main_through_full_tree
+from oracles import main_through_full_tree, seeded_specs
 
 import rayforge
 from rayforge import cli, config, errors, potentials, presets, rays, serialize, thurston, tracts
@@ -246,7 +246,7 @@ class TestDepthBound:
 
     def test_every_accepted_J_gives_the_same_bytes(self, tmp_path, capsys):
         certified = 0
-        for spec in _seeded_specs(120, 5, t_lo=0.3):
+        for spec in seeded_specs(120, 5, t_lo=0.3):
             depth = spec.depth
             obj = {k: v for k, v in serialize.spec_to_json(spec).items() if k != "J"}
             code, out = want = self._classify(tmp_path, obj, capsys)
@@ -1211,35 +1211,11 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _seeded_specs(n: int, seed: int, t_lo: float = 0.8) -> list:
-    """n specs of degree 1 and 2 in turn, without J: potentials in [t_lo, 3],
-    periodic addresses of period 1 or 2 over {-1, 0, 1}; addresses are
-    redrawn until validate_spec accepts."""
-    rng = np.random.default_rng(seed)
-    specs = []
-    for k in range(n):
-        d = 1 + k % 2
-        ts = [float(t) for t in rng.uniform(t_lo, 3.0, d)]
-        while True:
-            orbits = tuple(
-                (t, potentials.ExternalAddress((), tuple(rng.integers(-1, 2, rng.integers(1, 3)).tolist())))
-                for t in ts
-            )
-            spec = thurston.TargetSpec(d, orbits)
-            try:
-                thurston.validate_spec(spec)
-                break
-            except errors.SpecRejectionError:
-                pass
-        specs.append(spec)
-    return specs
-
-
 class TestCertificateCount:
     """classify certifies the map of every pullback step and the map that
     verify checks, one certificate each; diag invariant-set makes none."""
 
-    SPECS = [presets.SPEC_D1, presets.SPEC_D2] + _seeded_specs(14, 18)
+    SPECS = [presets.SPEC_D1, presets.SPEC_D2] + seeded_specs(14, 18)
 
     def test_one_certificate_per_step_and_verify(self, tmp_path, capsys, monkeypatch):
         counts = {"builds": 0, "steps": 0, "verify": 0}

@@ -19,7 +19,7 @@ from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
 from rayforge.thurston import TargetSpec
 
-from oracles import plain_pullback, scalar_pullback_grid
+from oracles import jittered_classify, plain_pullback, scalar_pullback_grid
 
 ZERO = presets.ZERO
 ONE = presets.ONE
@@ -401,7 +401,7 @@ class TestClassify:
 
     def test_uniqueness_under_grid_perturbation(self):
         base = thurston.classify(presets.SPEC_D2)
-        alt = thurston.classify(presets.SPEC_D2, jitter=0.1, jitter_seed=9)
+        alt = jittered_classify(presets.SPEC_D2, 0.1, 9)
         for a, b in zip(base.map.coeffs, alt.map.coeffs):
             assert abs(a - b) < 1e-8
 
@@ -560,7 +560,7 @@ class TestAndersonMixing:
         assert not plain_pullback(PREFIX_D2).certificate.passed
         res = thurston.classify(PREFIX_D2)
         assert res.certificate.passed
-        alt = thurston.classify(PREFIX_D2, jitter=0.1, jitter_seed=1)
+        alt = jittered_classify(PREFIX_D2, 0.1, 1)
         assert alt.certificate.passed
         assert _coeff_gap(res, alt) < 1e-12
 
