@@ -5,8 +5,9 @@ Subcommands: ``ray trace``, ``classify``, ``diag appendix-a``,
 
 Exit codes: 0 success, 2 usage or bad input, 3 numeric non-convergence,
 4 target rejection.  Each error class in ``errors`` carries its own exit
-code.  Each ``_cmd_*`` handler returns (config extras, body, exit code);
-``main`` is the one writer.  It adds the schema string and the resolved
+code.  Each ``_cmd_*`` handler returns (config extras, body, exit code),
+with the library's records, arrays and complex numbers in the body as
+they are; ``main`` is the one writer.  It adds the schema string and the resolved
 run configuration, renders JSON (CSV for ``ray trace --out csv``) that is
 byte-identical for identical arguments and seed, and writes it to the
 output path, or to stdout for ``-`` or none.  An unwritable path exits 2.
@@ -97,19 +98,19 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
     cert = result.certificate
     body = {
         "d": result.map.d,
-        "coeffs": serialize.to_json(result.map.coeffs),
-        "grid": serialize.to_json(result.z),
+        "coeffs": result.map.coeffs,
+        "grid": result.z,
         "delta_history": list(result.deltas),
         "iterations": len(result.deltas),
         "converged": True,
         "certificate": {
             "passed": cert.passed,
             "notes": list(cert.notes),
-            "orbits": serialize.to_json(cert.checks),
+            "orbits": cert.checks,
         },
     }
     if args.log_iterates:
-        body["iterates"] = serialize.to_json(result.iterate_log)
+        body["iterates"] = result.iterate_log
     extras = dict(tol=args.tol, max_iter=args.max_iter, spec=serialize.spec_to_json(spec))
     return extras, body, EXIT_OK if cert.passed else EXIT_NUMERIC
 
@@ -120,7 +121,7 @@ def _cmd_diag_appendix(args) -> tuple[dict, dict, int]:
                           f"got '{args.samples}'")
     report = polyexp.appendix_report(args.d, args.rho, samples=args.samples, seed=args.seed)
     extras = dict(d=args.d, rho=args.rho, samples=args.samples, seed=args.seed)
-    return extras, serialize.to_json(report), EXIT_OK
+    return extras, report._asdict(), EXIT_OK
 
 
 def _cmd_diag_invariant(args) -> tuple[dict, dict, int]:
@@ -147,19 +148,19 @@ def _cmd_diag_invariant(args) -> tuple[dict, dict, int]:
             raise DomainError(f"grid {it} is not {m}x{levels}, the shape its spec needs")
         grid = np.array(grid_rows, dtype=complex)
         rep = thurston.invariant_set_diagnostics(grid, spec)
-        rows.append({"iteration": it, **serialize.to_json(rep)})
+        rows.append({"iteration": it, **rep._asdict()})
     return {"run": args.run}, {"iterations": rows}, EXIT_OK
 
 
 def _cmd_homotopy_word(args) -> tuple[dict, dict, int]:
     marked = serialize.marked_from_json(_read_json(args.marked))
     curve = serialize.curve_from_json(_read_json(args.curve))
-    return {}, {"word": serialize.to_json(word_of_curve(marked, curve))}, EXIT_OK
+    return {}, {"word": word_of_curve(marked, curve)}, EXIT_OK
 
 
 def _cmd_tracts_inspect(args) -> tuple[dict, dict, int]:
     map_ = serialize.map_from_json(_read_json(args.map))
-    return {}, serialize.to_json(tracts.make_tract_config(map_)), EXIT_OK
+    return {}, tracts.make_tract_config(map_)._asdict(), EXIT_OK
 
 
 def _render(run_cfg: dict, body: dict) -> str:

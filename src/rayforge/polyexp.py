@@ -90,18 +90,8 @@ class PolyExpMap:
         return value
 
     def singular_data(self) -> "SingularData":
-        """The critical values of p (at ``critical_points``) and the
-        asymptotic value p(0).  Raises OverflowSignal when two singular
-        values lie farther apart than the largest double."""
-        cvs = tuple(self.poly(c) for c in critical_points(self))
-        distinct: list[complex] = []
-        try:
-            for v in sorted(cvs + (self.coeffs[0],), key=lambda c: (c.real, c.imag)):
-                if not any(abs(v - u) <= 1e-9 * max(1.0, abs(u)) for u in distinct):
-                    distinct.append(v)
-        except OverflowError as exc:
-            raise OverflowSignal("singular values too far apart for double precision") from exc
-        return SingularData(cvs, self.coeffs[0], tuple(distinct))
+        """The critical values of p at ``critical_points``, and p(0)."""
+        return SingularData(tuple(self.poly(c) for c in critical_points(self)), self.coeffs[0])
 
 
 class SingularData(NamedTuple):
@@ -109,13 +99,27 @@ class SingularData(NamedTuple):
     ``critical_points``) plus the asymptotic value p(0).
 
     ``all`` collapses the singular values to distinct members at a mild
-    tolerance.  The maxima range over every singular value, since a
-    collapsed one may lie right of the member kept for it.
+    tolerance, computed when it is read.  The maxima range over every
+    singular value, since a collapsed one may lie right of the member kept
+    for it.
     """
 
     critical_values: tuple[complex, ...]
     asymptotic_value: complex
-    all: tuple[complex, ...]
+
+    @property
+    def all(self) -> tuple[complex, ...]:
+        """The distinct singular values, sorted by (re, im); OverflowSignal
+        when two of them lie farther apart than the largest double."""
+        distinct: list[complex] = []
+        values = self.critical_values + (self.asymptotic_value,)
+        try:
+            for v in sorted(values, key=lambda c: (c.real, c.imag)):
+                if not any(abs(v - u) <= 1e-9 * max(1.0, abs(u)) for u in distinct):
+                    distinct.append(v)
+        except OverflowError as exc:
+            raise OverflowSignal("singular values too far apart for double precision") from exc
+        return tuple(distinct)
 
     def max_modulus(self) -> float:
         """The largest |v|; OverflowSignal where that leaves the float range."""

@@ -11,17 +11,15 @@ Schemas ("rayforge/1"):
 Every command output embeds the schema string and the run configuration,
 and serialization is byte-deterministic for equal inputs.
 
-``to_json`` is the one encoder: a record (NamedTuple or dataclass) becomes
-its fields by name, a dict stays a dict, any other list, tuple or ndarray
-becomes a list, a complex number becomes {"re", "im"} and a non-finite
-float null; other values pass through.  So map, address and report keys
-are the records' field names, except for the ``ray trace`` samples (t, re,
-im, depth, err).
+``dumps`` is the one encoder, and it walks a report once: a NamedTuple
+record becomes an object of its fields by name, a dict stays a dict, any
+other list, tuple or ndarray becomes a list, a complex number becomes
+{"re", "im"} and a non-finite float null.  So report keys are the records'
+field names, except for the ``ray trace`` samples (t, re, im, depth, err).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -36,27 +34,6 @@ from .potentials import ExternalAddress, integers
 from .thurston import TargetSpec
 
 SCHEMA = "rayforge/1"
-
-
-def complex_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def to_json(obj: Any) -> Any:
-    """The JSON value of ``obj`` by the module's one encoding rule."""
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple, before tuples
-        return {name: to_json(value) for name, value in zip(obj._fields, obj)}
-    if dataclasses.is_dataclass(obj):
-        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: to_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [to_json(v) for v in obj]
-    if isinstance(obj, complex):
-        return complex_to_json(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def finite_from_json(value: Any, field: str) -> float:
@@ -99,7 +76,10 @@ def spec_to_json(spec: TargetSpec) -> dict:
     return {
         "d": spec.d,
         "J": spec.depth,
-        "orbits": [{"T": float(t), "address": to_json(a)} for t, a in spec.orbits],
+        "orbits": [
+            {"T": float(t), "address": {"preperiod": list(a.preperiod), "period": list(a.period)}}
+            for t, a in spec.orbits
+        ],
     }
 
 
@@ -135,12 +115,12 @@ def marked_from_json(obj: Any) -> MarkedSet:
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
-    The text equals ``json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False) + "\\n"``, written by one recursive pass instead of the
-    pure-Python encoder that ``json`` falls back to for an indent.  Keys are
-    strings.  As in ``json``, bools are tested before ints, numbers are
-    written by ``int.__repr__`` and ``float.__repr__`` (so a numpy float64
-    reads as a float), and NaN or an infinity raises ValueError."""
+    One recursive pass writes ``obj`` by the module's encoding rule, instead
+    of the pure-Python encoder that ``json`` falls back to for an indent.
+    Keys are strings.  As in ``json``, bools are tested before ints, and
+    numbers are written by ``int.__repr__`` and ``float.__repr__`` (so a
+    numpy float64 reads as a float); NaN and the infinities are written as
+    null, inside a complex number as anywhere else."""
     out: list[str] = []
     _render(obj, "\n", out)
     out.append("\n")
@@ -161,9 +141,9 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        out.append(float.__repr__(obj))
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, complex):
+        _render({"re": obj.real, "im": obj.imag}, newline, out)
     elif isinstance(obj, dict):
         inner, sep = newline + "  ", "{"
         for key in sorted(obj):
@@ -171,6 +151,10 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
             _render(obj[key], inner, out)
             sep = ","
         out.append(newline + "}" if obj else "{}")
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple, before tuples
+        _render(obj._asdict(), newline, out)
+    elif isinstance(obj, np.ndarray):
+        _render(obj.tolist(), newline, out)
     elif isinstance(obj, (list, tuple)):
         inner, sep = newline + "  ", "["
         for value in obj:

@@ -10,6 +10,7 @@ left-to-right = +1 sign rule.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -394,6 +395,29 @@ def plain_pullback(
     raise NotConvergedError(
         f"plain pullback did not converge in {max_iter} iterations", details=state.deltas
     )
+
+
+def to_json(obj):
+    """The reference JSON value of ``obj``, built as a tree for ``json.dumps``:
+    a record (NamedTuple or dataclass) becomes its fields by name, a dict
+    stays a dict, any other list, tuple or ndarray becomes a list, a complex
+    number becomes {"re", "im"} and a non-finite float null; other values
+    pass through.  ``serialize.dumps`` writes the same text in one walk,
+    except that it writes a complex number's non-finite parts as null too.
+    Tests use this to write map and address inputs, which are dataclasses."""
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple, before tuples
+        return {name: to_json(value) for name, value in zip(obj._fields, obj)}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, complex):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def seeded_specs(n: int, seed: int, t_lo: float = 0.8) -> list:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import main_through_full_tree, seeded_specs
+from oracles import main_through_full_tree, seeded_specs, to_json
 
 import rayforge
 from rayforge import cli, config, errors, potentials, presets, rays, serialize, thurston, tracts
@@ -29,8 +29,8 @@ def workdir(tmp_path):
         return str(path)
 
     paths = {
-        "map": write("exp.json", serialize.to_json(presets.EXP_MAP)),
-        "zero": write("zero.json", serialize.to_json(presets.ZERO)),
+        "map": write("exp.json", to_json(presets.EXP_MAP)),
+        "zero": write("zero.json", to_json(presets.ZERO)),
         "spec1": write("spec1.json", serialize.spec_to_json(presets.SPEC_D1)),
         "bad_spec": write(
             "bad.json", serialize.spec_to_json(presets.CLUSTER_REJECT)
@@ -157,7 +157,7 @@ class TestRayTrace:
         # valid input whose pull chain dips left of the singular values at
         # the lowest potential; it used to exit 2, blaming the caller
         map_path, addr_path = tmp_path / "map.json", tmp_path / "addr.json"
-        map_path.write_text(serialize.dumps(serialize.to_json(PolyExpMap(1, [b0]))))
+        map_path.write_text(serialize.dumps(to_json(PolyExpMap(1, [b0]))))
         addr_path.write_text(json.dumps({"period": period}))
         code = run(
             [
@@ -286,7 +286,7 @@ class TestDepthBound:
         # A run file from when J set the depth: J = 1 below J* = 6, so its
         # grid has 2 columns where the spec now needs 7.
         spec_obj = {"d": 1, "J": 1, "orbits": [{"T": 0.5, "address": {"period": [0]}}]}
-        grid = serialize.to_json(serialize.spec_from_json(spec_obj).straight[:, :2])
+        grid = to_json(serialize.spec_from_json(spec_obj).straight[:, :2])
         path = _write(tmp_path, "run.json", {"config": {"spec": spec_obj}, "grid": grid})
         assert run(["diag", "invariant-set", "--run", path]) == 2
         captured = capsys.readouterr()
@@ -318,6 +318,9 @@ def test_ambiguous_strip_read_fails_the_certificate(orbits, tmp_path, capsys):
     assert cert["passed"] is False
     failed = [c for c in cert["orbits"] if not c["escaped"]]
     assert len(failed) == 1
+    # the orbit that did not escape has no potential or residual: null
+    assert all(failed[0][key] is None for key in ("potential", "potential_error", "residual"))
+    assert set(failed[0]["singular_value"]) == {"im", "re"}
     assert any("has no readable strip" in note and "ambiguous" in note for note in cert["notes"])
 
 
@@ -385,7 +388,7 @@ class TestDegreeRejection:
     @pytest.mark.parametrize("name", sorted(HIGH_DEGREE_SPECS))
     def test_invariant_set_serves_straight_grid(self, name, tmp_path, capsys):
         spec = HIGH_DEGREE_SPECS[name]
-        grid = serialize.to_json(spec.straight.tolist())
+        grid = to_json(spec.straight.tolist())
         run_obj = {"config": {"spec": serialize.spec_to_json(spec)}, "grid": grid}
         argv = ["diag", "invariant-set", "--run", _write(tmp_path, "run.json", run_obj)]
         assert run(argv) == 0
@@ -518,19 +521,19 @@ class TestHomotopyAndTracts:
         # p = w^4 + 10w^3 + 20w^2 is proven at its sixth radius, which a
         # five-radius budget used to refuse with exit 3.
         map_ = PolyExpMap(4, [0, 0, 20, 10])
-        path = _write(tmp_path, "m.json", serialize.to_json(map_))
+        path = _write(tmp_path, "m.json", to_json(map_))
         assert run(["tracts", "inspect", "--map", path]) == 0
         payload = json.loads(capsys.readouterr().out)
         cfg = tracts.make_tract_config(map_)
         assert payload == {"schema": serialize.SCHEMA, "config": {"command": "tracts inspect"},
-                           **serialize.to_json(cfg)}
+                           **to_json(cfg)}
         assert payload["r"] == 9485.467536394055
 
     def test_tracts_inspect_overflowing_map_exit_3(self, workdir, tmp_path, capsys):
         # its critical value overflows; the strip bounds used to come out
         # inf and crash the JSON writer
         path = tmp_path / "big.json"
-        path.write_text(serialize.dumps(serialize.to_json(PolyExpMap(2, [0, 1e200]))))
+        path.write_text(serialize.dumps(to_json(PolyExpMap(2, [0, 1e200]))))
         code = run(["tracts", "inspect", "--map", str(path)])
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
@@ -539,11 +542,12 @@ class TestHomotopyAndTracts:
     @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
     def test_singular_values_too_far_apart_exit_3(self, command, workdir, tmp_path, capsys):
         # p = w^3 - 3a^2 w has the finite critical values -+2a^3 near
-        # 0.8e308 (1+i), whose difference overflows; the de-duplication of
-        # the singular values used to die with a bare OverflowError (exit 1)
+        # 0.8e308 (1+i), whose difference overflows, and so does the first
+        # radius 2 max|v| + 2: no radius within the float range proves the
+        # strips, and that is an overflow signal, not a bare OverflowError
         a = (0.4e308 * (1 + 1j)) ** (1 / 3)
         path = tmp_path / "far.json"
-        path.write_text(serialize.dumps(serialize.to_json(PolyExpMap(3, [0, -3 * a * a, 0]))))
+        path.write_text(serialize.dumps(to_json(PolyExpMap(3, [0, -3 * a * a, 0]))))
         argv = ["--map", str(path)]
         if command == "ray trace":
             argv += ["--address", workdir["zero"], "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
@@ -551,7 +555,9 @@ class TestHomotopyAndTracts:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "OverflowSignal"
-        assert "too far" in payload["error"]["message"]
+        assert payload["error"]["message"].startswith(
+            "no radius within the float range proves the strips: at r = inf"
+        )
 
     @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
     def test_coefficient_modulus_overflow_exit_3(self, command, workdir, tmp_path, capsys):
@@ -673,7 +679,7 @@ class TestNumericOptions:
         # The tract certificate's rounding factor covers d <= MAX_DEGREE
         # only, so a map of higher degree is a usage error, not a certificate.
         d = cli.config.MAX_DEGREE + 1
-        map_path = _write(tmp_path, "m.json", serialize.to_json(PolyExpMap(d, [0.01] * d)))
+        map_path = _write(tmp_path, "m.json", to_json(PolyExpMap(d, [0.01] * d)))
         argv = command.split() + ["--map", map_path]
         if command == "ray trace":
             argv += ["--address", workdir["zero"], "--t-lo", "1", "--t-hi", "2", "--samples", "2"]
@@ -691,7 +697,7 @@ def _write(tmp_path, name, obj) -> str:
     return str(path)
 
 
-MAP2 = serialize.to_json(PolyExpMap(2, [0.1, 0.1j]))
+MAP2 = to_json(PolyExpMap(2, [0.1, 0.1j]))
 SPEC1 = serialize.spec_to_json(presets.SPEC_D1)
 
 
@@ -839,8 +845,7 @@ class TestNonFiniteInput:
         self._check(argv, "orbit potential T", capsys)
 
     def test_invariant_set(self, tmp_path, capsys):
-        grid = [[serialize.complex_to_json(complex(v)) for v in row]
-                for row in presets.SPEC_D1.straight]
+        grid = to_json(presets.SPEC_D1.straight)
         grid[0][1] = {"re": 1e400, "im": 0.0}
         run_obj = {"config": {"spec": serialize.spec_to_json(presets.SPEC_D1)}, "grid": grid}
         text = json.dumps(run_obj)  # writes 1e400 as Infinity
@@ -862,8 +867,7 @@ class TestInvariantSetInput:
     """diag invariant-set reads only grids of the shape its spec needs."""
 
     def _run(self, tmp_path, spec, **fields) -> int:
-        grid = [[serialize.complex_to_json(complex(v)) for v in row]
-                for row in spec.straight]
+        grid = to_json(spec.straight)
         run_obj = {"config": {"spec": serialize.spec_to_json(spec)}, "grid": grid}
         return run(["diag", "invariant-set", "--run",
                     _write(tmp_path, "run.json", run_obj | fields)])
@@ -910,7 +914,7 @@ class TestInvariantSetInput:
         with pytest.raises(errors.SpecRejectionError) as want:
             thurston.validate_spec(spec)
         spec_obj = serialize.spec_to_json(spec) | {"J": spec.J}
-        grid = [[serialize.complex_to_json(complex(v)) for v in row] for row in spec.straight]
+        grid = to_json(spec.straight)
         run_obj = {"config": {"spec": spec_obj}, "grid": grid}
         assert run(["diag", "invariant-set", "--run", _write(tmp_path, "run.json", run_obj)]) == 4
         error = json.loads(capsys.readouterr().out)["error"]
@@ -1322,8 +1326,8 @@ class TestLeafParsing:
             return str(root / name)
 
         files = {
-            "map": write("map.json", serialize.to_json(presets.EXP_MAP)),
-            "address": write("address.json", serialize.to_json(presets.ZERO)),
+            "map": write("map.json", to_json(presets.EXP_MAP)),
+            "address": write("address.json", to_json(presets.ZERO)),
             "spec": write("spec.json", serialize.spec_to_json(presets.SPEC_D1)),
             "marked": write("marked.json", {"points": [{"re": 0.0, "im": 0.0}]}),
             "curve": write("curve.json", {"vertices": [{"re": -1.0, "im": 1.0}, {"re": 1.0, "im": -1.0}]}),

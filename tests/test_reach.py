@@ -29,6 +29,7 @@ ALLOWED = {
     ("rays", "trace_ray"): PERFBENCH,
     ("tracts", "inverse_branch"): PERFBENCH,
     ("potentials", "ExternalAddress.shift"): "read by the ray-sweep check in perfbench/workloads.py",
+    ("polyexp", "SingularData.all"): "read by the ray-sweep jobs in perfbench/workloads.py",
 }
 
 PROBE = textwrap.dedent(
@@ -47,6 +48,7 @@ PROBE = textwrap.dedent(
                 reached.add((Path(code.co_filename).stem, code.co_qualname))
 
     sys.setprofile(profile)
+    from oracles import to_json
     from rayforge import cli, presets, serialize
     from rayforge.thurston import TargetSpec
 
@@ -70,18 +72,18 @@ PROBE = textwrap.dedent(
         main("classify", "--spec", write(f"{name}.spec.json", spec_json),
              "--out", run, "--log-iterates")
         if not Path(run).exists():
-            grid = serialize.to_json(spec.straight.tolist())
+            grid = to_json(spec.straight.tolist())
             run = write(f"{name}.run.json", {"config": {"spec": spec_json}, "grid": grid})
         main("diag", "invariant-set", "--run", run, "--output", str(work / f"{name}.inv"))
 
-    map_ = write("map.json", serialize.to_json(presets.D2_RAY_MAP))
-    address = write("address.json", serialize.to_json(presets.WITH_PREPERIOD))
+    map_ = write("map.json", to_json(presets.D2_RAY_MAP))
+    address = write("address.json", to_json(presets.WITH_PREPERIOD))
     for fmt in ("csv", "json"):
         main("ray", "trace", "--map", map_, "--address", address, "--t-lo", "1",
              "--t-hi", "3", "--samples", "8", "--out", fmt)
     # d = 3: certified rows take Newton's method, and the best-effort rows
     # that t = 0.3 reaches the root solve
-    main("ray", "trace", "--map", write("map3.json", serialize.to_json(presets.D3_MAP)),
+    main("ray", "trace", "--map", write("map3.json", to_json(presets.D3_MAP)),
          "--address", address, "--t-lo", "0.3", "--t-hi", "3", "--samples", "8")
     main("tracts", "inspect", "--map", map_)
     points = [{"re": 0.0, "im": 0.0}, {"re": 3.0, "im": 0.0}]
@@ -118,7 +120,7 @@ def _defined() -> set[tuple[str, str]]:
 
 
 def test_every_function_is_reached(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in ("src", "tests")))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(PACKAGE), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300,

@@ -3,24 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from oracles import to_json
 
-from rayforge import presets, serialize
+from rayforge import polyexp, presets, serialize, tracts
 from rayforge.errors import DomainError
 from rayforge.polyexp import PolyExpMap
 from rayforge.potentials import ExternalAddress
-from rayforge.thurston import OrbitCheck
+from rayforge.thurston import InvariantReport, OrbitCheck
 from rayforge.tracts import TractConfig
 
 
 def test_address_round_trip():
     for addr in presets.ADDRESSES:
-        back = serialize.address_from_json(serialize.to_json(addr))
+        back = serialize.address_from_json(to_json(addr))
         assert back == addr
 
 
 def test_map_round_trip():
     for m in (presets.EXP_MAP, presets.D2_MAP, presets.D3_MAP):
-        back = serialize.map_from_json(serialize.to_json(m))
+        back = serialize.map_from_json(to_json(m))
         assert back == m
 
 
@@ -30,45 +31,96 @@ def test_spec_round_trip():
         assert back == spec
 
 
+def _written(obj):
+    """The JSON value that ``serialize.dumps`` writes for ``obj``."""
+    return json.loads(serialize.dumps(obj))
+
+
+def _reference(obj) -> str:
+    return json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"
+
+
 def test_to_json_map_and_address_wire_format():
-    assert serialize.to_json(PolyExpMap(2, [1, 0.5j])) == {
+    # maps and addresses are dataclasses, which only the reference encodes:
+    # no report holds one
+    assert to_json(PolyExpMap(2, [1, 0.5j])) == {
         "d": 2,
         "coeffs": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}],
     }
-    assert serialize.to_json(ExternalAddress((7, -3), (2,))) == {
+    assert to_json(ExternalAddress((7, -3), (2,))) == {
         "preperiod": [7, -3],
         "period": [2],
     }
     # a NamedTuple record is a tuple too: it encodes by field, a plain tuple as a list
-    assert serialize.to_json(TractConfig(1, 2.0, 0.5, -0.5, 2.5, 0.25)) == {
-        "d": 1, "r": 2.0, "r_min": 0.5, "t_up": -0.5, "t_lo": 2.5, "eps": 0.25,
-    }
-    assert serialize.to_json((1, 2.0, 0.5)) == [1, 2.0, 0.5]
+    for encode in (to_json, _written):
+        assert encode(TractConfig(1, 2.0, 0.5, -0.5, 2.5, 0.25)) == {
+            "d": 1, "r": 2.0, "r_min": 0.5, "t_up": -0.5, "t_lo": 2.5, "eps": 0.25,
+        }
+        assert encode((1, 2.0, 0.5)) == [1, 2.0, 0.5]
 
 
 def test_to_json_non_finite_floats_are_null():
     # a failed orbit check carries nan/inf; JSON has neither, so both are null
     check = OrbitCheck(1, 2 - 3j, math.nan, math.inf, 0, 0, math.inf, False)
-    assert serialize.to_json(check) == {
-        "orbit": 1,
-        "singular_value": {"re": 2.0, "im": -3.0},
-        "potential": None,
-        "potential_error": None,
-        "prefix_match_length": 0,
-        "prefix_length": 0,
-        "residual": None,
-        "escaped": False,
-    }
-    assert serialize.to_json([-math.inf, 1.5]) == [None, 1.5]
+    for encode in (to_json, _written):
+        assert encode(check) == {
+            "orbit": 1,
+            "singular_value": {"re": 2.0, "im": -3.0},
+            "potential": None,
+            "potential_error": None,
+            "prefix_match_length": 0,
+            "prefix_length": 0,
+            "residual": None,
+            "escaped": False,
+        }
+        assert encode([-math.inf, 1.5]) == [None, 1.5]
 
 
 def test_to_json_arrays_and_containers():
     grid = np.array([[1 + 2j, 3j], [4, 5]], dtype=complex)
-    assert serialize.to_json(grid) == [
-        [{"re": 1.0, "im": 2.0}, {"re": 0.0, "im": 3.0}],
-        [{"re": 4.0, "im": 0.0}, {"re": 5.0, "im": 0.0}],
-    ]
-    assert serialize.to_json({"word": ((0, 1), (2, -1))}) == {"word": [[0, 1], [2, -1]]}
+    for encode in (to_json, _written):
+        assert encode(grid) == [
+            [{"re": 1.0, "im": 2.0}, {"re": 0.0, "im": 3.0}],
+            [{"re": 4.0, "im": 0.0}, {"re": 5.0, "im": 0.0}],
+        ]
+        assert encode({"word": ((0, 1), (2, -1))}) == {"word": [[0, 1], [2, -1]]}
+
+
+_GRID = presets.SPEC_D2.straight
+# Every kind of record a report holds, with the non-finite fields a failed
+# check or a vacuous margin carries.
+REPORT_VALUES = {
+    "orbit-checks": (
+        OrbitCheck(0, 0.25 - 1e-300j, 1.5, 2e-13, 3, 3, 1e-17, True),
+        OrbitCheck(1, -3.5 + 0.1j, math.nan, math.inf, 0, 2, -math.inf, False),
+    ),
+    "invariant-report": InvariantReport(2.5, 0.125, math.inf, math.inf),
+    "appendix-report": polyexp.appendix_report(3, 2.0, samples=20, seed=1),
+    "tract-config": tracts.make_tract_config(presets.D3_MAP),
+    "complex-1d": np.array([1 + 2j, -0.0 - 5e-324j, 1e308 - 1e-308j]),
+    "complex-2d": _GRID,
+    "grids": [_GRID, _GRID * (1 + 1e-9j), _GRID[:, :1]],
+    "word": ((0, 1), (2, -1), (0, -1)),
+    "empty-word": (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_VALUES))
+def test_dumps_matches_the_reference(name):
+    value = REPORT_VALUES[name]
+    assert serialize.dumps(value) == _reference(value)
+    # as the CLI hands it over: a record unpacked into a report body
+    if hasattr(value, "_asdict"):
+        body = {"schema": serialize.SCHEMA, **value._asdict()}
+        assert serialize.dumps(body) == _reference(body)
+
+
+def test_dumps_writes_non_finite_complex_parts_as_null():
+    # the reference writes the parts as floats, which json would print as
+    # Infinity or NaN; the writer applies the one null rule inside a
+    # complex number too
+    assert _written(complex(math.inf, math.nan)) == {"re": None, "im": None}
+    assert _written(np.array([complex(-math.inf, 1.0)])) == [{"re": None, "im": 1.0}]
 
 
 def test_dumps_is_canonical():
@@ -111,13 +163,39 @@ def test_dumps_equals_json_dumps(obj):
 
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(_PAYLOADS, _NON_FINITE, _TEXT)
-def test_dumps_refuses_non_finite_floats_like_json(obj, bad, key):
+def test_dumps_writes_non_finite_floats_as_null(obj, bad, key):
     for payload in (bad, [obj, bad], {key: [obj, {key: bad}]}):
-        with pytest.raises(ValueError) as want:
-            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-        with pytest.raises(ValueError) as got:
-            serialize.dumps(payload)
-        assert str(got.value) == str(want.value)
+        text = serialize.dumps(payload)
+        assert text == _reference(payload)
+        assert text == json.dumps(to_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_COMPLEX = st.builds(complex, _FINITE, _FINITE)
+_RECORDS = st.builds(
+    OrbitCheck, st.integers(0, 3), _COMPLEX, _FINITE | _NON_FINITE, _FINITE | _NON_FINITE,
+    st.integers(0, 9), st.integers(0, 9), _FINITE | _NON_FINITE, st.booleans(),
+)
+_REPORTS = st.recursive(
+    st.one_of(
+        _PAYLOADS, _COMPLEX, _RECORDS, _NON_FINITE,
+        st.lists(_COMPLEX, max_size=4).map(lambda v: np.array(v, dtype=complex)),
+        st.sampled_from([2, 4])
+        .flatmap(lambda n: st.lists(_COMPLEX, min_size=n, max_size=n))
+        .map(lambda v: np.array(v).reshape(2, -1)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(_REPORTS)
+def test_dumps_matches_the_reference_on_report_shapes(obj):
+    assert serialize.dumps(obj) == _reference(obj)
 
 
 def test_malformed_objects_raise_domain_errors():

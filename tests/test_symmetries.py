@@ -25,6 +25,7 @@ from oracles import (
     shifted_address,
     shifted_map,
     spec_image,
+    to_json,
 )
 
 from rayforge import cli, rays, serialize, thurston, tracts
@@ -96,8 +97,8 @@ def _cli_trace(workdir, map_, address, t_lo):
     """``ray trace --out json`` of the segment: its samples, or the kind of
     the error that it reports."""
     map_path, address_path = workdir / "map.json", workdir / "address.json"
-    map_path.write_text(serialize.dumps(serialize.to_json(map_)))
-    address_path.write_text(serialize.dumps(serialize.to_json(address)))
+    map_path.write_text(serialize.dumps(to_json(map_)))
+    address_path.write_text(serialize.dumps(to_json(address)))
     argv = ["ray", "trace", "--map", str(map_path), "--address", str(address_path),
             "--t-lo", repr(t_lo), "--t-hi", repr(T_HI), "--samples", str(SAMPLES),
             "--out", "json"]
