@@ -72,7 +72,6 @@ def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
         args.t_lo,
         args.t_hi,
         args.samples,
-        tol=args.tol,
         max_depth=args.max_depth,
     )
     samples = [
@@ -85,7 +84,7 @@ def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
         }
         for p in segment
     ]
-    extras = dict(tol=args.tol, max_depth=args.max_depth, t_lo=args.t_lo,
+    extras = dict(max_depth=args.max_depth, t_lo=args.t_lo,
                   t_hi=args.t_hi, samples=args.samples, format=args.out)
     return extras, {"samples": samples}, EXIT_OK
 
@@ -217,7 +216,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     trace.add_argument("--out", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
     trace.add_argument("--output", default=None, help="output file (default stdout)")
-    trace.add_argument("--tol", type=_positive_float, default=config.TRACER_TOL)
     trace.add_argument("--max-depth", dest="max_depth", type=_positive_int,
                        default=config.TRACER_MAX_DEPTH)
     trace.set_defaults(handler=_cmd_ray_trace, command_path="ray trace")

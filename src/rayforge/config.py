@@ -2,10 +2,11 @@
 
 Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
-defaults of the few options a caller can set: ``tol``, ``max_iter`` and
-``max_depth``.  The strip fuzz eps = pi/4d is no option: the tract
-certificate depends on the map alone, and its loop ends by itself (see
-``tracts.make_tract_config``).
+defaults of the few options a caller can set: ``classify``'s ``tol`` and
+``max_iter``, and ``ray trace``'s ``max_depth``.  TRACER_TOL is the
+tracer's fixed bound, not an option default.  The strip fuzz eps = pi/4d
+is no option: the tract certificate depends on the map alone, and its
+loop ends by itself (see ``tracts.make_tract_config``).
 """
 
 # Largest magnitude an iterated escape-speed value may reach before the

@@ -9,7 +9,7 @@ seed error decays like exp(-step^n(t)/2), so the deepest representable
 seed is already far below double resolution for any moderate potential;
 the tracer certifies convergence by comparing two consecutive depths.
 It returns plain ray points, each carrying the error estimate that was
-tested against the tolerance.
+tested against the fixed bound config.TRACER_TOL max(1, |z|).
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ def trace_segment(
     t_lo: float,
     t_hi: float,
     n_samples: int,
-    tol: float = config.TRACER_TOL,
     max_depth: int = config.TRACER_MAX_DEPTH,
 ) -> tuple[RayPoint, ...]:
     """Trace the ray at geometrically spaced potentials in [t_lo, t_hi],
@@ -98,15 +97,15 @@ def trace_segment(
     max_depth >= 1).  The consecutive-depth increment measures the
     depth-(n-1) error; scaled by the tail-decay ratio it bounds the
     returned point's error.  That bound, raised to the floor |z| 1e-16, is
-    the sample's error estimate: the number tested against tol max(1, |z|)
-    and the number returned.  Depth 0 happens only where step(t) leaves
-    the float range: the straight point is then exact in double precision,
-    and its error is the floor like any other sample's.  Where the floor
-    alone exceeds tol max(1, |z|), no depth can meet tol, and the error
-    says so.  The depth-n and depth-(n-1) chains of all samples are pulled
+    the sample's error estimate: the number tested against
+    config.TRACER_TOL max(1, |z|) and the number returned.  Depth 0 happens
+    only where step(t) leaves the float range: the straight point is then
+    exact in double precision, and its error is the floor like any other
+    sample's.  The depth-n and depth-(n-1) chains of all samples are pulled
     together; the first failing sample, depth n before depth n-1, raises
-    its error.  A chain point left of the singular values, where no
-    single-valued branch exists, raises BranchSelectionError.
+    its error, or NotConvergedError where neither chain failed.  A chain
+    point left of the singular values, where no single-valued branch
+    exists, raises BranchSelectionError.
     """
     if not 0 < t_lo <= t_hi < math.inf:
         raise DomainError("need finite 0 < t_lo <= t_hi")
@@ -136,15 +135,13 @@ def trace_segment(
         gap = z - z_prev
         increment = np.hypot(gap.real, gap.imag)
         size = np.hypot(z.real, z.imag)
-        floor = size * 1e-16
         # The increment measures the depth-(n-1) error; the depth-n error is
         # the increment shrunk by the seed-tail ratio
         # exp(-(step^n - step^(n-1))/2), evaluated in log space because the
         # deepest seed dwarfs the float range.
         log_err = np.log(increment) + (seed_ts[S:] - seed_ts[:S]) / 2
-        err = np.maximum(np.where(log_err > -700, np.exp(log_err), 0.0), floor)
-    limit = tol * np.maximum(1.0, size)
-    failed = err > limit
+        err = np.maximum(np.where(log_err > -700, np.exp(log_err), 0.0), size * 1e-16)
+    failed = err > config.TRACER_TOL * np.maximum(1.0, size)
     failed[[c % S for c in errors]] = True
     if failed.any():
         s = int(failed.argmax())
@@ -156,14 +153,9 @@ def trace_segment(
                 ) from errors[c]
             if c in errors:
                 raise errors[c]
-        cause = f"depth budget exhausted at n={depths[s]}"
-        if floor[s] > limit[s]:
-            cause = (
-                f"no depth can meet tol at n={depths[s]}: the error floor 1e-16*|z| = "
-                f"{floor[s]:.3e} is above tol*max(1, |z|) = {limit[s]:.3e}"
-            )
         raise NotConvergedError(
-            f"{cause} (increment {increment[s]:.3e}, error estimate {err[s]:.3e})",
+            f"depth budget exhausted at n={depths[s]} "
+            f"(increment {increment[s]:.3e}, error estimate {err[s]:.3e})",
             details=(complex(z_prev[s]), complex(z[s])),
         )
     samples = zip(z.tolist(), ts, depths[:S], err.tolist())

@@ -489,7 +489,7 @@ def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> Invariant
     """Measure the marked-grid shadow of the invariant-region conditions.
 
     rho is the first midpoint of ``spec.ladder`` above its threshold (else
-    its first midpoint, else twice the largest T), and t_n the largest
+    its first midpoint, which every validated spec has), and t_n the largest
     ladder potential below rho (else rho/2).  The inside points of orbit i
     are its first N_i+1, where N_i is the last level whose speed is below
     rho.  Three margins, each positive exactly when its condition holds:
@@ -508,10 +508,7 @@ def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> Invariant
     spec that ``validate_spec`` accepts.  Report only, never raises.
     """
     ladder = spec.ladder
-    above = ladder.midpoints_above_threshold()
-    if not above:
-        above = ladder.midpoints or (2 * max(t for t, _ in spec.orbits),)
-    rho = above[0]
+    rho = (ladder.midpoints_above_threshold() or ladder.midpoints)[0]
     t_n = max((t for t in ladder.potentials if t < rho), default=rho / 2)
 
     m, levels = grid_z.shape

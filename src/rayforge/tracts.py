@@ -121,8 +121,8 @@ def make_tract_config(map_: polyexp.PolyExpMap) -> TractConfig:
     Every comparison fails on NaN or inf.  The factor covers d <=
     ``config.MAX_DEGREE``; above, DomainError.  OverflowSignal is raised when
     the strips lie past the float range: a singular value is not finite, a
-    coefficient's modulus overflows, or the inner strip would start where f
-    overflows, d*t_lo > EXP_ARG_LIMIT.
+    coefficient's modulus or the first radius overflows, or the inner strip
+    would start where f overflows, d*t_lo > EXP_ARG_LIMIT.
     """
     d = map_.d
     if d > config.MAX_DEGREE:
@@ -142,7 +142,12 @@ def make_tract_config(map_: polyexp.PolyExpMap) -> TractConfig:
     s = math.sin(d * eps)
     u_g = _positive_root(d * s, rising)
     u_star = _positive_root(d, [2.0] + rising)
-    r = 2 * sv.max_modulus() + 2
+    r = 2 * (largest := sv.max_modulus()) + 2
+    if r == math.inf:
+        raise OverflowSignal(
+            "no radius within the float range proves the strips: the largest singular-value "
+            f"modulus is {largest:.6g}, so the first radius 2*max|v| + 2 overflows"
+        )
     while True:
         t_up = math.log(r + 1) / d - 1
         t_lo = math.log((r + 1) / s) / d + 1

@@ -105,44 +105,9 @@ class TestRayTrace:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NotConvergedError"
-        # the budget binds, not the floor: a deeper budget would meet tol
+        # the budget binds: a deeper budget meets the bound
         message = payload["error"]["message"]
         assert message.startswith("depth budget exhausted at n=3 (increment ")
-        assert "floor" not in message
-
-    def test_depth_zero_below_precision_floor_exit_3(self, workdir, capsys):
-        # past the float range the sample is its straight point, whose error
-        # floor 1e-16 |z| a tolerance of 1e-17 cannot meet
-        code = run(
-            [
-                "ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
-                "--t-lo", "700", "--t-hi", "800", "--samples", "2", "--tol", "1e-17",
-            ]
-        )
-        assert code == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"]["kind"] == "NotConvergedError"
-        # the message names the floor, 1e-16 |z| = 7e-14 at z = 700, and the
-        # tolerance it exceeds, not a depth budget
-        assert payload["error"]["message"] == (
-            "no depth can meet tol at n=0: the error floor 1e-16*|z| = 7.000e-14 is "
-            "above tol*max(1, |z|) = 7.000e-15 (increment 0.000e+00, error estimate 7.000e-14)"
-        )
-
-    def test_tol_below_floor_exit_3(self, workdir, capsys):
-        # at z = 3 the floor 1e-16 |z| exceeds tol |z| = 5e-17 |z|; the sample
-        # used to be returned, exit 0, with an err of 2.949e-16 above tol |z|
-        code = run(
-            [
-                "ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
-                "--t-lo", "3", "--t-hi", "3", "--samples", "1", "--tol", "5e-17",
-            ]
-        )
-        assert code == 3
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error["kind"] == "NotConvergedError"
-        assert error["message"].startswith("no depth can meet tol at n=")
-        assert "the error floor 1e-16*|z|" in error["message"]
 
     @pytest.mark.parametrize(
         "b0, period, t_lo, t_hi, seed",
@@ -544,7 +509,8 @@ class TestHomotopyAndTracts:
         # p = w^3 - 3a^2 w has the finite critical values -+2a^3 near
         # 0.8e308 (1+i), whose difference overflows, and so does the first
         # radius 2 max|v| + 2: no radius within the float range proves the
-        # strips, and that is an overflow signal, not a bare OverflowError
+        # strips, and that is an overflow signal, not a bare OverflowError.
+        # The message names the modulus |2a^3| = 0.8e308 sqrt(2), not r = inf
         a = (0.4e308 * (1 + 1j)) ** (1 / 3)
         path = tmp_path / "far.json"
         path.write_text(serialize.dumps(to_json(PolyExpMap(3, [0, -3 * a * a, 0]))))
@@ -555,8 +521,9 @@ class TestHomotopyAndTracts:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "OverflowSignal"
-        assert payload["error"]["message"].startswith(
-            "no radius within the float range proves the strips: at r = inf"
+        assert payload["error"]["message"] == (
+            "no radius within the float range proves the strips: the largest singular-value "
+            "modulus is 1.13137e+308, so the first radius 2*max|v| + 2 overflows"
         )
 
     @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
@@ -608,7 +575,6 @@ class TestNumericOptions:
     CASES = [
         # (command, option, value); each comment says what the value used to do
         ("ray trace", "--samples", "0"),  # exit 2, but from the library
-        ("ray trace", "--tol", "nan"),  # exit 0 with the tolerance check off
         ("ray trace", "--max-depth", "0"),  # depth-0 samples
         ("ray trace", "--t-hi", "inf"),  # exit 0 with an inf sample
         ("classify", "--max-iter", "0"),  # IndexError
@@ -921,12 +887,75 @@ class TestInvariantSetInput:
         assert error == {"kind": "SpecRejectionError", "message": str(want.value)}
 
 
+def _c(re, im=0.0) -> dict:
+    return {"re": float(re), "im": float(im)}
+
+
+class TestRefusals:
+    """Each input refusal that no other test reaches: its exit code, and its
+    message on stderr (exit 2) or in the error payload (exit 4)."""
+
+    @pytest.mark.parametrize(
+        "orbits,message",
+        [
+            ([{"T": 0.0, "address": {"period": [0]}}], "orbit 0 potential must be > 0, got 0.0"),
+            ([{"T": -1.0, "address": {"period": [0]}}], "orbit 0 potential must be > 0, got -1.0"),
+            ([], "need at least one singular orbit"),
+        ],
+        ids=["T=0", "T=-1", "no-orbits"],
+    )
+    def test_classify_exit_4(self, orbits, message, tmp_path, capsys):
+        spec = _write(tmp_path, "s.json", {"d": 1, "orbits": orbits})
+        assert run(["classify", "--spec", spec]) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "SpecRejectionError", "message": message}
+
+    MARKED = {"points": [_c(0), _c(3)]}
+    CURVE = {"vertices": [_c(0), _c(2, 1), _c(5, 1)]}
+
+    @pytest.mark.parametrize(
+        "marked,curve,message",
+        [
+            ({"points": [_c(0), _c(0)]}, CURVE, "marked points 0 and 1 coincide"),
+            (MARKED, {"vertices": []}, "curve needs at least its starting vertex"),
+            ({"points": [_c(0), _c(2)]}, {"vertices": [_c(2), _c(2, 3)]},
+             "segment slides along the cut ray of point 1"),
+            ({"points": [_c(0), _c(2, 1)]}, {"vertices": [_c(0), _c(1, 1)]},
+             "exit line hits marked point 1"),
+            ({"pts": []}, CURVE, "bad marked-set object: {'pts': []}"),
+            (MARKED, {"v": []}, "bad curve object: {'v': []}"),
+        ],
+        ids=["coincide", "no-vertex", "along-cut", "hits-point", "no-points-key",
+             "no-vertices-key"],
+    )
+    def test_homotopy_word_exit_2(self, marked, curve, message, tmp_path, capsys):
+        argv = ["homotopy", "word", "--marked", _write(tmp_path, "m.json", marked),
+                "--curve", _write(tmp_path, "c.json", curve)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rayforge: {message}\n"
+
+    def test_invariant_set_run_without_config_exit_2(self, tmp_path, capsys):
+        grid = to_json(presets.SPEC_D1.straight)
+        path = _write(tmp_path, "run.json", {"grid": grid})
+        assert run(["diag", "invariant-set", "--run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rayforge: run file lacks spec/grid data: 'config'\n"
+
+    def test_invariant_set_missing_run_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert run(["diag", "invariant-set", "--run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rayforge: cannot read {path}: ")
+
+
 # Keys of the config echo of each command.  Every key but "command" names one
 # of the command's own options; "format" is the value of --out.
 CONFIG_KEYS = {
-    "ray trace": {
-        "command", "tol", "max_depth", "t_lo", "t_hi", "samples", "format",
-    },
+    "ray trace": {"command", "max_depth", "t_lo", "t_hi", "samples", "format"},
     "classify": {"command", "tol", "max_iter", "spec"},
     "diag appendix-a": {"command", "d", "rho", "samples", "seed"},
     "diag invariant-set": {"command", "run"},
@@ -1302,7 +1331,7 @@ class TestParserReuse:
 # Every command's words, and the options its leaf parser takes.
 _COMMANDS = {
     ("ray", "trace"): ("--map", "--address", "--t-lo", "--t-hi", "--samples", "--out",
-                       "--output", "--tol", "--max-depth"),
+                       "--output", "--max-depth"),
     ("classify",): ("--spec", "--out", "--log-iterates", "--max-iter", "--tol"),
     ("diag", "appendix-a"): ("--d", "--rho", "--samples", "--seed", "--output"),
     ("diag", "invariant-set"): ("--run", "--output"),

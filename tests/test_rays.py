@@ -4,13 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from rayforge import polyexp, presets
+from rayforge import config, polyexp, presets
 from rayforge import potentials as pot
 from rayforge import rays, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
-    NotConvergedError,
     NotEscapingError,
     RayforgeError,
 )
@@ -162,7 +161,8 @@ class TestTraceSegment:
 
 class TestTolerance:
     """Every sample the tracer returns reports an error within
-    tol max(1, |z|): the error it reports is the one it tested."""
+    config.TRACER_TOL max(1, |z|): the error it reports is the one it
+    tested."""
 
     def test_returned_samples_meet_tol(self):
         rng = np.random.default_rng(37)
@@ -170,29 +170,21 @@ class TestTolerance:
         for map_ in (presets.EXP_MAP, presets.D2_RAY_MAP):
             cfg = tracts.make_tract_config(map_)
             for address in (presets.ZERO, presets.ALTERNATE):
-                for tol in (1e-17, 5e-17, 1e-16, 1e-15, 1e-10):
-                    for opts in ({"max_depth": 1}, {"max_depth": 2}, {}):
-                        for _ in range(2):
-                            t_lo, t_hi = sorted(rng.uniform(0.5, 8.0, 2))
-                            n = int(rng.integers(1, 9))
-                            try:
-                                seg = rays.trace_segment(
-                                    map_, cfg, address, t_lo, t_hi, n, tol=tol, **opts
-                                )
-                            except RayforgeError:
-                                raised += 1
-                                continue
-                            returned += len(seg)
-                            for p in seg:
-                                assert p.error_estimate <= tol * max(1.0, abs(p.z)), (
-                                    map_, address, tol, opts, p,
-                                )
+                for opts in ({"max_depth": 1}, {"max_depth": 2}, {}):
+                    for _ in range(2):
+                        t_lo, t_hi = sorted(rng.uniform(0.5, 8.0, 2))
+                        n = int(rng.integers(1, 9))
+                        try:
+                            seg = rays.trace_segment(map_, cfg, address, t_lo, t_hi, n, **opts)
+                        except RayforgeError:
+                            raised += 1
+                            continue
+                        returned += len(seg)
+                        for p in seg:
+                            assert p.error_estimate <= config.TRACER_TOL * max(1.0, abs(p.z)), (
+                                map_, address, opts, p,
+                            )
         assert returned and raised
-
-    def test_floor_above_tol_not_converged(self, cfg_exp):
-        # at t = 3 the floor 1e-16 |z| is above 5e-17 |z|, so no depth meets tol
-        with pytest.raises(NotConvergedError, match="error floor"):
-            rays.trace_segment(EXP, cfg_exp, ZERO, 3.0, 3.0, 1, tol=5e-17)
 
 
 def _bits(z: complex) -> tuple[int, int]:

@@ -612,6 +612,29 @@ class TestDiagnostics:
         assert rep.derivative_domain_margin == math.inf
         assert json.loads(serialize.dumps(rep))["derivative_domain_margin"] is None
 
+    def test_every_validated_spec_has_a_ladder_midpoint(self):
+        # rho falls back to the ladder's first midpoint, which exists: a
+        # validated spec has depth >= 1, so two distinct rungs or more.
+        rng = np.random.default_rng(45)
+        accepted = 0
+        for _ in range(600):
+            d = int(rng.integers(1, 6))
+            orbits = tuple(
+                (
+                    float(10 ** rng.uniform(-2, math.log10(5))),
+                    ExternalAddress((), tuple(rng.integers(-2, 3, rng.integers(1, 3)).tolist())),
+                )
+                for _ in range(rng.integers(1, d + 1))
+            )
+            spec = TargetSpec(d, orbits)
+            try:
+                thurston.validate_spec(spec)
+            except SpecRejectionError:
+                continue
+            accepted += 1
+            assert spec.ladder.midpoints, spec
+        assert accepted >= 300
+
 
 class TestMarginSigns:
     """Moving one point of a hand-built grid just across one condition's

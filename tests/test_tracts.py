@@ -118,6 +118,20 @@ class TestConfig:
         with pytest.raises(OverflowSignal):
             tracts.make_tract_config(map_)
 
+    def test_first_radius_overflow_names_the_largest_singular_value(self):
+        # p = w^3 - 3a^2 w: both critical values -+2a^3 are finite, of modulus
+        # 0.8e308 sqrt(2), but the first radius 2 max|v| + 2 is not
+        a = (0.4e308 * (1 + 1j)) ** (1 / 3)
+        map_ = PolyExpMap(3, [0, -3 * a * a, 0])
+        largest = map_.singular_data().max_modulus()
+        assert math.isfinite(largest) and 2 * largest + 2 == math.inf
+        with pytest.raises(OverflowSignal) as info:
+            tracts.make_tract_config(map_)
+        assert str(info.value) == (
+            "no radius within the float range proves the strips: the largest singular-value "
+            f"modulus is {largest:.6g}, so the first radius 2*max|v| + 2 overflows"
+        )
+
 
 def _config_or_overflow(build, map_):
     try:
