@@ -41,9 +41,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 MAX_UNIFORMS = 2**20  # diag appendix-a's one block of samples x 4d uniforms: 8 MB
-# ray trace's samples x (max_depth + 1) pull levels, which a stalled speed
-# tower fills; 20,000 samples at the default depth fit.
-MAX_TRACE_LEVELS = 2**22
 
 
 def _read_json(path: str):
@@ -55,25 +52,10 @@ def _read_json(path: str):
 
 
 def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
-    if args.samples * (args.max_depth + 1) > MAX_TRACE_LEVELS:
-        if (cap := MAX_TRACE_LEVELS - 1) < args.max_depth:
-            raise DomainError(f"argument --max-depth: expected at most {cap}, "
-                              f"got '{args.max_depth}'")
-        cap = MAX_TRACE_LEVELS // (args.max_depth + 1)
-        raise DomainError(f"argument --samples: expected at most {cap} at "
-                          f"--max-depth {args.max_depth}, got '{args.samples}'")
     map_ = serialize.map_from_json(_read_json(args.map))
     address = serialize.address_from_json(_read_json(args.address))
     cfg = tracts.make_tract_config(map_)
-    segment = rays.trace_segment(
-        map_,
-        cfg,
-        address,
-        args.t_lo,
-        args.t_hi,
-        args.samples,
-        max_depth=args.max_depth,
-    )
+    segment = rays.trace_segment(map_, cfg, address, args.t_lo, args.t_hi, args.samples)
     samples = [
         {
             "t": p.t,
@@ -84,8 +66,7 @@ def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
         }
         for p in segment
     ]
-    extras = dict(max_depth=args.max_depth, t_lo=args.t_lo,
-                  t_hi=args.t_hi, samples=args.samples, format=args.out)
+    extras = dict(t_lo=args.t_lo, t_hi=args.t_hi, samples=args.samples, format=args.out)
     return extras, {"samples": samples}, EXIT_OK
 
 
@@ -216,8 +197,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     trace.add_argument("--out", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
     trace.add_argument("--output", default=None, help="output file (default stdout)")
-    trace.add_argument("--max-depth", dest="max_depth", type=_positive_int,
-                       default=config.TRACER_MAX_DEPTH)
     trace.set_defaults(handler=_cmd_ray_trace, command_path="ray trace")
 
     classify = sub.add_parser("classify", help="solve for a map with the target escape data")

@@ -3,10 +3,10 @@
 Double precision is the working arithmetic everywhere.  Most constants
 below are read directly by the operation that uses them; the rest are the
 defaults of the few options a caller can set: ``classify``'s ``tol`` and
-``max_iter``, and ``ray trace``'s ``max_depth``.  TRACER_TOL is the
-tracer's fixed bound, not an option default.  The strip fuzz eps = pi/4d
-is no option: the tract certificate depends on the map alone, and its
-loop ends by itself (see ``tracts.make_tract_config``).
+``max_iter``.  TRACER_TOL is the tracer's fixed bound, not an option
+default, and the tracer's depth is the float range's, not an option.  The
+strip fuzz eps = pi/4d is no option: the tract certificate depends on the
+map alone, and its loop ends by itself (see ``tracts.make_tract_config``).
 """
 
 # Largest magnitude an iterated escape-speed value may reach before the
@@ -31,9 +31,10 @@ ROOT_ITER_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 ROOT_MAX_ITER = 200
 
-# Ray tracing.
+# Ray tracing.  A segment's samples x (depth + 1) pull levels, at the depth
+# of t_lo, stay within MAX_TRACE_LEVELS; a stalled speed tower fills it.
 TRACER_TOL = 1e-10
-TRACER_MAX_DEPTH = 128
+MAX_TRACE_LEVELS = 2**22
 
 # Tract certification.
 # A float sum of d + 1 positive terms grows by ROUNDING before its check, so a
@@ -44,6 +45,9 @@ MAX_DEGREE = 170
 
 # Pullback iteration.
 CLASSIFY_MAX_ITER = 50
+# classify's grid-depth bound: a spec whose speed tower is still under CAP
+# after this many levels is rejected.
+CLASSIFY_DEPTH_LIMIT = 128
 CLASSIFY_TOL = 1e-10
 VERIFY_POTENTIAL_RTOL = 1e-6
 

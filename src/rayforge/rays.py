@@ -51,14 +51,17 @@ def _pull_chains(
 
     All chains pull through the same level in one batched call, the deepest
     level first; a chain joins at its own depth and leaves at its first
-    failure.  Returns the chains' points, and the error that stopped each
-    failed chain by chain index.
+    failure; once every chain has failed, no level is pulled.  Returns the
+    chains' points, and the error that stopped each failed chain by chain
+    index.
     """
     strips = np.array([address.entry(n) for n in range(int(depths.max(initial=0)) + 1)])
     z = potentials.straight_point(map_.d, seed_ts, strips[depths])
     errors: dict = {}
     live = np.ones(len(z), dtype=bool)
     for level in range(len(strips) - 2, -1, -1):
+        if not live.any():
+            break
         rows = np.flatnonzero(live & (depths > level))
         z[rows], failed = tracts.inverse_branches(
             map_, cfg, np.full(len(rows), strips[level]), z[rows]
@@ -87,14 +90,17 @@ def trace_segment(
     t_lo: float,
     t_hi: float,
     n_samples: int,
-    max_depth: int = config.TRACER_MAX_DEPTH,
 ) -> tuple[RayPoint, ...]:
     """Trace the ray at geometrically spaced potentials in [t_lo, t_hi],
     and return its points in order of strictly increasing potential.
 
     A sample at potential t uses depth n, the largest with step^n(t) at
-    most the float-range limit config.CAP (``potentials.chain``, bounded by
-    max_depth >= 1).  The consecutive-depth increment measures the
+    most the float-range limit config.CAP (``potentials.chain``).  t_lo
+    has the deepest chain, so it alone is measured against the work bound
+    first: n_samples x (depth + 1) pull levels above
+    config.MAX_TRACE_LEVELS, or a chain that stalls inside the float range
+    (as step(1, t) = t does at t = 1e-300), raise DomainError before any
+    other chain is built.  The consecutive-depth increment measures the
     depth-(n-1) error; scaled by the tail-decay ratio it bounds the
     returned point's error.  That bound, raised to the floor |z| 1e-16, is
     the sample's error estimate: the number tested against
@@ -111,8 +117,12 @@ def trace_segment(
         raise DomainError("need finite 0 < t_lo <= t_hi")
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    if max_depth < 1:
-        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
+    deepest = potentials.chain(map_.d, t_lo, max_len=config.MAX_TRACE_LEVELS // n_samples + 1)
+    if n_samples * len(deepest) > config.MAX_TRACE_LEVELS:
+        raise DomainError(
+            f"{n_samples} samples x at least {len(deepest)} pull levels at t_lo={t_lo!r} "
+            f"pass the trace work bound config.MAX_TRACE_LEVELS = {config.MAX_TRACE_LEVELS}"
+        )
     if n_samples == 1:
         ts = [t_lo]
     else:
@@ -121,7 +131,7 @@ def trace_segment(
         ts[-1] = t_hi
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("segment potentials must strictly increase")
-    speeds = [potentials.chain(map_.d, t, max_len=max_depth + 1) for t in ts]
+    speeds = [deepest] + [potentials.chain(map_.d, t, max_len=len(deepest)) for t in ts[1:]]
     depths = [len(values) - 1 for values in speeds]
     depths += [max(n - 1, 0) for n in depths]
     # Chain s pulls sample s from speed step^n(t) through n levels, chain
@@ -154,8 +164,10 @@ def trace_segment(
             if c in errors:
                 raise errors[c]
         raise NotConvergedError(
-            f"depth budget exhausted at n={depths[s]} "
-            f"(increment {increment[s]:.3e}, error estimate {err[s]:.3e})",
+            f"the float range allows only depth {depths[s]} at potential {ts[s]!r} "
+            f"(the next speed passes config.CAP): increment {increment[s]:.3e}, "
+            f"error estimate {err[s]:.3e} > config.TRACER_TOL max(1, |z|) = "
+            f"{config.TRACER_TOL * max(1.0, size[s]):.3e}",
             details=(complex(z_prev[s]), complex(z[s])),
         )
     samples = zip(z.tolist(), ts, depths[:S], err.tolist())

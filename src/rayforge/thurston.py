@@ -83,9 +83,9 @@ class TargetSpec:
     @cached_property
     def towers(self) -> tuple[tuple[float, ...], ...]:
         """Per orbit, the speeds step^j(T_i) under ``config.CAP``, at most
-        ``config.TRACER_MAX_DEPTH`` + 1 of them, as ``rays.trace_segment`` takes them."""
+        ``config.CLASSIFY_DEPTH_LIMIT`` + 1 of them."""
         return tuple(
-            tuple(potentials.chain(self.d, t, max_len=config.TRACER_MAX_DEPTH + 1))
+            tuple(potentials.chain(self.d, t, max_len=config.CLASSIFY_DEPTH_LIMIT + 1))
             for t, _ in self.orbits
         )
 
@@ -141,7 +141,7 @@ def validate_spec(spec: TargetSpec) -> None:
 
     Checks, in order: 1 <= m <= d <= ``config.MAX_DEGREE``; per orbit, a
     positive potential whose speed tower passes ``config.CAP`` within
-    ``config.TRACER_MAX_DEPTH`` levels but not at level 1; a given J in
+    ``config.CLASSIFY_DEPTH_LIMIT`` levels but not at level 1; a given J in
     1..J*; finitely many nontrivial clusters (equal-speed orbits whose
     shifted addresses keep agreeing); pairwise non-overlapping addresses.
     """
@@ -161,11 +161,11 @@ def validate_spec(spec: TargetSpec) -> None:
         if not t > 0:
             raise SpecRejectionError(f"orbit {i} potential must be > 0, got {t}")
         levels = len(spec.towers[i])
-        if levels > config.TRACER_MAX_DEPTH:
+        if levels > config.CLASSIFY_DEPTH_LIMIT:
             raise SpecRejectionError(
                 f"orbit {i} (T={t}): its speed does not grow in double "
-                f"precision past config.CAP within {config.TRACER_MAX_DEPTH} "
-                "levels, the depth cap; use a larger potential"
+                f"precision past config.CAP within {config.CLASSIFY_DEPTH_LIMIT} "
+                "levels, classify's grid-depth bound; use a larger potential"
             )
         if levels == 1:
             raise SpecRejectionError(

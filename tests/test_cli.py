@@ -14,7 +14,7 @@ import pytest
 from oracles import main_through_full_tree, seeded_specs, to_json
 
 import rayforge
-from rayforge import cli, config, errors, potentials, presets, rays, serialize, thurston, tracts
+from rayforge import cli, config, errors, potentials, presets, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,21 +93,25 @@ class TestRayTrace:
         )
         assert code == 2
 
-    def test_depth_budget_exhausted_exit_3(self, workdir, capsys):
-        # a forced-shallow depth budget cannot certify convergence
+    def test_depth_budget_exhausted_exit_3(self, workdir, tmp_path, capsys):
+        # At d = 20 and t = 0.18 the float range allows depth 1 only, and
+        # the depth-1 point misses the tracer's bound: the message names the
+        # float range, not a depth anyone could raise.
+        assert len(potentials.chain(20, 0.18)) == 2
+        map_path = _write(tmp_path, "d20.json", to_json(PolyExpMap(20, [0.1] * 20)))
         code = run(
             [
-                "ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
-                "--t-lo", "0.8", "--t-hi", "0.9", "--samples", "2",
-                "--max-depth", "3",
+                "ray", "trace", "--map", map_path, "--address", workdir["zero"],
+                "--t-lo", "0.18", "--t-hi", "0.18", "--samples", "1",
             ]
         )
         assert code == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"]["kind"] == "NotConvergedError"
-        # the budget binds: a deeper budget meets the bound
-        message = payload["error"]["message"]
-        assert message.startswith("depth budget exhausted at n=3 (increment ")
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "NotConvergedError",
+            "message": "the float range allows only depth 1 at potential 0.18 (the next "
+            "speed passes config.CAP): increment 2.379e-02, error estimate 4.847e-10 > "
+            "config.TRACER_TOL max(1, |z|) = 1.000e-10",
+        }
 
     @pytest.mark.parametrize(
         "b0, period, t_lo, t_hi, seed",
@@ -575,7 +579,6 @@ class TestNumericOptions:
     CASES = [
         # (command, option, value); each comment says what the value used to do
         ("ray trace", "--samples", "0"),  # exit 2, but from the library
-        ("ray trace", "--max-depth", "0"),  # depth-0 samples
         ("ray trace", "--t-hi", "inf"),  # exit 0 with an inf sample
         ("classify", "--max-iter", "0"),  # IndexError
         ("classify", "--tol", "nan"),  # 50 iterations, then exit 3
@@ -588,10 +591,6 @@ class TestNumericOptions:
         # both: ValueError: Maximum allowed dimension exceeded, from the uniform block
         ("diag appendix-a", "--d", "99999999999999999999"),
         ("diag appendix-a", "--samples", "99999999999999999999"),
-        # both: samples x (max_depth + 1) pull levels past MAX_TRACE_LEVELS,
-        # which a stalled speed tower fills
-        ("ray trace", "--max-depth", "100000000"),
-        ("ray trace", "--samples", "100000000"),
     ]
 
     @pytest.mark.parametrize(
@@ -618,26 +617,35 @@ class TestNumericOptions:
         assert "--d: expected an integer in [2, 170]" in capsys.readouterr().err
 
     def test_trace_work_cap(self, workdir, monkeypatch, capsys):
-        # samples x (max_depth + 1) up to MAX_TRACE_LEVELS passes to the
-        # tracer, one more is refused before it runs; the stub tracer
-        # allocates nothing.
-        monkeypatch.setattr(rays, "trace_segment", lambda *args, **kwargs: [])
-        base = ["ray", "trace", "--map", workdir["map"], "--address", workdir["zero"],
-                "--t-lo", "1", "--t-hi", "1"]
-        top = cli.MAX_TRACE_LEVELS
-        per_depth = top // (config.TRACER_MAX_DEPTH + 1)
-        assert run(base + ["--samples", str(per_depth)]) == 0
-        assert run(base + ["--samples", "1", "--max-depth", str(top - 1)]) == 0
-        capsys.readouterr()
-        assert run(base + ["--samples", str(per_depth + 1)]) == 2
-        assert capsys.readouterr().err == (
-            f"rayforge: argument --samples: expected at most {per_depth} at --max-depth "
-            f"{config.TRACER_MAX_DEPTH}, got '{per_depth + 1}'\n"
+        # samples x (depth + 1) pull levels at t_lo's depth, the segment's
+        # deepest, up to config.MAX_TRACE_LEVELS trace; past it the tracer
+        # exits 2 naming t_lo and the limit, before it builds the sample
+        # list or any chain but t_lo's.
+        real_chain = potentials.chain
+        starts = []
+        monkeypatch.setattr(
+            potentials, "chain", lambda d, t, **kw: starts.append(t) or real_chain(d, t, **kw)
         )
-        assert run(base + ["--samples", "1", "--max-depth", "100000000"]) == 2
-        assert capsys.readouterr().err == (
-            f"rayforge: argument --max-depth: expected at most {top - 1}, got '100000000'\n"
-        )
+        base = ["ray", "trace", "--map", workdir["map"], "--address", workdir["zero"]]
+
+        def refused(t_lo, t_hi, samples, levels):
+            starts.clear()
+            assert run(base + ["--t-lo", t_lo, "--t-hi", t_hi, "--samples", samples]) == 2
+            assert capsys.readouterr().err == (
+                f"rayforge: {samples} samples x at least {levels} pull levels at "
+                f"t_lo={float(t_lo)!r} pass the trace work bound config.MAX_TRACE_LEVELS "
+                f"= {config.MAX_TRACE_LEVELS}\n"
+            )
+            assert starts == [float(t_lo)]
+
+        # step(1, 1e-300) rounds to 1e-300: the stalled tower fills the bound.
+        refused("1e-300", "2e-300", "64", config.MAX_TRACE_LEVELS // 64 + 1)
+        refused("1", "2", "100000000", 1)
+        levels = len(real_chain(1, 1.0))
+        monkeypatch.setattr(config, "MAX_TRACE_LEVELS", 8 * levels)
+        assert run(base + ["--t-lo", "1", "--t-hi", "2", "--samples", "8", "--out", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"][0]["depth"] == levels - 1
+        refused("1", "2", "9", levels)
 
 
     @pytest.mark.parametrize("command", ["tracts inspect", "ray trace"])
@@ -955,7 +963,7 @@ class TestRefusals:
 # Keys of the config echo of each command.  Every key but "command" names one
 # of the command's own options; "format" is the value of --out.
 CONFIG_KEYS = {
-    "ray trace": {"command", "max_depth", "t_lo", "t_hi", "samples", "format"},
+    "ray trace": {"command", "t_lo", "t_hi", "samples", "format"},
     "classify": {"command", "tol", "max_iter", "spec"},
     "diag appendix-a": {"command", "d", "rho", "samples", "seed"},
     "diag invariant-set": {"command", "run"},
@@ -1331,7 +1339,7 @@ class TestParserReuse:
 # Every command's words, and the options its leaf parser takes.
 _COMMANDS = {
     ("ray", "trace"): ("--map", "--address", "--t-lo", "--t-hi", "--samples", "--out",
-                       "--output", "--max-depth"),
+                       "--output"),
     ("classify",): ("--spec", "--out", "--log-iterates", "--max-iter", "--tol"),
     ("diag", "appendix-a"): ("--d", "--rho", "--samples", "--seed", "--output"),
     ("diag", "invariant-set"): ("--run", "--output"),
@@ -1415,7 +1423,7 @@ class TestLeafParsing:
         good = {
             "--map": files["map"], "--address": files["address"], "--t-lo": "1",
             "--t-hi": "2", "--samples": "3", "--out": "json", "--output": files["out"],
-            "--tol": "1e-3", "--max-depth": "4", "--spec": files["spec"], "--max-iter": "4",
+            "--tol": "1e-3", "--spec": files["spec"], "--max-iter": "4",
             "--d": "3", "--rho": "100", "--seed": "4", "--run": files["run"],
             "--marked": files["marked"], "--curve": files["curve"],
         }

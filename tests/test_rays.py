@@ -10,6 +10,7 @@ from rayforge import rays, tracts
 from rayforge.errors import (
     BranchSelectionError,
     DomainError,
+    NotConvergedError,
     NotEscapingError,
     RayforgeError,
 )
@@ -122,14 +123,8 @@ class TestTraceSegment:
             rhs = rays.trace_ray(D2, cfg_d2, addr.shift(), pot.step(2, p.t)).z
             assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
 
-    def test_max_depth_below_one_rejected(self, cfg_exp):
-        # a depth budget of 0 would cut every chain at its straight point
-        for max_depth in (0, -1):
-            with pytest.raises(DomainError, match="max_depth"):
-                rays.trace_segment(EXP, cfg_exp, ZERO, 1.0, 2.0, 2, max_depth=max_depth)
-
     def test_depth_zero_cap_not_converged(self):
-        # the default depth traces 0.9194-0.0199i at t=1, far from the
+        # the float-range depth traces 0.9194-0.0199i at t=1, far from the
         # straight point 1.0 that a depth-0 sample would have returned
         map_ = PolyExpMap(2, [0.1, 0.1j])
         cfg = tracts.make_tract_config(map_)
@@ -138,7 +133,7 @@ class TestTraceSegment:
         )
 
     def test_depth_zero_beyond_float_range_is_straight(self, cfg_exp):
-        # step(t) overflows, so even the default depth stops at the straight
+        # step(t) overflows, so the float-range depth is 0: the sample is the straight
         # point, which is exact in double precision
         for t in (701.0, 695.0):
             pt = rays.trace_ray(EXP, cfg_exp, ZERO, t)
@@ -167,23 +162,23 @@ class TestTolerance:
     def test_returned_samples_meet_tol(self):
         rng = np.random.default_rng(37)
         returned = raised = 0
-        for map_ in (presets.EXP_MAP, presets.D2_RAY_MAP):
+        # exp(z) + 3 has its singular value at 3: chains that fall left of it raise
+        for map_ in (presets.EXP_MAP, presets.D2_RAY_MAP, PolyExpMap(1, [3.0])):
             cfg = tracts.make_tract_config(map_)
             for address in (presets.ZERO, presets.ALTERNATE):
-                for opts in ({"max_depth": 1}, {"max_depth": 2}, {}):
-                    for _ in range(2):
-                        t_lo, t_hi = sorted(rng.uniform(0.5, 8.0, 2))
-                        n = int(rng.integers(1, 9))
-                        try:
-                            seg = rays.trace_segment(map_, cfg, address, t_lo, t_hi, n, **opts)
-                        except RayforgeError:
-                            raised += 1
-                            continue
-                        returned += len(seg)
-                        for p in seg:
-                            assert p.error_estimate <= config.TRACER_TOL * max(1.0, abs(p.z)), (
-                                map_, address, opts, p,
-                            )
+                for _ in range(2):
+                    t_lo, t_hi = sorted(rng.uniform(0.5, 8.0, 2))
+                    n = int(rng.integers(1, 9))
+                    try:
+                        seg = rays.trace_segment(map_, cfg, address, t_lo, t_hi, n)
+                    except RayforgeError:
+                        raised += 1
+                        continue
+                    returned += len(seg)
+                    for p in seg:
+                        assert p.error_estimate <= config.TRACER_TOL * max(1.0, abs(p.z)), (
+                            map_, address, p,
+                        )
         assert returned and raised
 
 
@@ -203,44 +198,76 @@ class TestSegmentMatchesSamples:
     """The batched segment against a one-sample segment per sample."""
 
     CASES = [
-        # (map, address, t_lo, t_hi, samples, trace options)
-        (EXP, ZERO, 0.3, 6.0, 24, {}),
-        (D2, ExternalAddress((), (1, -1)), 0.5, 4.0, 17, {}),
-        (PolyExpMap(3, [2.0, -1 + 1j, 0.5]), ExternalAddress((3,), (2,)), 0.9, 4.0, 9, {}),
+        # (map, address, t_lo, t_hi, samples)
+        (EXP, ZERO, 0.3, 6.0, 24),
+        (D2, ExternalAddress((), (1, -1)), 0.5, 4.0, 17),
+        (PolyExpMap(3, [2.0, -1 + 1j, 0.5]), ExternalAddress((3,), (2,)), 0.9, 4.0, 9),
         # sample 0 fails: its chains fall left of the singular values
-        (PolyExpMap(2, [8 + 3j, -13 + 9j]), ONE, 0.2, 4.0, 12, {}),
-        (EXP, ExternalAddress((), (0, -1)), 0.2, 4.0, 12, {"max_depth": 2}),
+        (PolyExpMap(2, [8 + 3j, -13 + 9j]), ONE, 0.2, 4.0, 12),
+        # sample 0 passes at depth 2; at sample 1 the float range allows
+        # depth 1 only, which misses the bound
+        (PolyExpMap(20, [0.1] * 20), ZERO, 0.17, 0.2, 4),
         # sample 0 passes, sample 1 pulls a seed left of the singular values,
         # where no single-valued branch exists
-        (PolyExpMap(1, [2.45 + 1.3j]), ExternalAddress((7, -3), (2,)), 0.2, 4.0, 12, {}),
+        (PolyExpMap(1, [2.45 + 1.3j]), ExternalAddress((7, -3), (2,)), 0.2, 4.0, 12),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_bitwise_samples_and_first_failure(self, case):
-        map_, addr, t_lo, t_hi, n, opts = self.CASES[case]
+        map_, addr, t_lo, t_hi, n = self.CASES[case]
         cfg = tracts.make_tract_config(map_)
         expected = []
         for t in _sample_ts(t_lo, t_hi, n):
             try:
-                expected.append(rays.trace_segment(map_, cfg, addr, t, t, 1, **opts)[0])
+                expected.append(rays.trace_segment(map_, cfg, addr, t, t, 1)[0])
             except RayforgeError as exc:
                 expected.append(exc)
                 break
+        if case == 4:
+            assert len(expected) == 2 and isinstance(expected[-1], NotConvergedError)
         if case == 5:
             # the failure comes after passing samples, not at sample 0
             assert len(expected) == 2 and isinstance(expected[-1], BranchSelectionError)
             assert isinstance(expected[-1].__cause__, DomainError)
         if isinstance(expected[-1], Exception):
             with pytest.raises(type(expected[-1])) as err:
-                rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n, **opts)
+                rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n)
             assert str(err.value) == str(expected[-1])
             return
-        seg = rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n, **opts)
+        seg = rays.trace_segment(map_, cfg, addr, t_lo, t_hi, n)
         assert len(seg) == len(expected)
         for got, want in zip(seg, expected):
             assert got.t == want.t and got.depth_used == want.depth_used
             assert _bits(got.z) == _bits(want.z)
             assert _bits(got.error_estimate) == _bits(want.error_estimate)
+
+
+class TestFloatRangeDepth:
+    """At d = 1 the float-range depth grows like 2/t.  These rays raised
+    BranchSelectionError when the depth was cut to 128 levels, and trace at
+    the float-range depth."""
+
+    @pytest.mark.parametrize(
+        "c, period, t_lo, depth",
+        [
+            (0.6408862862052205 + 2.1424721399198807j, (0,), 0.004213877770110134, 478),
+            (1.1934910299149317 + 1.4702093198859112j, (1,), 0.001799977250934607, 1115),
+            (0.3082539498882948 - 1.4239004493139131j, (1, 0), 0.0003743750989912918, 5347),
+        ],
+        ids=["depth478", "depth1115", "depth5347"],
+    )
+    def test_deep_d1_segment_traces(self, c, period, t_lo, depth):
+        map_ = PolyExpMap(1, [c])
+        cfg = tracts.make_tract_config(map_)
+        address = ExternalAddress((), period)
+        assert len(pot.chain(1, t_lo, max_len=depth + 2)) == depth + 1
+        seg = rays.trace_segment(map_, cfg, address, t_lo, 4 * t_lo, 8)
+        assert seg[0].depth_used == depth
+        for p in seg:
+            assert p.error_estimate <= config.TRACER_TOL * max(1.0, abs(p.z))
+            # f(z(t, s)) = z(step(t), shift s)
+            rhs = rays.trace_ray(map_, cfg, address.shift(), pot.step(1, p.t)).z
+            assert abs(map_(p.z) - rhs) <= 1e-15 * max(1.0, abs(rhs))
 
 
 class TestOracle:
@@ -284,7 +311,7 @@ class TestFarSingularValues:
 class TestBatching:
     @pytest.mark.parametrize("case", [1, 2])
     def test_one_branch_call_per_pull_level(self, case, monkeypatch):
-        map_, addr, t_lo, t_hi, n, _ = TestSegmentMatchesSamples.CASES[case]
+        map_, addr, t_lo, t_hi, n = TestSegmentMatchesSamples.CASES[case]
         cfg = tracts.make_tract_config(map_)
         rows = []
         branches = tracts.inverse_branches
@@ -299,6 +326,23 @@ class TestBatching:
         # one call per level, each with every chain that still pulls at it
         assert len(rows) == max(depths)
         assert sum(rows) == sum(2 * k - 1 for k in depths if k)
+
+    def test_no_pull_after_every_chain_failed(self, cfg_exp, monkeypatch):
+        # exp(z) at t = 1e-4 pulls from depth 20,005: both chains fall left
+        # of the singular value 0 within a few levels, and the levels below
+        # are never pulled.
+        assert len(pot.chain(1, 1e-4, max_len=10**5)) == 20_006
+        rows = []
+        branches = tracts.inverse_branches
+
+        def counted(m, c, ns, ws):
+            rows.append(len(ws))
+            return branches(m, c, ns, ws)
+
+        monkeypatch.setattr(tracts, "inverse_branches", counted)
+        with pytest.raises(BranchSelectionError):
+            rays.trace_segment(EXP, cfg_exp, ZERO, 1e-4, 1e-4, 1)
+        assert 0 < len(rows) < 10 and all(rows)
 
 
 class TestExtraction:

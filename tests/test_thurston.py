@@ -58,7 +58,7 @@ class TestValidate:
             thurston.validate_spec(TargetSpec(1, ((800.0, ZERO),), 0))
 
     def test_stalled_speed_tower_rejected_before_chains(self):
-        # step(1, 1e-300) rounds to 1e-300: the tower stops at the depth cap,
+        # step(1, 1e-300) rounds to 1e-300: the tower stops at classify's depth limit,
         # and no grid-depth speeds are built.
         spec = TargetSpec(1, ((1e-300, ZERO),), 100_000)
         with pytest.raises(SpecRejectionError, match="does not grow in double precision"):
@@ -76,7 +76,10 @@ class TestValidate:
         with pytest.raises(SpecRejectionError) as err:
             thurston.classify(spec)
         assert str(err.value).startswith("orbit 0 (T=1e-15): its speed does not grow")
-        assert f"within {thurston.config.TRACER_MAX_DEPTH} levels, the depth cap" in str(err.value)
+        assert (
+            f"within {thurston.config.CLASSIFY_DEPTH_LIMIT} levels, classify's grid-depth "
+            "bound; use a larger potential"
+        ) in str(err.value)
 
     def test_overflow_at_level_1_rejected(self):
         # d*T = 800 overflows at the first step: no grid level is left.
