@@ -174,6 +174,10 @@ _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _degree = _checked(int, lambda v: 2 <= v <= config.MAX_DEGREE,
                    f"an integer in [2, {config.MAX_DEGREE}]")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+# A sample pulls at least one level, so no segment of more samples than
+# config.MAX_TRACE_LEVELS passes rays.trace_segment's work bound.
+_trace_samples = _checked(int, lambda v: 0 < v <= config.MAX_TRACE_LEVELS,
+                          f"an integer in [1, {config.MAX_TRACE_LEVELS}]")
 
 
 @functools.cache
@@ -193,7 +197,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     trace.add_argument("--address", required=True, help="address JSON file")
     trace.add_argument("--t-lo", dest="t_lo", type=_positive_float, required=True)
     trace.add_argument("--t-hi", dest="t_hi", type=_positive_float, required=True)
-    trace.add_argument("--samples", type=_positive_int, required=True)
+    trace.add_argument("--samples", type=_trace_samples, required=True)
     trace.add_argument("--out", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
     trace.add_argument("--output", default=None, help="output file (default stdout)")

@@ -591,6 +591,8 @@ class TestNumericOptions:
         # both: ValueError: Maximum allowed dimension exceeded, from the uniform block
         ("diag appendix-a", "--d", "99999999999999999999"),
         ("diag appendix-a", "--samples", "99999999999999999999"),
+        # more samples than config.MAX_TRACE_LEVELS, which no depth fits
+        ("ray trace", "--samples", "100000000"),
     ]
 
     @pytest.mark.parametrize(
@@ -640,7 +642,7 @@ class TestNumericOptions:
 
         # step(1, 1e-300) rounds to 1e-300: the stalled tower fills the bound.
         refused("1e-300", "2e-300", "64", config.MAX_TRACE_LEVELS // 64 + 1)
-        refused("1", "2", "100000000", 1)
+        refused("1", "2", str(config.MAX_TRACE_LEVELS), 2)
         levels = len(real_chain(1, 1.0))
         monkeypatch.setattr(config, "MAX_TRACE_LEVELS", 8 * levels)
         assert run(base + ["--t-lo", "1", "--t-hi", "2", "--samples", "8", "--out", "json"]) == 0
