@@ -33,6 +33,8 @@ ROOT_MAX_ITER = 200
 
 # Ray tracing.  A segment's samples x (depth + 1) pull levels, at the depth
 # of t_lo, stay within MAX_TRACE_LEVELS; a stalled speed tower fills it.
+# Each sample pulls two chains, at depths n and n - 1, so a segment at the
+# bound pulls up to about 2 x MAX_TRACE_LEVELS branch rows.
 TRACER_TOL = 1e-10
 MAX_TRACE_LEVELS = 2**22
 

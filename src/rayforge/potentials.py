@@ -78,24 +78,10 @@ class ExternalAddress:
         r = (n - k) % len(self.period)
         return ExternalAddress((), self.period[r:] + self.period[:r])
 
-    def canonical(self) -> "ExternalAddress":
-        """Minimal-period, minimal-preperiod representative of the sequence."""
-        per = list(self.period)
-        n = len(per)
-        for div in range(1, n + 1):
-            if n % div == 0 and per == per[div:] + per[:div]:
-                per = per[:div]
-                break
-        pre = list(self.preperiod)
-        while pre and pre[-1] == per[-1]:
-            per = [per[-1]] + per[:-1]
-            pre.pop()
-        return ExternalAddress(pre, per)
-
     def overlaps(self, other: "ExternalAddress") -> bool:
         """True when some shifts of the two sequences coincide, which is
         when their minimal periods are rotations of each other."""
-        p, q = self.canonical().period, other.canonical().period
+        p, q = _minimal_period(self.period), _minimal_period(other.period)
         return len(p) == len(q) and any(q == p[k:] + p[:k] for k in range(len(p)))
 
     def __str__(self) -> str:
@@ -238,11 +224,23 @@ def build_ladder(
     return PotentialLadder(tuple(potentials), midpoints, t_prime)
 
 
+def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest block whose repeats make up the period."""
+    n = len(period)
+    return next(period[:k] for k in range(1, n + 1) if n % k == 0 and period == period[k:] + period[:k])
+
+
 def _tails_agree_infinitely_often(a: ExternalAddress, b: ExternalAddress) -> bool:
-    """Do entry(n) of a and b coincide for infinitely many n?"""
+    """Do entry(n) of a and b coincide for infinitely many n?
+
+    Past both preperiods a reads its period p and b its period q from the
+    same level on, and p[i] meets q[j] on some level (then on infinitely
+    many) exactly when i = j mod g, g = gcd(|p|, |q|).  So one residue r
+    whose entries p[r::g] and q[r::g] share a value decides."""
     start = max(len(a.preperiod), len(b.preperiod))
-    window = math.lcm(len(a.period), len(b.period))
-    return any(a.entry(start + k) == b.entry(start + k) for k in range(window))
+    p, q = a.shifted(start).period, b.shifted(start).period
+    g = math.gcd(len(p), len(q))
+    return any(not set(p[r::g]).isdisjoint(q[r::g]) for r in range(g))
 
 
 def detect_clusters(

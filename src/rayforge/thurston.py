@@ -249,18 +249,6 @@ def fit_map(
     )
 
 
-def _singular_vector(map_: PolyExpMap, reference: Sequence[complex]) -> np.ndarray:
-    """(asymptotic, critical values) with the critical values ordered to
-    match the reference vector (continuity along the iteration)."""
-    sd = map_.singular_data()
-    out = [sd.asymptotic_value]
-    remaining = list(sd.critical_values)
-    for ref in reference[1:]:
-        k = min(range(len(remaining)), key=lambda idx: abs(remaining[idx] - ref))
-        out.append(remaining.pop(k))
-    return np.array(out, dtype=complex)
-
-
 def _far_tail_pullback(map_: PolyExpMap, z0: complex) -> complex:
     """The pullback of a frozen seed w beyond the float range, given
     z0 = log(w)/d lifted to its strip: zeta = e^z0 * (1 - b_{d-1}/(d*zeta)
@@ -341,25 +329,29 @@ class Certificate(NamedTuple):
 def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
     """Iterate each singular value forward and compare the extracted
     (potential, address prefix) against the target.  Independent of the
-    pullback route: only forward evaluation and strip reads are used."""
+    pullback route: only forward evaluation and strip reads are used.
+
+    Orbit i is paired with singular value i in the order ``fit_map`` fits:
+    p(0) first, then the critical values in ``critical_points`` order."""
     cfg = tracts.make_tract_config(map_)
-    sv = _singular_vector(map_, spec.straight[:, 0])
+    sd = map_.singular_data()
+    sv = (sd.asymptotic_value, *sd.critical_values)
     checks, notes = [], []  # every failed orbit adds a note
     for i in range(spec.m):
         target_t = spec.potential(i)
         addr = spec.address(i)
         try:
-            ext = rays.extract_potential_address(map_, cfg, complex(sv[i]))
+            ext = rays.extract_potential_address(map_, cfg, sv[i])
         except NotEscapingError as exc:
             checks.append(
-                OrbitCheck(i, complex(sv[i]), math.nan, math.inf, 0, 0, math.inf, False)
+                OrbitCheck(i, sv[i], math.nan, math.inf, 0, 0, math.inf, False)
             )
             notes.append(f"orbit {i}: {exc}; orbit head: {list(exc.orbit)[:4]}")
             continue
         perr = abs(ext.t - target_t)
         n = len(ext.prefix)
         match = next((k for k, s in enumerate(ext.prefix) if s != addr.entry(ext.start + k)), n)
-        checks.append(OrbitCheck(i, complex(sv[i]), ext.t, perr, match, n, ext.residual, True))
+        checks.append(OrbitCheck(i, sv[i], ext.t, perr, match, n, ext.residual, True))
         if not (perr < config.VERIFY_POTENTIAL_RTOL * max(1.0, target_t) and match == n):
             notes.append(f"orbit {i}: potential error {perr:.3e}, prefix matched {match}/{n}")
     return Certificate(not notes, tuple(checks), tuple(notes))
@@ -385,23 +377,25 @@ def _anderson_mix(
     grids, oldest first, the last of them ``pulled``: P(x_k) minus the
     weighted differences of successive P(x), with weights that minimise the
     same combination of the residuals P(x) - x, solved from their Gram
-    matrix by Cramer's rule.  None when that system is singular."""
+    matrix by Cramer's rule.  None when that system is singular, or its
+    determinant or the mixed grid is not finite."""
     xs, ps = zip(*history)
-    fs = [p - x for x, p in zip(xs, ps)]
-    df = [b - a for a, b in zip(fs, fs[1:])]
-    dp = [b - a for a, b in zip(ps, ps[1:])]
-    gram = [[np.vdot(a, b) for b in df] for a in df]
-    rhs = [np.vdot(a, fs[-1]) for a in df]
-    if len(df) == 1:
-        det = gram[0][0].real
-        numerators = [rhs[0]]
-    else:
-        (g00, g01), (g10, g11) = gram
-        det = (g00 * g11 - g01 * g10).real
-        numerators = [rhs[0] * g11 - g01 * rhs[1], g00 * rhs[1] - g10 * rhs[0]]
-    if not det > 0:
+    with np.errstate(all="ignore"):  # the finiteness test below catches it all
+        fs = [p - x for x, p in zip(xs, ps)]
+        df = [b - a for a, b in zip(fs, fs[1:])]
+        dp = [b - a for a, b in zip(ps, ps[1:])]
+        gram = [[np.vdot(a, b) for b in df] for a in df]
+        rhs = [np.vdot(a, fs[-1]) for a in df]
+        if len(df) == 1:
+            det = gram[0][0].real
+            numerators = [rhs[0]]
+        else:
+            (g00, g01), (g10, g11) = gram
+            det = (g00 * g11 - g01 * g10).real
+            numerators = [rhs[0] * g11 - g01 * rhs[1], g00 * rhs[1] - g10 * rhs[0]]
+        x = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
+    if not (0 < det < math.inf and np.isfinite(x).all()):
         return None
-    x = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
     z = x.reshape(pulled.z.shape)
     map_ = fit_map(pulled.spec.d, [complex(v) for v in z[:, 0]], warm=pulled.map)
     return ThurstonState(map_, pulled.spec, z, pulled.deltas)

@@ -133,15 +133,6 @@ class TestExternalAddress:
         with pytest.raises(DomainError):
             a.shifted(-1)
 
-    def test_canonical_minimizes(self):
-        a = ExternalAddress((2, 1), (0, 1))  # 2 1 0 1 0 1 ... = (2 | 1 0)
-        c = a.canonical()
-        assert [c.entry(n) for n in range(8)] == [a.entry(n) for n in range(8)]
-        assert len(c.preperiod) + len(c.period) <= len(a.preperiod) + len(a.period)
-        assert ExternalAddress((), (1, 0, 1, 0)).canonical().period == (1, 0)
-        # a preperiod that is secretly part of the cycle folds into the period
-        assert ExternalAddress((0,), (0,)).canonical() == ExternalAddress((), (0,))
-
     def test_overlap_detection(self):
         a = ExternalAddress((), (1, 0))
         b = ExternalAddress((), (0, 1))

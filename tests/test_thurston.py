@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -101,6 +102,33 @@ class TestValidate:
     def test_shipped_specs_validate(self):
         thurston.validate_spec(presets.SPEC_D1)
         thurston.validate_spec(presets.SPEC_D2)
+
+    def test_long_periods_classify_as_their_minimal_periods(self):
+        # (0)x10007 and (1)x10009 are the sequences (0) and (1), written
+        # with periods whose lcm is about 1e8 levels: they classify to the
+        # same map bits, in about the time the short spec takes.
+        short = thurston.classify(TargetSpec(2, ((1.0, ZERO), (1.0, ONE))))
+        long_spec = TargetSpec(
+            2, ((1.0, ExternalAddress((), (0,) * 10007)), (1.0, ExternalAddress((), (1,) * 10009)))
+        )
+        start = time.perf_counter()
+        res = thurston.classify(long_spec)
+        assert time.perf_counter() - start < 5
+        assert short.certificate.passed
+        assert res.map.coeffs == short.map.coeffs
+        assert res.certificate == short.certificate
+
+    def test_coprime_periods_validate_without_a_level_walk(self, monkeypatch):
+        # Periods of 2003 and 2011 entries over disjoint alphabets never
+        # agree; their lcm has 4,028,033 levels, and validation reads no
+        # entry level by level.
+        a = ExternalAddress((), tuple(k % 2 for k in range(2003)))
+        b = ExternalAddress((), tuple(2 + k % 2 for k in range(2011)))
+        reads = []
+        entry = ExternalAddress.entry
+        monkeypatch.setattr(ExternalAddress, "entry", lambda addr, n: reads.append(n) or entry(addr, n))
+        thurston.validate_spec(TargetSpec(2, ((1.0, a), (1.0, b))))
+        assert len(reads) < 2003
 
 
 class TestInitState:
@@ -521,6 +549,18 @@ class TestAndersonMixing:
         assert thurston._anderson_mix(pairs, two) is not None
         # equal residuals leave the mixing system singular
         assert thurston._anderson_mix([pairs[0], pairs[0]], one) is None
+
+    @pytest.mark.parametrize("bad", [1e200, math.inf, math.nan])
+    def test_no_mixed_grid_from_non_finite_sums(self, bad):
+        # An entry of 1e200 overflows the Gram matrix, and inf or NaN make it
+        # invalid: the plain step goes on, and no RuntimeWarning escapes.
+        state = thurston.init_state(presets.SPEC_D2)
+        one = thurston.pullback_step(state)
+        two = thurston.pullback_step(one)
+        far = two.z.ravel().copy()
+        far[1] = bad
+        pairs = [(state.z.ravel(), one.z.ravel()), (one.z.ravel(), far)]
+        assert thurston._anderson_mix(pairs, two) is None
 
     def test_certifies_every_spec_the_plain_iteration_certifies(self):
         rng = np.random.default_rng(11)
