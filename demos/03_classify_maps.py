@@ -36,7 +36,7 @@ for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
           f"{plain.deltas[-1] / plain.deltas[-2]:.3f} per step")
     cert = result.certificate
     print(f"certificate passed: {cert.passed}")
-    for c in cert.checks:
+    for c in cert.orbits:
         print(f"  orbit {c.orbit}: singular value {c.singular_value:.8g}, "
               f"extracted speed {c.potential:.10f} "
               f"(error {c.potential_error:.2e}), address prefix matched "

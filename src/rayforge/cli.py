@@ -75,7 +75,6 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
     result = thurston.classify(
         spec, max_iter=args.max_iter, tol=args.tol, log_iterates=args.log_iterates
     )
-    cert = result.certificate
     body = {
         "d": result.map.d,
         "coeffs": result.map.coeffs,
@@ -83,16 +82,12 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
         "delta_history": list(result.deltas),
         "iterations": len(result.deltas),
         "converged": True,
-        "certificate": {
-            "passed": cert.passed,
-            "notes": list(cert.notes),
-            "orbits": cert.checks,
-        },
+        "certificate": result.certificate,
     }
     if args.log_iterates:
         body["iterates"] = result.iterate_log
     extras = dict(tol=args.tol, max_iter=args.max_iter, spec=serialize.spec_to_json(spec))
-    return extras, body, EXIT_OK if cert.passed else EXIT_NUMERIC
+    return extras, body, EXIT_OK if result.certificate.passed else EXIT_NUMERIC
 
 
 def _cmd_diag_appendix(args) -> tuple[dict, dict, int]:

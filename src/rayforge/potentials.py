@@ -79,10 +79,13 @@ class ExternalAddress:
         return ExternalAddress((), self.period[r:] + self.period[:r])
 
     def overlaps(self, other: "ExternalAddress") -> bool:
-        """True when some shifts of the two sequences coincide, which is
-        when their minimal periods are rotations of each other."""
-        p, q = _minimal_period(self.period), _minimal_period(other.period)
-        return len(p) == len(q) and any(q == p[k:] + p[:k] for k in range(len(p)))
+        """True when some shifts of the two sequences coincide.  Their tails
+        repeat periods p and q, and two such tails that agree on n = |p| +
+        |q| - gcd(|p|, |q|) entries agree forever (Fine and Wilf), so they
+        overlap when q to n entries lies entry-aligned in p to n + |p| - 1."""
+        p, q = self.period, other.period
+        n = len(p) + len(q) - math.gcd(len(p), len(q))
+        return _text(q, n) in _text(p, n + len(p) - 1)
 
     def __str__(self) -> str:
         pre = " ".join(str(x) for x in self.preperiod)
@@ -224,10 +227,9 @@ def build_ladder(
     return PotentialLadder(tuple(potentials), midpoints, t_prime)
 
 
-def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
-    """The shortest block whose repeats make up the period."""
-    n = len(period)
-    return next(period[:k] for k in range(1, n + 1) if n % k == 0 and period == period[k:] + period[:k])
+def _text(period: tuple[int, ...], n: int) -> str:
+    """The period repeated to n entries as ",e0,e1,...,": matches align on commas."""
+    return "," + ",".join(map(str, itertools.islice(itertools.cycle(period), n))) + ","
 
 
 def _tails_agree_infinitely_often(a: ExternalAddress, b: ExternalAddress) -> bool:

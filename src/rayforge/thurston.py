@@ -13,8 +13,8 @@ of the map and the singular values escape with the prescribed speeds and
 addresses, which an independent forward-orbit verifier certifies.
 
 The tract certificate gates each step: every step proves the strip
-bounds of its own map (``tracts.make_tract_config``), and the strip
-geometry is all the pullback reads.
+bounds of its own map (``tracts.make_tract_config``), and at d <= 2 the
+strip geometry is all the pullback reads.
 
 ``classify`` mixes each next grid from the last pullbacks (Anderson mixing,
 Walker & Ni 2011), which reaches the same fixed point in fewer steps.
@@ -269,8 +269,8 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     whose seed fell left of the singular values, or whose branch failed.
 
     The map's own tract certificate gates the step: a map it does not
-    certify raises before any point is pulled.  The branches read only its
-    strip geometry and ``r_min``.
+    certify raises before any point is pulled.  At d >= 3 its ``r`` picks
+    a branch row's path, and so its last bits, never its preimage.
     """
     spec = state.spec
     map_ = state.map
@@ -322,7 +322,7 @@ class Certificate(NamedTuple):
     """Forward-orbit verification of a classified map against its target."""
 
     passed: bool
-    checks: tuple[OrbitCheck, ...]
+    orbits: tuple[OrbitCheck, ...]
     notes: tuple[str, ...] = ()
 
 
@@ -336,14 +336,14 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
     cfg = tracts.make_tract_config(map_)
     sd = map_.singular_data()
     sv = (sd.asymptotic_value, *sd.critical_values)
-    checks, notes = [], []  # every failed orbit adds a note
+    orbits, notes = [], []  # every failed orbit adds a note
     for i in range(spec.m):
         target_t = spec.potential(i)
         addr = spec.address(i)
         try:
             ext = rays.extract_potential_address(map_, cfg, sv[i])
         except NotEscapingError as exc:
-            checks.append(
+            orbits.append(
                 OrbitCheck(i, sv[i], math.nan, math.inf, 0, 0, math.inf, False)
             )
             notes.append(f"orbit {i}: {exc}; orbit head: {list(exc.orbit)[:4]}")
@@ -351,10 +351,10 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
         perr = abs(ext.t - target_t)
         n = len(ext.prefix)
         match = next((k for k, s in enumerate(ext.prefix) if s != addr.entry(ext.start + k)), n)
-        checks.append(OrbitCheck(i, sv[i], ext.t, perr, match, n, ext.residual, True))
+        orbits.append(OrbitCheck(i, sv[i], ext.t, perr, match, n, ext.residual, True))
         if not (perr < config.VERIFY_POTENTIAL_RTOL * max(1.0, target_t) and match == n):
             notes.append(f"orbit {i}: potential error {perr:.3e}, prefix matched {match}/{n}")
-    return Certificate(not notes, tuple(checks), tuple(notes))
+    return Certificate(not notes, tuple(orbits), tuple(notes))
 
 
 class ClassifyResult(NamedTuple):

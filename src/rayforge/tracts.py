@@ -19,9 +19,11 @@ singular-value floor ``r_min`` and ``r`` the inverse branches are still
 well-defined single-valued continuations and are served best-effort, which
 is what ray tracing at small potentials needs.
 
-The inverse branches read only the strip geometry (``d``, ``eps``,
-``r_min``); the proven fields gate whether a map is served at all.  A
-certificate costs tens of microseconds, so every map certifies alone.
+The inverse branches read the strip geometry (``d``, ``eps``, ``r_min``)
+and, at d >= 3, ``r``: r picks a row's path below, and so its last bits,
+never its preimage, unique right of r.  The proven fields gate whether a
+map is served.  A certificate costs tens of microseconds, so every map
+certifies alone.
 ``tract_index`` is the one reader of the strips, for the inverse branches
 and for the forward read (``rays.extract_potential_address``) alike.
 

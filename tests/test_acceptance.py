@@ -127,7 +127,7 @@ def test_04_classification_end_to_end():
     details = []
     for name, spec in (("d=1", presets.SPEC_D1), ("d=2", presets.SPEC_D2)):
         res, elapsed = _classify_with_budget(spec)
-        perr = max(c.potential_error for c in res.certificate.checks)
+        perr = max(c.potential_error for c in res.certificate.orbits)
         ok = ok and len(res.deltas) <= 50
         ok = ok and res.certificate.passed and perr < 1e-6
         ok = ok and elapsed < 60.0

@@ -205,6 +205,20 @@ class TestClassify:
         assert error["kind"] == "SpecRejectionError"
         assert error["message"].startswith("orbit 0 (T=1e-300): its speed does not grow")
 
+    def test_other_branch_errors_pass_through_exit_3(self, workdir, monkeypatch, capsys):
+        # pullback_step turns DomainError and BranchSelectionError rows into
+        # its own errors; any other row error, as a stalled root solve's,
+        # reaches the report unchanged.
+        stalled = errors.RootSolveError("root solve stalled", worst_residual=1.0)
+
+        def failing(map_, cfg, ns, ws):
+            return np.full(len(ws), complex("nan")), {0: stalled}
+
+        monkeypatch.setattr(tracts, "inverse_branches", failing)
+        assert run(["classify", "--spec", workdir["spec1"]]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "RootSolveError", "message": "root solve stalled"}
+
 
 class TestDepthBound:
     """classify solves at the spec's own depth J*; a given J only bounds it."""

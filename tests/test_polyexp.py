@@ -85,6 +85,11 @@ class TestEval:
         with pytest.raises(OverflowSignal):
             PolyExpMap(1, [0.0])(800.0)
 
+    def test_polynomial_overflow_signal(self):
+        # e^z = 1e10 is in range, but b_1 e^z = 1e310 is not.
+        with pytest.raises(OverflowSignal, match="polynomial overflow"):
+            PolyExpMap(2, [0.0, 1e300])(math.log(1e10))
+
     def test_asymptotic_modulus(self):
         m = PolyExpMap(2, [1.0, 2.0])
         for x in (30.0, 50.0):

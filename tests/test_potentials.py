@@ -141,6 +141,20 @@ class TestExternalAddress:
         assert not a.overlaps(z)
         c = ExternalAddress((5,), (0,))
         assert c.overlaps(z)
+        # (0 1 0 1 0 1) is the sequence (0 1) stored with three times the length.
+        assert b.overlaps(ExternalAddress((), (0, 1) * 3))
+        assert ExternalAddress((), (0, 1) * 3).overlaps(a)
+        assert not ExternalAddress((), (0, 1, 0, 1, 0)).overlaps(b)
+
+    def test_overlap_of_long_equal_length_periods(self):
+        # Periods of 40,009 entries with one and two 1s: equal lengths, and
+        # no rotation of one is the other.  A rotation of either overlaps it.
+        p = (0,) * 40008 + (1,)
+        q = (0,) * 40007 + (1, 1)
+        a, b = ExternalAddress((), p), ExternalAddress((2,), q)
+        assert not a.overlaps(b) and not b.overlaps(a)
+        rotated = ExternalAddress((), p[12345:] + p[:12345])
+        assert a.overlaps(rotated) and rotated.overlaps(a)
 
     def test_empty_period_rejected(self):
         with pytest.raises(DomainError):

@@ -118,6 +118,17 @@ class TestValidate:
         assert res.map.coeffs == short.map.coeffs
         assert res.certificate == short.certificate
 
+    def test_long_equal_length_periods_validate_quickly(self):
+        # Two 40,009-entry periods that are not rotations of each other: the
+        # overlap test is one linear text search, not a test of every rotation.
+        spec = TargetSpec(2, (
+            (1.0, ExternalAddress((), (0,) * 40008 + (1,))),
+            (1.5, ExternalAddress((), (0,) * 40007 + (1, 1))),
+        ))
+        start = time.perf_counter()
+        thurston.validate_spec(spec)
+        assert time.perf_counter() - start < 2
+
     def test_coprime_periods_validate_without_a_level_walk(self, monkeypatch):
         # Periods of 2003 and 2011 entries over disjoint alphabets never
         # agree; their lcm has 4,028,033 levels, and validation reads no
@@ -423,7 +434,7 @@ class TestClassify:
         assert res.certificate.passed
         kappa = res.map.coeffs[0]
         assert abs(kappa.imag) < 1e-6
-        for check in res.certificate.checks:
+        for check in res.certificate.orbits:
             assert check.potential_error < 1e-8
 
     def test_d2_shipped_target(self):
@@ -598,7 +609,7 @@ class TestAndersonMixing:
             plain_pullback(SLOW_D1)
         res = thurston.classify(SLOW_D1)
         assert res.certificate.passed
-        assert res.certificate.checks[0].potential_error < 1e-10
+        assert res.certificate.orbits[0].potential_error < 1e-10
 
     def test_prefix_spec_certified_from_any_start(self):
         assert not plain_pullback(PREFIX_D2).certificate.passed
@@ -620,7 +631,7 @@ class TestVerify:
         res = thurston.classify(presets.SPEC_D2)
         cert = thurston.verify(res.map, presets.SPEC_D2)
         assert cert.passed
-        assert all(c.escaped for c in cert.checks)
+        assert all(c.escaped for c in cert.orbits)
 
     def test_nonescaping_singular_value_reported(self):
         cert = thurston.verify(PolyExpMap(1, [-10.0]), presets.SPEC_D1)
