@@ -29,11 +29,14 @@ for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
     for k, d in enumerate(result.deltas):
         bar = "#" * max(1, int(40 + 2 * np.log10(d))) if d > 0 else ""
         print(f"  {k + 1:3d}  {d:11.3e}  {bar}")
-    plain = thurston.init_state(spec)
+    # the plain step maps (map, grid) to (map, grid) and reports its delta
+    map_, z = thurston.init_state(spec)
+    plain = []
     for _ in range(3):
-        plain = thurston.pullback_step(plain)
+        map_, z, delta = thurston.pullback_step(spec, map_, z)
+        plain.append(delta)
     print(f"the plain pullback step alone contracts by "
-          f"{plain.deltas[-1] / plain.deltas[-2]:.3f} per step")
+          f"{plain[-1] / plain[-2]:.3f} per step")
     cert = result.certificate
     print(f"certificate passed: {cert.passed}")
     for c in cert.orbits:

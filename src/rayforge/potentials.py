@@ -63,6 +63,12 @@ class ExternalAddress:
             return self.preperiod[n]
         return self.period[(n - k) % len(self.period)]
 
+    def entries(self, n: int) -> tuple[int, ...]:
+        """entry(k) for k = 0..n-1, n >= 0: the preperiod, then the period
+        repeated by one tuple product, not read entry by entry."""
+        turns = max(n - len(self.preperiod), 0) // len(self.period) + 1
+        return (self.preperiod + self.period * turns)[:n]
+
     def shift(self) -> "ExternalAddress":
         """Drop the first entry (rotate the period when no preperiod is left)."""
         return self.shifted(1)

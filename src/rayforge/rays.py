@@ -55,7 +55,7 @@ def _pull_chains(
     chains' points, and the error that stopped each failed chain by chain
     index.
     """
-    strips = np.array([address.entry(n) for n in range(int(depths.max(initial=0)) + 1)])
+    strips = np.array(address.entries(int(depths.max(initial=0)) + 1))
     z = potentials.straight_point(map_.d, seed_ts, strips[depths])
     errors: dict = {}
     live = np.ones(len(z), dtype=bool)

@@ -1,23 +1,25 @@
 """Finite-truncation pullback iteration on marked singular orbits.
 
 A target prescribes, for each singular orbit, an escape speed T_i and an
-address s_i.  The state is a truncated grid z[i][j] of orbit points
-(j = 0..J*, the deepest level every speed reaches under the float-range
-limit) plus a map from the family; one step pulls point (i, j) back one
-level through the inverse branch in strip s_j of s_i, read from the
-spec's strip table (the level past J* is frozen at its straight position;
-beyond the float range its pullback is taken to first order, exact in
-double precision there) and refits the map so its singular values match
-the new first column.  At a fixed point the grid is a genuine orbit segment
-of the map and the singular values escape with the prescribed speeds and
-addresses, which an independent forward-orbit verifier certifies.
+address s_i.  An iterate is a map from the family and a truncated grid
+z[i][j] of orbit points (j = 0..J*, the deepest level every speed reaches
+under the float-range limit); one step maps (map, grid) to (map, grid).
+It pulls point (i, j) back one level through the inverse branch in strip
+s_j of s_i, read from the spec's strip table (the level past J* is frozen
+at its straight position; beyond the float range its pullback is taken to
+first order, exact in double precision there) and refits the map so its
+singular values match the new first column.  At a fixed point the grid is
+a genuine orbit segment of the map and the singular values escape with the
+prescribed speeds and addresses, which an independent forward-orbit
+verifier certifies.
 
 The tract certificate gates each step: every step proves the strip
 bounds of its own map (``tracts.make_tract_config``), and at d <= 2 the
 strip geometry is all the pullback reads.
 
-``classify`` mixes each next grid from the last pullbacks (Anderson mixing,
-Walker & Ni 2011), which reaches the same fixed point in fewer steps.
+``classify`` keeps the history and mixes each next grid from the last
+pullbacks (Anderson mixing, Walker & Ni 2011): the same fixed point in
+fewer steps.
 
 Branches are selected purely by strip index: configurations that would
 need nontrivial leg words to pull back are unsupported and surface as
@@ -97,7 +99,7 @@ class TargetSpec:
     @cached_property
     def strips(self) -> np.ndarray:
         """The read-only strip table: s_j of orbit i at [i, j], j = 0..depth+1."""
-        s = np.array([[a.entry(j) for j in range(self.depth + 2)] for _, a in self.orbits])
+        s = np.array([a.entries(self.depth + 2) for _, a in self.orbits])
         s.flags.writeable = False
         return s
 
@@ -191,23 +193,12 @@ def validate_spec(spec: TargetSpec) -> None:
                 )
 
 
-class ThurstonState(NamedTuple):
-    """The map and the truncated orbit grid z[i][j] (orbit i < m, level
-    j = 0..depth) of one pullback iterate, with the history so far."""
-
-    map: PolyExpMap
-    spec: TargetSpec
-    z: np.ndarray  # complex, shape (m, depth+1)
-    deltas: list[float]
-
-
-def init_state(spec: TargetSpec) -> ThurstonState:
-    """Straight-spider initial state: grid on the asymptotic positions, map
-    fitted to the first column."""
+def init_state(spec: TargetSpec) -> tuple[PolyExpMap, np.ndarray]:
+    """The straight spider (map, grid): the grid on the asymptotic
+    positions, a fresh array, and the map fitted to its first column."""
     validate_spec(spec)
     z = spec.straight.copy()
-    map_ = fit_map(spec.d, [complex(v) for v in z[:, 0]])
-    return ThurstonState(map_, spec, z, [])
+    return fit_map(spec.d, [complex(v) for v in z[:, 0]]), z
 
 
 def fit_map(
@@ -259,9 +250,13 @@ def _far_tail_pullback(map_: PolyExpMap, z0: complex) -> complex:
     return z0 - map_.coeffs[-1] / (map_.d * cmath.exp(z0))
 
 
-def pullback_step(state: ThurstonState) -> ThurstonState:
-    """One pullback: lift every grid point one level back through the branch
-    its address dictates, then refit the map to the new first column.
+def pullback_step(
+    spec: TargetSpec, map_: PolyExpMap, z: np.ndarray
+) -> tuple[PolyExpMap, np.ndarray, float]:
+    """One pullback of the iterate (map_, z): lift every grid point one
+    level back through the branch its address dictates, then refit the map
+    to the new first column.  Returns the new map, the new grid and the
+    step's displacement, the sup norm of new grid minus z.
 
     All grid points with a complex seed are pulled in one batched call, and
     the far-tail points of ``spec.tail`` to first order.  Failures are
@@ -272,14 +267,11 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
     certify raises before any point is pulled.  At d >= 3 its ``r`` picks
     a branch row's path, and so its last bits, never its preimage.
     """
-    spec = state.spec
-    map_ = state.map
     cfg = tracts.make_tract_config(map_)
-    old = state.z
     tail, far = spec.tail
-    pulls = np.ones(old.shape, dtype=bool)  # every grid point but the far tail
+    pulls = np.ones(z.shape, dtype=bool)  # every grid point but the far tail
     pulls[list(far), -1] = False
-    seeds = np.column_stack([old[:, 1:], [tail.get(i, 0) for i in range(spec.m)]])
+    seeds = np.column_stack([z[:, 1:], [tail.get(i, 0) for i in range(spec.m)]])
     pulled, errors = tracts.inverse_branches(map_, cfg, spec.strips[:, :-1][pulls], seeds[pulls])
     if errors:
         k = min(errors)  # a mask selects in row-major order, so k is first in grid order
@@ -298,13 +290,12 @@ def pullback_step(state: ThurstonState) -> ThurstonState:
                 "which the strip-indexed shadow does not support"
             ) from exc
         raise exc
-    new = np.empty_like(old)
+    new = np.empty_like(z)
     new[pulls] = pulled
     for i, z0 in far.items():
         new[i, spec.depth] = _far_tail_pullback(map_, z0)
-    delta = float(np.abs(new - old).max())
-    new_map = fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_)
-    return ThurstonState(new_map, spec, new, state.deltas + [delta])
+    delta = float(np.abs(new - z).max())
+    return fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_), new, delta
 
 
 class OrbitCheck(NamedTuple):
@@ -371,14 +362,14 @@ _ANDERSON_MEMORY = 2
 
 
 def _anderson_mix(
-    history: Sequence[tuple[np.ndarray, np.ndarray]], pulled: ThurstonState
-) -> ThurstonState | None:
-    """The Anderson-mixed next iterate from (x, P(x)) pairs of flattened
-    grids, oldest first, the last of them ``pulled``: P(x_k) minus the
-    weighted differences of successive P(x), with weights that minimise the
-    same combination of the residuals P(x) - x, solved from their Gram
-    matrix by Cramer's rule.  None when that system is singular, or its
-    determinant or the mixed grid is not finite."""
+    history: Sequence[tuple[np.ndarray, np.ndarray]], d: int, warm: PolyExpMap
+) -> tuple[PolyExpMap, np.ndarray] | None:
+    """The Anderson-mixed next iterate (map, grid) from (grid, pulled grid)
+    pairs (x, P(x)), oldest first: P(x_k) minus the weighted differences of
+    successive P(x), with weights that minimise the same combination of the
+    residuals P(x) - x, solved from their Gram matrix by Cramer's rule; the
+    map is fitted to its first column from ``warm``.  None when that system
+    is singular, or its determinant or the mixed grid is not finite."""
     xs, ps = zip(*history)
     with np.errstate(all="ignore"):  # the finiteness test below catches it all
         fs = [p - x for x, p in zip(xs, ps)]
@@ -393,12 +384,10 @@ def _anderson_mix(
             (g00, g01), (g10, g11) = gram
             det = (g00 * g11 - g01 * g10).real
             numerators = [rhs[0] * g11 - g01 * rhs[1], g00 * rhs[1] - g10 * rhs[0]]
-        x = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
-    if not (0 < det < math.inf and np.isfinite(x).all()):
+        z = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
+    if not (0 < det < math.inf and np.isfinite(z).all()):
         return None
-    z = x.reshape(pulled.z.shape)
-    map_ = fit_map(pulled.spec.d, [complex(v) for v in z[:, 0]], warm=pulled.map)
-    return ThurstonState(map_, pulled.spec, z, pulled.deltas)
+    return fit_map(d, [complex(v) for v in z[:, 0]], warm=warm), z
 
 
 def classify(
@@ -414,52 +403,54 @@ def classify(
     most the closed-form weight solve handles) of the last three pullbacks,
     with the map refitted to its first column.  The first real pullback
     step that moves the grid by less than tol (sup norm) stops the run, and
-    its pulled state is the result.  The history is dropped and the last
-    pulled grid taken as it is (the plain step) when the pullback of a
+    its pulled map and grid are the result.  The history is dropped and the
+    last pulled grid taken as it is (the plain step) when the pullback of a
     mixed grid raises or moves it more than the step before, or when no
-    mixed grid can be formed.  ``deltas`` and
-    ``iterate_log`` record real pullback steps only; max_iter bounds the
-    ``pullback_step`` calls, a raising one included.
+    mixed grid can be formed.  ``deltas`` and ``iterate_log`` record real
+    pullback steps only, the log after the straight grid; max_iter bounds
+    the ``pullback_step`` calls, a raising one included.
 
     Raises NotConvergedError (with the delta history attached, so
     oscillation and slow contraction are distinguishable) when max_iter
     steps do not bring the sup-norm grid displacement under tol, and
     SpecRejectionError for degrees above 2, which ``fit_map`` cannot fit.
     """
-    state = pulled = init_state(spec)
-    iterate_log = [state.z.copy()] if log_iterates else []
-    history: list[tuple[np.ndarray, np.ndarray]] = []
+    map_, z = pulled = init_state(spec)
+    mixed = False  # (map_, z) is a mixed iterate, not the last pulled one
+    iterate_log = [z] if log_iterates else []
+    deltas, history = [], []  # history: (grid, pulled grid) pairs, oldest first
     for _ in range(max_iter):
-        mixed = state is not pulled  # a mixed grid, not the last pulled one
         try:
-            step = pullback_step(state)
+            new_map, new_z, delta = pullback_step(spec, map_, z)
         except RayforgeError:
             if not mixed:
                 raise
-            state, history = pulled, []
+            (map_, z), history, mixed = pulled, [], False
             continue
+        deltas.append(delta)
         if log_iterates:
-            iterate_log.append(step.z.copy())
-        if step.deltas[-1] < tol:
+            iterate_log.append(new_z)
+        if delta < tol:
             break
-        if mixed and step.deltas[-1] > step.deltas[-2]:
+        if mixed and delta > deltas[-2]:
             history = []
         else:
-            history.append((state.z.ravel(), step.z.ravel()))
+            history.append((z, new_z))
             del history[: -(_ANDERSON_MEMORY + 1)]
-        pulled = state = step
-        if len(history) > 1:
-            state = _anderson_mix(history, step) or step
-            if state is step:
-                history = []
+        pulled = new_map, new_z
+        mix = _anderson_mix(history, spec.d, new_map) if len(history) > 1 else None
+        if mix is None and len(history) > 1:
+            history = []
+        mixed = mix is not None
+        map_, z = mix or pulled
     else:
         raise NotConvergedError(
             f"pullback did not converge in {max_iter} iterations "
-            f"(last delta {pulled.deltas[-1]:.3e})",
-            details=pulled.deltas,
+            f"(last delta {deltas[-1]:.3e})",
+            details=deltas,
         )
-    certificate = verify(step.map, spec)
-    return ClassifyResult(step.map, step.z, certificate, step.deltas, iterate_log)
+    certificate = verify(new_map, spec)
+    return ClassifyResult(new_map, new_z, certificate, deltas, iterate_log)
 
 
 class InvariantReport(NamedTuple):

@@ -239,17 +239,14 @@ def inverse_branches(
     seeds = np.asarray(ws, dtype=complex)
     ns = np.asarray(ns)
     z = np.full(len(seeds), complex(math.nan, math.nan))
-    errors: dict[int, RayforgeError] = {}
-    non_finite = ~np.isfinite(seeds)
-    for k in non_finite.nonzero()[0].tolist():
-        errors[k] = DomainError(f"seed {complex(seeds[k])} is not finite")
-    left = seeds.real <= cfg.r_min
-    for k in left.nonzero()[0].tolist():
-        errors[k] = DomainError(
-            f"seed {complex(seeds[k])} is not right of the singular values "
-            f"(Re <= {cfg.r_min:.3g})"
-        )
-    rows = (~(left | non_finite)).nonzero()[0]
+    left = seeds.real <= cfg.r_min  # -inf too; a NaN real part compares False
+    bad = left | ~np.isfinite(seeds)
+    not_right = f"is not right of the singular values (Re <= {cfg.r_min:.3g})"
+    errors: dict[int, RayforgeError] = {
+        k: DomainError(f"seed {complex(seeds[k])} {not_right if left[k] else 'is not finite'}")
+        for k in bad.nonzero()[0].tolist()
+    }
+    rows = (~bad).nonzero()[0]
     if map_.d >= 3:
         certified = rows[seeds[rows].real > cfg.r]
         n_c, w_c = ns[certified], seeds[certified]
@@ -259,8 +256,10 @@ def inverse_branches(
         z[certified] = np.where(near & ~big & tight, z_c, complex(math.nan, math.nan))
         rows = rows[np.isnan(z[rows])]
     if rows.size:
-        roots, stalled = polyexp.poly_roots_batch(map_, seeds[rows])
-        z[rows], failed = _select_branches(map_, cfg, ns[rows], seeds[rows], roots)
+        if rows.size < len(seeds):
+            ns, seeds = ns[rows], seeds[rows]
+        roots, stalled = polyexp.poly_roots_batch(map_, seeds)
+        z[rows], failed = _select_branches(map_, cfg, ns, seeds, roots)
         failed.update(stalled)
         errors.update((int(rows[k]), exc) for k, exc in failed.items())
     return z, errors

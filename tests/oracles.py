@@ -386,14 +386,16 @@ def plain_pullback(
     ``thurston.pullback_step`` after another from the straight spider, with
     the stopping rule of ``thurston.classify`` and no mixing.  Its deltas
     are the contraction of the pullback operator itself."""
-    state = thurston.init_state(spec)
+    map_, z = thurston.init_state(spec)
+    deltas = []
     for _ in range(max_iter):
-        state = thurston.pullback_step(state)
-        if state.deltas[-1] < tol:
-            certificate = thurston.verify(state.map, spec)
-            return thurston.ClassifyResult(state.map, state.z, certificate, state.deltas, [])
+        map_, z, delta = thurston.pullback_step(spec, map_, z)
+        deltas.append(delta)
+        if delta < tol:
+            certificate = thurston.verify(map_, spec)
+            return thurston.ClassifyResult(map_, z, certificate, deltas, [])
     raise NotConvergedError(
-        f"plain pullback did not converge in {max_iter} iterations", details=state.deltas
+        f"plain pullback did not converge in {max_iter} iterations", details=deltas
     )
 
 
@@ -454,12 +456,11 @@ def jittered_classify(
     same map.  ``thurston.init_state`` is patched for this one call."""
     straight = thurston.init_state
 
-    def jittered(spec: thurston.TargetSpec) -> thurston.ThurstonState:
-        z = straight(spec).z
+    def jittered(spec: thurston.TargetSpec) -> tuple[PolyExpMap, np.ndarray]:
+        _, z = straight(spec)
         phases = np.random.default_rng(seed).uniform(0, 2 * math.pi, z.shape)
         z = z + radius * np.exp(1j * phases)
-        map_ = thurston.fit_map(spec.d, [complex(v) for v in z[:, 0]])
-        return thurston.ThurstonState(map_, spec, z, [])
+        return thurston.fit_map(spec.d, [complex(v) for v in z[:, 0]]), z
 
     thurston.init_state = jittered
     try:
@@ -502,7 +503,7 @@ def spec_image(spec: thurston.TargetSpec, address_map) -> thurston.TargetSpec:
     return thurston.TargetSpec(spec.d, tuple((t, address_map(a)) for t, a in spec.orbits), spec.J)
 
 
-def scalar_pullback_grid(state) -> np.ndarray:
+def scalar_pullback_grid(spec: thurston.TargetSpec, map_: PolyExpMap, z: np.ndarray) -> np.ndarray:
     """Reference pullback: the point-by-point loop that the batched
     ``thurston.pullback_step`` replaced, returning the pulled grid (no
     refit) or raising the first failure in grid order.
@@ -515,18 +516,15 @@ def scalar_pullback_grid(state) -> np.ndarray:
     log1p(-e^(-d*t)) for t = step^J*(T_i), and arg w = 2*pi*s_(J*+1)/d
     times e^(-log|w|) below EXP_ARG_LIMIT, 0 above; to z0 alone where e^z0
     overflows."""
-    spec = state.spec
-    map_ = state.map
     d = spec.d
     cfg = tracts.make_tract_config(map_)
-    old = state.z
-    depth = old.shape[1] - 1
-    new = np.zeros_like(old)
+    depth = z.shape[1] - 1
+    new = np.zeros_like(z)
     for i in range(spec.m):
         addr, tower = spec.address(i), spec.towers[i]
         for j in range(depth + 1):
             if j < depth:
-                seed = complex(old[i, j + 1])
+                seed = complex(z[i, j + 1])
             elif len(tower) > depth + 1:
                 seed = complex(tower[depth + 1], 2 * math.pi * addr.entry(depth + 1) / d)
             else:

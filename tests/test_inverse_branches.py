@@ -215,6 +215,31 @@ class TestNonFiniteSeeds:
         assert np.isnan(z[:3]).all() and z[3] == tracts.inverse_branch(presets.D2_MAP, cfg, 0, 50.0)
         assert [list(ws) for ws in solved] == [[50.0], [50.0]]
 
+    def test_left_of_the_singular_values_comes_first(self):
+        # A seed with Re <= r_min, -inf included, is refused as left of the
+        # singular values even when it is not finite; every other
+        # non-finite seed, a NaN real part included, is "not finite".
+        cfg = tracts.make_tract_config(presets.D2_MAP)
+        left = f"is not right of the singular values (Re <= {cfg.r_min:.3g})"
+        rows = [
+            (complex(-math.inf, 0.0), left),
+            (complex(-math.inf, math.inf), left),
+            (complex(cfg.r_min - 1, math.inf), left),
+            (complex(cfg.r_min, math.nan), left),
+            (complex(math.nan, 0.0), "is not finite"),
+            (complex(math.nan, math.nan), "is not finite"),
+            (complex(cfg.r_min + 10, math.inf), "is not finite"),
+            (complex(math.inf, 0.0), "is not finite"),
+        ]
+        seeds = [w for w, _ in rows]
+        z, errors = tracts.inverse_branches(presets.D2_MAP, cfg, [0] * len(rows), seeds)
+        assert sorted(errors) == list(range(len(rows))) and np.isnan(z).all()
+        for k, (w, message) in enumerate(rows):
+            assert type(errors[k]) is DomainError and str(errors[k]) == f"seed {w} {message}"
+            with pytest.raises(DomainError) as one_row:
+                tracts.inverse_branch(presets.D2_MAP, cfg, 0, w)
+            assert str(one_row.value) == str(errors[k])
+
 
 class TestFarSingularValue:
     """exp(z) - 1e8: the branch log(w + 1e8) is right to the last bits, but

@@ -1,5 +1,5 @@
 """Hypothesis properties of the address and word bookkeeping: shifts,
-overlaps, tail agreement and free reduction."""
+entry tables, overlaps, tail agreement and free reduction."""
 
 import pytest
 
@@ -94,3 +94,11 @@ def test_reduce_letters(letters):
     assert abelianization(reduced, 4) == abelianization(tuple(letters), 4)
     # each cancellation removes one letter and its inverse
     assert len(reduced) <= len(letters) and (len(letters) - len(reduced)) % 2 == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(ADDRESSES, st.integers(0, 40))
+def test_entries_read_entry_by_entry(addr, n):
+    # with the drawn preperiod (often empty), and with none
+    for a in (addr, addr.shifted(len(addr.preperiod))):
+        assert a.entries(n) == tuple(a.entry(k) for k in range(n))

@@ -69,7 +69,7 @@ class TestValidate:
     def test_one_ulp_tower_rejected_before_any_pullback(self, monkeypatch):
         # step(1, 1e-15) adds about an ulp, so the tower is still under CAP at
         # level 128, and no pullback can mend that.
-        def no_pullback(state):
+        def no_pullback(spec, map_, z):
             raise AssertionError("a rejected spec reached the pullback")
 
         monkeypatch.setattr(thurston, "pullback_step", no_pullback)
@@ -144,18 +144,16 @@ class TestValidate:
 
 class TestInitState:
     def test_straight_grid_values(self):
-        state = thurston.init_state(presets.SPEC_D1)
-        z = state.z
+        map_, z = thurston.init_state(presets.SPEC_D1)
         # chained speed steps from T = 2 (50-digit values, rounded)
         assert z[0, 0] == pytest.approx(2.0)
         assert z[0, 1] == pytest.approx(6.3890560989306502, rel=1e-14)
         assert z[0, 2] == pytest.approx(594.29441538075368, rel=1e-14)
         assert z[0, 3] == pytest.approx(1.2554089653312633e258, rel=1e-13)
-        assert state.map.coeffs[0] == pytest.approx(2.0)
+        assert map_.coeffs[0] == pytest.approx(2.0)
 
     def test_offsets_follow_addresses(self):
-        state = thurston.init_state(presets.SPEC_D2)
-        z = state.z
+        _, z = thurston.init_state(presets.SPEC_D2)
         assert z[1, 0] == pytest.approx(2.5 + 1j * math.pi)
         assert z[1, 1].imag == pytest.approx(math.pi)
 
@@ -257,9 +255,8 @@ class TestPullback:
     def test_fixed_point_has_tiny_delta(self):
         # converge to the machine fixed point; one more step moves nothing
         res = thurston.classify(presets.SPEC_D1, max_iter=200, tol=1e-15)
-        state = thurston.ThurstonState(res.map, presets.SPEC_D1, res.z, [])
-        stepped = thurston.pullback_step(state)
-        assert stepped.deltas[-1] < 1e-12
+        _, _, delta = thurston.pullback_step(presets.SPEC_D1, res.map, res.z)
+        assert delta < 1e-12
 
     def test_deltas_decrease_geometrically(self):
         # the plain operator contracts; classify's mixed deltas are not this
@@ -293,13 +290,13 @@ class TestBatchedPullback:
         spec = TargetSpec(2, ((1.0, ONE), (1.2, ZERO)), 2)
         z = spec.straight.copy()
         z[0, 1:] = row0
-        return thurston.ThurstonState(self.MAP, spec, z, [])
+        return spec, self.MAP, z
 
     def _assert_same_error(self, state, kind, point):
         with pytest.raises(kind) as want:
-            scalar_pullback_grid(state)
+            scalar_pullback_grid(*state)
         with pytest.raises(kind) as got:
-            thurston.pullback_step(state)
+            thurston.pullback_step(*state)
         assert str(got.value) == str(want.value)
         assert point in str(got.value)
 
@@ -319,11 +316,11 @@ class TestBatchedPullback:
 
     @pytest.mark.parametrize("spec", [presets.SPEC_D1, presets.SPEC_D2])
     def test_grid_bitwise_equal_to_loop(self, spec):
-        state = thurston.init_state(spec)
+        map_, z = thurston.init_state(spec)
         for _ in range(3):
-            want = scalar_pullback_grid(state)
-            state = thurston.pullback_step(state)
-            assert np.array_equal(state.z.view(np.int64), want.view(np.int64))
+            want = scalar_pullback_grid(spec, map_, z)
+            map_, z, _ = thurston.pullback_step(spec, map_, z)
+            assert np.array_equal(z.view(np.int64), want.view(np.int64))
 
     # Shortest towers that end by each of potentials.chain's stop rules,
     # d*t > EXP_ARG_LIMIT ("exp-arg"; d = 1, T = 2 ends at 1.26e258) or
@@ -348,25 +345,25 @@ class TestBatchedPullback:
         assert rule == "exp-arg" or pot.step(d, t) > config.CAP
         seeds, far = spec.tail
         assert list(seeds) == seeded and sorted(far) == sorted(set(range(spec.m)) - set(seeded))
-        state = thurston.init_state(spec)
+        map_, z = thurston.init_state(spec)
         for _ in range(3):
-            want = scalar_pullback_grid(state)
-            state = thurston.pullback_step(state)
-            assert np.array_equal(state.z.view(np.int64), want.view(np.int64))
+            want = scalar_pullback_grid(spec, map_, z)
+            map_, z, _ = thurston.pullback_step(spec, map_, z)
+            assert np.array_equal(z.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
     def test_step_reads_cached_speeds(self, preset, monkeypatch):
         # The frozen tail comes from the spec's cached towers: once the state
         # exists, a pullback step builds no speed chain.
         spec = TargetSpec(preset.d, preset.orbits, preset.depth)
-        state = thurston.init_state(spec)
+        map_, z = thurston.init_state(spec)
 
         def no_chain(*args, **kwargs):
             raise AssertionError("pullback_step rebuilt a speed chain")
 
         monkeypatch.setattr(pot, "chain", no_chain)
-        want = scalar_pullback_grid(state)
-        got = thurston.pullback_step(state).z
+        want = scalar_pullback_grid(spec, map_, z)
+        _, got, _ = thurston.pullback_step(spec, map_, z)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
@@ -374,19 +371,20 @@ class TestBatchedPullback:
         # Every pullback step certifies its own map, and verify the result.
         calls = {"builds": [], "steps": [], "verify": []}
 
-        def counted(name, fn):
+        def counted(name, fn, arg=0):
+            # records the map argument: pullback_step takes it second
             def wrapper(*args, **kwargs):
-                calls[name].append(args[0])
+                calls[name].append(args[arg])
                 return fn(*args, **kwargs)
 
             return wrapper
 
         monkeypatch.setattr(tracts, "make_tract_config", counted("builds", tracts.make_tract_config))
-        monkeypatch.setattr(thurston, "pullback_step", counted("steps", thurston.pullback_step))
+        monkeypatch.setattr(thurston, "pullback_step", counted("steps", thurston.pullback_step, 1))
         monkeypatch.setattr(thurston, "verify", counted("verify", thurston.verify))
         res = thurston.classify(preset)
         assert res.certificate.passed
-        assert calls["builds"] == [s.map for s in calls["steps"]] + calls["verify"]
+        assert calls["builds"] == calls["steps"] + calls["verify"]
         assert len(calls["verify"]) == 1 < len(res.deltas) <= len(calls["steps"])
 
 
@@ -495,7 +493,7 @@ class TestAndersonMixing:
         calls = []
         step = thurston.pullback_step
         monkeypatch.setattr(
-            thurston, "pullback_step", lambda state: calls.append(state) or step(state)
+            thurston, "pullback_step", lambda *state: calls.append(state) or step(*state)
         )
         res = thurston.classify(spec)
         assert len(calls) == len(res.deltas) <= most
@@ -508,19 +506,24 @@ class TestAndersonMixing:
         # last pulled grid.
         spec = presets.SPEC_D2
         plain = plain_pullback(spec)
-        pulled, raised = [], []
+        grids, pulled, raised = [], [], []
         step = thurston.pullback_step
 
-        def first_mixed_raises(state):
-            if pulled and not raised and all(state is not p for p in pulled):
-                raised.append(state)
+        def first_mixed_raises(spec, map_, z):
+            grids.append(z)
+            if pulled and not raised and all(z is not p for _, p, _ in pulled):
+                raised.append(len(grids) - 1)
                 raise InvariantViolationError("forced failure of a mixed pullback")
-            pulled.append(step(state))
+            pulled.append(step(spec, map_, z))
             return pulled[-1]
 
         monkeypatch.setattr(thurston, "pullback_step", first_mixed_raises)
         res = thurston.classify(spec)
         assert raised
+        # every call before the failure returned, and the next call pulls
+        # the last of their grids again
+        k = raised[0]
+        assert grids[k + 1] is pulled[k - 1][1]
         assert len(res.deltas) == len(pulled)
         assert res.certificate.passed
         assert _coeff_gap(res, plain) < 1e-9
@@ -534,44 +537,44 @@ class TestAndersonMixing:
         states, pulled, grown = [], [], []
         step = thurston.pullback_step
 
-        def first_mixed_grows(state):
-            states.append(state)
-            out = step(state)
-            if pulled and not grown and all(state is not p for p in pulled):
+        def first_mixed_grows(spec, map_, z):
+            states.append(z)
+            out = step(spec, map_, z)
+            if pulled and not grown and all(z is not p for _, p, _ in pulled):
                 grown.append(len(states) - 1)
-                out = thurston.ThurstonState(
-                    out.map, out.spec, out.z, out.deltas[:-1] + [2 * out.deltas[-2]]
-                )
+                out = (*out[:2], 2 * pulled[-1][2])
             pulled.append(out)
             return out
 
         monkeypatch.setattr(thurston, "pullback_step", first_mixed_grows)
         res = thurston.classify(spec)
         k = grown[0]
-        assert states[k + 1] is pulled[k] and states[k + 2] is pulled[k + 1]
+        assert states[k + 1] is pulled[k][1] and states[k + 2] is pulled[k + 1][1]
         assert res.certificate.passed
         assert _coeff_gap(res, plain) < 1e-9
 
     def test_no_mixed_grid_without_weights(self):
-        state = thurston.init_state(presets.SPEC_D2)
-        one = thurston.pullback_step(state)
-        two = thurston.pullback_step(one)
-        pairs = [(state.z.ravel(), one.z.ravel()), (one.z.ravel(), two.z.ravel())]
-        assert thurston._anderson_mix(pairs, two) is not None
+        spec = presets.SPEC_D2
+        map_, z = thurston.init_state(spec)
+        map_one, one, _ = thurston.pullback_step(spec, map_, z)
+        map_two, two, _ = thurston.pullback_step(spec, map_one, one)
+        pairs = [(z, one), (one, two)]
+        assert thurston._anderson_mix(pairs, spec.d, map_two) is not None
         # equal residuals leave the mixing system singular
-        assert thurston._anderson_mix([pairs[0], pairs[0]], one) is None
+        assert thurston._anderson_mix([pairs[0], pairs[0]], spec.d, map_one) is None
 
     @pytest.mark.parametrize("bad", [1e200, math.inf, math.nan])
     def test_no_mixed_grid_from_non_finite_sums(self, bad):
         # An entry of 1e200 overflows the Gram matrix, and inf or NaN make it
         # invalid: the plain step goes on, and no RuntimeWarning escapes.
-        state = thurston.init_state(presets.SPEC_D2)
-        one = thurston.pullback_step(state)
-        two = thurston.pullback_step(one)
-        far = two.z.ravel().copy()
-        far[1] = bad
-        pairs = [(state.z.ravel(), one.z.ravel()), (one.z.ravel(), far)]
-        assert thurston._anderson_mix(pairs, two) is None
+        spec = presets.SPEC_D2
+        map_, z = thurston.init_state(spec)
+        map_one, one, _ = thurston.pullback_step(spec, map_, z)
+        map_two, two, _ = thurston.pullback_step(spec, map_one, one)
+        far = two.copy()
+        far.flat[1] = bad
+        pairs = [(z, one), (one, far)]
+        assert thurston._anderson_mix(pairs, spec.d, map_two) is None
 
     def test_certifies_every_spec_the_plain_iteration_certifies(self):
         rng = np.random.default_rng(11)
@@ -649,8 +652,8 @@ def _margins(grid, spec) -> dict[str, float]:
 
 class TestDiagnostics:
     def test_straight_state_passes_all(self):
-        state = thurston.init_state(presets.SPEC_D2)
-        assert all(v > 0 for v in _margins(state.z, presets.SPEC_D2).values())
+        _, z = thurston.init_state(presets.SPEC_D2)
+        assert all(v > 0 for v in _margins(z, presets.SPEC_D2).values())
 
     def test_converged_run_passes_all(self):
         res = thurston.classify(presets.SPEC_D1, log_iterates=True)
