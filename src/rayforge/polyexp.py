@@ -197,8 +197,11 @@ def _quadratic_roots(b1: complex, c: np.ndarray) -> np.ndarray:
     b1^2 - 4c that has Re(conj(b1) s) >= 0, and both roots 0 when q = 0."""
     s = np.sqrt(b1 * b1 - 4 * c)
     s[(b1.conjugate() * s).real < 0] *= -1
-    q = -(b1 + s) / 2
-    return np.stack([q, np.where(q == 0, 0j, c / q)], axis=1)
+    x = np.empty((len(c), 2), dtype=complex)
+    x[:, 0] = q = -(b1 + s) / 2
+    x[:, 1] = c / q
+    x[q == 0, 1] = 0
+    return x
 
 
 def _companion_roots(map_: PolyExpMap, ws: np.ndarray) -> np.ndarray:

@@ -118,14 +118,17 @@ class TargetSpec:
         return z
 
     @cached_property
-    def tail(self) -> tuple[dict[int, complex], dict[int, complex]]:
-        """The frozen level-(depth+1) points w_i = step^(depth+1)(T_i) +
-        2*pi*i*s/d by orbit, split at the float range into (seeds, far):
+    def tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """The pull record (pulls, strips, seeds, far) that every pullback
+        step reads, its arrays read-only.  The frozen level-(depth+1) points
+        w_i = step^(depth+1)(T_i) + 2*pi*i*s/d split at the float range:
         seeds[i] is w_i as a complex seed where ``towers[i]`` reaches level
-        depth+1, and far[i], where w_i is beyond the float range, the part
-        of its level-depth pullback that depends on the spec alone,
-        z0 = log|w_i|/d + i*(arg w_i + 2*pi*s_depth)/d."""
-        seeds, far = {}, {}
+        depth+1, else 0; beyond, far pairs orbit i with the part of its
+        level-depth pullback that depends on the spec alone, z0 =
+        log|w_i|/d + i*(arg w_i + 2*pi*s_depth)/d.  The mask pulls is every
+        grid point but the far orbits' last, and strips their strips in
+        row-major order."""
+        seeds, far = np.zeros(self.m, dtype=complex), []
         for i, (tower, (n, s_next)) in enumerate(zip(self.towers, self.strips[:, -2:].tolist())):
             if len(tower) > self.depth + 1:
                 seeds[i] = potentials.straight_point(self.d, tower[self.depth + 1], s_next)
@@ -134,8 +137,13 @@ class TargetSpec:
                 log_next = self.d * tower[self.depth]
                 v = 2 * math.pi * s_next / self.d
                 arg = v * math.exp(-log_next) if log_next < config.EXP_ARG_LIMIT else 0.0
-                far[i] = complex(log_next / self.d, arg / self.d + 2 * math.pi * n / self.d)
-        return seeds, far
+                far.append((i, complex(log_next / self.d, arg / self.d + 2 * math.pi * n / self.d)))
+        pulls = np.ones((self.m, self.depth + 1), dtype=bool)
+        pulls[[i for i, _ in far], -1] = False
+        record = pulls, self.strips[:, :-1][pulls], seeds, tuple(far)
+        for table in record[:3]:
+            table.flags.writeable = False
+        return record
 
 
 def validate_spec(spec: TargetSpec) -> None:
@@ -198,7 +206,7 @@ def init_state(spec: TargetSpec) -> tuple[PolyExpMap, np.ndarray]:
     positions, a fresh array, and the map fitted to its first column."""
     validate_spec(spec)
     z = spec.straight.copy()
-    return fit_map(spec.d, [complex(v) for v in z[:, 0]]), z
+    return fit_map(spec.d, z[:, 0].tolist()), z
 
 
 def fit_map(
@@ -258,21 +266,21 @@ def pullback_step(
     to the new first column.  Returns the new map, the new grid and the
     step's displacement, the sup norm of new grid minus z.
 
-    All grid points with a complex seed are pulled in one batched call, and
-    the far-tail points of ``spec.tail`` to first order.  Failures are
-    reported in grid order (orbit by orbit, level by level): the first point
-    whose seed fell left of the singular values, or whose branch failed.
+    The step reads what the spec fixes from its pull record, ``spec.tail``:
+    all grid points with a complex seed are pulled in one batched call, and
+    the far-tail points to first order.  Failures are reported in grid
+    order (orbit by orbit, level by level): the first point whose seed fell
+    left of the singular values, or whose branch failed.
 
     The map's own tract certificate gates the step: a map it does not
     certify raises before any point is pulled.  At d >= 3 its ``r`` picks
     a branch row's path, and so its last bits, never its preimage.
     """
     cfg = tracts.make_tract_config(map_)
-    tail, far = spec.tail
-    pulls = np.ones(z.shape, dtype=bool)  # every grid point but the far tail
-    pulls[list(far), -1] = False
-    seeds = np.column_stack([z[:, 1:], [tail.get(i, 0) for i in range(spec.m)]])
-    pulled, errors = tracts.inverse_branches(map_, cfg, spec.strips[:, :-1][pulls], seeds[pulls])
+    pulls, strips, tail, far = spec.tail
+    seeds = np.empty_like(z)
+    seeds[:, :-1], seeds[:, -1] = z[:, 1:], tail
+    pulled, errors = tracts.inverse_branches(map_, cfg, strips, seeds[pulls])
     if errors:
         k = min(errors)  # a mask selects in row-major order, so k is first in grid order
         (i, j), exc = np.argwhere(pulls)[k].tolist(), errors[k]
@@ -292,10 +300,10 @@ def pullback_step(
         raise exc
     new = np.empty_like(z)
     new[pulls] = pulled
-    for i, z0 in far.items():
+    for i, z0 in far:
         new[i, spec.depth] = _far_tail_pullback(map_, z0)
     delta = float(np.abs(new - z).max())
-    return fit_map(spec.d, [complex(v) for v in new[:, 0]], warm=map_), new, delta
+    return fit_map(spec.d, new[:, 0].tolist(), warm=map_), new, delta
 
 
 class OrbitCheck(NamedTuple):
@@ -387,7 +395,7 @@ def _anderson_mix(
         z = ps[-1] - sum(n / det * v for n, v in zip(numerators, dp))
     if not (0 < det < math.inf and np.isfinite(z).all()):
         return None
-    return fit_map(d, [complex(v) for v in z[:, 0]], warm=warm), z
+    return fit_map(d, z[:, 0].tolist(), warm=warm), z
 
 
 def classify(
@@ -410,11 +418,14 @@ def classify(
     pullback steps only, the log after the straight grid; max_iter bounds
     the ``pullback_step`` calls, a raising one included.
 
-    Raises NotConvergedError (with the delta history attached, so
-    oscillation and slow contraction are distinguishable) when max_iter
-    steps do not bring the sup-norm grid displacement under tol, and
-    SpecRejectionError for degrees above 2, which ``fit_map`` cannot fit.
+    Raises DomainError for a max_iter below 1, before any work;
+    NotConvergedError (with the delta history attached, so oscillation and
+    slow contraction are distinguishable) when max_iter steps do not bring
+    the sup-norm grid displacement under tol; and SpecRejectionError for
+    degrees above 2, which ``fit_map`` cannot fit.
     """
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     map_, z = pulled = init_state(spec)
     mixed = False  # (map_, z) is a mixed iterate, not the last pulled one
     iterate_log = [z] if log_iterates else []

@@ -41,7 +41,9 @@ passes over the rows, and a row takes one of three paths:
 
 Every path ends in the same strip, overflow and residual checks.  Batched
 solves and branches are row-independent: every row is bitwise equal to its
-one-row call, so batch size never changes output bytes.
+one-row call, so batch size never changes output bytes.  The passes run
+under one np.errstate, and a batch in which no row fails builds no error
+object: errors are made only for the rows that fail.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ def tract_index(z, cfg: TractConfig):
     return n, y - cfg.strip_center(n)
 
 
+@np.errstate(all="ignore")
 def inverse_branches(
     map_: polyexp.PolyExpMap,
     cfg: TractConfig,
@@ -241,12 +244,14 @@ def inverse_branches(
     z = np.full(len(seeds), complex(math.nan, math.nan))
     left = seeds.real <= cfg.r_min  # -inf too; a NaN real part compares False
     bad = left | ~np.isfinite(seeds)
-    not_right = f"is not right of the singular values (Re <= {cfg.r_min:.3g})"
-    errors: dict[int, RayforgeError] = {
-        k: DomainError(f"seed {complex(seeds[k])} {not_right if left[k] else 'is not finite'}")
-        for k in bad.nonzero()[0].tolist()
-    }
     rows = (~bad).nonzero()[0]
+    errors: dict[int, RayforgeError] = {}
+    if rows.size < len(seeds):
+        not_right = f"is not right of the singular values (Re <= {cfg.r_min:.3g})"
+        errors = {
+            k: DomainError(f"seed {complex(seeds[k])} {not_right if left[k] else 'is not finite'}")
+            for k in bad.nonzero()[0].tolist()
+        }
     if map_.d >= 3:
         certified = rows[seeds[rows].real > cfg.r]
         n_c, w_c = ns[certified], seeds[certified]
@@ -260,12 +265,12 @@ def inverse_branches(
             ns, seeds = ns[rows], seeds[rows]
         roots, stalled = polyexp.poly_roots_batch(map_, seeds)
         z[rows], failed = _select_branches(map_, cfg, ns, seeds, roots)
-        failed.update(stalled)
-        errors.update((int(rows[k]), exc) for k, exc in failed.items())
+        if failed or stalled:
+            failed.update(stalled)
+            errors.update((int(rows[k]), exc) for k, exc in failed.items())
     return z, errors
 
 
-@np.errstate(all="ignore")
 def _newton_roots(map_: polyexp.PolyExpMap, ns: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """Per row, Newton's method in z for p(e^z) = w from (Log w + 2 pi i n)/d,
     in logarithmic form: the step log(p/w) / (zeta p'/p) is near z - root
@@ -300,10 +305,11 @@ def _strip_distance(z, ns, cfg: TractConfig):
     """|Im z - 2 pi n/d| where ``tract_index`` reads z in strip n = ns[k],
     and inf where it reads another strip."""
     strip, offset = tract_index(z, cfg)
-    return np.where(strip == ns, np.abs(offset), np.inf)
+    dist = np.abs(offset)
+    dist[strip != ns] = np.inf  # NaN rows too
+    return dist
 
 
-@np.errstate(all="ignore")
 def _residuals(map_: polyexp.PolyExpMap, ws: np.ndarray, z: np.ndarray) -> tuple:
     """Whether f overflows exp at each z; f(z) as PolyExpMap.__call__
     evaluates it, for all rows at once; |f(z) - w|; and whether that passes
@@ -316,7 +322,6 @@ def _residuals(map_: polyexp.PolyExpMap, ws: np.ndarray, z: np.ndarray) -> tuple
     return big, fz, gap, gap <= config.RESIDUAL_RTOL * polyexp.residual_scale(map_, zeta, ws)
 
 
-@np.errstate(all="ignore")
 def _select_branches(
     map_: polyexp.PolyExpMap,
     cfg: TractConfig,
@@ -345,7 +350,8 @@ def _select_branches(
         center = cfg.strip_center(ns)[:, None]
         base = np.log(roots)
         lifted = base + 2j * math.pi * np.rint((center - base.imag) / (2 * math.pi))
-        dists = np.where(roots != 0, _strip_distance(lifted, ns[:, None], cfg), np.inf)
+        dists = _strip_distance(lifted, ns[:, None], cfg)
+        dists[roots == 0] = np.inf
         best = dists.argmin(axis=1)
         z, dist = lifted[rows, best], dists[rows, best]
     far = dist > cfg.strip_half_width() + cfg.eps

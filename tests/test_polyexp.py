@@ -374,6 +374,22 @@ class TestQuadraticClosedForm:
         (roots,), stalled = pe.poly_roots_batch(PolyExpMap(2, [0.0, 0.0]), np.zeros(1))
         assert not stalled and tuple(roots) == (0, 0)
 
+    def test_zero_square_in_a_batch(self):
+        # The q = 0 row (w = b_0) keeps roots (0, 0) within a batch; every
+        # other row is bitwise its one-row solve, or stalls as it does alone
+        # (at w = 1e308 the discriminant 4w overflows).
+        map_ = PolyExpMap(2, [0.0, 0.0])
+        ws = np.array([0, 1, 4, 1e308], dtype=complex)
+        roots, stalled = pe.poly_roots_batch(map_, ws)
+        assert tuple(roots[0]) == (0, 0) and 0 not in stalled
+        assert list(stalled) == [3]
+        for k in range(len(ws)):
+            (single,), alone = pe.poly_roots_batch(map_, ws[k : k + 1])
+            assert np.array_equal(roots[k].view(np.int64), single.view(np.int64)), k
+            assert list(alone) == ([0] if k in stalled else [])
+            if k in stalled:
+                assert isinstance(stalled[k], RootSolveError) and str(stalled[k]) == str(alone[0])
+
     def test_overflowing_discriminant_stalls_alone(self):
         # b_1^2 - 4(b_0 - w) overflows at |w| = 1e308: that row stalls with
         # the usual message, and the others are their one-row solves.

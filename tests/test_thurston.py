@@ -159,8 +159,10 @@ class TestInitState:
 
     def test_far_tail_beyond_cap(self):
         # log|w| = step^3(2) for d = 1, so z0 = log|w| in strip s_3 = 0
-        seeds, far = presets.SPEC_D1.tail
-        assert not seeds and list(far) == [0]
+        pulls, _, seeds, far = presets.SPEC_D1.tail
+        far = dict(far)
+        assert not pulls[:, -1].any() and list(far) == [0]
+        assert not seeds.any()  # no complex seed; 0 on the far orbit
         assert far[0].real == pytest.approx(1.2554089653312633e258, rel=1e-13)
         assert far[0].imag == 0.0
 
@@ -168,8 +170,9 @@ class TestInitState:
         # The chains differ in length: orbit 0 sets J* = 2, and orbit 1's
         # level-3 point still lies under the float-range limit.
         spec = TargetSpec(2, ((1.5, ZERO), (0.5, ONE)))
-        seeds, far = spec.tail
-        assert spec.depth == 2 and list(far) == [0] and list(seeds) == [1]
+        pulls, _, seeds, far = spec.tail
+        far, seeded = dict(far), np.flatnonzero(pulls[:, -1]).tolist()
+        assert spec.depth == 2 and list(far) == [0] and seeded == [1]
         assert isinstance(seeds[1], complex)
         assert seeds[1] == pot.straight_point(2, pot.step(2, spec.towers[1][2]), 1)
 
@@ -186,17 +189,20 @@ class TestInitState:
             )
             deepest = TargetSpec(d, orbits).depth
             spec = TargetSpec(d, orbits, int(rng.integers(1, deepest + 1)))
-            seeds, far = spec.tail
+            pulls, strips, seeds, far = spec.tail
+            far = dict(far)
+            # every grid point but the far tail is pulled, in row-major order
+            assert pulls[:, :-1].all() and np.array_equal(strips, spec.strips[:, :-1][pulls])
             for i, tower in enumerate(spec.towers):
                 if len(tower) > spec.depth + 1:
                     s = spec.address(i).entry(spec.depth + 1)
                     seed = pot.straight_point(d, tower[spec.depth + 1], s)
-                    assert i not in far
+                    assert i not in far and pulls[i, -1]
                     assert (seeds[i].real.hex(), seeds[i].imag.hex()) == (
                         seed.real.hex(), seed.imag.hex()
                     )
                 else:
-                    assert i not in seeds and i in far
+                    assert not pulls[i, -1] and seeds[i] == 0 and i in far
                     # log|w_i| = log(step(d, t)) = d*t + log1p(-e^(-d*t)) is
                     # d*t in double precision past the float-range limit
                     x = d * tower[spec.depth]
@@ -343,8 +349,9 @@ class TestBatchedPullback:
         t = min(spec.towers, key=len)[-1]
         assert (d * t > config.EXP_ARG_LIMIT) == (rule == "exp-arg")
         assert rule == "exp-arg" or pot.step(d, t) > config.CAP
-        seeds, far = spec.tail
-        assert list(seeds) == seeded and sorted(far) == sorted(set(range(spec.m)) - set(seeded))
+        pulls, _, _, far = spec.tail
+        assert np.flatnonzero(pulls[:, -1]).tolist() == seeded
+        assert sorted(i for i, _ in far) == sorted(set(range(spec.m)) - set(seeded))
         map_, z = thurston.init_state(spec)
         for _ in range(3):
             want = scalar_pullback_grid(spec, map_, z)
@@ -365,6 +372,25 @@ class TestBatchedPullback:
         want = scalar_pullback_grid(spec, map_, z)
         _, got, _ = thurston.pullback_step(spec, map_, z)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
+    def test_per_spec_tables_are_read_only(self, preset):
+        # The strip table, the straight grid and the pull record's arrays
+        # refuse writes, so a failed write leaves classify's bits as they were.
+        spec = TargetSpec(preset.d, preset.orbits, preset.J)
+        want = thurston.classify(TargetSpec(preset.d, preset.orbits, preset.J), log_iterates=True)
+        pulls, strips, seeds, _ = spec.tail
+        for table in (spec.strips, spec.straight, pulls, strips, seeds):
+            first = (0,) * table.ndim
+            with pytest.raises(ValueError):
+                table[first] = ~table[first] if table.dtype == bool else table[first] + 1
+            with pytest.raises(ValueError):
+                table *= 2
+        got = thurston.classify(spec, log_iterates=True)
+        assert got.map.coeffs == want.map.coeffs and got.deltas == want.deltas
+        assert len(got.iterate_log) == len(want.iterate_log)
+        for a, b in zip(got.iterate_log, want.iterate_log):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     @pytest.mark.parametrize("preset", [presets.SPEC_D1, presets.SPEC_D2], ids=["d1", "d2"])
     def test_classify_certifies_per_step(self, preset, monkeypatch):
@@ -454,6 +480,15 @@ class TestClassify:
         for j, tj in enumerate(values):
             pt = rays.trace_ray(res.map, cfg, ZERO, tj)
             assert abs(pt.z - complex(res.z[0, j])) < 1e-6
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_refused_before_any_work(self, max_iter, monkeypatch):
+        def no_state(spec):
+            raise AssertionError("classify built the straight spider")
+
+        monkeypatch.setattr(thurston, "init_state", no_state)
+        with pytest.raises(DomainError, match="max_iter"):
+            thurston.classify(presets.SPEC_D1, max_iter=max_iter)
 
     def test_nonconvergence_carries_history(self):
         with pytest.raises(NotConvergedError) as err:
