@@ -381,8 +381,7 @@ class TestQuadraticClosedForm:
         map_ = PolyExpMap(2, [0.0, 0.0])
         ws = np.array([0, 1, 4, 1e308], dtype=complex)
         roots, stalled = pe.poly_roots_batch(map_, ws)
-        assert tuple(roots[0]) == (0, 0) and 0 not in stalled
-        assert list(stalled) == [3]
+        assert tuple(roots[0]) == (0, 0) and list(stalled) == [3]
         for k in range(len(ws)):
             (single,), alone = pe.poly_roots_batch(map_, ws[k : k + 1])
             assert np.array_equal(roots[k].view(np.int64), single.view(np.int64)), k
