@@ -5,14 +5,17 @@ the pullback iteration moves a truncated grid of marked orbit points one
 level back through the inverse branches and refits the map so its
 singular values sit on the new first column.  The iteration contracts to
 a fixed point; ``classify`` mixes the last pullbacks (Anderson mixing) to
-get there in fewer steps.  An independent forward-orbit verifier
+get there in fewer steps.  It takes the spec alone: the run stops at the
+first pullback step below ``config.CLASSIFY_TOL`` within
+``config.CLASSIFY_MAX_ITER`` steps, and the result logs the straight grid
+and every pulled grid.  An independent forward-orbit verifier
 certifies that the solved map's singular values really escape with the
 requested data.
 """
 
 import numpy as np
 
-from rayforge import presets, thurston
+from rayforge import config, presets, thurston
 from rayforge.potentials import ExternalAddress
 
 for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
@@ -20,8 +23,10 @@ for label, spec in (("degree 1, one orbit", presets.SPEC_D1),
     print(f"=== {label} ===")
     for i, (t, addr) in enumerate(spec.orbits):
         print(f"  orbit {i}: speed {t}, address {addr}")
-    result = thurston.classify(spec, log_iterates=True)
-    print(f"converged in {len(result.deltas)} iterations")
+    result = thurston.classify(spec)
+    print(f"converged in {len(result.deltas)} iterations (first step below "
+          f"{config.CLASSIFY_TOL:g}, budget {config.CLASSIFY_MAX_ITER}); "
+          f"{len(result.iterate_log)} grids logged")
     print("coefficients (b_0 first):")
     for c in result.map.coeffs:
         print(f"  {c:.12g}")

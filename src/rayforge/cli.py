@@ -19,7 +19,9 @@ words of argv, so argparse runs one level, not one per word.  Help, an
 unknown command and any argument the leaf leaves unrecognized go through
 the full tree, so every message is the tree's.  Numeric options are
 checked as they are parsed, so a bad value is a usage error (exit 2) with
-a message on stderr.
+a message on stderr.  ``classify`` has none: its numbers depend on the
+spec alone (see ``thurston.classify``), its config echo is the command and
+the spec, and ``--log-iterates`` only chooses what is printed.
 """
 
 from __future__ import annotations
@@ -72,9 +74,7 @@ def _cmd_ray_trace(args) -> tuple[dict, dict, int]:
 
 def _cmd_classify(args) -> tuple[dict, dict, int]:
     spec = serialize.spec_from_json(_read_json(args.spec))
-    result = thurston.classify(
-        spec, max_iter=args.max_iter, tol=args.tol, log_iterates=args.log_iterates
-    )
+    result = thurston.classify(spec)
     body = {
         "d": result.map.d,
         "coeffs": result.map.coeffs,
@@ -86,8 +86,8 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
     }
     if args.log_iterates:
         body["iterates"] = result.iterate_log
-    extras = dict(tol=args.tol, max_iter=args.max_iter, spec=serialize.spec_to_json(spec))
-    return extras, body, EXIT_OK if result.certificate.passed else EXIT_NUMERIC
+    code = EXIT_OK if result.certificate.passed else EXIT_NUMERIC
+    return {"spec": serialize.spec_to_json(spec)}, body, code
 
 
 def _cmd_diag_appendix(args) -> tuple[dict, dict, int]:
@@ -203,9 +203,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     classify.add_argument("--output", "--out", dest="output", default=None,
                           help="result JSON file (default stdout)")
     classify.add_argument("--log-iterates", action="store_true")
-    classify.add_argument("--max-iter", dest="max_iter", type=_positive_int,
-                          default=config.CLASSIFY_MAX_ITER)
-    classify.add_argument("--tol", type=_positive_float, default=config.CLASSIFY_TOL)
     classify.set_defaults(handler=_cmd_classify, command_path="classify")
 
     diag = sub.add_parser("diag", help="diagnostic reports")

@@ -1,12 +1,12 @@
-"""Package-wide numeric defaults.
+"""Package-wide numeric constants.
 
-Double precision is the working arithmetic everywhere.  Most constants
-below are read directly by the operation that uses them; the rest are the
-defaults of the few options a caller can set: ``classify``'s ``tol`` and
-``max_iter``.  TRACER_TOL is the tracer's fixed bound, not an option
-default, and the tracer's depth is the float range's, not an option.  The
-strip fuzz eps = pi/4d is no option: the tract certificate depends on the
-map alone, and its loop ends by itself (see ``tracts.make_tract_config``).
+Double precision is the working arithmetic everywhere.  Each constant
+below is read directly by the operation that uses it, and none is the
+default of an option.  TRACER_TOL is the tracer's fixed bound, and the
+tracer's depth is the float range's.  ``classify`` stops at CLASSIFY_TOL
+within CLASSIFY_MAX_ITER pullback steps.  The strip fuzz eps = pi/4d is
+no option either: the tract certificate depends on the map alone, and its
+loop ends by itself (see ``tracts.make_tract_config``).
 """
 
 # Largest magnitude an iterated escape-speed value may reach before the

@@ -398,39 +398,35 @@ def _anderson_mix(
     return fit_map(d, z[:, 0].tolist(), warm=warm), z
 
 
-def classify(
-    spec: TargetSpec,
-    max_iter: int = config.CLASSIFY_MAX_ITER,
-    tol: float = config.CLASSIFY_TOL,
-    log_iterates: bool = False,
-) -> ClassifyResult:
+def classify(spec: TargetSpec) -> ClassifyResult:
     """Iterate the pullback to its fixed point and certify the result.
 
     The grid has the spec's own depth J* (``spec.depth``), which a J in the
     spec only bounds.  Each next grid is the Anderson mix (memory 2, the
     most the closed-form weight solve handles) of the last three pullbacks,
     with the map refitted to its first column.  The first real pullback
-    step that moves the grid by less than tol (sup norm) stops the run, and
-    its pulled map and grid are the result.  The history is dropped and the
-    last pulled grid taken as it is (the plain step) when the pullback of a
-    mixed grid raises or moves it more than the step before, or when no
-    mixed grid can be formed.  ``deltas`` and ``iterate_log`` record real
-    pullback steps only, the log after the straight grid; max_iter bounds
-    the ``pullback_step`` calls, a raising one included.
+    step that moves the grid by less than ``config.CLASSIFY_TOL`` (sup
+    norm) stops the run, and its pulled map and grid are the result.  The
+    history is dropped and the last pulled grid taken as it is (the plain
+    step) when the pullback of a mixed grid raises or moves it more than
+    the step before, or when no mixed grid can be formed.  ``deltas`` and
+    ``iterate_log`` record real pullback steps only: the log holds the
+    straight grid and every pulled grid, the arrays themselves (nothing
+    mutates them), so its last entry is the result's ``z``.
+    ``config.CLASSIFY_MAX_ITER`` bounds the ``pullback_step`` calls, a
+    raising one included.  Both constants are read at call time.
 
-    Raises DomainError for a max_iter below 1, before any work;
-    NotConvergedError (with the delta history attached, so oscillation and
-    slow contraction are distinguishable) when max_iter steps do not bring
-    the sup-norm grid displacement under tol; and SpecRejectionError for
+    Raises NotConvergedError (with the delta history attached, so
+    oscillation and slow contraction are distinguishable) when
+    ``config.CLASSIFY_MAX_ITER`` steps do not bring the sup-norm grid
+    displacement under ``config.CLASSIFY_TOL``; and SpecRejectionError for
     degrees above 2, which ``fit_map`` cannot fit.
     """
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     map_, z = pulled = init_state(spec)
     mixed = False  # (map_, z) is a mixed iterate, not the last pulled one
-    iterate_log = [z] if log_iterates else []
+    iterate_log = [z]
     deltas, history = [], []  # history: (grid, pulled grid) pairs, oldest first
-    for _ in range(max_iter):
+    for _ in range(config.CLASSIFY_MAX_ITER):
         try:
             new_map, new_z, delta = pullback_step(spec, map_, z)
         except RayforgeError:
@@ -439,9 +435,8 @@ def classify(
             (map_, z), history, mixed = pulled, [], False
             continue
         deltas.append(delta)
-        if log_iterates:
-            iterate_log.append(new_z)
-        if delta < tol:
+        iterate_log.append(new_z)
+        if delta < config.CLASSIFY_TOL:
             break
         if mixed and delta > deltas[-2]:
             history = []
@@ -456,7 +451,7 @@ def classify(
         map_, z = mix or pulled
     else:
         raise NotConvergedError(
-            f"pullback did not converge in {max_iter} iterations "
+            f"pullback did not converge in {config.CLASSIFY_MAX_ITER} iterations "
             f"(last delta {deltas[-1]:.3e})",
             details=deltas,
         )

@@ -447,7 +447,7 @@ def seeded_specs(n: int, seed: int, t_lo: float = 0.8) -> list:
 
 
 def jittered_classify(
-    spec: thurston.TargetSpec, radius: float, seed: int, **kwargs
+    spec: thurston.TargetSpec, radius: float, seed: int
 ) -> thurston.ClassifyResult:
     """``thurston.classify`` restarted off the straight spider: every grid
     entry moved by ``radius`` at the phases
@@ -464,7 +464,7 @@ def jittered_classify(
 
     thurston.init_state = jittered
     try:
-        return thurston.classify(spec, **kwargs)
+        return thurston.classify(spec)
     finally:
         thurston.init_state = straight
 

@@ -22,7 +22,7 @@ from oracles import (
     to_json,
     winding_numbers,
 )
-from rayforge import cli, polyexp, potentials, presets, rays, serialize, thurston, tracts
+from rayforge import cli, config, polyexp, potentials, presets, rays, serialize, thurston, tracts
 from rayforge.errors import DegenerateCurveError, SpecRejectionError
 from rayforge.homotopy import PolylineCurve, word_of_curve
 from rayforge.potentials import ExternalAddress
@@ -117,12 +117,15 @@ def test_03_round_trip():
 
 def _classify_with_budget(spec):
     t0 = time.perf_counter()
-    res = thurston.classify(spec, max_iter=50, tol=1e-10)
+    res = thurston.classify(spec)
     elapsed = time.perf_counter() - t0
     return res, elapsed
 
 
 def test_04_classification_end_to_end():
+    # classify stops at the shipped pins: the first step below CLASSIFY_TOL,
+    # within CLASSIFY_MAX_ITER steps
+    assert config.CLASSIFY_MAX_ITER == 50 and config.CLASSIFY_TOL == 1e-10
     ok = True
     details = []
     for name, spec in (("d=1", presets.SPEC_D1), ("d=2", presets.SPEC_D2)):
@@ -131,7 +134,7 @@ def test_04_classification_end_to_end():
         ok = ok and len(res.deltas) <= 50
         ok = ok and res.certificate.passed and perr < 1e-6
         ok = ok and elapsed < 60.0
-        alt = jittered_classify(spec, 0.1, 1, max_iter=50, tol=1e-10)
+        alt = jittered_classify(spec, 0.1, 1)
         coeff_gap = max(
             abs(a - b) for a, b in zip(res.map.coeffs, alt.map.coeffs)
         )

@@ -453,6 +453,24 @@ class TestDiag:
         assert len(payload["iterations"]) > 3
         assert all(row["inside_disk_margin"] > 0 for row in payload["iterations"])
 
+    def test_invariant_set_reads_old_run_configs(self, tmp_path, capsys):
+        # A run file written when classify echoed its tol and max_iter gives
+        # the same report as one without them: only config.spec is read.
+        path = tmp_path / "run.json"
+        spec = _write(tmp_path, "spec.json", serialize.spec_to_json(presets.SPEC_D2))
+        assert run(["classify", "--spec", spec, "--out", str(path), "--log-iterates"]) == 0
+        written = path.read_text()
+        old = json.loads(written)
+        assert set(old["config"]) == {"command", "spec"}
+        old["config"].update(tol=1e-10, max_iter=50)
+        reports = []
+        for text in (serialize.dumps(old), written):
+            path.write_text(text)
+            assert run(["diag", "invariant-set", "--run", str(path)]) == 0
+            reports.append(capsys.readouterr())
+        assert reports[0].err == reports[1].err == ""
+        assert reports[0].out == reports[1].out
+
     def test_invariant_set_builds_ladder_once(self, tmp_path, monkeypatch, capsys):
         # The ladder and the straight grid depend on the spec alone, so a run
         # file with one grid per iteration builds them no more often than one
@@ -594,9 +612,6 @@ class TestNumericOptions:
         # (command, option, value); each comment says what the value used to do
         ("ray trace", "--samples", "0"),  # exit 2, but from the library
         ("ray trace", "--t-hi", "inf"),  # exit 0 with an inf sample
-        ("classify", "--max-iter", "0"),  # IndexError
-        ("classify", "--tol", "nan"),  # 50 iterations, then exit 3
-        ("classify", "--tol", "-1"),  # 50 iterations, then exit 3
         ("diag appendix-a", "--samples", "0"),  # argmax of an empty sequence
         ("diag appendix-a", "--rho", "nan"),  # LinAlgError
         ("diag appendix-a", "--rho", "inf"),  # ZeroDivisionError
@@ -621,6 +636,31 @@ class TestNumericOptions:
         assert captured.out == ""
         assert f"argument {option}: expected" in captured.err
         assert repr(value) in captured.err
+
+    # classify stops at config.CLASSIFY_TOL within config.CLASSIFY_MAX_ITER
+    # steps: its old --max-iter and --tol, with a bad or a good value, are
+    # arguments the tree does not know.
+    REMOVED = [
+        ("classify", "--max-iter", "0"),
+        ("classify", "--tol", "nan"),
+        ("classify", "--tol", "-1"),
+        ("classify", "--max-iter", "4"),
+        ("classify", "--tol", "1e-3"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,option,value", REMOVED,
+        ids=[f"{c.split()[-1]}{o}={v}" for c, o, v in REMOVED],
+    )
+    def test_removed_option_exit_2(self, command, option, value, workdir, capsys):
+        argv = [a.format(**workdir) for a in BASE_ARGV[command]]
+        code = run(argv + [option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        usage = "usage: rayforge [-h] {ray,classify,diag,homotopy,tracts} ..."
+        assert captured.err.splitlines()[0] == usage
+        assert captured.err.endswith(f"unrecognized arguments: {option} {value}\n")
 
     def test_appendix_caps(self, capsys):
         # A samples x 4d block above MAX_UNIFORMS is refused before any
@@ -980,7 +1020,7 @@ class TestRefusals:
 # of the command's own options; "format" is the value of --out.
 CONFIG_KEYS = {
     "ray trace": {"command", "t_lo", "t_hi", "samples", "format"},
-    "classify": {"command", "tol", "max_iter", "spec"},
+    "classify": {"command", "spec"},
     "diag appendix-a": {"command", "d", "rho", "samples", "seed"},
     "diag invariant-set": {"command", "run"},
     "homotopy word": {"command"},
@@ -1356,7 +1396,7 @@ class TestParserReuse:
 _COMMANDS = {
     ("ray", "trace"): ("--map", "--address", "--t-lo", "--t-hi", "--samples", "--out",
                        "--output"),
-    ("classify",): ("--spec", "--out", "--log-iterates", "--max-iter", "--tol"),
+    ("classify",): ("--spec", "--out", "--log-iterates"),
     ("diag", "appendix-a"): ("--d", "--rho", "--samples", "--seed", "--output"),
     ("diag", "invariant-set"): ("--run", "--output"),
     ("homotopy", "word"): ("--marked", "--curve", "--output"),
@@ -1439,9 +1479,8 @@ class TestLeafParsing:
         good = {
             "--map": files["map"], "--address": files["address"], "--t-lo": "1",
             "--t-hi": "2", "--samples": "3", "--out": "json", "--output": files["out"],
-            "--tol": "1e-3", "--spec": files["spec"], "--max-iter": "4",
-            "--d": "3", "--rho": "100", "--seed": "4", "--run": files["run"],
-            "--marked": files["marked"], "--curve": files["curve"],
+            "--spec": files["spec"], "--d": "3", "--rho": "100", "--seed": "4",
+            "--run": files["run"], "--marked": files["marked"], "--curve": files["curve"],
         }
         bad = ["0", "-1", "x", "nan", "inf", "", "-", "out.txt", "/nonexistent/x", files["map"]]
         strays = sorted({w for c in _COMMANDS for w in c}) + ["bogus", "--", "-", "-x", "--=1"]

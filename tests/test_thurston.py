@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import json
 import math
 import time
@@ -10,7 +11,6 @@ import pytest
 from rayforge import potentials as pot
 from rayforge import config, presets, rays, serialize, thurston, tracts
 from rayforge.errors import (
-    DomainError,
     InvariantViolationError,
     NotConvergedError,
     RayforgeError,
@@ -258,9 +258,11 @@ class TestFitMap:
 
 
 class TestPullback:
-    def test_fixed_point_has_tiny_delta(self):
+    def test_fixed_point_has_tiny_delta(self, monkeypatch):
         # converge to the machine fixed point; one more step moves nothing
-        res = thurston.classify(presets.SPEC_D1, max_iter=200, tol=1e-15)
+        monkeypatch.setattr(config, "CLASSIFY_MAX_ITER", 200)
+        monkeypatch.setattr(config, "CLASSIFY_TOL", 1e-15)
+        res = thurston.classify(presets.SPEC_D1)
         _, _, delta = thurston.pullback_step(presets.SPEC_D1, res.map, res.z)
         assert delta < 1e-12
 
@@ -273,8 +275,9 @@ class TestPullback:
                 break
             assert dl[k + 1] / dl[k] < 0.9
 
-    def test_grid_is_orbit_at_fixed_point(self):
-        res = thurston.classify(presets.SPEC_D1, tol=1e-12)
+    def test_grid_is_orbit_at_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(config, "CLASSIFY_TOL", 1e-12)
+        res = thurston.classify(presets.SPEC_D1)
         z = res.z
         for j in range(presets.SPEC_D1.depth):
             lhs = res.map(complex(z[0, j]))
@@ -378,13 +381,13 @@ class TestBatchedPullback:
         # The strip table, the straight grid and the pull record's arrays
         # refuse writes, so a failed write leaves classify's bits as they were.
         spec = TargetSpec(preset.d, preset.orbits, preset.J)
-        want = thurston.classify(TargetSpec(preset.d, preset.orbits, preset.J), log_iterates=True)
+        want = thurston.classify(TargetSpec(preset.d, preset.orbits, preset.J))
         pulls, strips, seeds, _ = spec.tail
         for table in (spec.strips, spec.straight, pulls, strips, seeds):
             first = (0,) * table.ndim
             with pytest.raises(ValueError):
                 table[first] = ~table[first] if table.dtype == bool else table[first] + 1
-        got = thurston.classify(spec, log_iterates=True)
+        got = thurston.classify(spec)
         assert got.map.coeffs == want.map.coeffs and got.deltas == want.deltas
         assert len(got.iterate_log) == len(want.iterate_log)
         for a, b in zip(got.iterate_log, want.iterate_log):
@@ -450,6 +453,16 @@ class TestFarTailPullback:
 
 
 class TestClassify:
+    @staticmethod
+    def _assert_spec_alone_and_logged(res, spec):
+        # classify takes the spec alone, and its log is the straight grid
+        # and every pulled grid, ending on the result's grid itself.
+        assert list(inspect.signature(thurston.classify).parameters) == ["spec"]
+        log = res.iterate_log
+        assert np.array_equal(log[0].view(np.int64), spec.straight.view(np.int64))
+        assert len(log) == len(res.deltas) + 1
+        assert log[-1] is res.z
+
     def test_d1_shipped_target(self):
         res = thurston.classify(presets.SPEC_D1)
         assert len(res.deltas) <= 50
@@ -458,11 +471,13 @@ class TestClassify:
         assert abs(kappa.imag) < 1e-6
         for check in res.certificate.orbits:
             assert check.potential_error < 1e-8
+        self._assert_spec_alone_and_logged(res, presets.SPEC_D1)
 
     def test_d2_shipped_target(self):
         res = thurston.classify(presets.SPEC_D2)
         assert len(res.deltas) <= 50
         assert res.certificate.passed
+        self._assert_spec_alone_and_logged(res, presets.SPEC_D2)
 
     def test_uniqueness_under_grid_perturbation(self):
         base = thurston.classify(presets.SPEC_D2)
@@ -470,27 +485,20 @@ class TestClassify:
         for a, b in zip(base.map.coeffs, alt.map.coeffs):
             assert abs(a - b) < 1e-8
 
-    def test_grid_matches_ray_tracer(self):
+    def test_grid_matches_ray_tracer(self, monkeypatch):
         # the fixed-point grid equals independently traced ray points
-        res = thurston.classify(presets.SPEC_D1, tol=1e-12)
+        monkeypatch.setattr(config, "CLASSIFY_TOL", 1e-12)
+        res = thurston.classify(presets.SPEC_D1)
         cfg = tracts.make_tract_config(res.map)
         values = pot.chain(1, 2.0, max_len=3)
         for j, tj in enumerate(values):
             pt = rays.trace_ray(res.map, cfg, ZERO, tj)
             assert abs(pt.z - complex(res.z[0, j])) < 1e-6
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_refused_before_any_work(self, max_iter, monkeypatch):
-        def no_state(spec):
-            raise AssertionError("classify built the straight spider")
-
-        monkeypatch.setattr(thurston, "init_state", no_state)
-        with pytest.raises(DomainError, match="max_iter"):
-            thurston.classify(presets.SPEC_D1, max_iter=max_iter)
-
-    def test_nonconvergence_carries_history(self):
+    def test_nonconvergence_carries_history(self, monkeypatch):
+        monkeypatch.setattr(config, "CLASSIFY_MAX_ITER", 2)
         with pytest.raises(NotConvergedError) as err:
-            thurston.classify(presets.SPEC_D1, max_iter=2)
+            thurston.classify(presets.SPEC_D1)
         assert isinstance(err.value.details, list) and len(err.value.details) == 2
 
     def test_depth_stability_of_certificate(self):
@@ -689,7 +697,7 @@ class TestDiagnostics:
         assert all(v > 0 for v in _margins(z, presets.SPEC_D2).values())
 
     def test_converged_run_passes_all(self):
-        res = thurston.classify(presets.SPEC_D1, log_iterates=True)
+        res = thurston.classify(presets.SPEC_D1)
         for grid in res.iterate_log:
             assert all(v > 0 for v in _margins(grid, presets.SPEC_D1).values())
 
