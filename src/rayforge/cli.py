@@ -11,6 +11,9 @@ they are; ``main`` is the one writer.  It adds the schema string and the resolve
 run configuration, renders JSON (CSV for ``ray trace --out csv``) that is
 byte-identical for identical arguments and seed, and writes it to the
 output path, or to stdout for ``-`` or none.  An unwritable path exits 2.
+``_read_json`` is the one JSON reader: an input file that cannot be opened
+or is not UTF-8, and text that is not JSON (nesting past the recursion
+limit and integers past Python's 4,300-digit limit included), exit 2.
 
 The argparse parser is built once per process, on the first ``main`` call,
 and reused by every later call.  ``main`` parses a command's arguments
@@ -48,9 +51,13 @@ MAX_UNIFORMS = 2**20  # diag appendix-a's one block of samples x 4d uniforms: 8 
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return serialize.loads(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"invalid JSON: {exc}") from exc
 
 
 def _cmd_ray_trace(args) -> tuple[dict, dict, int]:

@@ -10,7 +10,9 @@ straight horizontal curve of every marked point the empty word.
 
 Degenerate contacts (vertex on a cut ray, curve through a marked point,
 vertical sliding along a ray) are rejected, not resolved; the caller
-perturbs by a hair and retries.
+perturbs by a hair and retries.  A repeated vertex is a zero-length
+segment and changes nothing: the curve's word, or its error, is that of
+the curve without the repeat.
 """
 
 from __future__ import annotations
@@ -26,17 +28,19 @@ class MarkedSet:
     """Finite ordered set of pairwise distinct marked points.
 
     A dataclass, not a NamedTuple, because its own ``__init__`` validates
-    the points.
+    the points: one pass keeps each value's first index, and a coincidence
+    names the first pair (i, j) in lexicographic order (0.0 == -0.0).
     """
 
     points: tuple[complex, ...]
 
     def __init__(self, points: Sequence[complex]):
         pts = tuple(complex(p) for p in points)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise DomainError(f"marked points {i} and {j} coincide")
+        first: dict[complex, int] = {}
+        clashes = [(i, j) for j, p in enumerate(pts) if (i := first.setdefault(p, j)) != j]
+        if clashes:
+            i, j = min(clashes)
+            raise DomainError(f"marked points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -72,9 +76,7 @@ def reduce_letters(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(stack)
 
 
-def _segment_crossings(
-    a: complex, b: complex, marked: MarkedSet, skip_start_vertex: bool
-) -> list[tuple[float, int, int]]:
+def _segment_crossings(a: complex, b: complex, marked: MarkedSet) -> list[tuple[float, int, int]]:
     """Crossing events (parameter, index, sign) of one finite segment."""
     events = []
     for idx, w in enumerate(marked.points):
@@ -87,12 +89,10 @@ def _segment_crossings(
                 )
             continue
         if xa == 0.0:
-            if skip_start_vertex or a.imag < w.imag:
-                # Either the curve's start (crossings need t > 0, and the
-                # segment leaves the vertical line immediately) or a vertex
-                # strictly below the ray origin: no crossing either way.
-                continue
-            raise DegenerateCurveError(f"vertex sits on the cut ray of point {idx}")
+            # Crossings need t > 0, and the segment leaves the vertical line
+            # at once.  A vertex on the ray itself is the curve's start, once
+            # or repeated: the segment ending at any other one rejected it.
+            continue
         if xb == 0.0:
             if b.imag >= w.imag:
                 raise DegenerateCurveError(f"vertex sits on the cut ray of point {idx}")
@@ -126,7 +126,7 @@ def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> tuple[tuple[int, i
         a, b = vs[k], vs[k + 1]
         if a == b:
             continue
-        for _, idx, sign in _segment_crossings(a, b, marked, skip_start_vertex=(k == 0)):
+        for _, idx, sign in _segment_crossings(a, b, marked):
             letters.append((idx, sign))
     # Final horizontal edge from the last vertex to +infinity.
     last = vs[-1]

@@ -99,9 +99,9 @@ class SingularData(NamedTuple):
     ``critical_points``) plus the asymptotic value p(0).
 
     ``all`` collapses the singular values to distinct members at a mild
-    tolerance, computed when it is read.  The maxima range over every
-    singular value, since a collapsed one may lie right of the member kept
-    for it.
+    tolerance, computed when it is read.  ``max_modulus`` ranges over every
+    singular value, since a collapsed one may lie farther out than the
+    member kept for it.
     """
 
     critical_values: tuple[complex, ...]
@@ -127,9 +127,6 @@ class SingularData(NamedTuple):
             return max(abs(v) for v in (self.asymptotic_value, *self.critical_values))
         except OverflowError as exc:
             raise OverflowSignal("a singular value's modulus leaves the float range") from exc
-
-    def max_real(self) -> float:
-        return max(v.real for v in (self.asymptotic_value, *self.critical_values))
 
 
 def critical_points(map_: PolyExpMap) -> tuple[complex, ...]:
@@ -292,12 +289,7 @@ class AppendixReport(NamedTuple):
 
 
 @np.errstate(all="ignore")
-def appendix_report(
-    d: int,
-    rho: float,
-    samples: int = 1000,
-    seed: int = 0,
-) -> AppendixReport:
+def appendix_report(d: int, rho: float, samples: int, seed: int) -> AppendixReport:
     """Sampled bounds: critical points of polynomials with p(0) = 0 and
     critical values in the rho-disk, coefficient ratios of maps with
     singular values in the rho-disk, and preimage containment for r = rho.

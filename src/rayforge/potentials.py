@@ -45,7 +45,7 @@ class ExternalAddress:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __init__(self, preperiod: Sequence[int] = (), period: Sequence[int] = (0,)):
+    def __init__(self, preperiod: Sequence[int], period: Sequence[int]):
         object.__setattr__(self, "preperiod", integers(preperiod, "address entries"))
         object.__setattr__(self, "period", integers(period, "address entries"))
         if not self.period:
@@ -151,9 +151,6 @@ class PotentialLadder(NamedTuple):
     potentials: tuple[float, ...]
     midpoints: tuple[float, ...]
     t_prime: float
-
-    def midpoints_above_threshold(self) -> tuple[float, ...]:
-        return tuple(r for r in self.midpoints if r > self.t_prime)
 
 
 def straight_point(d: int, t: float, s: int) -> complex:

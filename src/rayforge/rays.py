@@ -178,8 +178,8 @@ class Extraction(NamedTuple):
     t: float
     prefix: tuple[int, ...]
     residual: float
-    start: int = 0  # orbit index of prefix[0] (0 unless the point itself
-    #                 sits left of the strip region)
+    start: int  # orbit index of prefix[0] (0 unless the point itself
+    #            sits left of the strip region)
 
 
 def extract_potential_address(

@@ -11,16 +11,17 @@ Schemas ("rayforge/1"):
 Every command output embeds the schema string and the run configuration,
 and serialization is byte-deterministic for equal inputs.
 
-``dumps`` is the one encoder, and it walks a report once: a NamedTuple
-record becomes an object of its fields by name, a dict stays a dict, any
-other list, tuple or ndarray becomes a list, a complex number becomes
-{"re", "im"} and a non-finite float null.  So report keys are the records'
-field names, except for the ``ray trace`` samples (t, re, im, depth, err).
+The ``*_from_json`` readers take the values that ``cli._read_json``, the
+one decoder, has parsed.  ``dumps`` is the one encoder, and it walks a
+report once: a NamedTuple record becomes an object of its fields by name,
+a dict stays a dict, any other list, tuple or ndarray becomes a list, a
+complex number becomes {"re", "im"} and a non-finite float null.  So
+report keys are the records' field names, except for the ``ray trace``
+samples (t, re, im, depth, err).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -165,9 +166,3 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-
-def loads(text: str) -> Any:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from exc

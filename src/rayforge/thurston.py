@@ -29,6 +29,7 @@ UnsupportedHomotopyError.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,12 +76,6 @@ class TargetSpec:
     @property
     def m(self) -> int:
         return len(self.orbits)
-
-    def address(self, i: int) -> ExternalAddress:
-        return self.orbits[i][1]
-
-    def potential(self, i: int) -> float:
-        return self.orbits[i][0]
 
     @cached_property
     def towers(self) -> tuple[tuple[float, ...], ...]:
@@ -192,13 +187,12 @@ def validate_spec(spec: TargetSpec) -> None:
             "configuration admits infinitely many nontrivial clusters "
             "(equal speeds with persistently agreeing addresses)"
         )
-    for i in range(spec.m):
-        for k in range(i + 1, spec.m):
-            if spec.address(i).overlaps(spec.address(k)):
-                raise SpecRejectionError(
-                    f"addresses of orbits {i} and {k} overlap under shifts; "
-                    "their orbits would share a ray"
-                )
+    for (i, (_, a)), (k, (_, b)) in itertools.combinations(enumerate(spec.orbits), 2):
+        if a.overlaps(b):
+            raise SpecRejectionError(
+                f"addresses of orbits {i} and {k} overlap under shifts; "
+                "their orbits would share a ray"
+            )
 
 
 def init_state(spec: TargetSpec) -> tuple[PolyExpMap, np.ndarray]:
@@ -322,7 +316,7 @@ class Certificate(NamedTuple):
 
     passed: bool
     orbits: tuple[OrbitCheck, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
@@ -336,9 +330,7 @@ def verify(map_: PolyExpMap, spec: TargetSpec) -> Certificate:
     sd = map_.singular_data()
     sv = (sd.asymptotic_value, *sd.critical_values)
     orbits, notes = [], []  # every failed orbit adds a note
-    for i in range(spec.m):
-        target_t = spec.potential(i)
-        addr = spec.address(i)
+    for i, (target_t, addr) in enumerate(spec.orbits):
         try:
             ext = rays.extract_potential_address(map_, cfg, sv[i])
         except NotEscapingError as exc:
@@ -499,7 +491,7 @@ def invariant_set_diagnostics(grid_z: np.ndarray, spec: TargetSpec) -> Invariant
     spec that ``validate_spec`` accepts.  Report only, never raises.
     """
     ladder = spec.ladder
-    rho = (ladder.midpoints_above_threshold() or ladder.midpoints)[0]
+    rho = next((r for r in ladder.midpoints if r > ladder.t_prime), ladder.midpoints[0])
     t_n = max((t for t in ladder.potentials if t < rho), default=rho / 2)
 
     m, levels = grid_z.shape

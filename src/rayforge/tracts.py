@@ -135,7 +135,8 @@ def make_tract_config(map_: polyexp.PolyExpMap) -> TractConfig:
         )
     eps = math.pi / 4 / d
     sv = map_.singular_data()
-    if not all(cmath.isfinite(v) for v in (sv.asymptotic_value, *sv.critical_values)):
+    values = (sv.asymptotic_value, *sv.critical_values)
+    if not all(cmath.isfinite(v) for v in values):
         raise OverflowSignal("singular values leave the float range")
     try:
         moduli = [abs(b) for b in map_.coeffs]
@@ -166,7 +167,8 @@ def make_tract_config(map_: polyexp.PolyExpMap) -> TractConfig:
             and (u_g <= up or polyexp.horner(falling, u_g) * config.ROUNDING <= d * r)
             and polyexp.horner(falling, u_star) * config.ROUNDING <= d * r - 2
         ):
-            return TractConfig(d=d, r=r, r_min=sv.max_real() + 1e-6, t_up=t_up, t_lo=t_lo, eps=eps)
+            r_min = max(v.real for v in values) + 1e-6
+            return TractConfig(d=d, r=r, r_min=r_min, t_up=t_up, t_lo=t_lo, eps=eps)
         r = 2 * r + 1
 
 

@@ -188,7 +188,7 @@ def scalar_make_tract_config(
     r = 2 * sv.max_modulus() + 2
     # Hard domain floor: the half-plane right of every singular value is
     # free of branch points, so inverse branches are single-valued there.
-    r_min = sv.max_real() + 1e-6
+    r_min = max(v.real for v in (sv.asymptotic_value, *sv.critical_values)) + 1e-6
     sin_eps = math.sin(d * eps)
 
     while True:
@@ -520,8 +520,7 @@ def scalar_pullback_grid(spec: thurston.TargetSpec, map_: PolyExpMap, z: np.ndar
     cfg = tracts.make_tract_config(map_)
     depth = z.shape[1] - 1
     new = np.zeros_like(z)
-    for i in range(spec.m):
-        addr, tower = spec.address(i), spec.towers[i]
+    for i, ((_, addr), tower) in enumerate(zip(spec.orbits, spec.towers)):
         for j in range(depth + 1):
             if j < depth:
                 seed = complex(z[i, j + 1])

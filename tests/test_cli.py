@@ -512,6 +512,18 @@ class TestHomotopyAndTracts:
         payload = json.loads(capsys.readouterr().out)
         assert payload["word"] == [[1, 1]]
 
+    def test_word_of_a_repeated_start_vertex(self, workdir, tmp_path, capsys):
+        # [s, s, x] is the curve [s, x]: the repeat is a zero-length segment
+        vertices = json.loads(Path(workdir["curve"]).read_text())["vertices"]
+        outputs = []
+        for name, curve in (("once", vertices), ("twice", vertices[:1] + vertices)):
+            argv = ["homotopy", "word", "--marked", workdir["marked"],
+                    "--curve", _write(tmp_path, f"{name}.json", {"vertices": curve})]
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0].out)["word"] == [[1, 1]]
+
     def test_tracts_inspect(self, workdir, capsys):
         code = run(["tracts", "inspect", "--map", workdir["map"]])
         assert code == 0
@@ -999,6 +1011,44 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"rayforge: {message}\n"
+
+    def test_classify_bad_spec_object_exit_2(self, tmp_path, capsys):
+        spec = _write(tmp_path, "s.json", {"d": 1, "orbits": 5})
+        assert run(["classify", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rayforge: bad spec object: {'d': 1, 'orbits': 5}\n"
+
+    @pytest.mark.parametrize(
+        "map_obj,message",
+        [
+            ({"d": 0, "coeffs": []}, "degree must be >= 1, got 0"),
+            ({"d": 3, "coeffs": [_c(0)]}, "need 3 coefficients b_0..b_2, got 1"),
+        ],
+        ids=["d=0", "too-few-coeffs"],
+    )
+    def test_tracts_inspect_bad_map_exit_2(self, map_obj, message, tmp_path, capsys):
+        assert run(["tracts", "inspect", "--map", _write(tmp_path, "m.json", map_obj)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rayforge: {message}\n"
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),  # exit 1
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),  # exit 1
+            (b"1" * 5_000, "invalid JSON: Exceeds the limit (4300 digits)"),  # exit 1
+        ],
+        ids=["not-utf-8", "nested-100000", "5000-digits"],
+    )
+    def test_undecodable_file_exit_2(self, data, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        assert run(["classify", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rayforge: " + message.format(path=path))
 
     def test_invariant_set_run_without_config_exit_2(self, tmp_path, capsys):
         grid = to_json(presets.SPEC_D1.straight)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,37 @@ class TestWordOfCurve:
         curve = PolylineCurve([0 + 0j, 2 + 1j] + tail)
         with pytest.raises(DegenerateCurveError, match="cut ray of point 1"):
             ht.word_of_curve(marked, curve)
+
+    def test_repeated_start_vertex_changes_nothing(self):
+        # The start 0 sits on the cut ray of point 1 = -i and at the foot of
+        # its own: a repeat of it is a zero-length segment, not a vertex on a ray.
+        marked = MarkedSet([0 + 0j, 0 - 1j, 5 + 0j])
+        once = ht.word_of_curve(marked, PolylineCurve([0 + 0j, 6 + 1j]))
+        assert once == ((2, 1),)
+        for repeats in (1, 2):
+            curve = PolylineCurve([0 + 0j] * (repeats + 1) + [6 + 1j])
+            assert ht.word_of_curve(marked, curve) == once
+
+
+class TestMarkedSet:
+    def test_names_the_first_coinciding_pair(self):
+        # lexicographic order: (0, 3) comes before (1, 2), found first in a scan
+        with pytest.raises(DomainError, match=r"^marked points 0 and 3 coincide$"):
+            MarkedSet([1 + 1j, 2 + 0j, 2 + 0j, 1 + 1j])
+        with pytest.raises(DomainError, match=r"^marked points 1 and 2 coincide$"):
+            MarkedSet([1 + 1j, 2 + 0j, 2 + 0j, 3 + 1j, 2 + 0j])
+
+    def test_signed_zeros_coincide(self):
+        with pytest.raises(DomainError, match=r"^marked points 0 and 1 coincide$"):
+            MarkedSet([complex(0.0, 0.0), complex(-0.0, -0.0)])
+
+    def test_many_distinct_points_validate_in_one_pass(self):
+        # validation is one pass, linear in the number of points
+        points = [complex(k % 250, k // 250) for k in range(50_000)]
+        start = time.perf_counter()
+        marked = MarkedSet(points)
+        assert time.perf_counter() - start < 1.0
+        assert marked.points == tuple(points)
 
 
 class TestWindingOracle:

@@ -1,10 +1,12 @@
 """Hypothesis properties of the address and word bookkeeping: shifts,
-entry tables, overlaps, tail agreement and free reduction."""
+entry tables, overlaps, tail agreement, free reduction and repeated curve
+vertices."""
 
 import pytest
 
 from oracles import abelianization
-from rayforge.homotopy import reduce_letters
+from rayforge.errors import RayforgeError
+from rayforge.homotopy import MarkedSet, PolylineCurve, reduce_letters, word_of_curve
 from rayforge.potentials import ExternalAddress, _tails_agree_infinitely_often
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -102,3 +104,32 @@ def test_entries_read_entry_by_entry(addr, n):
     # with the drawn preperiod (often empty), and with none
     for a in (addr, addr.shifted(len(addr.preperiod))):
         assert a.entries(n) == tuple(a.entry(k) for k in range(n))
+
+
+# Marked points on the integer grid and vertices on the half-integer grid,
+# so that shared real parts, vertices on cut rays and curves through marked
+# points, the degenerate contacts, are common.
+POINTS = st.lists(
+    st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=5, unique=True
+)
+VERTICES = st.lists(
+    st.builds(lambda x, y: complex(x / 2, y / 2), st.integers(-5, 5), st.integers(-5, 5)),
+    max_size=5,
+)
+
+
+def _word_or_error(marked: MarkedSet, vertices: list[complex]):
+    try:
+        return word_of_curve(marked, PolylineCurve(vertices))
+    except RayforgeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(POINTS, VERTICES, st.data())
+def test_a_repeated_vertex_changes_nothing(points, rest, data):
+    marked = MarkedSet(points)
+    vertices = [data.draw(st.sampled_from(points)), *rest]
+    k = data.draw(st.integers(0, len(vertices) - 1))
+    repeated = vertices[: k + 1] + vertices[k:]
+    assert _word_or_error(marked, repeated) == _word_or_error(marked, vertices)

@@ -195,7 +195,7 @@ class TestInitState:
             assert pulls[:, :-1].all() and np.array_equal(strips, spec.strips[:, :-1][pulls])
             for i, tower in enumerate(spec.towers):
                 if len(tower) > spec.depth + 1:
-                    s = spec.address(i).entry(spec.depth + 1)
+                    s = spec.orbits[i][1].entry(spec.depth + 1)
                     seed = pot.straight_point(d, tower[spec.depth + 1], s)
                     assert i not in far and pulls[i, -1]
                     assert (seeds[i].real.hex(), seeds[i].imag.hex()) == (
