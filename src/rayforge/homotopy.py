@@ -17,10 +17,21 @@ the curve without the repeat.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateCurveError, DomainError
+
+
+def _finite(values: Sequence[complex], what: str) -> tuple[complex, ...]:
+    """The values as complex numbers; DomainError names the first that is
+    not finite, whose cut ray or crossing the word cannot place."""
+    zs = tuple(map(complex, values))
+    if not all(map(cmath.isfinite, zs)):
+        i = next(i for i, z in enumerate(zs) if not cmath.isfinite(z))
+        raise DomainError(f"{what} {i} is not finite: {zs[i]!r}")
+    return zs
 
 
 @dataclass(frozen=True, init=False)
@@ -28,14 +39,15 @@ class MarkedSet:
     """Finite ordered set of pairwise distinct marked points.
 
     A dataclass, not a NamedTuple, because its own ``__init__`` validates
-    the points: one pass keeps each value's first index, and a coincidence
-    names the first pair (i, j) in lexicographic order (0.0 == -0.0).
+    the points: a point that is not finite is refused by its index, then
+    one pass keeps each value's first index, and a coincidence names the
+    first pair (i, j) in lexicographic order (0.0 == -0.0).
     """
 
     points: tuple[complex, ...]
 
     def __init__(self, points: Sequence[complex]):
-        pts = tuple(complex(p) for p in points)
+        pts = _finite(points, "marked point")
         first: dict[complex, int] = {}
         clashes = [(i, j) for j, p in enumerate(pts) if (i := first.setdefault(p, j)) != j]
         if clashes:
@@ -53,13 +65,15 @@ class PolylineCurve:
 
     ``vertices`` are the finite corners; the segment from the last vertex
     extends to Re -> +oo at constant imaginary part.  A dataclass, not a
-    NamedTuple, because its own ``__init__`` validates the vertices.
+    NamedTuple, because its own ``__init__`` validates the vertices: there
+    is at least one, and a vertex that is not finite is refused by its
+    index.
     """
 
     vertices: tuple[complex, ...]
 
     def __init__(self, vertices: Sequence[complex]):
-        vs = tuple(complex(v) for v in vertices)
+        vs = _finite(vertices, "curve vertex")
         if not vs:
             raise DomainError("curve needs at least its starting vertex")
         object.__setattr__(self, "vertices", vs)
@@ -76,14 +90,17 @@ def reduce_letters(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(stack)
 
 
-def _segment_crossings(a: complex, b: complex, marked: MarkedSet) -> list[tuple[float, int, int]]:
-    """Crossing events (parameter, index, sign) of one finite segment."""
+def _segment_crossings(
+    a: complex, b: complex, parts: Sequence[tuple[float, float]]
+) -> list[tuple[float, int, int]]:
+    """Crossing events (parameter, index, sign) of one finite segment; parts
+    are the marked points' (real, imaginary) pairs."""
     events = []
-    for idx, w in enumerate(marked.points):
-        xa = a.real - w.real
-        xb = b.real - w.real
+    for idx, (wr, wi) in enumerate(parts):
+        xa = a.real - wr
+        xb = b.real - wr
         if xa == 0.0 and xb == 0.0:
-            if max(a.imag, b.imag) >= w.imag:
+            if max(a.imag, b.imag) >= wi:
                 raise DegenerateCurveError(
                     f"segment slides along the cut ray of point {idx}"
                 )
@@ -94,16 +111,16 @@ def _segment_crossings(a: complex, b: complex, marked: MarkedSet) -> list[tuple[
             # or repeated: the segment ending at any other one rejected it.
             continue
         if xb == 0.0:
-            if b.imag >= w.imag:
+            if b.imag >= wi:
                 raise DegenerateCurveError(f"vertex sits on the cut ray of point {idx}")
             continue
         if (xa < 0) == (xb < 0):
             continue
         tstar = xa / (xa - xb)
         ystar = a.imag + tstar * (b.imag - a.imag)
-        if ystar == w.imag:
+        if ystar == wi:
             raise DegenerateCurveError(f"curve passes through marked point {idx}")
-        if ystar > w.imag:
+        if ystar > wi:
             events.append((tstar, idx, 1 if xb > xa else -1))
     events.sort(key=lambda e: e[0])
     return events
@@ -122,26 +139,27 @@ def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> tuple[tuple[int, i
         raise DomainError("curve must start at a marked point")
     letters: list[tuple[int, int]] = []
     vs = curve.vertices
+    parts = [(w.real, w.imag) for w in marked.points]
     for k in range(len(vs) - 1):
         a, b = vs[k], vs[k + 1]
         if a == b:
             continue
-        for _, idx, sign in _segment_crossings(a, b, marked):
+        for _, idx, sign in _segment_crossings(a, b, parts):
             letters.append((idx, sign))
     # Final horizontal edge from the last vertex to +infinity.
     last = vs[-1]
     tail = []
-    for idx, w in enumerate(marked.points):
-        if w.real == last.real:
+    for idx, (wr, wi) in enumerate(parts):
+        if wr == last.real:
             # The open edge has x > Re w throughout, so it never crosses this
             # ray.  An exit vertex on the ray ends a non-degenerate segment,
             # whose crossing scan has already rejected it, or is the start.
             continue
-        if w.real > last.real:
-            if w.imag == last.imag:
+        if wr > last.real:
+            if wi == last.imag:
                 raise DegenerateCurveError(f"exit line hits marked point {idx}")
-            if w.imag < last.imag:
-                tail.append((w.real, idx))
+            if wi < last.imag:
+                tail.append((wr, idx))
     for _, idx in sorted(tail):
         letters.append((idx, 1))
     return reduce_letters(letters)

@@ -100,18 +100,21 @@ def trace_segment(
     first: n_samples x (depth + 1) pull levels above
     config.MAX_TRACE_LEVELS, or a chain that stalls inside the float range
     (as step(1, t) = t does at t = 1e-300), raise DomainError before any
-    other chain is built.  The consecutive-depth increment measures the
-    depth-(n-1) error; scaled by the tail-decay ratio it bounds the
-    returned point's error.  That bound, raised to the floor |z| 1e-16, is
-    the sample's error estimate: the number tested against
-    config.TRACER_TOL max(1, |z|) and the number returned.  Depth 0 happens
-    only where step(t) leaves the float range: the straight point is then
-    exact in double precision, and its error is the floor like any other
-    sample's.  The depth-n and depth-(n-1) chains of all samples are pulled
-    together; the first failing sample, depth n before depth n-1, raises
-    its error, or NotConvergedError where neither chain failed.  A chain
-    point left of the singular values, where no single-valued branch
-    exists, raises BranchSelectionError.
+    other chain is built.  t_lo's tower is that ``potentials.chain``; the
+    other samples' towers are stepped in one loop (``_towers``) by the
+    same steps and stop rules, which keeps of each tower only the depth n,
+    step^n(t) and step^(n-1)(t) that seed the pull chains.  The
+    consecutive-depth increment measures the depth-(n-1) error; scaled by
+    the tail-decay ratio it bounds the returned point's error.  That bound,
+    raised to the floor |z| 1e-16, is the sample's error estimate: the
+    number tested against config.TRACER_TOL max(1, |z|) and the number
+    returned.  Depth 0 happens only where step(t) leaves the float range:
+    the straight point is then exact in double precision, and its error is
+    the floor like any other sample's.  The depth-n and depth-(n-1) chains
+    of all samples are pulled together; the first failing sample, depth n
+    before depth n-1, raises its error, or NotConvergedError where neither
+    chain failed.  A chain point left of the singular values, where no
+    single-valued branch exists, raises BranchSelectionError.
     """
     if not 0 < t_lo <= t_hi < math.inf:
         raise DomainError("need finite 0 < t_lo <= t_hi")
@@ -131,14 +134,14 @@ def trace_segment(
         ts[-1] = t_hi
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("segment potentials must strictly increase")
-    speeds = [deepest] + [potentials.chain(map_.d, t, max_len=len(deepest)) for t in ts[1:]]
-    depths = [len(values) - 1 for values in speeds]
-    depths += [max(n - 1, 0) for n in depths]
+    top = len(deepest) - 1
+    depths, last, prev = _towers(map_.d, ts[1:], top)
     # Chain s pulls sample s from speed step^n(t) through n levels, chain
     # S + s from step^(n-1)(t) through n - 1; a depth-0 sample pulls its
     # straight point twice through no level, so its increment is 0.
+    depths = [top, *depths, max(top - 1, 0), *(max(n - 1, 0) for n in depths)]
+    seed_ts = np.array([deepest[top], *last, deepest[max(top - 1, 0)], *prev])
     S = len(ts)
-    seed_ts = np.array([speeds[c % S][n] for c, n in enumerate(depths)])
     z, errors = _pull_chains(map_, cfg, address, seed_ts, np.array(depths))
     z, z_prev = z[:S], z[S:]
     with np.errstate(all="ignore"):
@@ -170,8 +173,27 @@ def trace_segment(
             f"{config.TRACER_TOL * max(1.0, size[s]):.3e}",
             details=(complex(z_prev[s]), complex(z[s])),
         )
-    samples = zip(z.tolist(), ts, depths[:S], err.tolist())
-    return tuple(RayPoint(*sample) for sample in samples)
+    return tuple(map(RayPoint._make, zip(z.tolist(), ts, depths[:S], err.tolist())))
+
+
+def _towers(d: int, ts: list[float], max_depth: int) -> tuple[list[int], list[float], list[float]]:
+    """The speed towers of potentials ts, as ``potentials.chain(d, t,
+    max_len=max_depth + 1)`` builds them, in one loop that keeps of each
+    tower only what the pull chains need: its depth n, step^n(t) and
+    step^(n-1)(t) (t itself where n = 0)."""
+    depths, last, prev = [], [], []
+    for t in ts:
+        n, u, v = 0, t, t
+        # potentials.chain's stop rules, and potentials.step's math.expm1
+        while n < max_depth and d * v <= config.EXP_ARG_LIMIT:
+            w = math.expm1(d * v)
+            if w > config.CAP:
+                break
+            n, u, v = n + 1, v, w
+        depths.append(n)
+        last.append(v)
+        prev.append(u)
+    return depths, last, prev
 
 
 class Extraction(NamedTuple):

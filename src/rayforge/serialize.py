@@ -17,7 +17,9 @@ report once: a NamedTuple record becomes an object of its fields by name,
 a dict stays a dict, any other list, tuple or ndarray becomes a list, a
 complex number becomes {"re", "im"} and a non-finite float null.  So
 report keys are the records' field names, except for the ``ray trace``
-samples (t, re, im, depth, err).
+samples (t, re, im, depth, err).  ``cli`` writes those sample rows straight
+from the tracer's points, in the layout ``dumps`` produces for one sample
+and by the same number rule.
 """
 
 from __future__ import annotations
@@ -99,16 +101,31 @@ def spec_from_json(obj: Any) -> TargetSpec:
         raise DomainError(f"bad spec object: {obj!r}") from exc
 
 
+def _points_from_json(values: Any) -> list[complex]:
+    """``complex_from_json`` of each value.  A {re, im} pair of finite
+    floats, the common case, is read directly; any other value goes through
+    ``complex_from_json``, with its errors."""
+    points = []
+    for v in values:
+        if type(v) is dict:
+            re, im = v.get("re"), v.get("im")
+            if type(re) is float and type(im) is float and math.isfinite(re + im):
+                points.append(complex(re, im))
+                continue
+        points.append(complex_from_json(v))
+    return points
+
+
 def curve_from_json(obj: Any) -> PolylineCurve:
     try:
-        return PolylineCurve([complex_from_json(v) for v in obj["vertices"]])
+        return PolylineCurve(_points_from_json(obj["vertices"]))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"bad curve object: {obj!r}") from exc
 
 
 def marked_from_json(obj: Any) -> MarkedSet:
     try:
-        return MarkedSet([complex_from_json(v) for v in obj["points"]])
+        return MarkedSet(_points_from_json(obj["points"]))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"bad marked-set object: {obj!r}") from exc
 
@@ -131,7 +148,16 @@ def dumps(obj: Any) -> str:
 def _render(obj: Any, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``newline`` is a line
     break and the indent of the line that ``obj`` starts on."""
-    if isinstance(obj, str):
+    if isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _render(obj[key], inner, out)
+            sep = ","
+        out.append(newline + "}" if obj else "{}")
+    elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
@@ -141,17 +167,8 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, complex):
         _render({"re": obj.real, "im": obj.imag}, newline, out)
-    elif isinstance(obj, dict):
-        inner, sep = newline + "  ", "{"
-        for key in sorted(obj):
-            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _render(obj[key], inner, out)
-            sep = ","
-        out.append(newline + "}" if obj else "{}")
     elif isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple, before tuples
         _render(obj._asdict(), newline, out)
     elif isinstance(obj, np.ndarray):

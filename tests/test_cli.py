@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from oracles import main_through_full_tree, seeded_specs, to_json
 
 import rayforge
-from rayforge import cli, config, errors, potentials, presets, serialize, thurston, tracts
+from rayforge import cli, config, errors, potentials, presets, rays, serialize, thurston, tracts
 from rayforge.polyexp import PolyExpMap
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -1169,6 +1170,42 @@ class TestWireSchema:
 
     def test_tracts_inspect(self, workdir, capsys):
         self._payload(["tracts", "inspect", "--map", workdir["map"]], capsys)
+
+
+class TestSampleRows:
+    """``ray trace`` writes each sample straight from the tracer's point:
+    the JSON report is ``serialize.dumps`` of the sample dicts, and each CSV
+    row the reprs of the sample's values, on any floats."""
+
+    SPECIAL = (0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+               math.nan, math.inf, -math.inf)
+
+    @classmethod
+    def _points(cls, seed: int) -> list:
+        rng = np.random.default_rng(seed)
+
+        def value() -> float:
+            if rng.random() < 0.3:
+                return cls.SPECIAL[rng.integers(len(cls.SPECIAL))]
+            return float(rng.normal() * 10.0 ** rng.integers(-320, 308))
+
+        points = [rays.RayPoint(complex(value(), value()), value(), int(rng.integers(0, 60)), value())
+                  for _ in range(64)]
+        # finite values whose sum overflows
+        return points + [rays.RayPoint(complex(1e308, 1e308), 1e308, 7, 1e308)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_equal_the_encoders(self, seed):
+        points = self._points(seed)
+        samples = [{"t": p.t, "re": p.z.real, "im": p.z.imag, "depth": p.depth_used,
+                    "err": p.error_estimate} for p in points]
+        cfg = {"command": "ray trace", "t_lo": 0.5, "t_hi": 2.0, "samples": len(points)}
+        text = cli._render({**cfg, "format": "json"}, {"samples": points})
+        report = {"schema": serialize.SCHEMA, "config": {**cfg, "format": "json"}, "samples": samples}
+        assert text == serialize.dumps(report)
+        lines = cli._render({**cfg, "format": "csv"}, {"samples": points}).splitlines()
+        assert lines[1] == "t,re,im,depth,err"
+        assert lines[2:] == [",".join(map(repr, s.values())) for s in samples]
 
 
 class TestSurface:

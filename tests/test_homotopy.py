@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -127,6 +128,31 @@ class TestMarkedSet:
         marked = MarkedSet(points)
         assert time.perf_counter() - start < 1.0
         assert marked.points == tuple(points)
+
+
+class TestNonFinitePoints:
+    """A point that is not finite has no cut ray or crossing a word can
+    place: both constructors name the first one."""
+
+    BAD = [complex(math.nan, 1.0), complex(math.inf, -1.0), complex(0.0, -math.inf),
+           complex(math.nan, math.nan)]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_marked_set_names_the_first(self, bad):
+        with pytest.raises(DomainError, match=r"^marked point 1 is not finite"):
+            MarkedSet([0j, bad, 3 - 1j, bad])
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_curve_names_the_first(self, bad):
+        with pytest.raises(DomainError, match=r"^curve vertex 2 is not finite"):
+            PolylineCurve([0j, 2 + 1j, bad, bad])
+
+    def test_no_word_ignores_a_point(self):
+        # a NaN point used to be left out of the word, and a point at
+        # complex(inf, -1) added a letter for a ray at infinity
+        for bad in (complex(math.nan, 1.0), complex(math.inf, -1.0)):
+            with pytest.raises(DomainError):
+                ht.word_of_curve(MarkedSet([0j, bad, 3 - 1j]), PolylineCurve([0j, 2 + 1j]))
 
 
 class TestWindingOracle:

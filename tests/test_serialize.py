@@ -205,3 +205,35 @@ def test_malformed_objects_raise_domain_errors():
         serialize.address_from_json({"preperiod": [1]})
     with pytest.raises(DomainError):
         serialize.complex_from_json([1, 2])
+
+
+# Points of a curve or marked-set file: a {re, im} pair of finite floats is
+# read directly, and every other value as complex_from_json reads it.
+_GOOD_POINTS = [
+    {"re": 1.5, "im": -0.0}, {"re": -0.0, "im": 5e-324}, {"re": 1e308, "im": 1e308},
+    {"re": 1, "im": 2}, {"re": 10**20, "im": 0.5}, {"re": 2.0, "im": 0.5, "extra": "x"},
+]
+_BAD_POINTS = [
+    {"re": 1, "im": "2"}, {"re": "1.5", "im": 0.0}, {"re": True, "im": 0.0},
+    {"re": 0.0, "im": False}, {"re": math.nan, "im": 0.0}, {"re": 0.0, "im": math.inf},
+    {"re": -math.inf, "im": 0.0}, {"re": 10**400, "im": 0.0}, {"re": 0.0, "im": None},
+    {"re": [1.0], "im": 0.0}, {"re": 0.0}, [0.0, 1.0], "re", 3, 2.5, None, True,
+]
+_POINT_READERS = [(serialize.curve_from_json, "vertices"), (serialize.marked_from_json, "points")]
+
+
+@pytest.mark.parametrize("point", _GOOD_POINTS, ids=repr)
+@pytest.mark.parametrize("read, key", _POINT_READERS, ids=["curve", "marked"])
+def test_point_readers_read_as_complex_from_json(read, key, point):
+    read_back = read({key: [point]})
+    assert repr(getattr(read_back, key)) == repr((serialize.complex_from_json(point),))
+
+
+@pytest.mark.parametrize("point", _BAD_POINTS, ids=repr)
+@pytest.mark.parametrize("read, key", _POINT_READERS, ids=["curve", "marked"])
+def test_point_readers_keep_complex_from_json_errors(read, key, point):
+    with pytest.raises(DomainError) as expected:
+        serialize.complex_from_json(point)
+    with pytest.raises(DomainError) as got:
+        read({key: [{"re": 0.0, "im": 0.0}, point]})
+    assert str(got.value) == str(expected.value)
