@@ -135,49 +135,22 @@ def _cmd_tracts_inspect(args) -> tuple[dict, dict, int]:
     return {}, tracts.make_tract_config(map_)._asdict(), EXIT_OK
 
 
-_WIRE = ("t", "re", "im", "depth", "err")  # a ray sample's values, in CSV column order
-
-
-def _sample_layout() -> str:
-    """One ray sample as ``serialize.dumps`` writes it in a report's
-    ``samples`` list, from the line break before it to its closing brace,
-    with every value null."""
-    text = serialize.dumps({"samples": [dict.fromkeys(_WIRE)]})
-    return text[text.index("[") + 1 : text.rindex("\n  ]")]
-
-
-_NULL_SAMPLE = _sample_layout()
-_JSON_SAMPLE = _NULL_SAMPLE.replace("null", "%r")  # values in key order: depth, err, im, re, t
-
-
 def _render(run_cfg: dict, body: dict) -> str:
-    """The report text: ``serialize.dumps`` of the envelope and body.
-
-    ``ray trace`` writes each sample's five values once, straight from the
-    tracer's points.  For ``--out csv`` that is a config comment line and
-    one row of reprs per sample.  For ``--out json`` the envelope goes
-    through ``dumps`` with one null sample, which is then replaced by the
-    samples in the layout ``dumps`` gave it, by ``dumps``'s number rule:
-    ``float.__repr__``, and null for a non-finite value."""
-    report = {"schema": serialize.SCHEMA, "config": run_cfg, **body}
+    """The report text: ``serialize.dumps`` of the envelope and body, or
+    ``serialize.dumps_ray_report`` for ``ray trace --out json``.  For
+    ``ray trace --out csv`` it is a config comment line and one row of
+    reprs per sample, straight from the tracer's points."""
     fmt = run_cfg.get("format")
-    if fmt is None:
-        return serialize.dumps(report)
-    points = body["samples"]
     if fmt == "csv":
+        points = body["samples"]
         rows = "".join("%r,%r,%r,%r,%r\n" % (t, z.real, z.imag, n, err) for z, t, n, err in points)
         cfg_line = json.dumps(run_cfg, sort_keys=True)
-        return f"# {serialize.SCHEMA} config={cfg_line}\n{','.join(_WIRE)}\n{rows}"
-    rows = []
-    for z, t, n, err in points:
-        re, im = z.real, z.imag
-        if math.isfinite(err + im + re + t):  # so each of them is finite
-            rows.append(_JSON_SAMPLE % (n, err, im, re, t))
-        else:
-            values = (repr(x) if math.isfinite(x) else "null" for x in (err, im, re, t))
-            rows.append(_NULL_SAMPLE.replace("null", "%s") % (n, *values))
-    head, tail = serialize.dumps({**report, "samples": [dict.fromkeys(_WIRE)]}).split(_NULL_SAMPLE)
-    return head + ",".join(rows) + tail
+        header = ",".join(serialize.SAMPLE_FIELDS)
+        return f"# {serialize.SCHEMA} config={cfg_line}\n{header}\n{rows}"
+    report = {"schema": serialize.SCHEMA, "config": run_cfg, **body}
+    if fmt == "json":
+        return serialize.dumps_ray_report(report)
+    return serialize.dumps(report)
 
 
 def _checked(convert, accept, what: str):

@@ -28,9 +28,9 @@ def _finite(values: Sequence[complex], what: str) -> tuple[complex, ...]:
     """The values as complex numbers; DomainError names the first that is
     not finite, whose cut ray or crossing the word cannot place."""
     zs = tuple(map(complex, values))
-    if not all(map(cmath.isfinite, zs)):
-        i = next(i for i, z in enumerate(zs) if not cmath.isfinite(z))
-        raise DomainError(f"{what} {i} is not finite: {zs[i]!r}")
+    bad = next((i for i, z in enumerate(zs) if not cmath.isfinite(z)), None)
+    if bad is not None:
+        raise DomainError(f"{what} {bad} is not finite: {zs[bad]!r}")
     return zs
 
 
@@ -90,17 +90,14 @@ def reduce_letters(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(stack)
 
 
-def _segment_crossings(
-    a: complex, b: complex, parts: Sequence[tuple[float, float]]
-) -> list[tuple[float, int, int]]:
-    """Crossing events (parameter, index, sign) of one finite segment; parts
-    are the marked points' (real, imaginary) pairs."""
+def _segment_crossings(a: complex, b: complex, marked: MarkedSet) -> list[tuple[float, int, int]]:
+    """Crossing events (parameter, index, sign) of one finite segment."""
     events = []
-    for idx, (wr, wi) in enumerate(parts):
-        xa = a.real - wr
-        xb = b.real - wr
+    for idx, w in enumerate(marked.points):
+        xa = a.real - w.real
+        xb = b.real - w.real
         if xa == 0.0 and xb == 0.0:
-            if max(a.imag, b.imag) >= wi:
+            if max(a.imag, b.imag) >= w.imag:
                 raise DegenerateCurveError(
                     f"segment slides along the cut ray of point {idx}"
                 )
@@ -111,16 +108,16 @@ def _segment_crossings(
             # or repeated: the segment ending at any other one rejected it.
             continue
         if xb == 0.0:
-            if b.imag >= wi:
+            if b.imag >= w.imag:
                 raise DegenerateCurveError(f"vertex sits on the cut ray of point {idx}")
             continue
         if (xa < 0) == (xb < 0):
             continue
         tstar = xa / (xa - xb)
         ystar = a.imag + tstar * (b.imag - a.imag)
-        if ystar == wi:
+        if ystar == w.imag:
             raise DegenerateCurveError(f"curve passes through marked point {idx}")
-        if ystar > wi:
+        if ystar > w.imag:
             events.append((tstar, idx, 1 if xb > xa else -1))
     events.sort(key=lambda e: e[0])
     return events
@@ -139,27 +136,26 @@ def word_of_curve(marked: MarkedSet, curve: PolylineCurve) -> tuple[tuple[int, i
         raise DomainError("curve must start at a marked point")
     letters: list[tuple[int, int]] = []
     vs = curve.vertices
-    parts = [(w.real, w.imag) for w in marked.points]
     for k in range(len(vs) - 1):
         a, b = vs[k], vs[k + 1]
         if a == b:
             continue
-        for _, idx, sign in _segment_crossings(a, b, parts):
+        for _, idx, sign in _segment_crossings(a, b, marked):
             letters.append((idx, sign))
     # Final horizontal edge from the last vertex to +infinity.
     last = vs[-1]
     tail = []
-    for idx, (wr, wi) in enumerate(parts):
-        if wr == last.real:
+    for idx, w in enumerate(marked.points):
+        if w.real == last.real:
             # The open edge has x > Re w throughout, so it never crosses this
             # ray.  An exit vertex on the ray ends a non-degenerate segment,
             # whose crossing scan has already rejected it, or is the start.
             continue
-        if wr > last.real:
-            if wi == last.imag:
+        if w.real > last.real:
+            if w.imag == last.imag:
                 raise DegenerateCurveError(f"exit line hits marked point {idx}")
-            if wi < last.imag:
-                tail.append((wr, idx))
+            if w.imag < last.imag:
+                tail.append((w.real, idx))
     for _, idx in sorted(tail):
         letters.append((idx, 1))
     return reduce_letters(letters)

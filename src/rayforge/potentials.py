@@ -125,19 +125,40 @@ def same_potential(a: float, b: float) -> bool:
     return abs(a - b) <= config.POTENTIAL_EQ_RTOL * max(1.0, abs(a), abs(b))
 
 
+def _climb(d: int, v: float) -> float | None:
+    """The next speed of a tower at v, step(d, v); None where the tower
+    stops: d*v past config.EXP_ARG_LIMIT, or the step above the
+    float-range limit config.CAP."""
+    if d * v > config.EXP_ARG_LIMIT:
+        return None
+    nxt = step(d, v)
+    return None if nxt > config.CAP else nxt
+
+
 def chain(d: int, t: float, max_len: int = 512) -> list[float]:
     """[t, step(t), step^2(t), ...] truncated before the first value above
     the float-range limit ``config.CAP``."""
     values = [float(t)]
-    while len(values) < max_len:
-        v = values[-1]
-        if d * v > config.EXP_ARG_LIMIT:
-            break
-        nxt = step(d, v)
-        if nxt > config.CAP:
-            break
+    while len(values) < max_len and (nxt := _climb(d, values[-1])) is not None:
         values.append(nxt)
     return values
+
+
+def chain_tops(
+    d: int, ts: Sequence[float], max_depth: int
+) -> tuple[list[int], list[float], list[float]]:
+    """Of each ``chain(d, t, max_len=max_depth + 1)``, without building it:
+    its depth n (length - 1), step^n(t), and step^(n-1)(t) (t where n = 0).
+    These are all that a ray sample's two pull chains start from."""
+    depths, last, prev = [], [], []
+    for t in ts:
+        n, u, v = 0, float(t), float(t)
+        while n < max_depth and (w := _climb(d, v)) is not None:
+            n, u, v = n + 1, v, w
+        depths.append(n)
+        last.append(v)
+        prev.append(u)
+    return depths, last, prev
 
 
 class PotentialLadder(NamedTuple):

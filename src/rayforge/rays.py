@@ -101,9 +101,9 @@ def trace_segment(
     config.MAX_TRACE_LEVELS, or a chain that stalls inside the float range
     (as step(1, t) = t does at t = 1e-300), raise DomainError before any
     other chain is built.  t_lo's tower is that ``potentials.chain``; the
-    other samples' towers are stepped in one loop (``_towers``) by the
-    same steps and stop rules, which keeps of each tower only the depth n,
-    step^n(t) and step^(n-1)(t) that seed the pull chains.  The
+    other samples' towers come from one loop, ``potentials.chain_tops``,
+    by the same steps and stop rules, which keeps of each tower only the
+    depth n, step^n(t) and step^(n-1)(t) that seed the pull chains.  The
     consecutive-depth increment measures the depth-(n-1) error; scaled by
     the tail-decay ratio it bounds the returned point's error.  That bound,
     raised to the floor |z| 1e-16, is the sample's error estimate: the
@@ -135,7 +135,7 @@ def trace_segment(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("segment potentials must strictly increase")
     top = len(deepest) - 1
-    depths, last, prev = _towers(map_.d, ts[1:], top)
+    depths, last, prev = potentials.chain_tops(map_.d, ts[1:], top)
     # Chain s pulls sample s from speed step^n(t) through n levels, chain
     # S + s from step^(n-1)(t) through n - 1; a depth-0 sample pulls its
     # straight point twice through no level, so its increment is 0.
@@ -174,26 +174,6 @@ def trace_segment(
             details=(complex(z_prev[s]), complex(z[s])),
         )
     return tuple(map(RayPoint._make, zip(z.tolist(), ts, depths[:S], err.tolist())))
-
-
-def _towers(d: int, ts: list[float], max_depth: int) -> tuple[list[int], list[float], list[float]]:
-    """The speed towers of potentials ts, as ``potentials.chain(d, t,
-    max_len=max_depth + 1)`` builds them, in one loop that keeps of each
-    tower only what the pull chains need: its depth n, step^n(t) and
-    step^(n-1)(t) (t itself where n = 0)."""
-    depths, last, prev = [], [], []
-    for t in ts:
-        n, u, v = 0, t, t
-        # potentials.chain's stop rules, and potentials.step's math.expm1
-        while n < max_depth and d * v <= config.EXP_ARG_LIMIT:
-            w = math.expm1(d * v)
-            if w > config.CAP:
-                break
-            n, u, v = n + 1, v, w
-        depths.append(n)
-        last.append(v)
-        prev.append(u)
-    return depths, last, prev
 
 
 class Extraction(NamedTuple):

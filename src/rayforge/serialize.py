@@ -17,9 +17,9 @@ report once: a NamedTuple record becomes an object of its fields by name,
 a dict stays a dict, any other list, tuple or ndarray becomes a list, a
 complex number becomes {"re", "im"} and a non-finite float null.  So
 report keys are the records' field names, except for the ``ray trace``
-samples (t, re, im, depth, err).  ``cli`` writes those sample rows straight
-from the tracer's points, in the layout ``dumps`` produces for one sample
-and by the same number rule.
+samples (t, re, im, depth, err).  ``dumps_ray_report`` writes those
+sample rows straight from the tracer's points, in the layout ``dumps``
+produces for one sample.
 """
 
 from __future__ import annotations
@@ -101,31 +101,16 @@ def spec_from_json(obj: Any) -> TargetSpec:
         raise DomainError(f"bad spec object: {obj!r}") from exc
 
 
-def _points_from_json(values: Any) -> list[complex]:
-    """``complex_from_json`` of each value.  A {re, im} pair of finite
-    floats, the common case, is read directly; any other value goes through
-    ``complex_from_json``, with its errors."""
-    points = []
-    for v in values:
-        if type(v) is dict:
-            re, im = v.get("re"), v.get("im")
-            if type(re) is float and type(im) is float and math.isfinite(re + im):
-                points.append(complex(re, im))
-                continue
-        points.append(complex_from_json(v))
-    return points
-
-
 def curve_from_json(obj: Any) -> PolylineCurve:
     try:
-        return PolylineCurve(_points_from_json(obj["vertices"]))
+        return PolylineCurve([complex_from_json(v) for v in obj["vertices"]])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"bad curve object: {obj!r}") from exc
 
 
 def marked_from_json(obj: Any) -> MarkedSet:
     try:
-        return MarkedSet(_points_from_json(obj["points"]))
+        return MarkedSet([complex_from_json(v) for v in obj["points"]])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"bad marked-set object: {obj!r}") from exc
 
@@ -183,3 +168,38 @@ def _render(obj: Any, newline: str, out: list[str]) -> None:
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
+
+SAMPLE_FIELDS = ("t", "re", "im", "depth", "err")  # a ray sample's wire values, in CSV column order
+
+
+def dumps_ray_report(report: dict) -> str:
+    """``dumps`` of a ``ray trace`` report whose ``samples`` are the
+    tracer's points (z, t, depth, err), each written as the object of its
+    SAMPLE_FIELDS, without building those objects.  The rest of the report
+    goes through ``dumps`` with one null sample, which the rows replace.  A
+    row of finite values fills the layout ``dumps`` gave that sample, by
+    ``float.__repr__``; any other row goes through ``_render``."""
+    rows = []
+    for z, t, n, err in report["samples"]:
+        re, im = z.real, z.imag
+        if math.isfinite(err + im + re + t):  # so each of them is finite
+            rows.append(_SAMPLE_ROW % (n, err, im, re, t))
+        else:
+            out = [_ROW_BREAK]
+            _render(dict(zip(SAMPLE_FIELDS, (t, re, im, n, err))), _ROW_BREAK, out)
+            rows.append("".join(out))
+    head, tail = dumps({**report, "samples": [_NULL_SAMPLE]}).split(_NULL_ROW)
+    return head + ",".join(rows) + tail
+
+
+def _null_row() -> str:
+    """A null sample as ``dumps`` writes it in a report's ``samples`` list,
+    from the line break before it to its closing brace."""
+    text = dumps({"samples": [_NULL_SAMPLE]})
+    return text[text.index("[") + 1 : text.rindex("\n  ]")]
+
+
+_NULL_SAMPLE = dict.fromkeys(SAMPLE_FIELDS)
+_NULL_ROW = _null_row()
+_ROW_BREAK = _NULL_ROW[: _NULL_ROW.index("{")]  # the line break and indent before a sample
+_SAMPLE_ROW = _NULL_ROW.replace("null", "%r")  # values in key order: depth, err, im, re, t

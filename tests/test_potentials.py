@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import ladder_threshold_by_search
+from rayforge import config
 from rayforge import potentials as pot
 from rayforge.errors import DomainError, OverflowSignal
 from rayforge.potentials import ExternalAddress
@@ -84,6 +85,28 @@ class TestIterate:
         f3, f4 = values[3], values[4]
         assert f4 > math.exp(16)
         assert f4 / math.exp(16) > f3 / math.exp(9)
+
+
+class TestChainTops:
+    """chain_tops gives the depth, last speed and previous speed of
+    ``chain``, bit for bit, without the list."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equal_to_chain(self, d):
+        rng = np.random.default_rng(d)
+        ts = [float(t) for t in 10.0 ** rng.uniform(-3, 3, 300)]
+        # depth 0 by the CAP rule, and by the EXP_ARG_LIMIT rule on both
+        # sides; depth 1 by the CAP rule, the step landing on 695/d
+        ts += [695.0 / d, 700.0 / d, 701.0 / d, math.log1p(695.0 / d) / d]
+        stops = set()
+        for max_depth in (config.MAX_TRACE_LEVELS, 3):
+            depths, last, prev = pot.chain_tops(d, ts, max_depth)
+            for t, n, v, u in zip(ts, depths, last, prev):
+                values = pot.chain(d, t, max_len=max_depth + 1)
+                assert (n, v, u) == (len(values) - 1, values[-1], values[max(n - 1, 0)])
+                if n < max_depth:
+                    stops.add(("exp" if d * v > config.EXP_ARG_LIMIT else "cap", n == 0))
+        assert stops == {("exp", True), ("exp", False), ("cap", True), ("cap", False)}
 
 
 class TestAdmissibility:

@@ -207,8 +207,8 @@ def test_malformed_objects_raise_domain_errors():
         serialize.complex_from_json([1, 2])
 
 
-# Points of a curve or marked-set file: a {re, im} pair of finite floats is
-# read directly, and every other value as complex_from_json reads it.
+# Points of a curve or marked-set file read as complex_from_json reads them,
+# with its errors.
 _GOOD_POINTS = [
     {"re": 1.5, "im": -0.0}, {"re": -0.0, "im": 5e-324}, {"re": 1e308, "im": 1e308},
     {"re": 1, "im": 2}, {"re": 10**20, "im": 0.5}, {"re": 2.0, "im": 0.5, "extra": "x"},
